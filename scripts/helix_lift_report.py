@@ -22,7 +22,7 @@ if _SRC.is_dir() and str(_SRC) not in sys.path:
 from frenetlift.cli import main as cli_main
 from frenetlift.frenet import frenet_apparatus
 from frenetlift.lifts import LiftKind
-from frenetlift.lifted_frenet import theorem_residuals
+from frenetlift.lifted_frenet import LiftedCurve
 from frenetlift.verify import builtin_curves, grid
 
 UNIT_HELIX_FILE = """\
@@ -55,7 +55,7 @@ def run(samples: int, outdir: Path) -> None:
         ("complete", LiftKind.complete()),
         ("horizontal", LiftKind.horizontal((1.0, 0.0, 0.0))),
     ):
-        rep = theorem_residuals(ush, kind, None, ts)
+        rep = LiftedCurve(ush, kind).sweep(ts)
         mid = len(ts) // 2
         print(
             f"{label:<11} lift:    kappa={rep.kappa_lift[mid]:.9f}  "

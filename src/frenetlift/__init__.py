@@ -36,7 +36,6 @@ from .frenet import (
     ZeroSpeed,
     curve_point_jets,
     frenet_apparatus,
-    frenet_residuals,
     generalized_frenet,
     speed_check,
 )
@@ -50,7 +49,6 @@ from .jets import (
     VecJ,
     ZeroNorm,
     fd_oracle,
-    gram_schmidt,
 )
 from .lifts import (
     Connection,
@@ -69,10 +67,6 @@ from .lifted_frenet import (
     LiftReport,
     LiftedApparatus,
     LiftedCurve,
-    lift_curve,
-    lifted_apparatus,
-    lifted_frame,
-    theorem_residuals,
 )
 
 __version__ = "0.1.0"

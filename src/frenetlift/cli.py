@@ -8,7 +8,9 @@ ends, and is byte-identical across runs on identical input.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -29,7 +31,7 @@ from .frenet import (
 )
 from .jets import RankDeficient, ZeroNorm
 from .lifts import Connection, LiftKind, TangentPoint, lift_field, parse_connection_file, prop21_check
-from .lifted_frenet import lift_curve
+from .lifted_frenet import LiftedCurve
 from .verify import run_checks
 
 __all__ = ["main", "RunConfig", "EXIT_OK", "EXIT_VERIFY_FAILED", "EXIT_INPUT", "EXIT_DEGENERATE"]
@@ -78,10 +80,10 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {err}") from err
 
 
-def _parse_vec3(text: str, flag: str) -> tuple[float, float, float]:
+def _parse_floats(text: str, flag: str, n: int) -> tuple[float, ...]:
     parts = text.split(",")
-    if len(parts) != 3:
-        raise InputError(f"{flag} needs 3 comma-separated numbers, got {text!r}")
+    if len(parts) != n:
+        raise InputError(f"{flag} needs {n} comma-separated numbers, got {text!r}")
     try:
         return tuple(float(p) for p in parts)
     except ValueError:
@@ -90,7 +92,7 @@ def _parse_vec3(text: str, flag: str) -> tuple[float, float, float]:
 
 def _parse_tolerances(pairs: list[str]) -> ToleranceConfig:
     cfg = ToleranceConfig()
-    known = {"kappa_floor", "ortho_tol", "residual_tol", "unit_speed_tol"}
+    known = {f.name for f in dataclasses.fields(ToleranceConfig)}
     for pair in pairs:
         if "=" not in pair:
             raise InputError(f"--tol expects NAME=VALUE, got {pair!r}")
@@ -105,10 +107,6 @@ def _parse_tolerances(pairs: list[str]) -> ToleranceConfig:
     return cfg
 
 
-def _grid(curve: CurveSpec, n: int) -> list[float]:
-    return uniform_grid(curve.t_min, curve.t_max, n)
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -117,13 +115,22 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _csv(header: list[str], rows: list[list[float]], trailer: str | None = None) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt17(v) for v in row))
-    if trailer is not None:
-        lines.append(trailer)
-    return "\n".join(lines) + "\n"
+def _emit_rows(cfg: RunConfig, header: list[str], rows: list[list[float]],
+               summary: dict[str, float] | None = None) -> None:
+    """Write rows as CSV (summary as a '#' trailer) or JSON (summary as a key)."""
+    if cfg.fmt == "csv":
+        lines = [",".join(header)]
+        for row in rows:
+            lines.append(",".join(_fmt17(v) for v in row))
+        if summary is not None:
+            lines.append("# " + " ".join(f"{k}={_fmt17(v)}" for k, v in summary.items()))
+        text = "\n".join(lines) + "\n"
+    else:
+        payload = {"rows": [dict(zip(header, r)) for r in rows]}
+        if summary is not None:
+            payload["summary"] = summary
+        text = json.dumps(payload, indent=2) + "\n"
+    _emit(text, cfg.out_path)
 
 
 def _load_curve(cfg: RunConfig) -> CurveSpec:
@@ -168,16 +175,12 @@ FRENET_HEADER = (
 def cmd_frenet(cfg: RunConfig) -> int:
     curve = _load_curve(cfg)
     rows = []
-    for t in _grid(curve, cfg.samples):
+    for t in uniform_grid(curve.t_min, curve.t_max, cfg.samples):
         app = frenet_apparatus(curve, t, cfg.tolerances)
         rows.append(
             [t, *app.point, *app.T, *app.N, *app.B, app.kappa, app.tau, *app.residuals]
         )
-    if cfg.fmt == "csv":
-        _emit(_csv(FRENET_HEADER, rows), cfg.out_path)
-    else:
-        payload = {"rows": [dict(zip(FRENET_HEADER, r)) for r in rows]}
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.out_path)
+    _emit_rows(cfg, FRENET_HEADER, rows)
     return EXIT_OK
 
 
@@ -195,8 +198,8 @@ def cmd_lift(cfg: RunConfig) -> int:
     curve = _load_curve(cfg)
     connection = _load_connection(cfg)
     kind = _resolve_kind(cfg, connection)
-    report = lift_curve(curve, kind, connection, cfg.tolerances).sweep(
-        _grid(curve, cfg.samples)
+    report = LiftedCurve(curve, kind, connection, cfg.tolerances).sweep(
+        uniform_grid(curve.t_min, curve.t_max, cfg.samples)
     )
     rows = []
     for i, t in enumerate(report.grid):
@@ -221,15 +224,7 @@ def cmd_lift(cfg: RunConfig) -> int:
         "frame_ortho_max": report.frame_ortho_max,
         "kappa_spread": report.kappa_spread,
     }
-    if cfg.fmt == "csv":
-        trailer = "# " + " ".join(f"{k}={_fmt17(v)}" for k, v in summary.items())
-        _emit(_csv(LIFT_HEADER, rows, trailer), cfg.out_path)
-    else:
-        payload = {
-            "rows": [dict(zip(LIFT_HEADER, r)) for r in rows],
-            "summary": summary,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.out_path)
+    _emit_rows(cfg, LIFT_HEADER, rows, summary)
     return EXIT_OK
 
 
@@ -244,22 +239,21 @@ def cmd_fields(cfg: RunConfig) -> int:
     Y = parse_field_file(_read(cfg.field_paths[1])) if len(cfg.field_paths) > 1 else X
     f = parse_field_file(_read(cfg.scalar_paths[0]))
     g = parse_field_file(_read(cfg.scalar_paths[1])) if len(cfg.scalar_paths) > 1 else f
-    for spec, flag in ((X, "--field"), (Y, "--field")):
-        if spec.kind != "vector":
-            raise InputError(f"{flag} file must define a vector field (X1, X2, X3)")
-    for spec, flag in ((f, "--scalar"), (g, "--scalar")):
-        if spec.kind != "scalar":
-            raise InputError(f"{flag} file must define a scalar function (f)")
+    if X.kind != "vector" or Y.kind != "vector":
+        raise InputError("--field file must define a vector field (X1, X2, X3)")
+    if f.kind != "scalar" or g.kind != "scalar":
+        raise InputError("--scalar file must define a scalar function (f)")
     connection = _load_connection(cfg)
 
     header: list[str] | None = None
     rows = []
     for coords in cfg.points:
         p = TangentPoint(coords[:3], coords[3:])
-        lifted = {
-            tag: lift_field(X, kind, connection).at(p).as_tuple()
-            for tag, kind in (("v", "vertical"), ("c", "complete"), ("h", "horizontal"))
-        }
+        lifted = [
+            x
+            for kind in ("vertical", "complete", "horizontal")
+            for x in lift_field(X, kind, connection).at(p).as_tuple()
+        ]
         residuals = prop21_check(X, Y, f, g, connection, p).residuals
         if header is None:
             header = (
@@ -268,18 +262,8 @@ def cmd_fields(cfg: RunConfig) -> int:
                 + [f"{tag}{i}" for tag in ("v", "c", "h") for i in range(1, 7)]
                 + [f"res_{name}" for name in residuals]
             )
-        rows.append(
-            list(coords)
-            + list(lifted["v"])
-            + list(lifted["c"])
-            + list(lifted["h"])
-            + list(residuals.values())
-        )
-    if cfg.fmt == "csv":
-        _emit(_csv(header, rows), cfg.out_path)
-    else:
-        payload = {"rows": [dict(zip(header, r)) for r in rows]}
-        _emit(json.dumps(payload, indent=2) + "\n", cfg.out_path)
+        rows.append([*coords, *lifted, *residuals.values()])
+    _emit_rows(cfg, header, rows)
     return EXIT_OK
 
 
@@ -339,17 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    anchor = _parse_vec3(args.anchor, "--anchor") if args.anchor else None
-    w0 = _parse_vec3(args.w0, "--w0") if args.w0 else None
-    points = []
-    for text in getattr(args, "point", []):
-        parts = text.split(",")
-        if len(parts) != 6:
-            raise InputError(f"--point needs 6 comma-separated numbers, got {text!r}")
-        try:
-            points.append(tuple(float(p) for p in parts))
-        except ValueError:
-            raise InputError(f"--point components must be numbers, got {text!r}") from None
+    anchor = _parse_floats(args.anchor, "--anchor", 3) if args.anchor else None
+    w0 = _parse_floats(args.w0, "--w0", 3) if args.w0 else None
+    points = [_parse_floats(text, "--point", 6) for text in getattr(args, "point", [])]
     return RunConfig(
         curve_path=args.curve,
         field_paths=list(args.field),
@@ -374,10 +350,27 @@ _COMMANDS = {
 }
 
 
+def _join_vector_flags(argv: list[str]) -> list[str]:
+    """Rewrite '--w0 -1,0,0' as '--w0=-1,0,0', and so for --anchor and --point.
+
+    argparse takes a value such as '-1,0,0' that starts with '-' but is not a
+    plain number for an option, and reports the flag before it as empty.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--anchor", "--w0", "--point") and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_vector_flags(argv))
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:

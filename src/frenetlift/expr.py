@@ -553,16 +553,22 @@ def _key_value_lines(text: str):
         yield lineno, key.strip(), value.strip()
 
 
-def parse_curve_file(text: str) -> CurveSpec:
-    """Parse the line-oriented curve format.
-
-    Keys: name (optional), x1, x2, x3, t_min, t_max.  '#' starts a comment.
-    """
+def _key_value_map(text: str) -> dict[str, tuple[int, str]]:
+    """key -> (line number, value), rejecting a key given twice."""
     seen: dict[str, tuple[int, str]] = {}
     for lineno, key, value in _key_value_lines(text):
         if key in seen:
             raise FormatError(lineno, f"duplicate key {key!r}")
         seen[key] = (lineno, value)
+    return seen
+
+
+def parse_curve_file(text: str) -> CurveSpec:
+    """Parse the line-oriented curve format.
+
+    Keys: name (optional), x1, x2, x3, t_min, t_max.  '#' starts a comment.
+    """
+    seen = _key_value_map(text)
     allowed = {"name", "x1", "x2", "x3", "t_min", "t_max"}
     for key, (lineno, _) in seen.items():
         if key not in allowed:
@@ -593,11 +599,7 @@ def parse_curve_file(text: str) -> CurveSpec:
 
 def parse_field_file(text: str) -> FieldSpec:
     """Parse a field file: key f (scalar) or keys X1, X2, X3 (vector)."""
-    seen: dict[str, tuple[int, str]] = {}
-    for lineno, key, value in _key_value_lines(text):
-        if key in seen:
-            raise FormatError(lineno, f"duplicate key {key!r}")
-        seen[key] = (lineno, value)
+    seen = _key_value_map(text)
     keys = set(seen) - {"name"}
     if keys == {"f"}:
         kind, wanted = "scalar", ("f",)

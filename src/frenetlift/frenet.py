@@ -17,6 +17,7 @@ B = (beta' x beta'') / ||beta' x beta''||.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -29,6 +30,8 @@ from .jets import (
     RankDeficient,
     VecJ,
     ZeroNorm,
+    fnorm,
+    frame_residuals,
 )
 
 __all__ = [
@@ -46,7 +49,6 @@ __all__ = [
     "curve_point_jets",
     "frame_jets",
     "frenet_apparatus",
-    "frenet_residuals",
     "speed_check",
     "generalized_frenet",
 ]
@@ -92,19 +94,12 @@ class ToleranceConfig:
     unit_speed_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("kappa_floor", "ortho_tol", "residual_tol", "unit_speed_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        for f in dataclasses.fields(self):
+            if getattr(self, f.name) <= 0.0:
+                raise ValueError(f"{f.name} must be positive")
 
     def replace(self, **kwargs) -> "ToleranceConfig":
-        merged = {
-            "kappa_floor": self.kappa_floor,
-            "ortho_tol": self.ortho_tol,
-            "residual_tol": self.residual_tol,
-            "unit_speed_tol": self.unit_speed_tol,
-        }
-        merged.update(kwargs)
-        return ToleranceConfig(**merged)
+        return dataclasses.replace(self, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -159,10 +154,6 @@ class GeneralizedFrame:
     matrix: tuple[tuple[float, ...], ...]
 
 
-def _fnorm(v) -> float:
-    return math.sqrt(sum(x * x for x in v))
-
-
 def uniform_grid(lo: float, hi: float, n: int) -> list[float]:
     """n uniformly spaced samples with both endpoints exact.
 
@@ -208,7 +199,7 @@ def frame_jets(pjets: VecJ, cfg: ToleranceConfig, t: float = math.nan) -> FrameJ
     T = v1.scale(Jet.constant(1.0, K - 1) / speed)
     c = v1.truncated(K - 2).cross(v2)
     cval = c.value()
-    cn_val = _fnorm(cval)
+    cn_val = fnorm(cval)
     kappa = cn_val / speed.value**3
     if kappa < cfg.kappa_floor or cn_val < SPEED_FLOOR:
         raise DegenerateCurvature(t, kappa, cfg.kappa_floor)
@@ -218,20 +209,6 @@ def frame_jets(pjets: VecJ, cfg: ToleranceConfig, t: float = math.nan) -> FrameJ
     v3val = v3.value()
     tau = sum(a * b for a, b in zip(cval, v3val)) / (cn_val * cn_val)
     return FrameJets(T=T, N=N, B=B, speed=speed, kappa=kappa, tau=tau)
-
-
-def _residual_triple(fj: FrameJets) -> tuple[float, float, float]:
-    inv = 1.0 / fj.speed.value
-    dT = fj.T.d().value()
-    dN = fj.N.d().value()
-    dB = fj.B.d().value()
-    Tv, Nv, Bv = fj.T.value(), fj.N.value(), fj.B.value()
-    r1 = _fnorm([d * inv - fj.kappa * n for d, n in zip(dT, Nv)])
-    r2 = _fnorm(
-        [d * inv + fj.kappa * t - fj.tau * b for d, t, b in zip(dN, Tv, Bv)]
-    )
-    r3 = _fnorm([d * inv + fj.tau * n for d, n in zip(dB, Nv)])
-    return (r1, r2, r3)
 
 
 def frenet_apparatus(
@@ -249,24 +226,20 @@ def frenet_apparatus(
     cfg = cfg or ToleranceConfig()
     pjets = curve_point_jets(curve, t, order)
     fj = frame_jets(pjets, cfg, t)
+    inv = 1.0 / fj.speed.value
+    dT, dN, dB = ([d * inv for d in V.d().value()] for V in (fj.T, fj.N, fj.B))
+    T, N, B = fj.T.value(), fj.N.value(), fj.B.value()
     return FrenetData(
         t=t,
         point=pjets.value(),
         speed=fj.speed.value,
-        T=fj.T.value(),
-        N=fj.N.value(),
-        B=fj.B.value(),
+        T=T,
+        N=N,
+        B=B,
         kappa=fj.kappa,
         tau=fj.tau,
-        residuals=_residual_triple(fj),
+        residuals=frame_residuals(dT, dN, dB, T, N, B, fj.kappa, fj.tau),
     )
-
-
-def frenet_residuals(
-    curve: CurveSpec, t: float, cfg: ToleranceConfig | None = None
-) -> tuple[float, float, float]:
-    """Norms of the three frame-identity defects at t (arc-length form)."""
-    return frenet_apparatus(curve, t, cfg).residuals
 
 
 def speed_check(
@@ -280,7 +253,7 @@ def speed_check(
     worst = 0.0
     for t in grid:
         v1 = curve_point_jets(curve, t, 1).d()
-        worst = max(worst, abs(_fnorm(v1.value()) - 1.0))
+        worst = max(worst, abs(fnorm(v1.value()) - 1.0))
     return SpeedReport(max_deviation=worst, unit_speed=worst <= cfg.unit_speed_tol)
 
 
@@ -307,7 +280,7 @@ def generalized_frenet(
     for _ in range(m):
         cur = cur.d()
         derivs.append(cur.truncated(L))
-    speed_val = _fnorm(derivs[0].value())
+    speed_val = fnorm(derivs[0].value())
     if speed_val < SPEED_FLOOR:
         raise ZeroSpeed(math.nan)
 

@@ -29,7 +29,6 @@ __all__ = [
     "NonFiniteJet",
     "JET_FUNCTIONS",
     "jet_pow",
-    "gram_schmidt",
     "fd_oracle",
 ]
 
@@ -474,9 +473,6 @@ class VecJ:
             raise ZeroNorm(f"vector norm {math.sqrt(max(sq.coeffs[0], 0.0)):.3e} below floor")
         return jet_sqrt(sq)
 
-    def normalized(self) -> "VecJ":
-        return self.scale(Jet.constant(1.0, self.order) / self.norm())
-
     def scale(self, s) -> "VecJ":
         if isinstance(s, (int, float)):
             s = Jet.constant(s, self.order)
@@ -506,42 +502,30 @@ class VecJ:
 # --- plain-float helpers ----------------------------------------------------
 
 
-def _fdot(a: Sequence[float], b: Sequence[float]) -> float:
-    return sum(x * y for x, y in zip(a, b))
+def fnorm(v: Sequence[float]) -> float:
+    """Euclidean norm of a plain float vector."""
+    return math.sqrt(sum(x * x for x in v))
 
 
-def _fnorm(a: Sequence[float]) -> float:
-    return math.sqrt(_fdot(a, a))
+def gram_defect(vectors: Sequence[Sequence[float]]) -> float:
+    """Worst deviation of the vectors' Gram matrix from the identity."""
+    worst = 0.0
+    for i, a in enumerate(vectors):
+        for j, b in enumerate(vectors):
+            gram = sum(x * y for x, y in zip(a, b))
+            worst = max(worst, abs(gram - (1.0 if i == j else 0.0)))
+    return worst
 
 
-def gram_schmidt(
-    vectors: Sequence[Sequence[float]], tol: float = 1e-12
-) -> list[tuple[float, ...]]:
-    """Orthonormalize real vectors, rejecting near-dependent inputs.
+def frame_residuals(dT, dN, dB, T, N, B, kappa: float, tau: float) -> tuple[float, float, float]:
+    """Norms of dT/ds - kappa N, dN/ds + kappa T - tau B and dB/ds + tau N.
 
-    Modified Gram-Schmidt; raises :class:`RankDeficient` with the 0-based
-    index of the first vector whose residual norm after projection drops
-    below ``tol``.
+    The frame derivatives dT, dN, dB are taken in arc length.
     """
-    vs = [tuple(float(x) for x in v) for v in vectors]
-    if not vs:
-        raise ValueError("gram_schmidt needs at least one vector")
-    dim = len(vs[0])
-    if dim not in (3, 6):
-        raise DimensionMismatch(f"vectors must have dimension 3 or 6, got {dim}")
-    basis: list[tuple[float, ...]] = []
-    for i, v in enumerate(vs):
-        if len(v) != dim:
-            raise DimensionMismatch("vectors must share one dimension")
-        u = list(v)
-        for e in basis:
-            r = _fdot(u, e)
-            u = [x - r * y for x, y in zip(u, e)]
-        nrm = _fnorm(u)
-        if nrm < tol:
-            raise RankDeficient(i)
-        basis.append(tuple(x / nrm for x in u))
-    return basis
+    r1 = fnorm([d - kappa * n for d, n in zip(dT, N)])
+    r2 = fnorm([d + kappa * t - tau * b for d, t, b in zip(dN, T, B)])
+    r3 = fnorm([d + tau * n for d, n in zip(dB, N)])
+    return (r1, r2, r3)
 
 
 # --- finite-difference oracle ------------------------------------------------

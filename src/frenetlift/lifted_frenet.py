@@ -32,22 +32,14 @@ from .frenet import (
     frame_jets,
     generalized_frenet,
 )
-from .jets import Jet, RankDeficient, VecJ, ZeroNorm
+from .jets import Jet, RankDeficient, VecJ, ZeroNorm, fnorm, frame_residuals, gram_defect
 from .lifts import Connection, LiftKind, lifted_point_jets, transport_grid, parallel_transport
 
 __all__ = [
     "LiftedCurve",
     "LiftedApparatus",
     "LiftReport",
-    "lift_curve",
-    "lifted_frame",
-    "lifted_apparatus",
-    "theorem_residuals",
 ]
-
-
-def _fnorm(v) -> float:
-    return math.sqrt(sum(x * x for x in v))
 
 
 @dataclass(frozen=True)
@@ -119,14 +111,12 @@ class LiftedCurve:
     def domain(self) -> tuple[float, float]:
         return self.base.domain
 
-    def _fiber_value(self, t: float, cache=None):
+    def _fiber_value(self, t: float):
         if self.kind.kind != "horizontal":
             return None
         if self.connection.is_flat:
             # Zero right-hand side: transport is exactly the identity.
             return self.kind.w0
-        if cache is not None:
-            return cache[t]
         return parallel_transport(self.connection, self.base, self.kind.w0, t)
 
     def point_jets(self, t: float, _w=None) -> VecJ:
@@ -153,20 +143,10 @@ class LiftedCurve:
             raise ZeroSpeed(t) from None
 
         Tv, Nv, Bv = Tl.value(), Nl.value(), Bl.value()
-        dT = [c / speed for c in Tl.d().value()]
-        dN = [c / speed for c in Nl.d().value()]
-        dB = [c / speed for c in Bl.d().value()]
-        kappa = _fnorm(dT)
+        dT, dN, dB = ([c / speed for c in V.d().value()] for V in (Tl, Nl, Bl))
+        kappa = fnorm(dT)
         tau = -sum(n * b for n, b in zip(Nv, dB))
         frame_vals = (Tv, Nv, Bv)
-        ortho = 0.0
-        for i in range(3):
-            for j in range(3):
-                gram = sum(a * b for a, b in zip(frame_vals[i], frame_vals[j]))
-                ortho = max(ortho, abs(gram - (1.0 if i == j else 0.0)))
-        r1 = _fnorm([d - kappa * n for d, n in zip(dT, Nv)])
-        r2 = _fnorm([d + kappa * a - tau * b for d, a, b in zip(dN, Tv, Bv)])
-        r3 = _fnorm([d + tau * n for d, n in zip(dB, Nv)])
         app = LiftedApparatus(
             t=t,
             point=P.value(),
@@ -174,8 +154,8 @@ class LiftedCurve:
             frame=frame_vals,
             kappa_lift=kappa,
             tau_lift=tau,
-            ortho_max=ortho,
-            residuals=(r1, r2, r3),
+            ortho_max=gram_defect(frame_vals),
+            residuals=frame_residuals(dT, dN, dB, Tv, Nv, Bv, kappa, tau),
         )
         return _PointAnalysis(point_jets=P, lifted_frame=(Tl, Nl, Bl), apparatus=app)
 
@@ -259,44 +239,3 @@ class _PointAnalysis:
     point_jets: VecJ
     lifted_frame: tuple[VecJ, VecJ, VecJ]
     apparatus: LiftedApparatus
-
-
-def lift_curve(
-    curve: CurveSpec,
-    kind: LiftKind,
-    connection: Connection | None = None,
-    cfg: ToleranceConfig | None = None,
-    order: int = DEFAULT_ORDER,
-) -> LiftedCurve:
-    return LiftedCurve(curve, kind, connection, cfg, order)
-
-
-def lifted_frame(
-    curve: CurveSpec,
-    kind: LiftKind,
-    connection: Connection | None,
-    t: float,
-    cfg: ToleranceConfig | None = None,
-):
-    """The lifted frame vectors (T, N, B) at t, as jet vectors in R^6."""
-    return lift_curve(curve, kind, connection, cfg).frame(t)
-
-
-def lifted_apparatus(
-    curve: CurveSpec,
-    kind: LiftKind,
-    connection: Connection | None,
-    t: float,
-    cfg: ToleranceConfig | None = None,
-) -> LiftedApparatus:
-    return lift_curve(curve, kind, connection, cfg).apparatus(t)
-
-
-def theorem_residuals(
-    curve: CurveSpec,
-    kind: LiftKind,
-    connection: Connection | None,
-    grid,
-    cfg: ToleranceConfig | None = None,
-) -> LiftReport:
-    return lift_curve(curve, kind, connection, cfg).sweep(grid)

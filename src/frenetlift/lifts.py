@@ -32,6 +32,7 @@ from .expr import (
     FieldSpec,
     FormatError,
     CurveSpec,
+    _key_value_lines,
     eval_float,
     eval_jet,
     parse_expr,
@@ -232,7 +233,7 @@ def lift_function(f: FieldSpec, kind: str, p: TangentPoint) -> float:
     if f.kind != "scalar":
         raise ValueError("lift_function expects a scalar field")
     if kind in ("v", "vertical"):
-        return eval_float(f.components[0], {"x1": p.x[0], "x2": p.x[1], "x3": p.x[2]})
+        return _eval_field_components(f, p.x)[0]
     if kind in ("c", "complete"):
         return _dir_deriv(f.components[0], p.x, p.y)
     raise ValueError(f"unknown function lift kind {kind!r}")
@@ -297,9 +298,9 @@ def lift_field(
 def apply_field(F: LiftedField, g, p: TangentPoint) -> float:
     """Directional derivative of a scalar on the tangent space along F at p.
 
-    ``g`` is either a pair (kind, FieldSpec) with kind in {'v', 'c'}, a raw
-    expression over x1..x3, y1..y3 (string or AST), or a plain callable of
-    six floats is not supported: the partials must be exact.
+    ``g`` is either a pair (kind, FieldSpec) with kind in {'v', 'c'} or a raw
+    expression over x1..x3, y1..y3 (string or AST).  A plain callable of six
+    floats is not supported: the partials must be exact.
     """
     val = F.at(p)
     a, b = val.base, val.fiber
@@ -608,13 +609,7 @@ def parse_connection_file(text: str) -> Connection:
     """
     entries: dict[tuple[int, int, int], float] = {}
     flat = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise FormatError(lineno, f"expected 'key = value', got {raw.strip()!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
+    for lineno, key, value in _key_value_lines(text):
         if key == "flat":
             if value.lower() not in ("true", "false"):
                 raise FormatError(lineno, f"flat must be true or false, got {value!r}")
@@ -622,7 +617,8 @@ def parse_connection_file(text: str) -> Connection:
             continue
         parts = key.split()
         if len(parts) != 4 or parts[0] != "gamma":
-            raise FormatError(lineno, f"expected 'gamma A B G = value', got {raw.strip()!r}")
+            raw = text.splitlines()[lineno - 1].strip()
+            raise FormatError(lineno, f"expected 'gamma A B G = value', got {raw!r}")
         try:
             idx = tuple(int(p) for p in parts[1:])
         except ValueError:

@@ -17,7 +17,7 @@ from frenetlift.frenet import (
 )
 from frenetlift.jets import fd_oracle
 from frenetlift.lifts import Connection, LiftKind, parallel_transport, prop21_check
-from frenetlift.lifted_frenet import lift_curve, theorem_residuals
+from frenetlift.lifted_frenet import LiftedCurve
 from frenetlift.verify import (
     LIFTED_HELIX_KAPPA,
     LIFTED_HELIX_TAU,
@@ -86,15 +86,15 @@ def test_criterion_2_frenet_identities():
 
 def test_criterion_3_vertical_lift():
     ts = grid(USH, 1000)
-    rep = theorem_residuals(USH, LiftKind.vertical(), None, ts)
+    rep = LiftedCurve(USH, LiftKind.vertical()).sweep(ts)
     base = [frenet_apparatus(USH, t) for t in ts]
     worst_app = max(
         max(abs(k - a.kappa) for k, a in zip(rep.kappa_lift, base)),
         max(abs(x - a.tau) for x, a in zip(rep.tau_lift, base)),
     )
     sub = grid(USH, 200)
-    a = theorem_residuals(USH, LiftKind.vertical((0.0, 0.0, 0.0)), None, sub)
-    b = theorem_residuals(USH, LiftKind.vertical((5.0, -2.0, 7.0)), None, sub)
+    a = LiftedCurve(USH, LiftKind.vertical((0.0, 0.0, 0.0))).sweep(sub)
+    b = LiftedCurve(USH, LiftKind.vertical((5.0, -2.0, 7.0))).sweep(sub)
     anchor_dev = max(
         max(abs(x - y) for x, y in zip(a.kappa_lift, b.kappa_lift)),
         max(abs(x - y) for x, y in zip(a.tau_lift, b.tau_lift)),
@@ -112,7 +112,7 @@ def test_criterion_4_horizontal_lift_flat():
     worst_res = 0.0
     worst_app = 0.0
     for w0 in ((1.0, 0.0, 0.0), (0.3, -1.0, 2.0)):
-        rep = theorem_residuals(HELIX, LiftKind.horizontal(w0), None, ts)
+        rep = LiftedCurve(HELIX, LiftKind.horizontal(w0)).sweep(ts)
         worst_res = max(worst_res, rep.max_residual)
         worst_app = max(
             worst_app,
@@ -126,12 +126,12 @@ def test_criterion_4_horizontal_lift_flat():
 
 def test_criterion_5_complete_lift_oracle():
     ts = grid(USH, 500)
-    rep = theorem_residuals(USH, LiftKind.complete(), None, ts)
+    rep = LiftedCurve(USH, LiftKind.complete()).sweep(ts)
     worst_oracle = max(
         max(abs(o - LIFTED_HELIX_KAPPA) for o in rep.oracle_kappa),
         max(abs(o - LIFTED_HELIX_TAU) for o in rep.oracle_tau),
     )
-    lc = lift_curve(USH, LiftKind.complete())
+    lc = LiftedCurve(USH, LiftKind.complete())
     worst_norm = 0.0
     for t in grid(USH, 100):
         Tc = lc.frame(t)[0].value()
@@ -204,7 +204,7 @@ def test_criterion_9_frame_structure(tmp_path):
                 for j in range(3):
                     worst_skew = max(worst_skew, abs(A[i][j] + A[j][i]))
     for curve, kind in ((USH, LiftKind.vertical()), (HELIX, LiftKind.horizontal((1, 0, 0)))):
-        lc = lift_curve(curve, kind)
+        lc = LiftedCurve(curve, kind)
         rep = lc.sweep(grid(curve, 200))
         worst_ortho = max(worst_ortho, rep.frame_ortho_max)
         for t in grid(curve, 40):

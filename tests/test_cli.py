@@ -246,6 +246,28 @@ class TestVerifyCommand:
         assert main(["verify", "--tol", "bogus=1"]) == EXIT_INPUT
 
 
+class TestNegativeVectorFlags:
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["lift", "--kind", "h"], "--w0", "-1,0,0"),
+            (["lift", "--kind", "v"], "--anchor", "-2.5,1,-0.5"),
+            (["fields", "--field", "{X}", "--scalar", "{f}"], "--point", "-1,2,-3,0.5,-0.25,1"),
+        ],
+        ids=["w0", "anchor", "point"],
+    )
+    def test_space_and_equals_forms_agree(self, argv, flag, value, helix_path, tmp_path):
+        (tmp_path / "X.field").write_text(X_FIELD)
+        (tmp_path / "f.field").write_text(F_SCALAR)
+        base = [a.format(X=tmp_path / "X.field", f=tmp_path / "f.field") for a in argv]
+        if argv[0] == "lift":
+            base += ["--curve", helix_path, "--samples", "5"]
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        assert main(base + [flag, value, "--out", str(spaced)]) == EXIT_OK
+        assert main(base + [f"{flag}={value}", "--out", str(joined)]) == EXIT_OK
+        assert spaced.read_bytes() == joined.read_bytes()
+
+
 class TestDeterminism:
     def test_csv_byte_identical(self, helix_path, tmp_path):
         a = tmp_path / "a.csv"

@@ -11,7 +11,6 @@ from frenetlift.frenet import (
     ToleranceConfig,
     curve_point_jets,
     frenet_apparatus,
-    frenet_residuals,
     generalized_frenet,
     speed_check,
     uniform_grid,
@@ -115,11 +114,11 @@ class TestResiduals:
     @pytest.mark.parametrize("curve", [HELIX, USH, CIRCLE], ids=lambda c: c.name)
     def test_frame_identities(self, curve):
         for t in grid(curve, 100):
-            assert max(frenet_residuals(curve, t)) <= 1e-10
+            assert max(frenet_apparatus(curve, t).residuals) <= 1e-10
 
     def test_residuals_in_apparatus(self):
         app = frenet_apparatus(HELIX, 0.3)
-        assert app.residuals == frenet_residuals(HELIX, 0.3)
+        assert app.residuals == frenet_apparatus(HELIX, 0.3).residuals
 
 
 class TestSpeedCheck:

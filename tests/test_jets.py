@@ -12,11 +12,9 @@ from frenetlift.jets import (
     Jet,
     NonFiniteJet,
     OrderExceeded,
-    RankDeficient,
     VecJ,
     ZeroNorm,
     fd_oracle,
-    gram_schmidt,
     jet_pow,
 )
 from frenetlift.jets import jet_exp, jet_log, jet_sin, jet_sqrt, jet_tan
@@ -140,33 +138,6 @@ class TestVecJ:
     def test_zero_norm(self):
         with pytest.raises(ZeroNorm):
             VecJ.constant((0, 0, 0), 1).norm()
-
-
-class TestGramSchmidt:
-    def test_axis_aligned(self):
-        basis = gram_schmidt([(1, 0, 0), (1, 1, 0)])
-        assert basis[0] == pytest.approx((1, 0, 0))
-        assert basis[1] == pytest.approx((0, 1, 0))
-
-    def test_normalization(self):
-        assert gram_schmidt([(2, 0, 0)])[0] == pytest.approx((1, 0, 0))
-
-    def test_collinear_pair(self):
-        with pytest.raises(RankDeficient) as exc:
-            gram_schmidt([(1, 0, 0), (2, 0, 0)])
-        assert exc.value.index == 1
-
-    def test_orthonormality_6d(self):
-        vs = [
-            (1, 0.3, -0.2, 0.5, 0.0, 1.1),
-            (0.2, 1.4, 0.7, -0.3, 0.8, 0.1),
-            (0.9, -0.5, 1.2, 0.4, -0.6, 0.3),
-        ]
-        basis = gram_schmidt(vs)
-        for i, a in enumerate(basis):
-            for j, b in enumerate(basis):
-                want = 1.0 if i == j else 0.0
-                assert sum(x * y for x, y in zip(a, b)) == pytest.approx(want, abs=1e-12)
 
 
 class TestFdOracle:
