@@ -1,5 +1,16 @@
 """Command line front end: frame sweeps, lift reports, field tables, verify.
 
+Each subcommand takes only the flags it reads:
+
+    frenet  --curve --samples --tol --format --out
+    lift    --curve --kind --anchor --w0 --connection --samples --tol --format --out
+    fields  --field --scalar --point --connection --format --out
+    verify  --samples --tol --format --out
+
+Any other flag, a lift flag that does not fit ``--kind`` (``--anchor`` is for
+v, ``--w0`` and ``--connection`` for h), a third ``--field`` or ``--scalar``
+file, or a tolerance name the command does not read exits 2.
+
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 degenerate
 geometry.  CSV output uses 17 significant digits, '.' decimals and LF line
 ends, and is byte-identical across runs on identical input.
@@ -12,18 +23,10 @@ import dataclasses
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 
-from .expr import (
-    CurveSpec,
-    FormatError,
-    ParseError,
-    parse_curve_file,
-    parse_field_file,
-)
+from .expr import parse_curve_file, parse_field_file
 from .frenet import (
     DegenerateCurvature,
-    GeometryError,
     ToleranceConfig,
     ZeroSpeed,
     frenet_apparatus,
@@ -34,38 +37,18 @@ from .lifts import Connection, LiftKind, TangentPoint, lift_field, parse_connect
 from .lifted_frenet import LiftedCurve
 from .verify import run_checks
 
-__all__ = ["main", "RunConfig", "EXIT_OK", "EXIT_VERIFY_FAILED", "EXIT_INPUT", "EXIT_DEGENERATE"]
+__all__ = ["main", "EXIT_OK", "EXIT_VERIFY_FAILED", "EXIT_INPUT", "EXIT_DEGENERATE"]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 
+_DEGENERATE = (DegenerateCurvature, ZeroSpeed, RankDeficient, ZeroNorm)
+
 
 class InputError(ValueError):
     """Configuration problem that maps to exit code 2."""
-
-
-@dataclass
-class RunConfig:
-    """Resolved invocation: inputs, lift parameters, grid and output options."""
-
-    curve_path: str | None = None
-    field_paths: list[str] = field(default_factory=list)
-    scalar_paths: list[str] = field(default_factory=list)
-    connection_path: str | None = None
-    kind: str | None = None
-    anchor: tuple[float, float, float] | None = None
-    w0: tuple[float, float, float] | None = None
-    samples: int = 1000
-    tolerances: ToleranceConfig = field(default_factory=ToleranceConfig)
-    fmt: str = "csv"
-    out_path: str | None = None
-    points: list[tuple[float, ...]] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.samples < 2:
-            raise InputError("--samples must be at least 2")
 
 
 def _fmt17(x: float) -> str:
@@ -80,31 +63,47 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {err}") from err
 
 
-def _parse_floats(text: str, flag: str, n: int) -> tuple[float, ...]:
-    parts = text.split(",")
-    if len(parts) != n:
-        raise InputError(f"{flag} needs {n} comma-separated numbers, got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise InputError(f"{flag} components must be numbers, got {text!r}") from None
+def _floats(n: int):
+    """Type for a flag taking n comma-separated numbers."""
 
-
-def _parse_tolerances(pairs: list[str]) -> ToleranceConfig:
-    cfg = ToleranceConfig()
-    known = {f.name for f in dataclasses.fields(ToleranceConfig)}
-    for pair in pairs:
-        if "=" not in pair:
-            raise InputError(f"--tol expects NAME=VALUE, got {pair!r}")
-        name, value = pair.split("=", 1)
-        name = name.strip()
-        if name not in known:
-            raise InputError(f"unknown tolerance {name!r}; known: {sorted(known)}")
+    def parse(text: str) -> tuple[float, ...]:
         try:
-            cfg = cfg.replace(**{name: float(value)})
+            values = tuple(float(p) for p in text.split(","))
+        except ValueError:
+            values = ()
+        if len(values) != n:
+            raise argparse.ArgumentTypeError(f"needs {n} comma-separated numbers, got {text!r}")
+        return values
+
+    return parse
+
+
+def _samples(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 2, got {text!r}")
+    return n
+
+
+def _tolerance(names: tuple[str, ...]):
+    """Type for one ``--tol NAME=VALUE`` pair over the names a command reads."""
+
+    def parse(pair: str) -> tuple[str, float]:
+        name, sep, value = pair.partition("=")
+        name = name.strip()
+        if not sep or name not in names:
+            raise argparse.ArgumentTypeError(
+                f"expects NAME=VALUE, NAME one of {', '.join(names)}; got {pair!r}")
+        try:
+            ToleranceConfig(**{name: float(value)})
         except ValueError as err:
-            raise InputError(f"--tol {pair!r}: {err}") from err
-    return cfg
+            raise argparse.ArgumentTypeError(f"{pair!r}: {err}") from None
+        return name, float(value)
+
+    return parse
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -115,10 +114,10 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _emit_rows(cfg: RunConfig, header: list[str], rows: list[list[float]],
+def _emit_rows(args: argparse.Namespace, header: list[str], rows: list[list[float]],
                summary: dict[str, float] | None = None) -> None:
     """Write rows as CSV (summary as a '#' trailer) or JSON (summary as a key)."""
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         lines = [",".join(header)]
         for row in rows:
             lines.append(",".join(_fmt17(v) for v in row))
@@ -130,35 +129,13 @@ def _emit_rows(cfg: RunConfig, header: list[str], rows: list[list[float]],
         if summary is not None:
             payload["summary"] = summary
         text = json.dumps(payload, indent=2) + "\n"
-    _emit(text, cfg.out_path)
+    _emit(text, args.out)
 
 
-def _load_curve(cfg: RunConfig) -> CurveSpec:
-    if cfg.curve_path is None:
-        raise InputError("--curve is required")
-    return parse_curve_file(_read(cfg.curve_path))
-
-
-def _load_connection(cfg: RunConfig) -> Connection:
-    if cfg.connection_path is None:
+def _load_connection(path: str | None) -> Connection:
+    if path is None:
         return Connection.flat()
-    return parse_connection_file(_read(cfg.connection_path))
-
-
-def _resolve_kind(cfg: RunConfig, connection: Connection) -> LiftKind:
-    if cfg.kind is None:
-        raise InputError("--kind is required (v, c or h)")
-    if cfg.kind == "v":
-        return LiftKind.vertical(cfg.anchor)
-    if cfg.kind == "c":
-        return LiftKind.complete()
-    if cfg.kind == "h":
-        if cfg.w0 is None:
-            if not connection.is_flat:
-                raise InputError("w0 required: horizontal lift with a non-flat connection")
-            return LiftKind.horizontal((0.0, 0.0, 0.0))
-        return LiftKind.horizontal(cfg.w0)
-    raise InputError(f"unknown lift kind {cfg.kind!r}")
+    return parse_connection_file(_read(path))
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -172,15 +149,16 @@ FRENET_HEADER = (
 )
 
 
-def cmd_frenet(cfg: RunConfig) -> int:
-    curve = _load_curve(cfg)
+def cmd_frenet(args: argparse.Namespace) -> int:
+    curve = parse_curve_file(_read(args.curve))
+    tolerances = ToleranceConfig(**dict(args.tol))
     rows = []
-    for t in uniform_grid(curve.t_min, curve.t_max, cfg.samples):
-        app = frenet_apparatus(curve, t, cfg.tolerances)
+    for t in uniform_grid(curve.t_min, curve.t_max, args.samples):
+        app = frenet_apparatus(curve, t, tolerances)
         rows.append(
             [t, *app.point, *app.T, *app.N, *app.B, app.kappa, app.tau, *app.residuals]
         )
-    _emit_rows(cfg, FRENET_HEADER, rows)
+    _emit_rows(args, FRENET_HEADER, rows)
     return EXIT_OK
 
 
@@ -194,60 +172,52 @@ LIFT_HEADER = (
 )
 
 
-def cmd_lift(cfg: RunConfig) -> int:
-    curve = _load_curve(cfg)
-    connection = _load_connection(cfg)
-    kind = _resolve_kind(cfg, connection)
-    report = LiftedCurve(curve, kind, connection, cfg.tolerances).sweep(
-        uniform_grid(curve.t_min, curve.t_max, cfg.samples)
+def cmd_lift(args: argparse.Namespace) -> int:
+    for flag, kind in (("anchor", "v"), ("w0", "h"), ("connection", "h")):
+        if getattr(args, flag) is not None and args.kind != kind:
+            raise InputError(f"--{flag} applies only to --kind {kind}, not {args.kind}")
+    curve = parse_curve_file(_read(args.curve))
+    connection = _load_connection(args.connection)
+    if args.kind == "v":
+        kind = LiftKind.vertical(args.anchor)
+    elif args.kind == "c":
+        kind = LiftKind.complete()
+    elif args.w0 is None and not connection.is_flat:
+        raise InputError("w0 required: horizontal lift with a non-flat connection")
+    else:
+        kind = LiftKind.horizontal(args.w0 or (0.0, 0.0, 0.0))
+    report = LiftedCurve(curve, kind, connection, ToleranceConfig(**dict(args.tol))).sweep(
+        uniform_grid(curve.t_min, curve.t_max, args.samples)
     )
-    rows = []
-    for i, t in enumerate(report.grid):
-        Tl, Nl, Bl = report.frames[i]
-        rows.append(
-            [
-                t,
-                *report.points[i],
-                *Tl,
-                *Nl,
-                *Bl,
-                report.kappa_lift[i],
-                report.tau_lift[i],
-                *report.theorem_residuals[i],
-                report.oracle_kappa[i],
-                report.oracle_tau[i],
-            ]
-        )
-    summary = {
-        "max_residual": report.max_residual,
-        "max_discrepancy": report.max_discrepancy,
-        "frame_ortho_max": report.frame_ortho_max,
-        "kappa_spread": report.kappa_spread,
-    }
-    _emit_rows(cfg, LIFT_HEADER, rows, summary)
+    rows = [
+        [t, *report.points[i], *Tl, *Nl, *Bl, report.kappa_lift[i], report.tau_lift[i],
+         *report.theorem_residuals[i], report.oracle_kappa[i], report.oracle_tau[i]]
+        for i, (t, (Tl, Nl, Bl)) in enumerate(zip(report.grid, report.frames))
+    ]
+    summary = {name: getattr(report, name) for name in
+               ("max_residual", "max_discrepancy", "frame_ortho_max", "kappa_spread")}
+    _emit_rows(args, LIFT_HEADER, rows, summary)
     return EXIT_OK
 
 
-def cmd_fields(cfg: RunConfig) -> int:
-    if not cfg.field_paths:
-        raise InputError("--field is required (vector field file)")
-    if not cfg.scalar_paths:
-        raise InputError("--scalar is required (scalar function file)")
-    if not cfg.points:
-        raise InputError("at least one --point x1,x2,x3,y1,y2,y3 is required")
-    X = parse_field_file(_read(cfg.field_paths[0]))
-    Y = parse_field_file(_read(cfg.field_paths[1])) if len(cfg.field_paths) > 1 else X
-    f = parse_field_file(_read(cfg.scalar_paths[0]))
-    g = parse_field_file(_read(cfg.scalar_paths[1])) if len(cfg.scalar_paths) > 1 else f
-    if X.kind != "vector" or Y.kind != "vector":
-        raise InputError("--field file must define a vector field (X1, X2, X3)")
-    if f.kind != "scalar" or g.kind != "scalar":
-        raise InputError("--scalar file must define a scalar function (f)")
-    connection = _load_connection(cfg)
+def _field_pair(paths: list[str], flag: str, kind: str, what: str):
+    """The first and last of at most two field files of one kind."""
+    if len(paths) > 2:
+        raise InputError(f"{flag} takes at most 2 files, got {len(paths)}")
+    specs = [parse_field_file(_read(path)) for path in paths]
+    if any(spec.kind != kind for spec in specs):
+        raise InputError(f"{flag} file must define a {what}")
+    return specs[0], specs[-1]
+
+
+def cmd_fields(args: argparse.Namespace) -> int:
+    X, Y = _field_pair(args.field, "--field", "vector", "vector field (X1, X2, X3)")
+    f, g = _field_pair(args.scalar, "--scalar", "scalar", "scalar function (f)")
+    connection = _load_connection(args.connection)
 
     header: list[str] | None = None
     rows = []
-    for coords in cfg.points:
+    for coords in args.point:
         p = TangentPoint(coords[:3], coords[3:])
         lifted = [
             x
@@ -263,13 +233,13 @@ def cmd_fields(cfg: RunConfig) -> int:
                 + [f"res_{name}" for name in residuals]
             )
         rows.append([*coords, *lifted, *residuals.values()])
-    _emit_rows(cfg, header, rows)
+    _emit_rows(args, header, rows)
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    results = run_checks(cfg.tolerances, samples=cfg.samples)
-    if cfg.fmt == "csv":
+def cmd_verify(args: argparse.Namespace) -> int:
+    results = run_checks(ToleranceConfig(**dict(args.tol)), samples=args.samples)
+    if args.format == "csv":
         text = "\n".join(r.line() for r in results) + "\n"
     else:
         payload = [
@@ -277,11 +247,42 @@ def cmd_verify(cfg: RunConfig) -> int:
             for r in results
         ]
         text = json.dumps(payload, indent=2) + "\n"
-    _emit(text, cfg.out_path)
+    _emit(text, args.out)
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
 
 # --- argument plumbing ---------------------------------------------------------
+
+_FLAGS = {
+    "curve": dict(metavar="PATH", required=True, help="curve definition file"),
+    "kind": dict(choices=("v", "c", "h"), required=True, help="lift kind"),
+    "anchor": dict(metavar="A,B,C", type=_floats(3), help="vertical lift anchor point (v only)"),
+    "w0": dict(metavar="A,B,C", type=_floats(3), help="horizontal lift initial fiber (h only)"),
+    "connection": dict(metavar="PATH", help="connection symbols file"),
+    "field": dict(metavar="PATH", action="append", required=True,
+                  help="vector field file X, then optionally Y"),
+    "scalar": dict(metavar="PATH", action="append", required=True,
+                   help="scalar function file f, then optionally g"),
+    "point": dict(metavar="X1,X2,X3,Y1,Y2,Y3", type=_floats(6), action="append", required=True,
+                  help="tangent point (repeatable)"),
+    "samples": dict(metavar="N", type=_samples, default=1000,
+                    help="grid size over the curve domain (at least 2)"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "out": dict(metavar="PATH", help="output path (default: stdout)"),
+}
+
+# name: (run, help, flags, tolerance names read through --tol)
+_COMMANDS = {
+    "frenet": (cmd_frenet, "frame, curvature, torsion and residual sweep of a curve",
+               ("curve", "samples", "tol", "format", "out"), ("kappa_floor",)),
+    "lift": (cmd_lift, "lifted frame sweep with residuals and oracle columns",
+             ("curve", "kind", "anchor", "w0", "connection", "samples", "tol", "format", "out"),
+             ("kappa_floor",)),
+    "fields": (cmd_fields, "lifted field components and identity residuals at points",
+               ("field", "scalar", "point", "connection", "format", "out"), ()),
+    "verify": (cmd_verify, "run the built-in invariant suite", ("samples", "tol", "format", "out"),
+               tuple(f.name for f in dataclasses.fields(ToleranceConfig))),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,64 +291,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Frenet frames of space curves and their tangent-space lifts",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser):
-        p.add_argument("--curve", metavar="PATH", help="curve definition file")
-        p.add_argument("--field", metavar="PATH", action="append", default=[],
-                       help="vector field file (repeatable)")
-        p.add_argument("--scalar", metavar="PATH", action="append", default=[],
-                       help="scalar function file (repeatable)")
-        p.add_argument("--connection", metavar="PATH", help="connection symbols file")
-        p.add_argument("--kind", choices=("v", "c", "h"), help="lift kind")
-        p.add_argument("--anchor", metavar="A,B,C", help="vertical lift anchor point")
-        p.add_argument("--w0", metavar="A,B,C", help="horizontal lift initial fiber")
-        p.add_argument("--samples", type=int, default=1000, metavar="N",
-                       help="grid size over the curve domain")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", metavar="PATH", help="output path (default: stdout)")
-        p.add_argument("--tol", metavar="NAME=VALUE", action="append", default=[],
-                       help="tolerance override (repeatable)")
-
-    for name, help_text in (
-        ("frenet", "frame, curvature, torsion and residual sweep of a curve"),
-        ("lift", "lifted frame sweep with residuals and oracle columns"),
-        ("fields", "lifted field components and identity residuals at points"),
-        ("verify", "run the built-in invariant suite"),
-    ):
+    for name, (run, help_text, flags, tolerances) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        common(p)
-        if name == "fields":
-            p.add_argument("--point", metavar="X1,X2,X3,Y1,Y2,Y3", action="append",
-                           default=[], help="tangent point (repeatable)")
+        p.set_defaults(run=run)
+        for flag in flags:
+            if flag == "tol":
+                p.add_argument("--tol", metavar="NAME=VALUE", action="append", default=[],
+                               type=_tolerance(tolerances),
+                               help="tolerance override (repeatable): " + ", ".join(tolerances))
+            else:
+                p.add_argument("--" + flag, **_FLAGS[flag])
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    anchor = _parse_floats(args.anchor, "--anchor", 3) if args.anchor else None
-    w0 = _parse_floats(args.w0, "--w0", 3) if args.w0 else None
-    points = [_parse_floats(text, "--point", 6) for text in getattr(args, "point", [])]
-    return RunConfig(
-        curve_path=args.curve,
-        field_paths=list(args.field),
-        scalar_paths=list(args.scalar),
-        connection_path=args.connection,
-        kind=args.kind,
-        anchor=anchor,
-        w0=w0,
-        samples=args.samples,
-        tolerances=_parse_tolerances(args.tol),
-        fmt=args.format,
-        out_path=args.out,
-        points=points,
-    )
-
-
-_COMMANDS = {
-    "frenet": cmd_frenet,
-    "lift": cmd_lift,
-    "fields": cmd_fields,
-    "verify": cmd_verify,
-}
 
 
 def _join_vector_flags(argv: list[str]) -> list[str]:
@@ -365,6 +319,15 @@ def _join_vector_flags(argv: list[str]) -> list[str]:
     return out
 
 
+def _where(err: Exception) -> str:
+    """'x2 at t=0.0, chars 0-6: ' for an error evaluating a curve component."""
+    if getattr(err, "component", None) is None:
+        return ""
+    span = getattr(err, "span", None)
+    chars = f", chars {span[0]}-{span[1]}" if span is not None else ""
+    return f"x{err.component + 1} at t={err.t!r}{chars}: "
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     if argv is None:
@@ -374,14 +337,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[args.command](cfg)
-    except (DegenerateCurvature, ZeroSpeed, RankDeficient, ZeroNorm) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (InputError, FormatError, ParseError, GeometryError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+        return args.run(args)
+    except ValueError as err:
+        print(f"error: {_where(err)}{err}", file=sys.stderr)
+        return EXIT_DEGENERATE if isinstance(err, _DEGENERATE) else EXIT_INPUT
 
 
 if __name__ == "__main__":

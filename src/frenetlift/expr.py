@@ -193,12 +193,28 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # --- parser ------------------------------------------------------------------
 
 
+# Deepest nesting of '(', function calls, unary minus and '^' exponents the
+# parser accepts; the recursive descent and evaluators stay far inside the
+# interpreter's recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, allowed_vars: frozenset[str] | set[str]):
         self.text = text
         self.vars = allowed_vars
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
+
+    def nested(self, parse, off: int) -> ExprAst:
+        """Run ``parse`` one nesting level deeper."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(off, f"at most {MAX_NESTING} nested levels")
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def peek(self):
         return self.tokens[self.pos]
@@ -245,10 +261,10 @@ class _Parser:
 
     def factor(self) -> ExprAst:
         node = self.base()
-        kind, text, _ = self.peek()
+        kind, text, off = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            exponent = self.factor()
+            exponent = self.nested(self.factor, off)
             value = _fold_constant(exponent)
             folded = Num(value, exponent.span)
             return BinOp("^", node, folded, (node.span[0], exponent.span[1]))
@@ -266,7 +282,7 @@ class _Parser:
                 if text not in FUNCTION_NAMES:
                     raise UnknownFunction(text, off)
                 self.advance()
-                arg = self.expr()
+                arg = self.nested(self.expr, off)
                 _, _, close_off = self.expect_op(")")
                 return Call(text, arg, (off, close_off + 1))
             if text not in self.vars:
@@ -274,12 +290,12 @@ class _Parser:
             return Var(text, (off, off + len(text)))
         if kind == "op" and text == "(":
             self.advance()
-            node = self.expr()
+            node = self.nested(self.expr, off)
             _, _, close_off = self.expect_op(")")
             return _respan(node, (off, close_off + 1))
         if kind == "op" and text == "-":
             self.advance()
-            child = self.factor()
+            child = self.nested(self.factor, off)
             return Neg(child, (off, child.span[1]))
         raise ParseError(off, "a number, variable, function call, '(' or '-'")
 

@@ -177,6 +177,7 @@ def curve_point_jets(curve: CurveSpec, t: float, order: int = DEFAULT_ORDER) -> 
             comps.append(eval_jet(comp, {"t": tj}))
         except JetError as err:
             err.component = i
+            err.t = t
             raise
     return VecJ(comps)
 

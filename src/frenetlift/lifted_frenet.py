@@ -33,7 +33,7 @@ from .frenet import (
     generalized_frenet,
 )
 from .jets import Jet, RankDeficient, VecJ, ZeroNorm, fnorm, frame_residuals, gram_defect
-from .lifts import Connection, LiftKind, lifted_point_jets, transport_grid, parallel_transport
+from .lifts import Connection, LiftKind, lifted_point_jets, transport_grid
 
 __all__ = [
     "LiftedCurve",
@@ -111,30 +111,30 @@ class LiftedCurve:
     def domain(self) -> tuple[float, float]:
         return self.base.domain
 
-    def _fiber_value(self, t: float):
+    def _fibers(self, ts) -> dict:
+        """Fiber w(t) of a horizontal lift at each t (None for other kinds)."""
         if self.kind.kind != "horizontal":
-            return None
+            return dict.fromkeys(ts)
         if self.connection.is_flat:
             # Zero right-hand side: transport is exactly the identity.
-            return self.kind.w0
-        return parallel_transport(self.connection, self.base, self.kind.w0, t)
+            return dict.fromkeys(ts, self.kind.w0)
+        return transport_grid(self.connection, self.base, self.kind.w0, ts)
 
-    def point_jets(self, t: float, _w=None) -> VecJ:
+    def point_jets(self, t: float) -> VecJ:
         pj = curve_point_jets(self.base, t, self.order)
-        w = _w if _w is not None else self._fiber_value(t)
+        w = self._fibers([t])[t]
         return lifted_point_jets(pj, self.kind, self.connection, self.anchor, w)
 
-    def frame(self, t: float, _w=None):
+    def frame(self, t: float):
         """The three lifted frame vectors as jet vectors sharing one order."""
-        return self._analyze(t, _w).lifted_frame
+        return self._analyze(t, self._fibers([t])[t]).lifted_frame
 
-    def apparatus(self, t: float, _w=None) -> LiftedApparatus:
-        return self._analyze(t, _w).apparatus
+    def apparatus(self, t: float) -> LiftedApparatus:
+        return self._analyze(t, self._fibers([t])[t]).apparatus
 
-    def _analyze(self, t: float, _w=None) -> "_PointAnalysis":
+    def _analyze(self, t: float, w) -> "_PointAnalysis":
         pj = curve_point_jets(self.base, t, self.order)
         fj = frame_jets(pj, self.cfg, t)
-        w = _w if _w is not None else self._fiber_value(t)
         P = lifted_point_jets(pj, self.kind, self.connection, self.anchor, w)
         Tl, Nl, Bl = self._lift_frame(fj, P)
         try:
@@ -187,9 +187,7 @@ class LiftedCurve:
     def sweep(self, grid) -> LiftReport:
         """Apparatus, frame-identity residuals and oracle columns per point."""
         ts = [float(t) for t in grid]
-        cache = None
-        if self.kind.kind == "horizontal" and not self.connection.is_flat:
-            cache = transport_grid(self.connection, self.base, self.kind.w0, ts)
+        fibers = self._fibers(ts)
         points = []
         frames = []
         kappas = []
@@ -199,8 +197,7 @@ class LiftedCurve:
         ot = []
         ortho_max = 0.0
         for t in ts:
-            w = cache[t] if cache is not None else None
-            analysis = self._analyze(t, w)
+            analysis = self._analyze(t, fibers[t])
             app = analysis.apparatus
             points.append(app.point)
             frames.append(app.frame)

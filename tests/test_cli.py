@@ -1,10 +1,24 @@
 """Command line behavior: formats, exit codes, determinism."""
 
+import argparse
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from frenetlift.cli import EXIT_DEGENERATE, EXIT_INPUT, EXIT_OK, EXIT_VERIFY_FAILED, main
+from frenetlift.cli import (
+    EXIT_DEGENERATE,
+    EXIT_INPUT,
+    EXIT_OK,
+    EXIT_VERIFY_FAILED,
+    _join_vector_flags,
+    build_parser,
+    main,
+)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 HELIX_FILE = """\
 name = helix345
@@ -266,6 +280,131 @@ class TestNegativeVectorFlags:
         assert main(base + [flag, value, "--out", str(spaced)]) == EXIT_OK
         assert main(base + [f"{flag}={value}", "--out", str(joined)]) == EXIT_OK
         assert spaced.read_bytes() == joined.read_bytes()
+
+
+# Flags each command reads.  Every command used to accept all eleven flags of
+# ALL_FLAGS and ignore the ones outside its row.
+READS = {
+    "frenet": ("curve", "samples", "tol", "format", "out"),
+    "lift": ("curve", "kind", "anchor", "w0", "connection", "samples", "tol", "format", "out"),
+    "fields": ("field", "scalar", "point", "connection", "format", "out"),
+    "verify": ("samples", "tol", "format", "out"),
+}
+ALL_FLAGS = ("curve", "field", "scalar", "connection", "kind", "anchor", "w0", "samples",
+             "format", "out", "tol")
+FLAG_VALUES = {
+    "curve": "{curve}", "field": "{X}", "scalar": "{f}", "connection": "{conn}", "kind": "v",
+    "anchor": "1,2,3", "w0": "1,0,0", "samples": "5", "tol": "kappa_floor=1e-9",
+}
+BASE = {
+    "frenet": ["frenet", "--curve", "{curve}", "--samples", "3"],
+    "lift": ["lift", "--curve", "{curve}", "--kind", "{kind}", "--samples", "3"],
+    "fields": ["fields", "--field", "{X}", "--scalar", "{f}", "--point", "1,2,3,0,0,0"],
+    "verify": ["verify", "--samples", "2"],
+}
+UNREAD = [(cmd, flag) for cmd in READS for flag in ALL_FLAGS if flag not in READS[cmd]]
+
+
+@pytest.fixture
+def paths(helix_path, tmp_path):
+    (tmp_path / "X.field").write_text(X_FIELD)
+    (tmp_path / "f.field").write_text(F_SCALAR)
+    (tmp_path / "g.conn").write_text(GAMMA_FILE)
+    return {"curve": helix_path, "X": str(tmp_path / "X.field"), "f": str(tmp_path / "f.field"),
+            "conn": str(tmp_path / "g.conn"), "out": str(tmp_path / "out"), "kind": "v"}
+
+
+def fill(argv, paths, **extra):
+    return [a.format(**{**paths, **extra}) for a in argv]
+
+
+class TestFlagsPerCommand:
+    @pytest.mark.parametrize("command", ["frenet", "lift", "fields"])
+    def test_base_invocation_runs(self, command, paths):
+        assert main(fill(BASE[command] + ["--out", "{out}"], paths)) == EXIT_OK
+
+    @pytest.mark.parametrize("command, flag", UNREAD, ids=[f"{c}-{f}" for c, f in UNREAD])
+    def test_unread_flag_exits_2(self, command, flag, paths, capsys):
+        argv = fill(BASE[command] + [f"--{flag}", FLAG_VALUES[flag]], paths)
+        assert main(argv) == EXIT_INPUT
+        assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, flag, value",
+        [("c", "--anchor", "1,2,3"), ("h", "--anchor", "1,2,3"), ("v", "--w0", "1,0,0"),
+         ("c", "--w0", "1,0,0"), ("v", "--connection", "{conn}"), ("c", "--connection", "{conn}")],
+    )
+    def test_lift_flag_of_other_kind_exits_2(self, kind, flag, value, paths, capsys):
+        argv = fill(BASE["lift"] + [flag, value], paths, kind=kind)
+        assert main(argv) == EXIT_INPUT
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, key", [("--field", "X"), ("--scalar", "f")])
+    def test_third_field_file_exits_2(self, flag, key, paths, capsys):
+        argv = fill(BASE["fields"] + [flag, "{%s}" % key, flag, "{%s}" % key], paths)
+        assert main(argv) == EXIT_INPUT
+        assert f"{flag} takes at most 2 files" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["frenet", "lift"])
+    @pytest.mark.parametrize("name", ["ortho_tol", "residual_tol", "unit_speed_tol"])
+    def test_tolerance_not_read_exits_2(self, command, name, paths, capsys):
+        argv = fill(BASE[command] + ["--tol", f"{name}=1e-300"], paths)
+        assert main(argv) == EXIT_INPUT
+        assert "argument --tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["frenet", "lift"])
+    def test_kappa_floor_is_read(self, command, paths):
+        # The helix has kappa = 0.12, so a floor above it makes the frame degenerate.
+        assert main(fill(BASE[command] + ["--tol", "kappa_floor=0.2"], paths)) == EXIT_DEGENERATE
+
+    def test_verify_takes_every_tolerance(self):
+        names = ("kappa_floor", "ortho_tol", "residual_tol", "unit_speed_tol")
+        argv = ["verify"] + [a for name in names for a in ("--tol", f"{name}=0.5")]
+        assert build_parser().parse_args(argv).tol == [(name, 0.5) for name in names]
+
+
+class TestDiagnostics:
+    def test_deep_nesting_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "deep.curve"
+        p.write_text("x1 = " + "(" * 3000 + "t" + ")" * 3000 + "\nx2 = t\nx3 = t\n"
+                     "t_min = 0\nt_max = 1\n")
+        assert main(["frenet", "--curve", str(p), "--samples", "3"]) == EXIT_INPUT
+        assert "nested" in capsys.readouterr().err
+
+    def test_evaluation_error_names_component_and_t(self, tmp_path, capsys):
+        p = tmp_path / "log.curve"
+        p.write_text("x1 = t\nx2 = log(t)\nx3 = t^2\nt_min = 0\nt_max = 1\n")
+        assert main(["frenet", "--curve", str(p), "--samples", "3"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "x2" in err and "t=0" in err and "chars 0-6" in err
+
+
+def _readme_cli_section() -> str:
+    return README.read_text().split("## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+class TestReadme:
+    def test_cli_examples_parse(self):
+        block = _readme_cli_section().split("```\n")[1]
+        lines = [line for line in block.splitlines() if line.startswith("frenetlift ")]
+        assert len(lines) >= 8
+        for line in lines:
+            argv = _join_vector_flags(shlex.split(line, comments=True)[1:])
+            try:
+                build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README example does not parse: {line}")
+
+    def test_flag_table_matches_parser(self):
+        rows = re.findall(r"^\| `(\w+)` \| (.+) \|$", _readme_cli_section(), re.M)
+        table = {cmd: re.findall(r"`(--\w+)`", flags) for cmd, flags in rows}
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        parsed = {
+            name: [a.option_strings[0] for a in p._actions if a.dest != "help"]
+            for name, p in sub.choices.items()
+        }
+        assert table == parsed
 
 
 class TestDeterminism:

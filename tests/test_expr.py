@@ -6,6 +6,7 @@ import random
 import pytest
 
 from frenetlift.expr import (
+    MAX_NESTING,
     BinOp,
     Call,
     CurveSpec,
@@ -84,6 +85,24 @@ class TestParse:
     def test_number_forms(self):
         for text, value in (("1", 1.0), ("0.5", 0.5), ("1e-3", 1e-3), ("2.5E+2", 250.0)):
             assert parse_expr(text, {"t"}) == Num(value)
+
+    @pytest.mark.parametrize(
+        "nest",
+        [
+            lambda n: "(" * n + "t" + ")" * n,
+            lambda n: "sin(" * n + "t" + ")" * n,
+            lambda n: "-" * n + "t",
+            lambda n: "t" + "^1" * n,
+        ],
+        ids=["parens", "call", "neg", "pow"],
+    )
+    def test_nesting_limit(self, nest):
+        ast = parse_expr(nest(MAX_NESTING), {"t"})
+        value = eval_float(ast, {"t": 0.5})
+        assert eval_jet(ast, {"t": Jet.variable(0.5, 2)}).value == value
+        with pytest.raises(ParseError, match="nested") as exc:
+            parse_expr(nest(MAX_NESTING + 1), {"t"})
+        assert 0 < exc.value.offset < len(nest(MAX_NESTING + 1))
 
     def test_error_offsets_inside_input(self):
         for text in ("1+", "sin(t", "(t", "t )", "2**t", "1. 5"):

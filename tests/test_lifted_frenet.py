@@ -136,6 +136,20 @@ class TestTheoremResiduals:
         assert len(report.kappa_lift) == 20
         assert all(math.isfinite(k) for k in report.kappa_lift)
 
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.7])
+    def test_horizontal_nonflat_point_matches_sweep(self, t):
+        # The single-point fiber comes from the same transport as the sweep,
+        # so apparatus(t) equals the sweep row at t to the last bit.
+        G = Connection.from_entries({(1, 1, 1): 0.2, (2, 3, 2): -0.1})
+        lc = LiftedCurve(HELIX, LiftKind.horizontal((1.0, 0.5, -0.5)), G)
+        report = lc.sweep([HELIX.t_min, t])
+        app = lc.apparatus(t)
+        assert app.point == report.points[-1]
+        assert app.frame == report.frames[-1]
+        assert (app.kappa_lift, app.tau_lift) == (report.kappa_lift[-1], report.tau_lift[-1])
+        assert app.residuals == report.theorem_residuals[-1]
+        assert lc.point_jets(t).value() == app.point
+
     def test_default_anchor_is_domain_start(self):
         lc = LiftedCurve(USH, LiftKind.vertical())
         assert lc.anchor == pytest.approx((3.0, 0.0, 0.0))
