@@ -194,12 +194,18 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 # Deepest nesting of '(', function calls, unary minus and '^' exponents the
-# parser accepts; the recursive descent and evaluators stay far inside the
+# parser accepts, and the most levels the tree it builds may have: a flat
+# chain such as t+t+...+t nests nothing but adds one level per operator.
+# Together they keep the recursive descent and every tree walker
+# (evaluators, equality, hashing, pretty_print) far inside the
 # interpreter's recursion limit.
 MAX_NESTING = 100
+MAX_DEPTH = 200
 
 
 class _Parser:
+    """Recursive descent; each rule returns (node, height of its tree)."""
+
     def __init__(self, text: str, allowed_vars: frozenset[str] | set[str]):
         self.text = text
         self.vars = allowed_vars
@@ -207,14 +213,20 @@ class _Parser:
         self.pos = 0
         self.depth = 0
 
-    def nested(self, parse, off: int) -> ExprAst:
+    def nested(self, parse, off: int):
         """Run ``parse`` one nesting level deeper."""
         if self.depth == MAX_NESTING:
             raise ParseError(off, f"at most {MAX_NESTING} nested levels")
         self.depth += 1
-        node = parse()
+        parsed = parse()
         self.depth -= 1
-        return node
+        return parsed
+
+    @staticmethod
+    def grown(node: ExprAst, height: int, off: int):
+        if height > MAX_DEPTH:
+            raise ParseError(off, f"an expression tree at most {MAX_DEPTH} levels deep")
+        return node, height
 
     def peek(self):
         return self.tokens[self.pos]
@@ -231,50 +243,46 @@ class _Parser:
         return self.advance()
 
     def parse(self) -> ExprAst:
-        node = self.expr()
+        node, _ = self.expr()
         kind, _, off = self.peek()
         if kind != "end":
             raise ParseError(off, "end of input or an operator")
         return node
 
-    def expr(self) -> ExprAst:
-        node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                right = self.term()
-                node = BinOp(text, node, right, (node.span[0], right.span[1]))
-            else:
-                return node
+    def expr(self):
+        return self.chain("+-", self.term)
 
-    def term(self) -> ExprAst:
-        node = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                right = self.factor()
-                node = BinOp(text, node, right, (node.span[0], right.span[1]))
-            else:
-                return node
+    def term(self):
+        return self.chain("*/", self.factor)
 
-    def factor(self) -> ExprAst:
-        node = self.base()
+    def chain(self, ops: str, operand):
+        """operand (op operand)*, left associative, for the operators in ops."""
+        node, height = operand()
+        while True:
+            kind, text, off = self.peek()
+            if kind != "op" or text not in ops:
+                return node, height
+            self.advance()
+            right, rh = operand()
+            span = (node.span[0], right.span[1])
+            node, height = self.grown(BinOp(text, node, right, span), max(height, rh) + 1, off)
+
+    def factor(self):
+        node, height = self.base()
         kind, text, off = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            exponent = self.nested(self.factor, off)
-            value = _fold_constant(exponent)
-            folded = Num(value, exponent.span)
-            return BinOp("^", node, folded, (node.span[0], exponent.span[1]))
-        return node
+            exponent, _ = self.nested(self.factor, off)
+            folded = Num(_fold_constant(exponent), exponent.span)
+            span = (node.span[0], exponent.span[1])
+            return self.grown(BinOp("^", node, folded, span), height + 1, off)
+        return node, height
 
-    def base(self) -> ExprAst:
+    def base(self):
         kind, text, off = self.peek()
         if kind == "num":
             self.advance()
-            return Num(float(text), (off, off + len(text)))
+            return Num(float(text), (off, off + len(text))), 1
         if kind == "name":
             self.advance()
             nkind, ntext, _ = self.peek()
@@ -282,21 +290,21 @@ class _Parser:
                 if text not in FUNCTION_NAMES:
                     raise UnknownFunction(text, off)
                 self.advance()
-                arg = self.nested(self.expr, off)
+                arg, height = self.nested(self.expr, off)
                 _, _, close_off = self.expect_op(")")
-                return Call(text, arg, (off, close_off + 1))
+                return self.grown(Call(text, arg, (off, close_off + 1)), height + 1, off)
             if text not in self.vars:
                 raise UnknownVariable(text, off)
-            return Var(text, (off, off + len(text)))
+            return Var(text, (off, off + len(text))), 1
         if kind == "op" and text == "(":
             self.advance()
-            node = self.nested(self.expr, off)
+            node, height = self.nested(self.expr, off)
             _, _, close_off = self.expect_op(")")
-            return _respan(node, (off, close_off + 1))
+            return _respan(node, (off, close_off + 1)), height
         if kind == "op" and text == "-":
             self.advance()
-            child = self.nested(self.factor, off)
-            return Neg(child, (off, child.span[1]))
+            child, height = self.nested(self.factor, off)
+            return self.grown(Neg(child, (off, child.span[1])), height + 1, off)
         raise ParseError(off, "a number, variable, function call, '(' or '-'")
 
 
@@ -373,10 +381,16 @@ def _eval_jet(node: ExprAst, b: Mapping[str, Jet], order: int) -> Jet:
     if isinstance(node, Neg):
         return -_eval_jet(node.child, b, order)
     if isinstance(node, BinOp):
+        # A product with a number scales each coefficient, O(K) instead of
+        # an O(K^2) convolution with a constant jet, and gives the same bits.
+        if node.op == "*" and isinstance(node.left, Num):
+            return _eval_jet(node.right, b, order) * node.left.value
         left = _eval_jet(node.left, b, order)
         if node.op == "^":
             assert isinstance(node.right, Num)
             return _spanned(lambda: jet_pow(left, node.right.value), node.span)
+        if node.op == "*" and isinstance(node.right, Num):
+            return left * node.right.value
         right = _eval_jet(node.right, b, order)
         if node.op == "+":
             return left + right
@@ -528,6 +542,23 @@ class CurveSpec:
     ) -> "CurveSpec":
         comps = tuple(parse_expr(s, CURVE_VARS) for s in (x1, x2, x3))
         return cls(comps, float(t_min), float(t_max), name)
+
+
+def _per_component(curve: CurveSpec, t: float, evaluate) -> list:
+    """``evaluate(ast)`` for each component of ``curve`` at parameter t.
+
+    A :class:`JetError` leaves with ``component`` (0-based) and ``t`` set,
+    so the error message can name where evaluation failed.
+    """
+    out = []
+    for i, comp in enumerate(curve.components):
+        try:
+            out.append(evaluate(comp))
+        except JetError as err:
+            err.component = i
+            err.t = t
+            raise
+    return out
 
 
 @dataclass(frozen=True)

@@ -21,15 +21,15 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .expr import CurveSpec, eval_jet
+from .expr import CurveSpec, _per_component, eval_jet
 from .jets import (
     DimensionMismatch,
     Jet,
-    JetError,
     OrderExceeded,
     RankDeficient,
     VecJ,
     ZeroNorm,
+    _fdot,
     fnorm,
     frame_residuals,
 )
@@ -171,15 +171,7 @@ def curve_point_jets(curve: CurveSpec, t: float, order: int = DEFAULT_ORDER) -> 
     if t < curve.t_min or t > curve.t_max:
         raise DomainIntervalError(t, curve.domain)
     tj = Jet.variable(t, order)
-    comps = []
-    for i, comp in enumerate(curve.components):
-        try:
-            comps.append(eval_jet(comp, {"t": tj}))
-        except JetError as err:
-            err.component = i
-            err.t = t
-            raise
-    return VecJ(comps)
+    return VecJ(_per_component(curve, t, lambda comp: eval_jet(comp, {"t": tj})))
 
 
 def frame_jets(pjets: VecJ, cfg: ToleranceConfig, t: float = math.nan) -> FrameJets:
@@ -264,7 +256,11 @@ def generalized_frenet(
     """Gram-Schmidt frame over (b', ..., b^(m)) in jet arithmetic.
 
     Needs point jets of order >= m + 1 so the frame can be differentiated
-    once.  Raises :class:`RankDeficient` with the 0-based index of the first
+    once.  The matrix reads only the value and first derivative of each
+    frame vector, so the derivative jets are cut to order 1 and nothing
+    above coefficient 1 is computed; Taylor arithmetic is causal, so those
+    two coefficients are the same bits the full-order jets would carry.
+    Raises :class:`RankDeficient` with the 0-based index of the first
     derivative that is (numerically) dependent on its predecessors.
     """
     if m < 2:
@@ -280,7 +276,7 @@ def generalized_frenet(
     cur = pjets
     for _ in range(m):
         cur = cur.d()
-        derivs.append(cur.truncated(L))
+        derivs.append(cur.truncated(1))
     speed_val = fnorm(derivs[0].value())
     if speed_val < SPEED_FLOOR:
         raise ZeroSpeed(math.nan)
@@ -289,7 +285,7 @@ def generalized_frenet(
     # which orients the torsion sign; Gram-Schmidt alone would leave it >= 0.
     gs_count = 2 if (pjets.dim == 3 and m == 3) else m
     frame: list[VecJ] = []
-    one = Jet.constant(1.0, L)
+    one = Jet.constant(1.0, 1)
     for i in range(gs_count):
         u = derivs[i]
         for e in frame:
@@ -302,13 +298,11 @@ def generalized_frenet(
     if gs_count < m:
         frame.append(frame[0].cross(frame[1]))
 
+    slopes = [E.d().value() for E in frame]
+    values = tuple(E.value() for E in frame)
     matrix = tuple(
-        tuple(
-            frame[i].d().dot(frame[j].truncated(L - 1)).value / speed_val
-            for j in range(m)
-        )
+        tuple(_fdot(slopes[i], values[j]) / speed_val for j in range(m))
         for i in range(m)
     )
     chis = tuple(matrix[i][i + 1] for i in range(m - 1))
-    values = tuple(e.value() for e in frame)
     return GeneralizedFrame(frame=values, chis=chis, matrix=matrix)

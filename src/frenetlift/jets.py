@@ -4,11 +4,14 @@ A :class:`Jet` stores the normalized Taylor coefficients ``c_k = f^(k)(t0)/k!``
 of a scalar function about an expansion point, up to a fixed order K.
 Arithmetic and elementary functions propagate the whole coefficient vector
 through the standard convolution recurrences, so the k-th derivative of any
-composite expression is exact to rounding.  :class:`VecJ` bundles 3 or 6 jets
-sharing one order and provides the dot/cross/norm operations needed for frame
-computations.  :func:`fd_oracle` is a finite-difference estimator with one
-Richardson extrapolation step, kept deliberately independent of the jet code
-path so the two can cross-check each other.
+composite expression is exact to rounding.  The public constructor coerces
+every coefficient to float; the results of jet arithmetic are float tuples
+already, so the kernel wraps them with the private ``Jet._of`` instead.
+:class:`VecJ` bundles 3 or 6 jets sharing one order and provides the
+dot/cross/norm operations needed for frame computations.  :func:`fd_oracle`
+is a finite-difference estimator with one Richardson extrapolation step, kept
+deliberately independent of the jet code path so the two can cross-check
+each other.
 """
 
 from __future__ import annotations
@@ -89,13 +92,13 @@ class NonFiniteJet(JetError):
     """An operation produced NaN or infinite coefficients."""
 
 
-def _finite(coeffs: list[float]) -> list[float]:
+def _finite(coeffs: list[float]) -> tuple[float, ...]:
     # Summing is one C-level pass; any NaN/Inf entry taints the total.  A
     # finite aggregate that overflows the sum also trips this, which is fine:
     # coefficients at 1e308 scale are already past any meaningful use.
     if not math.isfinite(sum(coeffs)):
         raise NonFiniteJet("operation produced non-finite coefficients")
-    return coeffs
+    return tuple(coeffs)
 
 
 class Jet:
@@ -108,6 +111,13 @@ class Jet:
         if not cs:
             raise ValueError("a jet needs at least the order-0 coefficient")
         self.coeffs = cs
+
+    @classmethod
+    def _of(cls, coeffs: tuple[float, ...]) -> "Jet":
+        """Wrap a float tuple the kernel produced, without re-coercing it."""
+        jet = object.__new__(cls)
+        jet.coeffs = coeffs
+        return jet
 
     @classmethod
     def variable(cls, t0: float, order: int) -> "Jet":
@@ -144,21 +154,21 @@ class Jet:
         """Jet of the derivative function (one order lower)."""
         if self.order == 0:
             raise OrderExceeded("cannot differentiate an order-0 jet")
-        return Jet(tuple((k + 1) * c for k, c in enumerate(self.coeffs[1:])))
+        return Jet._of(tuple((k + 1) * c for k, c in enumerate(self.coeffs[1:])))
 
     def truncated(self, order: int) -> "Jet":
         if order > self.order:
             raise OrderExceeded(f"cannot extend an order-{self.order} jet to {order}")
         if order == self.order:
             return self
-        return Jet(self.coeffs[: order + 1])
+        return Jet._of(self.coeffs[: order + 1])
 
     def is_finite(self) -> bool:
         return all(math.isfinite(c) for c in self.coeffs)
 
     def _coerced(self, other) -> "Jet":
         if isinstance(other, Jet):
-            if other.order != self.order:
+            if len(other.coeffs) != len(self.coeffs):
                 raise DimensionMismatch(
                     f"jet orders differ: {self.order} vs {other.order}"
                 )
@@ -171,10 +181,10 @@ class Jet:
         o = self._coerced(other)
         if o is NotImplemented:
             return NotImplemented
-        out = [a + b for a, b in zip(self.coeffs, o.coeffs)]
+        out = tuple([a + b for a, b in zip(self.coeffs, o.coeffs)])
         if not math.isfinite(sum(out)):
             raise NonFiniteJet("addition produced non-finite coefficients")
-        return Jet(out)
+        return Jet._of(out)
 
     __radd__ = __add__
 
@@ -182,10 +192,10 @@ class Jet:
         o = self._coerced(other)
         if o is NotImplemented:
             return NotImplemented
-        out = [a - b for a, b in zip(self.coeffs, o.coeffs)]
+        out = tuple([a - b for a, b in zip(self.coeffs, o.coeffs)])
         if not math.isfinite(sum(out)):
             raise NonFiniteJet("subtraction produced non-finite coefficients")
-        return Jet(out)
+        return Jet._of(out)
 
     def __rsub__(self, other):
         o = self._coerced(other)
@@ -194,9 +204,11 @@ class Jet:
         return o - self
 
     def __neg__(self):
-        return Jet(tuple(-a for a in self.coeffs))
+        return Jet._of(tuple([-a for a in self.coeffs]))
 
     def __mul__(self, other):
+        if isinstance(other, (int, float)):
+            return self._scaled(float(other))
         o = self._coerced(other)
         if o is NotImplemented:
             return NotImplemented
@@ -212,9 +224,17 @@ class Jet:
             tot += s
         if not math.isfinite(tot):
             raise NonFiniteJet("multiplication produced non-finite coefficients")
-        return Jet(out)
+        return Jet._of(tuple(out))
 
     __rmul__ = __mul__
+
+    def _scaled(self, c: float) -> "Jet":
+        # The product with Jet.constant(c) sums a[k] * c with exact zeros
+        # from a 0.0 start; "+ 0.0" gives the same bits, signed zeros included.
+        out = tuple([a * c + 0.0 for a in self.coeffs])
+        if not math.isfinite(sum(out)):
+            raise NonFiniteJet("multiplication produced non-finite coefficients")
+        return Jet._of(out)
 
     def __truediv__(self, other):
         o = self._coerced(other)
@@ -235,7 +255,7 @@ class Jet:
             tot += s
         if not math.isfinite(tot):
             raise NonFiniteJet("division produced non-finite coefficients")
-        return Jet(out)
+        return Jet._of(tuple(out))
 
     def __rtruediv__(self, other):
         o = self._coerced(other)
@@ -269,7 +289,7 @@ def _sin_cos(u: Jet) -> tuple[Jet, Jet]:
             cc += j * uc[j] * s[k - j]
         s[k] = ss / k
         c[k] = -cc / k
-    return Jet(_finite(s)), Jet(_finite(c))
+    return Jet._of(_finite(s)), Jet._of(_finite(c))
 
 
 def jet_sin(u: Jet) -> Jet:
@@ -300,7 +320,7 @@ def jet_exp(u: Jet) -> Jet:
         for j in range(1, k + 1):
             s += j * uc[j] * v[k - j]
         v[k] = s / k
-    return Jet(_finite(v))
+    return Jet._of(_finite(v))
 
 
 def jet_log(u: Jet) -> Jet:
@@ -315,7 +335,7 @@ def jet_log(u: Jet) -> Jet:
         for j in range(1, k):
             s += j * v[j] * uc[k - j]
         v[k] = (uc[k] - s / k) / uc[0]
-    return Jet(_finite(v))
+    return Jet._of(_finite(v))
 
 
 def jet_sqrt(u: Jet) -> Jet:
@@ -330,7 +350,7 @@ def jet_sqrt(u: Jet) -> Jet:
         for j in range(1, k):
             s += v[j] * v[k - j]
         v[k] = (uc[k] - s) / (2.0 * v[0])
-    return Jet(_finite(v))
+    return Jet._of(_finite(v))
 
 
 def _sinh_cosh(u: Jet) -> tuple[Jet, Jet]:
@@ -351,7 +371,7 @@ def _sinh_cosh(u: Jet) -> tuple[Jet, Jet]:
             cc += j * uc[j] * s[k - j]
         s[k] = ss / k
         c[k] = cc / k
-    return Jet(_finite(s)), Jet(_finite(c))
+    return Jet._of(_finite(s)), Jet._of(_finite(c))
 
 
 def jet_sinh(u: Jet) -> Jet:
@@ -417,9 +437,9 @@ class VecJ:
         es = tuple(entries)
         if len(es) not in (3, 6):
             raise DimensionMismatch(f"VecJ dimension must be 3 or 6, got {len(es)}")
-        order = es[0].order
+        n = len(es[0].coeffs)
         for e in es:
-            if e.order != order:
+            if len(e.coeffs) != n:
                 raise DimensionMismatch("VecJ entries must share one order")
         self.entries = es
 
@@ -474,8 +494,6 @@ class VecJ:
         return jet_sqrt(sq)
 
     def scale(self, s) -> "VecJ":
-        if isinstance(s, (int, float)):
-            s = Jet.constant(s, self.order)
         return VecJ(e * s for e in self.entries)
 
     def __add__(self, other):
@@ -505,6 +523,15 @@ class VecJ:
 def fnorm(v: Sequence[float]) -> float:
     """Euclidean norm of a plain float vector."""
     return math.sqrt(sum(x * x for x in v))
+
+
+def _fdot(a: Sequence[float], b: Sequence[float]) -> float:
+    """Dot product summed left to right from 0.0, as :meth:`VecJ.dot` sums
+    constant terms; ``sum()`` would differ (Python 3.12 compensates it)."""
+    s = 0.0
+    for x, y in zip(a, b):
+        s += x * y
+    return s
 
 
 def gram_defect(vectors: Sequence[Sequence[float]]) -> float:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .expr import CurveSpec, eval_float
+from .expr import CurveSpec, _per_component, eval_float
 from .frenet import (
     DEFAULT_ORDER,
     FrameJets,
@@ -32,7 +32,16 @@ from .frenet import (
     frame_jets,
     generalized_frenet,
 )
-from .jets import Jet, RankDeficient, VecJ, ZeroNorm, fnorm, frame_residuals, gram_defect
+from .jets import (
+    NORM_FLOOR,
+    Jet,
+    RankDeficient,
+    VecJ,
+    _fdot,
+    fnorm,
+    frame_residuals,
+    gram_defect,
+)
 from .lifts import Connection, LiftKind, lifted_point_jets, transport_grid
 
 __all__ = [
@@ -103,7 +112,9 @@ class LiftedCurve:
                 self.anchor = kind.anchor
             else:
                 b = {"t": base.t_min}
-                self.anchor = tuple(eval_float(c, b) for c in base.components)
+                self.anchor = tuple(
+                    _per_component(base, base.t_min, lambda comp: eval_float(comp, b))
+                )
         else:
             self.anchor = None
 
@@ -137,10 +148,11 @@ class LiftedCurve:
         fj = frame_jets(pj, self.cfg, t)
         P = lifted_point_jets(pj, self.kind, self.connection, self.anchor, w)
         Tl, Nl, Bl = self._lift_frame(fj, P)
-        try:
-            speed = P.d().norm().value
-        except ZeroNorm:
-            raise ZeroSpeed(t) from None
+        vel = P.d().value()
+        speed_sq = _fdot(vel, vel)
+        if speed_sq < NORM_FLOOR * NORM_FLOOR:
+            raise ZeroSpeed(t)
+        speed = math.sqrt(speed_sq)
 
         Tv, Nv, Bv = Tl.value(), Nl.value(), Bl.value()
         dT, dN, dB = ([c / speed for c in V.d().value()] for V in (Tl, Nl, Bl))

@@ -33,6 +33,7 @@ from .expr import (
     FormatError,
     CurveSpec,
     _key_value_lines,
+    _per_component,
     eval_float,
     eval_jet,
     parse_expr,
@@ -451,7 +452,8 @@ def prop21_check(
 
 def _curve_velocity(curve: CurveSpec, t: float) -> tuple[float, float, float]:
     tj = Jet.variable(t, 1)
-    return tuple(eval_jet(c, {"t": tj}).coeffs[1] for c in curve.components)
+    jets = _per_component(curve, t, lambda comp: eval_jet(comp, {"t": tj}))
+    return tuple(j.coeffs[1] for j in jets)
 
 
 def _transport_rhs(G: Connection, curve: CurveSpec, u: float, w: Sequence[float]):

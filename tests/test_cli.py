@@ -371,6 +371,27 @@ class TestDiagnostics:
         assert main(["frenet", "--curve", str(p), "--samples", "3"]) == EXIT_INPUT
         assert "nested" in capsys.readouterr().err
 
+    def test_long_flat_chain_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "long.curve"
+        p.write_text("x1 = " + "+".join(["t"] * 3000) + "\nx2 = t\nx3 = t^2\n"
+                     "t_min = 0\nt_max = 1\n")
+        assert main(["frenet", "--curve", str(p), "--samples", "3"]) == EXIT_INPUT
+        assert "deep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["lift", "--kind", "v"],
+        ["lift", "--kind", "h", "--w0", "1,0,0", "--connection", "{conn}"],
+    ], ids=["default-anchor", "transport"])
+    def test_lift_evaluation_error_names_component_and_t(self, tmp_path, capsys, argv):
+        p = tmp_path / "log.curve"
+        p.write_text("x1 = t\nx2 = log(t)\nx3 = t^2\nt_min = 0\nt_max = 1\n")
+        conn = tmp_path / "g.conn"
+        conn.write_text("gamma 1 2 3 = 0.3\n")
+        argv = [a.format(conn=conn) for a in argv] + ["--curve", str(p), "--samples", "3"]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "x2" in err and "t=0" in err
+
     def test_evaluation_error_names_component_and_t(self, tmp_path, capsys):
         p = tmp_path / "log.curve"
         p.write_text("x1 = t\nx2 = log(t)\nx3 = t^2\nt_min = 0\nt_max = 1\n")

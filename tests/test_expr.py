@@ -2,10 +2,12 @@
 
 import math
 import random
+import struct
 
 import pytest
 
 from frenetlift.expr import (
+    MAX_DEPTH,
     MAX_NESTING,
     BinOp,
     Call,
@@ -104,6 +106,29 @@ class TestParse:
             parse_expr(nest(MAX_NESTING + 1), {"t"})
         assert 0 < exc.value.offset < len(nest(MAX_NESTING + 1))
 
+    def test_flat_chain_within_depth(self):
+        text = "+".join(["t"] * 150)
+        ast = parse_expr(text, {"t"})
+        assert eval_float(ast, {"t": 0.5}) == 75.0
+        assert eval_jet(ast, {"t": Jet.variable(0.5, 2)}).coeffs == (75.0, 150.0, 0.0)
+        assert parse_expr(pretty_print(ast), {"t"}) == ast
+
+    @pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+    def test_depth_limit(self, op):
+        parse_expr(op.join(["t"] * MAX_DEPTH), {"t"})
+        text = op.join(["t"] * (MAX_DEPTH + 1))
+        with pytest.raises(ParseError, match="deep") as exc:
+            parse_expr(text, {"t"})
+        assert 0 < exc.value.offset < len(text)
+
+    def test_depth_counts_across_nesting(self):
+        # A chain inside parentheses sits under the chain around it, so the
+        # heights add up although only one level of parentheses is used.
+        half = "+".join(["t"] * (MAX_DEPTH // 2))
+        parse_expr(f"({half})*{half}", {"t"})
+        with pytest.raises(ParseError, match="deep"):
+            parse_expr(f"(({half})*{half})*{half}", {"t"})
+
     def test_error_offsets_inside_input(self):
         for text in ("1+", "sin(t", "(t", "t )", "2**t", "1. 5"):
             with pytest.raises(ParseError) as exc:
@@ -145,6 +170,18 @@ class TestEval:
             assert jval == pytest.approx(fval, rel=1e-9, abs=1e-9) or abs(
                 jval - fval
             ) <= 1e-9 * abs(fval)
+
+
+    @pytest.mark.parametrize("c", ["2.5", "0", "1e-320", "3"])
+    def test_product_with_number_matches_constant_jet(self, c):
+        t = Jet.variable(0.3, 5)
+        bind = {"t": t}
+        inner = eval_jet(parse_expr("sin(t)*t - t", {"t"}), bind)
+        const = Jet.constant(float(c), 5)
+        want = [struct.pack("<d", x) for x in (const * inner).coeffs]
+        for text in (f"{c}*(sin(t)*t - t)", f"(sin(t)*t - t)*{c}"):
+            got = eval_jet(parse_expr(text, {"t"}), bind).coeffs
+            assert [struct.pack("<d", x) for x in got] == want
 
 
 class TestPrettyPrint:

@@ -1,6 +1,7 @@
 """Frenet apparatus, residuals, speed reports, generalized frames."""
 
 import math
+import struct
 
 import pytest
 
@@ -15,7 +16,8 @@ from frenetlift.frenet import (
     speed_check,
     uniform_grid,
 )
-from frenetlift.jets import Jet, RankDeficient, VecJ, fd_oracle
+from frenetlift.jets import Jet, RankDeficient, VecJ, fd_oracle, fnorm
+from frenetlift.lifts import Connection, LiftKind, lifted_point_jets
 from frenetlift.verify import builtin_curves, grid, LIFTED_HELIX_KAPPA, LIFTED_HELIX_TAU
 
 CURVES = builtin_curves()
@@ -23,6 +25,10 @@ HELIX = CURVES["helix345"]
 USH = CURVES["unit_helix"]
 CIRCLE = CURVES["circle2"]
 LINE = CURVES["line"]
+TORUS_KNOT = CurveSpec.from_strings(
+    "(2 + 0.5*cos(3*t))*cos(2*t)", "(2 + 0.5*cos(3*t))*sin(2*t)", "0.5*sin(3*t)",
+    0.0, 2.0 * math.pi, "torus_knot",
+)
 
 
 def embed_r6(pjets: VecJ) -> VecJ:
@@ -184,10 +190,60 @@ class TestGeneralizedFrenet:
                         assert abs(A[i][j] + A[j][i]) <= 1e-9
                 assert abs(A[0][2]) <= 1e-9
 
+    @pytest.mark.parametrize("kind", ["base", "v", "c", "h"])
+    @pytest.mark.parametrize("curve", [HELIX, TORUS_KNOT], ids=["helix", "torus_knot"])
+    def test_matrix_matches_full_order_jet_route(self, curve, kind):
+        G = Connection.from_entries({(1, 2, 3): 0.3, (3, 2, 1): -0.3, (2, 1, 1): 0.2})
+        lifts = {
+            "v": (LiftKind.vertical((1.0, -2.0, 0.5)), (1.0, -2.0, 0.5), None),
+            "c": (LiftKind.complete(), None, None),
+            "h": (LiftKind.horizontal((1.0, -0.5, 0.75)), None, (0.9, -0.4, 0.8)),
+        }
+        for t in grid(curve, 9):
+            pj = curve_point_jets(curve, t)
+            if kind != "base":
+                lk, anchor, w = lifts[kind]
+                pj = lifted_point_jets(pj, lk, G, anchor, w)
+            got = generalized_frenet(pj, 3).matrix
+            want = _full_order_matrix(pj)
+            assert [_bits(row) for row in got] == [_bits(row) for row in want]
+
     def test_frame_size_validation(self):
         pj = curve_point_jets(HELIX, 0.5, 3)
         with pytest.raises(Exception):
             generalized_frenet(pj, 4)
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+def _full_order_matrix(pjets: VecJ, m: int = 3):
+    """(dE_i/ds) . E_j through jet products on frame jets of order L = K - m."""
+    L = pjets.order - m
+    derivs = []
+    cur = pjets
+    for _ in range(m):
+        cur = cur.d()
+        derivs.append(cur.truncated(L))
+    speed = fnorm(derivs[0].value())
+    frame = []
+    for i in range(2):
+        u = derivs[i]
+        for e in frame:
+            u = u - e.scale(u.dot(e))
+        frame.append(u.scale(Jet.constant(1.0, L) / u.norm()))
+    if pjets.dim == 3:
+        frame.append(frame[0].cross(frame[1]))
+    else:
+        u = derivs[2]
+        for e in frame:
+            u = u - e.scale(u.dot(e))
+        frame.append(u.scale(Jet.constant(1.0, L) / u.norm()))
+    return tuple(
+        tuple(frame[i].d().dot(frame[j].truncated(L - 1)).value / speed for j in range(m))
+        for i in range(m)
+    )
 
 
 class TestUniformGrid:

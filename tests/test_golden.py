@@ -1,4 +1,4 @@
-"""Golden outputs: the bytes of frenet, lift and fields must not drift.
+"""Golden outputs: the bytes of frenet, lift, fields and verify must not drift.
 
 Each case runs ``cli.main`` in-process and compares the sha256 of its output
 file with a digest pinned from an earlier, trusted build.  A refactor that
@@ -99,3 +99,14 @@ def test_output_digest(case, tmp_path):
     out = tmp_path / "out"
     assert main(_argv(case, tmp_path) + ["--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[case]
+
+
+# verify draws its inputs from its own fixed seed, so its text output at a
+# given sample count is as deterministic as the sweeps above.
+VERIFY_50 = "c89397dc85d5c0dc74781d66c98490e0787d5acae5cd650367b4b60e6b5718ba"
+
+
+def test_verify_digest(tmp_path):
+    out = tmp_path / "verify.txt"
+    assert main(["verify", "--samples", "50", "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_50

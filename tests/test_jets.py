@@ -1,6 +1,7 @@
 """Jet arithmetic, vector algebra and the finite-difference oracle."""
 
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,6 +65,56 @@ class TestJetBasics:
             big * big
         with pytest.raises(NonFiniteJet):
             jet_exp(Jet.constant(1000.0, 2))
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+class TestKernelFastPaths:
+    JETS = [
+        Jet([0.0, -0.0, 1.25, -3.5, 0.0, -0.0]),
+        Jet([-0.0, 0.0, -0.0, 0.0, 2.0, -7.25]),
+        Jet([1.5, -2.0, 0.5, -0.25, 4.0, 1e-300]),
+        Jet([-1e300, 3.0, -0.0]),
+    ]
+
+    @pytest.mark.parametrize("c", [2.5, -1.5, 0.0, -0.0])
+    def test_scalar_product_matches_convolution(self, c):
+        for j in self.JETS:
+            const = Jet.constant(c, j.order)
+            want = _bits((j * const).coeffs)
+            assert _bits((const * j).coeffs) == want
+            assert _bits((j * c).coeffs) == want
+            assert _bits((c * j).coeffs) == want
+
+    def test_scalar_product_by_int(self):
+        j = self.JETS[2]
+        assert _bits((j * 3).coeffs) == _bits((j * Jet.constant(3, j.order)).coeffs)
+
+    def test_scalar_product_overflow_raises(self):
+        big = Jet([1e300, -0.0, 2.0])
+        with pytest.raises(NonFiniteJet, match="multiplication"):
+            big * Jet.constant(1e10, 2)
+        with pytest.raises(NonFiniteJet, match="multiplication"):
+            big * 1e10
+
+    def test_public_constructor_coerces_and_rejects_empty(self):
+        j = Jet([1, 2, True])
+        assert j.coeffs == (1.0, 2.0, 1.0)
+        assert all(type(c) is float for c in j.coeffs)
+        with pytest.raises(ValueError, match="order-0"):
+            Jet([])
+
+    def test_kernel_results_are_float_tuples(self):
+        a, b = Jet([1, 2, 3, 4]), Jet([2, -1, 0, 5])
+        results = [
+            a + b, a - b, -a, a * b, a * 2, a / b, a.d(), a.truncated(2),
+            jet_sin(a), jet_exp(a), jet_log(b), jet_sqrt(b), jet_tan(a), jet_pow(b, 0.5),
+        ]
+        for r in results:
+            assert type(r.coeffs) is tuple
+            assert all(type(c) is float for c in r.coeffs)
 
 
 class TestJetFunctions:

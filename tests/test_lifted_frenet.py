@@ -4,6 +4,9 @@ import math
 
 import pytest
 
+from frenetlift import lifted_frenet
+from frenetlift.frenet import ZeroSpeed
+from frenetlift.jets import Jet, VecJ
 from frenetlift.lifts import Connection, LiftKind
 from frenetlift.lifted_frenet import LiftedCurve
 from frenetlift.verify import (
@@ -74,6 +77,24 @@ class TestLiftedApparatus:
         assert app.speed == pytest.approx(math.sqrt(1.0 + KAPPA**2), abs=1e-12)
         app_v = LiftedCurve(HELIX, LiftKind.vertical()).apparatus(0.5)
         assert app_v.speed == pytest.approx(5.0)
+
+
+    @pytest.mark.parametrize("speed, stalls", [(0.9e-12, True), (1.1e-12, False)])
+    def test_lifted_speed_floor(self, monkeypatch, speed, stalls):
+        # A lifted curve is never slower than its base, so only substituted
+        # point jets can creep below the floor while the base curve moves.
+        def creeping(pj, *args):
+            K = pj.order
+            return VecJ([Jet.variable(0.0, K) * speed] + [Jet.constant(1.0, K)] * 5)
+
+        monkeypatch.setattr(lifted_frenet, "lifted_point_jets", creeping)
+        lifted = LiftedCurve(USH, LiftKind.complete())
+        if stalls:
+            with pytest.raises(ZeroSpeed) as exc:
+                lifted.apparatus(1.5)
+            assert exc.value.t == 1.5
+        else:
+            assert lifted.apparatus(1.5).speed == pytest.approx(speed, rel=1e-15)
 
 
 class TestTheoremResiduals:
