@@ -12,22 +12,46 @@ Exponents of '^' must fold to a real at parse time, which keeps powers of
 negative bases meaningful for integer exponents.  Unary minus produces a
 base, so ``-t^2`` reads as ``-(t^2)``.
 
+Powers are real or an error.  ``a^r`` with a zero base and a negative
+exponent, or a negative base and a non-integer exponent, raises
+:class:`DomainError` in evaluation; a constant exponent that folds to such
+a power is a :class:`ParseError`.
+
 ASTs are immutable; source spans (byte offsets into the input) are carried
 for error reporting but ignored by structural equality.
+
+Each AST is compiled once, on first evaluation, into nested closures that
+are cached on the node object itself.  Structurally equal nodes at
+different spans therefore keep separate code, and an error reports the
+span of the node that failed.  There are three evaluators; the float one
+shares no code with the two jet ones:
+
+- :func:`eval_float` evaluates in plain floats, independently of the jets.
+- :func:`eval_jet` evaluates K-jets through the same :class:`Jet` kernel
+  calls as a tree walk, so every bit is the same.  Each number builds its
+  constant jet once per order.
+- :func:`eval_forward` is order-1 forward mode with n tangents in one pass,
+  for gradients and Jacobians.  Each tangent repeats the float steps and
+  the per-operation finiteness test of the order-1 jet kernel bit for bit.
+  sin and cos are inlined; '^' and the other functions run through the jet
+  kernel one direction at a time.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 from .jets import (
+    DIV_FLOOR,
     DivisionByZeroJet,
     DomainError,
     Jet,
     JET_FUNCTIONS,
     JetError,
+    NonFiniteJet,
     jet_pow,
 )
 
@@ -344,7 +368,7 @@ def _fold(node: ExprAst) -> float:
             return a * b
         if node.op == "/":
             return a / b
-        return a**b
+        return _real_pow(a, b)
     if isinstance(node, Call):
         return getattr(math, node.func)(_fold(node.arg))
     raise _NotConstant
@@ -358,61 +382,56 @@ def parse_expr(text: str, allowed_vars) -> ExprAst:
 
 
 # --- evaluation ---------------------------------------------------------------
+#
+# Each evaluator compiles a tree once into nested closures, cached on the node
+# object under its own attribute.  The cache lives on the object, not in a
+# table keyed by the node: structurally equal nodes compare equal whatever
+# their spans, and every closure reports the span of its own node.
 
 
-def eval_jet(ast: ExprAst, bindings: Mapping[str, Jet]) -> Jet:
-    """Evaluate an AST in jet arithmetic.
-
-    Domain and division failures are re-raised with the source span of the
-    offending node attached.
-    """
-    order = next(iter(bindings.values())).order if bindings else 0
-    return _eval_jet(ast, bindings, order)
+def _compiled(node: ExprAst, attr: str, compile_node):
+    code = getattr(node, attr, None)
+    if code is None:
+        code = compile_node(node)
+        object.__setattr__(node, attr, code)
+    return code
 
 
-def _eval_jet(node: ExprAst, b: Mapping[str, Jet], order: int) -> Jet:
-    if isinstance(node, Num):
-        return Jet.constant(node.value, order)
-    if isinstance(node, Var):
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _spanned(func, span: Span, *operands):
+    """Code for ``func`` of the operands' results.  A JetError that func
+    raises gets the node's span; one an operand raised keeps its own."""
+
+    def run(b, extra):
+        args = [operand(b, extra) for operand in operands]
         try:
-            return b[node.name]
-        except KeyError:
-            raise UnknownVariable(node.name, node.span[0]) from None
-    if isinstance(node, Neg):
-        return -_eval_jet(node.child, b, order)
-    if isinstance(node, BinOp):
-        # A product with a number scales each coefficient, O(K) instead of
-        # an O(K^2) convolution with a constant jet, and gives the same bits.
-        if node.op == "*" and isinstance(node.left, Num):
-            return _eval_jet(node.right, b, order) * node.left.value
-        left = _eval_jet(node.left, b, order)
-        if node.op == "^":
-            assert isinstance(node.right, Num)
-            return _spanned(lambda: jet_pow(left, node.right.value), node.span)
-        if node.op == "*" and isinstance(node.right, Num):
-            return left * node.right.value
-        right = _eval_jet(node.right, b, order)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        return _spanned(lambda: left / right, node.span)
-    if isinstance(node, Call):
-        arg = _eval_jet(node.arg, b, order)
-        return _spanned(lambda: JET_FUNCTIONS[node.func](arg), node.span)
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-def _spanned(thunk, span):
-    try:
-        return thunk()
-    except JetError as err:
-        if getattr(err, "span", None) is None:
+            return func(*args)
+        except JetError as err:
             err.span = span
-        raise
+            raise
 
+    return run
+
+
+def _real_pow(base: float, exponent: float) -> float:
+    """``base ** exponent`` where it is real; ValueError where it is not.
+
+    A zero base with a negative exponent and a negative base with a
+    non-integer exponent have no real power: Python raises ZeroDivisionError
+    for the first and returns a complex number for the second.
+    """
+    try:
+        value = base**exponent
+    except ZeroDivisionError:
+        raise ValueError(f"{base!r} to the power {exponent!r}") from None
+    if isinstance(value, complex):
+        raise ValueError(f"{base!r} to the power {exponent!r}")
+    return value
+
+
+# Float evaluator: closures of the bindings, returning a float.
 
 _FLOAT_FUNCS = {
     "sin": math.sin,
@@ -426,47 +445,292 @@ _FLOAT_FUNCS = {
 }
 
 
+def _float_code(node: ExprAst):
+    if isinstance(node, Num):
+        value = node.value
+        return lambda b: value
+    if isinstance(node, Var):
+        name, offset = node.name, node.span[0]
+
+        def var(b):
+            try:
+                return float(b[name])
+            except KeyError:
+                raise UnknownVariable(name, offset) from None
+
+        return var
+    if isinstance(node, Neg):
+        child = _compiled(node.child, "_float", _float_code)
+        return lambda b: -child(b)
+    if isinstance(node, BinOp):
+        left = _compiled(node.left, "_float", _float_code)
+        right = _compiled(node.right, "_float", _float_code)
+        op, span = node.op, node.span
+        if op == "+":
+            return lambda b: left(b) + right(b)
+        if op == "-":
+            return lambda b: left(b) - right(b)
+        if op == "*":
+            return lambda b: left(b) * right(b)
+        if op == "/":
+
+            def divide(b):
+                num, den = left(b), right(b)
+                if abs(den) < DIV_FLOOR:
+                    err = DivisionByZeroJet(f"denominator {den!r}")
+                    err.span = span
+                    raise err
+                return num / den
+
+            return divide
+
+        def power(b):
+            base, exponent = left(b), right(b)
+            try:
+                return _real_pow(base, exponent)
+            except (ValueError, OverflowError):
+                raise DomainError("pow", base, span) from None
+
+        return power
+    if isinstance(node, Call):
+        arg = _compiled(node.arg, "_float", _float_code)
+        name, func, span = node.func, _FLOAT_FUNCS[node.func], node.span
+
+        def call(b):
+            u = arg(b)
+            if (name == "log" and u <= 0.0) or (name == "sqrt" and u < 0.0):
+                raise DomainError(name, u, span)
+            try:
+                return func(u)
+            except (ValueError, OverflowError):
+                raise DomainError(name, u, span) from None
+
+        return call
+    raise TypeError(f"not an AST node: {node!r}")
+
+
 def eval_float(ast: ExprAst, bindings: Mapping[str, float]) -> float:
     """Plain floating-point evaluation, independent of the jet code path."""
-    if isinstance(ast, Num):
-        return ast.value
-    if isinstance(ast, Var):
-        try:
-            return float(bindings[ast.name])
-        except KeyError:
-            raise UnknownVariable(ast.name, ast.span[0]) from None
-    if isinstance(ast, Neg):
-        return -eval_float(ast.child, bindings)
-    if isinstance(ast, BinOp):
-        a = eval_float(ast.left, bindings)
-        b = eval_float(ast.right, bindings)
-        if ast.op == "+":
-            return a + b
-        if ast.op == "-":
-            return a - b
-        if ast.op == "*":
-            return a * b
-        if ast.op == "/":
-            if abs(b) < 1e-300:
-                err = DivisionByZeroJet(f"denominator {b!r}")
-                err.span = ast.span
-                raise err
-            return a / b
-        try:
-            return a**b
-        except (ValueError, OverflowError):
-            raise DomainError("pow", a, ast.span) from None
-    if isinstance(ast, Call):
-        u = eval_float(ast.arg, bindings)
-        if ast.func == "log" and u <= 0.0:
-            raise DomainError("log", u, ast.span)
-        if ast.func == "sqrt" and u < 0.0:
-            raise DomainError("sqrt", u, ast.span)
-        try:
-            return _FLOAT_FUNCS[ast.func](u)
-        except (ValueError, OverflowError):
-            raise DomainError(ast.func, u, ast.span) from None
-    raise TypeError(f"not an AST node: {ast!r}")
+    return _compiled(ast, "_float", _float_code)(bindings)
+
+
+# K-jet evaluator: closures of (bindings, order), returning a Jet through the
+# same kernel calls a tree walk would make.
+
+
+def _jet_code(node: ExprAst):
+    if isinstance(node, Num):
+        value = node.value
+        constants: dict[int, Jet] = {}
+
+        def num(b, order):
+            jet = constants.get(order)
+            if jet is None:
+                jet = constants[order] = Jet.constant(value, order)
+            return jet
+
+        return num
+    if isinstance(node, Var):
+        name, offset = node.name, node.span[0]
+
+        def var(b, order):
+            try:
+                return b[name]
+            except KeyError:
+                raise UnknownVariable(name, offset) from None
+
+        return var
+    if isinstance(node, Neg):
+        child = _compiled(node.child, "_jet", _jet_code)
+        return lambda b, order: -child(b, order)
+    if isinstance(node, BinOp):
+        op, span = node.op, node.span
+        # A product with a number scales each coefficient, O(K) instead of
+        # an O(K^2) convolution with a constant jet, and gives the same bits.
+        if op == "*" and isinstance(node.left, Num):
+            c = node.left.value
+            right = _compiled(node.right, "_jet", _jet_code)
+            return lambda b, order: right(b, order) * c
+        left = _compiled(node.left, "_jet", _jet_code)
+        if op == "^":
+            exponent = node.right.value
+            return _spanned(lambda u: jet_pow(u, exponent), span, left)
+        if op == "*" and isinstance(node.right, Num):
+            c = node.right.value
+            return lambda b, order: left(b, order) * c
+        right = _compiled(node.right, "_jet", _jet_code)
+        if op == "/":
+            return _spanned(operator.truediv, span, left, right)
+        arith = _ARITH[op]
+        return lambda b, order: arith(left(b, order), right(b, order))
+    if isinstance(node, Call):
+        arg = _compiled(node.arg, "_jet", _jet_code)
+        return _spanned(JET_FUNCTIONS[node.func], node.span, arg)
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+def eval_jet(ast: ExprAst, bindings: Mapping[str, Jet]) -> Jet:
+    """Evaluate an AST in jet arithmetic.
+
+    Domain and division failures are re-raised with the source span of the
+    offending node attached.
+    """
+    order = next(iter(bindings.values())).order if bindings else 0
+    return _compiled(ast, "_jet", _jet_code)(bindings, order)
+
+
+# Forward evaluator: closures of (bindings, zero tangents), returning a value
+# with its n directional derivatives, (v, (d_1, ..., d_n)).  Tangent i takes
+# the same floating-point steps as the order-1 jet kernel on (v, d_i), and
+# meets the same finiteness test after each operation.
+
+
+def _finite(v: float, d: tuple, what: str) -> None:
+    # The jet kernel tests the sum of an order-1 result's two coefficients.
+    for x in d:
+        if not math.isfinite(v + x):
+            raise NonFiniteJet(f"{what} produced non-finite coefficients")
+
+
+def _scaling(operand, c: float):
+    """Code for ``operand * c``, the jet kernel's O(K) product with a number."""
+
+    def scaled(b, zero):
+        v, d = operand(b, zero)
+        v = v * c + 0.0
+        d = tuple([x * c + 0.0 for x in d])
+        _finite(v, d, "multiplication")
+        return v, d
+
+    return scaled
+
+
+def _forward_divide(num, den):
+    (u, du), (w, dw) = num, den
+    if abs(w) < DIV_FLOOR:
+        raise DivisionByZeroJet(f"denominator constant term {w!r}")
+    v = u / w
+    d = tuple([(x - v * y) / w for x, y in zip(du, dw)])
+    _finite(v, d, "division")
+    return v, d
+
+
+def _forward_sin_cos(arg):
+    u, du = arg
+    s, c = math.sin(u), math.cos(u)
+    ds = tuple([0.0 + x * c for x in du])
+    dc = tuple([-(0.0 + x * s) for x in du])
+    _finite(s, ds, "operation")
+    _finite(c, dc, "operation")
+    return (s, ds), (c, dc)
+
+
+def _per_direction(func):
+    """Forward code for a jet kernel that is not inlined: func on each
+    order-1 jet (v, d_i)."""
+
+    def run(arg):
+        v, d = arg
+        outs = [func(Jet._of((v, x))).coeffs for x in d]
+        return outs[0][0], tuple([out[1] for out in outs])
+
+    return run
+
+
+_FORWARD_FUNCS = {
+    "sin": lambda arg: _forward_sin_cos(arg)[0],
+    "cos": lambda arg: _forward_sin_cos(arg)[1],
+}
+
+
+def _forward_code(node: ExprAst):
+    if isinstance(node, Num):
+        value = node.value
+        return lambda b, zero: (value, zero)
+    if isinstance(node, Var):
+        name, offset = node.name, node.span[0]
+
+        def var(b, zero):
+            try:
+                return b[name]
+            except KeyError:
+                raise UnknownVariable(name, offset) from None
+
+        return var
+    if isinstance(node, Neg):
+        child = _compiled(node.child, "_forward", _forward_code)
+
+        def neg(b, zero):
+            v, d = child(b, zero)
+            return -v, tuple([-x for x in d])
+
+        return neg
+    if isinstance(node, BinOp):
+        op, span = node.op, node.span
+        if op == "*" and isinstance(node.left, Num):
+            return _scaling(_compiled(node.right, "_forward", _forward_code), node.left.value)
+        left = _compiled(node.left, "_forward", _forward_code)
+        if op == "^":
+            exponent = node.right.value
+            return _spanned(_per_direction(lambda u: jet_pow(u, exponent)), span, left)
+        if op == "*" and isinstance(node.right, Num):
+            return _scaling(left, node.right.value)
+        right = _compiled(node.right, "_forward", _forward_code)
+        if op == "/":
+            return _spanned(_forward_divide, span, left, right)
+        if op == "*":
+
+            def mul(b, zero):
+                (u, du), (w, dw) = left(b, zero), right(b, zero)
+                v = 0.0 + u * w
+                d = tuple([(0.0 + u * y) + x * w for x, y in zip(du, dw)])
+                _finite(v, d, "multiplication")
+                return v, d
+
+            return mul
+        arith = _ARITH[op]
+        what = "addition" if op == "+" else "subtraction"
+
+        def add_sub(b, zero):
+            (u, du), (w, dw) = left(b, zero), right(b, zero)
+            v = arith(u, w)
+            d = tuple(map(arith, du, dw))
+            _finite(v, d, what)
+            return v, d
+
+        return add_sub
+    if isinstance(node, Call):
+        func = _FORWARD_FUNCS.get(node.func) or _per_direction(JET_FUNCTIONS[node.func])
+        return _spanned(func, node.span, _compiled(node.arg, "_forward", _forward_code))
+    raise TypeError(f"not an AST node: {node!r}")
+
+
+def eval_forward(asts, bindings: Mapping[str, tuple]) -> list:
+    """Values and n directional derivatives of several ASTs in one pass.
+
+    ``bindings`` maps each variable to ``(value, (d_1, ..., d_n))``, the
+    same n for all.  Each AST gives ``(value, (D_1, ..., D_n))`` with
+    ``D_i`` bit for bit the order-1 coefficient of :func:`eval_jet` on the
+    jets ``(value, d_i)``.  The error raised is the one order-1
+    :func:`eval_jet` meets when it takes direction 1 through every AST,
+    then direction 2, and so on.
+    """
+    n = len(next(iter(bindings.values()))[1])
+    codes = [_compiled(ast, "_forward", _forward_code) for ast in asts]
+    zero = (0.0,) * n
+    try:
+        return [code(bindings, zero) for code in codes]
+    except NonFiniteJet:
+        if n == 1:
+            raise
+        # Only a tangent's own finiteness test tells the directions apart:
+        # rerun them one at a time, so that the error raised is the first
+        # one the direction-by-direction order meets.
+        for i in range(n):
+            single = {name: (v, (d[i],)) for name, (v, d) in bindings.items()}
+            for code in codes:
+                code(single, (0.0,))
+        raise
 
 
 # --- pretty printing -----------------------------------------------------------

@@ -35,6 +35,7 @@ from .expr import (
     _key_value_lines,
     _per_component,
     eval_float,
+    eval_forward,
     eval_jet,
     parse_expr,
 )
@@ -177,7 +178,11 @@ class LiftKind:
             raise ValueError("horizontal lift needs an initial fiber vector w0")
 
 
-# --- scalar helpers (partials via univariate jets) ---------------------------
+# --- scalar helpers (first partials by forward mode, seconds by jets) -------
+
+
+_FIELD_NAMES = ("x1", "x2", "x3")
+_BASIS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 def _eval_field_components(spec: FieldSpec, x: Sequence[float]) -> tuple[float, ...]:
@@ -185,22 +190,27 @@ def _eval_field_components(spec: FieldSpec, x: Sequence[float]) -> tuple[float, 
     return tuple(eval_float(c, b) for c in spec.components)
 
 
-def _dir_jet_bindings(x: Sequence[float], d: Sequence[float], order: int):
-    names = ("x1", "x2", "x3")
-    return {
-        name: Jet((float(xv),) + (float(dv),) + (0.0,) * (order - 1))
-        for name, xv, dv in zip(names, x, d)
+def _forward(asts, x: Sequence[float], tangents) -> list:
+    """Values and derivatives of the ASTs at x along the given tangents,
+    one tangent per entry of ``tangents`` (each a 3-vector)."""
+    bindings = {
+        name: (float(x[i]), tuple(float(d[i]) for d in tangents))
+        for i, name in enumerate(_FIELD_NAMES)
     }
+    return eval_forward(asts, bindings)
 
 
 def _dir_deriv(ast: ExprAst, x: Sequence[float], d: Sequence[float]) -> float:
     """First derivative of s -> f(x + s d) at 0."""
-    return eval_jet(ast, _dir_jet_bindings(x, d, 1)).coeffs[1]
+    return _forward((ast,), x, (d,))[0][1][0]
 
 
 def _dir_second(ast: ExprAst, x: Sequence[float], d: Sequence[float]) -> float:
     """Second derivative of s -> f(x + s d) at 0."""
-    return 2.0 * eval_jet(ast, _dir_jet_bindings(x, d, 2)).coeffs[2]
+    bindings = {
+        name: Jet((float(x[i]), float(d[i]), 0.0)) for i, name in enumerate(_FIELD_NAMES)
+    }
+    return 2.0 * eval_jet(ast, bindings).coeffs[2]
 
 
 def _mixed_second(
@@ -212,18 +222,12 @@ def _mixed_second(
 
 
 def _grad(ast: ExprAst, x: Sequence[float]) -> tuple[float, float, float]:
-    basis = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-    return tuple(_dir_deriv(ast, x, e) for e in basis)
+    return _forward((ast,), x, _BASIS)[0][1]
 
 
-def _jacobian(spec: FieldSpec, x: Sequence[float]) -> list[list[float]]:
+def _jacobian(spec: FieldSpec, x: Sequence[float]) -> list[tuple[float, float, float]]:
     """J[a][b] = dX^a/dx^b."""
-    basis = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-    cols = []
-    for e in basis:
-        bindings = _dir_jet_bindings(x, e, 1)
-        cols.append([eval_jet(c, bindings).coeffs[1] for c in spec.components])
-    return [[cols[b][a] for b in range(3)] for a in range(3)]
+    return [derivs for _, derivs in _forward(spec.components, x, _BASIS)]
 
 
 # --- function and field lifts -------------------------------------------------
@@ -320,15 +324,12 @@ def apply_field(F: LiftedField, g, p: TangentPoint) -> float:
         raise ValueError(f"unknown scalar lift kind {kind!r}")
     if isinstance(g, str):
         g = parse_expr(g, TANGENT_VARS)
-    direction = dict(
-        zip(
-            ("x1", "x2", "x3", "y1", "y2", "y3"),
-            ((p.x[0], a[0]), (p.x[1], a[1]), (p.x[2], a[2]),
-             (p.y[0], b[0]), (p.y[1], b[1]), (p.y[2], b[2])),
-        )
-    )
-    bindings = {name: Jet(pair) for name, pair in direction.items()}
-    return eval_jet(g, bindings).coeffs[1]
+    point, velocity = p.x + p.y, a + b
+    bindings = {
+        name: (point[i], (float(velocity[i]),))
+        for i, name in enumerate(("x1", "x2", "x3", "y1", "y2", "y3"))
+    }
+    return eval_forward((g,), bindings)[0][1][0]
 
 
 def _apply_scalar_field(X: FieldSpec, f: FieldSpec, x: Sequence[float]) -> float:

@@ -392,6 +392,31 @@ class TestDiagnostics:
         err = capsys.readouterr().err
         assert "x2" in err and "t=0" in err
 
+    @pytest.mark.parametrize("X, f", [
+        ("X1 = x1^-1\nX2 = x2\nX3 = x3\n", F_SCALAR),
+        (X_FIELD, "f = x1^-1\n"),
+    ], ids=["vector", "scalar"])
+    def test_fields_power_of_zero_exits_2(self, tmp_path, capsys, X, f):
+        (tmp_path / "X.field").write_text(X)
+        (tmp_path / "f.field").write_text(f)
+        argv = ["fields", "--field", str(tmp_path / "X.field"),
+                "--scalar", str(tmp_path / "f.field"), "--point=0,1,1,1,1,1"]
+        assert main(argv) == EXIT_INPUT
+        assert "pow undefined at 0.0" in capsys.readouterr().err
+
+    def test_lift_power_of_zero_names_component_and_t(self, tmp_path, capsys):
+        p = tmp_path / "inv.curve"
+        p.write_text("x1 = t^-1\nx2 = t\nx3 = t^2\nt_min = 0\nt_max = 1\n")
+        assert main(["lift", "--kind", "v", "--curve", str(p), "--samples", "3"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "x1 at t=0.0, chars 0-4: pow undefined at 0.0" in err
+
+    def test_complex_constant_exponent_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "fold.curve"
+        p.write_text("x1 = t^((-8)^0.5)\nx2 = t\nx3 = t^2\nt_min = 1\nt_max = 2\n")
+        assert main(["frenet", "--curve", str(p), "--samples", "3"]) == EXIT_INPUT
+        assert "a foldable constant exponent" in capsys.readouterr().err
+
     def test_evaluation_error_names_component_and_t(self, tmp_path, capsys):
         p = tmp_path / "log.curve"
         p.write_text("x1 = t\nx2 = log(t)\nx3 = t^2\nt_min = 0\nt_max = 1\n")

@@ -20,13 +20,14 @@ from frenetlift.expr import (
     UnknownVariable,
     Var,
     eval_float,
+    eval_forward,
     eval_jet,
     parse_curve_file,
     parse_expr,
     parse_field_file,
     pretty_print,
 )
-from frenetlift.jets import DomainError, Jet
+from frenetlift.jets import DomainError, Jet, NonFiniteJet
 from frenetlift.verify import random_ast
 
 HELIX_FILE = """\
@@ -129,6 +130,11 @@ class TestParse:
         with pytest.raises(ParseError, match="deep"):
             parse_expr(f"(({half})*{half})*{half}", {"t"})
 
+    @pytest.mark.parametrize("text", ["t^((-8)^0.5)", "t^(0^-1)", "t^(0^-0.5)"])
+    def test_exponent_without_real_value_rejected(self, text):
+        with pytest.raises(ParseError, match="foldable"):
+            parse_expr(text, {"t"})
+
     def test_error_offsets_inside_input(self):
         for text in ("1+", "sin(t", "(t", "t )", "2**t", "1. 5"):
             with pytest.raises(ParseError) as exc:
@@ -151,6 +157,23 @@ class TestEval:
             eval_jet(ast, {"t": Jet.variable(-1.0, 1)})
         lo, hi = exc.value.span
         assert (lo, hi) == (2, 8)
+
+    def test_one_tree_at_several_orders(self):
+        ast = parse_expr("2/(1-t) + 3", {"t"})
+        for order in (3, 0, 5, 3):
+            jet = eval_jet(ast, {"t": Jet.variable(0.0, order)})
+            assert jet.coeffs == (5.0,) + (2.0,) * order
+
+    @pytest.mark.parametrize("text, t, span", [
+        ("t^-1", 0.0, (0, 4)),
+        ("t^-0.5", 0.0, (0, 6)),
+        ("1+t^0.5", -4.0, (2, 7)),
+        ("(t-1)^(1/3)", -7.0, (0, 11)),
+    ])
+    def test_float_power_without_real_value(self, text, t, span):
+        with pytest.raises(DomainError) as exc:
+            eval_float(parse_expr(text, {"t"}), {"t": t})
+        assert (exc.value.func, exc.value.span) == ("pow", span)
 
     def test_float_path_matches_order0(self):
         rng = random.Random(7)
@@ -182,6 +205,87 @@ class TestEval:
         for text in (f"{c}*(sin(t)*t - t)", f"(sin(t)*t - t)*{c}"):
             got = eval_jet(parse_expr(text, {"t"}), bind).coeffs
             assert [struct.pack("<d", x) for x in got] == want
+
+
+NAMES = ("x1", "x2", "x3")
+BASIS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+
+
+def _jet_route(asts, point, tangents):
+    """Order-1 eval_jet direction by direction, each direction through every AST."""
+    derivs = [[] for _ in asts]
+    for d in tangents:
+        bindings = {name: Jet((point[i], d[i])) for i, name in enumerate(NAMES)}
+        for k, ast in enumerate(asts):
+            jet = eval_jet(ast, bindings)
+            derivs[k].append(jet.coeffs)
+    return [(ds[0][0], tuple(c[1] for c in ds)) for ds in derivs]
+
+
+def _forward_route(asts, point, tangents):
+    bindings = {name: (point[i], tuple(d[i] for d in tangents)) for i, name in enumerate(NAMES)}
+    return eval_forward(asts, bindings)
+
+
+def _outcome(route, asts, point, tangents):
+    """Results by struct bits, or the error's class, message and span."""
+    try:
+        results = route(asts, point, tangents)
+    except Exception as err:
+        return type(err), str(err), getattr(err, "span", None)
+    return [(struct.pack("<d", v), [struct.pack("<d", x) for x in d]) for v, d in results]
+
+
+class TestForward:
+    def test_matches_order1_jets(self):
+        rng = random.Random(20261018)
+        raised = 0
+        for _ in range(2000):
+            ast = random_ast(rng, 6, NAMES)
+            point = [rng.uniform(-2.0, 2.0) for _ in range(3)]
+            one = ([rng.uniform(-2.0, 2.0) for _ in range(3)],)
+            for tangents in (BASIS, one):
+                want = _outcome(_jet_route, [ast], point, tangents)
+                assert _outcome(_forward_route, [ast], point, tangents) == want
+                raised += isinstance(want, tuple)
+        assert 0 < raised < 4000
+
+    @pytest.mark.parametrize("texts, point, tangents, raised", [
+        # Tangent 2 overflows first, but direction 1 meets the log first.
+        (["(x2*1e200)*1e200 + log(x1)"], (-1.0, 1e-300, 1.0), BASIS, DomainError),
+        (["(x2*1e200)*1e200", "log(x1)"], (-1.0, 1e-300, 1.0), BASIS, DomainError),
+        # Only the quotient's tangent along x2 overflows.
+        (["x1/x2"], (1.0, 1e-300, 1.0), BASIS, NonFiniteJet),
+        # Every tangent is near the largest float, none overflows alone.
+        (["x1 + x2", "x1*x2 - x3"], (0.0, 1.0, 0.5), ((1e308, 0.0, 0.0),) * 3, None),
+    ], ids=["one-expression", "two-expressions", "quotient", "large-tangents"])
+    def test_edge_cases(self, texts, point, tangents, raised):
+        asts = [parse_expr(text, NAMES) for text in texts]
+        want = _outcome(_jet_route, asts, point, tangents)
+        assert (want[0] if isinstance(want, tuple) else None) is raised
+        assert _outcome(_forward_route, asts, point, tangents) == want
+
+
+class TestCompiledSpans:
+    """Compiled code is cached on each node, so equal subtrees at different
+    places report their own spans."""
+
+    @pytest.mark.parametrize("inner_first", [False, True])
+    def test_equal_subtrees_keep_their_spans(self, inner_first):
+        lone = parse_expr("log(x1)", NAMES)
+        inner = parse_expr("1 + log(x1)", NAMES)
+        assert inner.right == lone and hash(inner.right) == hash(lone)
+        cases = [(lone, (0, 7)), (inner, (4, 11))]
+        evaluators = (
+            lambda ast: eval_float(ast, {"x1": -1.0, "x2": 1.0, "x3": 1.0}),
+            lambda ast: eval_jet(ast, {n: Jet((x, 1.0)) for n, x in zip(NAMES, (-1.0, 1, 1))}),
+            lambda ast: _forward_route([ast], (-1.0, 1.0, 1.0), BASIS),
+        )
+        for ast, span in reversed(cases) if inner_first else cases:
+            for evaluate in evaluators:
+                with pytest.raises(DomainError) as exc:
+                    evaluate(ast)
+                assert exc.value.span == span
 
 
 class TestPrettyPrint:

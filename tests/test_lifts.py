@@ -5,12 +5,15 @@ import random
 
 import pytest
 
-from frenetlift.expr import FormatError, scalar_field, vector_field
+from frenetlift.expr import FieldSpec, FormatError, scalar_field, vector_field
+from frenetlift.jets import DomainError
 from frenetlift.lifts import (
     Connection,
     LiftKind,
+    LiftedField,
     TangentPoint,
     apply_field,
+    field_sum,
     lift_field,
     lift_function,
     lifted_point_jets,
@@ -81,6 +84,24 @@ class TestFieldLifts:
         h = lift_field(X, "h").at(p).as_tuple()
         c = lift_field(X, "c").at(p).as_tuple()
         assert max(abs(a - b) for a, b in zip(h, c)) <= 1e-13
+
+
+    def test_error_spans_of_equal_subtrees(self):
+        # field_sum shares the component trees of both summands; each
+        # log(x1) must still report its own span.
+        lone = vector_field("log(x1)", "x2", "x3")
+        inner = vector_field("1 + log(x1)", "x2", "x3")
+        p = TangentPoint((-1, 1, 1), (1, 0, 0))
+        cases = [(lone, (0, 7)), (inner, (4, 11)),
+                 (field_sum(lone, inner), (0, 7)), (field_sum(inner, lone), (4, 11))]
+        for X, span in cases:
+            for kind in ("vertical", "complete", "horizontal"):
+                with pytest.raises(DomainError) as exc:
+                    LiftedField(X, kind, Connection.flat()).at(p)
+                assert exc.value.span == span
+            with pytest.raises(DomainError) as exc:
+                lift_function(FieldSpec("scalar", X.components[:1]), "c", p)
+            assert exc.value.span == span
 
 
 class TestApplyField:
