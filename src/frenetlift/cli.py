@@ -44,6 +44,9 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 
+# Work cap on --samples: every command holds all its rows in memory.
+MAX_SAMPLES = 1_000_000
+
 _DEGENERATE = (DegenerateCurvature, ZeroSpeed, RankDeficient, ZeroNorm)
 
 
@@ -83,8 +86,9 @@ def _samples(text: str) -> int:
         n = int(text)
     except ValueError:
         n = 0
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 2, got {text!r}")
+    if not 2 <= n <= MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer from 2 to {MAX_SAMPLES} (MAX_SAMPLES), got {text!r}")
     return n
 
 
@@ -266,7 +270,7 @@ _FLAGS = {
     "point": dict(metavar="X1,X2,X3,Y1,Y2,Y3", type=_floats(6), action="append", required=True,
                   help="tangent point (repeatable)"),
     "samples": dict(metavar="N", type=_samples, default=1000,
-                    help="grid size over the curve domain (at least 2)"),
+                    help=f"grid size over the curve domain (2 to {MAX_SAMPLES})"),
     "format": dict(choices=("csv", "json"), default="csv"),
     "out": dict(metavar="PATH", help="output path (default: stdout)"),
 }
@@ -320,12 +324,15 @@ def _join_vector_flags(argv: list[str]) -> list[str]:
 
 
 def _where(err: Exception) -> str:
-    """'x2 at t=0.0, chars 0-6: ' for an error evaluating a curve component."""
-    if getattr(err, "component", None) is None:
-        return ""
+    """'x2 at t=0.0, chars 0-6: ' for an error evaluating a curve component,
+    'chars 0-6: ' for one evaluating any other expression."""
+    parts = []
+    if getattr(err, "component", None) is not None:
+        parts.append(f"x{err.component + 1} at t={err.t!r}")
     span = getattr(err, "span", None)
-    chars = f", chars {span[0]}-{span[1]}" if span is not None else ""
-    return f"x{err.component + 1} at t={err.t!r}{chars}: "
+    if span is not None:
+        parts.append(f"chars {span[0]}-{span[1]}")
+    return ", ".join(parts) + ": " if parts else ""
 
 
 def main(argv: list[str] | None = None) -> int:

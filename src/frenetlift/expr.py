@@ -397,22 +397,33 @@ def _compiled(node: ExprAst, attr: str, compile_node):
     return code
 
 
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def _spanned(func, span: Span, *operands):
-    """Code for ``func`` of the operands' results.  A JetError that func
-    raises gets the node's span; one an operand raised keeps its own."""
+def _spanned(func, span: Span, left, right=None):
+    """Code for ``func`` of one or two operands' results.  A JetError that
+    func raises gets the node's span; one an operand raised keeps its own."""
+    if right is None:
 
-    def run(b, extra):
-        args = [operand(b, extra) for operand in operands]
+        def run(b, extra):
+            u = left(b, extra)
+            try:
+                return func(u)
+            except JetError as err:
+                err.span = span
+                raise
+
+        return run
+
+    def run2(b, extra):
+        u, w = left(b, extra), right(b, extra)
         try:
-            return func(*args)
+            return func(u, w)
         except JetError as err:
             err.span = span
             raise
 
-    return run
+    return run2
 
 
 def _real_pow(base: float, exponent: float) -> float:
@@ -518,6 +529,20 @@ def eval_float(ast: ExprAst, bindings: Mapping[str, float]) -> float:
 # same kernel calls a tree walk would make.
 
 
+def _jet_scaling(operand, c: float, span: Span):
+    """Code for ``operand * c``, with the span of the product on an error."""
+
+    def scaled(b, order):
+        u = operand(b, order)
+        try:
+            return u * c
+        except JetError as err:
+            err.span = span
+            raise
+
+    return scaled
+
+
 def _jet_code(node: ExprAst):
     if isinstance(node, Num):
         value = node.value
@@ -548,21 +573,15 @@ def _jet_code(node: ExprAst):
         # A product with a number scales each coefficient, O(K) instead of
         # an O(K^2) convolution with a constant jet, and gives the same bits.
         if op == "*" and isinstance(node.left, Num):
-            c = node.left.value
-            right = _compiled(node.right, "_jet", _jet_code)
-            return lambda b, order: right(b, order) * c
+            return _jet_scaling(_compiled(node.right, "_jet", _jet_code), node.left.value, span)
         left = _compiled(node.left, "_jet", _jet_code)
         if op == "^":
             exponent = node.right.value
             return _spanned(lambda u: jet_pow(u, exponent), span, left)
         if op == "*" and isinstance(node.right, Num):
-            c = node.right.value
-            return lambda b, order: left(b, order) * c
+            return _jet_scaling(left, node.right.value, span)
         right = _compiled(node.right, "_jet", _jet_code)
-        if op == "/":
-            return _spanned(operator.truediv, span, left, right)
-        arith = _ARITH[op]
-        return lambda b, order: arith(left(b, order), right(b, order))
+        return _spanned(_ARITH[op], span, left, right)
     if isinstance(node, Call):
         arg = _compiled(node.arg, "_jet", _jet_code)
         return _spanned(JET_FUNCTIONS[node.func], node.span, arg)
@@ -585,21 +604,23 @@ def eval_jet(ast: ExprAst, bindings: Mapping[str, Jet]) -> Jet:
 # meets the same finiteness test after each operation.
 
 
-def _finite(v: float, d: tuple, what: str) -> None:
+def _finite(v: float, d: tuple, what: str, span: Span | None = None) -> None:
     # The jet kernel tests the sum of an order-1 result's two coefficients.
     for x in d:
         if not math.isfinite(v + x):
-            raise NonFiniteJet(f"{what} produced non-finite coefficients")
+            err = NonFiniteJet(f"{what} produced non-finite coefficients")
+            err.span = span
+            raise err
 
 
-def _scaling(operand, c: float):
+def _scaling(operand, c: float, span: Span):
     """Code for ``operand * c``, the jet kernel's O(K) product with a number."""
 
     def scaled(b, zero):
         v, d = operand(b, zero)
         v = v * c + 0.0
         d = tuple([x * c + 0.0 for x in d])
-        _finite(v, d, "multiplication")
+        _finite(v, d, "multiplication", span)
         return v, d
 
     return scaled
@@ -668,13 +689,13 @@ def _forward_code(node: ExprAst):
     if isinstance(node, BinOp):
         op, span = node.op, node.span
         if op == "*" and isinstance(node.left, Num):
-            return _scaling(_compiled(node.right, "_forward", _forward_code), node.left.value)
+            return _scaling(_compiled(node.right, "_forward", _forward_code), node.left.value, span)
         left = _compiled(node.left, "_forward", _forward_code)
         if op == "^":
             exponent = node.right.value
             return _spanned(_per_direction(lambda u: jet_pow(u, exponent)), span, left)
         if op == "*" and isinstance(node.right, Num):
-            return _scaling(left, node.right.value)
+            return _scaling(left, node.right.value, span)
         right = _compiled(node.right, "_forward", _forward_code)
         if op == "/":
             return _spanned(_forward_divide, span, left, right)
@@ -684,7 +705,7 @@ def _forward_code(node: ExprAst):
                 (u, du), (w, dw) = left(b, zero), right(b, zero)
                 v = 0.0 + u * w
                 d = tuple([(0.0 + u * y) + x * w for x, y in zip(du, dw)])
-                _finite(v, d, "multiplication")
+                _finite(v, d, "multiplication", span)
                 return v, d
 
             return mul
@@ -695,7 +716,7 @@ def _forward_code(node: ExprAst):
             (u, du), (w, dw) = left(b, zero), right(b, zero)
             v = arith(u, w)
             d = tuple(map(arith, du, dw))
-            _finite(v, d, what)
+            _finite(v, d, what, span)
             return v, d
 
         return add_sub

@@ -10,6 +10,11 @@ are measured as residual norms rather than assumed, and a generalized
 Gram-Schmidt frame over successive derivatives provides an independent
 second route to the same curvatures (it also serves curves in R^6).
 
+Each route computes only the Taylor coefficients that are read: the frame
+jets stop at order 2, and the Gram-Schmidt route runs on order-1
+(value, slope) float pairs.  Taylor arithmetic is causal, so every
+coefficient kept has the bits a full-order computation would give.
+
 Torsion is signed by the convention tau = -N . dB/ds; the triple-product
 formula used for the direct computation agrees with it for the binormal
 B = (beta' x beta'') / ||beta' x beta''||.
@@ -30,6 +35,11 @@ from .jets import (
     VecJ,
     ZeroNorm,
     _fdot,
+    _pdiv,
+    _pdot,
+    _pmul,
+    _pnorm,
+    _psub,
     fnorm,
     frame_residuals,
 )
@@ -121,8 +131,8 @@ class FrenetData:
 class FrameJets:
     """Jet-valued Frenet frame along a curve, for downstream differentiation.
 
-    T carries one more order than N and B (it needs only first derivatives
-    of the curve); callers truncate to a common order as needed.
+    T, N, B and the speed are jets of order 2: callers read the value and
+    the first derivative, and the complete lift one derivative more.
     """
 
     T: VecJ
@@ -177,29 +187,34 @@ def curve_point_jets(curve: CurveSpec, t: float, order: int = DEFAULT_ORDER) -> 
 def frame_jets(pjets: VecJ, cfg: ToleranceConfig, t: float = math.nan) -> FrameJets:
     """Jet-valued frame from point jets of order >= 4.
 
-    Orders: T at K-1, N and B at K-2, speed at K-1.
+    T, N, B and the speed come out at order 2, the highest coefficient any
+    caller reads (the complete lift differentiates a frame vector once more
+    to order 1).  They are built from the first and second derivatives cut
+    to order 2, tau from the value of the third; Taylor arithmetic is
+    causal, so each of those coefficients has the bits a full-order
+    computation would give.
     """
-    K = pjets.order
-    if K < 4:
-        raise OrderExceeded(f"frame computation needs point jets of order >= 4, got {K}")
-    v1 = pjets.d()
-    v2 = v1.d()
-    v3 = v2.d()
+    if pjets.order < 4:
+        raise OrderExceeded(
+            f"frame computation needs point jets of order >= 4, got {pjets.order}")
+    v1 = pjets.truncated(3).d()
+    v2 = pjets.truncated(4).d().d()
     try:
         speed = v1.norm()
     except ZeroNorm:
         raise ZeroSpeed(t) from None
-    T = v1.scale(Jet.constant(1.0, K - 1) / speed)
-    c = v1.truncated(K - 2).cross(v2)
+    one = Jet.constant(1.0, 2)
+    T = v1.scale(one / speed)
+    c = v1.cross(v2)
     cval = c.value()
     cn_val = fnorm(cval)
     kappa = cn_val / speed.value**3
     if kappa < cfg.kappa_floor or cn_val < SPEED_FLOOR:
         raise DegenerateCurvature(t, kappa, cfg.kappa_floor)
     cn = c.norm()
-    B = c.scale(Jet.constant(1.0, K - 2) / cn)
-    N = B.cross(T.truncated(K - 2))
-    v3val = v3.value()
+    B = c.scale(one / cn)
+    N = B.cross(T)
+    v3val = v2.d().value()
     tau = sum(a * b for a, b in zip(cval, v3val)) / (cn_val * cn_val)
     return FrameJets(T=T, N=N, B=B, speed=speed, kappa=kappa, tau=tau)
 
@@ -253,53 +268,63 @@ def speed_check(
 def generalized_frenet(
     pjets: VecJ, m: int = 3, rank_tol: float = 1e-9
 ) -> GeneralizedFrame:
-    """Gram-Schmidt frame over (b', ..., b^(m)) in jet arithmetic.
+    """Gram-Schmidt frame over (b', ..., b^(m)) in order-1 jet arithmetic.
 
     Needs point jets of order >= m + 1 so the frame can be differentiated
     once.  The matrix reads only the value and first derivative of each
-    frame vector, so the derivative jets are cut to order 1 and nothing
-    above coefficient 1 is computed; Taylor arithmetic is causal, so those
-    two coefficients are the same bits the full-order jets would carry.
-    Raises :class:`RankDeficient` with the 0-based index of the first
-    derivative that is (numerically) dependent on its predecessors.
+    frame vector, so the whole Gram-Schmidt runs on plain (value, slope)
+    float pairs: each step repeats the float operations and finiteness test
+    of the order-1 jet kernel (``jets._pmul`` and its siblings), and Taylor
+    arithmetic is causal, so the results are the same bits the full-order
+    jets would carry.  Raises :class:`RankDeficient` with the 0-based index
+    of the first derivative that is (numerically) dependent on its
+    predecessors.
     """
     if m < 2:
         raise ValueError("frame size m must be >= 2")
     if m > pjets.dim:
         raise DimensionMismatch(f"frame size {m} exceeds dimension {pjets.dim}")
-    L = pjets.order - m
-    if L < 1:
+    if pjets.order - m < 1:
         raise OrderExceeded(
             f"point jets of order {pjets.order} cannot support a frame of size {m}"
         )
+    # Coefficients 0 and 1 of the first m derivatives, differentiated the
+    # way Jet.d() does it: coefficient k of f' is (k+1) * coefficient k+1.
     derivs = []
-    cur = pjets
+    coeffs = [e.coeffs[: m + 2] for e in pjets.entries]
     for _ in range(m):
-        cur = cur.d()
-        derivs.append(cur.truncated(1))
-    speed_val = fnorm(derivs[0].value())
+        coeffs = [tuple([(k + 1) * c for k, c in enumerate(cs[1:])]) for cs in coeffs]
+        derivs.append([(cs[0], cs[1]) for cs in coeffs])
+    speed_val = fnorm([p[0] for p in derivs[0]])
     if speed_val < SPEED_FLOOR:
         raise ZeroSpeed(math.nan)
 
     # In R^3 with a full frame the last vector comes from the cross product,
     # which orients the torsion sign; Gram-Schmidt alone would leave it >= 0.
     gs_count = 2 if (pjets.dim == 3 and m == 3) else m
-    frame: list[VecJ] = []
-    one = Jet.constant(1.0, 1)
+    frame: list[list[tuple[float, float]]] = []
     for i in range(gs_count):
         u = derivs[i]
         for e in frame:
-            u = u - e.scale(u.dot(e))
-        res_sq = u.dot(u).value
-        ref_sq = derivs[i].dot(derivs[i]).value
-        if res_sq < rank_tol * rank_tol * max(1.0, ref_sq):
+            s = _pdot(u, e)
+            scaled = [_pmul(x, s) for x in e]
+            u = [_psub(x, y) for x, y in zip(u, scaled)]
+        sq = _pdot(u, u)
+        ref_sq = _pdot(derivs[i], derivs[i])[0]
+        if sq[0] < rank_tol * rank_tol * max(1.0, ref_sq):
             raise RankDeficient(i)
-        frame.append(u.scale(one / u.norm()))
+        inv = _pdiv((1.0, 0.0), _pnorm(sq))
+        frame.append([_pmul(x, inv) for x in u])
     if gs_count < m:
-        frame.append(frame[0].cross(frame[1]))
+        (a1, a2, a3), (b1, b2, b3) = frame
+        frame.append([
+            _psub(_pmul(a2, b3), _pmul(a3, b2)),
+            _psub(_pmul(a3, b1), _pmul(a1, b3)),
+            _psub(_pmul(a1, b2), _pmul(a2, b1)),
+        ])
 
-    slopes = [E.d().value() for E in frame]
-    values = tuple(E.value() for E in frame)
+    slopes = [[p[1] for p in E] for E in frame]
+    values = tuple(tuple([p[0] for p in E]) for E in frame)
     matrix = tuple(
         tuple(_fdot(slopes[i], values[j]) / speed_val for j in range(m))
         for i in range(m)

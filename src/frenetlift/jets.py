@@ -517,6 +517,75 @@ class VecJ:
         return f"VecJ({list(self.entries)!r})"
 
 
+# --- order-1 pairs ------------------------------------------------------------
+#
+# A pair (v, d) holds the two coefficients of an order-1 jet as plain floats.
+# Each helper takes the float steps of the order-1 kernel above, in its
+# operand order, and meets the same finiteness test, so its results are the
+# bits the Jet and VecJ operations would give.
+
+
+def _pmul(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
+    """Product of two pairs, as ``Jet.__mul__`` at order 1."""
+    a0, a1 = a
+    b0, b1 = b
+    v = 0.0 + a0 * b0
+    d = (0.0 + a0 * b1) + a1 * b0
+    if not math.isfinite(v + d):
+        raise NonFiniteJet("multiplication produced non-finite coefficients")
+    return v, d
+
+
+def _psub(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
+    """Difference of two pairs, as ``Jet.__sub__`` at order 1."""
+    v = a[0] - b[0]
+    d = a[1] - b[1]
+    if not math.isfinite(v + d):
+        raise NonFiniteJet("subtraction produced non-finite coefficients")
+    return v, d
+
+
+def _pdot(
+    a: Sequence[tuple[float, float]], b: Sequence[tuple[float, float]]
+) -> tuple[float, float]:
+    """Dot of two vectors of pairs, as :meth:`VecJ.dot`: products summed
+    left to right, each product and each sum tested."""
+    v, d = _pmul(a[0], b[0])
+    for x, y in zip(a[1:], b[1:]):
+        pv, pd = _pmul(x, y)
+        v += pv
+        d += pd
+        if not math.isfinite(v + d):
+            raise NonFiniteJet("addition produced non-finite coefficients")
+    return v, d
+
+
+def _pnorm(sq: tuple[float, float]) -> tuple[float, float]:
+    """Norm of a vector from the pair of its dot with itself, as
+    :meth:`VecJ.norm` (floor test, then ``jet_sqrt``) at order 1."""
+    s0, s1 = sq
+    if s0 < NORM_FLOOR * NORM_FLOOR:
+        raise ZeroNorm(f"vector norm {math.sqrt(max(s0, 0.0)):.3e} below floor")
+    v = math.sqrt(s0)
+    d = (s1 - 0.0) / (2.0 * v)
+    if not math.isfinite(v + d):
+        raise NonFiniteJet("operation produced non-finite coefficients")
+    return v, d
+
+
+def _pdiv(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
+    """Quotient of two pairs, as ``Jet.__truediv__`` at order 1."""
+    a0, a1 = a
+    b0, b1 = b
+    if abs(b0) < DIV_FLOOR:
+        raise DivisionByZeroJet(f"denominator constant term {b0!r}")
+    v = a0 / b0
+    d = (a1 - v * b1) / b0
+    if not math.isfinite(v + d):
+        raise NonFiniteJet("division produced non-finite coefficients")
+    return v, d
+
+
 # --- plain-float helpers ----------------------------------------------------
 
 

@@ -137,7 +137,8 @@ class LiftedCurve:
         return lifted_point_jets(pj, self.kind, self.connection, self.anchor, w)
 
     def frame(self, t: float):
-        """The three lifted frame vectors as jet vectors sharing one order."""
+        """The three lifted frame vectors as order-1 jet vectors (value and
+        first derivative in t)."""
         return self._analyze(t, self._fibers([t])[t]).lifted_frame
 
     def apparatus(self, t: float) -> LiftedApparatus:
@@ -172,26 +173,24 @@ class LiftedCurve:
         return _PointAnalysis(point_jets=P, lifted_frame=(Tl, Nl, Bl), apparatus=app)
 
     def _lift_frame(self, fj: FrameJets, P: VecJ):
+        # Order 1: _analyze reads each lifted frame vector's value and slope.
         kind = self.kind.kind
         if kind == "vertical":
-            q = fj.N.order
-            zero = Jet.constant(0.0, q)
+            zero = Jet.constant(0.0, 1)
             return tuple(
-                VecJ((zero, zero, zero) + V.truncated(q).entries)
+                VecJ((zero, zero, zero) + V.truncated(1).entries)
                 for V in (fj.T, fj.N, fj.B)
             )
         if kind == "complete":
-            q = fj.N.order - 1
             return tuple(
-                VecJ(V.truncated(q).entries + V.d().truncated(q).entries)
+                VecJ(V.truncated(1).entries + V.d().truncated(1).entries)
                 for V in (fj.T, fj.N, fj.B)
             )
         # horizontal: use the fiber jets carried by the lifted point.
-        q = fj.N.order
-        wjets = [e.truncated(q) for e in P.entries[3:6]]
+        wjets = [e.truncated(1) for e in P.entries[3:6]]
         out = []
         for V in (fj.T, fj.N, fj.B):
-            v3 = V.truncated(q)
+            v3 = V.truncated(1)
             fiber = [-u for u in self.connection.contract(wjets, v3.entries)]
             out.append(VecJ(v3.entries + tuple(fiber)))
         return tuple(out)

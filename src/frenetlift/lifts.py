@@ -68,6 +68,11 @@ TANGENT_VARS = frozenset({"x1", "x2", "x3", "y1", "y2", "y3"})
 # Transport resolution: steps per unit parameter length.
 TRANSPORT_STEPS_PER_UNIT = 1000
 
+# Work cap on one transport: at about 0.1 ms per RK4 step, ten million steps
+# take the better part of an hour.  A curve domain that needs more is an
+# input error, raised before any step is taken.
+MAX_TRANSPORT_STEPS = 10_000_000
+
 
 @dataclass(frozen=True)
 class TangentPoint:
@@ -484,6 +489,14 @@ def _rk4_segment(
     return w
 
 
+def _check_transport_steps(steps: float) -> None:
+    if not steps <= MAX_TRANSPORT_STEPS:
+        raise ValueError(
+            f"parallel transport needs {steps:.4g} RK4 steps, more than the cap of "
+            f"{MAX_TRANSPORT_STEPS} (MAX_TRANSPORT_STEPS); shorten the curve domain"
+        )
+
+
 def parallel_transport(
     G: Connection,
     curve: CurveSpec,
@@ -494,8 +507,9 @@ def parallel_transport(
     """Transport w0 from t_min to t along the curve: w' = -G(beta', w).
 
     Classical 4-stage Runge-Kutta with a fixed step (t - t_min)/steps; the
-    default step count is proportional to the parameter length.  The flat
-    connection transports exactly.
+    default step count is proportional to the parameter length, and a count
+    above ``MAX_TRANSPORT_STEPS`` is a ValueError.  The flat connection
+    transports exactly.
     """
     if t < curve.t_min or t > curve.t_max:
         raise DomainIntervalError(t, curve.domain)
@@ -505,10 +519,11 @@ def parallel_transport(
     if t == curve.t_min:
         return tuple(w)
     if steps is None:
-        steps = max(1, math.ceil(TRANSPORT_STEPS_PER_UNIT * (t - curve.t_min)))
-    if steps < 1:
+        steps = TRANSPORT_STEPS_PER_UNIT * (t - curve.t_min)
+    elif steps < 1:
         raise ValueError("steps must be >= 1")
-    return tuple(_rk4_segment(G, curve, w, curve.t_min, t, steps))
+    _check_transport_steps(steps)
+    return tuple(_rk4_segment(G, curve, w, curve.t_min, t, max(1, math.ceil(steps))))
 
 
 def transport_grid(
@@ -522,11 +537,15 @@ def transport_grid(
 
     Returns a map t -> w(t).  Integration proceeds left to right through the
     sorted targets, so a sweep over an n-point grid costs one traversal.
+    The step count is checked against ``MAX_TRANSPORT_STEPS`` first.
     """
     targets = sorted(set(float(t) for t in ts))
     for t in targets:
         if t < curve.t_min or t > curve.t_max:
             raise DomainIntervalError(t, curve.domain)
+    if targets:
+        # Each target rounds its segment up by less than one step.
+        _check_transport_steps(steps_per_unit * (targets[-1] - curve.t_min) + len(targets))
     out: dict[float, tuple[float, float, float]] = {}
     w = [float(v) for v in w0]
     prev = curve.t_min

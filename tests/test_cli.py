@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from frenetlift import cli, lifts
 from frenetlift.cli import (
     EXIT_DEGENERATE,
     EXIT_INPUT,
@@ -416,6 +417,45 @@ class TestDiagnostics:
         p.write_text("x1 = t^((-8)^0.5)\nx2 = t\nx3 = t^2\nt_min = 1\nt_max = 2\n")
         assert main(["frenet", "--curve", str(p), "--samples", "3"]) == EXIT_INPUT
         assert "a foldable constant exponent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("X, f, span", [
+        ("X1 = x1*1e308*10\nX2 = x2\nX3 = x3\n", F_SCALAR, "chars 0-8"),
+        (X_FIELD, "f = x2 + 1e999*x1\n", "chars 5-13"),
+        (X_FIELD, "f = 1e308*sin(x1) + 1e308*sin(x1)\n", "chars 0-29"),
+        ("X1 = x1\nX2 = x2*x1*1e200*1e200\nX3 = x3\n", F_SCALAR, "chars 0-17"),
+    ], ids=["product", "number-product", "scalar-sum", "later-product"])
+    def test_fields_nonfinite_error_names_span(self, tmp_path, capsys, X, f, span):
+        (tmp_path / "X.field").write_text(X)
+        (tmp_path / "f.field").write_text(f)
+        argv = ["fields", "--field", str(tmp_path / "X.field"),
+                "--scalar", str(tmp_path / "f.field"), "--point=1,1,1,1,1,1"]
+        assert main(argv) == EXIT_INPUT
+        assert f"error: {span}: " in capsys.readouterr().err
+
+    def test_nonflat_transport_over_cap_exits_2(self, tmp_path, capsys, monkeypatch):
+        def no_steps(*args):
+            raise AssertionError("transport started")
+
+        monkeypatch.setattr(lifts, "_rk4_segment", no_steps)
+        p = tmp_path / "far.curve"
+        p.write_text("x1 = cos(t)\nx2 = sin(t)\nx3 = t\nt_min = 0\nt_max = 1e300\n")
+        conn = tmp_path / "g.conn"
+        conn.write_text("gamma 1 2 3 = 0.3\n")
+        argv = ["lift", "--curve", str(p), "--kind", "h", "--w0", "1,0,0",
+                "--connection", str(conn), "--samples", "3"]
+        assert main(argv) == EXIT_INPUT
+        assert "MAX_TRANSPORT_STEPS" in capsys.readouterr().err
+
+    def test_samples_cap(self, helix_path, capsys, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("sweep started")
+
+        monkeypatch.setattr(cli, "uniform_grid", no_grid)
+        for command in (["frenet", "--curve", helix_path], ["verify"]):
+            assert main(command + ["--samples", str(cli.MAX_SAMPLES + 1)]) == EXIT_INPUT
+            assert "MAX_SAMPLES" in capsys.readouterr().err
+        argv = ["frenet", "--curve", "c", "--samples", str(cli.MAX_SAMPLES)]
+        assert build_parser().parse_args(argv).samples == cli.MAX_SAMPLES
 
     def test_evaluation_error_names_component_and_t(self, tmp_path, capsys):
         p = tmp_path / "log.curve"

@@ -288,6 +288,29 @@ class TestCompiledSpans:
                 assert exc.value.span == span
 
 
+    @pytest.mark.parametrize("text, span", [
+        ("x2 + x1*1e308*10", (5, 13)),
+        ("x2 - 1e308*x1", (5, 13)),
+        ("x1*1e308*x3", (0, 8)),
+        ("x2 + (1e200*x1)*(1e200*x3)", (5, 26)),
+        ("1e308*sin(x1) + 1e308*sin(x1)", (0, 29)),
+        ("1e308*sin(x1) - -1e308*sin(x1)", (0, 30)),
+        ("x3 * (1e308*sin(x1) + 1e308*sin(x1))", (5, 36)),
+    ])
+    def test_nonfinite_sum_difference_product_spans(self, text, span):
+        ast = parse_expr(text, NAMES)
+        evaluators = (
+            lambda: eval_jet(ast, {n: Jet((1.0, 1.0)) for n in NAMES}),
+            lambda: eval_jet(ast, {n: Jet.variable(1.0, 5) for n in NAMES}),
+            lambda: _forward_route([ast], (1.0, 1.0, 1.0), BASIS),
+            lambda: _forward_route([ast], (1.0, 1.0, 1.0), BASIS[:1]),
+        )
+        for evaluate in evaluators:
+            with pytest.raises(NonFiniteJet) as exc:
+                evaluate()
+            assert exc.value.span == span
+
+
 class TestPrettyPrint:
     def test_fixed_point(self):
         ast = parse_expr("3*cos(t)", {"t"})

@@ -1,6 +1,7 @@
 """Frenet apparatus, residuals, speed reports, generalized frames."""
 
 import math
+import random
 import struct
 
 import pytest
@@ -9,16 +10,35 @@ from frenetlift.expr import CurveSpec
 from frenetlift.frenet import (
     DegenerateCurvature,
     DomainIntervalError,
+    FrameJets,
     ToleranceConfig,
+    ZeroSpeed,
     curve_point_jets,
+    frame_jets,
     frenet_apparatus,
     generalized_frenet,
     speed_check,
     uniform_grid,
 )
-from frenetlift.jets import Jet, RankDeficient, VecJ, fd_oracle, fnorm
+from frenetlift.jets import (
+    Jet,
+    JetError,
+    NonFiniteJet,
+    RankDeficient,
+    VecJ,
+    ZeroNorm,
+    fd_oracle,
+    fnorm,
+)
+from frenetlift.lifted_frenet import LiftedCurve
 from frenetlift.lifts import Connection, LiftKind, lifted_point_jets
-from frenetlift.verify import builtin_curves, grid, LIFTED_HELIX_KAPPA, LIFTED_HELIX_TAU
+from frenetlift.verify import (
+    LIFTED_HELIX_KAPPA,
+    LIFTED_HELIX_TAU,
+    builtin_curves,
+    grid,
+    random_smooth_expression,
+)
 
 CURVES = builtin_curves()
 HELIX = CURVES["helix345"]
@@ -244,6 +264,215 @@ def _full_order_matrix(pjets: VecJ, m: int = 3):
         tuple(frame[i].d().dot(frame[j].truncated(L - 1)).value / speed for j in range(m))
         for i in range(m)
     )
+
+
+# --- the float-pair oracle against its order-1 Jet route -------------------------
+
+NONFLAT = Connection.from_entries({(1, 2, 3): 0.3, (3, 2, 1): -0.3, (2, 1, 1): 0.2})
+
+
+def _jet_route_frenet(pjets: VecJ, m: int = 3, rank_tol: float = 1e-9):
+    """The Gram-Schmidt oracle on order-1 Jet and VecJ objects: (frame, chis,
+    matrix) as generalized_frenet returns them."""
+    derivs = []
+    cur = pjets
+    for _ in range(m):
+        cur = cur.d()
+        derivs.append(cur.truncated(1))
+    speed_val = fnorm(derivs[0].value())
+    if speed_val < 1e-12:
+        raise ZeroSpeed(math.nan)
+    gs_count = 2 if (pjets.dim == 3 and m == 3) else m
+    frame = []
+    one = Jet.constant(1.0, 1)
+    for i in range(gs_count):
+        u = derivs[i]
+        for e in frame:
+            u = u - e.scale(u.dot(e))
+        res_sq = u.dot(u).value
+        ref_sq = derivs[i].dot(derivs[i]).value
+        if res_sq < rank_tol * rank_tol * max(1.0, ref_sq):
+            raise RankDeficient(i)
+        frame.append(u.scale(one / u.norm()))
+    if gs_count < m:
+        frame.append(frame[0].cross(frame[1]))
+    slopes = [E.d().value() for E in frame]
+    values = tuple(E.value() for E in frame)
+    matrix = []
+    for i in range(m):
+        row = []
+        for j in range(m):
+            dot = 0.0
+            for x, y in zip(slopes[i], values[j]):
+                dot += x * y
+            row.append(dot / speed_val)
+        matrix.append(tuple(row))
+    return values, tuple(matrix[i][i + 1] for i in range(m - 1)), tuple(matrix)
+
+
+def _oracle_outcome(route, pjets):
+    try:
+        frame, chis, matrix = route(pjets)
+    except (JetError, ZeroSpeed) as err:
+        return type(err), str(err)
+    return [_bits(v) for v in frame], _bits(chis), [_bits(row) for row in matrix]
+
+
+def _pair_route(pjets):
+    gen = generalized_frenet(pjets, 3)
+    return gen.frame, gen.chis, gen.matrix
+
+
+def _random_curve(rng):
+    comps = [random_smooth_expression(rng, rng.randint(1, 4)) for _ in range(3)]
+    return CurveSpec(tuple(comps), -2.0, 2.0, "random")
+
+
+def _lifted_variants(pj, rng):
+    """The point jets, then their v, c, flat-h and non-flat-h lifts."""
+    anchor = tuple(rng.uniform(-2.0, 2.0) for _ in range(3))
+    w = tuple(rng.uniform(-2.0, 2.0) for _ in range(3))
+    yield pj
+    yield lifted_point_jets(pj, LiftKind.vertical(anchor), NONFLAT, anchor)
+    yield lifted_point_jets(pj, LiftKind.complete(), NONFLAT)
+    yield lifted_point_jets(pj, LiftKind.horizontal(w), Connection.flat(), None, w)
+    yield lifted_point_jets(pj, LiftKind.horizontal(w), NONFLAT, None, w)
+
+
+class TestPairOracle:
+    def test_random_curves_match_jet_route_bits(self):
+        rng = random.Random(20260)
+        curves = succeeded = 0
+        while curves < 200:
+            curve = _random_curve(rng)
+            try:
+                pj = curve_point_jets(curve, rng.uniform(-2.0, 2.0))
+                variants = list(_lifted_variants(pj, rng))
+            except JetError:
+                continue
+            curves += 1
+            for pjets in variants:
+                want = _oracle_outcome(_jet_route_frenet, pjets)
+                assert _oracle_outcome(_pair_route, pjets) == want
+                succeeded += not isinstance(want[0], type)
+        assert succeeded >= 400
+
+    @pytest.mark.parametrize("curve", [HELIX, TORUS_KNOT, CIRCLE], ids=lambda c: c.name)
+    def test_builtin_curves_match_jet_route_bits(self, curve):
+        rng = random.Random(7)
+        for t in grid(curve, 7):
+            for pjets in _lifted_variants(curve_point_jets(curve, t), rng):
+                want = _oracle_outcome(_jet_route_frenet, pjets)
+                assert _oracle_outcome(_pair_route, pjets) == want
+
+    def test_planar_complete_lift_rank_deficient(self):
+        pj = lifted_point_jets(curve_point_jets(CIRCLE, 0.4), LiftKind.complete(), NONFLAT)
+        assert _oracle_outcome(_jet_route_frenet, pj) == (
+            RankDeficient, "vector 2 is linearly dependent on its predecessors")
+        with pytest.raises(RankDeficient) as exc:
+            generalized_frenet(pj, 3)
+        assert exc.value.index == 2
+
+    @pytest.mark.parametrize("slope", [1e308, 5e307, -1.7e308])
+    def test_huge_slope_raises_nonfinite(self, slope):
+        # Coefficient 2 of x1 is half the slope of the first derivative.
+        x1 = Jet([0.0, 1.0, slope / 2.0, 0.0, 0.0, 0.0])
+        x2 = Jet([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+        x3 = Jet([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+        for pjets in (VecJ((x1, x2, x3)), embed_r6(VecJ((x1, x2, x3)))):
+            want = (NonFiniteJet, "multiplication produced non-finite coefficients")
+            assert _oracle_outcome(_jet_route_frenet, pjets) == want
+            assert _oracle_outcome(_pair_route, pjets) == want
+
+    def test_zero_norm_floor(self):
+        # A rank tolerance of 0 lets a vanishing residual reach the norm floor.
+        pj = embed_r6(curve_point_jets(LINE, 0.5))
+        with pytest.raises(ZeroNorm):
+            _jet_route_frenet(pj, rank_tol=0.0)
+        with pytest.raises(ZeroNorm):
+            generalized_frenet(pj, 3, rank_tol=0.0)
+
+
+# --- frame jets at order 2 against the order-K route ------------------------------
+
+
+def _full_order_frame_jets(pjets: VecJ, cfg: ToleranceConfig, t: float) -> FrameJets:
+    """frame_jets at the orders the point jets allow: T and speed at K-1,
+    N and B at K-2."""
+    K = pjets.order
+    v1 = pjets.d()
+    v2 = v1.d()
+    v3 = v2.d()
+    speed = v1.norm()
+    T = v1.scale(Jet.constant(1.0, K - 1) / speed)
+    c = v1.truncated(K - 2).cross(v2)
+    cval = c.value()
+    cn_val = fnorm(cval)
+    kappa = cn_val / speed.value**3
+    if kappa < cfg.kappa_floor or cn_val < 1e-12:
+        raise DegenerateCurvature(t, kappa, cfg.kappa_floor)
+    B = c.scale(Jet.constant(1.0, K - 2) / c.norm())
+    N = B.cross(T.truncated(K - 2))
+    tau = sum(a * b for a, b in zip(cval, v3.value())) / (cn_val * cn_val)
+    return FrameJets(T=T, N=N, B=B, speed=speed, kappa=kappa, tau=tau)
+
+
+def _frame_bits(fj: FrameJets):
+    vectors = [[_bits(e.coeffs[:3]) for e in V.entries] for V in (fj.T, fj.N, fj.B)]
+    return vectors, _bits(fj.speed.coeffs[:3]), _bits((fj.kappa, fj.tau))
+
+
+class TestOrderTwoFrame:
+    @pytest.mark.parametrize("curve", [HELIX, USH, TORUS_KNOT], ids=lambda c: c.name)
+    def test_matches_full_order_bits(self, curve):
+        cfg = ToleranceConfig()
+        for t in grid(curve, 11):
+            pj = curve_point_jets(curve, t)
+            fj = frame_jets(pj, cfg, t)
+            assert fj.T.order == fj.N.order == fj.B.order == fj.speed.order == 2
+            assert _frame_bits(fj) == _frame_bits(_full_order_frame_jets(pj, cfg, t))
+
+    def test_random_curves_match_full_order_bits(self):
+        rng = random.Random(4242)
+        cfg = ToleranceConfig()
+        compared = 0
+        for _ in range(150):
+            curve = _random_curve(rng)
+            t = rng.uniform(-2.0, 2.0)
+            try:
+                pj = curve_point_jets(curve, t, rng.choice((4, 5, 7)))
+                want = _full_order_frame_jets(pj, cfg, t)
+            except (JetError, DegenerateCurvature):
+                continue
+            assert _frame_bits(frame_jets(pj, cfg, t)) == _frame_bits(want)
+            compared += 1
+        assert compared >= 75
+
+    def test_order_four_still_required(self):
+        from frenetlift.jets import OrderExceeded
+
+        with pytest.raises(OrderExceeded):
+            frame_jets(curve_point_jets(HELIX, 0.5, 3), ToleranceConfig(), 0.5)
+
+    @pytest.mark.parametrize("kind", ["v", "c", "flat_h", "h"])
+    @pytest.mark.parametrize("curve", [HELIX, TORUS_KNOT], ids=["helix", "torus_knot"])
+    def test_lifted_frame_matches_full_order(self, curve, kind):
+        lifts = {
+            "v": (LiftKind.vertical((1.0, -2.0, 0.5)), Connection.flat()),
+            "c": (LiftKind.complete(), Connection.flat()),
+            "flat_h": (LiftKind.horizontal((1.0, -0.5, 0.75)), Connection.flat()),
+            "h": (LiftKind.horizontal((1.0, -0.5, 0.75)), NONFLAT),
+        }
+        lk, G = lifts[kind]
+        lc = LiftedCurve(curve, lk, G)
+        for t in grid(curve, 17)[:2]:
+            pj = curve_point_jets(curve, t)
+            P = lc.point_jets(t)
+            want = lc._lift_frame(_full_order_frame_jets(pj, lc.cfg, t), P)
+            got = lc.frame(t)
+            assert [[_bits(e.coeffs) for e in V.entries] for V in got] == [
+                [_bits(e.coeffs) for e in V.entries] for V in want
+            ]
 
 
 class TestUniformGrid:

@@ -1,6 +1,7 @@
 """Jet arithmetic, vector algebra and the finite-difference oracle."""
 
 import math
+import random
 import struct
 
 import pytest
@@ -15,6 +16,11 @@ from frenetlift.jets import (
     OrderExceeded,
     VecJ,
     ZeroNorm,
+    _pdiv,
+    _pdot,
+    _pmul,
+    _pnorm,
+    _psub,
     fd_oracle,
     jet_pow,
 )
@@ -115,6 +121,44 @@ class TestKernelFastPaths:
         for r in results:
             assert type(r.coeffs) is tuple
             assert all(type(c) is float for c in r.coeffs)
+
+
+class TestOrderOnePairs:
+    """The float-pair helpers give the order-1 Jet and VecJ results by bits,
+    signed zeros included, and raise what those raise."""
+
+    PAIRS = [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (1.25, -3.5), (-2.0, 0.5),
+             (3.0, 1e-300), (-1e-310, 7.0), (1e154, 2e154), (1e308, 1e308)]
+
+    @staticmethod
+    def _outcome(compute):
+        try:
+            v, d = compute()
+        except ValueError as err:
+            return type(err), str(err)
+        return _bits((v, d))
+
+    def test_product_difference_quotient(self):
+        for a in self.PAIRS:
+            for b in self.PAIRS:
+                ja, jb = Jet(a), Jet(b)
+                for pair_op, jet_op in ((_pmul, lambda x, y: x * y),
+                                        (_psub, lambda x, y: x - y),
+                                        (_pdiv, lambda x, y: x / y)):
+                    want = self._outcome(lambda: jet_op(ja, jb).coeffs)
+                    assert self._outcome(lambda: pair_op(a, b)) == want
+
+    def test_dot_and_norm(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            dim = rng.choice((3, 6))
+            u = [rng.choice(self.PAIRS) for _ in range(dim)]
+            w = [rng.choice(self.PAIRS) for _ in range(dim)]
+            U, W = VecJ(Jet(p) for p in u), VecJ(Jet(p) for p in w)
+            want = self._outcome(lambda: U.dot(W).coeffs)
+            assert self._outcome(lambda: _pdot(u, w)) == want
+            want = self._outcome(lambda: U.norm().coeffs)
+            assert self._outcome(lambda: _pnorm(_pdot(u, u))) == want
 
 
 class TestJetFunctions:

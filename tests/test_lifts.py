@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from frenetlift.expr import FieldSpec, FormatError, scalar_field, vector_field
+from frenetlift import lifts
+from frenetlift.expr import CurveSpec, FieldSpec, FormatError, scalar_field, vector_field
 from frenetlift.jets import DomainError
 from frenetlift.lifts import (
     Connection,
@@ -212,6 +213,27 @@ class TestParallelTransport:
     def test_transport_at_t_min(self):
         G = Connection.from_entries({(1, 1, 1): 1.0})
         assert parallel_transport(G, LINE01, (1, 2, 3), 0.0) == (1.0, 2.0, 3.0)
+
+    def test_step_cap_raises_before_integrating(self, monkeypatch):
+        def no_steps(*args):
+            raise AssertionError("transport started")
+
+        monkeypatch.setattr(lifts, "_rk4_segment", no_steps)
+        G = Connection.from_entries({(1, 1, 1): 1.0})
+        cap = lifts.MAX_TRANSPORT_STEPS
+        far = CurveSpec.from_strings("t", "0", "0", 0.0, 1e300)
+        whole = CurveSpec.from_strings("t", "0", "0", -1e308, 1e308)
+        calls = [
+            lambda: parallel_transport(G, far, (1, 0, 0), 1e300),
+            lambda: parallel_transport(G, whole, (1, 0, 0), 1e308),
+            lambda: parallel_transport(G, LINE01, (1, 0, 0), 1.0, cap + 1),
+            lambda: transport_grid(G, far, (1, 0, 0), [0.0, 1e300]),
+            lambda: transport_grid(G, whole, (1, 0, 0), [1e308]),
+            lambda: transport_grid(G, LINE01, (1, 0, 0), [1.0], cap),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="MAX_TRANSPORT_STEPS"):
+                call()
 
 
 class TestCurveLifts:
