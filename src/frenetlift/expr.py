@@ -9,13 +9,16 @@ Grammar (whitespace insignificant, left associative):
 
 Numbers are decimal literals with optional fraction and exponent part.
 Exponents of '^' must fold to a real at parse time, which keeps powers of
-negative bases meaningful for integer exponents.  Unary minus produces a
-base, so ``-t^2`` reads as ``-(t^2)``.
+negative bases meaningful for integer exponents.  They fold through the
+float evaluator, so a constant exponent folds exactly where
+:func:`eval_float` would evaluate it, and fails where it would fail.  Unary
+minus produces a base, so ``-t^2`` reads as ``-(t^2)``.
 
 Powers are real or an error.  ``a^r`` with a zero base and a negative
 exponent, or a negative base and a non-integer exponent, raises
 :class:`DomainError` in evaluation; a constant exponent that folds to such
-a power is a :class:`ParseError`.
+a power, or that divides by a number below ``DIV_FLOOR`` in magnitude, is a
+:class:`ParseError`.
 
 ASTs are immutable; source spans (byte offsets into the input) are carried
 for error reporting but ignored by structural equality.
@@ -23,10 +26,11 @@ for error reporting but ignored by structural equality.
 Each AST is compiled once, on first evaluation, into nested closures that
 are cached on the node object itself.  Structurally equal nodes at
 different spans therefore keep separate code, and an error reports the
-span of the node that failed.  There are three evaluators; the float one
-shares no code with the two jet ones:
+span of the node that failed.  There are three evaluators:
 
-- :func:`eval_float` evaluates in plain floats, independently of the jets.
+- :func:`eval_float` evaluates in plain floats with its own arithmetic
+  and its own compiler, apart from the other two, because it is their
+  oracle.
 - :func:`eval_jet` evaluates K-jets through the same :class:`Jet` kernel
   calls as a tree walk, so every bit is the same.  Each number builds its
   constant jet once per order.
@@ -35,6 +39,10 @@ shares no code with the two jet ones:
   the per-operation finiteness test of the order-1 jet kernel bit for bit.
   sin and cos are inlined; '^' and the other functions run through the jet
   kernel one direction at a time.
+
+The jet and forward evaluators are one compiler over two kernels: one
+dispatcher walks the tree and picks the code for each node, and each kernel
+supplies the closures of its own coefficient arithmetic.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Callable, Mapping, NamedTuple, Union
 
 from .jets import (
     DIV_FLOOR,
@@ -339,39 +347,15 @@ def _respan(node: ExprAst, span: Span) -> ExprAst:
     return cls(**kwargs)
 
 
-class _NotConstant(Exception):
-    pass
-
-
 def _fold_constant(node: ExprAst) -> float:
+    """The value of an exponent, through the float evaluator's own code, so
+    folding counts as no :func:`eval_float` call."""
     try:
-        return _fold(node)
-    except _NotConstant:
+        return _compiled(node, "_float", _float_code)({})
+    except UnknownVariable:
         raise ParseError(node.span[0], "a constant exponent") from None
-    except (ValueError, ZeroDivisionError, OverflowError):
+    except (ValueError, OverflowError):
         raise ParseError(node.span[0], "a foldable constant exponent") from None
-
-
-def _fold(node: ExprAst) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Neg):
-        return -_fold(node.child)
-    if isinstance(node, BinOp):
-        a = _fold(node.left)
-        b = _fold(node.right)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return a / b
-        return _real_pow(a, b)
-    if isinstance(node, Call):
-        return getattr(math, node.func)(_fold(node.arg))
-    raise _NotConstant
 
 
 def parse_expr(text: str, allowed_vars) -> ExprAst:
@@ -525,67 +509,82 @@ def eval_float(ast: ExprAst, bindings: Mapping[str, float]) -> float:
     return _compiled(ast, "_float", _float_code)(bindings)
 
 
-# K-jet evaluator: closures of (bindings, order), returning a Jet through the
+class _Kernel(NamedTuple):
+    """Closure factories of one coefficient arithmetic, for the jet and the
+    forward evaluator.  Each returns code, a closure of (bindings, extra)
+    that returns the node's value.  The tree walk, the variable lookup and
+    the choice of code for each node are :meth:`compile_node`, shared by
+    both."""
+
+    attr: str  # the node attribute that caches this arithmetic's code
+    num: Callable  # (value)
+    neg: Callable  # (child code)
+    scale: Callable  # (operand code, number, span): operand times a number
+    power: Callable  # (base code, folded exponent, span)
+    binary: Callable  # (op, left code, right code, span) for + - * /
+    call: Callable  # (function name, argument code, span)
+
+    def code(self, node: ExprAst):
+        return _compiled(node, self.attr, self.compile_node)
+
+    def compile_node(self, node: ExprAst):
+        if isinstance(node, Num):
+            return self.num(node.value)
+        if isinstance(node, Var):
+            name, offset = node.name, node.span[0]
+
+            def var(b, extra):
+                try:
+                    return b[name]
+                except KeyError:
+                    raise UnknownVariable(name, offset) from None
+
+            return var
+        if isinstance(node, Neg):
+            return self.neg(self.code(node.child))
+        if isinstance(node, BinOp):
+            op, span = node.op, node.span
+            # A product with a number scales each coefficient, O(K) instead
+            # of an O(K^2) convolution with a constant jet, and gives the
+            # same bits.
+            if op == "*" and isinstance(node.left, Num):
+                return self.scale(self.code(node.right), node.left.value, span)
+            left = self.code(node.left)
+            if op == "^":
+                return self.power(left, node.right.value, span)
+            if op == "*" and isinstance(node.right, Num):
+                return self.scale(left, node.right.value, span)
+            return self.binary(op, left, self.code(node.right), span)
+        if isinstance(node, Call):
+            return self.call(node.func, self.code(node.arg), node.span)
+        raise TypeError(f"not an AST node: {node!r}")
+
+
+# K-jet arithmetic: code of (bindings, order), returning a Jet through the
 # same kernel calls a tree walk would make.
 
 
-def _jet_scaling(operand, c: float, span: Span):
-    """Code for ``operand * c``, with the span of the product on an error."""
+def _jet_num(value: float):
+    constants: dict[int, Jet] = {}
 
-    def scaled(b, order):
-        u = operand(b, order)
-        try:
-            return u * c
-        except JetError as err:
-            err.span = span
-            raise
+    def num(b, order):
+        jet = constants.get(order)
+        if jet is None:
+            jet = constants[order] = Jet.constant(value, order)
+        return jet
 
-    return scaled
+    return num
 
 
-def _jet_code(node: ExprAst):
-    if isinstance(node, Num):
-        value = node.value
-        constants: dict[int, Jet] = {}
-
-        def num(b, order):
-            jet = constants.get(order)
-            if jet is None:
-                jet = constants[order] = Jet.constant(value, order)
-            return jet
-
-        return num
-    if isinstance(node, Var):
-        name, offset = node.name, node.span[0]
-
-        def var(b, order):
-            try:
-                return b[name]
-            except KeyError:
-                raise UnknownVariable(name, offset) from None
-
-        return var
-    if isinstance(node, Neg):
-        child = _compiled(node.child, "_jet", _jet_code)
-        return lambda b, order: -child(b, order)
-    if isinstance(node, BinOp):
-        op, span = node.op, node.span
-        # A product with a number scales each coefficient, O(K) instead of
-        # an O(K^2) convolution with a constant jet, and gives the same bits.
-        if op == "*" and isinstance(node.left, Num):
-            return _jet_scaling(_compiled(node.right, "_jet", _jet_code), node.left.value, span)
-        left = _compiled(node.left, "_jet", _jet_code)
-        if op == "^":
-            exponent = node.right.value
-            return _spanned(lambda u: jet_pow(u, exponent), span, left)
-        if op == "*" and isinstance(node.right, Num):
-            return _jet_scaling(left, node.right.value, span)
-        right = _compiled(node.right, "_jet", _jet_code)
-        return _spanned(_ARITH[op], span, left, right)
-    if isinstance(node, Call):
-        arg = _compiled(node.arg, "_jet", _jet_code)
-        return _spanned(JET_FUNCTIONS[node.func], node.span, arg)
-    raise TypeError(f"not an AST node: {node!r}")
+_JET = _Kernel(
+    attr="_jet",
+    num=_jet_num,
+    neg=lambda child: lambda b, order: -child(b, order),
+    scale=lambda operand, c, span: _spanned(lambda u: u * c, span, operand),
+    power=lambda base, r, span: _spanned(lambda u: jet_pow(u, r), span, base),
+    binary=lambda op, left, right, span: _spanned(_ARITH[op], span, left, right),
+    call=lambda name, arg, span: _spanned(JET_FUNCTIONS[name], span, arg),
+)
 
 
 def eval_jet(ast: ExprAst, bindings: Mapping[str, Jet]) -> Jet:
@@ -595,10 +594,10 @@ def eval_jet(ast: ExprAst, bindings: Mapping[str, Jet]) -> Jet:
     offending node attached.
     """
     order = next(iter(bindings.values())).order if bindings else 0
-    return _compiled(ast, "_jet", _jet_code)(bindings, order)
+    return _JET.code(ast)(bindings, order)
 
 
-# Forward evaluator: closures of (bindings, zero tangents), returning a value
+# Forward arithmetic: code of (bindings, zero tangents), returning a value
 # with its n directional derivatives, (v, (d_1, ..., d_n)).  Tangent i takes
 # the same floating-point steps as the order-1 jet kernel on (v, d_i), and
 # meets the same finiteness test after each operation.
@@ -613,7 +612,15 @@ def _finite(v: float, d: tuple, what: str, span: Span | None = None) -> None:
             raise err
 
 
-def _scaling(operand, c: float, span: Span):
+def _forward_neg(child):
+    def neg(b, zero):
+        v, d = child(b, zero)
+        return -v, tuple([-x for x in d])
+
+    return neg
+
+
+def _forward_scale(operand, c: float, span: Span):
     """Code for ``operand * c``, the jet kernel's O(K) product with a number."""
 
     def scaled(b, zero):
@@ -634,6 +641,32 @@ def _forward_divide(num, den):
     d = tuple([(x - v * y) / w for x, y in zip(du, dw)])
     _finite(v, d, "division")
     return v, d
+
+
+def _forward_binary(op: str, left, right, span: Span):
+    if op == "/":
+        return _spanned(_forward_divide, span, left, right)
+    if op == "*":
+
+        def mul(b, zero):
+            (u, du), (w, dw) = left(b, zero), right(b, zero)
+            v = 0.0 + u * w
+            d = tuple([(0.0 + u * y) + x * w for x, y in zip(du, dw)])
+            _finite(v, d, "multiplication", span)
+            return v, d
+
+        return mul
+    arith = _ARITH[op]
+    what = "addition" if op == "+" else "subtraction"
+
+    def add_sub(b, zero):
+        (u, du), (w, dw) = left(b, zero), right(b, zero)
+        v = arith(u, w)
+        d = tuple(map(arith, du, dw))
+        _finite(v, d, what, span)
+        return v, d
+
+    return add_sub
 
 
 def _forward_sin_cos(arg):
@@ -663,67 +696,17 @@ _FORWARD_FUNCS = {
     "cos": lambda arg: _forward_sin_cos(arg)[1],
 }
 
-
-def _forward_code(node: ExprAst):
-    if isinstance(node, Num):
-        value = node.value
-        return lambda b, zero: (value, zero)
-    if isinstance(node, Var):
-        name, offset = node.name, node.span[0]
-
-        def var(b, zero):
-            try:
-                return b[name]
-            except KeyError:
-                raise UnknownVariable(name, offset) from None
-
-        return var
-    if isinstance(node, Neg):
-        child = _compiled(node.child, "_forward", _forward_code)
-
-        def neg(b, zero):
-            v, d = child(b, zero)
-            return -v, tuple([-x for x in d])
-
-        return neg
-    if isinstance(node, BinOp):
-        op, span = node.op, node.span
-        if op == "*" and isinstance(node.left, Num):
-            return _scaling(_compiled(node.right, "_forward", _forward_code), node.left.value, span)
-        left = _compiled(node.left, "_forward", _forward_code)
-        if op == "^":
-            exponent = node.right.value
-            return _spanned(_per_direction(lambda u: jet_pow(u, exponent)), span, left)
-        if op == "*" and isinstance(node.right, Num):
-            return _scaling(left, node.right.value, span)
-        right = _compiled(node.right, "_forward", _forward_code)
-        if op == "/":
-            return _spanned(_forward_divide, span, left, right)
-        if op == "*":
-
-            def mul(b, zero):
-                (u, du), (w, dw) = left(b, zero), right(b, zero)
-                v = 0.0 + u * w
-                d = tuple([(0.0 + u * y) + x * w for x, y in zip(du, dw)])
-                _finite(v, d, "multiplication", span)
-                return v, d
-
-            return mul
-        arith = _ARITH[op]
-        what = "addition" if op == "+" else "subtraction"
-
-        def add_sub(b, zero):
-            (u, du), (w, dw) = left(b, zero), right(b, zero)
-            v = arith(u, w)
-            d = tuple(map(arith, du, dw))
-            _finite(v, d, what, span)
-            return v, d
-
-        return add_sub
-    if isinstance(node, Call):
-        func = _FORWARD_FUNCS.get(node.func) or _per_direction(JET_FUNCTIONS[node.func])
-        return _spanned(func, node.span, _compiled(node.arg, "_forward", _forward_code))
-    raise TypeError(f"not an AST node: {node!r}")
+_FORWARD = _Kernel(
+    attr="_forward",
+    num=lambda value: lambda b, zero: (value, zero),
+    neg=_forward_neg,
+    scale=_forward_scale,
+    power=lambda base, r, span: _spanned(_per_direction(lambda u: jet_pow(u, r)), span, base),
+    binary=_forward_binary,
+    call=lambda name, arg, span: _spanned(
+        _FORWARD_FUNCS.get(name) or _per_direction(JET_FUNCTIONS[name]), span, arg
+    ),
+)
 
 
 def eval_forward(asts, bindings: Mapping[str, tuple]) -> list:
@@ -737,7 +720,7 @@ def eval_forward(asts, bindings: Mapping[str, tuple]) -> list:
     then direction 2, and so on.
     """
     n = len(next(iter(bindings.values()))[1])
-    codes = [_compiled(ast, "_forward", _forward_code) for ast in asts]
+    codes = [_FORWARD.code(ast) for ast in asts]
     zero = (0.0,) * n
     try:
         return [code(bindings, zero) for code in codes]

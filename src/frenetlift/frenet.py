@@ -215,7 +215,7 @@ def frame_jets(pjets: VecJ, cfg: ToleranceConfig, t: float = math.nan) -> FrameJ
     B = c.scale(one / cn)
     N = B.cross(T)
     v3val = v2.d().value()
-    tau = sum(a * b for a, b in zip(cval, v3val)) / (cn_val * cn_val)
+    tau = _fdot(cval, v3val) / (cn_val * cn_val)
     return FrameJets(T=T, N=N, B=B, speed=speed, kappa=kappa, tau=tau)
 
 

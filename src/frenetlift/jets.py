@@ -591,7 +591,7 @@ def _pdiv(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]
 
 def fnorm(v: Sequence[float]) -> float:
     """Euclidean norm of a plain float vector."""
-    return math.sqrt(sum(x * x for x in v))
+    return math.sqrt(_fdot(v, v))
 
 
 def _fdot(a: Sequence[float], b: Sequence[float]) -> float:
@@ -608,8 +608,7 @@ def gram_defect(vectors: Sequence[Sequence[float]]) -> float:
     worst = 0.0
     for i, a in enumerate(vectors):
         for j, b in enumerate(vectors):
-            gram = sum(x * y for x, y in zip(a, b))
-            worst = max(worst, abs(gram - (1.0 if i == j else 0.0)))
+            worst = max(worst, abs(_fdot(a, b) - (1.0 if i == j else 0.0)))
     return worst
 
 

@@ -132,16 +132,30 @@ class LiftedCurve:
         return transport_grid(self.connection, self.base, self.kind.w0, ts)
 
     def point_jets(self, t: float) -> VecJ:
+        """Jets of the lifted point in R^6 at t.
+
+        On a non-flat horizontal lift each call integrates the transport
+        again from ``t_min``; for many points use :meth:`sweep`.
+        """
         pj = curve_point_jets(self.base, t, self.order)
         w = self._fibers([t])[t]
         return lifted_point_jets(pj, self.kind, self.connection, self.anchor, w)
 
     def frame(self, t: float):
         """The three lifted frame vectors as order-1 jet vectors (value and
-        first derivative in t)."""
+        first derivative in t).
+
+        On a non-flat horizontal lift each call integrates the transport
+        again from ``t_min``; for many points use :meth:`sweep`.
+        """
         return self._analyze(t, self._fibers([t])[t]).lifted_frame
 
     def apparatus(self, t: float) -> LiftedApparatus:
+        """Point, frame, curvature and torsion of the lifted curve at t.
+
+        On a non-flat horizontal lift each call integrates the transport
+        again from ``t_min``; for many points use :meth:`sweep`.
+        """
         return self._analyze(t, self._fibers([t])[t]).apparatus
 
     def _analyze(self, t: float, w) -> "_PointAnalysis":
@@ -158,7 +172,7 @@ class LiftedCurve:
         Tv, Nv, Bv = Tl.value(), Nl.value(), Bl.value()
         dT, dN, dB = ([c / speed for c in V.d().value()] for V in (Tl, Nl, Bl))
         kappa = fnorm(dT)
-        tau = -sum(n * b for n, b in zip(Nv, dB))
+        tau = -_fdot(Nv, dB)
         frame_vals = (Tv, Nv, Bv)
         app = LiftedApparatus(
             t=t,

@@ -40,7 +40,7 @@ from .expr import (
     parse_expr,
 )
 from .frenet import DomainIntervalError
-from .jets import Jet, VecJ
+from .jets import Jet, VecJ, _fdot
 
 __all__ = [
     "TangentPoint",
@@ -276,9 +276,7 @@ class LiftedField:
             return LiftedFieldValue((0.0, 0.0, 0.0), xval)
         if self.kind == "complete":
             jac = _jacobian(self.field, p.x)
-            fiber = tuple(
-                sum(p.y[b] * jac[a][b] for b in range(3)) for a in range(3)
-            )
+            fiber = tuple(_fdot(p.y, row) for row in jac)
             return LiftedFieldValue(xval, fiber)
         fiber = tuple(-v for v in self.connection.contract(p.y, xval))
         return LiftedFieldValue(xval, fiber)
@@ -348,9 +346,9 @@ def _apply_scalar_field_complete(
     """(Xf)^c at p = (D_y X)(x) . grad f(x) + sum y^b X^g d2f/dx^b dx^g."""
     xval = _eval_field_components(X, p.x)
     jac = _jacobian(X, p.x)
-    dyX = tuple(sum(p.y[b] * jac[a][b] for b in range(3)) for a in range(3))
+    dyX = tuple(_fdot(p.y, row) for row in jac)
     grad_f = _grad(f.components[0], p.x)
-    first = sum(u * v for u, v in zip(dyX, grad_f))
+    first = _fdot(dyX, grad_f)
     return first + _mixed_second(f.components[0], p.x, p.y, xval)
 
 

@@ -41,7 +41,7 @@ from .frenet import (
     speed_check,
     uniform_grid,
 )
-from .jets import Jet, VecJ, fd_oracle, gram_defect
+from .jets import Jet, VecJ, _fdot, fd_oracle, gram_defect
 from .lifts import (
     Connection,
     LiftKind,
@@ -555,7 +555,7 @@ def run_checks(
     for t in grid(ush, 50):
         Tc = lc.frame(t)[0].value()
         kappa = frenet_apparatus(ush, t, cfg).kappa
-        worst_tc = max(worst_tc, abs(sum(x * x for x in Tc) - (1.0 + kappa * kappa)))
+        worst_tc = max(worst_tc, abs(_fdot(Tc, Tc) - (1.0 + kappa * kappa)))
     results.append(_leq("complete_tangent_norm_identity", worst_tc, 1e-12))
 
     return results

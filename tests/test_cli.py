@@ -105,6 +105,13 @@ class TestFrenetCommand:
         assert main(["frenet", "--curve", str(p)]) == EXIT_INPUT
         assert "line 1" in capsys.readouterr().err
 
+    def test_exponent_dividing_below_floor_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "tiny.curve"
+        p.write_text("x1 = t\nx2 = t^2\nx3 = t^(1/1e-301)\nt_min = 0\nt_max = 1\n")
+        assert main(["frenet", "--curve", str(p)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "line 3" in err and "foldable constant exponent" in err
+
     def test_json_format(self, helix_path, tmp_path):
         out = tmp_path / "out.json"
         code = main(["frenet", "--curve", helix_path, "--samples", "2",

@@ -27,7 +27,7 @@ from frenetlift.expr import (
     parse_field_file,
     pretty_print,
 )
-from frenetlift.jets import DomainError, Jet, NonFiniteJet
+from frenetlift.jets import DivisionByZeroJet, DomainError, Jet, NonFiniteJet
 from frenetlift.verify import random_ast
 
 HELIX_FILE = """\
@@ -134,6 +134,15 @@ class TestParse:
     def test_exponent_without_real_value_rejected(self, text):
         with pytest.raises(ParseError, match="foldable"):
             parse_expr(text, {"t"})
+
+    def test_exponent_dividing_below_floor_rejected(self):
+        # The exponent folds through eval_float, which refuses a divisor
+        # below DIV_FLOOR in magnitude as it does in evaluation.
+        with pytest.raises(ParseError, match="foldable") as exc:
+            parse_expr("t^(1/1e-301)", {"t"})
+        assert exc.value.offset == 2
+        with pytest.raises(DivisionByZeroJet):
+            eval_float(parse_expr("1/t", {"t"}), {"t": 1e-301})
 
     def test_error_offsets_inside_input(self):
         for text in ("1+", "sin(t", "(t", "t )", "2**t", "1. 5"):

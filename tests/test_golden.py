@@ -6,7 +6,9 @@ leaves the numbers alone passes; one that moves a single rounding step in
 any column, or changes a separator, fails here.
 """
 
+import builtins
 import hashlib
+import math
 
 import pytest
 
@@ -110,3 +112,29 @@ def test_verify_digest(tmp_path):
     out = tmp_path / "verify.txt"
     assert main(["verify", "--samples", "50", "--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_50
+
+
+_plain_sum = builtins.sum
+
+
+def _compensated_sum(iterable, /, start=0):
+    """sum() as Python 3.12 and later compute it over floats: compensated,
+    emulated by math.fsum, and plain where fsum raises on an overflow or an
+    infinity of each sign."""
+    items = list(iterable)
+    if items and all(type(x) is float for x in items):
+        try:
+            return math.fsum([start, *items])
+        except (OverflowError, ValueError):
+            pass
+    return _plain_sum(items, start)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN) + ["verify"])
+def test_digest_independent_of_sum(case, tmp_path, monkeypatch):
+    """The pinned bytes hold whether or not the interpreter compensates sum()."""
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    if case == "verify":
+        test_verify_digest(tmp_path)
+    else:
+        test_output_digest(case, tmp_path)
