@@ -31,13 +31,11 @@ from .frenet import (
     DomainIntervalError,
     FrenetData,
     GeneralizedFrame,
-    SpeedReport,
     ToleranceConfig,
     ZeroSpeed,
     curve_point_jets,
     frenet_apparatus,
     generalized_frenet,
-    speed_check,
 )
 from .jets import (
     DimensionMismatch,

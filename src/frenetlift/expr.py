@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, NamedTuple, Union
 
 from .jets import (
@@ -332,19 +332,12 @@ class _Parser:
             self.advance()
             node, height = self.nested(self.expr, off)
             _, _, close_off = self.expect_op(")")
-            return _respan(node, (off, close_off + 1)), height
+            return replace(node, span=(off, close_off + 1)), height
         if kind == "op" and text == "-":
             self.advance()
             child, height = self.nested(self.factor, off)
             return self.grown(Neg(child, (off, child.span[1])), height + 1, off)
         raise ParseError(off, "a number, variable, function call, '(' or '-'")
-
-
-def _respan(node: ExprAst, span: Span) -> ExprAst:
-    cls = type(node)
-    kwargs = {f: getattr(node, f) for f in node.__dataclass_fields__}
-    kwargs["span"] = span
-    return cls(**kwargs)
 
 
 def _fold_constant(node: ExprAst) -> float:
@@ -799,6 +792,9 @@ class CurveSpec:
             raise ValueError("domain endpoints must be finite")
         if not self.t_min < self.t_max:
             raise ValueError("domain must satisfy t_min < t_max")
+        if not math.isfinite(self.t_max - self.t_min):
+            raise ValueError(
+                f"domain [{self.t_min!r}, {self.t_max!r}] is too wide: t_max - t_min overflows")
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -878,6 +874,18 @@ def _key_value_map(text: str) -> dict[str, tuple[int, str]]:
     return seen
 
 
+def _parse_components(seen: dict, keys: tuple[str, ...], variables) -> tuple[ExprAst, ...]:
+    """The expressions under ``keys``; a parse error names its line and key."""
+    comps = []
+    for key in keys:
+        lineno, value = seen[key]
+        try:
+            comps.append(parse_expr(value, variables))
+        except ParseError as err:
+            raise FormatError(lineno, f"{key}: {err}") from err
+    return tuple(comps)
+
+
 def parse_curve_file(text: str) -> CurveSpec:
     """Parse the line-oriented curve format.
 
@@ -891,13 +899,7 @@ def parse_curve_file(text: str) -> CurveSpec:
     for key in ("x1", "x2", "x3", "t_min", "t_max"):
         if key not in seen:
             raise FormatError(0, f"missing key {key!r}")
-    comps = []
-    for key in ("x1", "x2", "x3"):
-        lineno, value = seen[key]
-        try:
-            comps.append(parse_expr(value, CURVE_VARS))
-        except ParseError as err:
-            raise FormatError(lineno, f"{key}: {err}") from err
+    comps = _parse_components(seen, ("x1", "x2", "x3"), CURVE_VARS)
     bounds = {}
     for key in ("t_min", "t_max"):
         lineno, value = seen[key]
@@ -907,7 +909,7 @@ def parse_curve_file(text: str) -> CurveSpec:
             raise FormatError(lineno, f"{key} must be a number, got {value!r}") from None
     name = seen["name"][1] if "name" in seen else "curve"
     try:
-        return CurveSpec(tuple(comps), bounds["t_min"], bounds["t_max"], name)
+        return CurveSpec(comps, bounds["t_min"], bounds["t_max"], name)
     except ValueError as err:
         raise FormatError(0, str(err)) from err
 
@@ -922,11 +924,4 @@ def parse_field_file(text: str) -> FieldSpec:
         kind, wanted = "vector", ("X1", "X2", "X3")
     else:
         raise FormatError(0, "expected either key 'f' or keys 'X1', 'X2', 'X3'")
-    comps = []
-    for key in wanted:
-        lineno, value = seen[key]
-        try:
-            comps.append(parse_expr(value, FIELD_VARS))
-        except ParseError as err:
-            raise FormatError(lineno, f"{key}: {err}") from err
-    return FieldSpec(kind, tuple(comps))
+    return FieldSpec(kind, _parse_components(seen, wanted, FIELD_VARS))

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 from .expr import CurveSpec, _per_component, eval_jet
 from .jets import (
+    NORM_FLOOR,
     DimensionMismatch,
     Jet,
     OrderExceeded,
@@ -48,7 +49,6 @@ __all__ = [
     "ToleranceConfig",
     "FrenetData",
     "FrameJets",
-    "SpeedReport",
     "GeneralizedFrame",
     "GeometryError",
     "DomainIntervalError",
@@ -59,15 +59,13 @@ __all__ = [
     "curve_point_jets",
     "frame_jets",
     "frenet_apparatus",
-    "speed_check",
     "generalized_frenet",
 ]
 
-# Torsion of a lifted curve needs 4th derivatives of the base curve plus one
-# spare order for residual derivatives.
+# The complete lift's Gram-Schmidt oracle needs lifted point jets of order
+# m + 1 = 4, and the complete lift loses one order (its fiber is the base
+# velocity), so the base point jets need order 5.
 DEFAULT_ORDER = 5
-
-SPEED_FLOOR = 1e-12
 
 
 class GeometryError(ValueError):
@@ -105,11 +103,9 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            if getattr(self, f.name) <= 0.0:
-                raise ValueError(f"{f.name} must be positive")
-
-    def replace(self, **kwargs) -> "ToleranceConfig":
-        return dataclasses.replace(self, **kwargs)
+            value = getattr(self, f.name)
+            if not (0.0 < value < math.inf):
+                raise ValueError(f"{f.name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -144,12 +140,6 @@ class FrameJets:
 
 
 @dataclass(frozen=True)
-class SpeedReport:
-    max_deviation: float
-    unit_speed: bool
-
-
-@dataclass(frozen=True)
 class GeneralizedFrame:
     """Gram-Schmidt frame over successive derivatives, with its curvatures.
 
@@ -178,7 +168,7 @@ def uniform_grid(lo: float, hi: float, n: int) -> list[float]:
 
 def curve_point_jets(curve: CurveSpec, t: float, order: int = DEFAULT_ORDER) -> VecJ:
     """Jets of the three curve components at t."""
-    if t < curve.t_min or t > curve.t_max:
+    if not curve.t_min <= t <= curve.t_max:
         raise DomainIntervalError(t, curve.domain)
     tj = Jet.variable(t, order)
     return VecJ(_per_component(curve, t, lambda comp: eval_jet(comp, {"t": tj})))
@@ -209,7 +199,7 @@ def frame_jets(pjets: VecJ, cfg: ToleranceConfig, t: float = math.nan) -> FrameJ
     cval = c.value()
     cn_val = fnorm(cval)
     kappa = cn_val / speed.value**3
-    if kappa < cfg.kappa_floor or cn_val < SPEED_FLOOR:
+    if kappa < cfg.kappa_floor or cn_val < NORM_FLOOR:
         raise DegenerateCurvature(t, kappa, cfg.kappa_floor)
     cn = c.norm()
     B = c.scale(one / cn)
@@ -220,10 +210,7 @@ def frame_jets(pjets: VecJ, cfg: ToleranceConfig, t: float = math.nan) -> FrameJ
 
 
 def frenet_apparatus(
-    curve: CurveSpec,
-    t: float,
-    cfg: ToleranceConfig | None = None,
-    order: int = DEFAULT_ORDER,
+    curve: CurveSpec, t: float, cfg: ToleranceConfig | None = None
 ) -> FrenetData:
     """Frame, curvature, torsion and frame-identity residuals at t.
 
@@ -232,7 +219,7 @@ def frenet_apparatus(
     N = B x T.
     """
     cfg = cfg or ToleranceConfig()
-    pjets = curve_point_jets(curve, t, order)
+    pjets = curve_point_jets(curve, t)
     fj = frame_jets(pjets, cfg, t)
     inv = 1.0 / fj.speed.value
     dT, dN, dB = ([d * inv for d in V.d().value()] for V in (fj.T, fj.N, fj.B))
@@ -248,21 +235,6 @@ def frenet_apparatus(
         tau=fj.tau,
         residuals=frame_residuals(dT, dN, dB, T, N, B, fj.kappa, fj.tau),
     )
-
-
-def speed_check(
-    curve: CurveSpec, grid, cfg: ToleranceConfig | None = None
-) -> SpeedReport:
-    """Max deviation of the speed from 1 over the grid."""
-    cfg = cfg or ToleranceConfig()
-    grid = list(grid)
-    if not grid:
-        raise ValueError("speed_check needs a nonempty grid")
-    worst = 0.0
-    for t in grid:
-        v1 = curve_point_jets(curve, t, 1).d()
-        worst = max(worst, abs(fnorm(v1.value()) - 1.0))
-    return SpeedReport(max_deviation=worst, unit_speed=worst <= cfg.unit_speed_tol)
 
 
 def generalized_frenet(
@@ -296,7 +268,7 @@ def generalized_frenet(
         coeffs = [tuple([(k + 1) * c for k, c in enumerate(cs[1:])]) for cs in coeffs]
         derivs.append([(cs[0], cs[1]) for cs in coeffs])
     speed_val = fnorm([p[0] for p in derivs[0]])
-    if speed_val < SPEED_FLOOR:
+    if speed_val < NORM_FLOOR:
         raise ZeroSpeed(math.nan)
 
     # In R^3 with a full frame the last vector comes from the cross product,

@@ -274,13 +274,18 @@ class Jet:
 # shifted coefficient sequences.
 
 
-def _sin_cos(u: Jet) -> tuple[Jet, Jet]:
+def _pair_recurrence(u: Jet, f, g, sign: float) -> tuple[Jet, Jet]:
+    """Jets of (f(u), g(u)) for f' = g and g' = sign * f: sin/cos with
+    sign -1, sinh/cosh with sign +1."""
     uc = u.coeffs
     n = len(uc)
     s = [0.0] * n
     c = [0.0] * n
-    s[0] = math.sin(uc[0])
-    c[0] = math.cos(uc[0])
+    try:
+        s[0] = f(uc[0])
+        c[0] = g(uc[0])
+    except OverflowError:
+        raise NonFiniteJet(f"{f.__name__}/{g.__name__} overflow at {uc[0]!r}") from None
     for k in range(1, n):
         ss = 0.0
         cc = 0.0
@@ -288,8 +293,12 @@ def _sin_cos(u: Jet) -> tuple[Jet, Jet]:
             ss += j * uc[j] * c[k - j]
             cc += j * uc[j] * s[k - j]
         s[k] = ss / k
-        c[k] = -cc / k
+        c[k] = sign * cc / k
     return Jet._of(_finite(s)), Jet._of(_finite(c))
+
+
+def _sin_cos(u: Jet) -> tuple[Jet, Jet]:
+    return _pair_recurrence(u, math.sin, math.cos, -1.0)
 
 
 def jet_sin(u: Jet) -> Jet:
@@ -354,24 +363,7 @@ def jet_sqrt(u: Jet) -> Jet:
 
 
 def _sinh_cosh(u: Jet) -> tuple[Jet, Jet]:
-    uc = u.coeffs
-    n = len(uc)
-    s = [0.0] * n
-    c = [0.0] * n
-    try:
-        s[0] = math.sinh(uc[0])
-        c[0] = math.cosh(uc[0])
-    except OverflowError:
-        raise NonFiniteJet(f"sinh/cosh overflow at {uc[0]!r}") from None
-    for k in range(1, n):
-        ss = 0.0
-        cc = 0.0
-        for j in range(1, k + 1):
-            ss += j * uc[j] * c[k - j]
-            cc += j * uc[j] * s[k - j]
-        s[k] = ss / k
-        c[k] = cc / k
-    return Jet._of(_finite(s)), Jet._of(_finite(c))
+    return _pair_recurrence(u, math.sinh, math.cosh, 1.0)
 
 
 def jet_sinh(u: Jet) -> Jet:
@@ -496,16 +488,9 @@ class VecJ:
     def scale(self, s) -> "VecJ":
         return VecJ(e * s for e in self.entries)
 
-    def __add__(self, other):
-        self._check(other)
-        return VecJ(a + b for a, b in zip(self.entries, other.entries))
-
     def __sub__(self, other):
         self._check(other)
         return VecJ(a - b for a, b in zip(self.entries, other.entries))
-
-    def __neg__(self):
-        return VecJ(-a for a in self.entries)
 
     def d(self) -> "VecJ":
         return VecJ(e.d() for e in self.entries)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 from .expr import CurveSpec, _per_component, eval_float
 from .frenet import (
-    DEFAULT_ORDER,
     FrameJets,
     ToleranceConfig,
     ZeroSpeed,
@@ -100,13 +99,11 @@ class LiftedCurve:
         kind: LiftKind,
         connection: Connection | None = None,
         cfg: ToleranceConfig | None = None,
-        order: int = DEFAULT_ORDER,
     ):
         self.base = base
         self.kind = kind
         self.connection = connection or Connection.flat()
         self.cfg = cfg or ToleranceConfig()
-        self.order = order
         if kind.kind == "vertical":
             if kind.anchor is not None:
                 self.anchor = kind.anchor
@@ -137,7 +134,7 @@ class LiftedCurve:
         On a non-flat horizontal lift each call integrates the transport
         again from ``t_min``; for many points use :meth:`sweep`.
         """
-        pj = curve_point_jets(self.base, t, self.order)
+        pj = curve_point_jets(self.base, t)
         w = self._fibers([t])[t]
         return lifted_point_jets(pj, self.kind, self.connection, self.anchor, w)
 
@@ -148,7 +145,7 @@ class LiftedCurve:
         On a non-flat horizontal lift each call integrates the transport
         again from ``t_min``; for many points use :meth:`sweep`.
         """
-        return self._analyze(t, self._fibers([t])[t]).lifted_frame
+        return self._analyze(t, self._fibers([t])[t])[1]
 
     def apparatus(self, t: float) -> LiftedApparatus:
         """Point, frame, curvature and torsion of the lifted curve at t.
@@ -156,10 +153,11 @@ class LiftedCurve:
         On a non-flat horizontal lift each call integrates the transport
         again from ``t_min``; for many points use :meth:`sweep`.
         """
-        return self._analyze(t, self._fibers([t])[t]).apparatus
+        return self._analyze(t, self._fibers([t])[t])[2]
 
-    def _analyze(self, t: float, w) -> "_PointAnalysis":
-        pj = curve_point_jets(self.base, t, self.order)
+    def _analyze(self, t: float, w):
+        """(lifted point jets, lifted frame, apparatus) at t."""
+        pj = curve_point_jets(self.base, t)
         fj = frame_jets(pj, self.cfg, t)
         P = lifted_point_jets(pj, self.kind, self.connection, self.anchor, w)
         Tl, Nl, Bl = self._lift_frame(fj, P)
@@ -184,7 +182,7 @@ class LiftedCurve:
             ortho_max=gram_defect(frame_vals),
             residuals=frame_residuals(dT, dN, dB, Tv, Nv, Bv, kappa, tau),
         )
-        return _PointAnalysis(point_jets=P, lifted_frame=(Tl, Nl, Bl), apparatus=app)
+        return P, (Tl, Nl, Bl), app
 
     def _lift_frame(self, fj: FrameJets, P: VecJ):
         # Order 1: _analyze reads each lifted frame vector's value and slope.
@@ -222,8 +220,7 @@ class LiftedCurve:
         ot = []
         ortho_max = 0.0
         for t in ts:
-            analysis = self._analyze(t, fibers[t])
-            app = analysis.apparatus
+            P, _, app = self._analyze(t, fibers[t])
             points.append(app.point)
             frames.append(app.frame)
             kappas.append(app.kappa_lift)
@@ -231,7 +228,7 @@ class LiftedCurve:
             residuals.append(app.residuals)
             ortho_max = max(ortho_max, app.ortho_max)
             try:
-                oracle = generalized_frenet(analysis.point_jets, 3)
+                oracle = generalized_frenet(P, 3)
                 ok.append(oracle.chis[0])
                 ot.append(oracle.chis[1])
             except RankDeficient:
@@ -254,10 +251,3 @@ class LiftedCurve:
             max_discrepancy=max_disc,
             kappa_spread=max(kappas) - min(kappas),
         )
-
-
-@dataclass(frozen=True)
-class _PointAnalysis:
-    point_jets: VecJ
-    lifted_frame: tuple[VecJ, VecJ, VecJ]
-    apparatus: LiftedApparatus

@@ -509,7 +509,7 @@ def parallel_transport(
     above ``MAX_TRANSPORT_STEPS`` is a ValueError.  The flat connection
     transports exactly.
     """
-    if t < curve.t_min or t > curve.t_max:
+    if not curve.t_min <= t <= curve.t_max:
         raise DomainIntervalError(t, curve.domain)
     w = [float(v) for v in w0]
     if len(w) != 3:
@@ -539,7 +539,7 @@ def transport_grid(
     """
     targets = sorted(set(float(t) for t in ts))
     for t in targets:
-        if t < curve.t_min or t > curve.t_max:
+        if not curve.t_min <= t <= curve.t_max:
             raise DomainIntervalError(t, curve.domain)
     if targets:
         # Each target rounds its segment up by less than one step.

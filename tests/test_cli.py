@@ -124,6 +124,23 @@ class TestFrenetCommand:
     def test_too_few_samples(self, helix_path):
         assert main(["frenet", "--curve", helix_path, "--samples", "1"]) == EXIT_INPUT
 
+    def test_non_finite_kappa_floor_exits_2(self, tmp_path, capsys):
+        # Curvature 1.8e-13 at speed 10: below the default floor, and its
+        # cross-product norm 1.8e-10 clears the norm floor.
+        p = tmp_path / "flat.curve"
+        p.write_text("x1 = 10*t\nx2 = 9e-12*t^2\nx3 = 0\nt_min = 0\nt_max = 1\n")
+        assert main(["frenet", "--curve", str(p), "--samples", "3"]) == EXIT_DEGENERATE
+        for value in ("nan", "inf"):
+            argv = ["frenet", "--curve", str(p), "--samples", "3", "--tol", f"kappa_floor={value}"]
+            assert main(argv) == EXIT_INPUT
+            assert "kappa_floor must be positive and finite" in capsys.readouterr().err
+
+    def test_overflowing_domain_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "wide.curve"
+        p.write_text("x1 = t\nx2 = t^2\nx3 = t^3\nt_min = -1e308\nt_max = 1e308\n")
+        assert main(["frenet", "--curve", str(p), "--samples", "3"]) == EXIT_INPUT
+        assert "domain [-1e+308, 1e+308]" in capsys.readouterr().err
+
 
 class TestLiftCommand:
     def test_vertical_csv(self, helix_path, tmp_path):
@@ -266,6 +283,11 @@ class TestVerifyCommand:
 
     def test_unknown_tolerance_exits_2(self):
         assert main(["verify", "--tol", "bogus=1"]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_exits_2(self, value):
+        argv = ["verify", "--samples", "2", "--tol", f"residual_tol={value}"]
+        assert main(argv) == EXIT_INPUT
 
 
 class TestNegativeVectorFlags:

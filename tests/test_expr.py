@@ -383,6 +383,15 @@ class TestCurveFile:
         with pytest.raises(ValueError):
             CurveSpec.from_strings("t", "t", "t", 1.0, 1.0)
 
+    def test_overflowing_domain_width(self):
+        # Finite endpoints whose difference overflows would give NaN samples.
+        with pytest.raises(ValueError, match="t_max - t_min"):
+            CurveSpec.from_strings("t", "t", "t", -1e308, 1e308)
+        wide = HELIX_FILE.replace("t_min = 0", "t_min = -1e308").replace(
+            "t_max = 6.283185307", "t_max = 1e308")
+        with pytest.raises(FormatError, match=r"domain \[-1e\+308, 1e\+308\]"):
+            parse_curve_file(wide)
+
 
 class TestFieldFile:
     def test_scalar(self):

@@ -1,5 +1,6 @@
-"""Frenet apparatus, residuals, speed reports, generalized frames."""
+"""Frenet apparatus, residuals, curve speed, generalized frames."""
 
+import dataclasses
 import math
 import random
 import struct
@@ -17,7 +18,6 @@ from frenetlift.frenet import (
     frame_jets,
     frenet_apparatus,
     generalized_frenet,
-    speed_check,
     uniform_grid,
 )
 from frenetlift.jets import (
@@ -68,6 +68,10 @@ class TestPointJets:
     def test_out_of_domain(self):
         with pytest.raises(DomainIntervalError):
             curve_point_jets(HELIX, -0.5, 2)
+
+    def test_nan_parameter_out_of_domain(self):
+        with pytest.raises(DomainIntervalError):
+            curve_point_jets(HELIX, math.nan, 2)
 
     def test_evaluation_error_names_component(self):
         from frenetlift.jets import DomainError
@@ -147,20 +151,24 @@ class TestResiduals:
         assert app.residuals == frenet_apparatus(HELIX, 0.3).residuals
 
 
+def speed_deviation(curve, n):
+    """Max deviation of the apparatus speed from 1 over an n-point grid."""
+    return max(abs(frenet_apparatus(curve, t).speed - 1.0) for t in grid(curve, n))
+
+
 class TestSpeedCheck:
     def test_unit_speed_helix(self):
-        report = speed_check(USH, grid(USH, 50))
-        assert report.unit_speed
-        assert report.max_deviation <= 1e-12
+        deviation = speed_deviation(USH, 50)
+        assert deviation <= ToleranceConfig().unit_speed_tol
+        assert deviation <= 1e-12
 
     def test_helix345_speed_five(self):
-        report = speed_check(HELIX, grid(HELIX, 20))
-        assert not report.unit_speed
-        assert report.max_deviation == pytest.approx(4.0, abs=1e-12)
+        deviation = speed_deviation(HELIX, 20)
+        assert not deviation <= ToleranceConfig().unit_speed_tol
+        assert deviation == pytest.approx(4.0, abs=1e-12)
 
     def test_circle_speed_two(self):
-        report = speed_check(CIRCLE, grid(CIRCLE, 20))
-        assert report.max_deviation == pytest.approx(1.0, abs=1e-12)
+        assert speed_deviation(CIRCLE, 20) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestGeneralizedFrenet:
@@ -508,7 +516,15 @@ class TestToleranceConfig:
         with pytest.raises(ValueError):
             ToleranceConfig(kappa_floor=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_finite_required(self, value):
+        # NaN fails every comparison and inf passes any bound: either one
+        # would switch its check off.
+        for f in dataclasses.fields(ToleranceConfig):
+            with pytest.raises(ValueError, match="positive and finite"):
+                ToleranceConfig(**{f.name: value})
+
     def test_replace(self):
-        cfg = ToleranceConfig().replace(residual_tol=1e-16)
+        cfg = dataclasses.replace(ToleranceConfig(), residual_tol=1e-16)
         assert cfg.residual_tol == 1e-16
         assert cfg.ortho_tol == 1e-12

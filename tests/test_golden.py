@@ -3,115 +3,36 @@
 Each case runs ``cli.main`` in-process and compares the sha256 of its output
 file with a digest pinned from an earlier, trusted build.  A refactor that
 leaves the numbers alone passes; one that moves a single rounding step in
-any column, or changes a separator, fails here.
+any column, or changes a separator, fails here.  The cases and digests live
+in ``golden_cases.py``, which also checks them without pytest.
 """
 
 import builtins
-import hashlib
 import math
 
 import pytest
 
-from frenetlift.cli import EXIT_OK, main
-
-CURVES = {
-    "helix": """\
-name = helix
-x1 = 3*cos(t)
-x2 = 3*sin(t)
-x3 = 4*t
-t_min = 0
-t_max = 1.5
-""",
-    "torus": """\
-name = torus_knot
-x1 = (2 + 0.5*cos(3*t))*cos(2*t)
-x2 = (2 + 0.5*cos(3*t))*sin(2*t)
-x3 = 0.5*sin(3*t)
-t_min = 0.25
-t_max = 1.25
-""",
-}
-
-CONNECTION = "gamma 1 2 3 = 0.3\ngamma 3 2 1 = -0.3\ngamma 2 1 1 = 0.2\n"
-X_FIELD = "X1 = x2*x3\nX2 = sin(x1)\nX3 = 0.5*x1 - x2\n"
-Y_FIELD = "X1 = cos(x2)\nX2 = x1*x1\nX3 = exp(0.1*x3)\n"
-F_SCALAR = "f = x1*x2 + x3^2\n"
-G_SCALAR = "f = sin(x1)*x3\n"
-
-LIFTS = {
-    "frenet": ["frenet"],
-    "lift_v": ["lift", "--kind", "v", "--anchor=1,-2,0.5"],
-    "lift_c": ["lift", "--kind", "c"],
-    "lift_h": ["lift", "--kind", "h", "--w0=-0.5,1,0.25"],
-    "lift_h_nonflat": ["lift", "--kind", "h", "--w0=1,-0.5,0.75", "--connection", "{conn}"],
-}
-
-FIELDS = [
-    "fields", "--field", "{X}", "--field", "{Y}", "--scalar", "{f}", "--scalar", "{g}",
-    "--connection", "{conn}", "--point=0.5,-1,2,1,0.25,-0.75", "--point=-1.5,0.3,0.7,-2,1,0.5",
-]
-
-GOLDEN = {
-    "fields-csv": "2b46e71af4d2a74b39c74a18c7d01365f0f83486d563b558393473a78416356f",
-    "fields-json": "cb22d3b4a3c653dfc315eef2e1db7757e22b0f7d460fd887fe79d381bde9ec37",
-    "frenet-helix-csv": "753fb5ccf3dcd7eb5cd036464fd279f1d80ed52bcebbdd333f934bd5dc34e51e",
-    "frenet-helix-json": "5486df94c4327ae1781aad2b77014fe7eda3b73b66bd72827134e7bfee8ba9bb",
-    "frenet-torus-csv": "1c560c239dc9ee3ca1a85fe79c7686a9452de6d8509bd8099a5d13542107ee03",
-    "frenet-torus-json": "b39cefdc378730afdaaddc7f28da512b625e3801c00b2a28a8bd1c544c7f30ce",
-    "lift_c-helix-csv": "c63e5007648b276e9943bb45d67edd1f930a11b481aa84a7e1a34eb58ddd10d8",
-    "lift_c-helix-json": "3ba7bcdc0142de19bb75571a38494e14170e4d0d3d0a49fb127acf6e16899648",
-    "lift_c-torus-csv": "85b0255ad0c772b19e1f6488f89319b8da8023f80739ef84a5039ca5876699ab",
-    "lift_c-torus-json": "162ab19ed2c401f9943c921c58ca354881fc54de3bda513012d193aef10f09bf",
-    "lift_h-helix-csv": "cf0e89743f14adf5b0e6bf46b861d54574a00ae539c6407251e8e8b625817200",
-    "lift_h-helix-json": "280f0fa46adb72c255b265f9b3187abbafdd6a190bd310054efbce942cd7a0ea",
-    "lift_h-torus-csv": "14a4677cacd0012ebe07ee122dfd30ec850a03442935cdc93e0d2fda38198272",
-    "lift_h-torus-json": "8e555c3087c852133ffa67425b903e024b77b1060c3e067ae03c7639f1e8e7bb",
-    "lift_h_nonflat-helix-csv": "605dc2e8d73cf31b8b6cb5477d1032791693884917620dba3b1ecb7fd4303db3",
-    "lift_h_nonflat-helix-json": "6b799aeec81945a53d75d8651e9b3d8931b7fdeb79db98c8aabc4063941ee490",
-    "lift_h_nonflat-torus-csv": "f2e66e4450721442b3c117c82df8188146fc54b5220ef1fdd7c372fa0a9705ed",
-    "lift_h_nonflat-torus-json": "d70c515292f2421f09117a9e8c0056600d6b2a92aee99eb3f39c08c12736fe0e",
-    "lift_v-helix-csv": "f7030e7d6b582a4a335a6f25870380ab09a733cbda1b5d35868c3015c4e9bb8e",
-    "lift_v-helix-json": "44c41851122f7c9efece6aaa216be60772668bd58c13d751fb90c9ace33b4c39",
-    "lift_v-torus-csv": "c602aac2c2b38079a7d80e598a517ebfbc4e20c1364f57113e18d0cb4e4c4bca",
-    "lift_v-torus-json": "43d97a8feff4bd6a7ab996e1ba5c727012a5ec3980a0244ef26357fe0603dede",
-}
-
-
-def _argv(case: str, tmp_path) -> list[str]:
-    paths = {}
-    for key, text in (("conn", CONNECTION), ("X", X_FIELD), ("Y", Y_FIELD),
-                      ("f", F_SCALAR), ("g", G_SCALAR)):
-        path = tmp_path / f"{key}.in"
-        path.write_text(text)
-        paths[key] = str(path)
-    *command, fmt = case.split("-")
-    if command == ["fields"]:
-        template = FIELDS
-    else:
-        name, curve = command
-        curve_path = tmp_path / f"{curve}.curve"
-        curve_path.write_text(CURVES[curve])
-        template = LIFTS[name] + ["--curve", str(curve_path), "--samples", "7"]
-    return [arg.format(**paths) for arg in template] + ["--format", fmt]
+from frenetlift.cli import EXIT_OK
+from golden_cases import GOLDEN, VERIFY, digest
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_output_digest(case, tmp_path):
-    out = tmp_path / "out"
-    assert main(_argv(case, tmp_path) + ["--out", str(out)]) == EXIT_OK
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[case]
-
-
-# verify draws its inputs from its own fixed seed, so its text output at a
-# given sample count is as deterministic as the sweeps above.
-VERIFY_50 = "c89397dc85d5c0dc74781d66c98490e0787d5acae5cd650367b4b60e6b5718ba"
+    code, got = digest(case, tmp_path)
+    assert code == EXIT_OK
+    assert got == GOLDEN[case]
 
 
 def test_verify_digest(tmp_path):
-    out = tmp_path / "verify.txt"
-    assert main(["verify", "--samples", "50", "--out", str(out)]) == EXIT_OK
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_50
+    code, got = digest("verify-50", tmp_path)
+    assert code == EXIT_OK
+    assert got == VERIFY["verify-50"]
+
+
+def test_verify_digest_at_grid_floors(tmp_path):
+    code, got = digest("verify-7", tmp_path)
+    assert code == EXIT_OK
+    assert got == VERIFY["verify-7"]
 
 
 _plain_sum = builtins.sum

@@ -23,7 +23,7 @@ from frenetlift.lifts import (
     prop21_check,
     transport_grid,
 )
-from frenetlift.frenet import curve_point_jets
+from frenetlift.frenet import DomainIntervalError, curve_point_jets
 from frenetlift.verify import (
     builtin_curves,
     random_connection,
@@ -222,18 +222,26 @@ class TestParallelTransport:
         G = Connection.from_entries({(1, 1, 1): 1.0})
         cap = lifts.MAX_TRANSPORT_STEPS
         far = CurveSpec.from_strings("t", "0", "0", 0.0, 1e300)
-        whole = CurveSpec.from_strings("t", "0", "0", -1e308, 1e308)
+        whole = CurveSpec.from_strings("t", "0", "0", -8e307, 8e307)
         calls = [
             lambda: parallel_transport(G, far, (1, 0, 0), 1e300),
-            lambda: parallel_transport(G, whole, (1, 0, 0), 1e308),
+            lambda: parallel_transport(G, whole, (1, 0, 0), 8e307),
             lambda: parallel_transport(G, LINE01, (1, 0, 0), 1.0, cap + 1),
             lambda: transport_grid(G, far, (1, 0, 0), [0.0, 1e300]),
-            lambda: transport_grid(G, whole, (1, 0, 0), [1e308]),
+            lambda: transport_grid(G, whole, (1, 0, 0), [8e307]),
             lambda: transport_grid(G, LINE01, (1, 0, 0), [1.0], cap),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="MAX_TRANSPORT_STEPS"):
                 call()
+
+
+    def test_nan_parameter_out_of_domain(self):
+        G = Connection.from_entries({(1, 1, 1): 1.0})
+        with pytest.raises(DomainIntervalError):
+            parallel_transport(G, LINE01, (1, 0, 0), math.nan)
+        with pytest.raises(DomainIntervalError):
+            transport_grid(G, LINE01, (1, 0, 0), [0.5, math.nan])
 
 
 class TestCurveLifts:
