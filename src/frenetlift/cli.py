@@ -24,7 +24,7 @@ import json
 import re
 import sys
 
-from .expr import parse_curve_file, parse_field_file
+from .expr import FormatError, parse_curve_file, parse_field_file
 from .frenet import (
     DegenerateCurvature,
     ToleranceConfig,
@@ -58,12 +58,17 @@ def _fmt17(x: float) -> str:
     return "%.17g" % x
 
 
-def _read(path: str) -> str:
+def _load(path: str, parse):
+    """parse(text of the file at path); a format error names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read()
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}") from err
+    try:
+        return parse(text)
+    except FormatError as err:
+        raise InputError(f"{path}: {err}") from err
 
 
 def _floats(n: int):
@@ -139,7 +144,7 @@ def _emit_rows(args: argparse.Namespace, header: list[str], rows: list[list[floa
 def _load_connection(path: str | None) -> Connection:
     if path is None:
         return Connection.flat()
-    return parse_connection_file(_read(path))
+    return _load(path, parse_connection_file)
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -154,7 +159,7 @@ FRENET_HEADER = (
 
 
 def cmd_frenet(args: argparse.Namespace) -> int:
-    curve = parse_curve_file(_read(args.curve))
+    curve = _load(args.curve, parse_curve_file)
     tolerances = ToleranceConfig(**dict(args.tol))
     rows = []
     for t in uniform_grid(curve.t_min, curve.t_max, args.samples):
@@ -180,7 +185,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
     for flag, kind in (("anchor", "v"), ("w0", "h"), ("connection", "h")):
         if getattr(args, flag) is not None and args.kind != kind:
             raise InputError(f"--{flag} applies only to --kind {kind}, not {args.kind}")
-    curve = parse_curve_file(_read(args.curve))
+    curve = _load(args.curve, parse_curve_file)
     connection = _load_connection(args.connection)
     if args.kind == "v":
         kind = LiftKind.vertical(args.anchor)
@@ -208,7 +213,7 @@ def _field_pair(paths: list[str], flag: str, kind: str, what: str):
     """The first and last of at most two field files of one kind."""
     if len(paths) > 2:
         raise InputError(f"{flag} takes at most 2 files, got {len(paths)}")
-    specs = [parse_field_file(_read(path)) for path in paths]
+    specs = [_load(path, parse_field_file) for path in paths]
     if any(spec.kind != kind for spec in specs):
         raise InputError(f"{flag} file must define a {what}")
     return specs[0], specs[-1]

@@ -121,11 +121,14 @@ class UnknownFunction(ParseError):
 
 
 class FormatError(ValueError):
-    """Line-oriented input file violates the expected key/value shape."""
+    """Line-oriented input file violates the expected key/value shape.
+
+    ``line`` 0 marks an error in the whole file, printed without a line.
+    """
 
     def __init__(self, line: int, message: str):
         self.line = line
-        super().__init__(f"line {line}: {message}")
+        super().__init__(f"line {line}: {message}" if line else message)
 
 
 Span = tuple

@@ -11,9 +11,10 @@ Gram-Schmidt frame over successive derivatives provides an independent
 second route to the same curvatures (it also serves curves in R^6).
 
 Each route computes only the Taylor coefficients that are read: the frame
-jets stop at order 2, and the Gram-Schmidt route runs on order-1
-(value, slope) float pairs.  Taylor arithmetic is causal, so every
-coefficient kept has the bits a full-order computation would give.
+runs on order-2 float triples and the Gram-Schmidt route on order-1
+(value, slope) float pairs, each repeating the jet kernel's float steps.
+Taylor arithmetic is causal, so every coefficient kept has the bits a
+full-order computation would give.
 
 Torsion is signed by the convention tau = -N . dB/ds; the triple-product
 formula used for the direct computation agrees with it for the binormal
@@ -31,16 +32,21 @@ from .jets import (
     NORM_FLOOR,
     DimensionMismatch,
     Jet,
+    NonFiniteJet,
     OrderExceeded,
     RankDeficient,
     VecJ,
     ZeroNorm,
+    _cross,
     _fdot,
     _pdiv,
     _pdot,
     _pmul,
     _pnorm,
     _psub,
+    _tmul,
+    _tsub,
+    _tunit,
     fnorm,
     frame_residuals,
 )
@@ -129,6 +135,7 @@ class FrameJets:
 
     T, N, B and the speed are jets of order 2: callers read the value and
     the first derivative, and the complete lift one derivative more.
+    :func:`frame_jets` computes them on float triples and wraps each once.
     """
 
     T: VecJ
@@ -180,33 +187,40 @@ def frame_jets(pjets: VecJ, cfg: ToleranceConfig, t: float = math.nan) -> FrameJ
     T, N, B and the speed come out at order 2, the highest coefficient any
     caller reads (the complete lift differentiates a frame vector once more
     to order 1).  They are built from the first and second derivatives cut
-    to order 2, tau from the value of the third; Taylor arithmetic is
-    causal, so each of those coefficients has the bits a full-order
-    computation would give.
+    to order 2, tau from the value of the third.  All of it runs on float
+    triples that repeat the order-2 jet kernel step for step (``jets._tmul``
+    and its siblings), so each coefficient has the bits a full-order jet
+    computation would give.  A ``speed**3`` that overflows raises
+    :class:`NonFiniteJet` naming t.
     """
     if pjets.order < 4:
         raise OrderExceeded(
             f"frame computation needs point jets of order >= 4, got {pjets.order}")
-    v1 = pjets.truncated(3).d()
-    v2 = pjets.truncated(4).d().d()
+    # Coefficients 0..2 of b' and b'' as Jet.d() gives them, (k+1) * c_(k+1)
+    # (a factor 1 is exact); coefficient 1 of b'' is the third derivative.
+    v1, v2 = [], []
+    for e in pjets.entries:
+        _, c1, c2, c3, c4 = e.coeffs[:5]
+        v1.append((c1, 2 * c2, 3 * c3))
+        v2.append((2 * c2, 2 * (3 * c3), 3 * (4 * c4)))
     try:
-        speed = v1.norm()
+        speed, T = _tunit(v1)
     except ZeroNorm:
         raise ZeroSpeed(t) from None
-    one = Jet.constant(1.0, 2)
-    T = v1.scale(one / speed)
-    c = v1.cross(v2)
-    cval = c.value()
+    c = _cross(v1, v2, _tmul, _tsub)
+    cval = [x[0] for x in c]
     cn_val = fnorm(cval)
-    kappa = cn_val / speed.value**3
+    try:
+        kappa = cn_val / speed[0]**3
+    except OverflowError:
+        raise NonFiniteJet(f"curvature overflows at t={t!r}") from None
     if kappa < cfg.kappa_floor or cn_val < NORM_FLOOR:
         raise DegenerateCurvature(t, kappa, cfg.kappa_floor)
-    cn = c.norm()
-    B = c.scale(one / cn)
-    N = B.cross(T)
-    v3val = v2.d().value()
-    tau = _fdot(cval, v3val) / (cn_val * cn_val)
-    return FrameJets(T=T, N=N, B=B, speed=speed, kappa=kappa, tau=tau)
+    B = _tunit(c)[1]
+    N = _cross(B, T, _tmul, _tsub)
+    tau = _fdot(cval, [x[1] for x in v2]) / (cn_val * cn_val)
+    T, N, B = (VecJ([Jet._of(x) for x in V]) for V in (T, N, B))
+    return FrameJets(T=T, N=N, B=B, speed=Jet._of(speed), kappa=kappa, tau=tau)
 
 
 def frenet_apparatus(
@@ -222,7 +236,7 @@ def frenet_apparatus(
     pjets = curve_point_jets(curve, t)
     fj = frame_jets(pjets, cfg, t)
     inv = 1.0 / fj.speed.value
-    dT, dN, dB = ([d * inv for d in V.d().value()] for V in (fj.T, fj.N, fj.B))
+    dT, dN, dB = ([e.coeffs[1] * inv for e in V.entries] for V in (fj.T, fj.N, fj.B))
     T, N, B = fj.T.value(), fj.N.value(), fj.B.value()
     return FrenetData(
         t=t,
@@ -288,12 +302,7 @@ def generalized_frenet(
         inv = _pdiv((1.0, 0.0), _pnorm(sq))
         frame.append([_pmul(x, inv) for x in u])
     if gs_count < m:
-        (a1, a2, a3), (b1, b2, b3) = frame
-        frame.append([
-            _psub(_pmul(a2, b3), _pmul(a3, b2)),
-            _psub(_pmul(a3, b1), _pmul(a1, b3)),
-            _psub(_pmul(a1, b2), _pmul(a2, b1)),
-        ])
+        frame.append(_cross(*frame, _pmul, _psub))
 
     slopes = [[p[1] for p in E] for E in frame]
     values = tuple(tuple([p[0] for p in E]) for E in frame)

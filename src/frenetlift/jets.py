@@ -502,12 +502,13 @@ class VecJ:
         return f"VecJ({list(self.entries)!r})"
 
 
-# --- order-1 pairs ------------------------------------------------------------
+# --- order-1 pairs and order-2 triples ----------------------------------------
 #
-# A pair (v, d) holds the two coefficients of an order-1 jet as plain floats.
-# Each helper takes the float steps of the order-1 kernel above, in its
-# operand order, and meets the same finiteness test, so its results are the
-# bits the Jet and VecJ operations would give.
+# A pair (v, d) or a triple (v, d, e) holds the coefficients of an order-1 or
+# order-2 jet as plain floats.  Each helper takes the float steps of the
+# kernel above at that order, in its operand order, and meets the same
+# finiteness test, so its results are the bits the Jet and VecJ operations
+# would give.
 
 
 def _pmul(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
@@ -569,6 +570,62 @@ def _pdiv(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]
     if not math.isfinite(v + d):
         raise NonFiniteJet("division produced non-finite coefficients")
     return v, d
+
+
+def _tmul(a: Sequence[float], b: Sequence[float]) -> tuple[float, float, float]:
+    """Product of two triples, as ``Jet.__mul__`` at order 2."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    v = 0.0 + a0 * b0
+    d = (0.0 + a0 * b1) + a1 * b0
+    e = ((0.0 + a0 * b2) + a1 * b1) + a2 * b0
+    if not math.isfinite(((0.0 + v) + d) + e):
+        raise NonFiniteJet("multiplication produced non-finite coefficients")
+    return v, d, e
+
+
+def _tsub(a: Sequence[float], b: Sequence[float]) -> tuple[float, float, float]:
+    """Difference of two triples, as ``Jet.__sub__`` at order 2."""
+    out = (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+    if not math.isfinite(out[0] + out[1] + out[2]):
+        raise NonFiniteJet("subtraction produced non-finite coefficients")
+    return out
+
+
+def _tunit(v: Sequence) -> tuple[tuple[float, float, float], list]:
+    """Norm and unit vector of a vector of triples, as ``n = v.norm()`` and
+    ``v.scale(Jet.constant(1.0, 2) / n)`` take them: the dot summed left to
+    right, the norm floor (which keeps n far above ``DIV_FLOOR``),
+    ``jet_sqrt``, the reciprocal, then the products."""
+    s0, s1, s2 = _tmul(v[0], v[0])
+    for x in v[1:]:
+        pv, pd, pe = _tmul(x, x)
+        s0 += pv
+        s1 += pd
+        s2 += pe
+        if not math.isfinite(s0 + s1 + s2):
+            raise NonFiniteJet("addition produced non-finite coefficients")
+    if s0 < NORM_FLOOR * NORM_FLOOR:
+        raise ZeroNorm(f"vector norm {math.sqrt(max(s0, 0.0)):.3e} below floor")
+    n0 = math.sqrt(s0)
+    n1 = (s1 - 0.0) / (2.0 * n0)
+    n2 = (s2 - (0.0 + n1 * n1)) / (2.0 * n0)
+    if not math.isfinite(n0 + n1 + n2):
+        raise NonFiniteJet("operation produced non-finite coefficients")
+    r0 = 1.0 / n0
+    r1 = (0.0 - r0 * n1) / n0
+    r2 = ((0.0 - r0 * n2) - r1 * n1) / n0
+    if not math.isfinite(((0.0 + r0) + r1) + r2):
+        raise NonFiniteJet("division produced non-finite coefficients")
+    return (n0, n1, n2), [_tmul(x, (r0, r1, r2)) for x in v]
+
+
+def _cross(a: Sequence, b: Sequence, mul, sub) -> list:
+    """Cross product of two 3-vectors of pairs (``_pmul``, ``_psub``) or
+    triples (``_tmul``, ``_tsub``), as :meth:`VecJ.cross`."""
+    (a1, a2, a3), (b1, b2, b3) = a, b
+    return [sub(mul(a2, b3), mul(a3, b2)), sub(mul(a3, b1), mul(a1, b3)),
+            sub(mul(a1, b2), mul(a2, b1))]
 
 
 # --- plain-float helpers ----------------------------------------------------

@@ -145,7 +145,8 @@ class LiftedCurve:
         On a non-flat horizontal lift each call integrates the transport
         again from ``t_min``; for many points use :meth:`sweep`.
         """
-        return self._analyze(t, self._fibers([t])[t])[1]
+        P, fj, _ = self._analyze(t, self._fibers([t])[t])
+        return self._lift_frame(fj, P)
 
     def apparatus(self, t: float) -> LiftedApparatus:
         """Point, frame, curvature and torsion of the lifted curve at t.
@@ -156,19 +157,19 @@ class LiftedCurve:
         return self._analyze(t, self._fibers([t])[t])[2]
 
     def _analyze(self, t: float, w):
-        """(lifted point jets, lifted frame, apparatus) at t."""
+        """(lifted point jets, base frame jets, apparatus) at t."""
         pj = curve_point_jets(self.base, t)
         fj = frame_jets(pj, self.cfg, t)
         P = lifted_point_jets(pj, self.kind, self.connection, self.anchor, w)
-        Tl, Nl, Bl = self._lift_frame(fj, P)
-        vel = P.d().value()
+        lifted = self._lift_pairs(fj, P)
+        vel = [e.coeffs[1] for e in P.entries]
         speed_sq = _fdot(vel, vel)
         if speed_sq < NORM_FLOOR * NORM_FLOOR:
             raise ZeroSpeed(t)
         speed = math.sqrt(speed_sq)
 
-        Tv, Nv, Bv = Tl.value(), Nl.value(), Bl.value()
-        dT, dN, dB = ([c / speed for c in V.d().value()] for V in (Tl, Nl, Bl))
+        Tv, Nv, Bv = (tuple([p[0] for p in V]) for V in lifted)
+        dT, dN, dB = ([p[1] / speed for p in V] for V in lifted)
         kappa = fnorm(dT)
         tau = -_fdot(Nv, dB)
         frame_vals = (Tv, Nv, Bv)
@@ -182,30 +183,31 @@ class LiftedCurve:
             ortho_max=gram_defect(frame_vals),
             residuals=frame_residuals(dT, dN, dB, Tv, Nv, Bv, kappa, tau),
         )
-        return P, (Tl, Nl, Bl), app
+        return P, fj, app
 
-    def _lift_frame(self, fj: FrameJets, P: VecJ):
-        # Order 1: _analyze reads each lifted frame vector's value and slope.
+    def _lift_pairs(self, fj: FrameJets, P: VecJ):
+        """The lifted T, N and B as six (value, slope) float pairs each, from
+        coefficients 0..2 of frame jets of any order >= 2, with the bits of
+        the order-1 jet operations (``Connection.contract`` runs on jets)."""
+        frame = [[e.coeffs[:2] for e in V.entries] for V in (fj.T, fj.N, fj.B)]
         kind = self.kind.kind
         if kind == "vertical":
-            zero = Jet.constant(0.0, 1)
-            return tuple(
-                VecJ((zero, zero, zero) + V.truncated(1).entries)
-                for V in (fj.T, fj.N, fj.B)
-            )
+            return [[(0.0, 0.0)] * 3 + V for V in frame]
         if kind == "complete":
-            return tuple(
-                VecJ(V.truncated(1).entries + V.d().truncated(1).entries)
-                for V in (fj.T, fj.N, fj.B)
-            )
+            return [
+                V + [(e.coeffs[1], 2 * e.coeffs[2]) for e in W.entries]
+                for V, W in zip(frame, (fj.T, fj.N, fj.B))
+            ]
         # horizontal: use the fiber jets carried by the lifted point.
-        wjets = [e.truncated(1) for e in P.entries[3:6]]
-        out = []
-        for V in (fj.T, fj.N, fj.B):
-            v3 = V.truncated(1)
-            fiber = [-u for u in self.connection.contract(wjets, v3.entries)]
-            out.append(VecJ(v3.entries + tuple(fiber)))
-        return tuple(out)
+        w = [Jet._of(e.coeffs[:2]) for e in P.entries[3:6]]
+        return [
+            V + [(-u).coeffs for u in self.connection.contract(w, [Jet._of(p) for p in V])]
+            for V in frame
+        ]
+
+    def _lift_frame(self, fj: FrameJets, P: VecJ):
+        """:meth:`_lift_pairs` wrapped as three order-1 jet vectors."""
+        return tuple(VecJ([Jet._of(p) for p in V]) for V in self._lift_pairs(fj, P))
 
     def sweep(self, grid) -> LiftReport:
         """Apparatus, frame-identity residuals and oracle columns per point."""

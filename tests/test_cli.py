@@ -493,6 +493,45 @@ class TestDiagnostics:
         err = capsys.readouterr().err
         assert "x2" in err and "t=0" in err and "chars 0-6" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["frenet"], ["lift", "--kind", "c"], ["lift", "--kind", "h"],
+    ], ids=["frenet", "lift-c", "lift-h"])
+    def test_curvature_overflow_exits_2(self, tmp_path, capsys, argv):
+        # |b'|^3 overflows while every jet coefficient stays finite.
+        p = tmp_path / "big.curve"
+        p.write_text("x1 = 1e103*t\nx2 = t^2\nx3 = t^3\nt_min = 0.5\nt_max = 1\n")
+        assert main(argv + ["--curve", str(p), "--samples", "3"]) == EXIT_INPUT
+        assert "error: curvature overflows at t=0.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, text, message", [
+        ("curve", "x1 = t\nx2 = t^2\nt_min = 0\nt_max = 1\n", "missing key 'x3'"),
+        ("curve", "x1 = t\nx2 = t^2 +\nx3 = t\nt_min = 0\nt_max = 1\n", "line 2: x2: "),
+        ("field", "X1 = x2\nX2 = 0\n",
+         "expected either key 'f' or keys 'X1', 'X2', 'X3'"),
+        ("field", "X1 = x2\nX2 = 0\nX3 = x9\n", "line 3: X3: "),
+        ("scalar", "f = 1\nf = 2\n", "line 2: duplicate key 'f'"),
+        ("connection", "flat = true\ngamma 1 1 1 = 1\n",
+         "'flat = true' excludes explicit gamma entries"),
+    ], ids=["curve-missing-key", "curve-line", "field-keys", "field-line", "scalar-line",
+            "connection"])
+    def test_format_error_names_file(self, tmp_path, capsys, flag, text, message):
+        files = {"curve": HELIX_FILE, "field": X_FIELD, "scalar": F_SCALAR,
+                 "connection": GAMMA_FILE, flag: text}
+        paths = {}
+        for key, body in files.items():
+            paths[key] = tmp_path / f"{key}.in"
+            paths[key].write_text(body)
+        if flag in ("field", "scalar"):
+            argv = ["fields", "--field", str(paths["field"]), "--scalar", str(paths["scalar"]),
+                    "--point=1,1,1,1,1,1"]
+        else:
+            argv = ["lift", "--kind", "h", "--w0=1,0,0", "--curve", str(paths["curve"]),
+                    "--connection", str(paths["connection"]), "--samples", "3"]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"error: {paths[flag]}: {message}" in err
+        assert "line 0" not in err
+
 
 def _readme_cli_section() -> str:
     return README.read_text().split("## CLI\n", 1)[1].split("\n## ", 1)[0]

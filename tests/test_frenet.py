@@ -37,6 +37,7 @@ from frenetlift.verify import (
     LIFTED_HELIX_TAU,
     builtin_curves,
     grid,
+    random_connection,
     random_smooth_expression,
 )
 
@@ -481,6 +482,109 @@ class TestOrderTwoFrame:
             assert [[_bits(e.coeffs) for e in V.entries] for V in got] == [
                 [_bits(e.coeffs) for e in V.entries] for V in want
             ]
+
+    @pytest.mark.parametrize("kind", ["v", "c", "flat_h", "h"])
+    @pytest.mark.parametrize("curve", [HELIX, TORUS_KNOT], ids=["helix", "torus_knot"])
+    def test_sweep_frame_matches_jet_route_at_every_point(self, curve, kind):
+        lk, G = _LIFTS[kind]
+        lc = LiftedCurve(curve, lk, G)
+        ts = grid(curve, 17)
+        fibers = lc._fibers(ts)
+        for t in ts:
+            pj = curve_point_jets(curve, t)
+            P = lifted_point_jets(pj, lk, G, lc.anchor, fibers[t])
+            want = _jet_route_lift_frame(lc, _full_order_frame_jets(pj, lc.cfg, t), P)
+            P_sweep, fj, _ = lc._analyze(t, fibers[t])
+            got = lc._lift_pairs(fj, P_sweep)
+            assert [[_bits(p) for p in V] for V in got] == _vector_bits(want)
+
+    def test_random_lifted_frames_match_jet_route(self):
+        rng = random.Random(977)
+        cfg = ToleranceConfig()
+        compared = {"vertical": 0, "complete": 0, "flat": 0, "nonflat": 0}
+        for _ in range(240):
+            curve = _random_curve(rng)
+            t = rng.uniform(-2.0, 2.0)
+            w = tuple(rng.uniform(-2.0, 2.0) for _ in range(3))
+            lk = rng.choice((LiftKind.vertical(w), LiftKind.complete(), LiftKind.horizontal(w)))
+            G = rng.choice((Connection.flat(), random_connection(rng)))
+            try:
+                pj = curve_point_jets(curve, t, rng.choice((4, 5, 7)))
+                fj = frame_jets(pj, cfg, t)
+                full = _full_order_frame_jets(pj, cfg, t)
+                P = lifted_point_jets(pj, lk, G, w, w)
+            except (JetError, DegenerateCurvature, ZeroSpeed):
+                continue
+            lc = LiftedCurve(curve, lk, G)
+            want = _vector_bits(_jet_route_lift_frame(lc, full, P))
+            assert _vector_bits(lc._lift_frame(fj, P)) == want
+            assert _vector_bits(lc._lift_frame(full, P)) == want
+            key = lk.kind if lk.kind != "horizontal" else ("flat" if G.is_flat else "nonflat")
+            compared[key] += 1
+        assert min(compared.values()) >= 15
+
+    @pytest.mark.parametrize("coeffs", [
+        {1: 1e160},
+        {2: 0.5e308},
+        {2: -0.85e308},
+        {1: 1e120, 3: 1e200},
+        {4: 1e308},
+    ], ids=["speed", "slope", "negative-slope", "cross", "third-derivative"])
+    def test_product_overflow_matches_full_order(self, coeffs):
+        c = [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+        for k, v in coeffs.items():
+            c[k] = v
+        x1 = Jet(c)
+        x2 = Jet([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+        x3 = Jet([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+        pj = VecJ((x1, x2, x3))
+        outcomes = []
+        for route in (frame_jets, _full_order_frame_jets):
+            with pytest.raises(NonFiniteJet) as exc:
+                route(pj, ToleranceConfig(), 0.5)
+            outcomes.append((type(exc.value), str(exc.value)))
+        assert outcomes[0] == outcomes[1]
+
+    def test_curvature_overflow_names_t(self):
+        # Every jet coefficient is finite, but |b'|^3 overflows.
+        big = CurveSpec.from_strings("1e103*t", "t^2", "t^3", 0.5, 1.0)
+        with pytest.raises(NonFiniteJet, match=r"^curvature overflows at t=0\.5$"):
+            frame_jets(curve_point_jets(big, 0.5), ToleranceConfig(), 0.5)
+
+
+_LIFTS = {
+    "v": (LiftKind.vertical((1.0, -2.0, 0.5)), Connection.flat()),
+    "c": (LiftKind.complete(), Connection.flat()),
+    "flat_h": (LiftKind.horizontal((1.0, -0.5, 0.75)), Connection.flat()),
+    "h": (LiftKind.horizontal((1.0, -0.5, 0.75)), NONFLAT),
+}
+
+
+def _jet_route_lift_frame(lc: LiftedCurve, fj: FrameJets, P: VecJ):
+    """The lifted frame through order-1 Jet and VecJ operations: the oracle
+    for the float pairs of LiftedCurve._lift_pairs."""
+    kind = lc.kind.kind
+    if kind == "vertical":
+        zero = Jet.constant(0.0, 1)
+        return tuple(
+            VecJ((zero, zero, zero) + V.truncated(1).entries) for V in (fj.T, fj.N, fj.B)
+        )
+    if kind == "complete":
+        return tuple(
+            VecJ(V.truncated(1).entries + V.d().truncated(1).entries)
+            for V in (fj.T, fj.N, fj.B)
+        )
+    wjets = [e.truncated(1) for e in P.entries[3:6]]
+    out = []
+    for V in (fj.T, fj.N, fj.B):
+        v3 = V.truncated(1)
+        fiber = [-u for u in lc.connection.contract(wjets, v3.entries)]
+        out.append(VecJ(v3.entries + tuple(fiber)))
+    return tuple(out)
+
+
+def _vector_bits(vectors):
+    return [[_bits(e.coeffs) for e in V.entries] for V in vectors]
 
 
 class TestUniformGrid:
