@@ -21,10 +21,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import re
 import sys
 
-from .expr import FormatError, parse_curve_file, parse_field_file
+from .expr import FormatError, eval_float, parse_curve_file, parse_field_file
 from .frenet import (
     DegenerateCurvature,
     ToleranceConfig,
@@ -32,7 +33,7 @@ from .frenet import (
     frenet_apparatus,
     uniform_grid,
 )
-from .jets import RankDeficient, ZeroNorm
+from .jets import JetError, RankDeficient, ZeroNorm
 from .lifts import Connection, LiftKind, TangentPoint, lift_field, parse_connection_file, prop21_check
 from .lifted_frenet import LiftedCurve
 from .verify import run_checks
@@ -209,31 +210,54 @@ def cmd_lift(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _field_pair(paths: list[str], flag: str, kind: str, what: str):
-    """The first and last of at most two field files of one kind."""
+def _field_files(paths: list[str], flag: str, kind: str, what: str):
+    """(path, spec) of at most two field files of one kind."""
     if len(paths) > 2:
         raise InputError(f"{flag} takes at most 2 files, got {len(paths)}")
-    specs = [_load(path, parse_field_file) for path in paths]
-    if any(spec.kind != kind for spec in specs):
+    files = [(path, _load(path, parse_field_file)) for path in paths]
+    if any(spec.kind != kind for _, spec in files):
         raise InputError(f"{flag} file must define a {what}")
-    return specs[0], specs[-1]
+    return files
+
+
+def _first_failing_key(files, x) -> str:
+    """'PATH KEY ' of the first file component whose value fails or is not
+    finite in plain floats at base point x, or ''."""
+    bindings = dict(zip(("x1", "x2", "x3"), x))
+    for path, spec in files:
+        keys = ("f",) if spec.kind == "scalar" else ("X1", "X2", "X3")
+        for key, ast in zip(keys, spec.components):
+            try:
+                value = eval_float(ast, bindings)
+            except JetError:
+                value = math.nan
+            if not math.isfinite(value):
+                return f"{path} {key} "
+    return ""
 
 
 def cmd_fields(args: argparse.Namespace) -> int:
-    X, Y = _field_pair(args.field, "--field", "vector", "vector field (X1, X2, X3)")
-    f, g = _field_pair(args.scalar, "--scalar", "scalar", "scalar function (f)")
+    vectors = _field_files(args.field, "--field", "vector", "vector field (X1, X2, X3)")
+    scalars = _field_files(args.scalar, "--scalar", "scalar", "scalar function (f)")
+    X, Y = vectors[0][1], vectors[-1][1]
+    f, g = scalars[0][1], scalars[-1][1]
     connection = _load_connection(args.connection)
 
     header: list[str] | None = None
     rows = []
     for coords in args.point:
         p = TangentPoint(coords[:3], coords[3:])
-        lifted = [
-            x
-            for kind in ("vertical", "complete", "horizontal")
-            for x in lift_field(X, kind, connection).at(p).as_tuple()
-        ]
-        residuals = prop21_check(X, Y, f, g, connection, p).residuals
+        try:
+            lifted = [
+                x
+                for kind in ("vertical", "complete", "horizontal")
+                for x in lift_field(X, kind, connection).at(p).as_tuple()
+            ]
+            residuals = prop21_check(X, Y, f, g, connection, p).residuals
+        except JetError as err:
+            # Only on the error path: name the point and the failing file.
+            err.origin = f" ({_first_failing_key(vectors + scalars, p.x)}at point={coords!r})"
+            raise
         if header is None:
             header = (
                 [f"x{i}" for i in (1, 2, 3)]
@@ -351,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.run(args)
     except ValueError as err:
-        print(f"error: {_where(err)}{err}", file=sys.stderr)
+        print(f"error: {_where(err)}{err}{getattr(err, 'origin', '')}", file=sys.stderr)
         return EXIT_DEGENERATE if isinstance(err, _DEGENERATE) else EXIT_INPUT
 
 

@@ -26,23 +26,28 @@ for error reporting but ignored by structural equality.
 Each AST is compiled once, on first evaluation, into nested closures that
 are cached on the node object itself.  Structurally equal nodes at
 different spans therefore keep separate code, and an error reports the
-span of the node that failed.  There are three evaluators:
+span of the node that failed.  There are four evaluators:
 
 - :func:`eval_float` evaluates in plain floats with its own arithmetic
-  and its own compiler, apart from the other two, because it is their
+  and its own compiler, apart from the others, because it is their
   oracle.
 - :func:`eval_jet` evaluates K-jets through the same :class:`Jet` kernel
   calls as a tree walk, so every bit is the same.  Each number builds its
-  constant jet once per order.
+  constant jet once per order.  When every binding is an order-1 jet it
+  runs the forward code with one tangent instead, which gives the same
+  bits and errors.
 - :func:`eval_forward` is order-1 forward mode with n tangents in one pass,
   for gradients and Jacobians.  Each tangent repeats the float steps and
   the per-operation finiteness test of the order-1 jet kernel bit for bit.
-  sin and cos are inlined; '^' and the other functions run through the jet
-  kernel one direction at a time.
+- :func:`eval_second` is the same at order 2 (univariate Taylor
+  propagation), for the second derivatives of the lift identities: each
+  direction repeats the order-2 jet kernel on ``(x, d_i, 0.0)``.
 
-The jet and forward evaluators are one compiler over two kernels: one
-dispatcher walks the tree and picks the code for each node, and each kernel
-supplies the closures of its own coefficient arithmetic.
+The last two inline sin and cos and run '^' and the other functions
+through the jet kernel one direction at a time.  The jet, forward and
+order-2 evaluators are one compiler over three kernels: one dispatcher walks
+the tree and picks the code for each node, and each kernel supplies the
+closures of its own coefficient arithmetic.
 """
 
 from __future__ import annotations
@@ -506,11 +511,11 @@ def eval_float(ast: ExprAst, bindings: Mapping[str, float]) -> float:
 
 
 class _Kernel(NamedTuple):
-    """Closure factories of one coefficient arithmetic, for the jet and the
-    forward evaluator.  Each returns code, a closure of (bindings, extra)
-    that returns the node's value.  The tree walk, the variable lookup and
-    the choice of code for each node are :meth:`compile_node`, shared by
-    both."""
+    """Closure factories of one coefficient arithmetic, for the jet, the
+    forward or the order-2 evaluator.  Each returns code, a closure of
+    (bindings, extra) that returns the node's value.  The tree walk, the
+    variable lookup and the choice of code for each node are
+    :meth:`compile_node`, shared by all three."""
 
     attr: str  # the node attribute that caches this arithmetic's code
     num: Callable  # (value)
@@ -587,9 +592,16 @@ def eval_jet(ast: ExprAst, bindings: Mapping[str, Jet]) -> Jet:
     """Evaluate an AST in jet arithmetic.
 
     Domain and division failures are re-raised with the source span of the
-    offending node attached.
+    offending node attached.  When every binding is an order-1 jet, the
+    forward code runs with one tangent, which takes the jet kernel's float
+    steps and gives its bits and errors.
     """
-    order = next(iter(bindings.values())).order if bindings else 0
+    jets = bindings.values()
+    if jets and all(len(j.coeffs) == 2 for j in jets):
+        pairs = {name: (j.coeffs[0], j.coeffs[1:]) for name, j in bindings.items()}
+        v, (d,) = _FORWARD.code(ast)(pairs, (0.0,))
+        return Jet._of((v, d))
+    order = next(iter(jets)).order if jets else 0
     return _JET.code(ast)(bindings, order)
 
 
@@ -608,10 +620,10 @@ def _finite(v: float, d: tuple, what: str, span: Span | None = None) -> None:
             raise err
 
 
-def _forward_neg(child):
+def _neg(child):
     def neg(b, zero):
-        v, d = child(b, zero)
-        return -v, tuple([-x for x in d])
+        v, *parts = child(b, zero)
+        return (-v, *[tuple([-x for x in p]) for p in parts])
 
     return neg
 
@@ -676,32 +688,33 @@ def _forward_sin_cos(arg):
 
 
 def _per_direction(func):
-    """Forward code for a jet kernel that is not inlined: func on each
-    order-1 jet (v, d_i)."""
+    """Forward or order-2 code for a jet kernel that is not inlined: func on
+    the jet (v, d_i) or (v, d_i, e_i) of each direction i."""
 
     def run(arg):
-        v, d = arg
-        outs = [func(Jet._of((v, x))).coeffs for x in d]
-        return outs[0][0], tuple([out[1] for out in outs])
+        v, *rest = arg
+        outs = [func(Jet._of((v, *cs))).coeffs for cs in zip(*rest)]
+        return (outs[0][0], *list(zip(*outs))[1:])
 
     return run
 
 
-_FORWARD_FUNCS = {
-    "sin": lambda arg: _forward_sin_cos(arg)[0],
-    "cos": lambda arg: _forward_sin_cos(arg)[1],
-}
+def _directional_kernel(attr: str, num, scale, binary, sin_cos) -> _Kernel:
+    """A kernel over n directions with sin and cos inlined by ``sin_cos``,
+    and '^' and the other functions through the jet kernel per direction."""
+    funcs = {"sin": lambda arg: sin_cos(arg)[0], "cos": lambda arg: sin_cos(arg)[1]}
+    return _Kernel(
+        attr, num, _neg, scale,
+        lambda base, r, span: _spanned(_per_direction(lambda u: jet_pow(u, r)), span, base),
+        binary,
+        lambda name, arg, span: _spanned(
+            funcs.get(name) or _per_direction(JET_FUNCTIONS[name]), span, arg),
+    )
 
-_FORWARD = _Kernel(
-    attr="_forward",
-    num=lambda value: lambda b, zero: (value, zero),
-    neg=_forward_neg,
-    scale=_forward_scale,
-    power=lambda base, r, span: _spanned(_per_direction(lambda u: jet_pow(u, r)), span, base),
-    binary=_forward_binary,
-    call=lambda name, arg, span: _spanned(
-        _FORWARD_FUNCS.get(name) or _per_direction(JET_FUNCTIONS[name]), span, arg
-    ),
+
+_FORWARD = _directional_kernel(
+    "_forward", lambda value: lambda b, zero: (value, zero),
+    _forward_scale, _forward_binary, _forward_sin_cos,
 )
 
 
@@ -715,22 +728,128 @@ def eval_forward(asts, bindings: Mapping[str, tuple]) -> list:
     :func:`eval_jet` meets when it takes direction 1 through every AST,
     then direction 2, and so on.
     """
+    return _directions([_FORWARD.code(ast) for ast in asts], bindings)
+
+
+def _directions(codes, bindings: Mapping[str, tuple]) -> list:
+    """Every code on bindings ``(value, (d_1, ..., d_n), ...)`` of n
+    directions.  The error raised is the first one met taking direction 1
+    through every code, then direction 2, and so on."""
     n = len(next(iter(bindings.values()))[1])
-    codes = [_FORWARD.code(ast) for ast in asts]
-    zero = (0.0,) * n
     try:
-        return [code(bindings, zero) for code in codes]
+        return [code(bindings, (0.0,) * n) for code in codes]
     except NonFiniteJet:
         if n == 1:
             raise
-        # Only a tangent's own finiteness test tells the directions apart:
+        # Only a direction's own finiteness test tells the directions apart:
         # rerun them one at a time, so that the error raised is the first
         # one the direction-by-direction order meets.
         for i in range(n):
-            single = {name: (v, (d[i],)) for name, (v, d) in bindings.items()}
+            single = {name: (v, *[c[i:i + 1] for c in rest])
+                      for name, (v, *rest) in bindings.items()}
             for code in codes:
                 code(single, (0.0,))
         raise
+
+
+# Order-2 arithmetic: code of (bindings, zeros), returning (v, (d_1, ..., d_n),
+# (e_1, ..., e_n)).  Direction i takes the float steps of the order-2 jet kernel
+# on (v, d_i, e_i) and meets its finiteness test, on the same total, after each.
+
+
+def _finite_totals(totals, what: str, span: Span | None = None) -> None:
+    for tot in totals:
+        if not math.isfinite(tot):
+            err = NonFiniteJet(f"{what} produced non-finite coefficients")
+            err.span = span
+            raise err
+
+
+def _second_scale(operand, c: float, span: Span):
+    """Code for ``operand * c``, the jet kernel's O(K) product with a number."""
+
+    def scaled(b, zero):
+        v, d, e = operand(b, zero)
+        v = v * c + 0.0
+        d = tuple([x * c + 0.0 for x in d])
+        e = tuple([y * c + 0.0 for y in e])
+        _finite_totals([sum((v, x, y)) for x, y in zip(d, e)], "multiplication", span)
+        return v, d, e
+
+    return scaled
+
+
+def _second_divide(num, den):
+    (a0, da, ea), (b0, db, eb) = num, den
+    if abs(b0) < DIV_FLOOR:
+        raise DivisionByZeroJet(f"denominator constant term {b0!r}")
+    v = a0 / b0
+    d = tuple([(x - v * y) / b0 for x, y in zip(da, db)])
+    e = tuple([((x - v * y) - q * p) / b0 for x, y, q, p in zip(ea, eb, d, db)])
+    _finite_totals([((0.0 + v) + x) + y for x, y in zip(d, e)], "division")
+    return v, d, e
+
+
+def _second_binary(op: str, left, right, span: Span):
+    if op == "/":
+        return _spanned(_second_divide, span, left, right)
+    if op == "*":
+
+        def mul(b, zero):
+            (a0, da, ea), (b0, db, eb) = left(b, zero), right(b, zero)
+            v = 0.0 + a0 * b0
+            d = tuple([(0.0 + a0 * y) + x * b0 for x, y in zip(da, db)])
+            e = tuple([((0.0 + a0 * q) + x * y) + p * b0
+                       for x, y, p, q in zip(da, db, ea, eb)])
+            _finite_totals([((0.0 + v) + x) + y for x, y in zip(d, e)], "multiplication", span)
+            return v, d, e
+
+        return mul
+    arith = _ARITH[op]
+    what = "addition" if op == "+" else "subtraction"
+
+    def add_sub(b, zero):
+        (a0, da, ea), (b0, db, eb) = left(b, zero), right(b, zero)
+        v = arith(a0, b0)
+        d = tuple(map(arith, da, db))
+        e = tuple(map(arith, ea, eb))
+        _finite_totals([sum((v, x, y)) for x, y in zip(d, e)], what, span)
+        return v, d, e
+
+    return add_sub
+
+
+def _second_sin_cos(arg):
+    """``_pair_recurrence`` for sin and cos at order 2, per direction."""
+    u, du, eu = arg
+    s0, c0 = math.sin(u), math.cos(u)
+    s1 = [0.0 + x * c0 for x in du]
+    c1 = [-(0.0 + x * s0) for x in du]
+    s2 = [((0.0 + x * q) + (2 * y) * c0) / 2 for x, y, q in zip(du, eu, c1)]
+    c2 = [-((0.0 + x * q) + (2 * y) * s0) / 2 for x, y, q in zip(du, eu, s1)]
+    _finite_totals([sum((s0, x, y)) for x, y in zip(s1, s2)], "operation")
+    _finite_totals([sum((c0, x, y)) for x, y in zip(c1, c2)], "operation")
+    return (s0, tuple(s1), tuple(s2)), (c0, tuple(c1), tuple(c2))
+
+
+_SECOND = _directional_kernel(
+    "_second", lambda value: lambda b, zero: (value, zero, zero),
+    _second_scale, _second_binary, _second_sin_cos,
+)
+
+
+def eval_second(asts, bindings: Mapping[str, tuple]) -> list:
+    """Values with first and second coefficients along n directions, in one pass.
+
+    ``bindings`` maps each variable to ``(value, (d_1, ..., d_n))``, the
+    same n for all.  Each AST gives ``(value, (D_1, ..., D_n), (E_1, ...,
+    E_n))`` with ``D_i`` and ``E_i`` bit for bit coefficients 1 and 2 of
+    :func:`eval_jet` on the jets ``(value, d_i, 0.0)``.  Errors are raised
+    as in :func:`eval_forward`.
+    """
+    zero = (0.0,) * len(next(iter(bindings.values()))[1])
+    jets = {name: (v, d, zero) for name, (v, d) in bindings.items()}
+    return _directions([_SECOND.code(ast) for ast in asts], jets)
 
 
 # --- pretty printing -----------------------------------------------------------

@@ -188,7 +188,11 @@ class LiftedCurve:
     def _lift_pairs(self, fj: FrameJets, P: VecJ):
         """The lifted T, N and B as six (value, slope) float pairs each, from
         coefficients 0..2 of frame jets of any order >= 2, with the bits of
-        the order-1 jet operations (``Connection.contract`` runs on jets)."""
+        the order-1 jet operations (``Connection.contract`` runs on jets).
+
+        A flat connection contracts to ``-(0.0 * w * V)``, which for finite
+        jets is always (-0.0, -0.0): the scaled and convolved coefficients
+        sum from +0.0 before the negation."""
         frame = [[e.coeffs[:2] for e in V.entries] for V in (fj.T, fj.N, fj.B)]
         kind = self.kind.kind
         if kind == "vertical":
@@ -198,6 +202,8 @@ class LiftedCurve:
                 V + [(e.coeffs[1], 2 * e.coeffs[2]) for e in W.entries]
                 for V, W in zip(frame, (fj.T, fj.N, fj.B))
             ]
+        if self.connection.is_flat:
+            return [V + [(-0.0, -0.0)] * 3 for V in frame]
         # horizontal: use the fiber jets carried by the lifted point.
         w = [Jet._of(e.coeffs[:2]) for e in P.entries[3:6]]
         return [

@@ -11,9 +11,10 @@ lifts evaluate at p = (x, y) as
 
 Scalar functions lift as f^v(p) = f(x) and f^c(p) = y . grad f(x).  Applying
 a lifted field to a lifted function is a directional derivative on the
-6-dimensional space; the second-order terms that appear for f^c are obtained
-from univariate jets via the polarization identity, so no nested or
-multivariate jets are needed.
+6-dimensional space.  The second-order terms that appear for f^c come from
+the polarization identity over the directions a+b, a and b, whose second
+directional derivatives one order-2 pass of :func:`expr.eval_second` gives
+together, so no nested or multivariate jets are needed.
 
 Curves lift pointwise: vertical to (anchor, beta(t)), complete to
 (beta(t), beta'(t)), and horizontal to (beta(t), w(t)) with w parallel
@@ -37,6 +38,7 @@ from .expr import (
     eval_float,
     eval_forward,
     eval_jet,
+    eval_second,
     parse_expr,
 )
 from .frenet import DomainIntervalError
@@ -106,6 +108,11 @@ class Connection:
                     if not math.isfinite(v):
                         raise ValueError("connection symbols must be finite")
         object.__setattr__(self, "gamma", g)
+        # Per output a, the nonzero symbols as (b, g, coefficient), in the
+        # order the contraction sums them.
+        object.__setattr__(self, "_terms", tuple(
+            tuple((b, c, v) for b, row in enumerate(p) for c, v in enumerate(row) if v != 0.0)
+            for p in g))
 
     @classmethod
     def flat(cls) -> "Connection":
@@ -124,7 +131,7 @@ class Connection:
 
     @property
     def is_flat(self) -> bool:
-        return all(v == 0.0 for p in self.gamma for r in p for v in r)
+        return not any(self._terms)
 
     def contract(self, direction: Sequence, transported: Sequence):
         """sum_{b,g} G[a][b][g] * direction[b] * transported[g], per output a.
@@ -132,15 +139,11 @@ class Connection:
         Works elementwise over floats or jets (anything with * and +).
         """
         out = []
-        for a in range(3):
+        for terms in self._terms:
             acc = None
-            for b in range(3):
-                for g in range(3):
-                    coeff = self.gamma[a][b][g]
-                    if coeff == 0.0:
-                        continue
-                    term = direction[b] * transported[g] * coeff
-                    acc = term if acc is None else acc + term
+            for b, g, coeff in terms:
+                term = direction[b] * transported[g] * coeff
+                acc = term if acc is None else acc + term
             if acc is None:
                 acc = 0.0 * direction[0] * transported[0]
             out.append(acc)
@@ -183,7 +186,7 @@ class LiftKind:
             raise ValueError("horizontal lift needs an initial fiber vector w0")
 
 
-# --- scalar helpers (first partials by forward mode, seconds by jets) -------
+# --- scalar helpers (first partials by forward mode, seconds by order 2) ----
 
 
 _FIELD_NAMES = ("x1", "x2", "x3")
@@ -195,44 +198,37 @@ def _eval_field_components(spec: FieldSpec, x: Sequence[float]) -> tuple[float, 
     return tuple(eval_float(c, b) for c in spec.components)
 
 
-def _forward(asts, x: Sequence[float], tangents) -> list:
-    """Values and derivatives of the ASTs at x along the given tangents,
-    one tangent per entry of ``tangents`` (each a 3-vector)."""
-    bindings = {
+def _bindings(x: Sequence[float], tangents) -> dict:
+    """Bindings of x1..x3 at x along the given tangents, one tangent per
+    entry of ``tangents`` (each a 3-vector)."""
+    return {
         name: (float(x[i]), tuple(float(d[i]) for d in tangents))
         for i, name in enumerate(_FIELD_NAMES)
     }
-    return eval_forward(asts, bindings)
 
 
 def _dir_deriv(ast: ExprAst, x: Sequence[float], d: Sequence[float]) -> float:
     """First derivative of s -> f(x + s d) at 0."""
-    return _forward((ast,), x, (d,))[0][1][0]
-
-
-def _dir_second(ast: ExprAst, x: Sequence[float], d: Sequence[float]) -> float:
-    """Second derivative of s -> f(x + s d) at 0."""
-    bindings = {
-        name: Jet((float(x[i]), float(d[i]), 0.0)) for i, name in enumerate(_FIELD_NAMES)
-    }
-    return 2.0 * eval_jet(ast, bindings).coeffs[2]
+    return eval_forward((ast,), _bindings(x, (d,)))[0][1][0]
 
 
 def _mixed_second(
     ast: ExprAst, x: Sequence[float], a: Sequence[float], b: Sequence[float]
 ) -> float:
-    """sum_{i,j} a_i b_j d2f/dx_i dx_j via polarization of directional seconds."""
+    """sum_{i,j} a_i b_j d2f/dx_i dx_j by polarization of the second
+    directional derivatives along a+b, a and b, taken in one order-2 pass."""
     ab = tuple(u + v for u, v in zip(a, b))
-    return 0.5 * (_dir_second(ast, x, ab) - _dir_second(ast, x, a) - _dir_second(ast, x, b))
+    _, _, (s_ab, s_a, s_b) = eval_second((ast,), _bindings(x, (ab, a, b)))[0]
+    return 0.5 * (2.0 * s_ab - 2.0 * s_a - 2.0 * s_b)
 
 
 def _grad(ast: ExprAst, x: Sequence[float]) -> tuple[float, float, float]:
-    return _forward((ast,), x, _BASIS)[0][1]
+    return eval_forward((ast,), _bindings(x, _BASIS))[0][1]
 
 
 def _jacobian(spec: FieldSpec, x: Sequence[float]) -> list[tuple[float, float, float]]:
     """J[a][b] = dX^a/dx^b."""
-    return [derivs for _, derivs in _forward(spec.components, x, _BASIS)]
+    return [derivs for _, derivs in eval_forward(spec.components, _bindings(x, _BASIS))]
 
 
 # --- function and field lifts -------------------------------------------------
@@ -335,18 +331,12 @@ def apply_field(F: LiftedField, g, p: TangentPoint) -> float:
     return eval_forward((g,), bindings)[0][1][0]
 
 
-def _apply_scalar_field(X: FieldSpec, f: FieldSpec, x: Sequence[float]) -> float:
-    """(Xf)(x) = X(x) . grad f(x)."""
-    return _dir_deriv(f.components[0], x, _eval_field_components(X, x))
-
-
 def _apply_scalar_field_complete(
-    X: FieldSpec, f: FieldSpec, p: TangentPoint
+    Xc: Sequence[float], f: FieldSpec, p: TangentPoint
 ) -> float:
-    """(Xf)^c at p = (D_y X)(x) . grad f(x) + sum y^b X^g d2f/dx^b dx^g."""
-    xval = _eval_field_components(X, p.x)
-    jac = _jacobian(X, p.x)
-    dyX = tuple(_fdot(p.y, row) for row in jac)
+    """(Xf)^c at p = (D_y X)(x) . grad f(x) + sum y^b X^g d2f/dx^b dx^g,
+    from the complete lift ``Xc`` = (X(x), D_y X(x)) of X at p."""
+    xval, dyX = Xc[:3], Xc[3:]
     grad_f = _grad(f.components[0], p.x)
     first = _fdot(dyX, grad_f)
     return first + _mixed_second(f.components[0], p.x, p.y, xval)
@@ -441,8 +431,8 @@ def prop21_check(
     FXc = lift_field(X, "complete", G)
     FXh = lift_field(X, "horizontal", G)
     for scalar, tag in ((f, "f"), (g, "g")):
-        xf_v = _apply_scalar_field(X, scalar, p.x)
-        xf_c = _apply_scalar_field_complete(X, scalar, p)
+        xf_v = _dir_deriv(scalar.components[0], p.x, Xv[3:])
+        xf_c = _apply_scalar_field_complete(Xc, scalar, p)
         res[f"Xv_{tag}v"] = abs(apply_field(FXv, ("v", scalar), p))
         res[f"Xc_{tag}v"] = abs(apply_field(FXc, ("v", scalar), p) - xf_v)
         res[f"Xv_{tag}c"] = abs(apply_field(FXv, ("c", scalar), p) - xf_v)

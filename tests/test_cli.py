@@ -585,3 +585,66 @@ class TestDeterminism:
 
     def test_unknown_subcommand_exits_2(self):
         assert main(["frobnicate"]) == EXIT_INPUT
+
+
+class TestFieldsErrorOrigin:
+    """A fields evaluation error names the tangent point and the first file
+    and key that fail in plain floats there, whichever order the files come in."""
+
+    @pytest.mark.parametrize("bad_first", [True, False], ids=["bad-first", "bad-second"])
+    def test_vector_file_and_key(self, tmp_path, capsys, bad_first):
+        bad, good = tmp_path / "bad.field", tmp_path / "X.field"
+        bad.write_text("X1 = x2\nX2 = 1/(x1-x1)\nX3 = x3\n")
+        good.write_text(X_FIELD)
+        (tmp_path / "f.field").write_text(F_SCALAR)
+        files = [bad, good] if bad_first else [good, bad]
+        argv = ["fields", "--field", str(files[0]), "--field", str(files[1]),
+                "--scalar", str(tmp_path / "f.field"), "--point=1,2,3,0.5,0,-1"]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == (f"error: chars 0-9: denominator 0.0 "
+                       f"({bad} X2 at point=(1.0, 2.0, 3.0, 0.5, 0.0, -1.0))\n")
+
+    @pytest.mark.parametrize("bad_first", [True, False], ids=["bad-first", "bad-second"])
+    def test_scalar_file_and_key(self, tmp_path, capsys, bad_first):
+        bad, good = tmp_path / "log.field", tmp_path / "f.field"
+        bad.write_text("f = log(x1)\n")
+        good.write_text(F_SCALAR)
+        (tmp_path / "X.field").write_text(X_FIELD)
+        files = [bad, good] if bad_first else [good, bad]
+        argv = ["fields", "--field", str(tmp_path / "X.field"), "--scalar", str(files[0]),
+                "--scalar", str(files[1]), "--point=-1,1,1,1,1,1"]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == (f"error: chars 0-7: log undefined at -1.0 "
+                       f"({bad} f at point=(-1.0, 1.0, 1.0, 1.0, 1.0, 1.0))\n")
+
+    def test_overflowing_value_names_key(self, tmp_path, capsys):
+        (tmp_path / "X.field").write_text("X1 = x1\nX2 = x2\nX3 = x3*1e308*10\n")
+        (tmp_path / "f.field").write_text(F_SCALAR)
+        argv = ["fields", "--field", str(tmp_path / "X.field"),
+                "--scalar", str(tmp_path / "f.field"), "--point=1,1,1,1,1,1"]
+        assert main(argv) == EXIT_INPUT
+        assert f"({tmp_path / 'X.field'} X3 at point=" in capsys.readouterr().err
+
+    def test_derivative_only_failure_names_point(self, tmp_path, capsys):
+        # sqrt(0.0) is a float but no jet: no file fails in plain floats.
+        (tmp_path / "X.field").write_text("X1 = sqrt(x1)\nX2 = x2\nX3 = x3\n")
+        (tmp_path / "f.field").write_text(F_SCALAR)
+        argv = ["fields", "--field", str(tmp_path / "X.field"),
+                "--scalar", str(tmp_path / "f.field"), "--point=0,1,1,1,1,1"]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: chars 0-8: sqrt undefined at 0.0 (at point=(0.0, 1.0, 1.0, 1.0, 1.0, 1.0))\n")
+
+    def test_success_evaluates_no_file_again(self, tmp_path, monkeypatch):
+        (tmp_path / "X.field").write_text(X_FIELD)
+        (tmp_path / "f.field").write_text(F_SCALAR)
+
+        def no_search(*args):
+            raise AssertionError("error path taken")
+
+        monkeypatch.setattr(cli, "_first_failing_key", no_search)
+        argv = ["fields", "--field", str(tmp_path / "X.field"), "--scalar",
+                str(tmp_path / "f.field"), "--point=1,2,3,0,0,0", "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == EXIT_OK

@@ -19,15 +19,24 @@ from frenetlift.expr import (
     UnknownFunction,
     UnknownVariable,
     Var,
+    _JET,
     eval_float,
     eval_forward,
     eval_jet,
+    eval_second,
     parse_curve_file,
     parse_expr,
     parse_field_file,
     pretty_print,
 )
-from frenetlift.jets import DivisionByZeroJet, DomainError, Jet, NonFiniteJet
+from frenetlift.jets import (
+    JET_FUNCTIONS,
+    DimensionMismatch,
+    DivisionByZeroJet,
+    DomainError,
+    Jet,
+    NonFiniteJet,
+)
 from frenetlift.verify import random_ast
 
 HELIX_FILE = """\
@@ -410,3 +419,122 @@ class TestFieldFile:
     def test_wrong_variables_rejected(self):
         with pytest.raises(FormatError):
             parse_field_file("f = t\n")
+
+
+# --- order-2 pass and order-1 eval_jet against the Jet kernel ------------------
+
+def _kernel_jet(ast, bindings, order):
+    """The Jet kernel route: the compiled K-jet code, which eval_jet takes
+    at every order but 1."""
+    return _JET.code(ast)(bindings, order)
+
+
+def _second_jet_route(asts, point, tangents):
+    """Order-2 Jet kernel direction by direction on (x, d_i, 0.0), each
+    direction through every AST."""
+    coeffs = [[] for _ in asts]
+    for d in tangents:
+        bindings = {name: Jet((point[i], d[i], 0.0)) for i, name in enumerate(NAMES)}
+        for k, ast in enumerate(asts):
+            coeffs[k].append(_kernel_jet(ast, bindings, 2).coeffs)
+    return [(cs[0][0], tuple(c[1] for c in cs), tuple(c[2] for c in cs)) for cs in coeffs]
+
+
+def _second_route(asts, point, tangents):
+    bindings = {name: (point[i], tuple(d[i] for d in tangents)) for i, name in enumerate(NAMES)}
+    return eval_second(asts, bindings)
+
+
+def _hex_outcome(route, *args):
+    """Every coefficient by float.hex, or the error's class, message and span."""
+    try:
+        results = route(*args)
+    except Exception as err:
+        return type(err), str(err), getattr(err, "span", None)
+    return [(v.hex(), [x.hex() for x in d], [y.hex() for y in e]) for v, d, e in results]
+
+
+def _nodes(ast):
+    yield ast
+    for child in (getattr(ast, "child", None), getattr(ast, "left", None),
+                  getattr(ast, "right", None), getattr(ast, "arg", None)):
+        if child is not None:
+            yield from _nodes(child)
+
+
+class TestSecond:
+    def test_matches_order2_jet_kernel(self):
+        rng = random.Random(20261104)
+        raised = 0
+        seen = set()
+        for _ in range(1500):
+            ast = random_ast(rng, 6, NAMES)
+            for node in _nodes(ast):
+                if isinstance(node, Call):
+                    seen.add(node.func)
+                elif isinstance(node, BinOp) and node.op == "^":
+                    seen.add(("^", node.right.value.is_integer()))
+                elif isinstance(node, BinOp):
+                    seen.add(node.op)
+            point = [rng.uniform(-2.0, 2.0) for _ in range(3)]
+            three = [[rng.uniform(-2.0, 2.0) for _ in range(3)] for _ in range(3)]
+            for tangents in (BASIS, three, three[:1]):
+                want = _hex_outcome(_second_jet_route, [ast], point, tangents)
+                assert _hex_outcome(_second_route, [ast], point, tangents) == want
+                raised += isinstance(want, tuple)
+        assert set(JET_FUNCTIONS) | {"/", ("^", True), ("^", False)} <= seen
+        assert 0 < raised < 4500
+
+    @pytest.mark.parametrize("texts, point, tangents, raised", [
+        # Direction 2 overflows at the first product; direction 1 meets the
+        # log later.
+        (["(x2*1e200)*1e200 + log(x1)"], (-1.0, 1e-300, 1.0), BASIS, DomainError),
+        (["(x2*1e200)*1e200", "log(x1)"], (-1.0, 1e-300, 1.0), BASIS, DomainError),
+        # Only the second coefficient along direction 2 overflows.
+        (["x1 + x2*x2"], (1.0, 1.0, 1.0), ((1.0, 0.0, 0.0), (0.0, 1e160, 0.0)), NonFiniteJet),
+        (["sin(x2)"], (1.0, 1.0, 1.0), ((1.0, 0.0, 0.0), (0.0, 1e160, 0.0)), NonFiniteJet),
+        (["x1/x2"], (1.0, 1e-150, 1.0), BASIS, NonFiniteJet),
+        (["exp(x2) - x3^0.5"], (1.0, 1.0, 4.0), ((0.0, 1e160, 0.0), BASIS[2]), NonFiniteJet),
+        # Near the largest float in value and slope, none overflows.
+        (["x1 + x2", "x1*x2 - x3"], (0.0, 1.0, 0.5), ((1e307, 0.0, 0.0),) * 3, None),
+    ], ids=["one-expression", "two-expressions", "square", "sin", "quotient", "per-direction",
+            "large-tangents"])
+    def test_edge_cases(self, texts, point, tangents, raised):
+        asts = [parse_expr(text, NAMES) for text in texts]
+        want = _hex_outcome(_second_jet_route, asts, point, tangents)
+        assert (want[0] if isinstance(want, tuple) else None) is raised
+        assert _hex_outcome(_second_route, asts, point, tangents) == want
+
+
+class TestOrder1Jet:
+    """Order-1 eval_jet runs the forward code with one tangent; the Jet
+    kernel route stays the reference."""
+
+    def test_matches_jet_kernel(self):
+        rng = random.Random(20261105)
+        raised = 0
+        for _ in range(3000):
+            ast = random_ast(rng, 6, NAMES)
+            bindings = {name: Jet((rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)))
+                        for name in NAMES}
+            outcomes = []
+            for route in (eval_jet, lambda a, b: _kernel_jet(a, b, 1)):
+                try:
+                    outcomes.append([x.hex() for x in route(ast, bindings).coeffs])
+                except Exception as err:
+                    outcomes.append((type(err), str(err), getattr(err, "span", None)))
+            assert outcomes[0] == outcomes[1]
+            raised += isinstance(outcomes[1], tuple)
+        assert 0 < raised < 3000
+
+    def test_mixed_orders_reach_jet_kernel(self):
+        ast = parse_expr("x1*x2", NAMES)
+        with pytest.raises(DimensionMismatch):
+            eval_jet(ast, {"x1": Jet((1.0, 1.0)), "x2": Jet((1.0, 1.0, 0.0)), "x3": Jet((1.0, 0.0))})
+
+    def test_order1_curve_velocity_bits(self):
+        ast = parse_expr("3*cos(t/5) + t^2.5 - tan(t)", {"t"})
+        for t in (0.3, 0.7, 1.3, 31.4):
+            tj = Jet.variable(t, 1)
+            got = eval_jet(ast, {"t": tj}).coeffs
+            assert [x.hex() for x in got] == [x.hex() for x in _kernel_jet(ast, {"t": tj}, 1).coeffs]

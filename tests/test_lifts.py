@@ -6,8 +6,16 @@ import random
 import pytest
 
 from frenetlift import lifts
-from frenetlift.expr import CurveSpec, FieldSpec, FormatError, scalar_field, vector_field
-from frenetlift.jets import DomainError
+from frenetlift.expr import (
+    CurveSpec,
+    FieldSpec,
+    FormatError,
+    eval_jet,
+    scalar_field,
+    vector_field,
+)
+from frenetlift.jets import DomainError, Jet, NonFiniteJet
+from frenetlift.lifted_frenet import LiftedCurve
 from frenetlift.lifts import (
     Connection,
     LiftKind,
@@ -23,9 +31,10 @@ from frenetlift.lifts import (
     prop21_check,
     transport_grid,
 )
-from frenetlift.frenet import DomainIntervalError, curve_point_jets
+from frenetlift.frenet import DomainIntervalError, curve_point_jets, frame_jets
 from frenetlift.verify import (
     builtin_curves,
+    random_ast,
     random_connection,
     random_quadruple,
     random_tangent_point,
@@ -289,3 +298,127 @@ class TestConnectionFile:
 
     def test_empty_is_flat(self):
         assert parse_connection_file("# nothing\n").is_flat
+
+
+# --- one order-2 pass and precomputed contraction terms -----------------------
+
+_VARS = ("x1", "x2", "x3")
+
+
+def _polarized(ast, x, a, b):
+    """Three order-2 eval_jet calls polarized, the reference for the one
+    eval_second pass of lifts._mixed_second."""
+
+    def second(d):
+        bindings = {name: Jet((float(x[i]), float(d[i]), 0.0)) for i, name in enumerate(_VARS)}
+        return 2.0 * eval_jet(ast, bindings).coeffs[2]
+
+    ab = tuple(u + v for u, v in zip(a, b))
+    return 0.5 * (second(ab) - second(a) - second(b))
+
+
+def _hex_or_error(func, *args):
+    try:
+        return func(*args).hex()
+    except Exception as err:
+        return type(err), str(err), getattr(err, "span", None)
+
+
+def _loop_contract(G, direction, transported):
+    """Connection.contract as a loop over all 27 symbols, the reference for
+    its precomputed terms."""
+    out = []
+    for a in range(3):
+        acc = None
+        for b in range(3):
+            for g in range(3):
+                coeff = G.gamma[a][b][g]
+                if coeff == 0.0:
+                    continue
+                term = direction[b] * transported[g] * coeff
+                acc = term if acc is None else acc + term
+        if acc is None:
+            acc = 0.0 * direction[0] * transported[0]
+        out.append(acc)
+    return out
+
+
+def _coeff_bits(values):
+    return [[x.hex() for x in (v.coeffs if isinstance(v, Jet) else (v,))] for v in values]
+
+
+class TestSecondOrderPass:
+    def test_mixed_second_matches_three_jet_calls(self):
+        rng = random.Random(20261106)
+        raised = 0
+        for _ in range(600):
+            ast = random_ast(rng, 5, _VARS)
+            x = [rng.uniform(-2.0, 2.0) for _ in range(3)]
+            a = [rng.uniform(-3.0, 3.0) for _ in range(3)]
+            b = [rng.uniform(-3.0, 3.0) for _ in range(3)]
+            want = _hex_or_error(_polarized, ast, x, a, b)
+            assert _hex_or_error(lifts._mixed_second, ast, x, a, b) == want
+            raised += isinstance(want, tuple)
+        assert 0 < raised < 600
+
+    def test_mixed_second_on_suite_fields(self):
+        rng = random.Random(20261107)
+        for _ in range(40):
+            X, _, f, g = random_quadruple(rng)
+            p = random_tangent_point(rng)
+            xval = lift_field(X, "v").at(p).fiber
+            for scalar in (f, g):
+                ast = scalar.components[0]
+                want = _polarized(ast, p.x, p.y, xval).hex()
+                assert lifts._mixed_second(ast, p.x, p.y, xval).hex() == want
+
+    def test_order2_error_of_earliest_direction(self):
+        # a+b overflows in its second coefficient only; a and b do not.
+        ast = scalar_field("x1*x1*1e300").components[0]
+        x, a, b = (1.0, 0.0, 0.0), (1e5, 0.0, 0.0), (1e5, 0.0, 0.0)
+        want = _hex_or_error(_polarized, ast, x, a, b)
+        assert want[0] is NonFiniteJet
+        assert _hex_or_error(lifts._mixed_second, ast, x, a, b) == want
+
+
+class TestConnectionTerms:
+    def test_contract_matches_loop(self):
+        rng = random.Random(20261108)
+        for _ in range(60):
+            entries = {(a, b, c): rng.choice((0.0, -0.0, round(rng.uniform(-1, 1), 3)))
+                       for a in (1, 2, 3) for b in (1, 2, 3) for c in (1, 2, 3)}
+            G = Connection.from_entries(entries)
+            assert G.is_flat == all(v == 0.0 for v in entries.values())
+            floats = [[rng.uniform(-5, 5) for _ in range(3)] for _ in range(2)]
+            for order in (1, 2):
+                jets = [[Jet([rng.uniform(-5, 5) for _ in range(order + 1)]) for _ in range(3)]
+                        for _ in range(2)]
+                for direction, transported in (floats, jets):
+                    want = _coeff_bits(_loop_contract(G, direction, transported))
+                    assert _coeff_bits(G.contract(direction, transported)) == want
+
+    def test_equality_and_hash_unchanged(self):
+        G = Connection.from_entries({(1, 2, 3): 0.3, (3, 3, 2): 0.15})
+        same = Connection(G.gamma)
+        assert G == same and hash(G) == hash(same)
+        assert Connection.flat() == Connection.from_entries({})
+        assert hash(Connection.flat()) == hash(Connection.from_entries({}))
+        assert G != Connection.flat()
+        assert repr(G) == f"Connection(gamma={G.gamma!r})"
+
+
+class TestFlatHorizontalFiber:
+    def test_constant_negative_zero_pairs(self):
+        curve = CurveSpec.from_strings("3*cos(t)", "-3*sin(t)", "-4*t", 0.0, 2.0)
+        lc = LiftedCurve(curve, LiftKind.horizontal((-1.0, 0.0, 2.5)), Connection.flat())
+        for t in (0.0, 0.4, 1.7):
+            pj = curve_point_jets(curve, t)
+            fj = frame_jets(pj, lc.cfg, t)
+            P = lifted_point_jets(pj, lc.kind, lc.connection, None, (-1.0, 0.0, 2.5))
+            w = [Jet._of(e.coeffs[:2]) for e in P.entries[3:6]]
+            for V in lc._lift_pairs(fj, P):
+                frame = [Jet._of(p) for p in V[:3]]
+                want = [(-u).coeffs for u in _loop_contract(lc.connection, w, frame)]
+                assert [tuple(x.hex() for x in p) for p in V[3:]] == \
+                    [tuple(x.hex() for x in p) for p in want]
+                assert all(math.copysign(1.0, x) == -1.0 for p in V[3:] for x in p)
