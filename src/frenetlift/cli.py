@@ -82,6 +82,8 @@ def _floats(n: int):
             values = ()
         if len(values) != n:
             raise argparse.ArgumentTypeError(f"needs {n} comma-separated numbers, got {text!r}")
+        if not all(math.isfinite(v) for v in values):
+            raise argparse.ArgumentTypeError(f"needs finite numbers, got {text!r}")
         return values
 
     return parse

@@ -131,17 +131,17 @@ class FrenetData:
 
 @dataclass(frozen=True)
 class FrameJets:
-    """Jet-valued Frenet frame along a curve, for downstream differentiation.
+    """Frenet frame along a curve as order-2 Taylor coefficients (c0, c1, c2).
 
-    T, N, B and the speed are jets of order 2: callers read the value and
-    the first derivative, and the complete lift one derivative more.
-    :func:`frame_jets` computes them on float triples and wraps each once.
+    T, N and B hold one float triple per component, the speed one triple.
+    Callers read the value and the first derivative, and the complete lift
+    one derivative more.
     """
 
-    T: VecJ
-    N: VecJ
-    B: VecJ
-    speed: Jet
+    T: tuple[tuple[float, float, float], ...]
+    N: tuple[tuple[float, float, float], ...]
+    B: tuple[tuple[float, float, float], ...]
+    speed: tuple[float, float, float]
     kappa: float
     tau: float
 
@@ -181,10 +181,10 @@ def curve_point_jets(curve: CurveSpec, t: float, order: int = DEFAULT_ORDER) -> 
     return VecJ(_per_component(curve, t, lambda comp: eval_jet(comp, {"t": tj})))
 
 
-def frame_jets(pjets: VecJ, cfg: ToleranceConfig, t: float = math.nan) -> FrameJets:
-    """Jet-valued frame from point jets of order >= 4.
+def frame_jets(pjets: VecJ, cfg: ToleranceConfig, t: float) -> FrameJets:
+    """Frame from point jets of order >= 4, as order-2 float triples.
 
-    T, N, B and the speed come out at order 2, the highest coefficient any
+    T, N, B and the speed come out as coefficients 0..2, the highest any
     caller reads (the complete lift differentiates a frame vector once more
     to order 1).  They are built from the first and second derivatives cut
     to order 2, tau from the value of the third.  All of it runs on float
@@ -219,8 +219,7 @@ def frame_jets(pjets: VecJ, cfg: ToleranceConfig, t: float = math.nan) -> FrameJ
     B = _tunit(c)[1]
     N = _cross(B, T, _tmul, _tsub)
     tau = _fdot(cval, [x[1] for x in v2]) / (cn_val * cn_val)
-    T, N, B = (VecJ([Jet._of(x) for x in V]) for V in (T, N, B))
-    return FrameJets(T=T, N=N, B=B, speed=Jet._of(speed), kappa=kappa, tau=tau)
+    return FrameJets(T=T, N=N, B=B, speed=speed, kappa=kappa, tau=tau)
 
 
 def frenet_apparatus(
@@ -235,13 +234,13 @@ def frenet_apparatus(
     cfg = cfg or ToleranceConfig()
     pjets = curve_point_jets(curve, t)
     fj = frame_jets(pjets, cfg, t)
-    inv = 1.0 / fj.speed.value
-    dT, dN, dB = ([e.coeffs[1] * inv for e in V.entries] for V in (fj.T, fj.N, fj.B))
-    T, N, B = fj.T.value(), fj.N.value(), fj.B.value()
+    inv = 1.0 / fj.speed[0]
+    dT, dN, dB = ([c[1] * inv for c in V] for V in (fj.T, fj.N, fj.B))
+    T, N, B = (tuple([c[0] for c in V]) for V in (fj.T, fj.N, fj.B))
     return FrenetData(
         t=t,
         point=pjets.value(),
-        speed=fj.speed.value,
+        speed=fj.speed[0],
         T=T,
         N=N,
         B=B,

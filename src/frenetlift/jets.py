@@ -592,7 +592,7 @@ def _tsub(a: Sequence[float], b: Sequence[float]) -> tuple[float, float, float]:
     return out
 
 
-def _tunit(v: Sequence) -> tuple[tuple[float, float, float], list]:
+def _tunit(v: Sequence) -> tuple[tuple[float, float, float], tuple]:
     """Norm and unit vector of a vector of triples, as ``n = v.norm()`` and
     ``v.scale(Jet.constant(1.0, 2) / n)`` take them: the dot summed left to
     right, the norm floor (which keeps n far above ``DIV_FLOOR``),
@@ -617,15 +617,15 @@ def _tunit(v: Sequence) -> tuple[tuple[float, float, float], list]:
     r2 = ((0.0 - r0 * n2) - r1 * n1) / n0
     if not math.isfinite(((0.0 + r0) + r1) + r2):
         raise NonFiniteJet("division produced non-finite coefficients")
-    return (n0, n1, n2), [_tmul(x, (r0, r1, r2)) for x in v]
+    return (n0, n1, n2), tuple([_tmul(x, (r0, r1, r2)) for x in v])
 
 
-def _cross(a: Sequence, b: Sequence, mul, sub) -> list:
+def _cross(a: Sequence, b: Sequence, mul, sub) -> tuple:
     """Cross product of two 3-vectors of pairs (``_pmul``, ``_psub``) or
     triples (``_tmul``, ``_tsub``), as :meth:`VecJ.cross`."""
     (a1, a2, a3), (b1, b2, b3) = a, b
-    return [sub(mul(a2, b3), mul(a3, b2)), sub(mul(a3, b1), mul(a1, b3)),
-            sub(mul(a1, b2), mul(a2, b1))]
+    return (sub(mul(a2, b3), mul(a3, b2)), sub(mul(a3, b1), mul(a1, b3)),
+            sub(mul(a1, b2), mul(a2, b1)))
 
 
 # --- plain-float helpers ----------------------------------------------------

@@ -145,8 +145,8 @@ class LiftedCurve:
         On a non-flat horizontal lift each call integrates the transport
         again from ``t_min``; for many points use :meth:`sweep`.
         """
-        P, fj, _ = self._analyze(t, self._fibers([t])[t])
-        return self._lift_frame(fj, P)
+        lifted = self._analyze(t, self._fibers([t])[t])[1]
+        return tuple(VecJ([Jet._of(p) for p in V]) for V in lifted)
 
     def apparatus(self, t: float) -> LiftedApparatus:
         """Point, frame, curvature and torsion of the lifted curve at t.
@@ -157,7 +157,7 @@ class LiftedCurve:
         return self._analyze(t, self._fibers([t])[t])[2]
 
     def _analyze(self, t: float, w):
-        """(lifted point jets, base frame jets, apparatus) at t."""
+        """(lifted point jets, lifted frame pairs, apparatus) at t."""
         pj = curve_point_jets(self.base, t)
         fj = frame_jets(pj, self.cfg, t)
         P = lifted_point_jets(pj, self.kind, self.connection, self.anchor, w)
@@ -183,23 +183,23 @@ class LiftedCurve:
             ortho_max=gram_defect(frame_vals),
             residuals=frame_residuals(dT, dN, dB, Tv, Nv, Bv, kappa, tau),
         )
-        return P, fj, app
+        return P, lifted, app
 
     def _lift_pairs(self, fj: FrameJets, P: VecJ):
         """The lifted T, N and B as six (value, slope) float pairs each, from
-        coefficients 0..2 of frame jets of any order >= 2, with the bits of
-        the order-1 jet operations (``Connection.contract`` runs on jets).
+        the order-2 triples of the base frame, with the bits of the order-1
+        jet operations (``Connection.contract`` runs on jets).
 
         A flat connection contracts to ``-(0.0 * w * V)``, which for finite
         jets is always (-0.0, -0.0): the scaled and convolved coefficients
         sum from +0.0 before the negation."""
-        frame = [[e.coeffs[:2] for e in V.entries] for V in (fj.T, fj.N, fj.B)]
+        frame = [[c[:2] for c in V] for V in (fj.T, fj.N, fj.B)]
         kind = self.kind.kind
         if kind == "vertical":
             return [[(0.0, 0.0)] * 3 + V for V in frame]
         if kind == "complete":
             return [
-                V + [(e.coeffs[1], 2 * e.coeffs[2]) for e in W.entries]
+                V + [(c[1], 2 * c[2]) for c in W]
                 for V, W in zip(frame, (fj.T, fj.N, fj.B))
             ]
         if self.connection.is_flat:
@@ -210,10 +210,6 @@ class LiftedCurve:
             V + [(-u).coeffs for u in self.connection.contract(w, [Jet._of(p) for p in V])]
             for V in frame
         ]
-
-    def _lift_frame(self, fj: FrameJets, P: VecJ):
-        """:meth:`_lift_pairs` wrapped as three order-1 jet vectors."""
-        return tuple(VecJ([Jet._of(p) for p in V]) for V in self._lift_pairs(fj, P))
 
     def sweep(self, grid) -> LiftReport:
         """Apparatus, frame-identity residuals and oracle columns per point."""

@@ -519,13 +519,13 @@ def transport_grid(
     curve: CurveSpec,
     w0: Sequence[float],
     ts: Sequence[float],
-    steps_per_unit: int = TRANSPORT_STEPS_PER_UNIT,
 ) -> dict[float, tuple[float, float, float]]:
     """One integration pass covering many target parameters.
 
     Returns a map t -> w(t).  Integration proceeds left to right through the
-    sorted targets, so a sweep over an n-point grid costs one traversal.
-    The step count is checked against ``MAX_TRANSPORT_STEPS`` first.
+    sorted targets at ``TRANSPORT_STEPS_PER_UNIT`` RK4 steps per unit of t,
+    so a sweep over an n-point grid costs one traversal.  The step count is
+    checked against ``MAX_TRANSPORT_STEPS`` first.
     """
     targets = sorted(set(float(t) for t in ts))
     for t in targets:
@@ -533,13 +533,13 @@ def transport_grid(
             raise DomainIntervalError(t, curve.domain)
     if targets:
         # Each target rounds its segment up by less than one step.
-        _check_transport_steps(steps_per_unit * (targets[-1] - curve.t_min) + len(targets))
+        _check_transport_steps(TRANSPORT_STEPS_PER_UNIT * (targets[-1] - curve.t_min) + len(targets))
     out: dict[float, tuple[float, float, float]] = {}
     w = [float(v) for v in w0]
     prev = curve.t_min
     for t in targets:
         if t > prev:
-            n = max(1, math.ceil(steps_per_unit * (t - prev)))
+            n = max(1, math.ceil(TRANSPORT_STEPS_PER_UNIT * (t - prev)))
             w = _rk4_segment(G, curve, w, prev, t, n)
             prev = t
         out[t] = tuple(w)
@@ -552,7 +552,8 @@ def fiber_jets(
     """Taylor coefficients of the transported fiber from its defining ODE.
 
     Given jets of beta' and the value w(t), the relation
-    w' = -G(beta', w) determines every higher coefficient recursively.
+    w' = -G(beta', w) determines every higher coefficient recursively, over
+    the nonzero symbols only, in ``Connection._terms`` order.
     """
     if order > base_velocity.order + 1:
         raise ValueError("base velocity jets too short for requested order")
@@ -563,15 +564,11 @@ def fiber_jets(
     for k in range(order):
         for a in range(3):
             s = 0.0
-            for b in range(3):
-                for g in range(3):
-                    coeff = G.gamma[a][b][g]
-                    if coeff == 0.0:
-                        continue
-                    conv = 0.0
-                    for i in range(k + 1):
-                        conv += bd[b][i] * W[g][k - i]
-                    s += coeff * conv
+            for b, g, coeff in G._terms[a]:
+                conv = 0.0
+                for i in range(k + 1):
+                    conv += bd[b][i] * W[g][k - i]
+                s += coeff * conv
             W[a][k + 1] = -s / (k + 1)
     return [Jet(W[a]) for a in range(3)]
 
@@ -639,6 +636,8 @@ def parse_connection_file(text: str) -> Connection:
             val = float(value)
         except ValueError:
             raise FormatError(lineno, f"gamma value must be a number, got {value!r}") from None
+        if not math.isfinite(val):
+            raise FormatError(lineno, f"gamma value must be a finite number, got {value!r}")
         if idx in entries:
             raise FormatError(lineno, f"duplicate gamma entry {key!r}")
         entries[idx] = val

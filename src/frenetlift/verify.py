@@ -37,6 +37,7 @@ from .expr import (
 from .frenet import (
     ToleranceConfig,
     curve_point_jets,
+    frame_jets,
     frenet_apparatus,
     generalized_frenet,
     uniform_grid,
@@ -409,12 +410,13 @@ def run_checks(cfg: ToleranceConfig | None = None, samples: int = 1000) -> list[
     worst_pair = worst_skew = worst_a13 = 0.0
     for curve in (helix, ush, circle):
         for t in grid(curve, max(2, samples // 5)):
-            app = frenet_apparatus(curve, t, cfg)
-            gen = generalized_frenet(curve_point_jets(curve, t), 3)
+            pj = curve_point_jets(curve, t)
+            fj = frame_jets(pj, cfg, t)
+            gen = generalized_frenet(pj, 3)
             worst_pair = max(
                 worst_pair,
-                abs(app.kappa - gen.chis[0]),
-                abs(app.tau - gen.chis[1]),
+                abs(fj.kappa - gen.chis[0]),
+                abs(fj.tau - gen.chis[1]),
             )
             worst_ortho = max(worst_ortho, gram_defect(gen.frame))
             A = gen.matrix

@@ -311,6 +311,28 @@ class TestNegativeVectorFlags:
         assert main(base + [f"{flag}={value}", "--out", str(joined)]) == EXIT_OK
         assert spaced.read_bytes() == joined.read_bytes()
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["lift", "--kind", "h"], "--w0", "1,{bad},0"),
+            (["lift", "--kind", "v"], "--anchor", "{bad},1,-0.5"),
+            (["fields", "--field", "{X}", "--scalar", "{f}"], "--point", "1,2,3,0,0,{bad}"),
+        ],
+        ids=["w0", "anchor", "point"],
+    )
+    def test_non_finite_value_names_flag(self, argv, flag, value, bad, helix_path,
+                                         tmp_path, capsys):
+        (tmp_path / "X.field").write_text(X_FIELD)
+        (tmp_path / "f.field").write_text(F_SCALAR)
+        base = [a.format(X=tmp_path / "X.field", f=tmp_path / "f.field") for a in argv]
+        if argv[0] == "lift":
+            base += ["--curve", helix_path, "--samples", "5"]
+        text = value.format(bad=bad)
+        assert main(base + [f"{flag}={text}"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"argument {flag}: needs finite numbers, got {text!r}" in err
+
 
 # Flags each command reads.  Every command used to accept all eleven flags of
 # ALL_FLAGS and ignore the ones outside its row.
@@ -512,8 +534,12 @@ class TestDiagnostics:
         ("scalar", "f = 1\nf = 2\n", "line 2: duplicate key 'f'"),
         ("connection", "flat = true\ngamma 1 1 1 = 1\n",
          "'flat = true' excludes explicit gamma entries"),
+        ("connection", "gamma 1 2 3 = nan\n",
+         "line 1: gamma value must be a finite number, got 'nan'"),
+        ("connection", "gamma 1 2 3 = 1e400\n",
+         "line 1: gamma value must be a finite number, got '1e400'"),
     ], ids=["curve-missing-key", "curve-line", "field-keys", "field-line", "scalar-line",
-            "connection"])
+            "connection", "connection-nan", "connection-overflow"])
     def test_format_error_names_file(self, tmp_path, capsys, flag, text, message):
         files = {"curve": HELIX_FILE, "field": X_FIELD, "scalar": F_SCALAR,
                  "connection": GAMMA_FILE, flag: text}

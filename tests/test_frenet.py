@@ -426,9 +426,15 @@ def _full_order_frame_jets(pjets: VecJ, cfg: ToleranceConfig, t: float) -> Frame
     return FrameJets(T=T, N=N, B=B, speed=speed, kappa=kappa, tau=tau)
 
 
+def _order_two(full: FrameJets) -> FrameJets:
+    """The full-order reference cut to the order-2 triples of frame_jets."""
+    T, N, B = (tuple(e.coeffs[:3] for e in V.entries) for V in (full.T, full.N, full.B))
+    return FrameJets(T=T, N=N, B=B, speed=full.speed.coeffs[:3], kappa=full.kappa, tau=full.tau)
+
+
 def _frame_bits(fj: FrameJets):
-    vectors = [[_bits(e.coeffs[:3]) for e in V.entries] for V in (fj.T, fj.N, fj.B)]
-    return vectors, _bits(fj.speed.coeffs[:3]), _bits((fj.kappa, fj.tau))
+    vectors = [[_bits(c) for c in V] for V in (fj.T, fj.N, fj.B)]
+    return vectors, _bits(fj.speed), _bits((fj.kappa, fj.tau))
 
 
 class TestOrderTwoFrame:
@@ -438,8 +444,8 @@ class TestOrderTwoFrame:
         for t in grid(curve, 11):
             pj = curve_point_jets(curve, t)
             fj = frame_jets(pj, cfg, t)
-            assert fj.T.order == fj.N.order == fj.B.order == fj.speed.order == 2
-            assert _frame_bits(fj) == _frame_bits(_full_order_frame_jets(pj, cfg, t))
+            assert [len(c) for V in (fj.T, fj.N, fj.B) for c in V] + [len(fj.speed)] == [3] * 10
+            assert _frame_bits(fj) == _frame_bits(_order_two(_full_order_frame_jets(pj, cfg, t)))
 
     def test_random_curves_match_full_order_bits(self):
         rng = random.Random(4242)
@@ -453,7 +459,7 @@ class TestOrderTwoFrame:
                 want = _full_order_frame_jets(pj, cfg, t)
             except (JetError, DegenerateCurvature):
                 continue
-            assert _frame_bits(frame_jets(pj, cfg, t)) == _frame_bits(want)
+            assert _frame_bits(frame_jets(pj, cfg, t)) == _frame_bits(_order_two(want))
             compared += 1
         assert compared >= 75
 
@@ -477,11 +483,9 @@ class TestOrderTwoFrame:
         for t in grid(curve, 17)[:2]:
             pj = curve_point_jets(curve, t)
             P = lc.point_jets(t)
-            want = lc._lift_frame(_full_order_frame_jets(pj, lc.cfg, t), P)
+            want = lc._lift_pairs(_order_two(_full_order_frame_jets(pj, lc.cfg, t)), P)
             got = lc.frame(t)
-            assert [[_bits(e.coeffs) for e in V.entries] for V in got] == [
-                [_bits(e.coeffs) for e in V.entries] for V in want
-            ]
+            assert _vector_bits(got) == _pair_bits(want)
 
     @pytest.mark.parametrize("kind", ["v", "c", "flat_h", "h"])
     @pytest.mark.parametrize("curve", [HELIX, TORUS_KNOT], ids=["helix", "torus_knot"])
@@ -494,9 +498,21 @@ class TestOrderTwoFrame:
             pj = curve_point_jets(curve, t)
             P = lifted_point_jets(pj, lk, G, lc.anchor, fibers[t])
             want = _jet_route_lift_frame(lc, _full_order_frame_jets(pj, lc.cfg, t), P)
-            P_sweep, fj, _ = lc._analyze(t, fibers[t])
-            got = lc._lift_pairs(fj, P_sweep)
-            assert [[_bits(p) for p in V] for V in got] == _vector_bits(want)
+            got = lc._analyze(t, fibers[t])[1]
+            assert _pair_bits(got) == _vector_bits(want)
+
+    @pytest.mark.parametrize("kind", ["v", "c", "flat_h", "h"])
+    def test_frame_is_the_analyzed_frame(self, kind):
+        # frame(t) wraps the pairs _analyze builds for apparatus(t): its
+        # values are the apparatus frame and its slopes the analyzed ones.
+        lk, G = _LIFTS[kind]
+        lc = LiftedCurve(TORUS_KNOT, lk, G)
+        for t in grid(TORUS_KNOT, 17)[:3]:
+            frame = lc.frame(t)
+            pairs = lc._analyze(t, lc._fibers([t])[t])[1]
+            assert [_bits(V.value()) for V in frame] == [
+                _bits(V) for V in lc.apparatus(t).frame]
+            assert _vector_bits(frame) == _pair_bits(pairs)
 
     def test_random_lifted_frames_match_jet_route(self):
         rng = random.Random(977)
@@ -517,8 +533,8 @@ class TestOrderTwoFrame:
                 continue
             lc = LiftedCurve(curve, lk, G)
             want = _vector_bits(_jet_route_lift_frame(lc, full, P))
-            assert _vector_bits(lc._lift_frame(fj, P)) == want
-            assert _vector_bits(lc._lift_frame(full, P)) == want
+            assert _pair_bits(lc._lift_pairs(fj, P)) == want
+            assert _pair_bits(lc._lift_pairs(_order_two(full), P)) == want
             key = lk.kind if lk.kind != "horizontal" else ("flat" if G.is_flat else "nonflat")
             compared[key] += 1
         assert min(compared.values()) >= 15
@@ -585,6 +601,10 @@ def _jet_route_lift_frame(lc: LiftedCurve, fj: FrameJets, P: VecJ):
 
 def _vector_bits(vectors):
     return [[_bits(e.coeffs) for e in V.entries] for V in vectors]
+
+
+def _pair_bits(vectors):
+    return [[_bits(p) for p in V] for V in vectors]
 
 
 class TestUniformGrid:

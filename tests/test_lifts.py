@@ -199,6 +199,18 @@ class TestParallelTransport:
         e200 = abs(parallel_transport(G, LINE01, (1, 0, 0), 1.0, 200)[0] - math.exp(-1))
         assert e200 <= e100 / 12.0
 
+    def test_observed_order_is_four(self):
+        # w1 = exp(-t) along the x-axis; each doubling of the step count
+        # divides the RK4 error by 2^4.
+        x_axis = CurveSpec.from_strings("t", "0", "0", 0.0, 1.0, "x_axis")
+        G = Connection.from_entries({(1, 1, 1): 1.0})
+        errors = [
+            abs(parallel_transport(G, x_axis, (1.0, 0.0, 0.0), 1.0, steps)[0] - math.exp(-1.0))
+            for steps in (25, 50, 100, 200, 400, 800)
+        ]
+        for e_prev, e in zip(errors, errors[1:]):
+            assert abs(math.log2(e_prev / e) - 4.0) <= 0.1
+
     def test_linearity_in_w0(self):
         rng = random.Random(3)
         G = random_connection(rng)
@@ -238,11 +250,13 @@ class TestParallelTransport:
             lambda: parallel_transport(G, LINE01, (1, 0, 0), 1.0, cap + 1),
             lambda: transport_grid(G, far, (1, 0, 0), [0.0, 1e300]),
             lambda: transport_grid(G, whole, (1, 0, 0), [8e307]),
-            lambda: transport_grid(G, LINE01, (1, 0, 0), [1.0], cap),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="MAX_TRANSPORT_STEPS"):
                 call()
+        monkeypatch.setattr(lifts, "TRANSPORT_STEPS_PER_UNIT", cap)
+        with pytest.raises(ValueError, match="MAX_TRANSPORT_STEPS"):
+            transport_grid(G, LINE01, (1, 0, 0), [1.0])
 
 
     def test_nan_parameter_out_of_domain(self):
