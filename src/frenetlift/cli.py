@@ -34,7 +34,15 @@ from .frenet import (
     uniform_grid,
 )
 from .jets import JetError, RankDeficient, ZeroNorm
-from .lifts import Connection, LiftKind, TangentPoint, lift_field, parse_connection_file, prop21_check
+from .lifts import (
+    Connection,
+    LiftKind,
+    TangentPoint,
+    _grad,
+    lift_field,
+    parse_connection_file,
+    prop21_check,
+)
 from .lifted_frenet import LiftedCurve
 from .verify import run_checks
 
@@ -224,17 +232,27 @@ def _field_files(paths: list[str], flag: str, kind: str, what: str):
 
 def _first_failing_key(files, x) -> str:
     """'PATH KEY ' of the first file component whose value fails or is not
-    finite in plain floats at base point x, or ''."""
+    finite in plain floats at base point x; failing that, of the first whose
+    forward pass (value and first partials) fails there; or ''."""
     bindings = dict(zip(("x1", "x2", "x3"), x))
-    for path, spec in files:
-        keys = ("f",) if spec.kind == "scalar" else ("X1", "X2", "X3")
-        for key, ast in zip(keys, spec.components):
-            try:
-                value = eval_float(ast, bindings)
-            except JetError:
-                value = math.nan
-            if not math.isfinite(value):
-                return f"{path} {key} "
+    components = [
+        (path, key, ast)
+        for path, spec in files
+        for key, ast in zip(("f",) if spec.kind == "scalar" else ("X1", "X2", "X3"),
+                            spec.components)
+    ]
+    for path, key, ast in components:
+        try:
+            value = eval_float(ast, bindings)
+        except JetError:
+            value = math.nan
+        if not math.isfinite(value):
+            return f"{path} {key} "
+    for path, key, ast in components:
+        try:
+            _grad(ast, x)
+        except JetError:
+            return f"{path} {key} "
     return ""
 
 

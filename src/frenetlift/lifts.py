@@ -16,6 +16,13 @@ the polarization identity over the directions a+b, a and b, whose second
 directional derivatives one order-2 pass of :func:`expr.eval_second` gives
 together, so no nested or multivariate jets are needed.
 
+A field evaluated many times at one tangent point keeps what depends on the
+base point alone: its component values, its Jacobian and, for a scalar, its
+first directional derivatives by direction.  Each :class:`FieldSpec` holds the
+results for the last base point it met, keyed on the exact bits of x, and
+nothing is shared between specs: X+Y and fX are evaluated from their own
+trees, so the identities they enter stay measured.
+
 Curves lift pointwise: vertical to (anchor, beta(t)), complete to
 (beta(t), beta'(t)), and horizontal to (beta(t), w(t)) with w parallel
 transported along beta by classical 4-stage Runge-Kutta.
@@ -24,6 +31,7 @@ transported along beta by classical 4-stage Runge-Kutta.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,7 +50,7 @@ from .expr import (
     parse_expr,
 )
 from .frenet import DomainIntervalError
-from .jets import Jet, VecJ, _fdot
+from .jets import Jet, JetError, NonFiniteJet, VecJ, _fdot
 
 __all__ = [
     "TangentPoint",
@@ -191,11 +199,60 @@ class LiftKind:
 
 _FIELD_NAMES = ("x1", "x2", "x3")
 _BASIS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+_pack3 = struct.Struct("<3d").pack
+# Most results kept for one base point; a caller that sweeps many fiber
+# directions at one x must not grow the cache without bound.
+_PER_POINT_MAX = 64
+
+
+def _per_point(spec: FieldSpec, x: Sequence[float], key, compute, *args):
+    """``compute(spec, x, *args)``, kept on ``spec`` while x stays the same.
+
+    The spec holds the results for its last base point only, stored the way
+    compiled code is stored on AST nodes; another x replaces them.  x is
+    keyed on its bits, so -0.0 and 0.0 are different points.  A compute
+    that raises stores nothing.
+    """
+    xbits = _pack3(*x)
+    memo = spec.__dict__.get("_at_x")
+    if memo is None or memo[0] != xbits:
+        memo = (xbits, {})
+        object.__setattr__(spec, "_at_x", memo)
+    results = memo[1]
+    if key not in results:
+        if len(results) >= _PER_POINT_MAX:
+            results.clear()
+        results[key] = compute(spec, x, *args)
+    return results[key]
+
+
+def _non_finite_value(ast: ExprAst, x: Sequence[float], value: float) -> JetError:
+    """The error for a component whose float value at x is not finite: the
+    one its forward pass meets there, with the span of the failing node, or
+    else a NonFiniteJet spanning the component."""
+    try:
+        _grad(ast, x)
+    except JetError as err:
+        return err
+    err = NonFiniteJet(f"value {value!r} is not finite")
+    err.span = ast.span
+    return err
+
+
+def _field_values(spec: FieldSpec, x: Sequence[float]) -> tuple[float, ...]:
+    b = {"x1": float(x[0]), "x2": float(x[1]), "x3": float(x[2])}
+    values = []
+    for c in spec.components:
+        v = eval_float(c, b)
+        if not math.isfinite(v):
+            raise _non_finite_value(c, x, v)
+        values.append(v)
+    return tuple(values)
 
 
 def _eval_field_components(spec: FieldSpec, x: Sequence[float]) -> tuple[float, ...]:
-    b = {"x1": float(x[0]), "x2": float(x[1]), "x3": float(x[2])}
-    return tuple(eval_float(c, b) for c in spec.components)
+    """Component values at x; NonFiniteJet where one is not finite."""
+    return _per_point(spec, x, "values", _field_values)
 
 
 def _bindings(x: Sequence[float], tangents) -> dict:
@@ -207,9 +264,13 @@ def _bindings(x: Sequence[float], tangents) -> dict:
     }
 
 
-def _dir_deriv(ast: ExprAst, x: Sequence[float], d: Sequence[float]) -> float:
-    """First derivative of s -> f(x + s d) at 0."""
-    return eval_forward((ast,), _bindings(x, (d,)))[0][1][0]
+def _scalar_dir_deriv(f: FieldSpec, x: Sequence[float], d: Sequence[float]) -> float:
+    return eval_forward(f.components, _bindings(x, (d,)))[0][1][0]
+
+
+def _dir_deriv(f: FieldSpec, x: Sequence[float], d: Sequence[float]) -> float:
+    """First derivative of s -> f(x + s d) at 0, for a scalar f."""
+    return _per_point(f, x, _pack3(*d), _scalar_dir_deriv, d)
 
 
 def _mixed_second(
@@ -226,9 +287,13 @@ def _grad(ast: ExprAst, x: Sequence[float]) -> tuple[float, float, float]:
     return eval_forward((ast,), _bindings(x, _BASIS))[0][1]
 
 
-def _jacobian(spec: FieldSpec, x: Sequence[float]) -> list[tuple[float, float, float]]:
+def _field_jacobian(spec: FieldSpec, x: Sequence[float]) -> tuple[tuple[float, ...], ...]:
+    return tuple(derivs for _, derivs in eval_forward(spec.components, _bindings(x, _BASIS)))
+
+
+def _jacobian(spec: FieldSpec, x: Sequence[float]) -> tuple[tuple[float, ...], ...]:
     """J[a][b] = dX^a/dx^b."""
-    return [derivs for _, derivs in eval_forward(spec.components, _bindings(x, _BASIS))]
+    return _per_point(spec, x, "jacobian", _field_jacobian)
 
 
 # --- function and field lifts -------------------------------------------------
@@ -241,7 +306,7 @@ def lift_function(f: FieldSpec, kind: str, p: TangentPoint) -> float:
     if kind in ("v", "vertical"):
         return _eval_field_components(f, p.x)[0]
     if kind in ("c", "complete"):
-        return _dir_deriv(f.components[0], p.x, p.y)
+        return _dir_deriv(f, p.x, p.y)
     raise ValueError(f"unknown function lift kind {kind!r}")
 
 
@@ -315,11 +380,11 @@ def apply_field(F: LiftedField, g, p: TangentPoint) -> float:
         ast = spec.components[0]
         if kind in ("v", "vertical"):
             # g depends on x only.
-            return _dir_deriv(ast, p.x, a)
+            return _dir_deriv(spec, p.x, a)
         if kind in ("c", "complete"):
             # d/dx part needs mixed seconds of f against the fiber coordinate;
             # d/dy part is just grad f against the fiber direction.
-            return _mixed_second(ast, p.x, a, p.y) + _dir_deriv(ast, p.x, b)
+            return _mixed_second(ast, p.x, a, p.y) + _dir_deriv(spec, p.x, b)
         raise ValueError(f"unknown scalar lift kind {kind!r}")
     if isinstance(g, str):
         g = parse_expr(g, TANGENT_VARS)
@@ -431,7 +496,7 @@ def prop21_check(
     FXc = lift_field(X, "complete", G)
     FXh = lift_field(X, "horizontal", G)
     for scalar, tag in ((f, "f"), (g, "g")):
-        xf_v = _dir_deriv(scalar.components[0], p.x, Xv[3:])
+        xf_v = _dir_deriv(scalar, p.x, Xv[3:])
         xf_c = _apply_scalar_field_complete(Xc, scalar, p)
         res[f"Xv_{tag}v"] = abs(apply_field(FXv, ("v", scalar), p))
         res[f"Xc_{tag}v"] = abs(apply_field(FXc, ("v", scalar), p) - xf_v)

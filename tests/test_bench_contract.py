@@ -1,10 +1,14 @@
-"""The names perfbench/tracer.py wraps still exist in frenetlift.
+"""frenetlift still meets what the traced benchmark run expects of it.
 
 The tracer patches every name it lists when a traced benchmark run starts;
-a name that is gone crashes that run.  These tests read the tracer's tables
-(the module is loaded by path and not changed) and fail first.
+a name that is gone crashes that run.  The run then compares call counts
+with counts perfbench/run.py predicts from per-point and per-step constants;
+a count that drifts fails that run.  These tests read the tracer's tables
+and run.py's constants (both files are read by path and not changed) and
+fail first.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -12,9 +16,13 @@ from pathlib import Path
 
 import pytest
 
+from frenetlift import cli, lifts
+from frenetlift.expr import CurveSpec
 from frenetlift.jets import Jet
+from frenetlift.lifts import Connection
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _load_tracer():
@@ -45,3 +53,58 @@ def test_layer_exports_resolve(layer):
     assert isinstance(module.__all__, list)
     for name in module.__all__:
         assert hasattr(module, name), f"frenetlift.{layer}.__all__ names missing {name!r}"
+
+
+def _run_constants(*names):
+    """Values of top-level constants of perfbench/run.py, evaluated from the
+    file's syntax tree without importing the module."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
+    values = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and target.id in names:
+                values[target.id] = eval(compile(ast.Expression(node.value), "run.py", "eval"), {})
+    assert sorted(values) == sorted(names)
+    return values
+
+
+def _traced(call):
+    """The tracer's per-span summary of one call, which must reach frenetlift
+    through module attributes, as the benchmark's calls do."""
+    t = tracer.Tracer()
+    t.install()
+    try:
+        call()
+    finally:
+        t.uninstall()
+    return t.summary()
+
+
+def test_fields_point_calls_match_prediction(tmp_path):
+    want = _run_constants("AT_PER_POINT", "APPLY_PER_POINT")
+    files = {"X.field": "X1 = x1*x2\nX2 = sin(x3)\nX3 = x1 - x2\n",
+             "Y.field": "X1 = x3\nX2 = x1*x1\nX3 = 2*x2\n",
+             "f.field": "f = x1*x2 + x3\n",
+             "g.field": "f = cos(x1)*x3\n",
+             "G.conn": "gamma 1 2 3 = 0.3\ngamma 3 1 1 = -0.2\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = ["fields", "--field", str(tmp_path / "X.field"), "--field", str(tmp_path / "Y.field"),
+            "--scalar", str(tmp_path / "f.field"), "--scalar", str(tmp_path / "g.field"),
+            "--connection", str(tmp_path / "G.conn"), "--point=0.5,-1,2,1,0.25,-3",
+            "--out", str(tmp_path / "out.csv")]
+    summary = _traced(lambda: cli.main(argv))
+    assert summary["lifts.prop21_check"]["calls"] == 1
+    assert summary["lifts.LiftedField.at"]["calls"] == want["AT_PER_POINT"]
+    assert summary["lifts.apply_field"]["calls"] == want["APPLY_PER_POINT"]
+
+
+def test_rk4_step_curve_evaluations_match_prediction():
+    want = _run_constants("EVALS_PER_RK4_STEP")["EVALS_PER_RK4_STEP"]
+    curve = CurveSpec.from_strings("cos(t)", "sin(t)", "t/2", 0.0, 1.0)
+    G = Connection.from_entries({(1, 2, 3): 0.3})
+    steps = 7
+    summary = _traced(lambda: lifts.parallel_transport(G, curve, (1.0, 0.0, 0.0), 1.0, steps))
+    assert summary["lifts.parallel_transport"]["calls"] == 1
+    assert summary["expr.eval_jet"]["calls"] == want * steps

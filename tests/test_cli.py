@@ -654,14 +654,26 @@ class TestFieldsErrorOrigin:
         assert f"({tmp_path / 'X.field'} X3 at point=" in capsys.readouterr().err
 
     def test_derivative_only_failure_names_point(self, tmp_path, capsys):
-        # sqrt(0.0) is a float but no jet: no file fails in plain floats.
+        # sqrt(0.0) is a float but no jet: no file fails in plain floats, so
+        # the forward pass of each component finds the key.
         (tmp_path / "X.field").write_text("X1 = sqrt(x1)\nX2 = x2\nX3 = x3\n")
         (tmp_path / "f.field").write_text(F_SCALAR)
         argv = ["fields", "--field", str(tmp_path / "X.field"),
                 "--scalar", str(tmp_path / "f.field"), "--point=0,1,1,1,1,1"]
         assert main(argv) == EXIT_INPUT
         assert capsys.readouterr().err == (
-            "error: chars 0-8: sqrt undefined at 0.0 (at point=(0.0, 1.0, 1.0, 1.0, 1.0, 1.0))\n")
+            f"error: chars 0-8: sqrt undefined at 0.0 "
+            f"({tmp_path / 'X.field'} X1 at point=(0.0, 1.0, 1.0, 1.0, 1.0, 1.0))\n")
+
+    def test_derivative_only_failure_names_scalar_key(self, tmp_path, capsys):
+        (tmp_path / "X.field").write_text(X_FIELD)
+        (tmp_path / "f.field").write_text("f = sqrt(x1)\n")
+        argv = ["fields", "--field", str(tmp_path / "X.field"),
+                "--scalar", str(tmp_path / "f.field"), "--point=0,1,1,1,1,1"]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: chars 0-8: sqrt undefined at 0.0 "
+            f"({tmp_path / 'f.field'} f at point=(0.0, 1.0, 1.0, 1.0, 1.0, 1.0))\n")
 
     def test_success_evaluates_no_file_again(self, tmp_path, monkeypatch):
         (tmp_path / "X.field").write_text(X_FIELD)

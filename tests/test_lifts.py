@@ -436,3 +436,174 @@ class TestFlatHorizontalFiber:
                 assert [tuple(x.hex() for x in p) for p in V[3:]] == \
                     [tuple(x.hex() for x in p) for p in want]
                 assert all(math.copysign(1.0, x) == -1.0 for p in V[3:] for x in p)
+
+
+# --- per-point results kept on each field spec ---------------------------------
+
+
+def _uncached(spec, x, key, compute, *args):
+    return compute(spec, x, *args)
+
+
+def _bits(value):
+    if isinstance(value, float):
+        return value.hex()
+    return tuple(_bits(v) for v in value)
+
+
+def _suite_bits(quad, G, p):
+    """Bits of every lifted value, function lift and residual of the suite at
+    p, or the error class, message and span the suite raises."""
+    X, Y, f, g = quad
+    try:
+        lifted = [LiftedField(F, kind, G).at(p).as_tuple()
+                  for F in (X, Y) for kind in ("vertical", "complete", "horizontal")]
+        functions = [lift_function(s, kind, p) for s in (f, g) for kind in ("v", "c")]
+        residuals = prop21_check(X, Y, f, g, G, p).residuals
+    except ValueError as err:
+        return type(err), str(err), getattr(err, "span", None)
+    return _bits(lifted), _bits(functions), {k: v.hex() for k, v in residuals.items()}
+
+
+def _random_quadruple_or_ast(rng, i):
+    """Alternately the suite's polynomial quadruple and fields of random
+    trees, whose lifts can raise."""
+    if i % 2 == 0:
+        return random_quadruple(rng)
+
+    def field(n):
+        return FieldSpec("vector" if n == 3 else "scalar",
+                         tuple(random_ast(rng, 3, _VARS) for _ in range(n)))
+
+    return field(3), field(3), field(1), field(1)
+
+
+class TestPerPointCache:
+    def test_suite_matches_uncached_bits(self, monkeypatch):
+        rng = random.Random(20261018)
+        raised = calls = 0
+        for i in range(12):
+            quad = _random_quadruple_or_ast(rng, i)
+            conns = (Connection.flat(), random_connection(rng))
+            points = [random_tangent_point(rng) for _ in range(6)]
+            # Each point twice in a row (one per connection), then revisited.
+            for p in points + points[:2]:
+                for G in conns:
+                    with monkeypatch.context() as m:
+                        m.setattr(lifts, "_per_point", _uncached)
+                        want = _suite_bits(quad, G, p)
+                    assert _suite_bits(quad, G, p) == want
+                    raised += isinstance(want[0], type)
+                    calls += 1
+        assert 0 < raised < calls
+
+    def test_point_then_another_then_back(self):
+        X = vector_field("x1*x2 + sin(x3)", "x2^2 - x1", "exp(x1)*x3")
+        f = scalar_field("x1*x3 + cos(x2)")
+        x, x2 = (0.3, -1.2, 0.8), (1.1, 0.4, -0.6)
+        d = (0.5, -2.0, 1.5)
+        for point in (x, x2, x):
+            assert _bits(lifts._eval_field_components(X, point)) == \
+                _bits(lifts._field_values(X, point))
+            assert _bits(lifts._jacobian(X, point)) == _bits(lifts._field_jacobian(X, point))
+            assert lifts._dir_deriv(f, point, d).hex() == \
+                lifts._scalar_dir_deriv(f, point, d).hex()
+            p = TangentPoint(point, d)
+            for kind in ("vertical", "complete", "horizontal"):
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(lifts, "_per_point", _uncached)
+                    want = lift_field(X, kind).at(p).as_tuple()
+                assert _bits(lift_field(X, kind).at(p).as_tuple()) == _bits(want)
+
+    def test_signed_zero_is_another_point(self):
+        X = vector_field("x1", "x2*x1", "x3")
+        f = scalar_field("x1 + x2")
+        pos, neg = (0.0, 1.0, 2.0), (-0.0, 1.0, 2.0)
+        fresh = vector_field("x1", "x2*x1", "x3")
+        for point in (pos, neg, pos):
+            assert _bits(lifts._eval_field_components(X, point)) == \
+                _bits(lifts._field_values(fresh, point))
+        assert lifts._eval_field_components(X, neg)[0].hex() == "-0x0.0p+0"
+        # Directions too: a flat horizontal fiber is (-0.0, -0.0, -0.0).
+        for d in ((0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (0.0, 0.0, 0.0)):
+            want = lifts._scalar_dir_deriv(scalar_field("x1 + x2"), pos, d)
+            assert lifts._dir_deriv(f, pos, d).hex() == want.hex()
+        assert lifts._dir_deriv(f, pos, (-0.0, -0.0, -0.0)).hex() == "-0x0.0p+0"
+
+    def test_many_directions_at_one_point_stay_bounded(self):
+        f = scalar_field("x1*x2 - sin(x3)")
+        x = (0.4, -0.9, 1.3)
+        for i in range(500):
+            d = (i * 0.01, 1.0 - i * 0.003, -0.5)
+            assert lifts._dir_deriv(f, x, d).hex() == lifts._scalar_dir_deriv(f, x, d).hex()
+            assert len(f._at_x[1]) <= lifts._PER_POINT_MAX
+
+    def test_jacobian_is_immutable(self):
+        X = vector_field("x1*x2", "x3", "x1")
+        J = lifts._jacobian(X, (1.0, 2.0, 3.0))
+        assert isinstance(J, tuple) and all(isinstance(row, tuple) for row in J)
+        assert lifts._jacobian(X, (1.0, 2.0, 3.0)) is J
+
+    def test_forward_passes_of_one_suite(self, monkeypatch):
+        X = vector_field("x1*x2", "x3 - x1", "x2*x2")
+        Y = vector_field("x3", "x1*x3", "x2 + 1")
+        f = scalar_field("x1*x2*x3")
+        g = scalar_field("x1 - x3*x3")
+        G = Connection.from_entries({(1, 2, 3): 0.3, (2, 1, 1): -0.2})
+        p = TangentPoint((0.7, -1.3, 2.1), (1.5, 0.25, -0.5))
+        passes = []
+
+        def recording(asts, bindings):
+            passes.append((tuple(asts), len(next(iter(bindings.values()))[1])))
+            return real(asts, bindings)
+
+        real = lifts.eval_forward
+        monkeypatch.setattr(lifts, "eval_forward", recording)
+
+        def jacobians():
+            return [asts for asts, n in passes if n == 3 and len(asts) == 3]
+
+        prop21_check(X, Y, f, g, G, p)
+        XY, fX = field_sum(X, Y), lifts.field_scale(f, X)
+        # One Jacobian pass per vector field, X+Y's from its own tree.
+        got = jacobians()
+        assert sorted(map(repr, got)) == sorted(
+            repr(F.components) for F in (X, Y, XY, fX))
+        assert XY.components in got and XY.components != X.components
+        # Gradients of f and g, uncached; one pass per scalar and direction:
+        # f along y, X(x), 0 and D_yX, g along the last three.
+        assert sum(n == 3 and len(a) == 1 for a, n in passes) == 2
+        assert sum(n == 1 for _, n in passes) == 7
+
+        # At the same point the next suite re-evaluates only what is its own.
+        passes.clear()
+        prop21_check(X, Y, f, g, Connection.flat(), p)
+        assert sorted(map(repr, jacobians())) == sorted(
+            repr(F.components) for F in (XY, fX))
+        assert sum(n == 1 for _, n in passes) == 0
+
+
+class TestNonFiniteLifts:
+    X = vector_field("x1*1e308*10", "x2", "x3")
+    p = TangentPoint((1.0, 1.0, 1.0), (1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("kind", ["vertical", "complete", "horizontal"])
+    def test_overflowing_value_raises(self, kind):
+        with pytest.raises(NonFiniteJet) as exc:
+            LiftedField(self.X, kind, random_connection(random.Random(4))).at(self.p)
+        # The forward pass names the product that overflows first.
+        assert exc.value.span == (0, 8)
+
+    @pytest.mark.parametrize("kind", ["vertical", "complete", "horizontal"])
+    def test_non_finite_number_raises(self, kind):
+        X = vector_field("x1", "1e999", "x3")
+        with pytest.raises(NonFiniteJet, match="value inf is not finite") as exc:
+            LiftedField(X, kind, Connection.flat()).at(self.p)
+        assert exc.value.span == (0, 5)
+
+    def test_function_lift_and_retry_raise(self):
+        f = scalar_field("x2 + 1e999*x1")
+        for _ in range(2):  # a failed evaluation is not kept
+            with pytest.raises(NonFiniteJet) as exc:
+                lift_function(f, "v", self.p)
+            assert exc.value.span == (5, 13)
