@@ -25,7 +25,7 @@ import math
 import re
 import sys
 
-from .expr import FormatError, eval_float, parse_curve_file, parse_field_file
+from .expr import FieldSpec, FormatError, parse_curve_file, parse_field_file
 from .frenet import (
     DegenerateCurvature,
     ToleranceConfig,
@@ -38,7 +38,7 @@ from .lifts import (
     Connection,
     LiftKind,
     TangentPoint,
-    _grad,
+    _field_pass,
     lift_field,
     parse_connection_file,
     prop21_check,
@@ -134,6 +134,15 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def _json_number(v: float) -> float | None:
+    """v, or None (JSON null) where v is not finite: JSON has no NaN or inf."""
+    return v if math.isfinite(v) else None
+
+
 def _emit_rows(args: argparse.Namespace, header: list[str], rows: list[list[float]],
                summary: dict[str, float] | None = None) -> None:
     """Write rows as CSV (summary as a '#' trailer) or JSON (summary as a key)."""
@@ -145,10 +154,10 @@ def _emit_rows(args: argparse.Namespace, header: list[str], rows: list[list[floa
             lines.append("# " + " ".join(f"{k}={_fmt17(v)}" for k, v in summary.items()))
         text = "\n".join(lines) + "\n"
     else:
-        payload = {"rows": [dict(zip(header, r)) for r in rows]}
+        payload = {"rows": [dict(zip(header, map(_json_number, r))) for r in rows]}
         if summary is not None:
-            payload["summary"] = summary
-        text = json.dumps(payload, indent=2) + "\n"
+            payload["summary"] = {k: _json_number(v) for k, v in summary.items()}
+        text = _json(payload)
     _emit(text, args.out)
 
 
@@ -230,29 +239,19 @@ def _field_files(paths: list[str], flag: str, kind: str, what: str):
     return files
 
 
-def _first_failing_key(files, x) -> str:
-    """'PATH KEY ' of the first file component whose value fails or is not
-    finite in plain floats at base point x; failing that, of the first whose
-    forward pass (value and first partials) fails there; or ''."""
-    bindings = dict(zip(("x1", "x2", "x3"), x))
-    components = [
-        (path, key, ast)
-        for path, spec in files
-        for key, ast in zip(("f",) if spec.kind == "scalar" else ("X1", "X2", "X3"),
-                            spec.components)
-    ]
-    for path, key, ast in components:
-        try:
-            value = eval_float(ast, bindings)
-        except JetError:
-            value = math.nan
-        if not math.isfinite(value):
-            return f"{path} {key} "
-    for path, key, ast in components:
-        try:
-            _grad(ast, x)
-        except JetError:
-            return f"{path} {key} "
+def _first_failing_key(files, x, err: JetError) -> str:
+    """'PATH KEY ' of the first file component whose own forward pass at
+    base point x raises the same error as ``err`` (type, message and span),
+    or ''."""
+    for path, spec in files:
+        keys = ("f",) if spec.kind == "scalar" else ("X1", "X2", "X3")
+        for key, ast in zip(keys, spec.components):
+            try:
+                _field_pass(FieldSpec("scalar", (ast,)), x)
+            except JetError as own:
+                if (type(own), own.args, getattr(own, "span", None)) == (
+                        type(err), err.args, getattr(err, "span", None)):
+                    return f"{path} {key} "
     return ""
 
 
@@ -276,7 +275,8 @@ def cmd_fields(args: argparse.Namespace) -> int:
             residuals = prop21_check(X, Y, f, g, connection, p).residuals
         except JetError as err:
             # Only on the error path: name the point and the failing file.
-            err.origin = f" ({_first_failing_key(vectors + scalars, p.x)}at point={coords!r})"
+            key = _first_failing_key(vectors + scalars, p.x, err)
+            err.origin = f" ({key}at point={coords!r})"
             raise
         if header is None:
             header = (
@@ -296,10 +296,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         text = "\n".join(r.line() for r in results) + "\n"
     else:
         payload = [
-            {"name": r.name, "value": r.value, "bound": r.bound, "pass": r.passed}
+            {"name": r.name, "value": _json_number(r.value), "bound": _json_number(r.bound),
+             "pass": r.passed}
             for r in results
         ]
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json(payload)
     _emit(text, args.out)
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 

@@ -378,8 +378,10 @@ def jet_pow(u: Jet, r: float) -> Jet:
     """u**r.
 
     Integer exponents go through repeated multiplication (well-defined for
-    negative bases, and for zero bases when r >= 0); fractional exponents
-    require a positive constant term and reduce to exp(r*log(u)).
+    negative bases, and for zero bases when r >= 0); a negative one whose
+    power falls below ``DIV_FLOOR`` is a DomainError, as it is in floats.
+    Fractional exponents require a positive constant term and reduce to
+    exp(r*log(u)).
     """
     rf = float(r)
     if rf.is_integer():
@@ -389,6 +391,8 @@ def jet_pow(u: Jet, r: float) -> Jet:
         p = _int_pow(u, abs(n))
         if n > 0:
             return p
+        if abs(p.coeffs[0]) < DIV_FLOOR:
+            raise DomainError("pow", u.coeffs[0])
         return Jet.constant(1.0, u.order) / p
     if u.coeffs[0] <= 0.0:
         raise DomainError("pow", u.coeffs[0])

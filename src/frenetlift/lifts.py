@@ -16,9 +16,12 @@ the polarization identity over the directions a+b, a and b, whose second
 directional derivatives one order-2 pass of :func:`expr.eval_second` gives
 together, so no nested or multivariate jets are needed.
 
-A field evaluated many times at one tangent point keeps what depends on the
-base point alone: its component values, its Jacobian and, for a scalar, its
-first directional derivatives by direction.  Each :class:`FieldSpec` holds the
+A field's component values and Jacobian come from one forward pass along the
+coordinate axes (:func:`expr.eval_forward`), so a failure in the first
+partials is an error for every lift kind, as is a value or a lifted fiber
+that is not finite.  A field evaluated many times at one tangent point keeps
+what depends on the base point alone: that pass and, for a scalar, its first
+directional derivatives by direction.  Each :class:`FieldSpec` holds the
 results for the last base point it met, keyed on the exact bits of x, and
 nothing is shared between specs: X+Y and fX are evaluated from their own
 trees, so the identities they enter stay measured.
@@ -43,11 +46,9 @@ from .expr import (
     CurveSpec,
     _key_value_lines,
     _per_component,
-    eval_float,
     eval_forward,
     eval_jet,
     eval_second,
-    parse_expr,
 )
 from .frenet import DomainIntervalError
 from .jets import Jet, JetError, NonFiniteJet, VecJ, _fdot
@@ -59,7 +60,6 @@ __all__ = [
     "LiftedField",
     "LiftedFieldValue",
     "Prop21Result",
-    "TANGENT_VARS",
     "lift_function",
     "lift_field",
     "apply_field",
@@ -72,8 +72,6 @@ __all__ = [
     "lifted_point_jets",
     "parse_connection_file",
 ]
-
-TANGENT_VARS = frozenset({"x1", "x2", "x3", "y1", "y2", "y3"})
 
 # Transport resolution: steps per unit parameter length.
 TRANSPORT_STEPS_PER_UNIT = 1000
@@ -226,33 +224,29 @@ def _per_point(spec: FieldSpec, x: Sequence[float], key, compute, *args):
     return results[key]
 
 
-def _non_finite_value(ast: ExprAst, x: Sequence[float], value: float) -> JetError:
-    """The error for a component whose float value at x is not finite: the
-    one its forward pass meets there, with the span of the failing node, or
-    else a NonFiniteJet spanning the component."""
-    try:
-        _grad(ast, x)
-    except JetError as err:
-        return err
-    err = NonFiniteJet(f"value {value!r} is not finite")
-    err.span = ast.span
-    return err
-
-
-def _field_values(spec: FieldSpec, x: Sequence[float]) -> tuple[float, ...]:
-    b = {"x1": float(x[0]), "x2": float(x[1]), "x3": float(x[2])}
-    values = []
-    for c in spec.components:
-        v = eval_float(c, b)
+def _field_pass(spec: FieldSpec, x: Sequence[float]):
+    """Component values and Jacobian rows J[a][b] = dX^a/dx^b at x, from one
+    forward pass along the coordinate axes.  The error is the one that pass
+    meets, or else a NonFiniteJet spanning the first component whose value
+    is not finite (a lone ``1e999``)."""
+    out = eval_forward(spec.components, _bindings(x, _BASIS))
+    for c, (v, _) in zip(spec.components, out):
         if not math.isfinite(v):
-            raise _non_finite_value(c, x, v)
-        values.append(v)
-    return tuple(values)
+            err = NonFiniteJet(f"value {v!r} is not finite")
+            err.span = c.span
+            raise err
+    return tuple(v for v, _ in out), tuple(d for _, d in out)
 
 
 def _eval_field_components(spec: FieldSpec, x: Sequence[float]) -> tuple[float, ...]:
-    """Component values at x; NonFiniteJet where one is not finite."""
-    return _per_point(spec, x, "values", _field_values)
+    """Component values at x; a JetError where the pass fails or a value
+    is not finite."""
+    return _per_point(spec, x, "pass", _field_pass)[0]
+
+
+def _jacobian(spec: FieldSpec, x: Sequence[float]) -> tuple[tuple[float, ...], ...]:
+    """J[a][b] = dX^a/dx^b."""
+    return _per_point(spec, x, "pass", _field_pass)[1]
 
 
 def _bindings(x: Sequence[float], tangents) -> dict:
@@ -281,19 +275,6 @@ def _mixed_second(
     ab = tuple(u + v for u, v in zip(a, b))
     _, _, (s_ab, s_a, s_b) = eval_second((ast,), _bindings(x, (ab, a, b)))[0]
     return 0.5 * (2.0 * s_ab - 2.0 * s_a - 2.0 * s_b)
-
-
-def _grad(ast: ExprAst, x: Sequence[float]) -> tuple[float, float, float]:
-    return eval_forward((ast,), _bindings(x, _BASIS))[0][1]
-
-
-def _field_jacobian(spec: FieldSpec, x: Sequence[float]) -> tuple[tuple[float, ...], ...]:
-    return tuple(derivs for _, derivs in eval_forward(spec.components, _bindings(x, _BASIS)))
-
-
-def _jacobian(spec: FieldSpec, x: Sequence[float]) -> tuple[tuple[float, ...], ...]:
-    """J[a][b] = dX^a/dx^b."""
-    return _per_point(spec, x, "jacobian", _field_jacobian)
 
 
 # --- function and field lifts -------------------------------------------------
@@ -336,10 +317,11 @@ class LiftedField:
         if self.kind == "vertical":
             return LiftedFieldValue((0.0, 0.0, 0.0), xval)
         if self.kind == "complete":
-            jac = _jacobian(self.field, p.x)
-            fiber = tuple(_fdot(p.y, row) for row in jac)
-            return LiftedFieldValue(xval, fiber)
-        fiber = tuple(-v for v in self.connection.contract(p.y, xval))
+            fiber = tuple(_fdot(p.y, row) for row in _jacobian(self.field, p.x))
+        else:
+            fiber = tuple(-v for v in self.connection.contract(p.y, xval))
+        if not all(map(math.isfinite, fiber)):
+            raise NonFiniteJet(f"{self.kind} lift fiber {fiber!r} is not finite")
         return LiftedFieldValue(xval, fiber)
 
 
@@ -364,36 +346,22 @@ def lift_field(
     return LiftedField(X, kind, connection)
 
 
-def apply_field(F: LiftedField, g, p: TangentPoint) -> float:
-    """Directional derivative of a scalar on the tangent space along F at p.
-
-    ``g`` is either a pair (kind, FieldSpec) with kind in {'v', 'c'} or a raw
-    expression over x1..x3, y1..y3 (string or AST).  A plain callable of six
-    floats is not supported: the partials must be exact.
-    """
+def apply_field(F: LiftedField, g: tuple[str, FieldSpec], p: TangentPoint) -> float:
+    """Directional derivative along F at p of the lift of a scalar function:
+    ``g`` is a pair (kind, FieldSpec) with kind in {'v', 'c'}."""
     val = F.at(p)
     a, b = val.base, val.fiber
-    if isinstance(g, tuple) and len(g) == 2 and isinstance(g[1], FieldSpec):
-        kind, spec = g
-        if spec.kind != "scalar":
-            raise ValueError("apply_field expects a scalar FieldSpec")
-        ast = spec.components[0]
-        if kind in ("v", "vertical"):
-            # g depends on x only.
-            return _dir_deriv(spec, p.x, a)
-        if kind in ("c", "complete"):
-            # d/dx part needs mixed seconds of f against the fiber coordinate;
-            # d/dy part is just grad f against the fiber direction.
-            return _mixed_second(ast, p.x, a, p.y) + _dir_deriv(spec, p.x, b)
-        raise ValueError(f"unknown scalar lift kind {kind!r}")
-    if isinstance(g, str):
-        g = parse_expr(g, TANGENT_VARS)
-    point, velocity = p.x + p.y, a + b
-    bindings = {
-        name: (point[i], (float(velocity[i]),))
-        for i, name in enumerate(("x1", "x2", "x3", "y1", "y2", "y3"))
-    }
-    return eval_forward((g,), bindings)[0][1][0]
+    kind, spec = g
+    if not isinstance(spec, FieldSpec) or spec.kind != "scalar":
+        raise ValueError("apply_field expects a scalar FieldSpec")
+    if kind in ("v", "vertical"):
+        # g depends on x only.
+        return _dir_deriv(spec, p.x, a)
+    if kind in ("c", "complete"):
+        # d/dx part needs mixed seconds of f against the fiber coordinate;
+        # d/dy part is just grad f against the fiber direction.
+        return _mixed_second(spec.components[0], p.x, a, p.y) + _dir_deriv(spec, p.x, b)
+    raise ValueError(f"unknown scalar lift kind {kind!r}")
 
 
 def _apply_scalar_field_complete(
@@ -402,8 +370,7 @@ def _apply_scalar_field_complete(
     """(Xf)^c at p = (D_y X)(x) . grad f(x) + sum y^b X^g d2f/dx^b dx^g,
     from the complete lift ``Xc`` = (X(x), D_y X(x)) of X at p."""
     xval, dyX = Xc[:3], Xc[3:]
-    grad_f = _grad(f.components[0], p.x)
-    first = _fdot(dyX, grad_f)
+    first = _fdot(dyX, _jacobian(f, p.x)[0])
     return first + _mixed_second(f.components[0], p.x, p.y, xval)
 
 

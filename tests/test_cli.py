@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -18,6 +19,7 @@ from frenetlift.cli import (
     build_parser,
     main,
 )
+from frenetlift.verify import CheckResult
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -65,6 +67,10 @@ def line_path(tmp_path):
     p = tmp_path / "line.curve"
     p.write_text(LINE_FILE)
     return str(p)
+
+
+def _no_constant(name):
+    raise AssertionError(f"JSON output holds {name}, which is not valid JSON")
 
 
 def read_csv(path):
@@ -185,6 +191,19 @@ class TestLiftCommand:
         }
         assert payload["summary"]["max_residual"] <= 1e-9
 
+    def test_json_writes_null_for_non_finite(self, tmp_path):
+        # A planar circle has no torsion oracle: its oracle columns and the
+        # discrepancy are NaN, which JSON cannot hold.
+        curve = tmp_path / "circle.curve"
+        curve.write_text("x1 = cos(t)\nx2 = sin(t)\nx3 = 0\nt_min = 0\nt_max = 1\n")
+        out = tmp_path / "lift.json"
+        code = main(["lift", "--curve", str(curve), "--kind", "c",
+                     "--samples", "3", "--format", "json", "--out", str(out)])
+        assert code == EXIT_OK
+        payload = json.loads(out.read_text(), parse_constant=_no_constant)
+        assert payload["rows"][0]["oracle_kappa"] is None
+        assert payload["summary"]["max_discrepancy"] is None
+
     def test_kind_required(self, helix_path):
         assert main(["lift", "--curve", helix_path, "--samples", "3"]) == EXIT_INPUT
 
@@ -280,6 +299,16 @@ class TestVerifyCommand:
         for item in payload:
             assert set(item) == {"name", "value", "bound", "pass"}
         assert all(item["pass"] for item in payload)
+
+    def test_json_writes_null_for_non_finite(self, tmp_path, monkeypatch):
+        results = [CheckResult("nan_value", math.nan, 1.0, "<=", False),
+                   CheckResult("inf_bound", 0.5, math.inf, "<=", True)]
+        monkeypatch.setattr(cli, "run_checks", lambda *args, **kwargs: results)
+        out = tmp_path / "verify.json"
+        code = main(["verify", "--samples", "2", "--format", "json", "--out", str(out)])
+        assert code == EXIT_VERIFY_FAILED
+        payload = json.loads(out.read_text(), parse_constant=_no_constant)
+        assert [(item["value"], item["bound"]) for item in payload] == [(None, 1.0), (0.5, None)]
 
     def test_unknown_tolerance_exits_2(self):
         assert main(["verify", "--tol", "bogus=1"]) == EXIT_INPUT
@@ -456,6 +485,12 @@ class TestDiagnostics:
         assert main(argv) == EXIT_INPUT
         assert "pow undefined at 0.0" in capsys.readouterr().err
 
+    def test_frenet_power_of_zero_names_component_and_t(self, tmp_path, capsys):
+        p = tmp_path / "inv.curve"
+        p.write_text("x1 = t^-1\nx2 = t\nx3 = t^2\nt_min = 0\nt_max = 1\n")
+        assert main(["frenet", "--curve", str(p), "--samples", "3"]) == EXIT_INPUT
+        assert "x1 at t=0.0, chars 0-4: pow undefined at 0.0" in capsys.readouterr().err
+
     def test_lift_power_of_zero_names_component_and_t(self, tmp_path, capsys):
         p = tmp_path / "inv.curve"
         p.write_text("x1 = t^-1\nx2 = t\nx3 = t^2\nt_min = 0\nt_max = 1\n")
@@ -615,7 +650,8 @@ class TestDeterminism:
 
 class TestFieldsErrorOrigin:
     """A fields evaluation error names the tangent point and the first file
-    and key that fail in plain floats there, whichever order the files come in."""
+    and key whose own forward pass there raises the printed error, whichever
+    order the files come in."""
 
     @pytest.mark.parametrize("bad_first", [True, False], ids=["bad-first", "bad-second"])
     def test_vector_file_and_key(self, tmp_path, capsys, bad_first):
@@ -628,7 +664,7 @@ class TestFieldsErrorOrigin:
                 "--scalar", str(tmp_path / "f.field"), "--point=1,2,3,0.5,0,-1"]
         assert main(argv) == EXIT_INPUT
         err = capsys.readouterr().err
-        assert err == (f"error: chars 0-9: denominator 0.0 "
+        assert err == (f"error: chars 0-9: denominator constant term 0.0 "
                        f"({bad} X2 at point=(1.0, 2.0, 3.0, 0.5, 0.0, -1.0))\n")
 
     @pytest.mark.parametrize("bad_first", [True, False], ids=["bad-first", "bad-second"])
@@ -674,6 +710,33 @@ class TestFieldsErrorOrigin:
         assert capsys.readouterr().err == (
             f"error: chars 0-8: sqrt undefined at 0.0 "
             f"({tmp_path / 'f.field'} f at point=(0.0, 1.0, 1.0, 1.0, 1.0, 1.0))\n")
+
+    @pytest.mark.parametrize("other, files", [
+        ("X1 = x2\nX2 = 1/x1\nX3 = x3\n", ["--field", "X", "--field", "other", "--scalar", "f"]),
+        ("f = 1/x1\n", ["--field", "X", "--scalar", "other", "--scalar", "f"]),
+    ], ids=["vector", "scalar"])
+    def test_names_the_file_that_raised_the_printed_error(self, tmp_path, capsys, other, files):
+        # X's partials fail first; a later file that also fails at the point,
+        # with another error, is not the one named.
+        (tmp_path / "X.field").write_text("X1 = sqrt(x1)\nX2 = x2\nX3 = x3\n")
+        (tmp_path / "other.field").write_text(other)
+        (tmp_path / "f.field").write_text(F_SCALAR)
+        argv = ["fields", *[a if a.startswith("--") else str(tmp_path / f"{a}.field")
+                            for a in files], "--point=0,1,1,1,1,1"]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: chars 0-8: sqrt undefined at 0.0 "
+            f"({tmp_path / 'X.field'} X1 at point=(0.0, 1.0, 1.0, 1.0, 1.0, 1.0))\n")
+
+    def test_error_no_single_component_meets_names_only_the_point(self, tmp_path, capsys):
+        # fX overflows where neither f nor X does.
+        (tmp_path / "X.field").write_text("X1 = x1*1e200\nX2 = x2\nX3 = x3\n")
+        (tmp_path / "f.field").write_text("f = x1*1e200\n")
+        argv = ["fields", "--field", str(tmp_path / "X.field"),
+                "--scalar", str(tmp_path / "f.field"), "--point=1,1,1,1,1,1"]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err.endswith(
+            " (at point=(1.0, 1.0, 1.0, 1.0, 1.0, 1.0))\n")
 
     def test_success_evaluates_no_file_again(self, tmp_path, monkeypatch):
         (tmp_path / "X.field").write_text(X_FIELD)
