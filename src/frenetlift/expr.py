@@ -34,17 +34,19 @@ span of the node that failed.  There are four evaluators:
 - :func:`eval_jet` evaluates K-jets through the same :class:`Jet` kernel
   calls as a tree walk, so every bit is the same.  Each number builds its
   constant jet once per order.  When every binding is an order-1 jet it
-  runs the forward code with one tangent instead, which gives the same
-  bits and errors.
-- :func:`eval_forward` is order-1 forward mode with n tangents in one pass,
-  for gradients and Jacobians.  Each tangent repeats the float steps and
-  the per-operation finiteness test of the order-1 jet kernel bit for bit.
-- :func:`eval_second` is the same at order 2 (univariate Taylor
-  propagation), for the second derivatives of the lift identities: each
-  direction repeats the order-2 jet kernel on ``(x, d_i, 0.0)``.
+  runs the forward code on the jets' coefficient pairs instead, which
+  gives the same bits and errors.
+- :func:`eval_forward` is order-1 forward mode, one direction per pass on
+  plain ``(value, derivative)`` float pairs, for gradients and Jacobians.
+  Each pass repeats the float steps and the per-operation finiteness test
+  of the order-1 jet kernel bit for bit.
+- :func:`eval_second` is order 2 (univariate Taylor propagation) with n
+  directions in one pass, for the second derivatives of the lift
+  identities: each direction repeats the order-2 jet kernel on
+  ``(x, d_i, 0.0)``.
 
 The last two inline sin and cos and run '^' and the other functions
-through the jet kernel one direction at a time.  The jet, forward and
+through the jet kernel, one direction at a time.  The jet, forward and
 order-2 evaluators are one compiler over three kernels: one dispatcher walks
 the tree and picks the code for each node, and each kernel supplies the
 closures of its own coefficient arithmetic.
@@ -55,6 +57,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
+from math import cos, isfinite, sin
 from typing import Callable, Mapping, NamedTuple, Union
 
 from .jets import (
@@ -482,6 +485,11 @@ def _float_code(node: ExprAst):
 
         def power(b):
             base, exponent = left(b), right(b)
+            # A negative integer power is the reciprocal of a positive one,
+            # undefined where that one is below DIV_FLOOR, as in the jet kernel.
+            if (exponent < 0.0 and exponent.is_integer() and abs(base) < 1.0
+                    and abs(base ** -exponent) < DIV_FLOOR):
+                raise DomainError("pow", base, span)
             try:
                 return _real_pow(base, exponent)
             except (ValueError, OverflowError):
@@ -593,37 +601,42 @@ def eval_jet(ast: ExprAst, bindings: Mapping[str, Jet]) -> Jet:
 
     Domain and division failures are re-raised with the source span of the
     offending node attached.  When every binding is an order-1 jet, the
-    forward code runs with one tangent, which takes the jet kernel's float
-    steps and gives its bits and errors.
+    forward code runs on the jets' coefficient pairs, which takes the jet
+    kernel's float steps and gives its bits and errors.
     """
-    jets = bindings.values()
-    if jets and all(len(j.coeffs) == 2 for j in jets):
-        pairs = {name: (j.coeffs[0], j.coeffs[1:]) for name, j in bindings.items()}
-        v, (d,) = _FORWARD.code(ast)(pairs, (0.0,))
-        return Jet._of((v, d))
-    order = next(iter(jets)).order if jets else 0
+    pairs = {}
+    for name, jet in bindings.items():
+        if len(jet.coeffs) != 2:
+            break
+        pairs[name] = jet.coeffs
+    else:
+        if pairs:
+            return Jet._of(_FORWARD.code(ast)(pairs, None))
+    order = next(iter(bindings.values())).order if bindings else 0
     return _JET.code(ast)(bindings, order)
 
 
-# Forward arithmetic: code of (bindings, zero tangents), returning a value
-# with its n directional derivatives, (v, (d_1, ..., d_n)).  Tangent i takes
-# the same floating-point steps as the order-1 jet kernel on (v, d_i), and
-# meets the same finiteness test after each operation.
+# Forward arithmetic: code of (bindings, None), returning a value with one
+# directional derivative as a plain float pair (v, d).  It takes the float
+# steps of the order-1 jet kernel on (v, d) and meets its finiteness test,
+# on v + d, after each operation, raised with the node's span.
 
 
-def _finite(v: float, d: tuple, what: str, span: Span | None = None) -> None:
-    # The jet kernel tests the sum of an order-1 result's two coefficients.
-    for x in d:
-        if not math.isfinite(v + x):
-            err = NonFiniteJet(f"{what} produced non-finite coefficients")
-            err.span = span
-            raise err
+def _non_finite(what: str, span: Span | None) -> NonFiniteJet:
+    err = NonFiniteJet(f"{what} produced non-finite coefficients")
+    err.span = span
+    return err
 
 
-def _neg(child):
-    def neg(b, zero):
-        v, *parts = child(b, zero)
-        return (-v, *[tuple([-x for x in p]) for p in parts])
+def _forward_num(value: float):
+    pair = (value, 0.0)
+    return lambda b, extra: pair
+
+
+def _forward_neg(child):
+    def neg(b, extra):
+        v, d = child(b, extra)
+        return -v, -d
 
     return neg
 
@@ -631,108 +644,127 @@ def _neg(child):
 def _forward_scale(operand, c: float, span: Span):
     """Code for ``operand * c``, the jet kernel's O(K) product with a number."""
 
-    def scaled(b, zero):
-        v, d = operand(b, zero)
+    def scaled(b, extra):
+        v, d = operand(b, extra)
         v = v * c + 0.0
-        d = tuple([x * c + 0.0 for x in d])
-        _finite(v, d, "multiplication", span)
+        d = d * c + 0.0
+        if not isfinite(v + d):
+            raise _non_finite("multiplication", span)
         return v, d
 
     return scaled
 
 
-def _forward_divide(num, den):
-    (u, du), (w, dw) = num, den
-    if abs(w) < DIV_FLOOR:
-        raise DivisionByZeroJet(f"denominator constant term {w!r}")
-    v = u / w
-    d = tuple([(x - v * y) / w for x, y in zip(du, dw)])
-    _finite(v, d, "division")
-    return v, d
-
-
 def _forward_binary(op: str, left, right, span: Span):
-    if op == "/":
-        return _spanned(_forward_divide, span, left, right)
+    if op in ("+", "-"):
+        arith, what = _ARITH[op], "addition" if op == "+" else "subtraction"
+
+        def add_sub(b, extra):
+            u, du = left(b, extra)
+            w, dw = right(b, extra)
+            v = arith(u, w)
+            d = arith(du, dw)
+            if not isfinite(v + d):
+                raise _non_finite(what, span)
+            return v, d
+
+        return add_sub
     if op == "*":
 
-        def mul(b, zero):
-            (u, du), (w, dw) = left(b, zero), right(b, zero)
+        def mul(b, extra):
+            u, du = left(b, extra)
+            w, dw = right(b, extra)
             v = 0.0 + u * w
-            d = tuple([(0.0 + u * y) + x * w for x, y in zip(du, dw)])
-            _finite(v, d, "multiplication", span)
+            d = (0.0 + u * dw) + du * w
+            if not isfinite(v + d):
+                raise _non_finite("multiplication", span)
             return v, d
 
         return mul
-    arith = _ARITH[op]
-    what = "addition" if op == "+" else "subtraction"
 
-    def add_sub(b, zero):
-        (u, du), (w, dw) = left(b, zero), right(b, zero)
-        v = arith(u, w)
-        d = tuple(map(arith, du, dw))
-        _finite(v, d, what, span)
+    def divide(b, extra):
+        u, du = left(b, extra)
+        w, dw = right(b, extra)
+        if abs(w) < DIV_FLOOR:
+            err = DivisionByZeroJet(f"denominator constant term {w!r}")
+            err.span = span
+            raise err
+        v = u / w
+        d = (du - v * dw) / w
+        if not isfinite(v + d):
+            raise _non_finite("division", span)
         return v, d
 
-    return add_sub
+    return divide
 
 
-def _forward_sin_cos(arg):
-    u, du = arg
-    s, c = math.sin(u), math.cos(u)
-    ds = tuple([0.0 + x * c for x in du])
-    dc = tuple([-(0.0 + x * s) for x in du])
-    _finite(s, ds, "operation")
-    _finite(c, dc, "operation")
-    return (s, ds), (c, dc)
+def _forward_call(name: str, arg, span: Span):
+    """sin and cos inline, as ``_pair_recurrence`` at order 1: the jet
+    kernel also tests the partner function's pair, which is finite exactly
+    when this one is.  The other functions run through the jet kernel."""
+    if name == "sin":
+
+        def sine(b, extra):
+            u, du = arg(b, extra)
+            v = sin(u)
+            d = 0.0 + du * cos(u)
+            if not isfinite(v + d):
+                raise _non_finite("operation", span)
+            return v, d
+
+        return sine
+    if name == "cos":
+
+        def cosine(b, extra):
+            u, du = arg(b, extra)
+            v = cos(u)
+            d = -(0.0 + du * sin(u))
+            if not isfinite(v + d):
+                raise _non_finite("operation", span)
+            return v, d
+
+        return cosine
+    func = JET_FUNCTIONS[name]
+    return _spanned(lambda u: func(Jet._of(u)).coeffs, span, arg)
 
 
-def _per_direction(func):
-    """Forward or order-2 code for a jet kernel that is not inlined: func on
-    the jet (v, d_i) or (v, d_i, e_i) of each direction i."""
-
-    def run(arg):
-        v, *rest = arg
-        outs = [func(Jet._of((v, *cs))).coeffs for cs in zip(*rest)]
-        return (outs[0][0], *list(zip(*outs))[1:])
-
-    return run
-
-
-def _directional_kernel(attr: str, num, scale, binary, sin_cos) -> _Kernel:
-    """A kernel over n directions with sin and cos inlined by ``sin_cos``,
-    and '^' and the other functions through the jet kernel per direction."""
-    funcs = {"sin": lambda arg: sin_cos(arg)[0], "cos": lambda arg: sin_cos(arg)[1]}
-    return _Kernel(
-        attr, num, _neg, scale,
-        lambda base, r, span: _spanned(_per_direction(lambda u: jet_pow(u, r)), span, base),
-        binary,
-        lambda name, arg, span: _spanned(
-            funcs.get(name) or _per_direction(JET_FUNCTIONS[name]), span, arg),
-    )
-
-
-_FORWARD = _directional_kernel(
-    "_forward", lambda value: lambda b, zero: (value, zero),
-    _forward_scale, _forward_binary, _forward_sin_cos,
+_FORWARD = _Kernel(
+    "_forward",
+    _forward_num,
+    _forward_neg,
+    _forward_scale,
+    lambda base, r, span: _spanned(lambda u: jet_pow(Jet._of(u), r).coeffs, span, base),
+    _forward_binary,
+    _forward_call,
 )
 
 
 def eval_forward(asts, bindings: Mapping[str, tuple]) -> list:
-    """Values and n directional derivatives of several ASTs in one pass.
+    """Values and n directional derivatives of several ASTs, n >= 1.
 
     ``bindings`` maps each variable to ``(value, (d_1, ..., d_n))``, the
     same n for all.  Each AST gives ``(value, (D_1, ..., D_n))`` with
     ``D_i`` bit for bit the order-1 coefficient of :func:`eval_jet` on the
-    jets ``(value, d_i)``.  The error raised is the one order-1
-    :func:`eval_jet` meets when it takes direction 1 through every AST,
-    then direction 2, and so on.
+    jets ``(value, d_i)``.  The directions run as n passes: direction 1
+    through every AST, then direction 2, and so on, so the error raised is
+    the first one that order meets.
     """
-    return _directions([_FORWARD.code(ast) for ast in asts], bindings)
+    codes = [_FORWARD.code(ast) for ast in asts]
+    n = len(next(iter(bindings.values()))[1])
+    passes = []
+    for i in range(n):
+        pairs = {name: (v, d[i]) for name, (v, d) in bindings.items()}
+        passes.append([code(pairs, None) for code in codes])
+    return [(outs[0][0], tuple([d for _, d in outs])) for outs in zip(*passes)]
+
+
+# Order-2 arithmetic: code of (bindings, zeros), returning (v, (d_1, ..., d_n),
+# (e_1, ..., e_n)).  Direction i takes the float steps of the order-2 jet kernel
+# on (v, d_i, e_i) and meets its finiteness test, on the same total, after each.
 
 
 def _directions(codes, bindings: Mapping[str, tuple]) -> list:
-    """Every code on bindings ``(value, (d_1, ..., d_n), ...)`` of n
+    """Every order-2 code on bindings ``(value, (d_1, ..., d_n), ...)`` of n
     directions.  The error raised is the first one met taking direction 1
     through every code, then direction 2, and so on."""
     n = len(next(iter(bindings.values()))[1])
@@ -752,17 +784,18 @@ def _directions(codes, bindings: Mapping[str, tuple]) -> list:
         raise
 
 
-# Order-2 arithmetic: code of (bindings, zeros), returning (v, (d_1, ..., d_n),
-# (e_1, ..., e_n)).  Direction i takes the float steps of the order-2 jet kernel
-# on (v, d_i, e_i) and meets its finiteness test, on the same total, after each.
+def _second_neg(child):
+    def neg(b, zero):
+        v, *parts = child(b, zero)
+        return (-v, *[tuple([-x for x in p]) for p in parts])
+
+    return neg
 
 
 def _finite_totals(totals, what: str, span: Span | None = None) -> None:
     for tot in totals:
-        if not math.isfinite(tot):
-            err = NonFiniteJet(f"{what} produced non-finite coefficients")
-            err.span = span
-            raise err
+        if not isfinite(tot):
+            raise _non_finite(what, span)
 
 
 def _second_scale(operand, c: float, span: Span):
@@ -832,9 +865,35 @@ def _second_sin_cos(arg):
     return (s0, tuple(s1), tuple(s2)), (c0, tuple(c1), tuple(c2))
 
 
-_SECOND = _directional_kernel(
-    "_second", lambda value: lambda b, zero: (value, zero, zero),
-    _second_scale, _second_binary, _second_sin_cos,
+def _per_direction(func):
+    """Order-2 code for a jet kernel that is not inlined: func on the jet
+    (v, d_i, e_i) of each direction i."""
+
+    def run(arg):
+        v, *rest = arg
+        outs = [func(Jet._of((v, *cs))).coeffs for cs in zip(*rest)]
+        return (outs[0][0], *list(zip(*outs))[1:])
+
+    return run
+
+
+def _second_call(name: str, arg, span: Span):
+    """sin and cos inline by ``_second_sin_cos``; the other functions run
+    through the jet kernel one direction at a time."""
+    if name in ("sin", "cos"):
+        index = 0 if name == "sin" else 1
+        return _spanned(lambda u: _second_sin_cos(u)[index], span, arg)
+    return _spanned(_per_direction(JET_FUNCTIONS[name]), span, arg)
+
+
+_SECOND = _Kernel(
+    "_second",
+    lambda value: lambda b, zero: (value, zero, zero),
+    _second_neg,
+    _second_scale,
+    lambda base, r, span: _spanned(_per_direction(lambda u: jet_pow(u, r)), span, base),
+    _second_binary,
+    _second_call,
 )
 
 

@@ -24,11 +24,16 @@ what depends on the base point alone: that pass and, for a scalar, its first
 directional derivatives by direction.  Each :class:`FieldSpec` holds the
 results for the last base point it met, keyed on the exact bits of x, and
 nothing is shared between specs: X+Y and fX are evaluated from their own
-trees, so the identities they enter stay measured.
+trees, so the identities they enter stay measured.  :func:`field_sum` and
+:func:`field_scale` keep their result on the first operand for its last
+partner, so a suite repeated on the same fields reuses the same X+Y and fX
+specs, their compiled code and their per-point results.
 
 Curves lift pointwise: vertical to (anchor, beta(t)), complete to
 (beta(t), beta'(t)), and horizontal to (beta(t), w(t)) with w parallel
-transported along beta by classical 4-stage Runge-Kutta.
+transported along beta by classical 4-stage Runge-Kutta.  Each stage takes
+the curve velocity from one order-1 :func:`expr.eval_jet` per component and
+contracts it with the stage's fiber on plain floats.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from .expr import (
     eval_second,
 )
 from .frenet import DomainIntervalError
-from .jets import Jet, JetError, NonFiniteJet, VecJ, _fdot
+from .jets import Jet, NonFiniteJet, VecJ, _fdot
 
 __all__ = [
     "TangentPoint",
@@ -381,11 +386,23 @@ def _synth(op: str, left: ExprAst, right: ExprAst) -> ExprAst:
     return BinOp(op, left, right, (0, 0))
 
 
+def _per_partner(first: FieldSpec, attr: str, partner: FieldSpec, build) -> FieldSpec:
+    """``build()``, kept on ``first`` for its last partner (by identity),
+    stored the way :func:`_per_point` stores results.  The same operands so
+    give the same spec, whose trees keep their compiled code and whose
+    per-point results carry over."""
+    memo = first.__dict__.get(attr)
+    if memo is None or memo[0] is not partner:
+        memo = (partner, build())
+        object.__setattr__(first, attr, memo)
+    return memo[1]
+
+
 def field_sum(X: FieldSpec, Y: FieldSpec) -> FieldSpec:
     if X.kind != Y.kind:
         raise ValueError("cannot add fields of different kinds")
-    comps = tuple(_synth("+", a, b) for a, b in zip(X.components, Y.components))
-    return FieldSpec(X.kind, comps)
+    return _per_partner(X, "_sum", Y, lambda: FieldSpec(
+        X.kind, tuple(_synth("+", a, b) for a, b in zip(X.components, Y.components))))
 
 
 def field_scale(f: FieldSpec, X: FieldSpec) -> FieldSpec:
@@ -393,7 +410,8 @@ def field_scale(f: FieldSpec, X: FieldSpec) -> FieldSpec:
     if f.kind != "scalar" or X.kind != "vector":
         raise ValueError("field_scale expects (scalar, vector)")
     fa = f.components[0]
-    return FieldSpec("vector", tuple(_synth("*", fa, c) for c in X.components))
+    return _per_partner(f, "_scale", X, lambda: FieldSpec(
+        "vector", tuple(_synth("*", fa, c) for c in X.components)))
 
 
 # --- lift identity suite ----------------------------------------------------------
@@ -476,17 +494,6 @@ def prop21_check(
 # --- parallel transport -------------------------------------------------------------
 
 
-def _curve_velocity(curve: CurveSpec, t: float) -> tuple[float, float, float]:
-    tj = Jet.variable(t, 1)
-    jets = _per_component(curve, t, lambda comp: eval_jet(comp, {"t": tj}))
-    return tuple(j.coeffs[1] for j in jets)
-
-
-def _transport_rhs(G: Connection, curve: CurveSpec, u: float, w: Sequence[float]):
-    vel = _curve_velocity(curve, u)
-    return [-v for v in G.contract(vel, w)]
-
-
 def _rk4_segment(
     G: Connection,
     curve: CurveSpec,
@@ -495,16 +502,35 @@ def _rk4_segment(
     t1: float,
     steps: int,
 ) -> list[float]:
+    """Classical RK4 for w' = -G(beta', w) over ``steps`` equal steps.
+
+    Each stage evaluates the curve velocity at its own time, one order-1
+    :func:`eval_jet` per component, and contracts it with the stage's fiber
+    over ``G._terms`` in the order of :meth:`Connection.contract`.
+    """
     h = (t1 - t0) / steps
+    half = 0.5 * h
+    rows = G._terms
     for i in range(steps):
         u = t0 + i * h
-        k1 = _transport_rhs(G, curve, u, w)
-        k2 = _transport_rhs(G, curve, u + 0.5 * h, [a + 0.5 * h * b for a, b in zip(w, k1)])
-        k3 = _transport_rhs(G, curve, u + 0.5 * h, [a + 0.5 * h * b for a, b in zip(w, k2)])
-        k4 = _transport_rhs(G, curve, u + h, [a + h * b for a, b in zip(w, k3)])
+        k = None
+        ks = []
+        for s, c in ((u, 0.0), (u + half, half), (u + half, half), (u + h, h)):
+            y = w if k is None else [a + c * b for a, b in zip(w, k)]
+            tj = {"t": Jet._of((s, 1.0))}
+            vel = _per_component(curve, s, lambda comp: eval_jet(comp, tj).coeffs[1])
+            k = []
+            for row in rows:
+                # -0.0 + x is x, so a row sums as contract sums it; a row
+                # without symbols is contract's 0.0 * direction * transported.
+                acc = -0.0 if row else 0.0 * vel[0] * y[0]
+                for b, g, coeff in row:
+                    acc += vel[b] * y[g] * coeff
+                k.append(-acc)
+            ks.append(k)
         w = [
             a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(w, k1, k2, k3, k4)
+            for a, b1, b2, b3, b4 in zip(w, *ks)
         ]
     return w
 

@@ -12,6 +12,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import math
 from pathlib import Path
 
 import pytest
@@ -107,4 +108,19 @@ def test_rk4_step_curve_evaluations_match_prediction():
     steps = 7
     summary = _traced(lambda: lifts.parallel_transport(G, curve, (1.0, 0.0, 0.0), 1.0, steps))
     assert summary["lifts.parallel_transport"]["calls"] == 1
+    assert summary["expr.eval_jet"]["calls"] == want * steps
+
+
+def test_transport_grid_curve_evaluations_match_prediction():
+    # The count the traced transport workload checks: every grid interval
+    # [a, b] takes ceil(1000 * (b - a)) RK4 steps of EVALS_PER_RK4_STEP curve
+    # evaluations each, none shared between stages.
+    want = _run_constants("EVALS_PER_RK4_STEP")["EVALS_PER_RK4_STEP"]
+    curve = CurveSpec.from_strings("(2 + cos(3*t))*cos(2*t)", "sin(3*t)", "t/2", 0.25, 1.0)
+    G = Connection.from_entries({(1, 2, 3): 0.3, (3, 3, 2): 0.15})
+    grid = [0.25, 0.2537, 0.26, 0.2651, 0.281]
+    steps = sum(max(1, math.ceil(1000 * (b - a))) for a, b in zip(grid, grid[1:]))
+    summary = _traced(lambda: lifts.transport_grid(G, curve, (1.0, -0.5, 0.75), grid))
+    assert summary["lifts.transport_grid"]["calls"] == 1
+    assert summary["lifts.transport_grid"]["curve_evals"] == want * steps
     assert summary["expr.eval_jet"]["calls"] == want * steps

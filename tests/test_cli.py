@@ -498,6 +498,18 @@ class TestDiagnostics:
         err = capsys.readouterr().err
         assert "x1 at t=0.0, chars 0-4: pow undefined at 0.0" in err
 
+    def test_transport_stage_failure_names_component_and_t(self, tmp_path, capsys):
+        # Every grid point is fine; only the first RK4 step's midpoint stages
+        # (t = 0.0005) divide by zero.
+        curve, conn = tmp_path / "pole.curve", tmp_path / "g.conn"
+        curve.write_text("x1 = t\nx2 = 1/(t - 0.0005)\nx3 = t^2\nt_min = 0\nt_max = 1\n")
+        conn.write_text("gamma 1 2 3 = 0.3\n")
+        argv = ["lift", "--kind", "h", "--curve", str(curve), "--connection", str(conn),
+                "--w0=1,0,0", "--samples", "3"]
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "x2 at t=0.0005, chars 0-14: denominator constant term 0.0" in err
+
     def test_complex_constant_exponent_exits_2(self, tmp_path, capsys):
         p = tmp_path / "fold.curve"
         p.write_text("x1 = t^((-8)^0.5)\nx2 = t\nx3 = t^2\nt_min = 1\nt_max = 2\n")

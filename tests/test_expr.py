@@ -193,6 +193,22 @@ class TestEval:
             eval_float(parse_expr(text, {"t"}), {"t": t})
         assert (exc.value.func, exc.value.span) == ("pow", span)
 
+    @pytest.mark.parametrize("text, t, span", [
+        ("t^-1", 1e-301, (0, 4)),
+        ("t^-2", -2e-300, (0, 4)),
+        ("1 + t^-3", 1e-150, (4, 8)),
+    ])
+    def test_float_negative_power_below_floor(self, text, t, span):
+        # The positive power is below DIV_FLOOR: undefined in floats as in jets.
+        ast = parse_expr(text, {"t"})
+        errors = []
+        for evaluate in (lambda: eval_float(ast, {"t": t}),
+                         lambda: eval_jet(ast, {"t": Jet.variable(t, 1)})):
+            with pytest.raises(DomainError) as exc:
+                evaluate()
+            errors.append((exc.value.func, str(exc.value), exc.value.span))
+        assert errors == [("pow", f"pow undefined at {t!r}", span)] * 2
+
     def test_float_path_matches_order0(self):
         rng = random.Random(7)
         checked = 0
@@ -230,12 +246,12 @@ BASIS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 def _jet_route(asts, point, tangents):
-    """Order-1 eval_jet direction by direction, each direction through every AST."""
+    """Order-1 Jet kernel direction by direction, each direction through every AST."""
     derivs = [[] for _ in asts]
     for d in tangents:
         bindings = {name: Jet((point[i], d[i])) for i, name in enumerate(NAMES)}
         for k, ast in enumerate(asts):
-            jet = eval_jet(ast, bindings)
+            jet = _kernel_jet(ast, bindings, 1)
             derivs[k].append(jet.coeffs)
     return [(ds[0][0], tuple(c[1] for c in ds)) for ds in derivs]
 
@@ -276,7 +292,14 @@ class TestForward:
         (["x1/x2"], (1.0, 1e-300, 1.0), BASIS, NonFiniteJet),
         # Every tangent is near the largest float, none overflows alone.
         (["x1 + x2", "x1*x2 - x3"], (0.0, 1.0, 0.5), ((1e308, 0.0, 0.0),) * 3, None),
-    ], ids=["one-expression", "two-expressions", "quotient", "large-tangents"])
+        # Signed zeros: each inlined step keeps the kernel's zero signs.
+        (["0*x1", "x1*0", "-(x1 - x1)", "-(0*x1) - x2"], (-2.0, 0.0, 1.0), BASIS, None),
+        # A lone number meets no finiteness test.
+        (["1e999", "-1e999"], (1.0, 1.0, 1.0), BASIS, None),
+        # The denominator's value is below DIV_FLOOR.
+        (["x3 + x1/x2"], (1.0, 1e-301, 1.0), BASIS, DivisionByZeroJet),
+    ], ids=["one-expression", "two-expressions", "quotient", "large-tangents", "signed-zero",
+            "lone-infinity", "below-floor"])
     def test_edge_cases(self, texts, point, tangents, raised):
         asts = [parse_expr(text, NAMES) for text in texts]
         want = _outcome(_jet_route, asts, point, tangents)
@@ -507,8 +530,8 @@ class TestSecond:
 
 
 class TestOrder1Jet:
-    """Order-1 eval_jet runs the forward code with one tangent; the Jet
-    kernel route stays the reference."""
+    """Order-1 eval_jet runs the forward code on the jets' coefficient
+    pairs; the Jet kernel route stays the reference."""
 
     def test_matches_jet_kernel(self):
         rng = random.Random(20261105)
@@ -526,6 +549,27 @@ class TestOrder1Jet:
             assert outcomes[0] == outcomes[1]
             raised += isinstance(outcomes[1], tuple)
         assert 0 < raised < 3000
+
+    @pytest.mark.parametrize("text, values, raised", [
+        ("0*x1", (-2.0, 1.0, 1.0), None),
+        ("x1*0", (-2.0, 1.0, 1.0), None),
+        ("-(x1 - x1)", (-2.0, 1.0, 1.0), None),
+        ("-(0*x1) - x2", (1.0, 0.0, 1.0), None),
+        ("1e999", (1.0, 1.0, 1.0), None),
+        ("x3 + x1/x2", (1.0, 1e-301, 1.0), DivisionByZeroJet),
+        ("x3 + x1/(x2 - x2)", (1.0, 2.0, 1.0), DivisionByZeroJet),
+    ])
+    def test_edge_cases(self, text, values, raised):
+        ast = parse_expr(text, NAMES)
+        bindings = {name: Jet((v, -1.5)) for name, v in zip(NAMES, values)}
+        outcomes = []
+        for route in (eval_jet, lambda a, b: _kernel_jet(a, b, 1)):
+            try:
+                outcomes.append([x.hex() for x in route(ast, bindings).coeffs])
+            except Exception as err:
+                outcomes.append((type(err), str(err), getattr(err, "span", None)))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[1][0] if isinstance(outcomes[1], tuple) else None) is raised
 
     def test_mixed_orders_reach_jet_kernel(self):
         ast = parse_expr("x1*x2", NAMES)
