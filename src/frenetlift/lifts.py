@@ -19,15 +19,21 @@ together, so no nested or multivariate jets are needed.
 A field's component values and Jacobian come from one forward pass along the
 coordinate axes (:func:`expr.eval_forward`), so a failure in the first
 partials is an error for every lift kind, as is a value or a lifted fiber
-that is not finite.  A field evaluated many times at one tangent point keeps
-what depends on the base point alone: that pass and, for a scalar, its first
-directional derivatives by direction.  Each :class:`FieldSpec` holds the
-results for the last base point it met, keyed on the exact bits of x, and
-nothing is shared between specs: X+Y and fX are evaluated from their own
-trees, so the identities they enter stay measured.  :func:`field_sum` and
-:func:`field_scale` keep their result on the first operand for its last
-partner, so a suite repeated on the same fields reuses the same X+Y and fX
-specs, their compiled code and their per-point results.
+that is not finite.  Each :class:`FieldSpec` keeps what it computes at a
+tangent point for the last base point it met, keyed on the exact bits of x:
+that pass, its lifted values, and for a scalar its first and second
+directional coefficients, one entry per direction.  :func:`prop21_check`
+fills the directional entries for each scalar with one order-1 and one
+order-2 pass, and :func:`apply_field` reads them.
+
+:func:`field_sum` and :func:`field_scale` build a new spec of synthesized
+root nodes over their operands' trees, and it keeps its operands.  Its pass
+is derived from the operands' passes: each root's step, per component and
+direction in :func:`expr.eval_forward`'s order, with the root's finiteness
+test, gives the bits of evaluating the tree.  An operand whose own pass
+fails raises its error, the left operand first, before any root step runs,
+so where both fail, or where the tree would have failed in a root step
+first, the error raised is the operand's.
 
 Curves lift pointwise: vertical to (anchor, beta(t)), complete to
 (beta(t), beta'(t)), and horizontal to (beta(t), w(t)) with w parallel
@@ -45,10 +51,12 @@ from typing import Sequence
 
 from .expr import (
     BinOp,
-    ExprAst,
     FieldSpec,
     FormatError,
     CurveSpec,
+    Num,
+    Var,
+    _FORWARD,
     _key_value_lines,
     _per_component,
     eval_forward,
@@ -197,7 +205,7 @@ class LiftKind:
             raise ValueError("horizontal lift needs an initial fiber vector w0")
 
 
-# --- scalar helpers (first partials by forward mode, seconds by order 2) ----
+# --- per-point results (passes, directional coefficients, lifted values) ----
 
 
 _FIELD_NAMES = ("x1", "x2", "x3")
@@ -208,32 +216,51 @@ _pack3 = struct.Struct("<3d").pack
 _PER_POINT_MAX = 64
 
 
-def _per_point(spec: FieldSpec, x: Sequence[float], key, compute, *args):
-    """``compute(spec, x, *args)``, kept on ``spec`` while x stays the same.
+def _results_at(spec: FieldSpec, x: Sequence[float]) -> dict:
+    """The results ``spec`` keeps for base point x.
 
     The spec holds the results for its last base point only, stored the way
-    compiled code is stored on AST nodes; another x replaces them.  x is
-    keyed on its bits, so -0.0 and 0.0 are different points.  A compute
-    that raises stores nothing.
+    compiled code is stored on AST nodes; another x replaces them with an
+    empty dict.  x is keyed on its bits, so -0.0 and 0.0 are different
+    points.  An x given as a tuple is kept too, and the same tuple object
+    again needs no packing.
     """
-    xbits = _pack3(*x)
     memo = spec.__dict__.get("_at_x")
-    if memo is None or memo[0] != xbits:
-        memo = (xbits, {})
-        object.__setattr__(spec, "_at_x", memo)
-    results = memo[1]
-    if key not in results:
-        if len(results) >= _PER_POINT_MAX:
-            results.clear()
-        results[key] = compute(spec, x, *args)
-    return results[key]
+    if memo is not None and memo[2] is x:
+        return memo[1]
+    xbits = _pack3(*x)
+    kept = x if type(x) is tuple else None
+    memo = (xbits, {} if memo is None or memo[0] != xbits else memo[1], kept)
+    object.__setattr__(spec, "_at_x", memo)
+    return memo[1]
+
+
+def _keep(results: dict, key, value) -> None:
+    if len(results) >= _PER_POINT_MAX:
+        results.clear()
+    results[key] = value
+
+
+def _per_point(spec: FieldSpec, x: Sequence[float], key, compute, *args):
+    """``compute(spec, x, *args)``, kept on ``spec`` under ``key`` while x
+    stays the same.  A compute that raises stores nothing."""
+    results = _results_at(spec, x)
+    value = results.get(key)
+    if value is None:
+        value = compute(spec, x, *args)
+        _keep(results, key, value)
+    return value
 
 
 def _field_pass(spec: FieldSpec, x: Sequence[float]):
     """Component values and Jacobian rows J[a][b] = dX^a/dx^b at x, from one
     forward pass along the coordinate axes.  The error is the one that pass
     meets, or else a NonFiniteJet spanning the first component whose value
-    is not finite (a lone ``1e999``)."""
+    is not finite (a lone ``1e999``).  A spec built by :func:`field_sum` or
+    :func:`field_scale` derives its pass from its operands' instead."""
+    operands = spec.__dict__.get("_operands")
+    if operands is not None:
+        return _composite_pass(x, *operands)
     out = eval_forward(spec.components, _bindings(x, _BASIS))
     for c, (v, _) in zip(spec.components, out):
         if not math.isfinite(v):
@@ -263,22 +290,49 @@ def _bindings(x: Sequence[float], tangents) -> dict:
     }
 
 
-def _scalar_dir_deriv(f: FieldSpec, x: Sequence[float], d: Sequence[float]) -> float:
-    return eval_forward(f.components, _bindings(x, (d,)))[0][1][0]
+def _coefficients(f: FieldSpec, x: Sequence[float], order: int, dirs) -> tuple[float, ...]:
+    """Coefficient ``order`` (1 or 2) of s -> f(x + s d) for each direction d
+    of ``dirs``, for a scalar f, from one pass over the directions in order."""
+    bindings = _bindings(x, dirs)
+    if order == 1:
+        return eval_forward(f.components, bindings)[0][1]
+    return eval_second(f.components, bindings)[0][2]
+
+
+def _along(f: FieldSpec, x: Sequence[float], order: int, dirs) -> list[float]:
+    """:func:`_coefficients` along each of ``dirs``, kept one entry per
+    direction (keyed on its bits).  The directions not kept yet come from
+    one pass, so its error is the first one they meet in the given order."""
+    results = _results_at(f, x)
+    keys = [(order, _pack3(*d)) for d in dirs]
+    try:
+        return [results[key] for key in keys]
+    except KeyError:
+        pass
+    todo = {key: d for key, d in zip(keys, dirs) if key not in results}
+    known = {key: results[key] for key in keys if key in results}
+    known.update(zip(todo, _coefficients(f, x, order, tuple(todo.values()))))
+    for key in todo:
+        _keep(results, key, known[key])
+    return [known[key] for key in keys]
 
 
 def _dir_deriv(f: FieldSpec, x: Sequence[float], d: Sequence[float]) -> float:
     """First derivative of s -> f(x + s d) at 0, for a scalar f."""
-    return _per_point(f, x, _pack3(*d), _scalar_dir_deriv, d)
+    return _along(f, x, 1, (d,))[0]
+
+
+def _polarization(a: Sequence[float], b: Sequence[float]) -> tuple:
+    """The directions a+b, a and b whose seconds polarize to a mixed one."""
+    return tuple(u + v for u, v in zip(a, b)), a, b
 
 
 def _mixed_second(
-    ast: ExprAst, x: Sequence[float], a: Sequence[float], b: Sequence[float]
+    f: FieldSpec, x: Sequence[float], a: Sequence[float], b: Sequence[float]
 ) -> float:
     """sum_{i,j} a_i b_j d2f/dx_i dx_j by polarization of the second
-    directional derivatives along a+b, a and b, taken in one order-2 pass."""
-    ab = tuple(u + v for u, v in zip(a, b))
-    _, _, (s_ab, s_a, s_b) = eval_second((ast,), _bindings(x, (ab, a, b)))[0]
+    directional derivatives along a+b, a and b."""
+    s_ab, s_a, s_b = _along(f, x, 2, _polarization(a, b))
     return 0.5 * (2.0 * s_ab - 2.0 * s_a - 2.0 * s_b)
 
 
@@ -305,8 +359,36 @@ class LiftedFieldValue:
         return self.base + self.fiber
 
 
+def _lifted(kind: str, base, fiber) -> LiftedFieldValue:
+    if not all(map(math.isfinite, fiber)):
+        raise NonFiniteJet(f"{kind} lift fiber {fiber!r} is not finite")
+    return LiftedFieldValue(base, fiber)
+
+
+def _vertical(X: FieldSpec, x) -> LiftedFieldValue:
+    return LiftedFieldValue((0.0, 0.0, 0.0), _eval_field_components(X, x))
+
+
+def _complete(X: FieldSpec, x, y) -> LiftedFieldValue:
+    values = _eval_field_components(X, x)
+    return _lifted("complete", values, tuple(_fdot(y, row) for row in _jacobian(X, x)))
+
+
+def _horizontal(X: FieldSpec, x, y, G: Connection):
+    """(G, the value).  The entry is keyed by G's id and holds G, so no
+    other connection can take that id while the entry is kept: a lookup
+    compares connections by identity."""
+    values = _eval_field_components(X, x)
+    return G, _lifted("horizontal", values, tuple(-v for v in G.contract(y, values)))
+
+
 class LiftedField:
-    """A lifted vector field, evaluable at tangent points."""
+    """A lifted vector field, evaluable at tangent points.
+
+    Values are kept on the field spec with its other per-point results:
+    vertical ones by x, complete ones by x and the bits of y, horizontal
+    ones by x, the bits of y and the connection object.
+    """
 
     def __init__(self, field: FieldSpec, kind: str, connection: Connection | None = None):
         if field.kind != "vector":
@@ -318,16 +400,14 @@ class LiftedField:
         self.connection = connection or Connection.flat()
 
     def at(self, p: TangentPoint) -> LiftedFieldValue:
-        xval = _eval_field_components(self.field, p.x)
         if self.kind == "vertical":
-            return LiftedFieldValue((0.0, 0.0, 0.0), xval)
+            return _per_point(self.field, p.x, "vertical", _vertical)
+        ybits = _pack3(*p.y)
         if self.kind == "complete":
-            fiber = tuple(_fdot(p.y, row) for row in _jacobian(self.field, p.x))
-        else:
-            fiber = tuple(-v for v in self.connection.contract(p.y, xval))
-        if not all(map(math.isfinite, fiber)):
-            raise NonFiniteJet(f"{self.kind} lift fiber {fiber!r} is not finite")
-        return LiftedFieldValue(xval, fiber)
+            return _per_point(self.field, p.x, ("complete", ybits), _complete, p.y)
+        G = self.connection
+        return _per_point(
+            self.field, p.x, ("horizontal", ybits, id(G)), _horizontal, p.y, G)[1]
 
 
 _KIND_ALIASES = {
@@ -365,7 +445,7 @@ def apply_field(F: LiftedField, g: tuple[str, FieldSpec], p: TangentPoint) -> fl
     if kind in ("c", "complete"):
         # d/dx part needs mixed seconds of f against the fiber coordinate;
         # d/dy part is just grad f against the fiber direction.
-        return _mixed_second(spec.components[0], p.x, a, p.y) + _dir_deriv(spec, p.x, b)
+        return _mixed_second(spec, p.x, a, p.y) + _dir_deriv(spec, p.x, b)
     raise ValueError(f"unknown scalar lift kind {kind!r}")
 
 
@@ -376,42 +456,72 @@ def _apply_scalar_field_complete(
     from the complete lift ``Xc`` = (X(x), D_y X(x)) of X at p."""
     xval, dyX = Xc[:3], Xc[3:]
     first = _fdot(dyX, _jacobian(f, p.x)[0])
-    return first + _mixed_second(f.components[0], p.x, p.y, xval)
+    return first + _mixed_second(f, p.x, p.y, xval)
 
 
 # --- field algebra on ASTs ------------------------------------------------------
 
 
-def _synth(op: str, left: ExprAst, right: ExprAst) -> ExprAst:
-    return BinOp(op, left, right, (0, 0))
+# The operands of a root step, read from the bindings; the steps of roots
+# without a Num operand are compiled once, on these trees.
+_LEFT, _RIGHT = Var("l"), Var("r")
+_STEP_TREES = {op: BinOp(op, _LEFT, _RIGHT) for op in "+*"}
 
 
-def _per_partner(first: FieldSpec, attr: str, partner: FieldSpec, build) -> FieldSpec:
-    """``build()``, kept on ``first`` for its last partner (by identity),
-    stored the way :func:`_per_point` stores results.  The same operands so
-    give the same spec, whose trees keep their compiled code and whose
-    per-point results carry over."""
-    memo = first.__dict__.get(attr)
-    if memo is None or memo[0] is not partner:
-        memo = (partner, build())
-        object.__setattr__(first, attr, memo)
-    return memo[1]
+def _root_step(root: BinOp):
+    """The forward code :meth:`_Kernel.compile_node` gives ``root``, with
+    each operand that is not a Num read from the bindings l and r: the
+    root's ``+``, ``*`` or product with a number, its finiteness test and
+    its span (0, 0)."""
+    if not (isinstance(root.left, Num) or isinstance(root.right, Num)):
+        return _FORWARD.code(_STEP_TREES[root.op])
+    left = root.left if isinstance(root.left, Num) else _LEFT
+    right = root.right if isinstance(root.right, Num) else _RIGHT
+    return _FORWARD.compile_node(BinOp(root.op, left, right, root.span))
+
+
+def _composite(op: str, left: FieldSpec, right: FieldSpec, pairs) -> FieldSpec:
+    """The field of roots ``op`` over the (left, right) component pairs,
+    keeping its operands and root steps for :func:`_composite_pass`."""
+    roots = tuple(BinOp(op, a, b, (0, 0)) for a, b in pairs)
+    spec = FieldSpec(right.kind, roots)
+    object.__setattr__(spec, "_operands", (tuple(map(_root_step, roots)), left, right))
+    return spec
+
+
+def _composite_pass(x: Sequence[float], steps, left: FieldSpec, right: FieldSpec):
+    """A composite's pass from its operands' passes, left operand first.
+
+    Each root step runs per direction on the operands' value and partial,
+    direction by direction through every component as in
+    :func:`eval_forward`, so the bits and, when both operands' passes
+    succeed, the error are those of evaluating the roots' trees.  A scalar
+    left operand (fX) pairs its one component with each of the right's.
+    """
+    lv, lj = _per_point(left, x, "pass", _field_pass)
+    rv, rj = _per_point(right, x, "pass", _field_pass)
+    if len(lv) < len(rv):
+        lv, lj = lv * len(rv), lj * len(rv)
+    cols = [
+        [step({"l": (u, du[i]), "r": (w, dw[i])}, None)
+         for step, u, du, w, dw in zip(steps, lv, lj, rv, rj)]
+        for i in range(len(_BASIS))
+    ]
+    return (tuple(v for v, _ in cols[0]),
+            tuple(zip(*[[d for _, d in col] for col in cols])))
 
 
 def field_sum(X: FieldSpec, Y: FieldSpec) -> FieldSpec:
     if X.kind != Y.kind:
         raise ValueError("cannot add fields of different kinds")
-    return _per_partner(X, "_sum", Y, lambda: FieldSpec(
-        X.kind, tuple(_synth("+", a, b) for a, b in zip(X.components, Y.components))))
+    return _composite("+", X, Y, zip(X.components, Y.components))
 
 
 def field_scale(f: FieldSpec, X: FieldSpec) -> FieldSpec:
     """The module product fX of a scalar and a vector field."""
     if f.kind != "scalar" or X.kind != "vector":
         raise ValueError("field_scale expects (scalar, vector)")
-    fa = f.components[0]
-    return _per_partner(f, "_scale", X, lambda: FieldSpec(
-        "vector", tuple(_synth("*", fa, c) for c in X.components)))
+    return _composite("*", f, X, ((f.components[0], c) for c in X.components))
 
 
 # --- lift identity suite ----------------------------------------------------------
@@ -452,9 +562,10 @@ def prop21_check(
     short = {"vertical": "v", "complete": "c", "horizontal": "h"}
 
     XY = field_sum(X, Y)
+    FX = {kind: lift_field(X, kind, G) for kind in kinds}
     for kind in kinds:
         left = lift_field(XY, kind, G).at(p)
-        xa = lift_field(X, kind, G).at(p).as_tuple()
+        xa = FX[kind].at(p).as_tuple()
         ya = lift_field(Y, kind, G).at(p).as_tuple()
         res[f"additivity_{short[kind]}"] = _max_abs_diff(
             left, tuple(u + v for u, v in zip(xa, ya))
@@ -462,26 +573,30 @@ def prop21_check(
 
     fX = field_scale(f, X)
     fv = lift_function(f, "v", p)
-    fc = lift_function(f, "c", p)
-    Xv = lift_field(X, "vertical", G).at(p).as_tuple()
-    Xc = lift_field(X, "complete", G).at(p).as_tuple()
-    Xh = lift_field(X, "horizontal", G).at(p).as_tuple()
-    res["module_v"] = _max_abs_diff(
-        lift_field(fX, "vertical", G).at(p), tuple(fv * u for u in Xv)
-    )
-    res["module_c"] = _max_abs_diff(
-        lift_field(fX, "complete", G).at(p),
-        tuple(fc * u + fv * w for u, w in zip(Xv, Xc)),
-    )
-    res["module_h"] = _max_abs_diff(
-        lift_field(fX, "horizontal", G).at(p), tuple(fv * u for u in Xh)
-    )
+    Xv, Xc, Xh = (FX[kind].at(p).as_tuple() for kind in kinds)
+    fXv, fXc, fXh = (lift_field(fX, kind, G).at(p) for kind in kinds)
 
-    FXv = lift_field(X, "vertical", G)
-    FXc = lift_field(X, "complete", G)
-    FXh = lift_field(X, "horizontal", G)
+    # Every directional coefficient of f and g read below, from one order-1
+    # and one order-2 pass per scalar: firsts along y (f^c), X, 0 and D_y X;
+    # seconds along the polarizations of (y, X), (0, y) and (X, y).  They
+    # come after fX's lifts: where fX's root overflows, f along X(x) often
+    # overflows too, and the error raised stays fX's.
+    zero, xval, dyX = Xv[:3], Xv[3:], Xc[3:]
+    seconds = [d for a, b in ((p.y, xval), (zero, p.y), (xval, p.y))
+               for d in _polarization(a, b)]
+    _along(f, p.x, 1, (p.y, xval, zero, dyX))
+    _along(f, p.x, 2, seconds)
+    _along(g, p.x, 1, (xval, zero, dyX))
+    _along(g, p.x, 2, seconds)
+
+    fc = lift_function(f, "c", p)
+    res["module_v"] = _max_abs_diff(fXv, tuple(fv * u for u in Xv))
+    res["module_c"] = _max_abs_diff(fXc, tuple(fc * u + fv * w for u, w in zip(Xv, Xc)))
+    res["module_h"] = _max_abs_diff(fXh, tuple(fv * u for u in Xh))
+
+    FXv, FXc, FXh = (FX[kind] for kind in kinds)
     for scalar, tag in ((f, "f"), (g, "g")):
-        xf_v = _dir_deriv(scalar, p.x, Xv[3:])
+        xf_v = _dir_deriv(scalar, p.x, xval)
         xf_c = _apply_scalar_field_complete(Xc, scalar, p)
         res[f"Xv_{tag}v"] = abs(apply_field(FXv, ("v", scalar), p))
         res[f"Xc_{tag}v"] = abs(apply_field(FXc, ("v", scalar), p) - xf_v)

@@ -740,15 +740,31 @@ class TestFieldsErrorOrigin:
             f"error: chars 0-8: sqrt undefined at 0.0 "
             f"({tmp_path / 'X.field'} X1 at point=(0.0, 1.0, 1.0, 1.0, 1.0, 1.0))\n")
 
-    def test_error_no_single_component_meets_names_only_the_point(self, tmp_path, capsys):
-        # fX overflows where neither f nor X does.
-        (tmp_path / "X.field").write_text("X1 = x1*1e200\nX2 = x2\nX3 = x3\n")
-        (tmp_path / "f.field").write_text("f = x1*1e200\n")
-        argv = ["fields", "--field", str(tmp_path / "X.field"),
-                "--scalar", str(tmp_path / "f.field"), "--point=1,1,1,1,1,1"]
+    def _root_overflow(self, tmp_path, capsys, fields, f):
+        argv = ["fields"]
+        for i, text in enumerate(fields):
+            (tmp_path / f"X{i}.field").write_text(text)
+            argv += ["--field", str(tmp_path / f"X{i}.field")]
+        (tmp_path / "f.field").write_text(f)
+        argv += ["--scalar", str(tmp_path / "f.field"), "--point=1,1,1,1,1,1"]
         assert main(argv) == EXIT_INPUT
-        assert capsys.readouterr().err.endswith(
-            " (at point=(1.0, 1.0, 1.0, 1.0, 1.0, 1.0))\n")
+        return capsys.readouterr().err
+
+    def test_error_no_single_component_meets_names_only_the_point(self, tmp_path, capsys):
+        # fX overflows in its root product where neither f nor X does; the
+        # root's own test fails, before any lifted fiber is formed.
+        err = self._root_overflow(
+            tmp_path, capsys, ["X1 = x1*1e200\nX2 = x2\nX3 = x3\n"], "f = x1*1e200\n")
+        assert err == ("error: chars 0-0: multiplication produced non-finite coefficients "
+                       "(at point=(1.0, 1.0, 1.0, 1.0, 1.0, 1.0))\n")
+
+    def test_sum_overflow_names_only_the_point(self, tmp_path, capsys):
+        # X+Y overflows in its root sum where neither X nor Y does.
+        err = self._root_overflow(
+            tmp_path, capsys, ["X1 = 1e308 + x1\nX2 = x2\nX3 = x3\n",
+                               "X1 = 1e308 - x2\nX2 = x3\nX3 = x1\n"], "f = x1*x2\n")
+        assert err == ("error: chars 0-0: addition produced non-finite coefficients "
+                       "(at point=(1.0, 1.0, 1.0, 1.0, 1.0, 1.0))\n")
 
     def test_success_evaluates_no_file_again(self, tmp_path, monkeypatch):
         (tmp_path / "X.field").write_text(X_FIELD)

@@ -1,7 +1,9 @@
 """Lift operators, the identity suite, parallel transport, curve lifts."""
 
+import gc
 import math
 import random
+import weakref
 
 import pytest
 
@@ -13,6 +15,7 @@ from frenetlift.expr import (
     Call,
     FormatError,
     Neg,
+    Num,
     eval_float,
     eval_jet,
     scalar_field,
@@ -402,7 +405,8 @@ class TestSecondOrderPass:
             a = [rng.uniform(-3.0, 3.0) for _ in range(3)]
             b = [rng.uniform(-3.0, 3.0) for _ in range(3)]
             want = _hex_or_error(_polarized, ast, x, a, b)
-            assert _hex_or_error(lifts._mixed_second, ast, x, a, b) == want
+            f = FieldSpec("scalar", (ast,))
+            assert _hex_or_error(lifts._mixed_second, f, x, a, b) == want
             raised += isinstance(want, tuple)
         assert 0 < raised < 600
 
@@ -415,15 +419,15 @@ class TestSecondOrderPass:
             for scalar in (f, g):
                 ast = scalar.components[0]
                 want = _polarized(ast, p.x, p.y, xval).hex()
-                assert lifts._mixed_second(ast, p.x, p.y, xval).hex() == want
+                assert lifts._mixed_second(scalar, p.x, p.y, xval).hex() == want
 
     def test_order2_error_of_earliest_direction(self):
         # a+b overflows in its second coefficient only; a and b do not.
-        ast = scalar_field("x1*x1*1e300").components[0]
+        f = scalar_field("x1*x1*1e300")
         x, a, b = (1.0, 0.0, 0.0), (1e5, 0.0, 0.0), (1e5, 0.0, 0.0)
-        want = _hex_or_error(_polarized, ast, x, a, b)
+        want = _hex_or_error(_polarized, f.components[0], x, a, b)
         assert want[0] is NonFiniteJet
-        assert _hex_or_error(lifts._mixed_second, ast, x, a, b) == want
+        assert _hex_or_error(lifts._mixed_second, f, x, a, b) == want
 
 
 class TestConnectionTerms:
@@ -472,8 +476,14 @@ class TestFlatHorizontalFiber:
 # --- per-point results kept on each field spec ---------------------------------
 
 
-def _uncached(spec, x, key, compute, *args):
-    return compute(spec, x, *args)
+def _uncached(spec, x):
+    """Stands in for lifts._results_at: nothing is kept, everything computed."""
+    return {}
+
+
+def _one_pass(f, x, d):
+    """The first directional derivative from its own forward pass."""
+    return lifts._coefficients(f, x, 1, (d,))[0]
 
 
 def _bits(value):
@@ -521,7 +531,7 @@ class TestPerPointCache:
             for p in points + points[:2]:
                 for G in conns:
                     with monkeypatch.context() as m:
-                        m.setattr(lifts, "_per_point", _uncached)
+                        m.setattr(lifts, "_results_at", _uncached)
                         want = _suite_bits(quad, G, p)
                     assert _suite_bits(quad, G, p) == want
                     raised += isinstance(want[0], type)
@@ -537,12 +547,11 @@ class TestPerPointCache:
             values, jacobian = lifts._field_pass(X, point)
             assert _bits(lifts._eval_field_components(X, point)) == _bits(values)
             assert _bits(lifts._jacobian(X, point)) == _bits(jacobian)
-            assert lifts._dir_deriv(f, point, d).hex() == \
-                lifts._scalar_dir_deriv(f, point, d).hex()
+            assert lifts._dir_deriv(f, point, d).hex() == _one_pass(f, point, d).hex()
             p = TangentPoint(point, d)
             for kind in ("vertical", "complete", "horizontal"):
                 with pytest.MonkeyPatch.context() as m:
-                    m.setattr(lifts, "_per_point", _uncached)
+                    m.setattr(lifts, "_results_at", _uncached)
                     want = lift_field(X, kind).at(p).as_tuple()
                 assert _bits(lift_field(X, kind).at(p).as_tuple()) == _bits(want)
 
@@ -557,7 +566,7 @@ class TestPerPointCache:
         assert lifts._eval_field_components(X, neg)[0].hex() == "-0x0.0p+0"
         # Directions too: a flat horizontal fiber is (-0.0, -0.0, -0.0).
         for d in ((0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (0.0, 0.0, 0.0)):
-            want = lifts._scalar_dir_deriv(scalar_field("x1 + x2"), pos, d)
+            want = _one_pass(scalar_field("x1 + x2"), pos, d)
             assert lifts._dir_deriv(f, pos, d).hex() == want.hex()
         assert lifts._dir_deriv(f, pos, (-0.0, -0.0, -0.0)).hex() == "-0x0.0p+0"
 
@@ -566,28 +575,21 @@ class TestPerPointCache:
         x = (0.4, -0.9, 1.3)
         for i in range(500):
             d = (i * 0.01, 1.0 - i * 0.003, -0.5)
-            assert lifts._dir_deriv(f, x, d).hex() == lifts._scalar_dir_deriv(f, x, d).hex()
+            assert lifts._dir_deriv(f, x, d).hex() == _one_pass(f, x, d).hex()
             assert len(f._at_x[1]) <= lifts._PER_POINT_MAX
+
+    def test_list_changed_in_place_is_another_point(self):
+        X = vector_field("x1*x2", "x3", "x1")
+        x = [1.0, 2.0, 3.0]
+        assert lifts._eval_field_components(X, x) == (2.0, 3.0, 1.0)
+        x[0] = 5.0
+        assert lifts._eval_field_components(X, x) == (10.0, 3.0, 5.0)
 
     def test_jacobian_is_immutable(self):
         X = vector_field("x1*x2", "x3", "x1")
         J = lifts._jacobian(X, (1.0, 2.0, 3.0))
         assert isinstance(J, tuple) and all(isinstance(row, tuple) for row in J)
         assert lifts._jacobian(X, (1.0, 2.0, 3.0)) is J
-
-    def test_sum_and_scale_kept_for_last_partner(self):
-        X = vector_field("x1*x2", "x3", "x1")
-        Y = vector_field("x3", "x1*x3", "x2 + 1")
-        twin = vector_field("x3", "x1*x3", "x2 + 1")
-        f = scalar_field("x1 - x2")
-        XY = field_sum(X, Y)
-        assert field_sum(X, Y) is XY
-        # An equal partner is another spec: its trees carry their own spans.
-        assert field_sum(X, twin) is not XY and field_sum(X, twin) == XY
-        assert field_sum(X, Y) is not XY
-        fX = lifts.field_scale(f, X)
-        assert lifts.field_scale(f, X) is fX
-        assert lifts.field_scale(f, Y) is not fX
 
     def test_forward_passes_of_one_suite(self, monkeypatch):
         X = vector_field("x1*x2", "x3 - x1", "x2*x2")
@@ -598,34 +600,208 @@ class TestPerPointCache:
         p = TangentPoint((0.7, -1.3, 2.1), (1.5, 0.25, -0.5))
         passes = []
 
-        def recording(asts, bindings):
-            passes.append((tuple(asts), len(next(iter(bindings.values()))[1])))
-            return real(asts, bindings)
+        def recording(evaluate):
+            def run(asts, bindings):
+                passes.append((evaluate.__name__, tuple(asts),
+                               len(next(iter(bindings.values()))[1])))
+                return evaluate(asts, bindings)
 
-        real = lifts.eval_forward
-        monkeypatch.setattr(lifts, "eval_forward", recording)
+            return run
 
-        def jacobians():
-            return [asts for asts, n in passes if n == 3 and len(asts) == 3]
+        monkeypatch.setattr(lifts, "eval_forward", recording(lifts.eval_forward))
+        monkeypatch.setattr(lifts, "eval_second", recording(lifts.eval_second))
 
         prop21_check(X, Y, f, g, G, p)
-        XY, fX = field_sum(X, Y), lifts.field_scale(f, X)
-        # One Jacobian pass per vector field, X+Y's from its own tree.
-        got = jacobians()
-        assert sorted(map(repr, got)) == sorted(
-            repr(F.components) for F in (X, Y, XY, fX))
-        assert XY.components in got and XY.components != X.components
-        # Gradients of f and g, uncached; one pass per scalar and direction:
-        # f along y, X(x), 0 and D_yX, g along the last three.
-        assert sum(n == 3 and len(a) == 1 for a, n in passes) == 2
-        assert sum(n == 1 for _, n in passes) == 7
+        # One pass along the axes per operand field; X+Y and fX derive theirs.
+        assert [(asts, n) for name, asts, n in passes if asts not in (
+            f.components, g.components)] == [(X.components, 3), (Y.components, 3)]
+        # Per scalar: its own pass, one order-1 batch (f along y, X, 0 and
+        # D_y X; g along the last three) and one order-2 batch along y, 0,
+        # X+y and X (y has no -0.0, so 0.0+y is y).
+        for F, firsts in ((f, 4), (g, 3)):
+            assert sorted((name, n) for name, asts, n in passes if asts == F.components) == \
+                sorted([("eval_forward", 3), ("eval_forward", firsts), ("eval_second", 4)])
+        assert len(passes) == 8
 
-        # At the same point the next suite re-evaluates nothing: X+Y and fX
-        # are the same specs, kept on their first operands.
+        # At the same point the next suite evaluates no tree: the operands'
+        # passes and directional coefficients are kept, and the new X+Y and
+        # fX derive their passes from them.
         passes.clear()
         prop21_check(X, Y, f, g, Connection.flat(), p)
-        assert jacobians() == []
-        assert sum(n == 1 for _, n in passes) == 0
+        assert passes == []
+
+    def test_negative_zero_fiber_adds_its_own_second(self, monkeypatch):
+        f = scalar_field("x1*x2*x3")
+        seconds = []
+        real = lifts.eval_second
+
+        def recording(asts, bindings):
+            seconds.append(len(next(iter(bindings.values()))[1]))
+            return real(asts, bindings)
+
+        monkeypatch.setattr(lifts, "eval_second", recording)
+        X = vector_field("x1*x2", "x3 - x1", "x2*x2")
+        p = TangentPoint((0.7, -1.3, 2.1), (1.5, -0.0, -0.5))
+        prop21_check(X, X, f, f, Connection.flat(), p)
+        # 0.0 + y differs from y in its second entry: y, 0, X+y, X and 0.0+y.
+        assert seconds == [5]
+
+    def test_composites_freed_with_their_operands(self):
+        def suite():
+            quad = random_quadruple(random.Random(7))
+            G = random_connection(random.Random(8))
+            kept = []
+            real_sum, real_scale = lifts.field_sum, lifts.field_scale
+            try:
+                lifts.field_sum = lambda *a: kept.append(real_sum(*a)) or kept[-1]
+                lifts.field_scale = lambda *a: kept.append(real_scale(*a)) or kept[-1]
+                prop21_check(*quad, G, random_tangent_point(random.Random(9)))
+            finally:
+                lifts.field_sum, lifts.field_scale = real_sum, real_scale
+            assert len(kept) == 2
+            return [weakref.ref(s) for s in (*quad, *kept)]
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            refs = suite()
+            # Reference counting alone frees them: no spec is in a cycle.
+            assert [r() for r in refs] == [None] * 6
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("kind", ["complete", "horizontal"])
+    def test_signed_zero_fibers_are_other_points(self, kind):
+        # One symbol per row, so each horizontal fiber entry is one product
+        # and keeps the sign of its zero.
+        G = Connection.from_entries({(1, 2, 3): 0.3, (2, 1, 1): -0.2, (3, 3, 2): 0.15})
+        X = vector_field("x1*x2", "x3 - x1", "x2*x2")
+        x = (0.7, -1.3, 2.1)
+        ys = [(0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (0.0, -0.0, 0.0), (0.0, 0.0, 0.0)]
+        got = []
+        for y in ys:
+            p = TangentPoint(x, y)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(lifts, "_results_at", _uncached)
+                want = _bits(LiftedField(X, kind, G).at(p).as_tuple())
+            got.append(_bits(LiftedField(X, kind, G).at(p).as_tuple()))
+            assert got[-1] == want
+        if kind == "horizontal":
+            assert len(set(got)) > 1
+
+    def test_two_connections_at_one_point(self):
+        X = vector_field("x1*x2", "x3 - x1", "x2*x2")
+        p = TangentPoint((0.7, -1.3, 2.1), (1.5, 0.25, -0.5))
+        conns = [Connection.from_entries({(1, 2, 3): 0.3}),
+                 Connection.from_entries({(1, 2, 3): -0.7, (2, 1, 1): 0.2})]
+        # An equal but distinct connection is another key, with the same value.
+        conns.append(Connection(conns[0].gamma))
+        for G in conns + conns[::-1]:
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(lifts, "_results_at", _uncached)
+                want = _bits(lift_field(X, "h", G).at(p).as_tuple())
+            assert _bits(lift_field(X, "h", G).at(p).as_tuple()) == want
+        assert lift_field(X, "h", conns[0]).at(p) != lift_field(X, "h", conns[1]).at(p)
+
+    def test_many_fibers_at_one_point_stay_bounded(self):
+        X = vector_field("x1*x2", "x3 - x1", "sin(x2)")
+        G = Connection.from_entries({(1, 2, 3): 0.3, (2, 1, 1): -0.2})
+        x = (0.4, -0.9, 1.3)
+        for i in range(500):
+            p = TangentPoint(x, (i * 0.01, 1.0 - i * 0.003, -0.5))
+            for kind in ("complete", "horizontal"):
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(lifts, "_results_at", _uncached)
+                    want = _bits(LiftedField(X, kind, G).at(p).as_tuple())
+                assert _bits(LiftedField(X, kind, G).at(p).as_tuple()) == want
+            assert len(X._at_x[1]) <= lifts._PER_POINT_MAX
+
+
+# --- X+Y and fX passes derived from their operands' passes ----------------------
+
+
+def _tree_pass(F, x):
+    """The oracle: eval_forward on the synthesized trees themselves."""
+    try:
+        out = lifts.eval_forward(F.components, lifts._bindings(x, lifts._BASIS))
+    except ValueError as err:
+        return type(err), str(err), getattr(err, "span", None)
+    return _bits((tuple(v for v, _ in out), tuple(d for _, d in out)))
+
+
+def _pass_or_error(F, x):
+    try:
+        return _bits(lifts._field_pass(F, x))
+    except ValueError as err:
+        return type(err), str(err), getattr(err, "span", None)
+
+
+class TestCompositePass:
+    def _check(self, left, right, x, combine):
+        F = combine(left, right)
+        got = _pass_or_error(F, x)
+        operands = [_pass_or_error(FieldSpec(s.kind, s.components), x) for s in (left, right)]
+        failed = [o for o in operands if isinstance(o[0], type)]
+        if failed:
+            # An operand's own error, the left one first.
+            assert got == failed[0]
+        else:
+            assert got == _tree_pass(F, x)
+        return isinstance(got[0], type), bool(failed)
+
+    def test_matches_tree_pass(self):
+        rng = random.Random(20261201)
+        outcomes = set()
+        for i in range(300):
+            X, Y, f, _ = _random_quadruple_or_ast(rng, i)
+            x = random_tangent_point(rng).x
+            outcomes.add(self._check(X, Y, x, field_sum))
+            outcomes.add(self._check(f, Y, x, lifts.field_scale))
+        # Successes, operand errors and, from random trees, no other kind.
+        assert (False, False) in outcomes and (True, True) in outcomes
+
+    @pytest.mark.parametrize("f, X", [
+        ("2.5", ("x1*x2", "3", "-0.0")),
+        ("x1 - x2", ("4", "x3", "x2*x2")),
+        ("0", ("x1", "1e308", "x3")),
+        ("1e300", ("x1*1e10", "x2", "1e-300")),
+    ], ids=["number-factor", "number-component", "zero-factor", "overflowing-product"])
+    def test_number_factor_on_either_side(self, f, X):
+        f, X = scalar_field(f), vector_field(*X)
+        assert any(isinstance(c, Num) for c in (*f.components, *X.components))
+        for x in ((1.0, 2.0, 3.0), (-0.0, 0.5, -2.0), (1e10, 1.0, 1.0)):
+            self._check(f, X, x, lifts.field_scale)
+            self._check(X, X, x, field_sum)
+
+    def test_root_overflow_is_the_trees_error(self):
+        X = vector_field("1e308 + x1", "x2", "x3")
+        Y = vector_field("1e308 - x2", "x3", "x1")
+        f = scalar_field("x1*1e200")
+        Z = vector_field("x1*1e200", "x2", "x3")
+        x = (1.0, 1.0, 1.0)
+        assert _pass_or_error(field_sum(X, Y), x) == (
+            NonFiniteJet, "addition produced non-finite coefficients", (0, 0))
+        assert _pass_or_error(lifts.field_scale(f, Z), x) == (
+            NonFiniteJet, "multiplication produced non-finite coefficients", (0, 0))
+        assert _tree_pass(field_sum(X, Y), x) == _pass_or_error(field_sum(X, Y), x)
+
+    def test_operand_error_left_first(self):
+        bad_value = vector_field("x1", "1e999", "x3")
+        bad_partial = vector_field("sqrt(x1)", "x2", "x3")
+        x = (0.0, 1.0, 1.0)
+        for left, right in ((bad_value, bad_partial), (bad_partial, bad_value)):
+            want = _pass_or_error(left, x)
+            assert isinstance(want[0], type)
+            assert _pass_or_error(field_sum(left, right), x) == want
+
+    def test_composite_of_composites(self):
+        X = vector_field("x1*x2", "x3 - x1", "sin(x2)")
+        Y = vector_field("x3", "x1*x3", "x2 + 1")
+        f = scalar_field("x1 - x2*x3")
+        F = field_sum(lifts.field_scale(f, field_sum(X, Y)), X)
+        x = (0.3, -1.2, 0.8)
+        assert _pass_or_error(F, x) == _tree_pass(F, x)
 
 
 class TestNonFiniteLifts:
