@@ -44,7 +44,6 @@ from .jets import (
     Jet,
     OrderExceeded,
     RankDeficient,
-    VecJ,
     ZeroNorm,
     fd_oracle,
 )

@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .expr import CurveSpec, _per_component, eval_jet
 from .jets import (
@@ -35,9 +36,9 @@ from .jets import (
     NonFiniteJet,
     OrderExceeded,
     RankDeficient,
-    VecJ,
     ZeroNorm,
     _cross,
+    _derivative,
     _fdot,
     _pdiv,
     _pdot,
@@ -173,15 +174,18 @@ def uniform_grid(lo: float, hi: float, n: int) -> list[float]:
     return [lo + i * step for i in range(n - 1)] + [hi]
 
 
-def curve_point_jets(curve: CurveSpec, t: float, order: int = DEFAULT_ORDER) -> VecJ:
-    """Jets of the three curve components at t."""
+def curve_point_jets(
+    curve: CurveSpec, t: float, order: int = DEFAULT_ORDER
+) -> tuple[tuple[float, ...], ...]:
+    """Taylor coefficients c_0..c_order of the three curve components at t,
+    one tuple per component."""
     if not curve.t_min <= t <= curve.t_max:
         raise DomainIntervalError(t, curve.domain)
     tj = Jet.variable(t, order)
-    return VecJ(_per_component(curve, t, lambda comp: eval_jet(comp, {"t": tj})))
+    return tuple(_per_component(curve, t, lambda comp: eval_jet(comp, {"t": tj}).coeffs))
 
 
-def frame_jets(pjets: VecJ, cfg: ToleranceConfig, t: float) -> FrameJets:
+def frame_jets(pjets: Sequence[Sequence[float]], cfg: ToleranceConfig, t: float) -> FrameJets:
     """Frame from point jets of order >= 4, as order-2 float triples.
 
     T, N, B and the speed come out as coefficients 0..2, the highest any
@@ -193,16 +197,16 @@ def frame_jets(pjets: VecJ, cfg: ToleranceConfig, t: float) -> FrameJets:
     computation would give.  A ``speed**3`` that overflows raises
     :class:`NonFiniteJet` naming t.
     """
-    if pjets.order < 4:
+    if len(pjets[0]) < 5:
         raise OrderExceeded(
-            f"frame computation needs point jets of order >= 4, got {pjets.order}")
-    # Coefficients 0..2 of b' and b'' as Jet.d() gives them, (k+1) * c_(k+1)
-    # (a factor 1 is exact); coefficient 1 of b'' is the third derivative.
+            f"frame computation needs point jets of order >= 4, got {len(pjets[0]) - 1}")
+    # Coefficients 0..2 of b' and b''; coefficient 1 of b'' is the third
+    # derivative.
     v1, v2 = [], []
-    for e in pjets.entries:
-        _, c1, c2, c3, c4 = e.coeffs[:5]
-        v1.append((c1, 2 * c2, 3 * c3))
-        v2.append((2 * c2, 2 * (3 * c3), 3 * (4 * c4)))
+    for cs in pjets:
+        d1 = _derivative(cs[:5])
+        v1.append(d1[:3])
+        v2.append(_derivative(d1))
     try:
         speed, T = _tunit(v1)
     except ZeroNorm:
@@ -239,7 +243,7 @@ def frenet_apparatus(
     T, N, B = (tuple([c[0] for c in V]) for V in (fj.T, fj.N, fj.B))
     return FrenetData(
         t=t,
-        point=pjets.value(),
+        point=tuple([cs[0] for cs in pjets]),
         speed=fj.speed[0],
         T=T,
         N=N,
@@ -251,34 +255,35 @@ def frenet_apparatus(
 
 
 def generalized_frenet(
-    pjets: VecJ, m: int = 3, rank_tol: float = 1e-9
+    pjets: Sequence[Sequence[float]], m: int = 3, rank_tol: float = 1e-9
 ) -> GeneralizedFrame:
     """Gram-Schmidt frame over (b', ..., b^(m)) in order-1 jet arithmetic.
 
-    Needs point jets of order >= m + 1 so the frame can be differentiated
-    once.  The matrix reads only the value and first derivative of each
-    frame vector, so the whole Gram-Schmidt runs on plain (value, slope)
-    float pairs: each step repeats the float operations and finiteness test
-    of the order-1 jet kernel (``jets._pmul`` and its siblings), and Taylor
-    arithmetic is causal, so the results are the same bits the full-order
-    jets would carry.  Raises :class:`RankDeficient` with the 0-based index
+    Needs point jets (one coefficient tuple per component, in R^3 or R^6)
+    of order >= m + 1 so the frame can be differentiated once.  The matrix
+    reads only the value and first derivative of each frame vector, so the
+    whole Gram-Schmidt runs on plain (value, slope) float pairs: each step
+    repeats the float operations and finiteness test of the order-1 jet
+    kernel (``jets._pmul`` and its siblings), and Taylor arithmetic is
+    causal, so the results are the same bits the full-order jets would
+    carry.  Raises :class:`RankDeficient` with the 0-based index
     of the first derivative that is (numerically) dependent on its
     predecessors.
     """
     if m < 2:
         raise ValueError("frame size m must be >= 2")
-    if m > pjets.dim:
-        raise DimensionMismatch(f"frame size {m} exceeds dimension {pjets.dim}")
-    if pjets.order - m < 1:
+    dim, order = len(pjets), len(pjets[0]) - 1
+    if m > dim:
+        raise DimensionMismatch(f"frame size {m} exceeds dimension {dim}")
+    if order - m < 1:
         raise OrderExceeded(
-            f"point jets of order {pjets.order} cannot support a frame of size {m}"
+            f"point jets of order {order} cannot support a frame of size {m}"
         )
-    # Coefficients 0 and 1 of the first m derivatives, differentiated the
-    # way Jet.d() does it: coefficient k of f' is (k+1) * coefficient k+1.
+    # Coefficients 0 and 1 of the first m derivatives.
     derivs = []
-    coeffs = [e.coeffs[: m + 2] for e in pjets.entries]
+    coeffs = [cs[: m + 2] for cs in pjets]
     for _ in range(m):
-        coeffs = [tuple([(k + 1) * c for k, c in enumerate(cs[1:])]) for cs in coeffs]
+        coeffs = [_derivative(cs) for cs in coeffs]
         derivs.append([(cs[0], cs[1]) for cs in coeffs])
     speed_val = fnorm([p[0] for p in derivs[0]])
     if speed_val < NORM_FLOOR:
@@ -286,7 +291,7 @@ def generalized_frenet(
 
     # In R^3 with a full frame the last vector comes from the cross product,
     # which orients the torsion sign; Gram-Schmidt alone would leave it >= 0.
-    gs_count = 2 if (pjets.dim == 3 and m == 3) else m
+    gs_count = 2 if (dim == 3 and m == 3) else m
     frame: list[list[tuple[float, float]]] = []
     for i in range(gs_count):
         u = derivs[i]

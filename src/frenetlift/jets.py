@@ -1,4 +1,4 @@
-"""Truncated Taylor (jet) arithmetic and fixed-size vector algebra.
+"""Truncated Taylor (jet) arithmetic and float helpers that repeat it.
 
 A :class:`Jet` stores the normalized Taylor coefficients ``c_k = f^(k)(t0)/k!``
 of a scalar function about an expansion point, up to a fixed order K.
@@ -7,8 +7,9 @@ through the standard convolution recurrences, so the k-th derivative of any
 composite expression is exact to rounding.  The public constructor coerces
 every coefficient to float; the results of jet arithmetic are float tuples
 already, so the kernel wraps them with the private ``Jet._of`` instead.
-:class:`VecJ` bundles 3 or 6 jets sharing one order and provides the
-dot/cross/norm operations needed for frame computations.  :func:`fd_oracle`
+Point jets cross the package as tuples of coefficient tuples, one per
+component; vector operations on them run on the order-1 pairs and order-2
+triples below, which repeat the kernel's float steps.  :func:`fd_oracle`
 is a finite-difference estimator with one Richardson extrapolation step, kept
 deliberately independent of the jet code path so the two can cross-check
 each other.
@@ -21,7 +22,6 @@ from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "Jet",
-    "VecJ",
     "JetError",
     "DivisionByZeroJet",
     "DomainError",
@@ -101,6 +101,12 @@ def _finite(coeffs: list[float]) -> tuple[float, ...]:
     return tuple(coeffs)
 
 
+def _derivative(coeffs: Sequence[float]) -> tuple[float, ...]:
+    """Coefficients of the derivative function, one order lower: coefficient
+    k of f' is (k+1) * c_(k+1)."""
+    return tuple([(k + 1) * c for k, c in enumerate(coeffs[1:])])
+
+
 class Jet:
     """Normalized Taylor coefficients c_0..c_K of a scalar about one point."""
 
@@ -154,7 +160,7 @@ class Jet:
         """Jet of the derivative function (one order lower)."""
         if self.order == 0:
             raise OrderExceeded("cannot differentiate an order-0 jet")
-        return Jet._of(tuple((k + 1) * c for k, c in enumerate(self.coeffs[1:])))
+        return Jet._of(_derivative(self.coeffs))
 
     def truncated(self, order: int) -> "Jet":
         if order > self.order:
@@ -424,95 +430,12 @@ JET_FUNCTIONS: dict[str, Callable[[Jet], Jet]] = {
 }
 
 
-class VecJ:
-    """Vector of 3 or 6 jets sharing one order."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Iterable[Jet]):
-        es = tuple(entries)
-        if len(es) not in (3, 6):
-            raise DimensionMismatch(f"VecJ dimension must be 3 or 6, got {len(es)}")
-        n = len(es[0].coeffs)
-        for e in es:
-            if len(e.coeffs) != n:
-                raise DimensionMismatch("VecJ entries must share one order")
-        self.entries = es
-
-    @classmethod
-    def constant(cls, values: Sequence[float], order: int) -> "VecJ":
-        return cls(Jet.constant(v, order) for v in values)
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    @property
-    def order(self) -> int:
-        return self.entries[0].order
-
-    def value(self) -> tuple[float, ...]:
-        return tuple(e.coeffs[0] for e in self.entries)
-
-    def _check(self, other: "VecJ") -> None:
-        if not isinstance(other, VecJ):
-            raise DimensionMismatch("expected a VecJ")
-        if other.dim != self.dim:
-            raise DimensionMismatch(f"dimensions differ: {self.dim} vs {other.dim}")
-        if other.order != self.order:
-            raise DimensionMismatch(f"orders differ: {self.order} vs {other.order}")
-
-    def dot(self, other: "VecJ") -> Jet:
-        self._check(other)
-        acc = self.entries[0] * other.entries[0]
-        for a, b in zip(self.entries[1:], other.entries[1:]):
-            acc = acc + a * b
-        return acc
-
-    def cross(self, other: "VecJ") -> "VecJ":
-        self._check(other)
-        if self.dim != 3:
-            raise DimensionMismatch("cross product requires dimension 3")
-        a1, a2, a3 = self.entries
-        b1, b2, b3 = other.entries
-        return VecJ(
-            (
-                a2 * b3 - a3 * b2,
-                a3 * b1 - a1 * b3,
-                a1 * b2 - a2 * b1,
-            )
-        )
-
-    def norm(self) -> Jet:
-        sq = self.dot(self)
-        if sq.coeffs[0] < NORM_FLOOR * NORM_FLOOR:
-            raise ZeroNorm(f"vector norm {math.sqrt(max(sq.coeffs[0], 0.0)):.3e} below floor")
-        return jet_sqrt(sq)
-
-    def scale(self, s) -> "VecJ":
-        return VecJ(e * s for e in self.entries)
-
-    def __sub__(self, other):
-        self._check(other)
-        return VecJ(a - b for a, b in zip(self.entries, other.entries))
-
-    def d(self) -> "VecJ":
-        return VecJ(e.d() for e in self.entries)
-
-    def truncated(self, order: int) -> "VecJ":
-        return VecJ(e.truncated(order) for e in self.entries)
-
-    def __repr__(self):
-        return f"VecJ({list(self.entries)!r})"
-
-
 # --- order-1 pairs and order-2 triples ----------------------------------------
 #
 # A pair (v, d) or a triple (v, d, e) holds the coefficients of an order-1 or
 # order-2 jet as plain floats.  Each helper takes the float steps of the
 # kernel above at that order, in its operand order, and meets the same
-# finiteness test, so its results are the bits the Jet and VecJ operations
-# would give.
+# finiteness test, so its results are the bits the Jet operations would give.
 
 
 def _pmul(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
@@ -535,11 +458,21 @@ def _psub(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]
     return v, d
 
 
+def _padd(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
+    """Sum of two pairs, as ``Jet.__add__`` at order 1."""
+    v = a[0] + b[0]
+    d = a[1] + b[1]
+    if not math.isfinite(v + d):
+        raise NonFiniteJet("addition produced non-finite coefficients")
+    return v, d
+
+
 def _pdot(
     a: Sequence[tuple[float, float]], b: Sequence[tuple[float, float]]
 ) -> tuple[float, float]:
-    """Dot of two vectors of pairs, as :meth:`VecJ.dot`: products summed
-    left to right, each product and each sum tested."""
+    """Dot of two vectors of pairs, as ``a[0] * b[0] + a[1] * b[1] + ...``
+    on order-1 jets: products summed left to right, each product and each
+    sum tested."""
     v, d = _pmul(a[0], b[0])
     for x, y in zip(a[1:], b[1:]):
         pv, pd = _pmul(x, y)
@@ -551,8 +484,8 @@ def _pdot(
 
 
 def _pnorm(sq: tuple[float, float]) -> tuple[float, float]:
-    """Norm of a vector from the pair of its dot with itself, as
-    :meth:`VecJ.norm` (floor test, then ``jet_sqrt``) at order 1."""
+    """Norm of a vector from the pair of its dot with itself: the
+    ``NORM_FLOOR`` test (:class:`ZeroNorm`), then ``jet_sqrt`` at order 1."""
     s0, s1 = sq
     if s0 < NORM_FLOOR * NORM_FLOOR:
         raise ZeroNorm(f"vector norm {math.sqrt(max(s0, 0.0)):.3e} below floor")
@@ -597,10 +530,10 @@ def _tsub(a: Sequence[float], b: Sequence[float]) -> tuple[float, float, float]:
 
 
 def _tunit(v: Sequence) -> tuple[tuple[float, float, float], tuple]:
-    """Norm and unit vector of a vector of triples, as ``n = v.norm()`` and
-    ``v.scale(Jet.constant(1.0, 2) / n)`` take them: the dot summed left to
-    right, the norm floor (which keeps n far above ``DIV_FLOOR``),
-    ``jet_sqrt``, the reciprocal, then the products."""
+    """Norm and unit vector of a vector of triples, as the norm ``n`` of
+    order-2 jets and their products with ``Jet.constant(1.0, 2) / n`` take
+    them: the dot summed left to right, the norm floor (which keeps n far
+    above ``DIV_FLOOR``), ``jet_sqrt``, the reciprocal, then the products."""
     s0, s1, s2 = _tmul(v[0], v[0])
     for x in v[1:]:
         pv, pd, pe = _tmul(x, x)
@@ -626,7 +559,8 @@ def _tunit(v: Sequence) -> tuple[tuple[float, float, float], tuple]:
 
 def _cross(a: Sequence, b: Sequence, mul, sub) -> tuple:
     """Cross product of two 3-vectors of pairs (``_pmul``, ``_psub``) or
-    triples (``_tmul``, ``_tsub``), as :meth:`VecJ.cross`."""
+    triples (``_tmul``, ``_tsub``): ``a2 * b3 - a3 * b2`` and its cyclic
+    shifts on jets."""
     (a1, a2, a3), (b1, b2, b3) = a, b
     return (sub(mul(a2, b3), mul(a3, b2)), sub(mul(a3, b1), mul(a1, b3)),
             sub(mul(a1, b2), mul(a2, b1)))
@@ -641,8 +575,9 @@ def fnorm(v: Sequence[float]) -> float:
 
 
 def _fdot(a: Sequence[float], b: Sequence[float]) -> float:
-    """Dot product summed left to right from 0.0, as :meth:`VecJ.dot` sums
-    constant terms; ``sum()`` would differ (Python 3.12 compensates it)."""
+    """Dot product summed left to right from 0.0, as ``_pdot`` sums the
+    values of its pairs; ``sum()`` would differ (Python 3.12 compensates
+    it)."""
     s = 0.0
     for x, y in zip(a, b):
         s += x * y

@@ -33,10 +33,10 @@ from .frenet import (
 )
 from .jets import (
     NORM_FLOOR,
-    Jet,
     RankDeficient,
-    VecJ,
     _fdot,
+    _padd,
+    _pmul,
     fnorm,
     frame_residuals,
     gram_defect,
@@ -128,8 +128,9 @@ class LiftedCurve:
             return dict.fromkeys(ts, self.kind.w0)
         return transport_grid(self.connection, self.base, self.kind.w0, ts)
 
-    def point_jets(self, t: float) -> VecJ:
-        """Jets of the lifted point in R^6 at t.
+    def point_jets(self, t: float) -> tuple[tuple[float, ...], ...]:
+        """Taylor coefficients of the lifted point in R^6 at t, one tuple per
+        component.
 
         On a non-flat horizontal lift each call integrates the transport
         again from ``t_min``; for many points use :meth:`sweep`.
@@ -139,14 +140,13 @@ class LiftedCurve:
         return lifted_point_jets(pj, self.kind, self.connection, self.anchor, w)
 
     def frame(self, t: float):
-        """The three lifted frame vectors as order-1 jet vectors (value and
-        first derivative in t).
+        """The three lifted frame vectors, each six (value, derivative in t)
+        float pairs.
 
         On a non-flat horizontal lift each call integrates the transport
         again from ``t_min``; for many points use :meth:`sweep`.
         """
-        lifted = self._analyze(t, self._fibers([t])[t])[1]
-        return tuple(VecJ([Jet._of(p) for p in V]) for V in lifted)
+        return self._analyze(t, self._fibers([t])[t])[1]
 
     def apparatus(self, t: float) -> LiftedApparatus:
         """Point, frame, curvature and torsion of the lifted curve at t.
@@ -162,7 +162,7 @@ class LiftedCurve:
         fj = frame_jets(pj, self.cfg, t)
         P = lifted_point_jets(pj, self.kind, self.connection, self.anchor, w)
         lifted = self._lift_pairs(fj, P)
-        vel = [e.coeffs[1] for e in P.entries]
+        vel = [cs[1] for cs in P]
         speed_sq = _fdot(vel, vel)
         if speed_sq < NORM_FLOOR * NORM_FLOOR:
             raise ZeroSpeed(t)
@@ -175,7 +175,7 @@ class LiftedCurve:
         frame_vals = (Tv, Nv, Bv)
         app = LiftedApparatus(
             t=t,
-            point=P.value(),
+            point=tuple([cs[0] for cs in P]),
             speed=speed,
             frame=frame_vals,
             kappa_lift=kappa,
@@ -185,31 +185,40 @@ class LiftedCurve:
         )
         return P, lifted, app
 
-    def _lift_pairs(self, fj: FrameJets, P: VecJ):
+    def _lift_pairs(self, fj: FrameJets, P):
         """The lifted T, N and B as six (value, slope) float pairs each, from
         the order-2 triples of the base frame, with the bits of the order-1
-        jet operations (``Connection.contract`` runs on jets).
+        jet operations.
 
         A flat connection contracts to ``-(0.0 * w * V)``, which for finite
         jets is always (-0.0, -0.0): the scaled and convolved coefficients
-        sum from +0.0 before the negation."""
-        frame = [[c[:2] for c in V] for V in (fj.T, fj.N, fj.B)]
+        sum from +0.0 before the negation.  Otherwise the fiber pairs of P
+        contract with each frame vector as :meth:`Connection.contract` does
+        on order-1 jets; -0.0 + x is x, so a row sums as contract sums it."""
+        frame = [tuple([c[:2] for c in V]) for V in (fj.T, fj.N, fj.B)]
         kind = self.kind.kind
         if kind == "vertical":
-            return [[(0.0, 0.0)] * 3 + V for V in frame]
+            return tuple(((0.0, 0.0),) * 3 + V for V in frame)
         if kind == "complete":
-            return [
-                V + [(c[1], 2 * c[2]) for c in W]
+            return tuple(
+                V + tuple([(c[1], 2 * c[2]) for c in W])
                 for V, W in zip(frame, (fj.T, fj.N, fj.B))
-            ]
+            )
         if self.connection.is_flat:
-            return [V + [(-0.0, -0.0)] * 3 for V in frame]
-        # horizontal: use the fiber jets carried by the lifted point.
-        w = [Jet._of(e.coeffs[:2]) for e in P.entries[3:6]]
-        return [
-            V + [(-u).coeffs for u in self.connection.contract(w, [Jet._of(p) for p in V])]
-            for V in frame
-        ]
+            return tuple(V + ((-0.0, -0.0),) * 3 for V in frame)
+        w = [cs[:2] for cs in P[3:6]]
+        out = []
+        for V in frame:
+            fiber = []
+            for row in self.connection._terms:
+                # A product with the pair (c, 0.0) has the bits of the jet
+                # product with the float c (see Jet._scaled).
+                acc = (-0.0, -0.0) if row else _pmul(_pmul(w[0], (0.0, 0.0)), V[0])
+                for b, g, coeff in row:
+                    acc = _padd(acc, _pmul(_pmul(w[b], V[g]), (coeff, 0.0)))
+                fiber.append((-acc[0], -acc[1]))
+            out.append(V + tuple(fiber))
+        return tuple(out)
 
     def sweep(self, grid) -> LiftReport:
         """Apparatus, frame-identity residuals and oracle columns per point."""

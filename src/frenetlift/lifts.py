@@ -64,7 +64,7 @@ from .expr import (
     eval_second,
 )
 from .frenet import DomainIntervalError
-from .jets import Jet, NonFiniteJet, VecJ, _fdot
+from .jets import Jet, NonFiniteJet, _derivative, _fdot
 
 __all__ = [
     "TangentPoint",
@@ -135,8 +135,8 @@ class Connection:
 
     @classmethod
     def flat(cls) -> "Connection":
-        zero = ((0.0,) * 3,) * 3
-        return cls((zero,) * 3)
+        # One shared instance: per-point results keyed on its id hit again.
+        return _FLAT
 
     @classmethod
     def from_entries(cls, entries: dict[tuple[int, int, int], float]) -> "Connection":
@@ -167,6 +167,9 @@ class Connection:
                 acc = 0.0 * direction[0] * transported[0]
             out.append(acc)
         return out
+
+
+_FLAT = Connection((((0.0,) * 3,) * 3,) * 3)
 
 
 @dataclass(frozen=True)
@@ -720,17 +723,17 @@ def transport_grid(
 
 
 def fiber_jets(
-    G: Connection, base_velocity: VecJ, w_value: Sequence[float], order: int
-) -> list[Jet]:
+    G: Connection, base_velocity: Sequence[Sequence[float]], w_value: Sequence[float], order: int
+) -> tuple[tuple[float, ...], ...]:
     """Taylor coefficients of the transported fiber from its defining ODE.
 
-    Given jets of beta' and the value w(t), the relation
-    w' = -G(beta', w) determines every higher coefficient recursively, over
-    the nonzero symbols only, in ``Connection._terms`` order.
+    Given the coefficients of beta' (one tuple per component) and the value
+    w(t), the relation w' = -G(beta', w) determines every higher coefficient
+    recursively, over the nonzero symbols only, in ``Connection._terms``
+    order.
     """
-    if order > base_velocity.order + 1:
+    if order > len(base_velocity[0]):
         raise ValueError("base velocity jets too short for requested order")
-    bd = [e.coeffs for e in base_velocity.entries]
     W = [[0.0] * (order + 1) for _ in range(3)]
     for a in range(3):
         W[a][0] = float(w_value[a])
@@ -740,40 +743,39 @@ def fiber_jets(
             for b, g, coeff in G._terms[a]:
                 conv = 0.0
                 for i in range(k + 1):
-                    conv += bd[b][i] * W[g][k - i]
+                    conv += base_velocity[b][i] * W[g][k - i]
                 s += coeff * conv
             W[a][k + 1] = -s / (k + 1)
-    return [Jet(W[a]) for a in range(3)]
+    return tuple(tuple(W[a]) for a in range(3))
 
 
 def lifted_point_jets(
-    curve_jets: VecJ,
+    curve_jets: Sequence[Sequence[float]],
     kind: LiftKind,
     G: Connection,
     anchor: Sequence[float] | None = None,
     w_value: Sequence[float] | None = None,
-) -> VecJ:
-    """Point jets of the lifted curve in R^6 from point jets of the base.
+) -> tuple[tuple[float, ...], ...]:
+    """Point jets of the lifted curve in R^6 from point jets of the base:
+    (anchor, beta), (beta, beta') one order lower, or (beta, w).
 
     For the horizontal kind ``w_value`` is the transported fiber at the
     expansion point (the caller integrates the transport ODE; this function
     extends the value to jets through the ODE itself).
     """
-    K = curve_jets.order
+    base = tuple(curve_jets)
+    K = len(base[0]) - 1
     if kind.kind == "vertical":
         if anchor is None:
             raise ValueError("vertical lift needs an anchor")
-        const = [Jet.constant(v, K) for v in anchor]
-        return VecJ(tuple(const) + curve_jets.entries)
+        return tuple((float(v),) + (0.0,) * K for v in anchor) + base
+    vel = tuple(_derivative(cs) for cs in base)
     if kind.kind == "complete":
-        vel = curve_jets.d()
-        return VecJ(curve_jets.truncated(K - 1).entries + vel.entries)
+        return tuple(cs[:K] for cs in base) + vel
     if kind.kind == "horizontal":
         if w_value is None:
             raise ValueError("horizontal lift needs the transported fiber value")
-        vel = curve_jets.d()
-        fib = fiber_jets(G, vel, w_value, K)
-        return VecJ(curve_jets.entries + tuple(fib))
+        return base + fiber_jets(G, vel, w_value, K)
     raise ValueError(f"unknown lift kind {kind.kind!r}")
 
 

@@ -42,7 +42,7 @@ from .frenet import (
     generalized_frenet,
     uniform_grid,
 )
-from .jets import Jet, VecJ, _fdot, fd_oracle, gram_defect
+from .jets import Jet, _fdot, fd_oracle, gram_defect, jet_sqrt
 from .lifts import (
     Connection,
     LiftKind,
@@ -333,14 +333,13 @@ def run_checks(cfg: ToleranceConfig | None = None, samples: int = 1000) -> list[
         lhs, rhs = (a * b) * c, a * (b * c)
         for x, y in zip(lhs.coeffs, rhs.coeffs):
             worst_assoc = max(worst_assoc, abs(x - y) / max(1.0, abs(x)))
-        v = VecJ(
-            [
-                Jet([rng.uniform(0.5, 2.0)] + [rng.uniform(-2, 2) for _ in range(5)])
-                for _ in range(3)
-            ]
+        x, y, z = (
+            Jet([rng.uniform(0.5, 2.0)] + [rng.uniform(-2, 2) for _ in range(5)])
+            for _ in range(3)
         )
-        nsq = v.norm() * v.norm()
-        dvv = v.dot(v)
+        dvv = x * x + y * y + z * z
+        norm = jet_sqrt(dvv)
+        nsq = norm * norm
         for x, y in zip(nsq.coeffs, dvv.coeffs):
             worst_normsq = max(worst_normsq, abs(x - y) / max(1.0, abs(y)))
     results.append(_leq("jet_mul_commutative", worst_comm, 1e-13))
@@ -552,7 +551,7 @@ def run_checks(cfg: ToleranceConfig | None = None, samples: int = 1000) -> list[
     lc = LiftedCurve(ush, LiftKind.complete(), cfg=cfg)
     worst_tc = 0.0
     for t in grid(ush, 50):
-        Tc = lc.frame(t)[0].value()
+        Tc = [p[0] for p in lc.frame(t)[0]]
         kappa = frenet_apparatus(ush, t, cfg).kappa
         worst_tc = max(worst_tc, abs(_fdot(Tc, Tc) - (1.0 + kappa * kappa)))
     results.append(_leq("complete_tangent_norm_identity", worst_tc, 1e-12))

@@ -134,7 +134,7 @@ def test_criterion_5_complete_lift_oracle():
     lc = LiftedCurve(USH, LiftKind.complete())
     worst_norm = 0.0
     for t in grid(USH, 100):
-        Tc = lc.frame(t)[0].value()
+        Tc = [p[0] for p in lc.frame(t)[0]]
         kappa = frenet_apparatus(USH, t).kappa
         worst_norm = max(worst_norm, abs(sum(x * x for x in Tc) - (1.0 + kappa**2)))
     ok = worst_oracle <= 1e-9 and worst_norm <= 1e-12

@@ -3,9 +3,10 @@
 The tracer patches every name it lists when a traced benchmark run starts;
 a name that is gone crashes that run.  The run then compares call counts
 with counts perfbench/run.py predicts from per-point and per-step constants;
-a count that drifts fails that run.  These tests read the tracer's tables
-and run.py's constants (both files are read by path and not changed) and
-fail first.
+a count that drifts fails that run, and so does a layer microbenchmark
+statement of perfbench/micro.py that raises.  These tests read the tracer's
+tables and run.py's constants and run micro.py's statements once (all three
+files are read by path and not changed), and fail first.
 """
 
 import ast
@@ -13,6 +14,8 @@ import importlib
 import importlib.util
 import inspect
 import math
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -26,14 +29,14 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracer = _load_tracer()
+tracer = _load("perfbench_tracer", TRACER)
 
 
 @pytest.mark.parametrize("layer, cls_name, attr", sorted(tracer.METHODS))
@@ -124,3 +127,21 @@ def test_transport_grid_curve_evaluations_match_prediction():
     assert summary["lifts.transport_grid"]["calls"] == 1
     assert summary["lifts.transport_grid"]["curve_evals"] == want * steps
     assert summary["expr.eval_jet"]["calls"] == want * steps
+
+
+def test_micro_statements_run(monkeypatch):
+    # The layer microbenchmarks feed curve_point_jets into frame_jets and
+    # lifted_point_jets into generalized_frenet; a type mismatch there would
+    # crash a traced run.  Each case statement runs once, untimed.
+    monkeypatch.setitem(sys.modules, "speed", types.ModuleType("speed"))
+    micro = _load("perfbench_micro", PERFBENCH / "micro.py")
+    ran = []
+
+    def once(stmt, env, meter):
+        exec(stmt, env)
+        ran.append(stmt)
+        return 0.0
+
+    monkeypatch.setattr(micro, "_time_us", once)
+    timings = micro.run(None)
+    assert len(ran) == len(timings) > 0

@@ -25,11 +25,11 @@ from frenetlift.jets import (
     JetError,
     NonFiniteJet,
     RankDeficient,
-    VecJ,
     ZeroNorm,
     fd_oracle,
     fnorm,
 )
+from jet_vectors import as_tuples, cross, cut, d, dot, jets, norm, scale, sub, value
 from frenetlift.lifted_frenet import LiftedCurve
 from frenetlift.lifts import Connection, LiftKind, lifted_point_jets
 from frenetlift.verify import (
@@ -52,19 +52,19 @@ TORUS_KNOT = CurveSpec.from_strings(
 )
 
 
-def embed_r6(pjets: VecJ) -> VecJ:
-    zero = Jet.constant(0.0, pjets.order)
-    return VecJ(pjets.entries + (zero, zero, zero))
+def embed_r6(pjets):
+    zero = (0.0,) * len(pjets[0])
+    return tuple(pjets) + (zero, zero, zero)
 
 
 class TestPointJets:
     def test_helix_values(self):
         pj = curve_point_jets(HELIX, 0.0, 2)
-        assert pj.value() == pytest.approx((3, 0, 0))
+        assert value(jets(pj)) == pytest.approx((3, 0, 0))
 
     def test_helix_first_derivatives(self):
         pj = curve_point_jets(HELIX, 0.0, 2)
-        assert pj.d().value() == pytest.approx((0, 3, 4))
+        assert value(d(jets(pj))) == pytest.approx((0, 3, 4))
 
     def test_out_of_domain(self):
         with pytest.raises(DomainIntervalError):
@@ -188,7 +188,7 @@ class TestGeneralizedFrenet:
     def test_natural_lift_closed_form(self):
         # (beta, beta') of the unit-speed helix is a circular helix in R^6.
         pj = curve_point_jets(USH, 2.0)
-        lifted = VecJ(pj.truncated(4).entries + pj.d().entries)
+        lifted = as_tuples(cut(jets(pj), 4) + d(jets(pj)))
         gen = generalized_frenet(lifted, 3)
         assert gen.chis[0] == pytest.approx(LIFTED_HELIX_KAPPA, abs=1e-9)
         assert gen.chis[1] == pytest.approx(LIFTED_HELIX_TAU, abs=1e-9)
@@ -247,30 +247,30 @@ def _bits(values):
     return [struct.pack("<d", v) for v in values]
 
 
-def _full_order_matrix(pjets: VecJ, m: int = 3):
+def _full_order_matrix(pjets, m: int = 3):
     """(dE_i/ds) . E_j through jet products on frame jets of order L = K - m."""
-    L = pjets.order - m
+    L = len(pjets[0]) - 1 - m
     derivs = []
-    cur = pjets
+    cur = jets(pjets)
     for _ in range(m):
-        cur = cur.d()
-        derivs.append(cur.truncated(L))
-    speed = fnorm(derivs[0].value())
+        cur = d(cur)
+        derivs.append(cut(cur, L))
+    speed = fnorm(value(derivs[0]))
     frame = []
     for i in range(2):
         u = derivs[i]
         for e in frame:
-            u = u - e.scale(u.dot(e))
-        frame.append(u.scale(Jet.constant(1.0, L) / u.norm()))
-    if pjets.dim == 3:
-        frame.append(frame[0].cross(frame[1]))
+            u = sub(u, scale(e, dot(u, e)))
+        frame.append(scale(u, Jet.constant(1.0, L) / norm(u)))
+    if len(pjets) == 3:
+        frame.append(cross(frame[0], frame[1]))
     else:
         u = derivs[2]
         for e in frame:
-            u = u - e.scale(u.dot(e))
-        frame.append(u.scale(Jet.constant(1.0, L) / u.norm()))
+            u = sub(u, scale(e, dot(u, e)))
+        frame.append(scale(u, Jet.constant(1.0, L) / norm(u)))
     return tuple(
-        tuple(frame[i].d().dot(frame[j].truncated(L - 1)).value / speed for j in range(m))
+        tuple(dot(d(frame[i]), cut(frame[j], L - 1)).value / speed for j in range(m))
         for i in range(m)
     )
 
@@ -280,41 +280,41 @@ def _full_order_matrix(pjets: VecJ, m: int = 3):
 NONFLAT = Connection.from_entries({(1, 2, 3): 0.3, (3, 2, 1): -0.3, (2, 1, 1): 0.2})
 
 
-def _jet_route_frenet(pjets: VecJ, m: int = 3, rank_tol: float = 1e-9):
-    """The Gram-Schmidt oracle on order-1 Jet and VecJ objects: (frame, chis,
+def _jet_route_frenet(pjets, m: int = 3, rank_tol: float = 1e-9):
+    """The Gram-Schmidt oracle on lists of order-1 Jets: (frame, chis,
     matrix) as generalized_frenet returns them."""
     derivs = []
-    cur = pjets
+    cur = jets(pjets)
     for _ in range(m):
-        cur = cur.d()
-        derivs.append(cur.truncated(1))
-    speed_val = fnorm(derivs[0].value())
+        cur = d(cur)
+        derivs.append(cut(cur, 1))
+    speed_val = fnorm(value(derivs[0]))
     if speed_val < 1e-12:
         raise ZeroSpeed(math.nan)
-    gs_count = 2 if (pjets.dim == 3 and m == 3) else m
+    gs_count = 2 if (len(pjets) == 3 and m == 3) else m
     frame = []
     one = Jet.constant(1.0, 1)
     for i in range(gs_count):
         u = derivs[i]
         for e in frame:
-            u = u - e.scale(u.dot(e))
-        res_sq = u.dot(u).value
-        ref_sq = derivs[i].dot(derivs[i]).value
+            u = sub(u, scale(e, dot(u, e)))
+        res_sq = dot(u, u).value
+        ref_sq = dot(derivs[i], derivs[i]).value
         if res_sq < rank_tol * rank_tol * max(1.0, ref_sq):
             raise RankDeficient(i)
-        frame.append(u.scale(one / u.norm()))
+        frame.append(scale(u, one / norm(u)))
     if gs_count < m:
-        frame.append(frame[0].cross(frame[1]))
-    slopes = [E.d().value() for E in frame]
-    values = tuple(E.value() for E in frame)
+        frame.append(cross(frame[0], frame[1]))
+    slopes = [value(d(E)) for E in frame]
+    values = tuple(value(E) for E in frame)
     matrix = []
     for i in range(m):
         row = []
         for j in range(m):
-            dot = 0.0
+            acc = 0.0
             for x, y in zip(slopes[i], values[j]):
-                dot += x * y
-            row.append(dot / speed_val)
+                acc += x * y
+            row.append(acc / speed_val)
         matrix.append(tuple(row))
     return values, tuple(matrix[i][i + 1] for i in range(m - 1)), tuple(matrix)
 
@@ -388,7 +388,7 @@ class TestPairOracle:
         x1 = Jet([0.0, 1.0, slope / 2.0, 0.0, 0.0, 0.0])
         x2 = Jet([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
         x3 = Jet([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
-        for pjets in (VecJ((x1, x2, x3)), embed_r6(VecJ((x1, x2, x3)))):
+        for pjets in (as_tuples((x1, x2, x3)), embed_r6(as_tuples((x1, x2, x3)))):
             want = (NonFiniteJet, "multiplication produced non-finite coefficients")
             assert _oracle_outcome(_jet_route_frenet, pjets) == want
             assert _oracle_outcome(_pair_route, pjets) == want
@@ -405,30 +405,30 @@ class TestPairOracle:
 # --- frame jets at order 2 against the order-K route ------------------------------
 
 
-def _full_order_frame_jets(pjets: VecJ, cfg: ToleranceConfig, t: float) -> FrameJets:
-    """frame_jets at the orders the point jets allow: T and speed at K-1,
-    N and B at K-2."""
-    K = pjets.order
-    v1 = pjets.d()
-    v2 = v1.d()
-    v3 = v2.d()
-    speed = v1.norm()
-    T = v1.scale(Jet.constant(1.0, K - 1) / speed)
-    c = v1.truncated(K - 2).cross(v2)
-    cval = c.value()
+def _full_order_frame_jets(pjets, cfg: ToleranceConfig, t: float) -> FrameJets:
+    """frame_jets at the orders the point jets allow, as lists of Jets: T
+    and speed at K-1, N and B at K-2."""
+    K = len(pjets[0]) - 1
+    v1 = d(jets(pjets))
+    v2 = d(v1)
+    v3 = d(v2)
+    speed = norm(v1)
+    T = scale(v1, Jet.constant(1.0, K - 1) / speed)
+    c = cross(cut(v1, K - 2), v2)
+    cval = value(c)
     cn_val = fnorm(cval)
     kappa = cn_val / speed.value**3
     if kappa < cfg.kappa_floor or cn_val < 1e-12:
         raise DegenerateCurvature(t, kappa, cfg.kappa_floor)
-    B = c.scale(Jet.constant(1.0, K - 2) / c.norm())
-    N = B.cross(T.truncated(K - 2))
-    tau = sum(a * b for a, b in zip(cval, v3.value())) / (cn_val * cn_val)
+    B = scale(c, Jet.constant(1.0, K - 2) / norm(c))
+    N = cross(B, cut(T, K - 2))
+    tau = sum(a * b for a, b in zip(cval, value(v3))) / (cn_val * cn_val)
     return FrameJets(T=T, N=N, B=B, speed=speed, kappa=kappa, tau=tau)
 
 
 def _order_two(full: FrameJets) -> FrameJets:
     """The full-order reference cut to the order-2 triples of frame_jets."""
-    T, N, B = (tuple(e.coeffs[:3] for e in V.entries) for V in (full.T, full.N, full.B))
+    T, N, B = (tuple(e.coeffs[:3] for e in V) for V in (full.T, full.N, full.B))
     return FrameJets(T=T, N=N, B=B, speed=full.speed.coeffs[:3], kappa=full.kappa, tau=full.tau)
 
 
@@ -485,7 +485,7 @@ class TestOrderTwoFrame:
             P = lc.point_jets(t)
             want = lc._lift_pairs(_order_two(_full_order_frame_jets(pj, lc.cfg, t)), P)
             got = lc.frame(t)
-            assert _vector_bits(got) == _pair_bits(want)
+            assert _pair_bits(got) == _pair_bits(want)
 
     @pytest.mark.parametrize("kind", ["v", "c", "flat_h", "h"])
     @pytest.mark.parametrize("curve", [HELIX, TORUS_KNOT], ids=["helix", "torus_knot"])
@@ -503,16 +503,16 @@ class TestOrderTwoFrame:
 
     @pytest.mark.parametrize("kind", ["v", "c", "flat_h", "h"])
     def test_frame_is_the_analyzed_frame(self, kind):
-        # frame(t) wraps the pairs _analyze builds for apparatus(t): its
+        # frame(t) returns the pairs _analyze builds for apparatus(t): its
         # values are the apparatus frame and its slopes the analyzed ones.
         lk, G = _LIFTS[kind]
         lc = LiftedCurve(TORUS_KNOT, lk, G)
         for t in grid(TORUS_KNOT, 17)[:3]:
             frame = lc.frame(t)
             pairs = lc._analyze(t, lc._fibers([t])[t])[1]
-            assert [_bits(V.value()) for V in frame] == [
+            assert [_bits([p[0] for p in V]) for V in frame] == [
                 _bits(V) for V in lc.apparatus(t).frame]
-            assert _vector_bits(frame) == _pair_bits(pairs)
+            assert _pair_bits(frame) == _pair_bits(pairs)
 
     def test_random_lifted_frames_match_jet_route(self):
         rng = random.Random(977)
@@ -553,7 +553,7 @@ class TestOrderTwoFrame:
         x1 = Jet(c)
         x2 = Jet([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
         x3 = Jet([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
-        pj = VecJ((x1, x2, x3))
+        pj = as_tuples((x1, x2, x3))
         outcomes = []
         for route in (frame_jets, _full_order_frame_jets):
             with pytest.raises(NonFiniteJet) as exc:
@@ -576,31 +576,27 @@ _LIFTS = {
 }
 
 
-def _jet_route_lift_frame(lc: LiftedCurve, fj: FrameJets, P: VecJ):
-    """The lifted frame through order-1 Jet and VecJ operations: the oracle
-    for the float pairs of LiftedCurve._lift_pairs."""
+def _jet_route_lift_frame(lc: LiftedCurve, fj: FrameJets, P):
+    """The lifted frame through order-1 Jet operations on the full-order
+    frame of _full_order_frame_jets: the oracle for the float pairs of
+    LiftedCurve._lift_pairs."""
     kind = lc.kind.kind
     if kind == "vertical":
         zero = Jet.constant(0.0, 1)
-        return tuple(
-            VecJ((zero, zero, zero) + V.truncated(1).entries) for V in (fj.T, fj.N, fj.B)
-        )
+        return tuple([zero, zero, zero] + cut(V, 1) for V in (fj.T, fj.N, fj.B))
     if kind == "complete":
-        return tuple(
-            VecJ(V.truncated(1).entries + V.d().truncated(1).entries)
-            for V in (fj.T, fj.N, fj.B)
-        )
-    wjets = [e.truncated(1) for e in P.entries[3:6]]
+        return tuple(cut(V, 1) + cut(d(V), 1) for V in (fj.T, fj.N, fj.B))
+    wjets = [Jet(cs[:2]) for cs in P[3:6]]
     out = []
     for V in (fj.T, fj.N, fj.B):
-        v3 = V.truncated(1)
-        fiber = [-u for u in lc.connection.contract(wjets, v3.entries)]
-        out.append(VecJ(v3.entries + tuple(fiber)))
+        v3 = cut(V, 1)
+        fiber = [-u for u in lc.connection.contract(wjets, v3)]
+        out.append(v3 + fiber)
     return tuple(out)
 
 
 def _vector_bits(vectors):
-    return [[_bits(e.coeffs) for e in V.entries] for V in vectors]
+    return [[_bits(e.coeffs) for e in V] for V in vectors]
 
 
 def _pair_bits(vectors):

@@ -1,4 +1,4 @@
-"""Jet arithmetic, vector algebra and the finite-difference oracle."""
+"""Jet arithmetic, the float vector helpers and the finite-difference oracle."""
 
 import math
 import random
@@ -14,17 +14,19 @@ from frenetlift.jets import (
     Jet,
     NonFiniteJet,
     OrderExceeded,
-    VecJ,
     ZeroNorm,
+    _cross,
     _pdiv,
     _pdot,
     _pmul,
     _pnorm,
     _psub,
+    _tunit,
     fd_oracle,
     jet_pow,
 )
 from frenetlift.jets import jet_exp, jet_log, jet_sin, jet_sqrt, jet_tan
+from jet_vectors import dot, norm
 
 
 def approx_coeffs(jet, expected, tol=1e-12):
@@ -124,8 +126,9 @@ class TestKernelFastPaths:
 
 
 class TestOrderOnePairs:
-    """The float-pair helpers give the order-1 Jet and VecJ results by bits,
-    signed zeros included, and raise what those raise."""
+    """The float-pair helpers give the order-1 Jet results, and the dot and
+    norm of lists of Jets, by bits, signed zeros included, and raise what
+    those raise."""
 
     PAIRS = [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (1.25, -3.5), (-2.0, 0.5),
              (3.0, 1e-300), (-1e-310, 7.0), (1e154, 2e154), (1e308, 1e308)]
@@ -154,10 +157,10 @@ class TestOrderOnePairs:
             dim = rng.choice((3, 6))
             u = [rng.choice(self.PAIRS) for _ in range(dim)]
             w = [rng.choice(self.PAIRS) for _ in range(dim)]
-            U, W = VecJ(Jet(p) for p in u), VecJ(Jet(p) for p in w)
-            want = self._outcome(lambda: U.dot(W).coeffs)
+            U, W = [Jet(p) for p in u], [Jet(p) for p in w]
+            want = self._outcome(lambda: dot(U, W).coeffs)
             assert self._outcome(lambda: _pdot(u, w)) == want
-            want = self._outcome(lambda: U.norm().coeffs)
+            want = self._outcome(lambda: norm(U).coeffs)
             assert self._outcome(lambda: _pnorm(_pdot(u, u))) == want
 
 
@@ -207,32 +210,31 @@ class TestDerivativeExtraction:
             Jet.variable(1.0, 2).derivative(3)
 
 
-class TestVecJ:
+def _constant_pairs(values):
+    return [(float(v), 0.0) for v in values]
+
+
+class TestVectorHelpers:
     def test_dot_constants(self):
-        a = VecJ.constant((1, 2, 3), 1)
-        b = VecJ.constant((4, 5, 6), 1)
-        assert a.dot(b).value == pytest.approx(32.0)
+        a = _constant_pairs((1, 2, 3))
+        b = _constant_pairs((4, 5, 6))
+        assert _pdot(a, b)[0] == pytest.approx(32.0)
 
     def test_cross_right_handed(self):
-        e1 = VecJ.constant((1, 0, 0), 1)
-        e2 = VecJ.constant((0, 1, 0), 1)
-        assert e1.cross(e2).value() == pytest.approx((0, 0, 1))
+        e1 = _constant_pairs((1, 0, 0))
+        e2 = _constant_pairs((0, 1, 0))
+        assert [p[0] for p in _cross(e1, e2, _pmul, _psub)] == pytest.approx((0, 0, 1))
 
     def test_norm_345(self):
-        assert VecJ.constant((0, 3, 4), 2).norm().value == pytest.approx(5.0)
-
-    def test_cross_needs_dim3(self):
-        a = VecJ.constant((1, 0, 0, 0, 0, 0), 1)
-        with pytest.raises(DimensionMismatch):
-            a.cross(a)
-
-    def test_bad_dimension(self):
-        with pytest.raises(DimensionMismatch):
-            VecJ.constant((1, 2), 1)
+        norm = _tunit([(0.0, 0.0, 0.0), (3.0, 0.0, 0.0), (4.0, 0.0, 0.0)])[0]
+        assert norm[0] == pytest.approx(5.0)
 
     def test_zero_norm(self):
+        zero = _constant_pairs((0, 0, 0))
         with pytest.raises(ZeroNorm):
-            VecJ.constant((0, 0, 0), 1).norm()
+            _pnorm(_pdot(zero, zero))
+        with pytest.raises(ZeroNorm):
+            _tunit([(0.0, 0.0, 0.0)] * 3)
 
 
 class TestFdOracle:
@@ -273,9 +275,9 @@ def test_multiplication_associates(a, b, c):
 @given(st.lists(finite, min_size=5, max_size=5), coeff_lists, coeff_lists)
 def test_norm_squared_matches_dot(head, b, c):
     # Keep the leading entry away from zero so the norm is well-defined.
-    v = VecJ([Jet([1.5] + head), Jet(b), Jet(c)])
-    nsq = v.norm() * v.norm()
-    dvv = v.dot(v)
+    v = [Jet([1.5] + head), Jet(b), Jet(c)]
+    nsq = norm(v) * norm(v)
+    dvv = dot(v, v)
     for p, q in zip(nsq.coeffs, dvv.coeffs):
         assert abs(p - q) <= 1e-13 * max(1.0, abs(q))
 

@@ -46,6 +46,7 @@ from frenetlift.verify import (
     random_quadruple,
     random_tangent_point,
 )
+from jet_vectors import jets, value
 
 HELIX = builtin_curves()["helix345"]
 USH = builtin_curves()["unit_helix"]
@@ -305,12 +306,12 @@ class TestCurveLifts:
     def test_vertical_point(self):
         pj = curve_point_jets(HELIX, 0.0)
         lifted = lifted_point_jets(pj, LiftKind.vertical((0, 0, 0)), Connection.flat(), (0, 0, 0))
-        assert lifted.value() == pytest.approx((0, 0, 0, 3, 0, 0))
+        assert value(jets(lifted)) == pytest.approx((0, 0, 0, 3, 0, 0))
 
     def test_complete_point(self):
         pj = curve_point_jets(USH, 0.0)
         lifted = lifted_point_jets(pj, LiftKind.complete(), Connection.flat())
-        assert lifted.value() == pytest.approx((3, 0, 0, 0, 0.6, 0.8))
+        assert value(jets(lifted)) == pytest.approx((3, 0, 0, 0, 0.6, 0.8))
 
     def test_horizontal_point_flat(self):
         t = math.pi
@@ -318,8 +319,8 @@ class TestCurveLifts:
         lifted = lifted_point_jets(
             pj, LiftKind.horizontal((1, 0, 0)), Connection.flat(), w_value=(1, 0, 0)
         )
-        base = pj.value()
-        assert lifted.value() == pytest.approx(base + (1, 0, 0))
+        base = value(jets(pj))
+        assert value(jets(lifted)) == pytest.approx(base + (1, 0, 0))
 
     def test_horizontal_kind_requires_w0(self):
         with pytest.raises(ValueError):
@@ -464,13 +465,89 @@ class TestFlatHorizontalFiber:
             pj = curve_point_jets(curve, t)
             fj = frame_jets(pj, lc.cfg, t)
             P = lifted_point_jets(pj, lc.kind, lc.connection, None, (-1.0, 0.0, 2.5))
-            w = [Jet._of(e.coeffs[:2]) for e in P.entries[3:6]]
+            w = [Jet(cs[:2]) for cs in P[3:6]]
             for V in lc._lift_pairs(fj, P):
-                frame = [Jet._of(p) for p in V[:3]]
+                frame = [Jet(p) for p in V[:3]]
                 want = [(-u).coeffs for u in _loop_contract(lc.connection, w, frame)]
                 assert [tuple(x.hex() for x in p) for p in V[3:]] == \
                     [tuple(x.hex() for x in p) for p in want]
                 assert all(math.copysign(1.0, x) == -1.0 for p in V[3:] for x in p)
+
+
+class TestNonFlatHorizontalFiber:
+    """The non-flat horizontal frame fiber, contracted on float pairs, has
+    the bits of Connection.contract on order-1 Jets and of its 27-symbol
+    loop reference, and raises what they raise."""
+
+    CONNECTIONS = {
+        # The second row holds no symbols: 0.0 * w[0] * V[0].
+        "empty_row": Connection.from_entries({(1, 2, 3): 0.3, (3, 3, 2): 0.15}),
+        "random": random_connection(random.Random(5)),
+    }
+    CURVES = {
+        "helix": CurveSpec.from_strings("3*cos(t)", "-3*sin(t)", "-4*t", 0.0, 2.0),
+        # Planar, so frame components and fiber slopes hold signed zeros.
+        "planar": CurveSpec.from_strings("cos(t)", "0*t", "sin(t)", 0.0, 2.0),
+    }
+    # Fiber pairs set by hand on the lifted point: signed zeros, then
+    # pairs whose products or sums overflow, or an infinite slope that
+    # only the empty row's 0.0 * w[0] meets.
+    ZERO_FIBERS = (((-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)),
+                   ((0.0, 0.0), (-0.0, 1.5), (2.0, -0.0)))
+    HUGE_FIBERS = (((1.0, math.inf), (0.5, 1.0), (-0.5, 2.0)),
+                   ((1.7e308, 0.0),) * 3,
+                   ((1.7e308, 1.7e308),) * 3)
+
+    @staticmethod
+    def _check(lc, fj, P):
+        """Bits of the fiber pairs, or the error class and message."""
+        G = lc.connection
+        w = [Jet(cs[:2]) for cs in P[3:6]]
+        frames = [[Jet(c[:2]) for c in V] for V in (fj.T, fj.N, fj.B)]
+
+        def outcome(fibers):
+            try:
+                return [[tuple(x.hex() for x in p) for p in V] for V in fibers()]
+            except NonFiniteJet as err:
+                return type(err), str(err)
+
+        want = outcome(lambda: [[(-u).coeffs for u in _loop_contract(G, w, f)] for f in frames])
+        assert outcome(lambda: [[(-u).coeffs for u in G.contract(w, f)] for f in frames]) == want
+        assert outcome(lambda: [V[3:] for V in lc._lift_pairs(fj, P)]) == want
+        return want
+
+    @pytest.mark.parametrize("curve", CURVES.values(), ids=CURVES.keys())
+    @pytest.mark.parametrize("G", CONNECTIONS.values(), ids=CONNECTIONS.keys())
+    def test_pairs_match_contract_bits(self, G, curve):
+        for w0 in ((-1.0, 0.0, 2.5), (-0.0, 1.0, -2.0), (1.0, -0.0, 0.0)):
+            lc = LiftedCurve(curve, LiftKind.horizontal(w0), G)
+            for t in (0.0, 0.4, 1.7):
+                pj = curve_point_jets(curve, t)
+                fj = frame_jets(pj, lc.cfg, t)
+                self._check(lc, fj, lifted_point_jets(pj, lc.kind, G, None, w0))
+                for fiber in self.ZERO_FIBERS:
+                    self._check(lc, fj, pj + tuple(p + (0.0,) * 4 for p in fiber))
+
+    @pytest.mark.parametrize("G", CONNECTIONS.values(), ids=CONNECTIONS.keys())
+    def test_overflow_raises_as_contract_does(self, G):
+        curve = self.CURVES["helix"]
+        lc = LiftedCurve(curve, LiftKind.horizontal((1.0, 0.0, 0.0)), G)
+        pj = curve_point_jets(curve, 0.4)
+        fj = frame_jets(pj, lc.cfg, 0.4)
+        raised = [self._check(lc, fj, pj + tuple(p + (0.0,) * 4 for p in fiber))
+                  for fiber in self.HUGE_FIBERS]
+        assert all(r[0] is NonFiniteJet for r in raised)
+
+    def test_random_connections_match_contract_bits(self):
+        rng = random.Random(20261018)
+        curve = self.CURVES["helix"]
+        for _ in range(40):
+            G = random_connection(rng)
+            w0 = tuple(rng.choice((-0.0, 0.0, rng.uniform(-2.0, 2.0))) for _ in range(3))
+            t = rng.uniform(0.0, 2.0)
+            lc = LiftedCurve(curve, LiftKind.horizontal(w0), G)
+            pj = curve_point_jets(curve, t)
+            self._check(lc, frame_jets(pj, lc.cfg, t), lifted_point_jets(pj, lc.kind, G, None, w0))
 
 
 # --- per-point results kept on each field spec ---------------------------------
@@ -537,6 +614,16 @@ class TestPerPointCache:
                     raised += isinstance(want[0], type)
                     calls += 1
         assert 0 < raised < calls
+
+    def test_default_flat_connection_keeps_one_entry(self):
+        X = vector_field("x1*x2 + sin(x3)", "x2^2 - x1", "exp(x1)*x3")
+        p = TangentPoint((0.3, -1.2, 0.8), (0.5, -2.0, 1.5))
+        for _ in range(3):
+            lift_field(X, "h").at(p)
+        horizontal = [k for k in X._at_x[1] if isinstance(k, tuple) and k[0] == "horizontal"]
+        assert len(horizontal) == 1
+        assert lift_field(X, "h").connection is Connection.flat()
+        assert LiftedCurve(HELIX, LiftKind.complete()).connection is Connection.flat()
 
     def test_point_then_another_then_back(self):
         X = vector_field("x1*x2 + sin(x3)", "x2^2 - x1", "exp(x1)*x3")
