@@ -147,9 +147,8 @@ def _emit_rows(args: argparse.Namespace, header: list[str], rows: list[list[floa
                summary: dict[str, float] | None = None) -> None:
     """Write rows as CSV (summary as a '#' trailer) or JSON (summary as a key)."""
     if args.format == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt17(v) for v in row))
+        row_format = ",".join(["%.17g"] * len(header))
+        lines = [",".join(header), *[row_format % tuple(row) for row in rows]]
         if summary is not None:
             lines.append("# " + " ".join(f"{k}={_fmt17(v)}" for k, v in summary.items()))
         text = "\n".join(lines) + "\n"
@@ -375,10 +374,13 @@ def _join_vector_flags(argv: list[str]) -> list[str]:
 
 def _where(err: Exception) -> str:
     """'x2 at t=0.0, chars 0-6: ' for an error evaluating a curve component,
-    'chars 0-6: ' for one evaluating any other expression."""
+    'at t=0.0: ' for an overflow in the frame arithmetic at t, 'chars 0-6: '
+    for an error evaluating any other expression."""
     parts = []
     if getattr(err, "component", None) is not None:
         parts.append(f"x{err.component + 1} at t={err.t!r}")
+    elif isinstance(err, JetError) and hasattr(err, "t"):
+        parts.append(f"at t={err.t!r}")
     span = getattr(err, "span", None)
     if span is not None:
         parts.append(f"chars {span[0]}-{span[1]}")

@@ -26,7 +26,7 @@ for error reporting but ignored by structural equality.
 Each AST is compiled once, on first evaluation, into nested closures that
 are cached on the node object itself.  Structurally equal nodes at
 different spans therefore keep separate code, and an error reports the
-span of the node that failed.  There are four evaluators:
+span of the node that failed.  There are four evaluators of one tree:
 
 - :func:`eval_float` evaluates in plain floats with its own arithmetic
   and its own compiler, apart from the others, because it is their
@@ -50,12 +50,19 @@ through the jet kernel, one direction at a time.  The jet, forward and
 order-2 evaluators are one compiler over three kernels: one dispatcher walks
 the tree and picks the code for each node, and each kernel supplies the
 closures of its own coefficient arithmetic.
+
+A curve's three components compile together into one K-jet program, cached
+on the :class:`CurveSpec` (:func:`_curve_jets`).  Its subtrees share one
+code wherever their numbers agree bit for bit, and sin and cos of one
+argument share one recurrence, so each shared subexpression runs once per
+point, with the bits and errors of evaluating the components one by one.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import struct
 from dataclasses import dataclass, field, replace
 from math import cos, isfinite, sin
 from typing import Callable, Mapping, NamedTuple, Union
@@ -68,6 +75,7 @@ from .jets import (
     JET_FUNCTIONS,
     JetError,
     NonFiniteJet,
+    _sin_cos,
     jet_pow,
 )
 
@@ -518,54 +526,60 @@ def eval_float(ast: ExprAst, bindings: Mapping[str, float]) -> float:
     return _compiled(ast, "_float", _float_code)(bindings)
 
 
+def _var(name: str, offset: int):
+    def var(b, extra):
+        try:
+            return b[name]
+        except KeyError:
+            raise UnknownVariable(name, offset) from None
+
+    return var
+
+
 class _Kernel(NamedTuple):
     """Closure factories of one coefficient arithmetic, for the jet, the
     forward or the order-2 evaluator.  Each returns code, a closure of
-    (bindings, extra) that returns the node's value.  The tree walk, the
-    variable lookup and the choice of code for each node are
-    :meth:`compile_node`, shared by all three."""
+    (bindings, extra) that returns the node's value.  The tree walk and the
+    choice of code for each node are :meth:`compile_node`, shared by all
+    three and by the structural keys of :class:`_Program`."""
 
-    attr: str  # the node attribute that caches this arithmetic's code
+    attr: str | None  # the node attribute that caches this arithmetic's code
     num: Callable  # (value)
     neg: Callable  # (child code)
     scale: Callable  # (operand code, number, span): operand times a number
     power: Callable  # (base code, folded exponent, span)
     binary: Callable  # (op, left code, right code, span) for + - * /
     call: Callable  # (function name, argument code, span)
+    var: Callable = _var  # (name, offset)
 
     def code(self, node: ExprAst):
         return _compiled(node, self.attr, self.compile_node)
 
-    def compile_node(self, node: ExprAst):
+    def compile_node(self, node: ExprAst, sub=None):
+        """The code of ``node`` over the code ``sub`` gives each child, by
+        default the child's own cached code."""
+        sub = sub or self.code
         if isinstance(node, Num):
             return self.num(node.value)
         if isinstance(node, Var):
-            name, offset = node.name, node.span[0]
-
-            def var(b, extra):
-                try:
-                    return b[name]
-                except KeyError:
-                    raise UnknownVariable(name, offset) from None
-
-            return var
+            return self.var(node.name, node.span[0])
         if isinstance(node, Neg):
-            return self.neg(self.code(node.child))
+            return self.neg(sub(node.child))
         if isinstance(node, BinOp):
             op, span = node.op, node.span
             # A product with a number scales each coefficient, O(K) instead
             # of an O(K^2) convolution with a constant jet, and gives the
             # same bits.
             if op == "*" and isinstance(node.left, Num):
-                return self.scale(self.code(node.right), node.left.value, span)
-            left = self.code(node.left)
+                return self.scale(sub(node.right), node.left.value, span)
+            left = sub(node.left)
             if op == "^":
                 return self.power(left, node.right.value, span)
             if op == "*" and isinstance(node.right, Num):
                 return self.scale(left, node.right.value, span)
-            return self.binary(op, left, self.code(node.right), span)
+            return self.binary(op, left, sub(node.right), span)
         if isinstance(node, Call):
-            return self.call(node.func, self.code(node.arg), node.span)
+            return self.call(node.func, sub(node.arg), node.span)
         raise TypeError(f"not an AST node: {node!r}")
 
 
@@ -614,6 +628,106 @@ def eval_jet(ast: ExprAst, bindings: Mapping[str, Jet]) -> Jet:
             return Jet._of(_FORWARD.code(ast)(pairs, None))
     order = next(iter(bindings.values())).order if bindings else 0
     return _JET.code(ast)(bindings, order)
+
+
+# Several trees as one K-jet program.  A structural key names the code a
+# node compiles to and holds its children's slots, so two subtrees get one
+# key exactly when they compile to the same code with every number bit for
+# bit equal (Num equality would merge 0.0 and -0.0); spans are left out.
+
+_bits = struct.Struct("<d").pack
+
+_KEYS = _Kernel(
+    None,
+    lambda value: ("num", _bits(value)),
+    lambda child: ("neg", child),
+    lambda operand, c, span: ("scale", operand, _bits(c)),
+    lambda base, r, span: ("pow", base, _bits(r)),
+    lambda op, left, right, span: ("binary", op, left, right),
+    lambda name, arg, span: ("call", name, arg),
+    lambda name, offset: ("var", name),
+)
+
+def _partner(key: tuple):
+    """The key of cos(u) for that of sin(u) and the other way round, or None."""
+    if key[0] == "call" and key[1] in ("sin", "cos"):
+        return ("call", "cos" if key[1] == "sin" else "sin", key[2])
+    return None
+
+
+def _memo(code, slot: int):
+    """``code``, run at most once per evaluation: its value is kept in that
+    evaluation's bindings under the slot number."""
+
+    def shared(b, order):
+        value = b.get(slot)
+        if value is None:
+            value = b[slot] = code(b, order)
+        return value
+
+    return shared
+
+
+class _Program:
+    """K-jet code of several trees compiled together, one code per root.
+
+    A first walk numbers each distinct structural key (a slot) and counts
+    its users in the merged graph; a second builds each slot's code once,
+    memoized where it has more than one user, as is the one ``_sin_cos``
+    call behind sin(u) and cos(u) where both occur.  Slots are met in the
+    order evaluation first runs them, roots in turn and children left to
+    right, and each code keeps the spans of its first occurrence.  A shared
+    code can fail only there, so the program raises the error evaluating
+    the trees one by one would raise first.
+    """
+
+    def __init__(self, roots):
+        self.slots: dict[tuple, int] = {}  # structural key -> slot
+        self.uses: list[int] = []  # per slot: its users in the merged graph
+        self.node_slots: dict[int, int] = {}  # id(node) -> slot
+        for root in roots:
+            self.uses[self._intern(root)] += 1
+        self.codes: dict[int, Callable] = {}  # slot -> code
+        self.code_slots: dict[int, int] = {}  # id(code) -> slot
+        self.pairs: dict[int, Callable] = {}  # slot of u -> code of sin(u), cos(u)
+        self.kernel = _JET._replace(call=self._call)
+        self.roots = [self._build(root) for root in roots]
+
+    def _intern(self, node: ExprAst) -> int:
+        key = _KEYS.compile_node(node, self._intern)
+        slot = self.slots.get(key)
+        if slot is None:
+            # sin(u) and cos(u) read u once, through their shared recurrence.
+            if _partner(key) not in self.slots:
+                for part in key:
+                    if type(part) is int:
+                        self.uses[part] += 1
+            slot = self.slots[key] = len(self.uses)
+            self.uses.append(0)
+        self.node_slots[id(node)] = slot
+        return slot
+
+    def _build(self, node: ExprAst):
+        slot = self.node_slots[id(node)]
+        code = self.codes.get(slot)
+        if code is None:
+            code = self.kernel.compile_node(node, self._build)
+            if self.uses[slot] > 1 and not isinstance(node, (Num, Var)):
+                code = _memo(code, slot)
+            self.codes[slot] = code
+            self.code_slots[id(code)] = slot
+        return code
+
+    def _call(self, name: str, arg, span: Span):
+        u = self.code_slots[id(arg)]
+        if _partner(("call", name, u)) not in self.slots:
+            return _JET.call(name, arg, span)
+        pair = self.pairs.get(u)
+        if pair is None:
+            # Kept past the node slots, so the slot numbers stay apart.
+            pair = self.pairs[u] = _memo(_spanned(_sin_cos, span, arg), len(self.uses) + u)
+        index = 0 if name == "sin" else 1
+        return lambda b, order: pair(b, order)[index]
 
 
 # Forward arithmetic: code of (bindings, None), returning a value with one
@@ -989,14 +1103,15 @@ class CurveSpec:
         return cls(comps, float(t_min), float(t_max), name)
 
 
-def _per_component(curve: CurveSpec, t: float, evaluate) -> list:
-    """``evaluate(ast)`` for each component of ``curve`` at parameter t.
+def _per_component(components, t: float, evaluate) -> list:
+    """``evaluate(comp)`` for each of a curve's components at parameter t,
+    given as ASTs or as their codes.
 
     A :class:`JetError` leaves with ``component`` (0-based) and ``t`` set,
     so the error message can name where evaluation failed.
     """
     out = []
-    for i, comp in enumerate(curve.components):
+    for i, comp in enumerate(components):
         try:
             out.append(evaluate(comp))
         except JetError as err:
@@ -1004,6 +1119,14 @@ def _per_component(curve: CurveSpec, t: float, evaluate) -> list:
             err.t = t
             raise
     return out
+
+
+def _curve_jets(curve: CurveSpec, t: float, order: int) -> tuple[tuple[float, ...], ...]:
+    """Coefficients c_0..c_order of each curve component at t, from one run
+    of the components' :class:`_Program`, compiled once per curve."""
+    codes = _compiled(curve, "_jets", lambda c: _Program(c.components).roots)
+    b = {"t": Jet.variable(t, order)}
+    return tuple(_per_component(codes, t, lambda code: code(b, order).coeffs))
 
 
 @dataclass(frozen=True)

@@ -28,11 +28,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .expr import CurveSpec, _per_component, eval_jet
+from .expr import CurveSpec, _curve_jets
 from .jets import (
     NORM_FLOOR,
     DimensionMismatch,
-    Jet,
     NonFiniteJet,
     OrderExceeded,
     RankDeficient,
@@ -178,11 +177,16 @@ def curve_point_jets(
     curve: CurveSpec, t: float, order: int = DEFAULT_ORDER
 ) -> tuple[tuple[float, ...], ...]:
     """Taylor coefficients c_0..c_order of the three curve components at t,
-    one tuple per component."""
+    one tuple per component.
+
+    The components compile into one jet program with shared
+    subexpressions (``expr._Program``), so a subtree they share, or sin and
+    cos of one argument, is evaluated once per point.  Bits and errors are
+    those of one :func:`expr.eval_jet` per component.
+    """
     if not curve.t_min <= t <= curve.t_max:
         raise DomainIntervalError(t, curve.domain)
-    tj = Jet.variable(t, order)
-    return tuple(_per_component(curve, t, lambda comp: eval_jet(comp, {"t": tj}).coeffs))
+    return _curve_jets(curve, t, order)
 
 
 def frame_jets(pjets: Sequence[Sequence[float]], cfg: ToleranceConfig, t: float) -> FrameJets:
@@ -194,8 +198,9 @@ def frame_jets(pjets: Sequence[Sequence[float]], cfg: ToleranceConfig, t: float)
     to order 2, tau from the value of the third.  All of it runs on float
     triples that repeat the order-2 jet kernel step for step (``jets._tmul``
     and its siblings), so each coefficient has the bits a full-order jet
-    computation would give.  A ``speed**3`` that overflows raises
-    :class:`NonFiniteJet` naming t.
+    computation would give.  A :class:`NonFiniteJet` from that arithmetic
+    leaves with ``t`` set, and a ``speed**3`` that overflows raises one
+    whose message names t.
     """
     if len(pjets[0]) < 5:
         raise OrderExceeded(
@@ -208,20 +213,23 @@ def frame_jets(pjets: Sequence[Sequence[float]], cfg: ToleranceConfig, t: float)
         v1.append(d1[:3])
         v2.append(_derivative(d1))
     try:
-        speed, T = _tunit(v1)
-    except ZeroNorm:
-        raise ZeroSpeed(t) from None
-    c = _cross(v1, v2, _tmul, _tsub)
-    cval = [x[0] for x in c]
-    cn_val = fnorm(cval)
-    try:
+        try:
+            speed, T = _tunit(v1)
+        except ZeroNorm:
+            raise ZeroSpeed(t) from None
+        c = _cross(v1, v2, _tmul, _tsub)
+        cval = [x[0] for x in c]
+        cn_val = fnorm(cval)
         kappa = cn_val / speed[0]**3
+        if kappa < cfg.kappa_floor or cn_val < NORM_FLOOR:
+            raise DegenerateCurvature(t, kappa, cfg.kappa_floor)
+        B = _tunit(c)[1]
+        N = _cross(B, T, _tmul, _tsub)
+    except NonFiniteJet as err:
+        err.t = t
+        raise
     except OverflowError:
         raise NonFiniteJet(f"curvature overflows at t={t!r}") from None
-    if kappa < cfg.kappa_floor or cn_val < NORM_FLOOR:
-        raise DegenerateCurvature(t, kappa, cfg.kappa_floor)
-    B = _tunit(c)[1]
-    N = _cross(B, T, _tmul, _tsub)
     tau = _fdot(cval, [x[1] for x in v2]) / (cn_val * cn_val)
     return FrameJets(T=T, N=N, B=B, speed=speed, kappa=kappa, tau=tau)
 

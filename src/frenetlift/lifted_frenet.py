@@ -110,7 +110,7 @@ class LiftedCurve:
             else:
                 b = {"t": base.t_min}
                 self.anchor = tuple(
-                    _per_component(base, base.t_min, lambda comp: eval_float(comp, b))
+                    _per_component(base.components, base.t_min, lambda comp: eval_float(comp, b))
                 )
         else:
             self.anchor = None

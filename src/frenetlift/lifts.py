@@ -636,7 +636,7 @@ def _rk4_segment(
         for s, c in ((u, 0.0), (u + half, half), (u + half, half), (u + h, h)):
             y = w if k is None else [a + c * b for a, b in zip(w, k)]
             tj = {"t": Jet._of((s, 1.0))}
-            vel = _per_component(curve, s, lambda comp: eval_jet(comp, tj).coeffs[1])
+            vel = _per_component(curve.components, s, lambda comp: eval_jet(comp, tj).coeffs[1])
             k = []
             for row in rows:
                 # -0.0 + x is x, so a row sums as contract sums it; a row

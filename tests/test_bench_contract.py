@@ -5,8 +5,9 @@ a name that is gone crashes that run.  The run then compares call counts
 with counts perfbench/run.py predicts from per-point and per-step constants;
 a count that drifts fails that run, and so does a layer microbenchmark
 statement of perfbench/micro.py that raises.  These tests read the tracer's
-tables and run.py's constants and run micro.py's statements once (all three
-files are read by path and not changed), and fail first.
+tables, run.py's constants and its count prediction, and run micro.py's
+statements once (all three files are read by path and not changed), and
+fail first.
 """
 
 import ast
@@ -127,6 +128,47 @@ def test_transport_grid_curve_evaluations_match_prediction():
     assert summary["lifts.transport_grid"]["calls"] == 1
     assert summary["lifts.transport_grid"]["curve_evals"] == want * steps
     assert summary["expr.eval_jet"]["calls"] == want * steps
+
+
+@pytest.fixture
+def predicted(monkeypatch):
+    """perfbench/run.py's _predicted, with run.py and the benchmark modules it
+    imports loaded from perfbench/ and dropped again afterwards."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    loaded = set(sys.modules)
+    yield _load("perfbench_run", PERFBENCH / "run.py")._predicted
+    for name in set(sys.modules) - loaded:
+        del sys.modules[name]
+
+
+def test_sweep_calls_match_prediction(predicted, tmp_path):
+    # One traced frenet call and one traced lift call per sweep kind, as
+    # the traced sweep workload makes them: every per-point layer runs once
+    # per sample.
+    samples = 5
+    curve = tmp_path / "knot.curve"
+    curve.write_text("x1 = (2 + 0.5*cos(3*t))*cos(2*t)\nx2 = (2 + 0.5*cos(3*t))*sin(2*t)\n"
+                     "x3 = 0.5*sin(3*t)\nt_min = 0.25\nt_max = 1.25\n")
+    argvs = {"frenet": ["frenet"], "lift-v": ["lift", "--kind", "v"],
+             "lift-c": ["lift", "--kind", "c"], "lift-h": ["lift", "--kind", "h", "--w0=1,-0.5,2"]}
+    calls = [types.SimpleNamespace(command=command, units=samples, rk4_steps=0)
+             for command in argvs]
+    out = str(tmp_path / "out.csv")
+
+    def run_all():
+        for argv in argvs.values():
+            assert cli.main(argv + ["--curve", str(curve), "--samples", str(samples),
+                                    "--out", out]) == cli.EXIT_OK
+
+    summary = _traced(run_all)
+    want = predicted(None, calls)
+    assert {f"{name}.calls" for name in (
+        "frenet.curve_point_jets", "frenet.frame_jets", "frenet.frenet_apparatus",
+        "frenet.generalized_frenet", "lifts.lifted_point_jets")} <= set(want)
+    assert want["frenet.curve_point_jets.calls"] == 4 * samples
+    for key, count in want.items():
+        span, field = key.rsplit(".", 1)
+        assert summary.get(span, {}).get(field, 0) == count, key
 
 
 def test_micro_statements_run(monkeypatch):

@@ -572,6 +572,17 @@ class TestDiagnostics:
         assert main(argv + ["--curve", str(p), "--samples", "3"]) == EXIT_INPUT
         assert "error: curvature overflows at t=0.5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["frenet"], ["lift", "--kind", "v"], ["lift", "--kind", "c"], ["lift", "--kind", "h"],
+    ], ids=["frenet", "lift-v", "lift-c", "lift-h"])
+    def test_frame_overflow_names_t(self, tmp_path, capsys, argv):
+        # The jets stay finite, but |b'|^2 in the frame's speed overflows.
+        p = tmp_path / "big.curve"
+        p.write_text("x1 = 1e200*cos(t)\nx2 = 1e200*sin(t)\nx3 = t\nt_min = 0\nt_max = 1\n")
+        assert main(argv + ["--curve", str(p), "--samples", "3"]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: at t=0.0: multiplication produced non-finite coefficients\n")
+
     @pytest.mark.parametrize("flag, text, message", [
         ("curve", "x1 = t\nx2 = t^2\nt_min = 0\nt_max = 1\n", "missing key 'x3'"),
         ("curve", "x1 = t\nx2 = t^2 +\nx3 = t\nt_min = 0\nt_max = 1\n", "line 2: x2: "),
@@ -632,6 +643,39 @@ class TestReadme:
             for name, p in sub.choices.items()
         }
         assert table == parsed
+
+
+def _per_value_csv(header, rows, summary):
+    """CSV as a '%.17g' join over each value: the reference for the row
+    template of cli._emit_rows."""
+    lines = [",".join(header)] + [",".join("%.17g" % v for v in row) for row in rows]
+    if summary is not None:
+        lines.append("# " + " ".join(f"{k}={'%.17g' % v}" for k, v in summary.items()))
+    return "\n".join(lines) + "\n"
+
+
+class TestEmitRows:
+    HEADER = ["a", "b", "c", "d", "e", "f", "g"]
+    ROWS = [
+        [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 3],
+        [0.1, -2, 0.0, 1 / 3, -5e-324, -1.7976931348623157e308, 12345678901234567890],
+    ]
+
+    @pytest.mark.parametrize("summary", [None, {"max_residual": 1e-17, "kappa_spread": -0.0}],
+                             ids=["plain", "trailer"])
+    def test_csv_matches_per_value_format(self, tmp_path, summary):
+        out = tmp_path / "out.csv"
+        args = argparse.Namespace(format="csv", out=str(out))
+        cli._emit_rows(args, self.HEADER, self.ROWS, summary)
+        assert out.read_bytes() == _per_value_csv(self.HEADER, self.ROWS, summary).encode()
+
+    def test_json_unchanged(self, tmp_path):
+        out = tmp_path / "out.json"
+        args = argparse.Namespace(format="json", out=str(out))
+        cli._emit_rows(args, self.HEADER, self.ROWS[1:], {"s": math.nan})
+        row = dict(zip(self.HEADER, self.ROWS[1]))
+        want = {"rows": [row], "summary": {"s": None}}
+        assert out.read_text() == json.dumps(want, indent=2, allow_nan=False) + "\n"
 
 
 class TestDeterminism:

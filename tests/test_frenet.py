@@ -7,7 +7,7 @@ import struct
 
 import pytest
 
-from frenetlift.expr import CurveSpec
+from frenetlift.expr import BinOp, Call, CurveSpec, Num, UnknownVariable, Var, eval_jet
 from frenetlift.frenet import (
     DegenerateCurvature,
     DomainIntervalError,
@@ -21,11 +21,14 @@ from frenetlift.frenet import (
     uniform_grid,
 )
 from frenetlift.jets import (
+    DivisionByZeroJet,
+    DomainError,
     Jet,
     JetError,
     NonFiniteJet,
     RankDeficient,
     ZeroNorm,
+    _pair_recurrence,
     fd_oracle,
     fnorm,
 )
@@ -81,6 +84,145 @@ class TestPointJets:
         with pytest.raises(DomainError) as exc:
             curve_point_jets(curve, -0.5, 2)
         assert exc.value.component == 1
+
+
+def _point_jets_outcome(route, curve, t, order):
+    """Every coefficient by float.hex, or the error's type, message, span,
+    component and t."""
+    try:
+        return [[x.hex() for x in cs] for cs in route(curve, t, order)]
+    except Exception as err:
+        return (type(err), str(err), getattr(err, "span", None),
+                getattr(err, "component", None), getattr(err, "t", None))
+
+
+def _per_component_route(curve, t, order):
+    """One eval_jet per component, in order, naming the failing component
+    and t: the reference for the curve's shared jet program."""
+    tj = Jet.variable(t, order)
+    out = []
+    for i, comp in enumerate(curve.components):
+        try:
+            out.append(eval_jet(comp, {"t": tj}).coeffs)
+        except JetError as err:
+            err.component, err.t = i, t
+            raise
+    return out
+
+
+def _shared_curve(rng):
+    """Three components built from one pool of sub-ASTs, which they reuse
+    as whole components, as operands, and under sin and cos together."""
+    pool = [random_smooth_expression(rng, rng.randint(1, 3)) for _ in range(3)]
+    comps = []
+    for _ in range(3):
+        roll = rng.random()
+        a, b = rng.choice(pool), rng.choice(pool)
+        if roll < 0.25:
+            comps.append(a)
+        elif roll < 0.75:
+            func = rng.choice(("sin", "cos", "sinh", "cosh", "exp"))
+            comps.append(BinOp(rng.choice("+-*/"), a, Call(func, BinOp("*", Num(0.5), b))))
+        else:
+            comps.append(random_smooth_expression(rng, rng.randint(1, 4)))
+    return CurveSpec(tuple(comps), -2.0, 2.0, "shared")
+
+
+class TestCurveProgram:
+    """curve_point_jets runs the components as one jet program whose
+    shared subexpressions run once per point; one eval_jet per component
+    stays the reference, bit for bit and error for error."""
+
+    def test_random_shared_curves_match_per_component(self):
+        rng = random.Random(20261019)
+        raised = 0
+        for _ in range(600):
+            curve = _shared_curve(rng)
+            for order in range(1, 7):
+                t = rng.uniform(-2.0, 2.0)
+                want = _point_jets_outcome(_per_component_route, curve, t, order)
+                assert _point_jets_outcome(curve_point_jets, curve, t, order) == want
+                raised += isinstance(want, tuple)
+        assert 0 < raised < 3600
+
+    @pytest.mark.parametrize("x1, x2, x3, t, raised", [
+        # log(t - 1) fails first in x2; x3 repeats it at another span.
+        ("t", "1 + log(t - 1)", "log(t - 1)", 0.5, DomainError),
+        ("t^2", "2*t*(1/(t - 0.5))", "1/(t - 0.5)", 0.5, DivisionByZeroJet),
+        # One recurrence for both: at t=1 it overflows from order 4 on, at
+        # 0.1 it does not.
+        ("sin(exp(200*t))", "cos(exp(200*t))", "t", 1.0, NonFiniteJet),
+        ("t", "cos(exp(200*t))", "sin(exp(200*t)) + cos(exp(200*t))", 1.0, NonFiniteJet),
+        ("sin(exp(200*t))", "cos(exp(200*t))", "t", 0.1, None),
+        ("sinh(700*t)", "t", "cosh(700*t)", 1.0, NonFiniteJet),
+        # The folded exponents 0.0 and -0.0 are different numbers.
+        ("t^0", "t^(-0)", "t^0 + t^(-0)", 0.5, None),
+        ("(2 + 0.5*cos(3*t))*cos(2*t)", "(2 + 0.5*cos(3*t))*sin(2*t)", "0.5*sin(3*t)", 0.7,
+         None),
+        ("t*3", "3*t", "cos(t*3) - sin(3*t)", 0.25, None),
+    ], ids=["first-in-x2", "division-first-in-x2", "sin-cos-overflow", "cos-first",
+            "sin-cos", "sinh-cosh-overflow", "signed-zero-exponent", "torus-knot",
+            "scaled-either-side"])
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_edge_cases(self, x1, x2, x3, t, raised, order):
+        # ``raised`` is the error at order 6.
+        curve = CurveSpec.from_strings(x1, x2, x3, -2.0, 2.0)
+        want = _point_jets_outcome(_per_component_route, curve, t, order)
+        if order == 6:
+            assert (want[0] if isinstance(want, tuple) else None) is raised
+        assert _point_jets_outcome(curve_point_jets, curve, t, order) == want
+
+    def test_shared_failure_keeps_first_span_and_component(self):
+        curve = CurveSpec.from_strings("t", "1 + log(t - 1)", "log(t - 1)", -2.0, 2.0)
+        with pytest.raises(DomainError) as exc:
+            curve_point_jets(curve, 0.5, 3)
+        assert (exc.value.span, exc.value.component, exc.value.t) == ((4, 14), 1, 0.5)
+
+    def test_signed_zero_numbers_stay_apart(self):
+        # Num equality treats 0.0 == -0.0; their constant jets differ.
+        comps = (Num(-0.0), Num(0.0), BinOp("-", Num(-0.0), BinOp("*", Var("t"), Num(0.0))))
+        curve = CurveSpec(comps, -1.0, 1.0)
+        for order in range(1, 7):
+            want = _point_jets_outcome(_per_component_route, curve, 0.5, order)
+            assert _point_jets_outcome(curve_point_jets, curve, 0.5, order) == want
+        assert [cs[0].hex() for cs in curve_point_jets(curve, 0.5, 2)] == [
+            "-0x0.0p+0", "0x0.0p+0", "-0x0.0p+0"]
+
+    def test_unknown_variable(self):
+        t, s = Var("t"), Var("s", (4, 5))
+        curve = CurveSpec((t, BinOp("+", t, s), Call("sin", Var("s", (9, 10)))), -1.0, 1.0)
+        want = _point_jets_outcome(_per_component_route, curve, 0.5, 5)
+        assert want[:3] == (UnknownVariable, "at offset 4: unknown variable 's'", None)
+        assert _point_jets_outcome(curve_point_jets, curve, 0.5, 5) == want
+
+    def test_shared_work_runs_once_per_point(self, monkeypatch):
+        # The torus knot shares its ring 2 + 0.5*cos(3*t) between x1 and
+        # x2, and takes sin and cos of 3*t and of 2*t: two recurrences and
+        # six products (two convolutions, four scalings) per point, where
+        # the components one by one take five and ten.
+        counts = {"recurrence": 0, "mul": 0}
+
+        def counted(name, fn):
+            def run(*args):
+                counts[name] += 1
+                return fn(*args)
+            return run
+
+        monkeypatch.setattr("frenetlift.jets._pair_recurrence",
+                            counted("recurrence", _pair_recurrence))
+        monkeypatch.setattr(Jet, "__mul__", counted("mul", Jet.__mul__))
+        curve_point_jets(TORUS_KNOT, 0.7)
+        assert counts == {"recurrence": 2, "mul": 6}
+        counts.update(recurrence=0, mul=0)
+        _per_component_route(TORUS_KNOT, 0.7, 5)
+        assert counts == {"recurrence": 5, "mul": 10}
+
+    def test_program_kept_per_curve_memo_per_point(self):
+        curve = CurveSpec.from_strings("cos(t)", "sin(t)", "t", 0.0, 1.0)
+        first = curve_point_jets(curve, 0.25)
+        assert curve_point_jets(curve, 0.75) != first
+        assert curve_point_jets(curve, 0.25, 3) == tuple(cs[:4] for cs in first)
+        assert not hasattr(CurveSpec.from_strings("cos(t)", "sin(t)", "t", 0.0, 1.0), "_jets")
 
 
 class TestApparatus:
@@ -437,6 +579,27 @@ def _frame_bits(fj: FrameJets):
     return vectors, _bits(fj.speed), _bits((fj.kappa, fj.tau))
 
 
+_FRAME_OVERFLOWS = pytest.mark.parametrize("coeffs", [
+    {1: 1e160},
+    {2: 0.5e308},
+    {2: -0.85e308},
+    {1: 1e120, 3: 1e200},
+    {4: 1e308},
+], ids=["speed", "slope", "negative-slope", "cross", "third-derivative"])
+
+
+def _overflowing_point_jets(coeffs):
+    """Point jets of (t, t^2, t^3) at 0 with the coefficients of x1 in
+    ``coeffs`` replaced: finite, but the frame arithmetic overflows."""
+    c = [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+    for k, v in coeffs.items():
+        c[k] = v
+    x1 = Jet(c)
+    x2 = Jet([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
+    x3 = Jet([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+    return as_tuples((x1, x2, x3))
+
+
 class TestOrderTwoFrame:
     @pytest.mark.parametrize("curve", [HELIX, USH, TORUS_KNOT], ids=lambda c: c.name)
     def test_matches_full_order_bits(self, curve):
@@ -539,21 +702,9 @@ class TestOrderTwoFrame:
             compared[key] += 1
         assert min(compared.values()) >= 15
 
-    @pytest.mark.parametrize("coeffs", [
-        {1: 1e160},
-        {2: 0.5e308},
-        {2: -0.85e308},
-        {1: 1e120, 3: 1e200},
-        {4: 1e308},
-    ], ids=["speed", "slope", "negative-slope", "cross", "third-derivative"])
+    @_FRAME_OVERFLOWS
     def test_product_overflow_matches_full_order(self, coeffs):
-        c = [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
-        for k, v in coeffs.items():
-            c[k] = v
-        x1 = Jet(c)
-        x2 = Jet([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-        x3 = Jet([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
-        pj = as_tuples((x1, x2, x3))
+        pj = _overflowing_point_jets(coeffs)
         outcomes = []
         for route in (frame_jets, _full_order_frame_jets):
             with pytest.raises(NonFiniteJet) as exc:
@@ -561,11 +712,20 @@ class TestOrderTwoFrame:
             outcomes.append((type(exc.value), str(exc.value)))
         assert outcomes[0] == outcomes[1]
 
+    @_FRAME_OVERFLOWS
+    def test_product_overflow_names_t(self, coeffs):
+        with pytest.raises(NonFiniteJet, match="produced non-finite") as exc:
+            frame_jets(_overflowing_point_jets(coeffs), ToleranceConfig(), 0.5)
+        assert exc.value.t == 0.5
+        assert getattr(exc.value, "component", None) is None
+
     def test_curvature_overflow_names_t(self):
         # Every jet coefficient is finite, but |b'|^3 overflows.
         big = CurveSpec.from_strings("1e103*t", "t^2", "t^3", 0.5, 1.0)
-        with pytest.raises(NonFiniteJet, match=r"^curvature overflows at t=0\.5$"):
+        with pytest.raises(NonFiniteJet, match=r"^curvature overflows at t=0\.5$") as exc:
             frame_jets(curve_point_jets(big, 0.5), ToleranceConfig(), 0.5)
+        # The message names t already; the error carries no t to repeat.
+        assert not hasattr(exc.value, "t")
 
 
 _LIFTS = {
