@@ -725,7 +725,8 @@ class _Program:
         pair = self.pairs.get(u)
         if pair is None:
             # Kept past the node slots, so the slot numbers stay apart.
-            pair = self.pairs[u] = _memo(_spanned(_sin_cos, span, arg), len(self.uses) + u)
+            pair = self.pairs[u] = _memo(
+                _spanned(lambda w: _sin_cos(w, name), span, arg), len(self.uses) + u)
         index = 0 if name == "sin" else 1
         return lambda b, order: pair(b, order)[index]
 
@@ -820,8 +821,11 @@ def _forward_call(name: str, arg, span: Span):
 
         def sine(b, extra):
             u, du = arg(b, extra)
-            v = sin(u)
-            d = 0.0 + du * cos(u)
+            try:
+                v = sin(u)
+                d = 0.0 + du * cos(u)
+            except ValueError:
+                raise DomainError("sin", u, span) from None
             if not isfinite(v + d):
                 raise _non_finite("operation", span)
             return v, d
@@ -831,8 +835,11 @@ def _forward_call(name: str, arg, span: Span):
 
         def cosine(b, extra):
             u, du = arg(b, extra)
-            v = cos(u)
-            d = -(0.0 + du * sin(u))
+            try:
+                v = cos(u)
+                d = -(0.0 + du * sin(u))
+            except ValueError:
+                raise DomainError("cos", u, span) from None
             if not isfinite(v + d):
                 raise _non_finite("operation", span)
             return v, d
@@ -966,10 +973,14 @@ def _second_binary(op: str, left, right, span: Span):
     return add_sub
 
 
-def _second_sin_cos(arg):
-    """``_pair_recurrence`` for sin and cos at order 2, per direction."""
+def _second_sin_cos(arg, name: str):
+    """``_pair_recurrence`` for sin and cos at order 2, per direction;
+    ``name`` is the function a domain error names."""
     u, du, eu = arg
-    s0, c0 = math.sin(u), math.cos(u)
+    try:
+        s0, c0 = math.sin(u), math.cos(u)
+    except ValueError:
+        raise DomainError(name, u) from None
     s1 = [0.0 + x * c0 for x in du]
     c1 = [-(0.0 + x * s0) for x in du]
     s2 = [((0.0 + x * q) + (2 * y) * c0) / 2 for x, y, q in zip(du, eu, c1)]
@@ -996,7 +1007,7 @@ def _second_call(name: str, arg, span: Span):
     through the jet kernel one direction at a time."""
     if name in ("sin", "cos"):
         index = 0 if name == "sin" else 1
-        return _spanned(lambda u: _second_sin_cos(u)[index], span, arg)
+        return _spanned(lambda u: _second_sin_cos(u, name)[index], span, arg)
     return _spanned(_per_direction(JET_FUNCTIONS[name]), span, arg)
 
 

@@ -10,11 +10,13 @@ are measured as residual norms rather than assumed, and a generalized
 Gram-Schmidt frame over successive derivatives provides an independent
 second route to the same curvatures (it also serves curves in R^6).
 
-Each route computes only the Taylor coefficients that are read: the frame
-runs on order-2 float triples and the Gram-Schmidt route on order-1
-(value, slope) float pairs, each repeating the jet kernel's float steps.
-Taylor arithmetic is causal, so every coefficient kept has the bits a
-full-order computation would give.
+Each route computes only the Taylor coefficients that are read, straight
+from the point jets: the frame runs on order-2 float triples and the
+Gram-Schmidt route on order-1 jets held as value and slope float lists.
+Each vector step (dot, projection and difference, normalisation, cross
+product) runs in one body of ``jets`` that repeats the jet kernel's float
+steps and finiteness tests.  Taylor arithmetic is causal, so every
+coefficient kept has the bits a full-order computation would give.
 
 Torsion is signed by the convention tau = -N . dB/ds; the triple-product
 formula used for the direct computation agrees with it for the binormal
@@ -36,16 +38,12 @@ from .jets import (
     OrderExceeded,
     RankDeficient,
     ZeroNorm,
-    _cross,
-    _derivative,
     _fdot,
-    _pdiv,
+    _pcross,
     _pdot,
-    _pmul,
-    _pnorm,
-    _psub,
-    _tmul,
-    _tsub,
+    _preject,
+    _punit,
+    _tcross,
     _tunit,
     fnorm,
     frame_residuals,
@@ -195,36 +193,39 @@ def frame_jets(pjets: Sequence[Sequence[float]], cfg: ToleranceConfig, t: float)
     T, N, B and the speed come out as coefficients 0..2, the highest any
     caller reads (the complete lift differentiates a frame vector once more
     to order 1).  They are built from the first and second derivatives cut
-    to order 2, tau from the value of the third.  All of it runs on float
-    triples that repeat the order-2 jet kernel step for step (``jets._tmul``
-    and its siblings), so each coefficient has the bits a full-order jet
-    computation would give.  A :class:`NonFiniteJet` from that arithmetic
-    leaves with ``t`` set, and a ``speed**3`` that overflows raises one
-    whose message names t.
+    to order 2, read straight from the point jets, tau from the value of
+    the third.  The unit vectors and cross products run on float triples,
+    one body per vector step (``jets._tunit``, ``jets._tcross``), that
+    repeat the order-2 jet kernel step for step, so each coefficient has
+    the bits a full-order jet computation would give.  A
+    :class:`NonFiniteJet` from that arithmetic leaves with ``t`` set, and a
+    ``speed**3`` that overflows raises one whose message names t.
     """
     if len(pjets[0]) < 5:
         raise OrderExceeded(
             f"frame computation needs point jets of order >= 4, got {len(pjets[0]) - 1}")
-    # Coefficients 0..2 of b' and b''; coefficient 1 of b'' is the third
-    # derivative.
+    # Coefficients 0..2 of b' and b'', by jets._derivative's products
+    # (a leading 1 * is exact); coefficient 1 of b'' is the third derivative.
     v1, v2 = [], []
     for cs in pjets:
-        d1 = _derivative(cs[:5])
-        v1.append(d1[:3])
-        v2.append(_derivative(d1))
+        c1, c2, c3, c4 = cs[1:5]
+        a2 = 2 * c2
+        a3 = 3 * c3
+        v1.append((c1, a2, a3))
+        v2.append((a2, 2 * a3, 3 * (4 * c4)))
     try:
         try:
             speed, T = _tunit(v1)
         except ZeroNorm:
             raise ZeroSpeed(t) from None
-        c = _cross(v1, v2, _tmul, _tsub)
+        c = _tcross(v1, v2)
         cval = [x[0] for x in c]
         cn_val = fnorm(cval)
         kappa = cn_val / speed[0]**3
         if kappa < cfg.kappa_floor or cn_val < NORM_FLOOR:
             raise DegenerateCurvature(t, kappa, cfg.kappa_floor)
         B = _tunit(c)[1]
-        N = _cross(B, T, _tmul, _tsub)
+        N = _tcross(B, T)
     except NonFiniteJet as err:
         err.t = t
         raise
@@ -269,14 +270,16 @@ def generalized_frenet(
 
     Needs point jets (one coefficient tuple per component, in R^3 or R^6)
     of order >= m + 1 so the frame can be differentiated once.  The matrix
-    reads only the value and first derivative of each frame vector, so the
-    whole Gram-Schmidt runs on plain (value, slope) float pairs: each step
-    repeats the float operations and finiteness test of the order-1 jet
-    kernel (``jets._pmul`` and its siblings), and Taylor arithmetic is
-    causal, so the results are the same bits the full-order jets would
-    carry.  Raises :class:`RankDeficient` with the 0-based index
-    of the first derivative that is (numerically) dependent on its
-    predecessors.
+    reads only the value and first derivative of each frame vector, so
+    coefficients 0 and 1 of each derivative are read straight from the
+    point jets and the whole Gram-Schmidt runs on order-1 jets held as a
+    value list and a slope list.  Each vector step (``jets._pdot``,
+    ``_preject``, ``_punit``, ``_pcross``) runs in one body that repeats the
+    float operations and finiteness tests of the order-1 jet kernel, and
+    Taylor arithmetic is causal, so the results are the same bits the
+    full-order jets would carry.  Raises :class:`RankDeficient` with the
+    0-based index of the first derivative that is (numerically) dependent
+    on its predecessors.
     """
     if m < 2:
         raise ValueError("frame size m must be >= 2")
@@ -287,40 +290,42 @@ def generalized_frenet(
         raise OrderExceeded(
             f"point jets of order {order} cannot support a frame of size {m}"
         )
-    # Coefficients 0 and 1 of the first m derivatives.
-    derivs = []
-    coeffs = [cs[: m + 2] for cs in pjets]
-    for _ in range(m):
-        coeffs = [_derivative(cs) for cs in coeffs]
-        derivs.append([(cs[0], cs[1]) for cs in coeffs])
-    speed_val = fnorm([p[0] for p in derivs[0]])
+    # a[k] is k! c_k per component, by jets._derivative's products applied k
+    # times: k * c_k first, then k - 1 and on down to 2 (a leading 1 * is
+    # exact).  Derivative i has value a[i] and slope a[i + 1].
+    a = [None, [cs[1] for cs in pjets]]
+    for k in range(2, m + 2):
+        col = [k * cs[k] for cs in pjets]
+        for j in range(k - 1, 1, -1):
+            col = [j * x for x in col]
+        a.append(col)
+    speed_val = fnorm(a[1])
     if speed_val < NORM_FLOOR:
         raise ZeroSpeed(math.nan)
 
     # In R^3 with a full frame the last vector comes from the cross product,
     # which orients the torsion sign; Gram-Schmidt alone would leave it >= 0.
     gs_count = 2 if (dim == 3 and m == 3) else m
-    frame: list[list[tuple[float, float]]] = []
+    values: list[list[float]] = []
+    slopes: list[list[float]] = []
     for i in range(gs_count):
-        u = derivs[i]
-        for e in frame:
-            s = _pdot(u, e)
-            scaled = [_pmul(x, s) for x in e]
-            u = [_psub(x, y) for x, y in zip(u, scaled)]
-        sq = _pdot(u, u)
-        ref_sq = _pdot(derivs[i], derivs[i])[0]
+        dv, dd = a[i + 1], a[i + 2]
+        uv, ud = dv, dd
+        for ev, ed in zip(values, slopes):
+            uv, ud = _preject(uv, ud, ev, ed, _pdot(uv, ud, ev, ed))
+        sq = _pdot(uv, ud, uv, ud)
+        # The first residual is its derivative, whose dot is sq already.
+        ref_sq = _pdot(dv, dd, dv, dd)[0] if i else sq[0]
         if sq[0] < rank_tol * rank_tol * max(1.0, ref_sq):
             raise RankDeficient(i)
-        inv = _pdiv((1.0, 0.0), _pnorm(sq))
-        frame.append([_pmul(x, inv) for x in u])
+        ev, ed = _punit(uv, ud, sq)
+        values.append(ev)
+        slopes.append(ed)
     if gs_count < m:
-        frame.append(_cross(*frame, _pmul, _psub))
+        ev, ed = _pcross(values[0], slopes[0], values[1], slopes[1])
+        values.append(ev)
+        slopes.append(ed)
 
-    slopes = [[p[1] for p in E] for E in frame]
-    values = tuple(tuple([p[0] for p in E]) for E in frame)
-    matrix = tuple(
-        tuple(_fdot(slopes[i], values[j]) / speed_val for j in range(m))
-        for i in range(m)
-    )
-    chis = tuple(matrix[i][i + 1] for i in range(m - 1))
-    return GeneralizedFrame(frame=values, chis=chis, matrix=matrix)
+    matrix = tuple([tuple([_fdot(s, v) / speed_val for v in values]) for s in slopes])
+    chis = tuple([matrix[i][i + 1] for i in range(m - 1)])
+    return GeneralizedFrame(frame=tuple([tuple(v) for v in values]), chis=chis, matrix=matrix)

@@ -9,7 +9,8 @@ every coefficient to float; the results of jet arithmetic are float tuples
 already, so the kernel wraps them with the private ``Jet._of`` instead.
 Point jets cross the package as tuples of coefficient tuples, one per
 component; vector operations on them run on the order-1 pairs and order-2
-triples below, which repeat the kernel's float steps.  :func:`fd_oracle`
+triples below, one body per vector step that repeats the kernel's float
+steps.  :func:`fd_oracle`
 is a finite-difference estimator with one Richardson extrapolation step, kept
 deliberately independent of the jet code path so the two can cross-check
 each other.
@@ -18,6 +19,7 @@ each other.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Iterable, Sequence
 
 __all__ = [
@@ -113,7 +115,7 @@ class Jet:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[float]):
-        cs = tuple(float(c) for c in coeffs)
+        cs = tuple(map(float, coeffs))
         if not cs:
             raise ValueError("a jet needs at least the order-0 coefficient")
         self.coeffs = cs
@@ -280,9 +282,10 @@ class Jet:
 # shifted coefficient sequences.
 
 
-def _pair_recurrence(u: Jet, f, g, sign: float) -> tuple[Jet, Jet]:
+def _pair_recurrence(u: Jet, f, g, sign: float, name: str) -> tuple[Jet, Jet]:
     """Jets of (f(u), g(u)) for f' = g and g' = sign * f: sin/cos with
-    sign -1, sinh/cosh with sign +1."""
+    sign -1, sinh/cosh with sign +1.  A value of u outside the domain of f
+    and g (an infinity under sin and cos) is a DomainError of ``name``."""
     uc = u.coeffs
     n = len(uc)
     s = [0.0] * n
@@ -292,6 +295,8 @@ def _pair_recurrence(u: Jet, f, g, sign: float) -> tuple[Jet, Jet]:
         c[0] = g(uc[0])
     except OverflowError:
         raise NonFiniteJet(f"{f.__name__}/{g.__name__} overflow at {uc[0]!r}") from None
+    except ValueError:
+        raise DomainError(name, uc[0]) from None
     for k in range(1, n):
         ss = 0.0
         cc = 0.0
@@ -303,8 +308,10 @@ def _pair_recurrence(u: Jet, f, g, sign: float) -> tuple[Jet, Jet]:
     return Jet._of(_finite(s)), Jet._of(_finite(c))
 
 
-def _sin_cos(u: Jet) -> tuple[Jet, Jet]:
-    return _pair_recurrence(u, math.sin, math.cos, -1.0)
+def _sin_cos(u: Jet, name: str = "sin") -> tuple[Jet, Jet]:
+    """Jets of sin(u) and cos(u); ``name`` is the function a domain error
+    names."""
+    return _pair_recurrence(u, math.sin, math.cos, -1.0, name)
 
 
 def jet_sin(u: Jet) -> Jet:
@@ -312,11 +319,15 @@ def jet_sin(u: Jet) -> Jet:
 
 
 def jet_cos(u: Jet) -> Jet:
-    return _sin_cos(u)[1]
+    return _sin_cos(u, "cos")[1]
 
 
 def jet_tan(u: Jet) -> Jet:
-    if abs(math.cos(u.coeffs[0])) < 1e-12:
+    try:
+        near_pole = abs(math.cos(u.coeffs[0])) < 1e-12
+    except ValueError:
+        raise DomainError("tan", u.coeffs[0]) from None
+    if near_pole:
         raise DomainError("tan", u.coeffs[0])
     s, c = _sin_cos(u)
     return s / c
@@ -369,7 +380,7 @@ def jet_sqrt(u: Jet) -> Jet:
 
 
 def _sinh_cosh(u: Jet) -> tuple[Jet, Jet]:
-    return _pair_recurrence(u, math.sinh, math.cosh, 1.0)
+    return _pair_recurrence(u, math.sinh, math.cosh, 1.0, "sinh")
 
 
 def jet_sinh(u: Jet) -> Jet:
@@ -430,12 +441,17 @@ JET_FUNCTIONS: dict[str, Callable[[Jet], Jet]] = {
 }
 
 
-# --- order-1 pairs and order-2 triples ----------------------------------------
+# --- order-1 pairs and vectors of them, order-2 triples ---------------------
 #
 # A pair (v, d) or a triple (v, d, e) holds the coefficients of an order-1 or
-# order-2 jet as plain floats.  Each helper takes the float steps of the
-# kernel above at that order, in its operand order, and meets the same
-# finiteness test, so its results are the bits the Jet operations would give.
+# order-2 jet as plain floats.  A vector of pairs travels as two float lists,
+# its values and its slopes; a vector of triples as a sequence of triples.
+# Each helper runs one operation on whole operands in one body: it takes the
+# float steps of the kernel above at that order, in its operand order and
+# with its "0.0 +" starts (which decide signed zeros), and meets the same
+# finiteness tests in the order the jet operations meet them, so its results
+# and errors are those of the Jet operations.  A finiteness test reads no
+# sign of zero, so the totals it tests leave the kernel's "0.0 +" out.
 
 
 def _pmul(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
@@ -449,15 +465,6 @@ def _pmul(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]
     return v, d
 
 
-def _psub(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
-    """Difference of two pairs, as ``Jet.__sub__`` at order 1."""
-    v = a[0] - b[0]
-    d = a[1] - b[1]
-    if not math.isfinite(v + d):
-        raise NonFiniteJet("subtraction produced non-finite coefficients")
-    return v, d
-
-
 def _padd(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
     """Sum of two pairs, as ``Jet.__add__`` at order 1."""
     v = a[0] + b[0]
@@ -467,103 +474,164 @@ def _padd(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]
     return v, d
 
 
-def _pdot(
-    a: Sequence[tuple[float, float]], b: Sequence[tuple[float, float]]
-) -> tuple[float, float]:
-    """Dot of two vectors of pairs, as ``a[0] * b[0] + a[1] * b[1] + ...``
-    on order-1 jets: products summed left to right, each product and each
-    sum tested."""
-    v, d = _pmul(a[0], b[0])
-    for x, y in zip(a[1:], b[1:]):
-        pv, pd = _pmul(x, y)
+def _pdot(av: Sequence[float], ad: Sequence[float],
+          bv: Sequence[float], bd: Sequence[float]) -> tuple[float, float]:
+    """Dot of the vectors of pairs (av, ad) and (bv, bd), as
+    ``a[0] * b[0] + a[1] * b[1] + ...`` on order-1 jets: products summed
+    left to right, each product tested, then each running sum.  No product
+    is -0.0, so the sums may start from 0.0, and the test of the first sum
+    repeats that of the first product."""
+    isfinite = math.isfinite
+    v = d = 0.0
+    for x, dx, y, dy in zip(av, ad, bv, bd):
+        pv = 0.0 + x * y
+        pd = (0.0 + x * dy) + dx * y
+        if not isfinite(pv + pd):
+            raise NonFiniteJet("multiplication produced non-finite coefficients")
         v += pv
         d += pd
-        if not math.isfinite(v + d):
+        if not isfinite(v + d):
             raise NonFiniteJet("addition produced non-finite coefficients")
     return v, d
 
 
-def _pnorm(sq: tuple[float, float]) -> tuple[float, float]:
-    """Norm of a vector from the pair of its dot with itself: the
-    ``NORM_FLOOR`` test (:class:`ZeroNorm`), then ``jet_sqrt`` at order 1."""
+def _preject(uv: Sequence[float], ud: Sequence[float], ev: Sequence[float],
+             ed: Sequence[float], s: tuple[float, float]) -> tuple[list, list]:
+    """u - e * s for vectors of pairs u, e and a pair s, as ``u[k] - e[k] * s``
+    on order-1 jets: every product is tested before any difference."""
+    isfinite = math.isfinite
+    s0, s1 = s
+    pv = [0.0 + x * s0 for x in ev]
+    pd = [(0.0 + x * s1) + y * s0 for x, y in zip(ev, ed)]
+    if not all(map(isfinite, map(operator.add, pv, pd))):
+        raise NonFiniteJet("multiplication produced non-finite coefficients")
+    qv = list(map(operator.sub, uv, pv))
+    qd = list(map(operator.sub, ud, pd))
+    if not all(map(isfinite, map(operator.add, qv, qd))):
+        raise NonFiniteJet("subtraction produced non-finite coefficients")
+    return qv, qd
+
+
+def _punit(uv: Sequence[float], ud: Sequence[float],
+           sq: tuple[float, float]) -> tuple[list, list]:
+    """u / |u| for a vector of pairs u whose dot with itself is ``sq``, as
+    u times ``Jet.constant(1.0, 1) / n`` for the order-1 norm n: the
+    ``NORM_FLOOR`` test (:class:`ZeroNorm`), ``jet_sqrt``, the reciprocal
+    (the floor keeps n far above ``DIV_FLOOR``), then the products."""
     s0, s1 = sq
     if s0 < NORM_FLOOR * NORM_FLOOR:
         raise ZeroNorm(f"vector norm {math.sqrt(max(s0, 0.0)):.3e} below floor")
-    v = math.sqrt(s0)
-    d = (s1 - 0.0) / (2.0 * v)
-    if not math.isfinite(v + d):
+    n0 = math.sqrt(s0)
+    n1 = (s1 - 0.0) / (2.0 * n0)
+    if not math.isfinite(n0 + n1):
         raise NonFiniteJet("operation produced non-finite coefficients")
-    return v, d
-
-
-def _pdiv(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]:
-    """Quotient of two pairs, as ``Jet.__truediv__`` at order 1."""
-    a0, a1 = a
-    b0, b1 = b
-    if abs(b0) < DIV_FLOOR:
-        raise DivisionByZeroJet(f"denominator constant term {b0!r}")
-    v = a0 / b0
-    d = (a1 - v * b1) / b0
-    if not math.isfinite(v + d):
+    r0 = 1.0 / n0
+    r1 = (0.0 - r0 * n1) / n0
+    if not math.isfinite(r0 + r1):
         raise NonFiniteJet("division produced non-finite coefficients")
-    return v, d
-
-
-def _tmul(a: Sequence[float], b: Sequence[float]) -> tuple[float, float, float]:
-    """Product of two triples, as ``Jet.__mul__`` at order 2."""
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    v = 0.0 + a0 * b0
-    d = (0.0 + a0 * b1) + a1 * b0
-    e = ((0.0 + a0 * b2) + a1 * b1) + a2 * b0
-    if not math.isfinite(((0.0 + v) + d) + e):
+    ev = [0.0 + x * r0 for x in uv]
+    ed = [(0.0 + x * r1) + y * r0 for x, y in zip(uv, ud)]
+    if not all(map(math.isfinite, map(operator.add, ev, ed))):
         raise NonFiniteJet("multiplication produced non-finite coefficients")
-    return v, d, e
+    return ev, ed
 
 
-def _tsub(a: Sequence[float], b: Sequence[float]) -> tuple[float, float, float]:
-    """Difference of two triples, as ``Jet.__sub__`` at order 2."""
-    out = (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-    if not math.isfinite(out[0] + out[1] + out[2]):
-        raise NonFiniteJet("subtraction produced non-finite coefficients")
-    return out
+# Component k of a cross product is a[i] * b[j] - a[j] * b[i].
+_CROSS_INDICES = ((1, 2), (2, 0), (0, 1))
+
+
+def _pcross(av: Sequence[float], ad: Sequence[float],
+            bv: Sequence[float], bd: Sequence[float]) -> tuple[list, list]:
+    """Cross product of two 3-vectors of pairs, as ``a2 * b3 - a3 * b2``
+    and its cyclic shifts on order-1 jets: per component, both products
+    tested, then their difference."""
+    isfinite = math.isfinite
+    ov, od = [], []
+    for i, j in _CROSS_INDICES:
+        x, dx, y, dy = av[i], ad[i], bv[j], bd[j]
+        pv = 0.0 + x * y
+        pd = (0.0 + x * dy) + dx * y
+        if not isfinite(pv + pd):
+            raise NonFiniteJet("multiplication produced non-finite coefficients")
+        x, dx, y, dy = av[j], ad[j], bv[i], bd[i]
+        qv = 0.0 + x * y
+        qd = (0.0 + x * dy) + dx * y
+        if not isfinite(qv + qd):
+            raise NonFiniteJet("multiplication produced non-finite coefficients")
+        v = pv - qv
+        d = pd - qd
+        if not isfinite(v + d):
+            raise NonFiniteJet("subtraction produced non-finite coefficients")
+        ov.append(v)
+        od.append(d)
+    return ov, od
 
 
 def _tunit(v: Sequence) -> tuple[tuple[float, float, float], tuple]:
     """Norm and unit vector of a vector of triples, as the norm ``n`` of
     order-2 jets and their products with ``Jet.constant(1.0, 2) / n`` take
-    them: the dot summed left to right, the norm floor (which keeps n far
-    above ``DIV_FLOOR``), ``jet_sqrt``, the reciprocal, then the products."""
-    s0, s1, s2 = _tmul(v[0], v[0])
-    for x in v[1:]:
-        pv, pd, pe = _tmul(x, x)
+    them: the dot summed left to right (each product tested, then each
+    running sum, from 0.0 as in ``_pdot``), the norm floor (which keeps n
+    far above ``DIV_FLOOR``), ``jet_sqrt``, the reciprocal, then the
+    products."""
+    isfinite = math.isfinite
+    s0 = s1 = s2 = 0.0
+    for a0, a1, a2 in v:
+        pv = 0.0 + a0 * a0
+        pd = (0.0 + a0 * a1) + a1 * a0
+        pe = ((0.0 + a0 * a2) + a1 * a1) + a2 * a0
+        if not isfinite(pv + pd + pe):
+            raise NonFiniteJet("multiplication produced non-finite coefficients")
         s0 += pv
         s1 += pd
         s2 += pe
-        if not math.isfinite(s0 + s1 + s2):
+        if not isfinite(s0 + s1 + s2):
             raise NonFiniteJet("addition produced non-finite coefficients")
     if s0 < NORM_FLOOR * NORM_FLOOR:
         raise ZeroNorm(f"vector norm {math.sqrt(max(s0, 0.0)):.3e} below floor")
     n0 = math.sqrt(s0)
     n1 = (s1 - 0.0) / (2.0 * n0)
     n2 = (s2 - (0.0 + n1 * n1)) / (2.0 * n0)
-    if not math.isfinite(n0 + n1 + n2):
+    if not isfinite(n0 + n1 + n2):
         raise NonFiniteJet("operation produced non-finite coefficients")
     r0 = 1.0 / n0
     r1 = (0.0 - r0 * n1) / n0
     r2 = ((0.0 - r0 * n2) - r1 * n1) / n0
-    if not math.isfinite(((0.0 + r0) + r1) + r2):
+    if not isfinite(r0 + r1 + r2):
         raise NonFiniteJet("division produced non-finite coefficients")
-    return (n0, n1, n2), tuple([_tmul(x, (r0, r1, r2)) for x in v])
+    unit = tuple([(0.0 + a0 * r0, (0.0 + a0 * r1) + a1 * r0,
+                   ((0.0 + a0 * r2) + a1 * r1) + a2 * r0) for a0, a1, a2 in v])
+    if not all([isfinite(x + y + z) for x, y, z in unit]):
+        raise NonFiniteJet("multiplication produced non-finite coefficients")
+    return (n0, n1, n2), unit
 
 
-def _cross(a: Sequence, b: Sequence, mul, sub) -> tuple:
-    """Cross product of two 3-vectors of pairs (``_pmul``, ``_psub``) or
-    triples (``_tmul``, ``_tsub``): ``a2 * b3 - a3 * b2`` and its cyclic
-    shifts on jets."""
-    (a1, a2, a3), (b1, b2, b3) = a, b
-    return (sub(mul(a2, b3), mul(a3, b2)), sub(mul(a3, b1), mul(a1, b3)),
-            sub(mul(a1, b2), mul(a2, b1)))
+def _tcross(a: Sequence, b: Sequence) -> tuple:
+    """Cross product of two 3-vectors of triples, as ``a2 * b3 - a3 * b2``
+    and its cyclic shifts on order-2 jets: per component, both products
+    tested, then their difference."""
+    isfinite = math.isfinite
+    out = []
+    for i, j in _CROSS_INDICES:
+        (x0, x1, x2), (y0, y1, y2) = a[i], b[j]
+        p0 = 0.0 + x0 * y0
+        p1 = (0.0 + x0 * y1) + x1 * y0
+        p2 = ((0.0 + x0 * y2) + x1 * y1) + x2 * y0
+        if not isfinite(p0 + p1 + p2):
+            raise NonFiniteJet("multiplication produced non-finite coefficients")
+        (x0, x1, x2), (y0, y1, y2) = a[j], b[i]
+        q0 = 0.0 + x0 * y0
+        q1 = (0.0 + x0 * y1) + x1 * y0
+        q2 = ((0.0 + x0 * y2) + x1 * y1) + x2 * y0
+        if not isfinite(q0 + q1 + q2):
+            raise NonFiniteJet("multiplication produced non-finite coefficients")
+        p0 -= q0
+        p1 -= q1
+        p2 -= q2
+        if not isfinite(p0 + p1 + p2):
+            raise NonFiniteJet("subtraction produced non-finite coefficients")
+        out.append((p0, p1, p2))
+    return tuple(out)
 
 
 # --- plain-float helpers ----------------------------------------------------
@@ -577,7 +645,7 @@ def fnorm(v: Sequence[float]) -> float:
 def _fdot(a: Sequence[float], b: Sequence[float]) -> float:
     """Dot product summed left to right from 0.0, as ``_pdot`` sums the
     values of its pairs; ``sum()`` would differ (Python 3.12 compensates
-    it)."""
+    it).  Its bits do not depend on the order of a and b."""
     s = 0.0
     for x, y in zip(a, b):
         s += x * y
@@ -585,11 +653,15 @@ def _fdot(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 def gram_defect(vectors: Sequence[Sequence[float]]) -> float:
-    """Worst deviation of the vectors' Gram matrix from the identity."""
+    """Worst deviation of the vectors' Gram matrix from the identity.
+
+    Only the upper triangle is read: the matrix is symmetric to the bit, and
+    ``max`` from 0.0 skips NaN entries whatever order it meets them in."""
     worst = 0.0
     for i, a in enumerate(vectors):
-        for j, b in enumerate(vectors):
-            worst = max(worst, abs(_fdot(a, b) - (1.0 if i == j else 0.0)))
+        worst = max(worst, abs(_fdot(a, a) - 1.0))
+        for b in vectors[i + 1:]:
+            worst = max(worst, abs(_fdot(a, b)))
     return worst
 
 

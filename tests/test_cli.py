@@ -498,6 +498,38 @@ class TestDiagnostics:
         err = capsys.readouterr().err
         assert "x1 at t=0.0, chars 0-4: pow undefined at 0.0" in err
 
+    @pytest.mark.parametrize("func", ["sin", "cos", "tan"])
+    @pytest.mark.parametrize("argv", [
+        ["frenet"],
+        ["lift", "--kind", "v"],
+        ["lift", "--kind", "c"],
+        ["lift", "--kind", "h", "--w0=1,0,0"],
+        ["lift", "--kind", "h", "--w0=1,0,0", "--connection", "{conn}"],
+    ], ids=["frenet", "lift-v", "lift-c", "lift-h", "lift-h-transport"])
+    def test_infinite_argument_names_component_and_t(self, tmp_path, capsys, argv, func):
+        curve, conn = tmp_path / "inf.curve", tmp_path / "g.conn"
+        curve.write_text(f"x1 = t + {func}(1e999)\nx2 = t\nx3 = t^2\nt_min = 0\nt_max = 1\n")
+        conn.write_text("gamma 1 2 3 = 0.3\n")
+        argv = [a.format(conn=conn) for a in argv] + ["--curve", str(curve), "--samples", "3"]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: x1 at t=0.0, chars 4-14: {func} undefined at inf\n")
+
+    @pytest.mark.parametrize("func", ["sin", "cos", "tan"])
+    @pytest.mark.parametrize("X, f, bad, key", [
+        ("X1 = {func}(1e999) + x1\nX2 = x2\nX3 = x3\n", F_SCALAR, "X.field", "X1"),
+        (X_FIELD, "f = {func}(1e999) + x1\n", "f.field", "f"),
+    ], ids=["vector", "scalar"])
+    def test_fields_infinite_argument_names_key(self, tmp_path, capsys, func, X, f, bad, key):
+        (tmp_path / "X.field").write_text(X.format(func=func))
+        (tmp_path / "f.field").write_text(f.format(func=func))
+        argv = ["fields", "--field", str(tmp_path / "X.field"),
+                "--scalar", str(tmp_path / "f.field"), "--point=1,1,1,1,1,1"]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"error: chars 0-10: {func} undefined at inf "
+            f"({tmp_path / bad} {key} at point=(1.0, 1.0, 1.0, 1.0, 1.0, 1.0))\n")
+
     def test_transport_stage_failure_names_component_and_t(self, tmp_path, capsys):
         # Every grid point is fine; only the first RK4 step's midpoint stages
         # (t = 0.0005) divide by zero.

@@ -176,6 +176,20 @@ class TestEval:
         lo, hi = exc.value.span
         assert (lo, hi) == (2, 8)
 
+    @pytest.mark.parametrize("text, message, span", [
+        ("t + sin(1e999)", "sin undefined at inf", (4, 14)),
+        ("t + cos(-1e999)", "cos undefined at -inf", (4, 15)),
+        ("t + tan(1e999)", "tan undefined at inf", (4, 14)),
+    ])
+    def test_infinite_argument_is_a_domain_error(self, text, message, span):
+        # The jet and float evaluators agree on the function, value and span.
+        ast = parse_expr(text, {"t"})
+        for evaluate in (lambda: eval_jet(ast, {"t": Jet.variable(0.5, 3)}),
+                         lambda: eval_float(ast, {"t": 0.5})):
+            with pytest.raises(DomainError, match=f"^{message}$") as exc:
+                evaluate()
+            assert exc.value.span == span
+
     def test_one_tree_at_several_orders(self):
         ast = parse_expr("2/(1-t) + 3", {"t"})
         for order in (3, 0, 5, 3):
@@ -298,8 +312,12 @@ class TestForward:
         (["1e999", "-1e999"], (1.0, 1.0, 1.0), BASIS, None),
         # The denominator's value is below DIV_FLOOR.
         (["x3 + x1/x2"], (1.0, 1e-301, 1.0), BASIS, DivisionByZeroJet),
+        # An infinite argument is outside the domain of sin, cos and tan.
+        (["x1 + sin(1e999)"], (1.0, 1.0, 1.0), BASIS, DomainError),
+        (["x1 + cos(-1e999)"], (1.0, 1.0, 1.0), BASIS, DomainError),
+        (["x1 + tan(1e999)"], (1.0, 1.0, 1.0), BASIS, DomainError),
     ], ids=["one-expression", "two-expressions", "quotient", "large-tangents", "signed-zero",
-            "lone-infinity", "below-floor"])
+            "lone-infinity", "below-floor", "sin-infinity", "cos-infinity", "tan-infinity"])
     def test_edge_cases(self, texts, point, tangents, raised):
         asts = [parse_expr(text, NAMES) for text in texts]
         want = _outcome(_jet_route, asts, point, tangents)
@@ -520,8 +538,12 @@ class TestSecond:
         (["exp(x2) - x3^0.5"], (1.0, 1.0, 4.0), ((0.0, 1e160, 0.0), BASIS[2]), NonFiniteJet),
         # Near the largest float in value and slope, none overflows.
         (["x1 + x2", "x1*x2 - x3"], (0.0, 1.0, 0.5), ((1e307, 0.0, 0.0),) * 3, None),
+        # An infinite argument is outside the domain of sin, cos and tan.
+        (["x1 + sin(1e999)"], (1.0, 1.0, 1.0), BASIS, DomainError),
+        (["x1 + cos(-1e999)"], (1.0, 1.0, 1.0), BASIS, DomainError),
+        (["x1 + tan(1e999)"], (1.0, 1.0, 1.0), BASIS, DomainError),
     ], ids=["one-expression", "two-expressions", "square", "sin", "quotient", "per-direction",
-            "large-tangents"])
+            "large-tangents", "sin-infinity", "cos-infinity", "tan-infinity"])
     def test_edge_cases(self, texts, point, tangents, raised):
         asts = [parse_expr(text, NAMES) for text in texts]
         want = _hex_outcome(_second_jet_route, asts, point, tangents)

@@ -178,6 +178,18 @@ class TestCurveProgram:
             curve_point_jets(curve, 0.5, 3)
         assert (exc.value.span, exc.value.component, exc.value.t) == ((4, 14), 1, 0.5)
 
+    @pytest.mark.parametrize("x1, x2, message, span", [
+        ("cos(1e999) + t", "sin(1e999) - t", "cos undefined at inf", (0, 10)),
+        ("sin(1e999) + t", "cos(1e999) - t", "sin undefined at inf", (0, 10)),
+    ], ids=["cos-first", "sin-first"])
+    def test_shared_sin_cos_of_infinity_names_first_function(self, x1, x2, message, span):
+        # sin and cos of one argument share one recurrence; a domain error
+        # names the function and span a per-component evaluation meets first.
+        curve = CurveSpec.from_strings(x1, x2, "t", 0.0, 1.0)
+        want = _point_jets_outcome(_per_component_route, curve, 0.5, 5)
+        assert want == (DomainError, message, span, 0, 0.5)
+        assert _point_jets_outcome(curve_point_jets, curve, 0.5, 5) == want
+
     def test_signed_zero_numbers_stay_apart(self):
         # Num equality treats 0.0 == -0.0; their constant jets differ.
         comps = (Num(-0.0), Num(0.0), BinOp("-", Num(-0.0), BinOp("*", Var("t"), Num(0.0))))
@@ -474,6 +486,11 @@ def _pair_route(pjets):
     return gen.frame, gen.chis, gen.matrix
 
 
+def _gen_route(pjets, m):
+    gen = generalized_frenet(pjets, m)
+    return gen.frame, gen.chis, gen.matrix
+
+
 def _random_curve(rng):
     comps = [random_smooth_expression(rng, rng.randint(1, 4)) for _ in range(3)]
     return CurveSpec(tuple(comps), -2.0, 2.0, "random")
@@ -488,6 +505,12 @@ def _lifted_variants(pj, rng):
     yield lifted_point_jets(pj, LiftKind.complete(), NONFLAT)
     yield lifted_point_jets(pj, LiftKind.horizontal(w), Connection.flat(), None, w)
     yield lifted_point_jets(pj, LiftKind.horizontal(w), NONFLAT, None, w)
+
+
+def _from_derivatives(V1, V2, V3):
+    """Order-5 point jets in R^3 whose first three derivatives at the point
+    have the values V1, V2 and V3 (up to rounding of the coefficients)."""
+    return tuple((0.0, a, b / 2, c / 6, 0.0, 0.0) for a, b, c in zip(V1, V2, V3))
 
 
 class TestPairOracle:
@@ -534,6 +557,52 @@ class TestPairOracle:
             want = (NonFiniteJet, "multiplication produced non-finite coefficients")
             assert _oracle_outcome(_jet_route_frenet, pjets) == want
             assert _oracle_outcome(_pair_route, pjets) == want
+
+    @pytest.mark.parametrize("V1, V2, V3, message", [
+        # b' . b' overflows in a running sum before product 2 is tested.
+        ((1.3e154, 1.3e154, 1e200), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), "addition"),
+        # Projecting b'' on E1: the slope of product 2 overflows, and the
+        # difference of component 1 would too; every product is tested first.
+        ((1.0, 0.0, 0.0), (1e300, 1e8, 1e10), (0.0, -1e308, 0.0), "multiplication"),
+        # The norm of b', then its reciprocal, then the products with it.
+        ((1e-3, 1e-3, 0.0), (1.5e308, 1.5e308, 0.0), (0.0, 0.0, 1.0), "operation"),
+        ((1e-6, 0.0, 0.0), (1e297, 0.0, 0.0), (0.0, 1.0, 0.0), "division"),
+        ((1e-6, 0.0, 0.0), (0.0, 1e303, 0.0), (0.0, 0.0, 1.0), "multiplication"),
+        # The residual of b'' is finite, the dot of b'' with itself for the
+        # rank test is not.
+        ((1.0, 0.0, 0.0), (1e200, 1.0, 0.0), (0.0, 0.0, 1.0), "multiplication"),
+    ], ids=["dot-sum", "projection", "norm", "reciprocal", "unit-product", "reference-dot"])
+    def test_failure_at_each_step_matches_jet_route(self, V1, V2, V3, message):
+        pj = _from_derivatives(V1, V2, V3)
+        assert _oracle_outcome(_pair_route, pj) == (
+            NonFiniteJet, f"{message} produced non-finite coefficients")
+        for pjets in (pj, embed_r6(pj)):
+            assert _oracle_outcome(_pair_route, pjets) == _oracle_outcome(_jet_route_frenet, pjets)
+
+    @pytest.mark.parametrize("m", [2, 4, 5])
+    def test_other_frame_sizes_match_jet_route_bits(self, m):
+        # Derivatives of order 5 and up scale by 5, 3 and 7, whose products
+        # round in the order jets._derivative takes them.
+        rng = random.Random(m)
+        compared = 0
+        for t in grid(TORUS_KNOT, 9):
+            pj = curve_point_jets(TORUS_KNOT, t, 7)
+            for lift in (LiftKind.vertical((1.0, -2.0, 0.5)), LiftKind.complete()):
+                pjets = lifted_point_jets(pj, lift, NONFLAT, (1.0, -2.0, 0.5))
+                pjets = tuple(tuple(c * rng.uniform(0.5, 2.0) for c in cs) for cs in pjets)
+                want = _oracle_outcome(lambda p: _jet_route_frenet(p, m), pjets)
+                got = _oracle_outcome(lambda p: _gen_route(p, m), pjets)
+                assert got == want
+                compared += not isinstance(want[0], type)
+        assert compared >= 9
+
+    def test_cross_product_failure_matches_jet_route(self):
+        # E1 and E2 are finite, with slopes near the largest float; the slope
+        # of the first component of E1 x E2 is their sum.
+        pj = _from_derivatives((0.0, 1.0, 1.0), (1e-5, 0.0, 0.0), (0.0, -1.5e303, 1.5e303))
+        want = _oracle_outcome(_jet_route_frenet, pj)
+        assert want == (NonFiniteJet, "subtraction produced non-finite coefficients")
+        assert _oracle_outcome(_pair_route, pj) == want
 
     def test_zero_norm_floor(self):
         # A rank tolerance of 0 lets a vanishing residual reach the norm floor.
@@ -718,6 +787,38 @@ class TestOrderTwoFrame:
             frame_jets(_overflowing_point_jets(coeffs), ToleranceConfig(), 0.5)
         assert exc.value.t == 0.5
         assert getattr(exc.value, "component", None) is None
+
+    @pytest.mark.parametrize("rows, message", [
+        # |b'|^2 overflows in a running sum.
+        (((0, 1.3e154), (0, 1.3e154), (0, 0, 0, 1)), "addition"),
+        # The norm of b', then its reciprocal, then T = b' / |b'|.
+        (((0, 1e-6), (0, 0, 1e151), (0, 0, 0, 1 / 3)), "operation"),
+        (((0, 1e-6), (0, 0, 0.5e146), (0, 0, 0, 1 / 3)), "division"),
+        (((0, 1e-6), (0, 0, 1.0), (0, 0, 0, 1e305 / 3)), "multiplication"),
+        # b' x b'': both products of component 1 are finite, their
+        # difference is not.
+        (((0, 1.0), (0, 1.0, 0, -0.2e308), (0, 1.0, 0, 0.2e308)), "subtraction"),
+    ], ids=["dot-sum", "norm", "reciprocal", "unit-product", "cross-difference"])
+    def test_failure_at_each_step_names_t(self, rows, message):
+        # Order-4 point jets: the full-order route then reads the coefficients
+        # the triples read, and at most one more of T.
+        pj = tuple(tuple(map(float, r)) + (0.0,) * (5 - len(r)) for r in rows)
+        with pytest.raises(NonFiniteJet) as exc:
+            frame_jets(pj, ToleranceConfig(), 0.5)
+        assert str(exc.value) == f"{message} produced non-finite coefficients"
+        assert exc.value.t == 0.5
+        with pytest.raises(NonFiniteJet) as full:
+            _full_order_frame_jets(pj, ToleranceConfig(), 0.5)
+        assert str(full.value) == str(exc.value)
+
+    def test_speed_cubed_overflow_names_t(self):
+        # Every product of the frame is finite; |b'|^3 is not.
+        pj = ((0.0, 1.3e154, -2.0, 0.0, 0.0), (0.0, 1.0, -1.0, 0.0, -2.0),
+              (0.0, 1e151, 1.0, 1.0, 0.5))
+        with pytest.raises(NonFiniteJet, match=r"^curvature overflows at t=0\.5$"):
+            frame_jets(pj, ToleranceConfig(), 0.5)
+        with pytest.raises(OverflowError):
+            _full_order_frame_jets(pj, ToleranceConfig(), 0.5)
 
     def test_curvature_overflow_names_t(self):
         # Every jet coefficient is finite, but |b'|^3 overflows.

@@ -15,18 +15,20 @@ from frenetlift.jets import (
     NonFiniteJet,
     OrderExceeded,
     ZeroNorm,
-    _cross,
-    _pdiv,
+    _fdot,
+    _pcross,
     _pdot,
     _pmul,
-    _pnorm,
-    _psub,
+    _preject,
+    _punit,
+    _tcross,
     _tunit,
     fd_oracle,
+    gram_defect,
     jet_pow,
 )
-from frenetlift.jets import jet_exp, jet_log, jet_sin, jet_sqrt, jet_tan
-from jet_vectors import dot, norm
+from frenetlift.jets import jet_cos, jet_exp, jet_log, jet_sin, jet_sqrt, jet_tan
+from jet_vectors import cross, dot, norm, scale, sub
 
 
 def approx_coeffs(jet, expected, tol=1e-12):
@@ -125,43 +127,131 @@ class TestKernelFastPaths:
             assert all(type(c) is float for c in r.coeffs)
 
 
+def _outcome(compute):
+    """The bits of a float sequence, or of each sequence in a sequence, or
+    the type and message of the JetError raised."""
+    try:
+        out = compute()
+    except ValueError as err:
+        return type(err), str(err)
+    return [_bits(x) if isinstance(x, (list, tuple)) else _bits([x]) for x in out]
+
+
+def _split(pairs):
+    """A vector of pairs as the value and slope lists the pair steps take."""
+    return [p[0] for p in pairs], [p[1] for p in pairs]
+
+
+def _pair_lists(vector):
+    """A vector of order-1 Jets as value and slope lists."""
+    return [j.coeffs[0] for j in vector], [j.coeffs[1] for j in vector]
+
+
 class TestOrderOnePairs:
-    """The float-pair helpers give the order-1 Jet results, and the dot and
-    norm of lists of Jets, by bits, signed zeros included, and raise what
-    those raise."""
+    """The float-pair steps give the order-1 Jet results, and the dot,
+    projection, unit vector and cross product of lists of Jets, by bits,
+    signed zeros included, and raise what those raise."""
 
     PAIRS = [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (1.25, -3.5), (-2.0, 0.5),
              (3.0, 1e-300), (-1e-310, 7.0), (1e154, 2e154), (1e308, 1e308)]
 
-    @staticmethod
-    def _outcome(compute):
-        try:
-            v, d = compute()
-        except ValueError as err:
-            return type(err), str(err)
-        return _bits((v, d))
-
-    def test_product_difference_quotient(self):
+    def test_product(self):
         for a in self.PAIRS:
             for b in self.PAIRS:
-                ja, jb = Jet(a), Jet(b)
-                for pair_op, jet_op in ((_pmul, lambda x, y: x * y),
-                                        (_psub, lambda x, y: x - y),
-                                        (_pdiv, lambda x, y: x / y)):
-                    want = self._outcome(lambda: jet_op(ja, jb).coeffs)
-                    assert self._outcome(lambda: pair_op(a, b)) == want
+                want = _outcome(lambda: (Jet(a) * Jet(b)).coeffs)
+                assert _outcome(lambda: _pmul(a, b)) == want
+                # A dot of one-component vectors is the product.
+                assert _outcome(lambda: _pdot(*_split([a]), *_split([b]))) == want
 
-    def test_dot_and_norm(self):
+    def test_difference_of_a_projection(self):
+        # One-component vectors: u - e * s for every u, e and s.
+        for u in self.PAIRS:
+            for e in self.PAIRS:
+                for s in self.PAIRS:
+                    want = _outcome(lambda: _pair_lists(sub([Jet(u)], scale([Jet(e)], Jet(s)))))
+                    assert _outcome(lambda: _preject(*_split([u]), *_split([e]), s)) == want
+
+    def test_reciprocal_of_a_norm(self):
+        one = Jet.constant(1.0, 1)
+        for u in self.PAIRS:
+            want = _outcome(lambda: _pair_lists(scale([Jet(u)], one / norm([Jet(u)]))))
+            uv, ud = _split([u])
+            assert _outcome(lambda: _punit(uv, ud, _pdot(uv, ud, uv, ud))) == want
+
+    def test_vector_steps(self):
         rng = random.Random(11)
+        one = Jet.constant(1.0, 1)
         for _ in range(300):
             dim = rng.choice((3, 6))
             u = [rng.choice(self.PAIRS) for _ in range(dim)]
             w = [rng.choice(self.PAIRS) for _ in range(dim)]
+            s = rng.choice(self.PAIRS)
             U, W = [Jet(p) for p in u], [Jet(p) for p in w]
-            want = self._outcome(lambda: dot(U, W).coeffs)
-            assert self._outcome(lambda: _pdot(u, w)) == want
-            want = self._outcome(lambda: norm(U).coeffs)
-            assert self._outcome(lambda: _pnorm(_pdot(u, u))) == want
+            want = _outcome(lambda: dot(U, W).coeffs)
+            assert _outcome(lambda: _pdot(*_split(u), *_split(w))) == want
+            want = _outcome(lambda: _pair_lists(sub(U, scale(W, Jet(s)))))
+            assert _outcome(lambda: _preject(*_split(u), *_split(w), s)) == want
+            want = _outcome(lambda: _pair_lists(scale(U, one / norm(U))))
+            uv, ud = _split(u)
+            assert _outcome(lambda: _punit(uv, ud, _pdot(uv, ud, uv, ud))) == want
+            if dim == 3:
+                want = _outcome(lambda: _pair_lists(cross(U, W)))
+                assert _outcome(lambda: _pcross(*_split(u), *_split(w))) == want
+
+    @pytest.mark.parametrize("u, w, message", [
+        # Products 0 and 1 are finite, their sum is not; product 2 overflows
+        # too, but the running sum is tested first.
+        ([(1.3e154, 0.0)] * 2 + [(1e200, 0.0)], [(1.3e154, 0.0)] * 2 + [(1e200, 0.0)],
+         "addition"),
+        ([(1.0, 0.0), (1e200, 0.0), (1.0, 0.0)], [(1.0, 1e308), (1e200, 0.0), (1.0, 0.0)],
+         "multiplication"),
+    ], ids=["sum-before-product", "product"])
+    def test_dot_tests_each_product_then_its_sum(self, u, w, message):
+        want = _outcome(lambda: dot([Jet(p) for p in u], [Jet(p) for p in w]).coeffs)
+        assert want == (NonFiniteJet, f"{message} produced non-finite coefficients")
+        assert _outcome(lambda: _pdot(*_split(u), *_split(w))) == want
+
+    def test_projection_tests_every_product_before_any_difference(self):
+        # The difference of component 0 overflows, and so does the product of
+        # component 1: the products are tested first.
+        u, e, s = [(1e308, 0.0), (0.0, 0.0)], [(-1e308, 0.0), (1e200, 0.0)], (1.0, 1e200)
+        U, E = [Jet(p) for p in u], [Jet(p) for p in e]
+        want = _outcome(lambda: _pair_lists(sub(U, scale(E, Jet(s)))))
+        assert want == (NonFiniteJet, "multiplication produced non-finite coefficients")
+        assert _outcome(lambda: _preject(*_split(u), *_split(e), s)) == want
+
+    def test_cross_tests_a_component_before_the_next(self):
+        # Component 0 differs by 2e308; component 1 has an overflowing product.
+        a = [(1e200, 0.0), (1e154, 0.0), (1e154, 0.0)]
+        b = [(1e200, 0.0), (-1e154, 0.0), (1e154, 0.0)]
+        want = _outcome(lambda: _pair_lists(cross([Jet(p) for p in a], [Jet(p) for p in b])))
+        assert want == (NonFiniteJet, "subtraction produced non-finite coefficients")
+        assert _outcome(lambda: _pcross(*_split(a), *_split(b))) == want
+
+
+class TestOrderTwoTriples:
+    """The triple steps give the order-2 Jet norm, unit vector and cross
+    product by bits, and raise what those raise."""
+
+    TRIPLES = [(0.0, -0.0, 0.0), (-0.0, 0.0, -0.0), (1.25, -3.5, 0.5), (-2.0, 0.5, 7.0),
+               (3.0, 1e-300, -0.0), (-1e-310, 7.0, 2.0), (1e154, 2e154, -1e154),
+               (1e308, 0.0, 1e308), (0.5, 1e200, 0.0)]
+
+    def test_unit_and_cross(self):
+        rng = random.Random(12)
+        one = Jet.constant(1.0, 2)
+        for _ in range(400):
+            u = [rng.choice(self.TRIPLES) for _ in range(3)]
+            w = [rng.choice(self.TRIPLES) for _ in range(3)]
+            U, W = [Jet(p) for p in u], [Jet(p) for p in w]
+
+            def jet_unit():
+                n = norm(U)
+                return n.coeffs, *[e.coeffs for e in scale(U, one / n)]
+
+            assert _outcome(lambda: (_tunit(u)[0], *_tunit(u)[1])) == _outcome(jet_unit)
+            want = _outcome(lambda: [e.coeffs for e in cross(U, W)])
+            assert _outcome(lambda: _tcross(u, w)) == want
 
 
 class TestJetFunctions:
@@ -182,6 +272,12 @@ class TestJetFunctions:
     def test_tan_near_pole(self):
         with pytest.raises(DomainError):
             jet_tan(Jet.variable(math.pi / 2, 2))
+
+    @pytest.mark.parametrize("func, name", [(jet_sin, "sin"), (jet_cos, "cos"), (jet_tan, "tan")])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_infinite_argument_is_a_domain_error(self, func, name, value):
+        with pytest.raises(DomainError, match=f"^{name} undefined at {value!r}$"):
+            func(Jet.constant(value, 2))
 
     def test_pow_integer_negative_base(self):
         approx_coeffs(jet_pow(Jet.variable(-2.0, 2), 3.0), [-8, 12, -6])
@@ -216,25 +312,58 @@ def _constant_pairs(values):
 
 class TestVectorHelpers:
     def test_dot_constants(self):
-        a = _constant_pairs((1, 2, 3))
-        b = _constant_pairs((4, 5, 6))
-        assert _pdot(a, b)[0] == pytest.approx(32.0)
+        a = _split(_constant_pairs((1, 2, 3)))
+        b = _split(_constant_pairs((4, 5, 6)))
+        assert _pdot(*a, *b)[0] == pytest.approx(32.0)
 
     def test_cross_right_handed(self):
-        e1 = _constant_pairs((1, 0, 0))
-        e2 = _constant_pairs((0, 1, 0))
-        assert [p[0] for p in _cross(e1, e2, _pmul, _psub)] == pytest.approx((0, 0, 1))
+        e1 = _split(_constant_pairs((1, 0, 0)))
+        e2 = _split(_constant_pairs((0, 1, 0)))
+        assert _pcross(*e1, *e2)[0] == pytest.approx((0, 0, 1))
+        t1, t2 = [(1.0, 0.0, 0.0), (0.0,) * 3, (0.0,) * 3], [(0.0,) * 3, (1.0, 0.0, 0.0), (0.0,) * 3]
+        assert [c[0] for c in _tcross(t1, t2)] == pytest.approx((0, 0, 1))
 
     def test_norm_345(self):
         norm = _tunit([(0.0, 0.0, 0.0), (3.0, 0.0, 0.0), (4.0, 0.0, 0.0)])[0]
         assert norm[0] == pytest.approx(5.0)
 
     def test_zero_norm(self):
-        zero = _constant_pairs((0, 0, 0))
+        zv, zd = _split(_constant_pairs((0, 0, 0)))
         with pytest.raises(ZeroNorm):
-            _pnorm(_pdot(zero, zero))
+            _punit(zv, zd, _pdot(zv, zd, zv, zd))
         with pytest.raises(ZeroNorm):
             _tunit([(0.0, 0.0, 0.0)] * 3)
+
+
+def _full_gram_defect(vectors):
+    """The worst entry of the full Gram matrix minus the identity."""
+    worst = 0.0
+    for i, a in enumerate(vectors):
+        for j, b in enumerate(vectors):
+            worst = max(worst, abs(_fdot(a, b) - (1.0 if i == j else 0.0)))
+    return worst
+
+
+class TestGramDefect:
+    ENTRIES = [0.0, -0.0, 1.0, -1.0, 0.6, 0.8, -0.8, 1e-17, 1e200, math.nan, math.inf, -math.inf]
+
+    def test_matches_full_matrix(self):
+        rng = random.Random(5)
+        for _ in range(3000):
+            dim = rng.choice((3, 6))
+            frame = [[rng.choice(self.ENTRIES) if rng.random() < 0.3 else rng.uniform(-1.0, 1.0)
+                      for _ in range(dim)] for _ in range(3)]
+            assert _bits([gram_defect(frame)]) == _bits([_full_gram_defect(frame)])
+
+    @pytest.mark.parametrize("frame", [
+        [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)],
+        [(-0.0, 1.0, -0.0), (1.0, -0.0, 0.0), (0.0, 0.0, -1.0)],
+        [(math.nan, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)],
+        [(0.6, 0.8, 0.0), (0.8, -0.6, 0.0), (0.6, 0.8, 0.0)],
+        [(2.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 2.0)],
+    ], ids=["identity", "signed-zeros", "nan", "tie", "equal-diagonal"])
+    def test_edge_frames(self, frame):
+        assert _bits([gram_defect(frame)]) == _bits([_full_gram_defect(frame)])
 
 
 class TestFdOracle:
