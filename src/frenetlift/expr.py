@@ -36,20 +36,20 @@ span of the node that failed.  There are four evaluators of one tree:
   constant jet once per order.  When every binding is an order-1 jet it
   runs the forward code on the jets' coefficient pairs instead, which
   gives the same bits and errors.
-- :func:`eval_forward` is order-1 forward mode, one direction per pass on
-  plain ``(value, derivative)`` float pairs, for gradients and Jacobians.
-  Each pass repeats the float steps and the per-operation finiteness test
-  of the order-1 jet kernel bit for bit.
-- :func:`eval_second` is order 2 (univariate Taylor propagation) with n
-  directions in one pass, for the second derivatives of the lift
-  identities: each direction repeats the order-2 jet kernel on
-  ``(x, d_i, 0.0)``.
+- :func:`eval_forward` is order-1 forward mode on plain ``(value,
+  derivative)`` float pairs, for gradients and Jacobians.
+- :func:`eval_second` is order 2 (univariate Taylor propagation) on plain
+  ``(value, d_i, 0.0)`` float triples, for the second derivatives of the
+  lift identities.
 
-The last two inline sin and cos and run '^' and the other functions
-through the jet kernel, one direction at a time.  The jet, forward and
-order-2 evaluators are one compiler over three kernels: one dispatcher walks
-the tree and picks the code for each node, and each kernel supplies the
-closures of its own coefficient arithmetic.
+The last two share one pass loop, one pass per direction, direction 1
+through every tree first.  Each pass repeats the float steps and the
+per-operation finiteness test of the jet kernel of its order bit for bit.
+Both inline sin and cos and run '^' and the other functions through the
+jet kernel.  The jet, forward and order-2 evaluators are one compiler over
+three kernels: one dispatcher walks the tree and picks the code for each
+node, and each kernel supplies the closures of its own coefficient
+arithmetic.
 
 A curve's three components compile together into one K-jet program, cached
 on the :class:`CurveSpec` (:func:`_curve_jets`).  Its subtrees share one
@@ -539,9 +539,10 @@ def _var(name: str, offset: int):
 class _Kernel(NamedTuple):
     """Closure factories of one coefficient arithmetic, for the jet, the
     forward or the order-2 evaluator.  Each returns code, a closure of
-    (bindings, extra) that returns the node's value.  The tree walk and the
-    choice of code for each node are :meth:`compile_node`, shared by all
-    three and by the structural keys of :class:`_Program`."""
+    (bindings, extra) that returns the node's value: a Jet, or the float
+    coefficients along the one direction the bindings carry.  The tree walk
+    and the choice of code for each node are :meth:`compile_node`, shared
+    by all three and by the structural keys of :class:`_Program`."""
 
     attr: str | None  # the node attribute that caches this arithmetic's code
     num: Callable  # (value)
@@ -731,16 +732,27 @@ class _Program:
         return lambda b, order: pair(b, order)[index]
 
 
-# Forward arithmetic: code of (bindings, None), returning a value with one
-# directional derivative as a plain float pair (v, d).  It takes the float
-# steps of the order-1 jet kernel on (v, d) and meets its finiteness test,
-# on v + d, after each operation, raised with the node's span.
+# Float arithmetic of one direction: code of (bindings, None), returning a
+# node's value and Taylor coefficients along one direction as plain floats, a
+# pair (v, d) in forward mode and a triple (v, d, e) at order 2.  Each takes
+# the float steps of the jet kernel of its order and meets its finiteness
+# test, on the same total, after each operation, raised with the node's span.
 
 
 def _non_finite(what: str, span: Span | None) -> NonFiniteJet:
     err = NonFiniteJet(f"{what} produced non-finite coefficients")
     err.span = span
     return err
+
+
+def _through_jet(func, span: Span, arg):
+    """Code for a jet kernel that is not inlined: ``func`` on the operand's
+    coefficients as a Jet."""
+    return _spanned(lambda u: func(Jet._of(u)).coeffs, span, arg)
+
+
+def _jet_power(base, r: float, span: Span):
+    return _through_jet(lambda u: jet_pow(u, r), span, base)
 
 
 def _forward_num(value: float):
@@ -845,19 +857,134 @@ def _forward_call(name: str, arg, span: Span):
             return v, d
 
         return cosine
-    func = JET_FUNCTIONS[name]
-    return _spanned(lambda u: func(Jet._of(u)).coeffs, span, arg)
+    return _through_jet(JET_FUNCTIONS[name], span, arg)
 
 
 _FORWARD = _Kernel(
-    "_forward",
-    _forward_num,
-    _forward_neg,
-    _forward_scale,
-    lambda base, r, span: _spanned(lambda u: jet_pow(Jet._of(u), r).coeffs, span, base),
-    _forward_binary,
+    "_forward", _forward_num, _forward_neg, _forward_scale, _jet_power, _forward_binary,
     _forward_call,
 )
+
+
+def _second_num(value: float):
+    triple = (value, 0.0, 0.0)
+    return lambda b, extra: triple
+
+
+def _second_neg(child):
+    def neg(b, extra):
+        v, d, e = child(b, extra)
+        return -v, -d, -e
+
+    return neg
+
+
+def _second_scale(operand, c: float, span: Span):
+    """Code for ``operand * c``, the jet kernel's O(K) product with a number."""
+
+    def scaled(b, extra):
+        v, d, e = operand(b, extra)
+        v = v * c + 0.0
+        d = d * c + 0.0
+        e = e * c + 0.0
+        if not isfinite(sum((v, d, e))):
+            raise _non_finite("multiplication", span)
+        return v, d, e
+
+    return scaled
+
+
+def _second_binary(op: str, left, right, span: Span):
+    if op in ("+", "-"):
+        arith, what = _ARITH[op], "addition" if op == "+" else "subtraction"
+
+        def add_sub(b, extra):
+            u, du, eu = left(b, extra)
+            w, dw, ew = right(b, extra)
+            v = arith(u, w)
+            d = arith(du, dw)
+            e = arith(eu, ew)
+            if not isfinite(sum((v, d, e))):
+                raise _non_finite(what, span)
+            return v, d, e
+
+        return add_sub
+    if op == "*":
+
+        def mul(b, extra):
+            u, du, eu = left(b, extra)
+            w, dw, ew = right(b, extra)
+            v = 0.0 + u * w
+            d = (0.0 + u * dw) + du * w
+            e = ((0.0 + u * ew) + du * dw) + eu * w
+            if not isfinite(((0.0 + v) + d) + e):
+                raise _non_finite("multiplication", span)
+            return v, d, e
+
+        return mul
+
+    def divide(b, extra):
+        u, du, eu = left(b, extra)
+        w, dw, ew = right(b, extra)
+        if abs(w) < DIV_FLOOR:
+            err = DivisionByZeroJet(f"denominator constant term {w!r}")
+            err.span = span
+            raise err
+        v = u / w
+        d = (du - v * dw) / w
+        e = ((eu - v * ew) - d * dw) / w
+        if not isfinite(((0.0 + v) + d) + e):
+            raise _non_finite("division", span)
+        return v, d, e
+
+    return divide
+
+
+def _second_call(name: str, arg, span: Span):
+    """sin and cos inline, as ``_pair_recurrence`` at order 2, which tests
+    the sin and the cos triple both: at order 2 one can overflow while the
+    other does not.  The other functions run through the jet kernel."""
+    if name not in ("sin", "cos"):
+        return _through_jet(JET_FUNCTIONS[name], span, arg)
+    is_sin = name == "sin"
+
+    def sin_cos(b, extra):
+        u, du, eu = arg(b, extra)
+        try:
+            s0, c0 = sin(u), cos(u)
+        except ValueError:
+            raise DomainError(name, u, span) from None
+        s1 = 0.0 + du * c0
+        c1 = -(0.0 + du * s0)
+        s2 = ((0.0 + du * c1) + (2 * eu) * c0) / 2
+        c2 = -((0.0 + du * s1) + (2 * eu) * s0) / 2
+        if not (isfinite(sum((s0, s1, s2))) and isfinite(sum((c0, c1, c2)))):
+            raise _non_finite("operation", span)
+        return (s0, s1, s2) if is_sin else (c0, c1, c2)
+
+    return sin_cos
+
+
+_SECOND = _Kernel(
+    "_second", _second_num, _second_neg, _second_scale, _jet_power, _second_binary,
+    _second_call,
+)
+
+
+def _passes(kernel: _Kernel, asts, bindings: Mapping[str, tuple], tail: tuple) -> list:
+    """Every AST's code of ``kernel`` on bindings ``(value, (d_1, ..., d_n))``,
+    the same n >= 1 for all, as n passes: pass i binds each variable to
+    ``(value, d_i, *tail)``.  Direction 1 runs through every AST, then
+    direction 2, and so on, so the error raised is the first one that order
+    meets.  Each AST gives ``(value, (D_1, ..., D_n), ...)``: its value, then
+    one tuple per coefficient after it."""
+    codes = [kernel.code(ast) for ast in asts]
+    n = len(next(iter(bindings.values()))[1])
+    passes = []
+    for i in range(n):
+        point = {name: (v, d[i], *tail) for name, (v, d) in bindings.items()}
+        passes.append([code(point, None) for code in codes])
+    return [(outs[0][0], *tuple(zip(*outs))[1:]) for outs in zip(*passes)]
 
 
 def eval_forward(asts, bindings: Mapping[str, tuple]) -> list:
@@ -866,174 +993,23 @@ def eval_forward(asts, bindings: Mapping[str, tuple]) -> list:
     ``bindings`` maps each variable to ``(value, (d_1, ..., d_n))``, the
     same n for all.  Each AST gives ``(value, (D_1, ..., D_n))`` with
     ``D_i`` bit for bit the order-1 coefficient of :func:`eval_jet` on the
-    jets ``(value, d_i)``.  The directions run as n passes: direction 1
-    through every AST, then direction 2, and so on, so the error raised is
-    the first one that order meets.
+    jets ``(value, d_i)``.  The directions run one pass each, direction 1
+    through every AST first, so the error raised is the first one that
+    order meets.
     """
-    codes = [_FORWARD.code(ast) for ast in asts]
-    n = len(next(iter(bindings.values()))[1])
-    passes = []
-    for i in range(n):
-        pairs = {name: (v, d[i]) for name, (v, d) in bindings.items()}
-        passes.append([code(pairs, None) for code in codes])
-    return [(outs[0][0], tuple([d for _, d in outs])) for outs in zip(*passes)]
-
-
-# Order-2 arithmetic: code of (bindings, zeros), returning (v, (d_1, ..., d_n),
-# (e_1, ..., e_n)).  Direction i takes the float steps of the order-2 jet kernel
-# on (v, d_i, e_i) and meets its finiteness test, on the same total, after each.
-
-
-def _directions(codes, bindings: Mapping[str, tuple]) -> list:
-    """Every order-2 code on bindings ``(value, (d_1, ..., d_n), ...)`` of n
-    directions.  The error raised is the first one met taking direction 1
-    through every code, then direction 2, and so on."""
-    n = len(next(iter(bindings.values()))[1])
-    try:
-        return [code(bindings, (0.0,) * n) for code in codes]
-    except NonFiniteJet:
-        if n == 1:
-            raise
-        # Only a direction's own finiteness test tells the directions apart:
-        # rerun them one at a time, so that the error raised is the first
-        # one the direction-by-direction order meets.
-        for i in range(n):
-            single = {name: (v, *[c[i:i + 1] for c in rest])
-                      for name, (v, *rest) in bindings.items()}
-            for code in codes:
-                code(single, (0.0,))
-        raise
-
-
-def _second_neg(child):
-    def neg(b, zero):
-        v, *parts = child(b, zero)
-        return (-v, *[tuple([-x for x in p]) for p in parts])
-
-    return neg
-
-
-def _finite_totals(totals, what: str, span: Span | None = None) -> None:
-    for tot in totals:
-        if not isfinite(tot):
-            raise _non_finite(what, span)
-
-
-def _second_scale(operand, c: float, span: Span):
-    """Code for ``operand * c``, the jet kernel's O(K) product with a number."""
-
-    def scaled(b, zero):
-        v, d, e = operand(b, zero)
-        v = v * c + 0.0
-        d = tuple([x * c + 0.0 for x in d])
-        e = tuple([y * c + 0.0 for y in e])
-        _finite_totals([sum((v, x, y)) for x, y in zip(d, e)], "multiplication", span)
-        return v, d, e
-
-    return scaled
-
-
-def _second_divide(num, den):
-    (a0, da, ea), (b0, db, eb) = num, den
-    if abs(b0) < DIV_FLOOR:
-        raise DivisionByZeroJet(f"denominator constant term {b0!r}")
-    v = a0 / b0
-    d = tuple([(x - v * y) / b0 for x, y in zip(da, db)])
-    e = tuple([((x - v * y) - q * p) / b0 for x, y, q, p in zip(ea, eb, d, db)])
-    _finite_totals([((0.0 + v) + x) + y for x, y in zip(d, e)], "division")
-    return v, d, e
-
-
-def _second_binary(op: str, left, right, span: Span):
-    if op == "/":
-        return _spanned(_second_divide, span, left, right)
-    if op == "*":
-
-        def mul(b, zero):
-            (a0, da, ea), (b0, db, eb) = left(b, zero), right(b, zero)
-            v = 0.0 + a0 * b0
-            d = tuple([(0.0 + a0 * y) + x * b0 for x, y in zip(da, db)])
-            e = tuple([((0.0 + a0 * q) + x * y) + p * b0
-                       for x, y, p, q in zip(da, db, ea, eb)])
-            _finite_totals([((0.0 + v) + x) + y for x, y in zip(d, e)], "multiplication", span)
-            return v, d, e
-
-        return mul
-    arith = _ARITH[op]
-    what = "addition" if op == "+" else "subtraction"
-
-    def add_sub(b, zero):
-        (a0, da, ea), (b0, db, eb) = left(b, zero), right(b, zero)
-        v = arith(a0, b0)
-        d = tuple(map(arith, da, db))
-        e = tuple(map(arith, ea, eb))
-        _finite_totals([sum((v, x, y)) for x, y in zip(d, e)], what, span)
-        return v, d, e
-
-    return add_sub
-
-
-def _second_sin_cos(arg, name: str):
-    """``_pair_recurrence`` for sin and cos at order 2, per direction;
-    ``name`` is the function a domain error names."""
-    u, du, eu = arg
-    try:
-        s0, c0 = math.sin(u), math.cos(u)
-    except ValueError:
-        raise DomainError(name, u) from None
-    s1 = [0.0 + x * c0 for x in du]
-    c1 = [-(0.0 + x * s0) for x in du]
-    s2 = [((0.0 + x * q) + (2 * y) * c0) / 2 for x, y, q in zip(du, eu, c1)]
-    c2 = [-((0.0 + x * q) + (2 * y) * s0) / 2 for x, y, q in zip(du, eu, s1)]
-    _finite_totals([sum((s0, x, y)) for x, y in zip(s1, s2)], "operation")
-    _finite_totals([sum((c0, x, y)) for x, y in zip(c1, c2)], "operation")
-    return (s0, tuple(s1), tuple(s2)), (c0, tuple(c1), tuple(c2))
-
-
-def _per_direction(func):
-    """Order-2 code for a jet kernel that is not inlined: func on the jet
-    (v, d_i, e_i) of each direction i."""
-
-    def run(arg):
-        v, *rest = arg
-        outs = [func(Jet._of((v, *cs))).coeffs for cs in zip(*rest)]
-        return (outs[0][0], *list(zip(*outs))[1:])
-
-    return run
-
-
-def _second_call(name: str, arg, span: Span):
-    """sin and cos inline by ``_second_sin_cos``; the other functions run
-    through the jet kernel one direction at a time."""
-    if name in ("sin", "cos"):
-        index = 0 if name == "sin" else 1
-        return _spanned(lambda u: _second_sin_cos(u, name)[index], span, arg)
-    return _spanned(_per_direction(JET_FUNCTIONS[name]), span, arg)
-
-
-_SECOND = _Kernel(
-    "_second",
-    lambda value: lambda b, zero: (value, zero, zero),
-    _second_neg,
-    _second_scale,
-    lambda base, r, span: _spanned(_per_direction(lambda u: jet_pow(u, r)), span, base),
-    _second_binary,
-    _second_call,
-)
+    return _passes(_FORWARD, asts, bindings, ())
 
 
 def eval_second(asts, bindings: Mapping[str, tuple]) -> list:
-    """Values with first and second coefficients along n directions, in one pass.
+    """Values with first and second coefficients along n directions.
 
     ``bindings`` maps each variable to ``(value, (d_1, ..., d_n))``, the
     same n for all.  Each AST gives ``(value, (D_1, ..., D_n), (E_1, ...,
     E_n))`` with ``D_i`` and ``E_i`` bit for bit coefficients 1 and 2 of
-    :func:`eval_jet` on the jets ``(value, d_i, 0.0)``.  Errors are raised
-    as in :func:`eval_forward`.
+    :func:`eval_jet` on the jets ``(value, d_i, 0.0)``.  The directions
+    run one pass each and errors are raised as in :func:`eval_forward`.
     """
-    zero = (0.0,) * len(next(iter(bindings.values()))[1])
-    jets = {name: (v, d, zero) for name, (v, d) in bindings.items()}
-    return _directions([_SECOND.code(ast) for ast in asts], jets)
+    return _passes(_SECOND, asts, bindings, (0.0,))
 
 
 # --- pretty printing -----------------------------------------------------------

@@ -13,18 +13,20 @@ Scalar functions lift as f^v(p) = f(x) and f^c(p) = y . grad f(x).  Applying
 a lifted field to a lifted function is a directional derivative on the
 6-dimensional space.  The second-order terms that appear for f^c come from
 the polarization identity over the directions a+b, a and b, whose second
-directional derivatives one order-2 pass of :func:`expr.eval_second` gives
-together, so no nested or multivariate jets are needed.
+directional derivatives one call of :func:`expr.eval_second` gives, one
+order-2 pass on float triples per direction, so no nested or multivariate
+jets are needed.
 
-A field's component values and Jacobian come from one forward pass along the
-coordinate axes (:func:`expr.eval_forward`), so a failure in the first
-partials is an error for every lift kind, as is a value or a lifted fiber
-that is not finite.  Each :class:`FieldSpec` keeps what it computes at a
-tangent point for the last base point it met, keyed on the exact bits of x:
-that pass, its lifted values, and for a scalar its first and second
-directional coefficients, one entry per direction.  :func:`prop21_check`
-fills the directional entries for each scalar with one order-1 and one
-order-2 pass, and :func:`apply_field` reads them.
+A field's component values and Jacobian come from one forward evaluation
+along the coordinate axes (:func:`expr.eval_forward`, one pass per axis), so
+a failure in the first partials is an error for every lift kind, as is a
+value or a lifted fiber that is not finite.  Each :class:`FieldSpec` keeps
+what it computes at a tangent point for the last base point it met, keyed
+on the exact bits of x: that pass, its lifted values, and for a scalar its
+first and second directional coefficients, one entry per direction.
+:func:`prop21_check` fills the directional entries for each scalar with one
+order-1 and one order-2 evaluation, each one pass per direction, and
+:func:`apply_field` reads them.
 
 :func:`field_sum` and :func:`field_scale` build a new spec of synthesized
 root nodes over their operands' trees, and it keeps its operands.  Its pass
@@ -89,9 +91,11 @@ __all__ = [
 # Transport resolution: steps per unit parameter length.
 TRANSPORT_STEPS_PER_UNIT = 1000
 
-# Work cap on one transport: at about 0.1 ms per RK4 step, ten million steps
-# take the better part of an hour.  A curve domain that needs more is an
-# input error, raised before any step is taken.
+# Work cap on one transport.  An RK4 step took 32-49 us (best of 7 on a
+# shared 2-core x86 host, CPython 3.11.7; a helix and a torus knot, 3 or 27
+# nonzero connection symbols), so ten million steps take about 5-8 minutes.
+# A curve domain that needs more is an input error, raised before any step
+# is taken.
 MAX_TRANSPORT_STEPS = 10_000_000
 
 
@@ -295,7 +299,8 @@ def _bindings(x: Sequence[float], tangents) -> dict:
 
 def _coefficients(f: FieldSpec, x: Sequence[float], order: int, dirs) -> tuple[float, ...]:
     """Coefficient ``order`` (1 or 2) of s -> f(x + s d) for each direction d
-    of ``dirs``, for a scalar f, from one pass over the directions in order."""
+    of ``dirs``, for a scalar f, from one evaluation, one pass per direction
+    in order."""
     bindings = _bindings(x, dirs)
     if order == 1:
         return eval_forward(f.components, bindings)[0][1]
@@ -305,7 +310,8 @@ def _coefficients(f: FieldSpec, x: Sequence[float], order: int, dirs) -> tuple[f
 def _along(f: FieldSpec, x: Sequence[float], order: int, dirs) -> list[float]:
     """:func:`_coefficients` along each of ``dirs``, kept one entry per
     direction (keyed on its bits).  The directions not kept yet come from
-    one pass, so its error is the first one they meet in the given order."""
+    one evaluation, so its error is the first one they meet in the given
+    order."""
     results = _results_at(f, x)
     keys = [(order, _pack3(*d)) for d in dirs]
     try:
@@ -580,10 +586,11 @@ def prop21_check(
     fXv, fXc, fXh = (lift_field(fX, kind, G).at(p) for kind in kinds)
 
     # Every directional coefficient of f and g read below, from one order-1
-    # and one order-2 pass per scalar: firsts along y (f^c), X, 0 and D_y X;
-    # seconds along the polarizations of (y, X), (0, y) and (X, y).  They
-    # come after fX's lifts: where fX's root overflows, f along X(x) often
-    # overflows too, and the error raised stays fX's.
+    # and one order-2 evaluation per scalar, each one pass per direction:
+    # firsts along y (f^c), X, 0 and D_y X; seconds along the polarizations
+    # of (y, X), (0, y) and (X, y).  They come after fX's lifts: where fX's
+    # root overflows, f along X(x) often overflows too, and the error raised
+    # stays fX's.
     zero, xval, dyX = Xv[:3], Xv[3:], Xc[3:]
     seconds = [d for a, b in ((p.y, xval), (zero, p.y), (xval, p.y))
                for d in _polarization(a, b)]

@@ -542,8 +542,15 @@ class TestSecond:
         (["x1 + sin(1e999)"], (1.0, 1.0, 1.0), BASIS, DomainError),
         (["x1 + cos(-1e999)"], (1.0, 1.0, 1.0), BASIS, DomainError),
         (["x1 + tan(1e999)"], (1.0, 1.0, 1.0), BASIS, DomainError),
+        # Direction 2 overflows first in tree order, at x2*x2; the error
+        # raised is direction 1's, at x1*x1 (span (8, 13)).
+        (["x2*x2 + x1*x1"], (1.0, 1.0, 1.0), ((1e160, 0.0, 0.0), (0.0, 1e160, 0.0)),
+         NonFiniteJet),
+        # Only the partner's triple, sin's, overflows at order 2 (span (0, 7)).
+        (["cos(x1)"], (math.pi / 2, 1.0, 1.0), ((1e158, 0.0, 0.0),), NonFiniteJet),
     ], ids=["one-expression", "two-expressions", "square", "sin", "quotient", "per-direction",
-            "large-tangents", "sin-infinity", "cos-infinity", "tan-infinity"])
+            "large-tangents", "sin-infinity", "cos-infinity", "tan-infinity",
+            "first-direction", "sin-partner"])
     def test_edge_cases(self, texts, point, tangents, raised):
         asts = [parse_expr(text, NAMES) for text in texts]
         want = _hex_outcome(_second_jet_route, asts, point, tangents)
