@@ -61,7 +61,6 @@ from .lifts import (
     prop21_check,
 )
 from .lifted_frenet import (
-    LiftReport,
     LiftedApparatus,
     LiftedCurve,
 )

@@ -13,17 +13,21 @@ file, or a tolerance name the command does not read exits 2.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 degenerate
 geometry.  CSV output uses 17 significant digits, '.' decimals and LF line
-ends, and is byte-identical across runs on identical input.
+ends, and is byte-identical across runs on identical input.  A CSV row is
+written as soon as its point is computed; ``--out`` is replaced on success.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
+import os
 import re
 import sys
+from itertools import chain
 
 from .expr import FieldSpec, FormatError, parse_curve_file, parse_field_file
 from .frenet import (
@@ -53,7 +57,8 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 
-# Work cap on --samples: every command holds all its rows in memory.
+# Work cap on --samples.  CSV rows are written as they are computed; JSON
+# output is the one format that holds all its rows in memory.
 MAX_SAMPLES = 1_000_000
 
 _DEGENERATE = (DegenerateCurvature, ZeroSpeed, RankDeficient, ZeroNorm)
@@ -126,12 +131,34 @@ def _tolerance(names: tuple[str, ...]):
     return parse
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+@contextlib.contextmanager
+def _output(path: str | None):
+    """Stdout, or a temporary file beside the file at ``path`` that replaces
+    it once the command has succeeded: a failed run leaves an existing file
+    as it was and creates none.  A path that exists but is not a regular
+    file (a device, a pipe) is written in place.  OSError is InputError."""
+    if path is None:
+        yield sys.stdout
+        return
+    target = os.path.realpath(path)
+    tmp = None
+    try:
+        if os.path.exists(target) and not os.path.isfile(target):
+            fh = open(target, "w", encoding="utf-8", newline="")
+        else:
+            tmp = f"{target}.{os.getpid()}.tmp"
+            fh = open(tmp, "x", encoding="utf-8", newline="")
+        with fh:
+            yield fh
+        if tmp is not None:
+            os.replace(tmp, target)
+            tmp = None
+    except OSError as err:
+        raise InputError(f"cannot write {path}: {err.strerror or err}") from err
+    finally:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
 
 
 def _json(payload) -> str:
@@ -143,21 +170,26 @@ def _json_number(v: float) -> float | None:
     return v if math.isfinite(v) else None
 
 
-def _emit_rows(args: argparse.Namespace, header: list[str], rows: list[list[float]],
-               summary: dict[str, float] | None = None) -> None:
-    """Write rows as CSV (summary as a '#' trailer) or JSON (summary as a key)."""
-    if args.format == "csv":
-        row_format = ",".join(["%.17g"] * len(header))
-        lines = [",".join(header), *[row_format % tuple(row) for row in rows]]
-        if summary is not None:
-            lines.append("# " + " ".join(f"{k}={_fmt17(v)}" for k, v in summary.items()))
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = {"rows": [dict(zip(header, map(_json_number, r))) for r in rows]}
-        if summary is not None:
-            payload["summary"] = {k: _json_number(v) for k, v in summary.items()}
-        text = _json(payload)
-    _emit(text, args.out)
+def _emit_rows(args: argparse.Namespace, rows, summary: dict[str, float] | None = None) -> None:
+    """Write what the iterator ``rows`` yields, the header and then one tuple of numbers
+    per point, as CSV, each line as soon as it comes, or as JSON, built in
+    memory and written at the end.  The output opens before the first row
+    is asked for.  ``summary``, which the rows fill in, is read once they
+    run out and written as a '#' trailer or a "summary" key."""
+    with _output(args.out) as fh:
+        header = next(rows)
+        if args.format == "csv":
+            fh.write(",".join(header) + "\n")
+            row_format = ",".join(["%.17g"] * len(header)) + "\n"
+            for row in rows:
+                fh.write(row_format % row)
+            if summary is not None:
+                fh.write("# " + " ".join(f"{k}={_fmt17(v)}" for k, v in summary.items()) + "\n")
+        else:
+            payload = {"rows": [dict(zip(header, map(_json_number, r))) for r in rows]}
+            if summary is not None:
+                payload["summary"] = {k: _json_number(v) for k, v in summary.items()}
+            fh.write(_json(payload))
 
 
 def _load_connection(path: str | None) -> Connection:
@@ -180,13 +212,14 @@ FRENET_HEADER = (
 def cmd_frenet(args: argparse.Namespace) -> int:
     curve = _load(args.curve, parse_curve_file)
     tolerances = ToleranceConfig(**dict(args.tol))
-    rows = []
-    for t in uniform_grid(curve.t_min, curve.t_max, args.samples):
-        app = frenet_apparatus(curve, t, tolerances)
-        rows.append(
-            [t, *app.point, *app.T, *app.N, *app.B, app.kappa, app.tau, *app.residuals]
-        )
-    _emit_rows(args, FRENET_HEADER, rows)
+
+    def rows():
+        yield FRENET_HEADER
+        for t in uniform_grid(curve.t_min, curve.t_max, args.samples):
+            app = frenet_apparatus(curve, t, tolerances)
+            yield (t, *app.point, *app.T, *app.N, *app.B, app.kappa, app.tau, *app.residuals)
+
+    _emit_rows(args, rows())
     return EXIT_OK
 
 
@@ -214,18 +247,37 @@ def cmd_lift(args: argparse.Namespace) -> int:
         raise InputError("w0 required: horizontal lift with a non-flat connection")
     else:
         kind = LiftKind.horizontal(args.w0 or (0.0, 0.0, 0.0))
-    report = LiftedCurve(curve, kind, connection, ToleranceConfig(**dict(args.tol))).sweep(
+    records = LiftedCurve(curve, kind, connection, ToleranceConfig(**dict(args.tol))).sweep(
         uniform_grid(curve.t_min, curve.t_max, args.samples)
     )
-    rows = [
-        [t, *report.points[i], *Tl, *Nl, *Bl, report.kappa_lift[i], report.tau_lift[i],
-         *report.theorem_residuals[i], report.oracle_kappa[i], report.oracle_tau[i]]
-        for i, (t, (Tl, Nl, Bl)) in enumerate(zip(report.grid, report.frames))
-    ]
-    summary = {name: getattr(report, name) for name in
-               ("max_residual", "max_discrepancy", "frame_ortho_max", "kappa_spread")}
-    _emit_rows(args, LIFT_HEADER, rows, summary)
+    summary: dict[str, float] = {}
+    _emit_rows(args, _lift_rows(records, summary), summary)
     return EXIT_OK
+
+
+def _lift_rows(records, summary: dict[str, float]):
+    """LIFT_HEADER, then one row per record; then ``summary`` gets the
+    trailer.  Each statistic, seeded by the first record, takes a value only
+    where builtin max or min over the column would (a NaN it holds stays)."""
+    yield LIFT_HEADER
+    first = next(records)
+    res, hi, lo, disc, ortho = max(first.residuals), first.kappa_lift, first.kappa_lift, None, 0.0
+    for r in chain((first,), records):
+        top, k, o = max(r.residuals), r.kappa_lift, r.oracle_kappa
+        if top > res:
+            res = top
+        if r.ortho_max > ortho:
+            ortho = r.ortho_max
+        if o == o and (disc is None or abs(k - o) > disc):  # o is not NaN
+            disc = abs(k - o)
+        if k > hi:
+            hi = k
+        if k < lo:
+            lo = k
+        yield (r.t, *r.point, *r.frame[0], *r.frame[1], *r.frame[2], k, r.tau_lift,
+               *r.residuals, o, r.oracle_tau)
+    summary.update(max_residual=res, max_discrepancy=math.nan if disc is None else disc,
+                   frame_ortho_max=ortho, kappa_spread=hi - lo)
 
 
 def _field_files(paths: list[str], flag: str, kind: str, what: str):
@@ -261,46 +313,46 @@ def cmd_fields(args: argparse.Namespace) -> int:
     f, g = scalars[0][1], scalars[-1][1]
     connection = _load_connection(args.connection)
 
-    header: list[str] | None = None
-    rows = []
-    for coords in args.point:
-        p = TangentPoint(coords[:3], coords[3:])
-        try:
-            lifted = [
-                x
-                for kind in ("vertical", "complete", "horizontal")
-                for x in lift_field(X, kind, connection).at(p).as_tuple()
-            ]
-            residuals = prop21_check(X, Y, f, g, connection, p).residuals
-        except JetError as err:
-            # Only on the error path: name the point and the failing file.
-            key = _first_failing_key(vectors + scalars, p.x, err)
-            err.origin = f" ({key}at point={coords!r})"
-            raise
-        if header is None:
-            header = (
-                [f"x{i}" for i in (1, 2, 3)]
-                + [f"y{i}" for i in (1, 2, 3)]
-                + [f"{tag}{i}" for tag in ("v", "c", "h") for i in range(1, 7)]
-                + [f"res_{name}" for name in residuals]
-            )
-        rows.append([*coords, *lifted, *residuals.values()])
-    _emit_rows(args, header, rows)
+    def rows():
+        for n, coords in enumerate(args.point):
+            p = TangentPoint(coords[:3], coords[3:])
+            try:
+                lifted = [
+                    x
+                    for kind in ("vertical", "complete", "horizontal")
+                    for x in lift_field(X, kind, connection).at(p).as_tuple()
+                ]
+                residuals = prop21_check(X, Y, f, g, connection, p).residuals
+            except JetError as err:
+                # Only on the error path: name the point and the failing file.
+                key = _first_failing_key(vectors + scalars, p.x, err)
+                err.origin = f" ({key}at point={coords!r})"
+                raise
+            if n == 0:
+                # The residual names come with the first point's residuals.
+                yield (
+                    [f"x{i}" for i in (1, 2, 3)]
+                    + [f"y{i}" for i in (1, 2, 3)]
+                    + [f"{tag}{i}" for tag in ("v", "c", "h") for i in range(1, 7)]
+                    + [f"res_{name}" for name in residuals]
+                )
+            yield (*coords, *lifted, *residuals.values())
+
+    _emit_rows(args, rows())
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_checks(ToleranceConfig(**dict(args.tol)), samples=args.samples)
-    if args.format == "csv":
-        text = "\n".join(r.line() for r in results) + "\n"
-    else:
-        payload = [
-            {"name": r.name, "value": _json_number(r.value), "bound": _json_number(r.bound),
-             "pass": r.passed}
-            for r in results
-        ]
-        text = _json(payload)
-    _emit(text, args.out)
+    with _output(args.out) as fh:
+        results = run_checks(ToleranceConfig(**dict(args.tol)), samples=args.samples)
+        if args.format == "csv":
+            fh.write("\n".join(r.line() for r in results) + "\n")
+        else:
+            fh.write(_json([
+                {"name": r.name, "value": _json_number(r.value), "bound": _json_number(r.bound),
+                 "pass": r.passed}
+                for r in results
+            ]))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 from .expr import CurveSpec, _per_component, eval_float
 from .frenet import (
@@ -46,7 +47,6 @@ from .lifts import Connection, LiftKind, lifted_point_jets, transport_grid
 __all__ = [
     "LiftedCurve",
     "LiftedApparatus",
-    "LiftReport",
 ]
 
 
@@ -56,7 +56,10 @@ class LiftedApparatus:
 
     ``ortho_max`` is the worst deviation of the lifted frame's Gram matrix
     from the identity; for complete lifts it is genuinely nonzero and is
-    reported rather than enforced.
+    reported rather than enforced.  ``oracle_kappa`` and ``oracle_tau`` are
+    the generalized Gram-Schmidt curvatures of the lifted curve, NaN where
+    its derivative flag degenerates (:class:`RankDeficient`; planar lifts,
+    for instance) while the direct apparatus still stands.
     """
 
     t: float
@@ -67,27 +70,8 @@ class LiftedApparatus:
     tau_lift: float
     ortho_max: float
     residuals: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
-class LiftReport:
-    """Grid sweep of a lifted curve: apparatus, residuals and oracle columns."""
-
-    grid: tuple[float, ...]
-    points: tuple[tuple[float, ...], ...]
-    frames: tuple[tuple[tuple[float, ...], ...], ...]
-    kappa_lift: tuple[float, ...]
-    tau_lift: tuple[float, ...]
-    frame_ortho_max: float
-    theorem_residuals: tuple[tuple[float, float, float], ...]
-    oracle_kappa: tuple[float, ...]
-    oracle_tau: tuple[float, ...]
-    max_discrepancy: float
-    kappa_spread: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(max(r) for r in self.theorem_residuals)
+    oracle_kappa: float
+    oracle_tau: float
 
 
 class LiftedCurve:
@@ -119,14 +103,15 @@ class LiftedCurve:
     def domain(self) -> tuple[float, float]:
         return self.base.domain
 
-    def _fibers(self, ts) -> dict:
-        """Fiber w(t) of a horizontal lift at each t (None for other kinds)."""
+    def _fibers(self, ts):
+        """Fiber w(t) of a horizontal lift at each t of ts in turn (None for
+        other kinds)."""
         if self.kind.kind != "horizontal":
-            return dict.fromkeys(ts)
+            return repeat(None)
         if self.connection.is_flat:
             # Zero right-hand side: transport is exactly the identity.
-            return dict.fromkeys(ts, self.kind.w0)
-        return transport_grid(self.connection, self.base, self.kind.w0, ts)
+            return repeat(self.kind.w0)
+        return map(transport_grid(self.connection, self.base, self.kind.w0, ts).__getitem__, ts)
 
     def point_jets(self, t: float) -> tuple[tuple[float, ...], ...]:
         """Taylor coefficients of the lifted point in R^6 at t, one tuple per
@@ -136,7 +121,7 @@ class LiftedCurve:
         again from ``t_min``; for many points use :meth:`sweep`.
         """
         pj = curve_point_jets(self.base, t)
-        w = self._fibers([t])[t]
+        w = next(self._fibers([t]))
         return lifted_point_jets(pj, self.kind, self.connection, self.anchor, w)
 
     def frame(self, t: float):
@@ -146,22 +131,26 @@ class LiftedCurve:
         On a non-flat horizontal lift each call integrates the transport
         again from ``t_min``; for many points use :meth:`sweep`.
         """
-        return self._analyze(t, self._fibers([t])[t])[1]
+        return self._pairs(t, next(self._fibers([t])))[1]
 
     def apparatus(self, t: float) -> LiftedApparatus:
-        """Point, frame, curvature and torsion of the lifted curve at t.
+        """Point, frame, curvature, torsion, residuals and oracle
+        curvatures of the lifted curve at t.
 
         On a non-flat horizontal lift each call integrates the transport
         again from ``t_min``; for many points use :meth:`sweep`.
         """
-        return self._analyze(t, self._fibers([t])[t])[2]
+        return next(self.sweep([t]))
 
-    def _analyze(self, t: float, w):
-        """(lifted point jets, lifted frame pairs, apparatus) at t."""
+    def _pairs(self, t: float, w):
+        """(lifted point jets, lifted frame pairs) at t on fiber w."""
         pj = curve_point_jets(self.base, t)
         fj = frame_jets(pj, self.cfg, t)
         P = lifted_point_jets(pj, self.kind, self.connection, self.anchor, w)
-        lifted = self._lift_pairs(fj, P)
+        return P, self._lift_pairs(fj, P)
+
+    def _apparatus(self, t: float, w) -> LiftedApparatus:
+        P, lifted = self._pairs(t, w)
         vel = [cs[1] for cs in P]
         speed_sq = _fdot(vel, vel)
         if speed_sq < NORM_FLOOR * NORM_FLOOR:
@@ -173,7 +162,11 @@ class LiftedCurve:
         kappa = fnorm(dT)
         tau = -_fdot(Nv, dB)
         frame_vals = (Tv, Nv, Bv)
-        app = LiftedApparatus(
+        try:
+            oracle = generalized_frenet(P, 3).chis
+        except RankDeficient:
+            oracle = (math.nan, math.nan)
+        return LiftedApparatus(
             t=t,
             point=tuple([cs[0] for cs in P]),
             speed=speed,
@@ -182,8 +175,9 @@ class LiftedCurve:
             tau_lift=tau,
             ortho_max=gram_defect(frame_vals),
             residuals=frame_residuals(dT, dN, dB, Tv, Nv, Bv, kappa, tau),
+            oracle_kappa=oracle[0],
+            oracle_tau=oracle[1],
         )
-        return P, lifted, app
 
     def _lift_pairs(self, fj: FrameJets, P):
         """The lifted T, N and B as six (value, slope) float pairs each, from
@@ -220,47 +214,10 @@ class LiftedCurve:
             out.append(V + tuple(fiber))
         return tuple(out)
 
-    def sweep(self, grid) -> LiftReport:
-        """Apparatus, frame-identity residuals and oracle columns per point."""
+    def sweep(self, grid):
+        """One :class:`LiftedApparatus` per grid point, each computed when
+        it is asked for.  A non-flat horizontal lift integrates its
+        transport once, over the whole grid, before the first point."""
         ts = [float(t) for t in grid]
-        fibers = self._fibers(ts)
-        points = []
-        frames = []
-        kappas = []
-        taus = []
-        residuals = []
-        ok = []
-        ot = []
-        ortho_max = 0.0
-        for t in ts:
-            P, _, app = self._analyze(t, fibers[t])
-            points.append(app.point)
-            frames.append(app.frame)
-            kappas.append(app.kappa_lift)
-            taus.append(app.tau_lift)
-            residuals.append(app.residuals)
-            ortho_max = max(ortho_max, app.ortho_max)
-            try:
-                oracle = generalized_frenet(P, 3)
-                ok.append(oracle.chis[0])
-                ot.append(oracle.chis[1])
-            except RankDeficient:
-                # The derivative flag of the lifted curve degenerates (planar
-                # lifts, for instance); the direct apparatus still stands.
-                ok.append(math.nan)
-                ot.append(math.nan)
-        gaps = [abs(a - b) for a, b in zip(kappas, ok) if not math.isnan(b)]
-        max_disc = max(gaps) if gaps else math.nan
-        return LiftReport(
-            grid=tuple(ts),
-            points=tuple(points),
-            frames=tuple(frames),
-            kappa_lift=tuple(kappas),
-            tau_lift=tuple(taus),
-            frame_ortho_max=ortho_max,
-            theorem_residuals=tuple(residuals),
-            oracle_kappa=tuple(ok),
-            oracle_tau=tuple(ot),
-            max_discrepancy=max_disc,
-            kappa_spread=max(kappas) - min(kappas),
-        )
+        for t, w in zip(ts, self._fibers(ts)):
+            yield self._apparatus(t, w)

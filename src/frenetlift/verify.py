@@ -309,6 +309,14 @@ def random_tangent_point(rng: random.Random) -> TangentPoint:
 SEED = 987123
 
 
+def _gap(records, pairs) -> float:
+    """Worst |kappa| and |tau| gap of lifted records from the (kappa, tau)
+    pairs at the same points."""
+    both = list(zip(records, pairs))
+    return max(max(abs(r.kappa_lift - k) for r, (k, _) in both),
+               max(abs(r.tau_lift - t) for r, (_, t) in both))
+
+
 def run_checks(cfg: ToleranceConfig | None = None, samples: int = 1000) -> list[CheckResult]:
     """Run the full invariant suite; deterministic for fixed arguments."""
     cfg = cfg or ToleranceConfig()
@@ -493,45 +501,26 @@ def run_checks(cfg: ToleranceConfig | None = None, samples: int = 1000) -> list[
     results.append(_leq("transport_linearity", lin_dev, 1e-10))
 
     # Lifted curves.
-    vert = LiftedCurve(ush, LiftKind.vertical(), cfg=cfg).sweep(ugrid)
-    vert2 = LiftedCurve(ush, LiftKind.vertical((5.0, -2.0, 7.0)), cfg=cfg).sweep(
-        grid(ush, max(2, samples // 5))
-    )
-    worst_vmatch = max(
-        max(abs(k - a.kappa) for k, a in zip(vert.kappa_lift, base_app)),
-        max(abs(x - a.tau) for x, a in zip(vert.tau_lift, base_app)),
-    )
+    vert = list(LiftedCurve(ush, LiftKind.vertical(), cfg=cfg).sweep(ugrid))
+    worst_vmatch = _gap(vert, [(a.kappa, a.tau) for a in base_app])
     results.append(_leq("vertical_lift_matches_base", worst_vmatch, 1e-10))
-
     sub = grid(ush, max(2, samples // 5))
-    vert_sub = LiftedCurve(ush, LiftKind.vertical(), cfg=cfg).sweep(sub)
-    anchor_dev = max(
-        max(abs(a - b) for a, b in zip(vert_sub.kappa_lift, vert2.kappa_lift)),
-        max(abs(a - b) for a, b in zip(vert_sub.tau_lift, vert2.tau_lift)),
-    )
+    moved = LiftedCurve(ush, LiftKind.vertical((5.0, -2.0, 7.0)), cfg=cfg).sweep(sub)
+    anchor_dev = _gap(LiftedCurve(ush, LiftKind.vertical(), cfg=cfg).sweep(sub),
+                      [(r.kappa_lift, r.tau_lift) for r in moved])
     results.append(_leq("vertical_anchor_independence", anchor_dev, 1e-12))
 
     worst_hmatch = 0.0
-    worst_lift_res = vert.max_residual
-    worst_oracle = max(
-        max(abs(k - o) for k, o in zip(vert.kappa_lift, vert.oracle_kappa)),
-        max(abs(x - o) for x, o in zip(vert.tau_lift, vert.oracle_tau)),
-    )
-    worst_lift_ortho = vert.frame_ortho_max
+    worst_lift_res = max(max(r.residuals) for r in vert)
+    worst_oracle = _gap(vert, [(r.oracle_kappa, r.oracle_tau) for r in vert])
+    worst_lift_ortho = max(0.0, *(r.ortho_max for r in vert))
     for w0 in ((1.0, 0.0, 0.0), (0.3, -1.0, 2.0)):
-        horiz = LiftedCurve(helix, LiftKind.horizontal(w0), cfg=cfg).sweep(hgrid)
-        worst_hmatch = max(
-            worst_hmatch,
-            max(abs(k - a.kappa) for k, a in zip(horiz.kappa_lift, base_h)),
-            max(abs(x - a.tau) for x, a in zip(horiz.tau_lift, base_h)),
-        )
-        worst_lift_res = max(worst_lift_res, horiz.max_residual)
-        worst_oracle = max(
-            worst_oracle,
-            max(abs(k - o) for k, o in zip(horiz.kappa_lift, horiz.oracle_kappa)),
-            max(abs(x - o) for x, o in zip(horiz.tau_lift, horiz.oracle_tau)),
-        )
-        worst_lift_ortho = max(worst_lift_ortho, horiz.frame_ortho_max)
+        horiz = list(LiftedCurve(helix, LiftKind.horizontal(w0), cfg=cfg).sweep(hgrid))
+        worst_hmatch = max(worst_hmatch, _gap(horiz, [(a.kappa, a.tau) for a in base_h]))
+        worst_lift_res = max(worst_lift_res, max(max(r.residuals) for r in horiz))
+        oracle = [(r.oracle_kappa, r.oracle_tau) for r in horiz]
+        worst_oracle = max(worst_oracle, _gap(horiz, oracle))
+        worst_lift_ortho = max(worst_lift_ortho, *(r.ortho_max for r in horiz))
     results.append(_leq("horizontal_flat_matches_base", worst_hmatch, 1e-10))
     results.append(_leq("lifted_residuals_max", worst_lift_res, cfg.residual_tol))
     results.append(_leq("lifted_oracle_consistency", worst_oracle, 1e-9))
@@ -539,12 +528,12 @@ def run_checks(cfg: ToleranceConfig | None = None, samples: int = 1000) -> list[
         _leq("frame_orthonormality", max(worst_ortho, worst_lift_ortho), cfg.ortho_tol)
     )
 
-    comp = LiftedCurve(ush, LiftKind.complete(), cfg=cfg).sweep(
+    comp = list(LiftedCurve(ush, LiftKind.complete(), cfg=cfg).sweep(
         grid(ush, max(2, samples // 2))
-    )
+    ))
     worst_c_oracle = max(
-        max(abs(o - LIFTED_HELIX_KAPPA) for o in comp.oracle_kappa),
-        max(abs(o - LIFTED_HELIX_TAU) for o in comp.oracle_tau),
+        max(abs(r.oracle_kappa - LIFTED_HELIX_KAPPA) for r in comp),
+        max(abs(r.oracle_tau - LIFTED_HELIX_TAU) for r in comp),
     )
     results.append(_leq("complete_oracle_closed_form", worst_c_oracle, 1e-9))
 

@@ -1,15 +1,20 @@
 """Golden output cases: the command lines whose output bytes are pinned.
 
-Each case runs ``cli.main`` in-process and hashes the output file it writes.
-``tests/test_golden.py`` runs these cases under pytest; run this file to
-check every pinned digest on an interpreter that has no pytest:
+Each case runs ``cli.main`` in-process and hashes what it writes, once to
+the ``--out`` file and once to stdout: both sinks of one writer must carry
+the same bytes.  ``tests/test_golden.py`` runs these cases under pytest; run
+this file to check every pinned digest through both sinks on an interpreter
+that has no pytest:
 
     PYTHONPATH=src python tests/golden_cases.py
 
-It prints one line per case and exits 1 if any digest does not match.
+It prints one line per case and sink and exits 1 if any digest does not
+match.
 """
 
+import contextlib
 import hashlib
+import io
 import platform
 import sys
 import tempfile
@@ -130,8 +135,17 @@ def argv(case: str, tmp_dir: Path) -> list[str]:
     return [arg.format(**paths) for arg in template] + ["--format", last]
 
 
-def digest(case: str, tmp_dir: Path) -> tuple[int, str | None]:
-    """Exit code of a case and the sha256 of its output (None if it wrote none)."""
+SINKS = ("out", "stdout")
+
+
+def digest(case: str, tmp_dir: Path, sink: str = "out") -> tuple[int, str | None]:
+    """Exit code of a case and the sha256 of what it wrote to ``sink``, the
+    ``--out`` file or stdout (None if it wrote no file)."""
+    if sink == "stdout":
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            code = cli.main(argv(case, tmp_dir))
+        return code, hashlib.sha256(text.getvalue().encode("utf-8")).hexdigest()
     out = tmp_dir / "out"
     code = cli.main(argv(case, tmp_dir) + ["--out", str(out)])
     return code, hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None
@@ -139,16 +153,19 @@ def digest(case: str, tmp_dir: Path) -> tuple[int, str | None]:
 
 def main() -> int:
     pinned = {**GOLDEN, **VERIFY}
-    failed = 0
+    matched = dict.fromkeys(SINKS, 0)
     for case, want in sorted(pinned.items()):
-        with tempfile.TemporaryDirectory() as tmp:
-            code, got = digest(case, Path(tmp))
-        ok = code == cli.EXIT_OK and got == want
-        failed += not ok
-        print(f"{'ok  ' if ok else 'FAIL'} {case}: exit {code}, sha256 {got}")
-    print(f"Python {platform.python_version()}: {len(pinned) - failed} of {len(pinned)} "
-          "digests match")
-    return 1 if failed else 0
+        for sink in SINKS:
+            with tempfile.TemporaryDirectory() as tmp:
+                code, got = digest(case, Path(tmp), sink)
+            ok = code == cli.EXIT_OK and got == want
+            matched[sink] += ok
+            print(f"{'ok  ' if ok else 'FAIL'} {case} ({sink}): exit {code}, sha256 {got}")
+    total = len(pinned) * len(SINKS)
+    print(f"Python {platform.python_version()}: {sum(matched.values())} of {total} digests match "
+          f"({matched['out']} of {len(pinned)} through --out, "
+          f"{matched['stdout']} of {len(pinned)} through stdout)")
+    return 0 if sum(matched.values()) == total else 1
 
 
 if __name__ == "__main__":

@@ -84,24 +84,33 @@ def test_criterion_2_frenet_identities():
     report(2, "frenet-identities", worst <= 1e-9, f"max_residual={worst:.3e} bound=1e-9")
 
 
+def _max_residual(records):
+    return max(max(r.residuals) for r in records)
+
+
+def _base_gap(records, base):
+    """Worst |kappa| and |tau| gap of lifted records against the base
+    apparatus at the same points."""
+    return max(
+        max(abs(r.kappa_lift - a.kappa), abs(r.tau_lift - a.tau)) for r, a in zip(records, base)
+    )
+
+
 def test_criterion_3_vertical_lift():
     ts = grid(USH, 1000)
-    rep = LiftedCurve(USH, LiftKind.vertical()).sweep(ts)
+    rep = list(LiftedCurve(USH, LiftKind.vertical()).sweep(ts))
     base = [frenet_apparatus(USH, t) for t in ts]
-    worst_app = max(
-        max(abs(k - a.kappa) for k, a in zip(rep.kappa_lift, base)),
-        max(abs(x - a.tau) for x, a in zip(rep.tau_lift, base)),
-    )
+    worst_app = _base_gap(rep, base)
     sub = grid(USH, 200)
     a = LiftedCurve(USH, LiftKind.vertical((0.0, 0.0, 0.0))).sweep(sub)
     b = LiftedCurve(USH, LiftKind.vertical((5.0, -2.0, 7.0))).sweep(sub)
     anchor_dev = max(
-        max(abs(x - y) for x, y in zip(a.kappa_lift, b.kappa_lift)),
-        max(abs(x - y) for x, y in zip(a.tau_lift, b.tau_lift)),
+        max(abs(x.kappa_lift - y.kappa_lift), abs(x.tau_lift - y.tau_lift)) for x, y in zip(a, b)
     )
-    ok = rep.max_residual <= 1e-9 and worst_app <= 1e-10 and anchor_dev <= 1e-12
+    max_residual = _max_residual(rep)
+    ok = max_residual <= 1e-9 and worst_app <= 1e-10 and anchor_dev <= 1e-12
     report(3, "vertical-lift", ok,
-           f"max_residual={rep.max_residual:.3e} bound=1e-9, "
+           f"max_residual={max_residual:.3e} bound=1e-9, "
            f"apparatus_err={worst_app:.3e} bound=1e-10, "
            f"anchor_dev={anchor_dev:.3e} bound=1e-12")
 
@@ -112,13 +121,9 @@ def test_criterion_4_horizontal_lift_flat():
     worst_res = 0.0
     worst_app = 0.0
     for w0 in ((1.0, 0.0, 0.0), (0.3, -1.0, 2.0)):
-        rep = LiftedCurve(HELIX, LiftKind.horizontal(w0)).sweep(ts)
-        worst_res = max(worst_res, rep.max_residual)
-        worst_app = max(
-            worst_app,
-            max(abs(k - a.kappa) for k, a in zip(rep.kappa_lift, base)),
-            max(abs(x - a.tau) for x, a in zip(rep.tau_lift, base)),
-        )
+        rep = list(LiftedCurve(HELIX, LiftKind.horizontal(w0)).sweep(ts))
+        worst_res = max(worst_res, _max_residual(rep))
+        worst_app = max(worst_app, _base_gap(rep, base))
     ok = worst_res <= 1e-9 and worst_app <= 1e-10
     report(4, "horizontal-lift-flat", ok,
            f"max_residual={worst_res:.3e} bound=1e-9, apparatus_err={worst_app:.3e} bound=1e-10")
@@ -126,10 +131,10 @@ def test_criterion_4_horizontal_lift_flat():
 
 def test_criterion_5_complete_lift_oracle():
     ts = grid(USH, 500)
-    rep = LiftedCurve(USH, LiftKind.complete()).sweep(ts)
+    rep = list(LiftedCurve(USH, LiftKind.complete()).sweep(ts))
     worst_oracle = max(
-        max(abs(o - LIFTED_HELIX_KAPPA) for o in rep.oracle_kappa),
-        max(abs(o - LIFTED_HELIX_TAU) for o in rep.oracle_tau),
+        max(abs(r.oracle_kappa - LIFTED_HELIX_KAPPA), abs(r.oracle_tau - LIFTED_HELIX_TAU))
+        for r in rep
     )
     lc = LiftedCurve(USH, LiftKind.complete())
     worst_norm = 0.0
@@ -141,7 +146,7 @@ def test_criterion_5_complete_lift_oracle():
     report(5, "complete-lift-oracle", ok,
            f"oracle_err={worst_oracle:.3e} bound=1e-9, "
            f"tangent_norm_err={worst_norm:.3e} bound=1e-12, "
-           f"frame_identity_residual={rep.max_residual:.6e} (measured, no bound)")
+           f"frame_identity_residual={_max_residual(rep):.6e} (measured, no bound)")
 
 
 def test_criterion_6_lift_identity_suite():
@@ -205,8 +210,7 @@ def test_criterion_9_frame_structure(tmp_path):
                     worst_skew = max(worst_skew, abs(A[i][j] + A[j][i]))
     for curve, kind in ((USH, LiftKind.vertical()), (HELIX, LiftKind.horizontal((1, 0, 0)))):
         lc = LiftedCurve(curve, kind)
-        rep = lc.sweep(grid(curve, 200))
-        worst_ortho = max(worst_ortho, rep.frame_ortho_max)
+        worst_ortho = max(worst_ortho, *(r.ortho_max for r in lc.sweep(grid(curve, 200))))
         for t in grid(curve, 40):
             A = generalized_frenet(lc.point_jets(t), 3).matrix
             for i in range(3):

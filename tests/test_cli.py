@@ -3,9 +3,13 @@
 import argparse
 import json
 import math
+import os
 import re
 import shlex
+import threading
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -689,8 +693,8 @@ def _per_value_csv(header, rows, summary):
 class TestEmitRows:
     HEADER = ["a", "b", "c", "d", "e", "f", "g"]
     ROWS = [
-        [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 3],
-        [0.1, -2, 0.0, 1 / 3, -5e-324, -1.7976931348623157e308, 12345678901234567890],
+        (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 3),
+        (0.1, -2, 0.0, 1 / 3, -5e-324, -1.7976931348623157e308, 12345678901234567890),
     ]
 
     @pytest.mark.parametrize("summary", [None, {"max_residual": 1e-17, "kappa_spread": -0.0}],
@@ -698,16 +702,166 @@ class TestEmitRows:
     def test_csv_matches_per_value_format(self, tmp_path, summary):
         out = tmp_path / "out.csv"
         args = argparse.Namespace(format="csv", out=str(out))
-        cli._emit_rows(args, self.HEADER, self.ROWS, summary)
+        cli._emit_rows(args, iter([self.HEADER, *self.ROWS]), summary)
         assert out.read_bytes() == _per_value_csv(self.HEADER, self.ROWS, summary).encode()
 
     def test_json_unchanged(self, tmp_path):
         out = tmp_path / "out.json"
         args = argparse.Namespace(format="json", out=str(out))
-        cli._emit_rows(args, self.HEADER, self.ROWS[1:], {"s": math.nan})
+        cli._emit_rows(args, iter([self.HEADER, *self.ROWS[1:]]), {"s": math.nan})
         row = dict(zip(self.HEADER, self.ROWS[1]))
         want = {"rows": [row], "summary": {"s": None}}
         assert out.read_text() == json.dumps(want, indent=2, allow_nan=False) + "\n"
+
+
+# x1 = t, x2 = t^3 has kappa = 0 at t = 0, the middle point of a 3-sample grid.
+CUSP_FILE = "x1 = t\nx2 = t^3\nx3 = 0\nt_min = -1\nt_max = 1\n"
+FAILING = {"frenet": ["frenet"], "lift": ["lift", "--kind", "c"]}
+
+
+class TestOutputTarget:
+    """Output opens before the first point is computed, CSV rows leave as
+    they are computed, and --out replaces its target only on success."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        (tmp_path / "X.field").write_text(X_FIELD)
+        (tmp_path / "f.field").write_text(F_SCALAR)
+        (tmp_path / "h.curve").write_text(HELIX_FILE)
+        return tmp_path
+
+    WORK = {
+        "frenet": (["frenet", "--curve", "{dir}/h.curve", "--samples", "3"],
+                   cli, "frenet_apparatus"),
+        "lift": (["lift", "--kind", "c", "--curve", "{dir}/h.curve", "--samples", "3"],
+                 cli.LiftedCurve, "_apparatus"),
+        "fields": (["fields", "--field", "{dir}/X.field", "--scalar", "{dir}/f.field",
+                    "--point=1,2,3,0.5,0,-1"], cli, "lift_field"),
+        "verify": (["verify", "--samples", "7"], cli, "run_checks"),
+    }
+
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    @pytest.mark.parametrize("command", sorted(WORK))
+    def test_unwritable_out_exits_2_before_any_point(self, inputs, command, target,
+                                                     capsys, monkeypatch):
+        argv, owner, attr = self.WORK[command]
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("computation started")
+
+        monkeypatch.setattr(owner, attr, no_work)
+        out = str(inputs) if target == "directory" else str(inputs / "missing" / "x.csv")
+        before = sorted(p.name for p in inputs.iterdir())
+        argv = [a.format(dir=inputs) for a in argv] + ["--out", out]
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.out == ""
+        assert sorted(p.name for p in inputs.iterdir()) == before
+
+    def test_out_through_a_symlink_replaces_the_file_it_names(self, helix_path, tmp_path):
+        real = tmp_path / "real.csv"
+        real.write_text("earlier output\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(real)
+        argv = ["frenet", "--curve", helix_path, "--samples", "3"]
+        assert main(argv + ["--out", str(link)]) == EXIT_OK
+        assert link.is_symlink()
+        assert main(argv + ["--out", str(tmp_path / "plain.csv")]) == EXIT_OK
+        assert real.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    def test_out_to_a_pipe_is_written_in_place(self, helix_path, tmp_path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()), daemon=True)
+        reader.start()
+        assert main(["frenet", "--curve", helix_path, "--samples", "3",
+                     "--out", str(pipe)]) == EXIT_OK
+        reader.join(10)
+        assert pipe.is_fifo()
+        assert got and got[0].startswith(b"t,x1,x2,x3,")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("existed", [True, False], ids=["existing", "new"])
+    @pytest.mark.parametrize("command", sorted(FAILING))
+    def test_failed_run_leaves_out_untouched(self, tmp_path, command, existed, fmt):
+        (tmp_path / "cusp.curve").write_text(CUSP_FILE)
+        out = tmp_path / "out.txt"
+        if existed:
+            out.write_bytes(b"earlier output\n")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        argv = FAILING[command] + ["--curve", str(tmp_path / "cusp.curve"), "--samples", "3",
+                                   "--format", fmt, "--out", str(out)]
+        assert main(argv) == EXIT_DEGENERATE
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        if existed:
+            assert out.read_bytes() == b"earlier output\n"
+
+    @pytest.mark.parametrize("command", sorted(FAILING))
+    def test_failed_run_keeps_rows_before_it_on_stdout(self, tmp_path, command, capsys):
+        curve = tmp_path / "cusp.curve"
+        argv = FAILING[command] + ["--curve", str(curve), "--samples", "3"]
+        curve.write_text(CUSP_FILE)
+        assert main(argv) == EXIT_DEGENERATE
+        failed = capsys.readouterr()
+        assert "t=0.0" in failed.err
+        # Over [-1, -0.5] the same first row is computed and the run succeeds;
+        # the failed run wrote its header and that row, and no trailer.
+        curve.write_text(CUSP_FILE.replace("t_max = 1", "t_max = -0.5"))
+        assert main(argv) == EXIT_OK
+        whole = capsys.readouterr().out.split("\n")
+        assert failed.out.split("\n") == whole[:2] + [""]
+
+
+def test_lift_memory_does_not_grow_with_samples(helix_path, tmp_path):
+    # Rows are written as they are computed, not kept: only the grid grows
+    # with --samples, by about 40 bytes a sample.  Keeping every row took
+    # about 3.4 KB a sample.
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            argv = ["lift", "--kind", "c", "--curve", helix_path, "--samples", str(samples),
+                    "--out", str(tmp_path / "out.csv")]
+            assert main(argv) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # first-call allocations that do not recur
+    small, large = peak(100), peak(500)
+    assert (large - small) / 400 < 400
+
+
+def _record(kappa, oracle, residuals, ortho):
+    return SimpleNamespace(t=0.0, point=(0.0,) * 6, frame=((0.0,) * 6,) * 3, kappa_lift=kappa,
+                           tau_lift=0.0, residuals=residuals, ortho_max=ortho,
+                           oracle_kappa=oracle, oracle_tau=0.0)
+
+
+@pytest.mark.parametrize("records", [
+    [_record(1.0, 1.5, (1e-17, 2e-17, 0.0), 1e-16), _record(2.0, 2.25, (3e-17, 0.0, 0.0), 0.0)],
+    [_record(math.nan, math.nan, (math.nan, 1.0, 0.0), math.nan),
+     _record(0.0, math.nan, (2.0, 0.0, 0.0), 1e-3)],
+    [_record(0.0, 0.0, (0.0, 5.0, 0.0), -0.0), _record(math.nan, -0.0, (-0.0, 0.0, 0.0), 2.0),
+     _record(-0.0, 1.0, (1.0, math.nan, 7.0), 1.0)],
+    [_record(1.0, math.nan, (0.0, 0.0, 0.0), 0.0), _record(3.0, 2.5, (0.0, 0.0, 0.0), 0.0)],
+], ids=["finite", "nan-first", "nan-later", "nan-oracle-first"])
+def test_lift_trailer_is_the_column_statistic(records):
+    # The running trailer has the bits of builtin max and min over whole
+    # columns, NaN and signed zeros included.
+    summary = {}
+    rows = list(cli._lift_rows(iter(records), summary))
+    assert len(rows) == 1 + len(records)
+    kappas = [r.kappa_lift for r in records]
+    gaps = [abs(r.kappa_lift - r.oracle_kappa) for r in records if not math.isnan(r.oracle_kappa)]
+    want = {
+        "max_residual": max(max(r.residuals) for r in records),
+        "max_discrepancy": max(gaps) if gaps else math.nan,
+        "frame_ortho_max": max(0.0, *(r.ortho_max for r in records)),
+        "kappa_spread": max(kappas) - min(kappas),
+    }
+    assert {k: repr(v) for k, v in summary.items()} == {k: repr(v) for k, v in want.items()}
 
 
 class TestDeterminism:

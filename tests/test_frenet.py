@@ -725,26 +725,23 @@ class TestOrderTwoFrame:
         lk, G = _LIFTS[kind]
         lc = LiftedCurve(curve, lk, G)
         ts = grid(curve, 17)
-        fibers = lc._fibers(ts)
-        for t in ts:
+        for t, w in zip(ts, lc._fibers(ts)):
             pj = curve_point_jets(curve, t)
-            P = lifted_point_jets(pj, lk, G, lc.anchor, fibers[t])
+            P = lifted_point_jets(pj, lk, G, lc.anchor, w)
             want = _jet_route_lift_frame(lc, _full_order_frame_jets(pj, lc.cfg, t), P)
-            got = lc._analyze(t, fibers[t])[1]
+            got = lc._pairs(t, w)[1]
             assert _pair_bits(got) == _vector_bits(want)
 
     @pytest.mark.parametrize("kind", ["v", "c", "flat_h", "h"])
     def test_frame_is_the_analyzed_frame(self, kind):
-        # frame(t) returns the pairs _analyze builds for apparatus(t): its
-        # values are the apparatus frame and its slopes the analyzed ones.
+        # frame(t) returns the pairs apparatus(t) is built from: its values
+        # are the apparatus frame.
         lk, G = _LIFTS[kind]
         lc = LiftedCurve(TORUS_KNOT, lk, G)
         for t in grid(TORUS_KNOT, 17)[:3]:
             frame = lc.frame(t)
-            pairs = lc._analyze(t, lc._fibers([t])[t])[1]
             assert [_bits([p[0] for p in V]) for V in frame] == [
                 _bits(V) for V in lc.apparatus(t).frame]
-            assert _pair_bits(frame) == _pair_bits(pairs)
 
     def test_random_lifted_frames_match_jet_route(self):
         rng = random.Random(977)

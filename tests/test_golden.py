@@ -1,7 +1,8 @@
 """Golden outputs: the bytes of frenet, lift, fields and verify must not drift.
 
-Each case runs ``cli.main`` in-process and compares the sha256 of its output
-file with a digest pinned from an earlier, trusted build.  A refactor that
+Each case runs ``cli.main`` in-process and compares the sha256 of what it
+writes, to its ``--out`` file and to stdout, with a digest pinned from an
+earlier, trusted build.  A refactor that
 leaves the numbers alone passes; one that moves a single rounding step in
 any column, or changes a separator, fails here.  The cases and digests live
 in ``golden_cases.py``, which also checks them without pytest.
@@ -21,6 +22,13 @@ def test_output_digest(case, tmp_path):
     code, got = digest(case, tmp_path)
     assert code == EXIT_OK
     assert got == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN) + sorted(VERIFY))
+def test_stdout_digest(case, tmp_path):
+    code, got = digest(case, tmp_path, "stdout")
+    assert code == EXIT_OK
+    assert got == {**GOLDEN, **VERIFY}[case]
 
 
 def test_verify_digest(tmp_path):

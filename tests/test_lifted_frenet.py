@@ -5,7 +5,7 @@ import math
 import pytest
 
 from frenetlift import lifted_frenet
-from frenetlift.frenet import ZeroSpeed
+from frenetlift.frenet import ZeroSpeed, curve_point_jets, generalized_frenet
 from frenetlift.jets import Jet
 from frenetlift.lifts import Connection, LiftKind
 from frenetlift.lifted_frenet import LiftedCurve
@@ -102,79 +102,98 @@ class TestLiftedApparatus:
             assert lifted.apparatus(1.5).speed == pytest.approx(speed, rel=1e-15)
 
 
+def _max_residual(records):
+    return max(max(r.residuals) for r in records)
+
+
 class TestTheoremResiduals:
     def test_vertical_sweep(self):
-        report = LiftedCurve(USH, LiftKind.vertical()).sweep(grid(USH, 100))
-        assert report.max_residual <= 1e-9
-        assert report.frame_ortho_max <= 1e-12
-        assert report.max_discrepancy <= 1e-9
-        assert report.kappa_spread <= 1e-10
-        for k, o in zip(report.kappa_lift, report.oracle_kappa):
-            assert abs(k - o) <= 1e-9
+        records = list(LiftedCurve(USH, LiftKind.vertical()).sweep(grid(USH, 100)))
+        assert _max_residual(records) <= 1e-9
+        assert max(r.ortho_max for r in records) <= 1e-12
+        kappas = [r.kappa_lift for r in records]
+        assert max(kappas) - min(kappas) <= 1e-10
+        for r in records:
+            assert abs(r.kappa_lift - r.oracle_kappa) <= 1e-9
 
     def test_horizontal_flat_sweep(self):
-        report = LiftedCurve(HELIX, LiftKind.horizontal((0.3, -1.0, 2.0))).sweep(
+        records = list(LiftedCurve(HELIX, LiftKind.horizontal((0.3, -1.0, 2.0))).sweep(
             grid(HELIX, 100)
-        )
-        assert report.max_residual <= 1e-9
-        assert report.max_discrepancy <= 1e-9
+        ))
+        assert _max_residual(records) <= 1e-9
+        for r in records:
+            assert abs(r.kappa_lift - r.oracle_kappa) <= 1e-9
 
     def test_complete_sweep_reports_oracle(self):
-        report = LiftedCurve(USH, LiftKind.complete()).sweep(grid(USH, 50))
-        for o in report.oracle_kappa:
-            assert o == pytest.approx(LIFTED_HELIX_KAPPA, abs=1e-9)
-        for o in report.oracle_tau:
-            assert o == pytest.approx(LIFTED_HELIX_TAU, abs=1e-9)
+        records = list(LiftedCurve(USH, LiftKind.complete()).sweep(grid(USH, 50)))
+        for r in records:
+            assert r.oracle_kappa == pytest.approx(LIFTED_HELIX_KAPPA, abs=1e-9)
+            assert r.oracle_tau == pytest.approx(LIFTED_HELIX_TAU, abs=1e-9)
         # The residuals are measured, nonzero quantities here.
-        assert report.max_residual > 1e-4
-        assert report.max_discrepancy > 1e-4
+        assert _max_residual(records) > 1e-4
+        assert max(abs(r.kappa_lift - r.oracle_kappa) for r in records) > 1e-4
 
     def test_anchor_independence(self):
         ts = grid(USH, 25)
         a = LiftedCurve(USH, LiftKind.vertical((0, 0, 0))).sweep(ts)
         b = LiftedCurve(USH, LiftKind.vertical((5, -2, 7))).sweep(ts)
-        for x, y in zip(a.kappa_lift, b.kappa_lift):
-            assert abs(x - y) <= 1e-12
-        for x, y in zip(a.tau_lift, b.tau_lift):
-            assert abs(x - y) <= 1e-12
+        for x, y in zip(a, b):
+            assert abs(x.kappa_lift - y.kappa_lift) <= 1e-12
+            assert abs(x.tau_lift - y.tau_lift) <= 1e-12
 
     def test_w0_independence_flat(self):
         ts = grid(HELIX, 25)
         a = LiftedCurve(HELIX, LiftKind.horizontal((1, 0, 0))).sweep(ts)
         b = LiftedCurve(HELIX, LiftKind.horizontal((0, 2, -1))).sweep(ts)
-        for x, y in zip(a.kappa_lift, b.kappa_lift):
-            assert abs(x - y) <= 1e-12
+        for x, y in zip(a, b):
+            assert abs(x.kappa_lift - y.kappa_lift) <= 1e-12
 
     def test_planar_lift_oracle_degenerates_to_nan(self):
-        report = LiftedCurve(CIRCLE, LiftKind.vertical()).sweep(grid(CIRCLE, 10))
-        assert all(math.isnan(o) for o in report.oracle_kappa)
-        assert math.isnan(report.max_discrepancy)
-        for k in report.kappa_lift:
-            assert k == pytest.approx(0.5, abs=1e-12)
-        for t in report.tau_lift:
-            assert t == pytest.approx(0.0, abs=1e-12)
+        for r in LiftedCurve(CIRCLE, LiftKind.vertical()).sweep(grid(CIRCLE, 10)):
+            assert math.isnan(r.oracle_kappa) and math.isnan(r.oracle_tau)
+            assert r.kappa_lift == pytest.approx(0.5, abs=1e-12)
+            assert r.tau_lift == pytest.approx(0.0, abs=1e-12)
 
     def test_horizontal_nonflat_sweep_runs(self):
         G = Connection.from_entries({(1, 1, 1): 0.2, (2, 3, 2): -0.1})
-        report = LiftedCurve(HELIX, LiftKind.horizontal((1.0, 0.5, -0.5)), G).sweep(
+        records = list(LiftedCurve(HELIX, LiftKind.horizontal((1.0, 0.5, -0.5)), G).sweep(
             grid(HELIX, 20)
-        )
-        assert len(report.kappa_lift) == 20
-        assert all(math.isfinite(k) for k in report.kappa_lift)
+        ))
+        assert len(records) == 20
+        assert all(math.isfinite(r.kappa_lift) for r in records)
 
     @pytest.mark.parametrize("t", [0.0, 0.3, 1.7])
     def test_horizontal_nonflat_point_matches_sweep(self, t):
         # The single-point fiber comes from the same transport as the sweep,
-        # so apparatus(t) equals the sweep row at t to the last bit.
+        # so apparatus(t) equals the sweep record at t to the last bit.
         G = Connection.from_entries({(1, 1, 1): 0.2, (2, 3, 2): -0.1})
         lc = LiftedCurve(HELIX, LiftKind.horizontal((1.0, 0.5, -0.5)), G)
-        report = lc.sweep([HELIX.t_min, t])
+        record = list(lc.sweep([HELIX.t_min, t]))[-1]
         app = lc.apparatus(t)
-        assert app.point == report.points[-1]
-        assert app.frame == report.frames[-1]
-        assert (app.kappa_lift, app.tau_lift) == (report.kappa_lift[-1], report.tau_lift[-1])
-        assert app.residuals == report.theorem_residuals[-1]
+        assert app == record
         assert _values(lc.point_jets(t)) == app.point
+
+    @pytest.mark.parametrize("kind", [LiftKind.vertical(), LiftKind.complete(),
+                                      LiftKind.horizontal((1.0, 0.5, -0.5))],
+                             ids=["v", "c", "h"])
+    def test_oracle_fields_are_gram_schmidt_curvatures(self, kind):
+        lc = LiftedCurve(HELIX, kind)
+        for r in lc.sweep(grid(HELIX, 5)):
+            chis = generalized_frenet(lc.point_jets(r.t), 3).chis
+            assert (r.oracle_kappa, r.oracle_tau) == chis[:2]
+
+    def test_sweep_computes_each_point_when_asked(self, monkeypatch):
+        calls = []
+
+        def counted(curve, t, *args):
+            calls.append(t)
+            return curve_point_jets(curve, t, *args)
+
+        monkeypatch.setattr(lifted_frenet, "curve_point_jets", counted)
+        records = LiftedCurve(USH, LiftKind.complete()).sweep(grid(USH, 1000))
+        assert calls == []
+        assert next(records).t == USH.t_min
+        assert calls == [USH.t_min]
 
     def test_default_anchor_is_domain_start(self):
         lc = LiftedCurve(USH, LiftKind.vertical())
