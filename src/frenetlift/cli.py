@@ -22,11 +22,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import json
 import math
 import os
 import re
+import stat
 import sys
+import tempfile
 from itertools import chain
 
 from .expr import FieldSpec, FormatError, parse_curve_file, parse_field_file
@@ -134,9 +137,11 @@ def _tolerance(names: tuple[str, ...]):
 @contextlib.contextmanager
 def _output(path: str | None):
     """Stdout, or a temporary file beside the file at ``path`` that replaces
-    it once the command has succeeded: a failed run leaves an existing file
-    as it was and creates none.  A path that exists but is not a regular
-    file (a device, a pipe) is written in place.  OSError is InputError."""
+    it once the command has succeeded, with its permission bits (0o666 less
+    the umask for a new file): a failed run leaves an existing file as it
+    was and creates none.  A file the user may not write is refused, and a
+    path that is not a regular file (a device, a pipe) is written in place.
+    OSError is InputError."""
     if path is None:
         yield sys.stdout
         return
@@ -146,11 +151,17 @@ def _output(path: str | None):
         if os.path.exists(target) and not os.path.isfile(target):
             fh = open(target, "w", encoding="utf-8", newline="")
         else:
-            tmp = f"{target}.{os.getpid()}.tmp"
-            fh = open(tmp, "x", encoding="utf-8", newline="")
+            if os.path.exists(target) and not os.access(target, os.W_OK):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+            umask = os.umask(0o022)
+            os.umask(umask)
+            mode = stat.S_IMODE(os.stat(target).st_mode) if os.path.exists(target) else 0o666 & ~umask
+            fd, tmp = tempfile.mkstemp(".tmp", os.path.basename(target) + ".", os.path.dirname(target))
+            fh = os.fdopen(fd, "w", encoding="utf-8", newline="")
         with fh:
             yield fh
         if tmp is not None:
+            os.chmod(tmp, mode)
             os.replace(tmp, target)
             tmp = None
     except OSError as err:
@@ -171,11 +182,10 @@ def _json_number(v: float) -> float | None:
 
 
 def _emit_rows(args: argparse.Namespace, rows, summary: dict[str, float] | None = None) -> None:
-    """Write what the iterator ``rows`` yields, the header and then one tuple of numbers
-    per point, as CSV, each line as soon as it comes, or as JSON, built in
-    memory and written at the end.  The output opens before the first row
-    is asked for.  ``summary``, which the rows fill in, is read once they
-    run out and written as a '#' trailer or a "summary" key."""
+    """Write the header and the number tuples that the iterator ``rows``
+    yields: CSV lines as they come, or one JSON document built in memory.
+    The output opens before the first row; ``summary``, which the rows fill
+    in, becomes the '#' trailer or the "summary" key."""
     with _output(args.out) as fh:
         header = next(rows)
         if args.format == "csv":
@@ -264,16 +274,11 @@ def _lift_rows(records, summary: dict[str, float]):
     res, hi, lo, disc, ortho = max(first.residuals), first.kappa_lift, first.kappa_lift, None, 0.0
     for r in chain((first,), records):
         top, k, o = max(r.residuals), r.kappa_lift, r.oracle_kappa
-        if top > res:
-            res = top
-        if r.ortho_max > ortho:
-            ortho = r.ortho_max
+        res = top if top > res else res
+        ortho = r.ortho_max if r.ortho_max > ortho else ortho
         if o == o and (disc is None or abs(k - o) > disc):  # o is not NaN
             disc = abs(k - o)
-        if k > hi:
-            hi = k
-        if k < lo:
-            lo = k
+        hi, lo = (k if k > hi else hi), (k if k < lo else lo)
         yield (r.t, *r.point, *r.frame[0], *r.frame[1], *r.frame[2], k, r.tau_lift,
                *r.residuals, o, r.oracle_tau)
     summary.update(max_residual=res, max_discrepancy=math.nan if disc is None else disc,

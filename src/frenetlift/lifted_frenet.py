@@ -159,9 +159,7 @@ class LiftedCurve:
 
         Tv, Nv, Bv = (tuple([p[0] for p in V]) for V in lifted)
         dT, dN, dB = ([p[1] / speed for p in V] for V in lifted)
-        kappa = fnorm(dT)
-        tau = -_fdot(Nv, dB)
-        frame_vals = (Tv, Nv, Bv)
+        kappa, tau = fnorm(dT), -_fdot(Nv, dB)
         try:
             oracle = generalized_frenet(P, 3).chis
         except RankDeficient:
@@ -170,10 +168,10 @@ class LiftedCurve:
             t=t,
             point=tuple([cs[0] for cs in P]),
             speed=speed,
-            frame=frame_vals,
+            frame=(Tv, Nv, Bv),
             kappa_lift=kappa,
             tau_lift=tau,
-            ortho_max=gram_defect(frame_vals),
+            ortho_max=gram_defect((Tv, Nv, Bv)),
             residuals=frame_residuals(dT, dN, dB, Tv, Nv, Bv, kappa, tau),
             oracle_kappa=oracle[0],
             oracle_tau=oracle[1],

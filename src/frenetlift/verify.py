@@ -518,8 +518,7 @@ def run_checks(cfg: ToleranceConfig | None = None, samples: int = 1000) -> list[
         horiz = list(LiftedCurve(helix, LiftKind.horizontal(w0), cfg=cfg).sweep(hgrid))
         worst_hmatch = max(worst_hmatch, _gap(horiz, [(a.kappa, a.tau) for a in base_h]))
         worst_lift_res = max(worst_lift_res, max(max(r.residuals) for r in horiz))
-        oracle = [(r.oracle_kappa, r.oracle_tau) for r in horiz]
-        worst_oracle = max(worst_oracle, _gap(horiz, oracle))
+        worst_oracle = max(worst_oracle, _gap(horiz, [(r.oracle_kappa, r.oracle_tau) for r in horiz]))
         worst_lift_ortho = max(worst_lift_ortho, *(r.ortho_max for r in horiz))
     results.append(_leq("horizontal_flat_matches_base", worst_hmatch, 1e-10))
     results.append(_leq("lifted_residuals_max", worst_lift_res, cfg.residual_tol))

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import shlex
+import stat
 import threading
 import tracemalloc
 from pathlib import Path
@@ -781,6 +782,43 @@ class TestOutputTarget:
         reader.join(10)
         assert pipe.is_fifo()
         assert got and got[0].startswith(b"t,x1,x2,x3,")
+
+    def test_out_keeps_the_replaced_file_mode(self, helix_path, tmp_path):
+        argv = ["frenet", "--curve", helix_path, "--samples", "3", "--out"]
+        old = tmp_path / "old.csv"
+        old.write_text("earlier output\n")
+        old.chmod(0o640)
+        assert main(argv + [str(old)]) == EXIT_OK
+        assert stat.S_IMODE(old.stat().st_mode) == 0o640
+        umask = os.umask(0o022)
+        os.umask(umask)
+        assert main(argv + [str(tmp_path / "new.csv")]) == EXIT_OK
+        assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == 0o666 & ~umask
+
+    def test_leftover_temporary_file_does_not_block_out(self, helix_path, tmp_path):
+        # A killed run leaves its temporary file behind; a later run, even
+        # one with the same process id, still writes its target.
+        stale = tmp_path / f"out.csv.{os.getpid()}.tmp"
+        stale.write_text("partial\n")
+        out = tmp_path / "out.csv"
+        assert main(["frenet", "--curve", helix_path, "--samples", "3",
+                     "--out", str(out)]) == EXIT_OK
+        assert out.read_text().startswith("t,x1,x2,x3,")
+        assert stale.read_text() == "partial\n"
+
+    def test_read_only_out_is_refused(self, helix_path, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out.csv"
+        out.write_text("earlier output\n")
+        out.chmod(0o444)
+        if os.geteuid() == 0:
+            # Root may write any file; answer as the file's mode does for others.
+            monkeypatch.setattr(os, "access", lambda path, mode: False)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main(["frenet", "--curve", helix_path, "--samples", "3",
+                     "--out", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: cannot write {out}: Permission denied\n"
+        assert out.read_text() == "earlier output\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("existed", [True, False], ids=["existing", "new"])

@@ -734,14 +734,16 @@ class TestOrderTwoFrame:
 
     @pytest.mark.parametrize("kind", ["v", "c", "flat_h", "h"])
     def test_frame_is_the_analyzed_frame(self, kind):
-        # frame(t) returns the pairs apparatus(t) is built from: its values
-        # are the apparatus frame.
+        # frame(t) returns the pairs _pairs builds for apparatus(t): its
+        # values are the apparatus frame and its slopes the analyzed ones.
         lk, G = _LIFTS[kind]
         lc = LiftedCurve(TORUS_KNOT, lk, G)
         for t in grid(TORUS_KNOT, 17)[:3]:
             frame = lc.frame(t)
+            pairs = lc._pairs(t, next(lc._fibers([t])))[1]
             assert [_bits([p[0] for p in V]) for V in frame] == [
                 _bits(V) for V in lc.apparatus(t).frame]
+            assert _pair_bits(frame) == _pair_bits(pairs)
 
     def test_random_lifted_frames_match_jet_route(self):
         rng = random.Random(977)
