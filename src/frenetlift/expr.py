@@ -971,18 +971,22 @@ _SECOND = _Kernel(
 )
 
 
-def _passes(kernel: _Kernel, asts, bindings: Mapping[str, tuple], tail: tuple) -> list:
+def _passes(kernel: _Kernel, asts, bindings: Mapping[str, tuple], second: bool) -> list:
     """Every AST's code of ``kernel`` on bindings ``(value, (d_1, ..., d_n))``,
     the same n >= 1 for all, as n passes: pass i binds each variable to
-    ``(value, d_i, *tail)``.  Direction 1 runs through every AST, then
-    direction 2, and so on, so the error raised is the first one that order
-    meets.  Each AST gives ``(value, (D_1, ..., D_n), ...)``: its value, then
-    one tuple per coefficient after it."""
+    ``(value, d_i)``, or to ``(value, d_i, 0.0)`` for a ``second`` kernel.
+    Direction 1 runs through every AST, then direction 2, and so on, so the
+    error raised is the first one that order meets.  Each AST gives
+    ``(value, (D_1, ..., D_n), ...)``: its value, then one tuple per
+    coefficient after it."""
     codes = [kernel.code(ast) for ast in asts]
-    n = len(next(iter(bindings.values()))[1])
+    items = tuple(bindings.items())
     passes = []
-    for i in range(n):
-        point = {name: (v, d[i], *tail) for name, (v, d) in bindings.items()}
+    for i in range(len(items[0][1][1])):
+        if second:
+            point = {name: (v, d[i], 0.0) for name, (v, d) in items}
+        else:
+            point = {name: (v, d[i]) for name, (v, d) in items}
         passes.append([code(point, None) for code in codes])
     return [(outs[0][0], *tuple(zip(*outs))[1:]) for outs in zip(*passes)]
 
@@ -997,7 +1001,7 @@ def eval_forward(asts, bindings: Mapping[str, tuple]) -> list:
     through every AST first, so the error raised is the first one that
     order meets.
     """
-    return _passes(_FORWARD, asts, bindings, ())
+    return _passes(_FORWARD, asts, bindings, False)
 
 
 def eval_second(asts, bindings: Mapping[str, tuple]) -> list:
@@ -1009,7 +1013,7 @@ def eval_second(asts, bindings: Mapping[str, tuple]) -> list:
     :func:`eval_jet` on the jets ``(value, d_i, 0.0)``.  The directions
     run one pass each and errors are raised as in :func:`eval_forward`.
     """
-    return _passes(_SECOND, asts, bindings, (0.0,))
+    return _passes(_SECOND, asts, bindings, True)
 
 
 # --- pretty printing -----------------------------------------------------------

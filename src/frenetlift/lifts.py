@@ -23,19 +23,28 @@ a failure in the first partials is an error for every lift kind, as is a
 value or a lifted fiber that is not finite.  Each :class:`FieldSpec` keeps
 what it computes at a tangent point for the last base point it met, keyed
 on the exact bits of x: that pass, its lifted values, and for a scalar its
-first and second directional coefficients, one entry per direction.
-:func:`prop21_check` fills the directional entries for each scalar with one
-order-1 and one order-2 evaluation, each one pass per direction, and
-:func:`apply_field` reads them.
+first and second directional coefficients, one entry per direction, and
+the mixed seconds polarized from them.  :func:`prop21_check` fills the
+directional entries for each scalar with one order-1 and one order-2
+evaluation, each one pass per direction, and :func:`apply_field` reads
+them.  The suite asks for no pass along the zero direction: once a pass of
+an order has succeeded at x, the zero direction's coefficient is kept as
++0.0 (:func:`_along` says why that changes no residual and no error).
 
 :func:`field_sum` and :func:`field_scale` build a new spec of synthesized
-root nodes over their operands' trees, and it keeps its operands.  Its pass
-is derived from the operands' passes: each root's step, per component and
-direction in :func:`expr.eval_forward`'s order, with the root's finiteness
-test, gives the bits of evaluating the tree.  An operand whose own pass
-fails raises its error, the left operand first, before any root step runs,
-so where both fail, or where the tree would have failed in a root step
-first, the error raised is the operand's.
+root nodes over their operands' trees, and it keeps its operands.  The
+roots and their steps are built once per (left, right) pair and kept on
+the left operand (X of X+Y, f of fX); the composite's per-point results
+sit inside the left operand's results at x, under the right operand.  Both
+hold the right operand by a weak reference, checked on lookup, and the
+roots refer only to component trees, so no spec holds another and a second
+suite at the same x computes only the horizontal lifts of a new
+connection.  The pass is derived from the operands' passes: each root's
+step, per component and direction in :func:`expr.eval_forward`'s order,
+with the root's finiteness test, gives the bits of evaluating the tree.
+An operand whose own pass fails raises its error, the left operand first,
+before any root step runs, so where both fail, or where the tree would
+have failed in a root step first, the error raised is the operand's.
 
 Curves lift pointwise: vertical to (anchor, beta(t)), complete to
 (beta(t), beta'(t)), and horizontal to (beta(t), w(t)) with w parallel
@@ -47,7 +56,9 @@ contracts it with the stage's fiber on plain floats.
 from __future__ import annotations
 
 import math
+import operator
 import struct
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -231,12 +242,22 @@ def _results_at(spec: FieldSpec, x: Sequence[float]) -> dict:
     empty dict.  x is keyed on its bits, so -0.0 and 0.0 are different
     points.  An x given as a tuple is kept too, and the same tuple object
     again needs no packing.
+
+    A spec built by :func:`field_sum` or :func:`field_scale` keeps its
+    results inside its left operand's results at x, in the entry of its
+    right operand, and remembers that entry for the same tuple x.
     """
     memo = spec.__dict__.get("_at_x")
     if memo is not None and memo[2] is x:
         return memo[1]
-    xbits = _pack3(*x)
     kept = x if type(x) is tuple else None
+    operands = spec.__dict__.get("_operands")
+    if operands is not None:
+        _, left, right = operands
+        results = _kept_for(_results_at(left, x), spec.components[0].op, right, dict)
+        object.__setattr__(spec, "_at_x", (None, results, kept))
+        return results
+    xbits = _pack3(*x)
     memo = (xbits, {} if memo is None or memo[0] != xbits else memo[1], kept)
     object.__setattr__(spec, "_at_x", memo)
     return memo[1]
@@ -248,15 +269,27 @@ def _keep(results: dict, key, value) -> None:
     results[key] = value
 
 
-def _per_point(spec: FieldSpec, x: Sequence[float], key, compute, *args):
-    """``compute(spec, x, *args)``, kept on ``spec`` under ``key`` while x
-    stays the same.  A compute that raises stores nothing."""
-    results = _results_at(spec, x)
+def _kept(results: dict, key, compute, *args):
+    """``results[key]``, or ``compute(*args)``, kept there.  A compute that
+    raises keeps nothing."""
     value = results.get(key)
     if value is None:
-        value = compute(spec, x, *args)
+        value = compute(*args)
         _keep(results, key, value)
     return value
+
+
+def _kept_for(table: dict, op: str, right: FieldSpec, build):
+    """What ``table`` keeps for ``op`` with the right operand ``right``, or
+    ``build()``, kept there.  The entry is keyed by the id of ``right`` and
+    holds it only by a weak reference, which a lookup checks: a spec freed
+    since cannot answer for a new one at its id."""
+    key = (op, id(right))
+    entry = table.get(key)
+    if entry is None or entry[0]() is not right:
+        entry = (weakref.ref(right), build())
+        _keep(table, key, entry)
+    return entry[1]
 
 
 def _field_pass(spec: FieldSpec, x: Sequence[float]):
@@ -274,27 +307,30 @@ def _field_pass(spec: FieldSpec, x: Sequence[float]):
             err = NonFiniteJet(f"value {v!r} is not finite")
             err.span = c.span
             raise err
-    return tuple(v for v, _ in out), tuple(d for _, d in out)
+    return tuple(zip(*out))
+
+
+def _pass(spec: FieldSpec, x: Sequence[float]):
+    """:func:`_field_pass` of ``spec`` at x, kept with its results there."""
+    return _kept(_results_at(spec, x), "pass", _field_pass, spec, x)
 
 
 def _eval_field_components(spec: FieldSpec, x: Sequence[float]) -> tuple[float, ...]:
     """Component values at x; a JetError where the pass fails or a value
     is not finite."""
-    return _per_point(spec, x, "pass", _field_pass)[0]
+    return _pass(spec, x)[0]
 
 
 def _jacobian(spec: FieldSpec, x: Sequence[float]) -> tuple[tuple[float, ...], ...]:
     """J[a][b] = dX^a/dx^b."""
-    return _per_point(spec, x, "pass", _field_pass)[1]
+    return _pass(spec, x)[1]
 
 
 def _bindings(x: Sequence[float], tangents) -> dict:
     """Bindings of x1..x3 at x along the given tangents, one tangent per
     entry of ``tangents`` (each a 3-vector)."""
-    return {
-        name: (float(x[i]), tuple(float(d[i]) for d in tangents))
-        for i, name in enumerate(_FIELD_NAMES)
-    }
+    return {name: (float(v), tuple(map(float, col)))
+            for name, v, col in zip(_FIELD_NAMES, x, zip(*tangents))}
 
 
 def _coefficients(f: FieldSpec, x: Sequence[float], order: int, dirs) -> tuple[float, ...]:
@@ -307,42 +343,71 @@ def _coefficients(f: FieldSpec, x: Sequence[float], order: int, dirs) -> tuple[f
     return eval_second(f.components, bindings)[0][2]
 
 
+_ZERO_BITS = _pack3(0.0, 0.0, 0.0)
+
+
 def _along(f: FieldSpec, x: Sequence[float], order: int, dirs) -> list[float]:
     """:func:`_coefficients` along each of ``dirs``, kept one entry per
     direction (keyed on its bits).  The directions not kept yet come from
     one evaluation, so its error is the first one they meet in the given
-    order."""
+    order.
+
+    The all-+0.0 direction runs no pass unless it comes first among them.
+    Each derivative coefficient of a pass is a sum of terms, each with a
+    factor from the direction's entries, times factors that depend on x
+    alone.  Along zero every term is a signed zero, unless one of those
+    factors is not finite or a division by a value fails; and then the
+    pass along any other direction at x fails too, at that step or an
+    earlier one.  So once a pass of the order has succeeded at x, the pass
+    along zero would succeed with signed zeros: its coefficient is kept as
+    +0.0 without running it, and leaving it out of a batch that runs
+    another direction first changes no error.  The sign may differ from
+    the pass's; :func:`prop21_check` meets it only inside abs().
+    """
     results = _results_at(f, x)
     keys = [(order, _pack3(*d)) for d in dirs]
-    try:
-        return [results[key] for key in keys]
-    except KeyError:
-        pass
-    todo = {key: d for key, d in zip(keys, dirs) if key not in results}
-    known = {key: results[key] for key in keys if key in results}
+    values = [results.get(key) for key in keys]
+    if None not in values:
+        return values
+    known = {key: v for key, v in zip(keys, values) if v is not None}
+    todo = {key: d for key, d in zip(keys, dirs) if key not in known}
+    zero = (order, _ZERO_BITS)
+    if zero in todo and next(iter(todo)) != zero:
+        del todo[zero]
     known.update(zip(todo, _coefficients(f, x, order, tuple(todo.values()))))
     for key in todo:
         _keep(results, key, known[key])
+    known.setdefault(zero, 0.0)
+    if zero not in results:
+        _keep(results, zero, known[zero])
     return [known[key] for key in keys]
 
 
 def _dir_deriv(f: FieldSpec, x: Sequence[float], d: Sequence[float]) -> float:
     """First derivative of s -> f(x + s d) at 0, for a scalar f."""
-    return _along(f, x, 1, (d,))[0]
+    value = _results_at(f, x).get((1, _pack3(*d)))
+    return _along(f, x, 1, (d,))[0] if value is None else value
 
 
 def _polarization(a: Sequence[float], b: Sequence[float]) -> tuple:
     """The directions a+b, a and b whose seconds polarize to a mixed one."""
-    return tuple(u + v for u, v in zip(a, b)), a, b
+    return tuple(map(operator.add, a, b)), a, b
 
 
 def _mixed_second(
     f: FieldSpec, x: Sequence[float], a: Sequence[float], b: Sequence[float]
 ) -> float:
     """sum_{i,j} a_i b_j d2f/dx_i dx_j by polarization of the second
-    directional derivatives along a+b, a and b."""
-    s_ab, s_a, s_b = _along(f, x, 2, _polarization(a, b))
-    return 0.5 * (2.0 * s_ab - 2.0 * s_a - 2.0 * s_b)
+    directional derivatives along a+b, a and b, kept by the bits of a and
+    b."""
+    results = _results_at(f, x)
+    key = ("mixed", _pack3(*a), _pack3(*b))
+    value = results.get(key)
+    if value is None:
+        s_ab, s_a, s_b = _along(f, x, 2, _polarization(a, b))
+        value = 0.5 * (2.0 * s_ab - 2.0 * s_a - 2.0 * s_b)
+        _keep(results, key, value)
+    return value
 
 
 # --- function and field lifts -------------------------------------------------
@@ -374,23 +439,6 @@ def _lifted(kind: str, base, fiber) -> LiftedFieldValue:
     return LiftedFieldValue(base, fiber)
 
 
-def _vertical(X: FieldSpec, x) -> LiftedFieldValue:
-    return LiftedFieldValue((0.0, 0.0, 0.0), _eval_field_components(X, x))
-
-
-def _complete(X: FieldSpec, x, y) -> LiftedFieldValue:
-    values = _eval_field_components(X, x)
-    return _lifted("complete", values, tuple(_fdot(y, row) for row in _jacobian(X, x)))
-
-
-def _horizontal(X: FieldSpec, x, y, G: Connection):
-    """(G, the value).  The entry is keyed by G's id and holds G, so no
-    other connection can take that id while the entry is kept: a lookup
-    compares connections by identity."""
-    values = _eval_field_components(X, x)
-    return G, _lifted("horizontal", values, tuple(-v for v in G.contract(y, values)))
-
-
 class LiftedField:
     """A lifted vector field, evaluable at tangent points.
 
@@ -409,14 +457,27 @@ class LiftedField:
         self.connection = connection or Connection.flat()
 
     def at(self, p: TangentPoint) -> LiftedFieldValue:
-        if self.kind == "vertical":
-            return _per_point(self.field, p.x, "vertical", _vertical)
-        ybits = _pack3(*p.y)
-        if self.kind == "complete":
-            return _per_point(self.field, p.x, ("complete", ybits), _complete, p.y)
-        G = self.connection
-        return _per_point(
-            self.field, p.x, ("horizontal", ybits, id(G)), _horizontal, p.y, G)[1]
+        kind, G = self.kind, self.connection
+        if kind == "vertical":
+            key = kind
+        elif kind == "complete":
+            key = (kind, _pack3(*p.y))
+        else:
+            key = (kind, _pack3(*p.y), id(G))
+        results = _results_at(self.field, p.x)
+        value = results.get(key)
+        if value is None:
+            values, jacobian = _kept(results, "pass", _field_pass, self.field, p.x)
+            if kind == "vertical":
+                value = LiftedFieldValue((0.0, 0.0, 0.0), values)
+            elif kind == "complete":
+                value = _lifted(kind, values, tuple(_fdot(p.y, row) for row in jacobian))
+            else:
+                # The entry holds G, so no other connection can take its id
+                # while the entry is kept: a lookup compares by identity.
+                value = G, _lifted(kind, values, tuple(map(operator.neg, G.contract(p.y, values))))
+            _keep(results, key, value)
+        return value[1] if kind == "horizontal" else value
 
 
 _KIND_ALIASES = {
@@ -444,17 +505,16 @@ def apply_field(F: LiftedField, g: tuple[str, FieldSpec], p: TangentPoint) -> fl
     """Directional derivative along F at p of the lift of a scalar function:
     ``g`` is a pair (kind, FieldSpec) with kind in {'v', 'c'}."""
     val = F.at(p)
-    a, b = val.base, val.fiber
     kind, spec = g
     if not isinstance(spec, FieldSpec) or spec.kind != "scalar":
         raise ValueError("apply_field expects a scalar FieldSpec")
     if kind in ("v", "vertical"):
         # g depends on x only.
-        return _dir_deriv(spec, p.x, a)
+        return _dir_deriv(spec, p.x, val.base)
     if kind in ("c", "complete"):
         # d/dx part needs mixed seconds of f against the fiber coordinate;
         # d/dy part is just grad f against the fiber direction.
-        return _mixed_second(spec, p.x, a, p.y) + _dir_deriv(spec, p.x, b)
+        return _mixed_second(spec, p.x, val.base, p.y) + _dir_deriv(spec, p.x, val.fiber)
     raise ValueError(f"unknown scalar lift kind {kind!r}")
 
 
@@ -489,12 +549,27 @@ def _root_step(root: BinOp):
     return _FORWARD.compile_node(BinOp(root.op, left, right, root.span))
 
 
+def _roots(op: str, pairs) -> tuple:
+    """Roots ``op`` over the (left, right) component pairs, and their steps."""
+    roots = tuple(BinOp(op, a, b, (0, 0)) for a, b in pairs)
+    return roots, tuple(map(_root_step, roots))
+
+
 def _composite(op: str, left: FieldSpec, right: FieldSpec, pairs) -> FieldSpec:
     """The field of roots ``op`` over the (left, right) component pairs,
-    keeping its operands and root steps for :func:`_composite_pass`."""
-    roots = tuple(BinOp(op, a, b, (0, 0)) for a, b in pairs)
+    keeping its operands and root steps for :func:`_composite_pass`.
+
+    The roots and steps are built once per right operand and kept on the
+    left one, like its per-point results.  They refer to component trees
+    only, so the left operand holds nothing that holds a spec.
+    """
+    built = left.__dict__.get("_composites")
+    if built is None:
+        built = {}
+        object.__setattr__(left, "_composites", built)
+    roots, steps = _kept_for(built, op, right, lambda: _roots(op, pairs))
     spec = FieldSpec(right.kind, roots)
-    object.__setattr__(spec, "_operands", (tuple(map(_root_step, roots)), left, right))
+    object.__setattr__(spec, "_operands", (steps, left, right))
     return spec
 
 
@@ -507,8 +582,8 @@ def _composite_pass(x: Sequence[float], steps, left: FieldSpec, right: FieldSpec
     succeed, the error are those of evaluating the roots' trees.  A scalar
     left operand (fX) pairs its one component with each of the right's.
     """
-    lv, lj = _per_point(left, x, "pass", _field_pass)
-    rv, rj = _per_point(right, x, "pass", _field_pass)
+    lv, lj = _pass(left, x)
+    rv, rj = _pass(right, x)
     if len(lv) < len(rv):
         lv, lj = lv * len(rv), lj * len(rv)
     cols = [
@@ -544,11 +619,18 @@ class Prop21Result:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values())
+        """The largest residual, or NaN where any residual is NaN."""
+        return _nan_max(list(self.residuals.values()))
+
+
+def _nan_max(values: list[float]) -> float:
+    """max of non-negative values, but NaN where any of them is NaN, which
+    ``max`` drops unless it comes first."""
+    return math.nan if math.isnan(sum(values)) else max(values)
 
 
 def _max_abs_diff(u: LiftedFieldValue, v: Sequence[float]) -> float:
-    return max(abs(a - b) for a, b in zip(u.as_tuple(), v))
+    return _nan_max([abs(a - b) for a, b in zip(u.as_tuple(), v)])
 
 
 def prop21_check(
@@ -568,35 +650,32 @@ def prop21_check(
     """
     res: dict[str, float] = {}
     kinds = ("vertical", "complete", "horizontal")
-    short = {"vertical": "v", "complete": "c", "horizontal": "h"}
 
     XY = field_sum(X, Y)
-    FX = {kind: lift_field(X, kind, G) for kind in kinds}
-    for kind in kinds:
-        left = lift_field(XY, kind, G).at(p)
-        xa = FX[kind].at(p).as_tuple()
-        ya = lift_field(Y, kind, G).at(p).as_tuple()
-        res[f"additivity_{short[kind]}"] = _max_abs_diff(
-            left, tuple(u + v for u, v in zip(xa, ya))
-        )
+    FXv, FXc, FXh = FX = [LiftedField(X, kind, G) for kind in kinds]
+    for F in FX:
+        left = LiftedField(XY, F.kind, G).at(p)
+        xa = F.at(p).as_tuple()
+        ya = LiftedField(Y, F.kind, G).at(p).as_tuple()
+        res["additivity_" + F.kind[0]] = _max_abs_diff(left, tuple(map(operator.add, xa, ya)))
 
     fX = field_scale(f, X)
     fv = lift_function(f, "v", p)
-    Xv, Xc, Xh = (FX[kind].at(p).as_tuple() for kind in kinds)
-    fXv, fXc, fXh = (lift_field(fX, kind, G).at(p) for kind in kinds)
+    Xv, Xc, Xh = (F.at(p).as_tuple() for F in FX)
+    fXv, fXc, fXh = (LiftedField(fX, kind, G).at(p) for kind in kinds)
 
     # Every directional coefficient of f and g read below, from one order-1
     # and one order-2 evaluation per scalar, each one pass per direction:
-    # firsts along y (f^c), X, 0 and D_y X; seconds along the polarizations
-    # of (y, X), (0, y) and (X, y).  They come after fX's lifts: where fX's
+    # firsts along y (f^c), X and D_y X; seconds along the polarizations of
+    # (y, X), (0, y) and (X, y) but the zero direction, which _along keeps
+    # once these passes succeed.  They come after fX's lifts: where fX's
     # root overflows, f along X(x) often overflows too, and the error raised
     # stays fX's.
-    zero, xval, dyX = Xv[:3], Xv[3:], Xc[3:]
-    seconds = [d for a, b in ((p.y, xval), (zero, p.y), (xval, p.y))
-               for d in _polarization(a, b)]
-    _along(f, p.x, 1, (p.y, xval, zero, dyX))
+    xval, dyX = Xv[3:], Xc[3:]
+    seconds = (*_polarization(p.y, xval), tuple(0.0 + v for v in p.y))
+    _along(f, p.x, 1, (p.y, xval, dyX))
     _along(f, p.x, 2, seconds)
-    _along(g, p.x, 1, (xval, zero, dyX))
+    _along(g, p.x, 1, (xval, dyX))
     _along(g, p.x, 2, seconds)
 
     fc = lift_function(f, "c", p)
@@ -604,7 +683,6 @@ def prop21_check(
     res["module_c"] = _max_abs_diff(fXc, tuple(fc * u + fv * w for u, w in zip(Xv, Xc)))
     res["module_h"] = _max_abs_diff(fXh, tuple(fv * u for u in Xh))
 
-    FXv, FXc, FXh = (FX[kind] for kind in kinds)
     for scalar, tag in ((f, "f"), (g, "g")):
         xf_v = _dir_deriv(scalar, p.x, xval)
         xf_c = _apply_scalar_field_complete(Xc, scalar, p)

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from frenetlift import cli, lifts
+from frenetlift import cli, lifts, verify
 from frenetlift.cli import (
     EXIT_DEGENERATE,
     EXIT_INPUT,
@@ -264,6 +264,30 @@ class TestFieldsCommand:
         assert len(residual_cols) >= 12
         assert max(abs(row[c]) for c in residual_cols) <= 1e-10
 
+    def test_nan_residual_is_written(self, tmp_path):
+        # Component 4 of f^c X^v + f^v X^c is 1e10*1e299 + 10*(-1e308), which
+        # is inf - inf: the module_c residual is NaN, not the 0 that max()
+        # would keep by dropping it.
+        files = {"X.field": "X1 = 1e300/x1\nX2 = x2\nX3 = x3\n",
+                 "Y.field": "X1 = x2\nX2 = x3\nX3 = x1\n",
+                 "f.field": "f = x1\n", "g.field": "f = x2\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = ["fields", "--field", str(tmp_path / "X.field"), "--field", str(tmp_path / "Y.field"),
+                "--scalar", str(tmp_path / "f.field"), "--scalar", str(tmp_path / "g.field"),
+                "--point=10,1,1,1e10,0,0"]
+        out = tmp_path / "fields.csv"
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        header, rows, _ = read_csv(out)
+        residuals = {h: rows[0][h] for h in header if h.startswith("res_")}
+        assert [h for h, v in residuals.items() if math.isnan(v)] == ["res_module_c"]
+        assert "nan" in out.read_text().split("\n")[1].split(",")
+        out = tmp_path / "fields.json"
+        assert main(argv + ["--format", "json", "--out", str(out)]) == EXIT_OK
+        row = json.loads(out.read_text(), parse_constant=_no_constant)["rows"][0]
+        assert row["res_module_c"] is None
+        assert all(row[h] is not None for h in residuals if h != "res_module_c")
+
     def test_point_arity_exits_2(self, tmp_path, capsys):
         fx = tmp_path / "X.field"
         fx.write_text(X_FIELD)
@@ -314,6 +338,22 @@ class TestVerifyCommand:
         assert code == EXIT_VERIFY_FAILED
         payload = json.loads(out.read_text(), parse_constant=_no_constant)
         assert [(item["value"], item["bound"]) for item in payload] == [(None, 1.0), (0.5, None)]
+
+    def test_nan_suite_residual_fails(self, capsys, monkeypatch):
+        # One NaN residual among the suite's points, not the first one,
+        # fails prop21_max_residual; a max() fold would drop it.
+        calls = []
+
+        def suite(*args):
+            calls.append(args)
+            return lifts.Prop21Result({"module_c": math.nan if len(calls) == 5 else 0.0})
+
+        monkeypatch.setattr(verify, "prop21_check", suite)
+        assert main(["verify", "--samples", "7"]) == EXIT_VERIFY_FAILED
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL prop21_max_residual: value=nan bound <= 1.000000e-10"]
+        assert len(calls) == 4000
 
     def test_unknown_tolerance_exits_2(self):
         assert main(["verify", "--tol", "bogus=1"]) == EXIT_INPUT

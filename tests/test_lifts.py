@@ -182,6 +182,24 @@ class TestProp21:
                     worst = max(worst, prop21_check(*quad, G, p).max_residual)
         assert worst <= 1e-10
 
+    def test_nan_residual_is_not_dropped(self):
+        # Component 4 of f^c X^v + f^v X^c is 1e10*1e299 + 10*(-1e308), which
+        # is inf - inf; max() over the components would keep the 0 of the
+        # others and drop the NaN.
+        X = vector_field("1e300/x1", "x2", "x3")
+        Y = vector_field("x2", "x3", "x1")
+        p = TangentPoint((10.0, 1.0, 1.0), (1e10, 0.0, 0.0))
+        result = prop21_check(X, Y, scalar_field("x1"), scalar_field("x2"), Connection.flat(), p)
+        assert [k for k, v in result.residuals.items() if math.isnan(v)] == ["module_c"]
+        assert all(math.isfinite(v) for k, v in result.residuals.items() if k != "module_c")
+        assert math.isnan(result.max_residual)
+        # Wherever the NaN comes in the order, the maximum is NaN.
+        for i in range(3):
+            values = [0.0, 1.0, 2.0]
+            values.insert(i, math.nan)
+            assert math.isnan(lifts.Prop21Result(dict(zip("abcd", values))).max_residual)
+        assert lifts.Prop21Result({"a": 1.0, "b": math.inf}).max_residual == math.inf
+
 
 class TestParallelTransport:
     def test_flat_identity_exact(self):
@@ -702,12 +720,12 @@ class TestPerPointCache:
         # One pass along the axes per operand field; X+Y and fX derive theirs.
         assert [(asts, n) for name, asts, n in passes if asts not in (
             f.components, g.components)] == [(X.components, 3), (Y.components, 3)]
-        # Per scalar: its own pass, one order-1 batch (f along y, X, 0 and
-        # D_y X; g along the last three) and one order-2 batch along y, 0,
-        # X+y and X (y has no -0.0, so 0.0+y is y).
-        for F, firsts in ((f, 4), (g, 3)):
+        # Per scalar: its own pass, one order-1 batch (f along y, X and
+        # D_y X; g along the last two) and one order-2 batch along y+X, y
+        # and X (y has no -0.0, so 0.0+y is y).  No pass runs along 0.
+        for F, firsts in ((f, 3), (g, 2)):
             assert sorted((name, n) for name, asts, n in passes if asts == F.components) == \
-                sorted([("eval_forward", 3), ("eval_forward", firsts), ("eval_second", 4)])
+                sorted([("eval_forward", 3), ("eval_forward", firsts), ("eval_second", 3)])
         assert len(passes) == 8
 
         # At the same point the next suite evaluates no tree: the operands'
@@ -730,8 +748,32 @@ class TestPerPointCache:
         X = vector_field("x1*x2", "x3 - x1", "x2*x2")
         p = TangentPoint((0.7, -1.3, 2.1), (1.5, -0.0, -0.5))
         prop21_check(X, X, f, f, Connection.flat(), p)
-        # 0.0 + y differs from y in its second entry: y, 0, X+y, X and 0.0+y.
-        assert seconds == [5]
+        # 0.0 + y differs from y in its second entry: X+y, y, X and 0.0+y.
+        assert seconds == [4]
+
+    def test_second_suite_computes_four_horizontal_lifts(self, monkeypatch):
+        X, Y, f, g = random_quadruple(random.Random(7))
+        p = random_tangent_point(random.Random(9))
+        prop21_check(X, Y, f, g, Connection.flat(), p)
+        calls = []
+
+        def recording(name, real):
+            def run(*args):
+                calls.append((name, args))
+                return real(*args)
+
+            return run
+
+        for name in ("_composite_pass", "_roots", "_lifted", "eval_forward", "eval_second"):
+            monkeypatch.setattr(lifts, name, recording(name, getattr(lifts, name)))
+        prop21_check(X, Y, f, g, random_connection(random.Random(8)), p)
+        # No pass, no composite root: only the horizontal lifts of X+Y, X, Y
+        # and fX, which depend on the connection, in the suite's order.
+        assert [(name, args[0]) for name, args in calls] == [("_lifted", "horizontal")] * 4
+        values = [lift_field(F, "v").at(p).fiber for F in (
+            field_sum(X, Y), X, Y, lifts.field_scale(f, X))]
+        assert [_bits(args[1]) for _, args in calls] == [_bits(v) for v in values]
+        assert len(set(map(_bits, values))) == 4
 
     def test_composites_freed_with_their_operands(self):
         def suite():
@@ -803,6 +845,80 @@ class TestPerPointCache:
                     want = _bits(LiftedField(X, kind, G).at(p).as_tuple())
                 assert _bits(LiftedField(X, kind, G).at(p).as_tuple()) == want
             assert len(X._at_x[1]) <= lifts._PER_POINT_MAX
+
+
+class TestZeroDirection:
+    """No pass runs along the all-+0.0 direction once another pass of its
+    order has succeeded at x; its coefficient is kept as +0.0.  The bits
+    and errors below were pinned from the suite while it still ran that
+    pass, so the new path is not checked against itself."""
+
+    X = vector_field("x1*x2", "x3 - x1", "x2*x2")
+    Y = vector_field("x3", "x1*x3", "x2 + 1")
+    g = scalar_field("x1 - x3*x3")
+    G = Connection.from_entries({(1, 2, 3): 0.3, (2, 1, 1): -0.2})
+    p = TangentPoint((0.7, -1.3, 2.1), (1.5, 0.25, -0.5))
+    ZERO = (0.0, 0.0, 0.0)
+    PINNED = {
+        "flat": {"additivity_c": "0x1.0000000000000p-53", "module_c": "0x1.0000000000000p-51",
+                 "Xc_fc": "0x1.0000000000000p-51"},
+        "G": {"additivity_c": "0x1.0000000000000p-53", "additivity_h": "0x1.0000000000000p-53",
+              "module_c": "0x1.0000000000000p-51", "module_h": "0x1.0000000000000p-55",
+              "Xc_fc": "0x1.0000000000000p-51"},
+    }
+    NAMES = ("additivity_v", "additivity_c", "additivity_h", "module_v", "module_c", "module_h",
+             "Xv_fv", "Xc_fv", "Xv_fc", "Xc_fc", "XH_fv", "Xv_gv", "Xc_gv", "Xv_gc", "Xc_gc",
+             "XH_gv")
+
+    def test_negative_zero_pass_leaves_the_residuals(self, monkeypatch):
+        # f = -(x1*x2) ends in a negation: its pass along zero gives -0.0 in
+        # both orders, where the kept coefficient is +0.0.
+        f = scalar_field("-(x1*x2)")
+        for order in (1, 2):
+            assert lifts._coefficients(f, self.p.x, order, (self.ZERO,))[0].hex() == "-0x0.0p+0"
+        directions = []
+        for name in ("eval_forward", "eval_second"):
+            real = getattr(lifts, name)
+
+            def recording(asts, bindings, real=real):
+                directions.extend(zip(*[d for _, d in bindings.values()]))
+                return real(asts, bindings)
+
+            monkeypatch.setattr(lifts, name, recording)
+        for tag, G in (("flat", Connection.flat()), ("G", self.G)):
+            residuals = prop21_check(self.X, self.Y, f, self.g, G, self.p).residuals
+            assert list(residuals) == list(self.NAMES)
+            assert {k: v.hex() for k, v in residuals.items()} == {
+                k: self.PINNED[tag].get(k, "0x0.0p+0") for k in self.NAMES}
+        assert directions and _bits(self.ZERO) not in map(_bits, directions)
+        # X^v(f^v) reads the kept +0.0; the pass gave -0.0.
+        Fv = lift_field(self.X, "v")
+        assert apply_field(Fv, ("v", f), self.p).hex() == "0x0.0p+0"
+
+    def test_singular_field_raises_the_same_error(self):
+        # sqrt(x1) at x1 = 0 fails every pass, the one along zero too.  As g,
+        # it first fails in its order-1 batch along X and D_y X, which held
+        # zero second; a lone zero direction still runs its pass and raises.
+        q = TangentPoint((0.0, 1.0, 2.0), (1.5, 0.25, -0.5))
+        want = (DomainError, "sqrt undefined at 0.0", (0, 8))
+        f = scalar_field("-(x1*x2)")
+        for quad in ((self.X, self.Y, f, scalar_field("sqrt(x1)")),
+                     (self.X, self.Y, scalar_field("sqrt(x1)"), self.g)):
+            assert _error_of(prop21_check, *quad, self.G, q) == want
+        for kind in ("v", "c"):
+            singular = scalar_field("sqrt(x1)")
+            assert _error_of(apply_field, lift_field(self.X, "v"), (kind, singular), q) == want
+        singular = scalar_field("sqrt(x1)")
+        assert _error_of(lifts._along, singular, q.x, 1, (q.y, self.ZERO)) == want
+        assert _error_of(lifts._dir_deriv, singular, q.x, self.ZERO) == want
+
+
+def _error_of(func, *args):
+    try:
+        func(*args)
+    except ValueError as err:
+        return type(err), str(err), getattr(err, "span", None)
+    return None
 
 
 # --- X+Y and fX passes derived from their operands' passes ----------------------
