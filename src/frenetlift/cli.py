@@ -23,6 +23,7 @@ import argparse
 import contextlib
 import dataclasses
 import errno
+import functools
 import json
 import math
 import os
@@ -444,12 +445,20 @@ def _where(err: Exception) -> str:
     return ", ".join(parts) + ": " if parts else ""
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on first use and shared for the rest
+    of the process.  Parsing leaves it unchanged: each call gets a fresh
+    namespace, and the ``append`` action copies its default list before
+    appending to it, so no flag carries over from one call to the next."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_join_vector_flags(argv))
+        args = _parser().parse_args(_join_vector_flags(argv))
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:

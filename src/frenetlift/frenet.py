@@ -26,6 +26,7 @@ B = (beta' x beta'') / ||beta' x beta''||.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -148,15 +149,24 @@ class FrameJets:
 class GeneralizedFrame:
     """Gram-Schmidt frame over successive derivatives, with its curvatures.
 
-    ``matrix[i][j]`` is (dE_i/ds) . E_j; the curvatures are its first
-    superdiagonal.  For dimension 3 with m = 3 the last frame vector is
-    E1 x E2, which makes the second curvature the signed torsion; in
-    dimension 6 the flag orientation leaves it nonnegative.
+    ``frame`` holds the values of E_1..E_m and ``slopes`` their derivatives
+    in t; ``speed`` is ||b'||.  ``matrix[i][j]`` is (dE_i/ds) . E_j, built
+    from those on first read; the curvatures ``chis`` are its first
+    superdiagonal, computed with the same float steps.  For dimension 3
+    with m = 3 the last frame vector is E1 x E2, which makes the second
+    curvature the signed torsion; in dimension 6 the flag orientation
+    leaves it nonnegative.
     """
 
     frame: tuple[tuple[float, ...], ...]
     chis: tuple[float, ...]
-    matrix: tuple[tuple[float, ...], ...]
+    slopes: tuple[tuple[float, ...], ...]
+    speed: float
+
+    @functools.cached_property
+    def matrix(self) -> tuple[tuple[float, ...], ...]:
+        return tuple([tuple([_fdot(s, v) / self.speed for v in self.frame])
+                      for s in self.slopes])
 
 
 def uniform_grid(lo: float, hi: float, n: int) -> list[float]:
@@ -269,11 +279,12 @@ def generalized_frenet(
     """Gram-Schmidt frame over (b', ..., b^(m)) in order-1 jet arithmetic.
 
     Needs point jets (one coefficient tuple per component, in R^3 or R^6)
-    of order >= m + 1 so the frame can be differentiated once.  The matrix
-    reads only the value and first derivative of each frame vector, so
-    coefficients 0 and 1 of each derivative are read straight from the
-    point jets and the whole Gram-Schmidt runs on order-1 jets held as a
-    value list and a slope list.  Each vector step (``jets._pdot``,
+    of order >= m + 1 so the frame can be differentiated once.  The
+    curvatures take m - 1 dots here; the whole matrix is built only when
+    ``.matrix`` is read.  Both read only the value and first derivative of
+    each frame vector, so coefficients 0 and 1 of each derivative are read
+    straight from the point jets and the whole Gram-Schmidt runs on
+    order-1 jets held as a value list and a slope list.  Each vector step (``jets._pdot``,
     ``_preject``, ``_punit``, ``_pcross``) runs in one body that repeats the
     float operations and finiteness tests of the order-1 jet kernel, and
     Taylor arithmetic is causal, so the results are the same bits the
@@ -326,6 +337,6 @@ def generalized_frenet(
         values.append(ev)
         slopes.append(ed)
 
-    matrix = tuple([tuple([_fdot(s, v) / speed_val for v in values]) for s in slopes])
-    chis = tuple([matrix[i][i + 1] for i in range(m - 1)])
-    return GeneralizedFrame(frame=tuple([tuple(v) for v in values]), chis=chis, matrix=matrix)
+    chis = tuple([_fdot(slopes[i], values[i + 1]) / speed_val for i in range(m - 1)])
+    return GeneralizedFrame(frame=tuple([tuple(v) for v in values]), chis=chis,
+                            slopes=tuple([tuple(d) for d in slopes]), speed=speed_val)

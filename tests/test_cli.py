@@ -489,6 +489,34 @@ class TestFlagsPerCommand:
         assert build_parser().parse_args(argv).tol == [(name, 0.5) for name in names]
 
 
+class TestRepeatedCalls:
+    """``main`` parses every call of a process with one parser; no call may
+    see a flag of the call before it."""
+
+    def test_tolerance_does_not_carry_over(self, paths):
+        argv = fill(BASE["lift"] + ["--out", "{out}"], paths)
+        assert main(argv + ["--tol", "kappa_floor=0.2"]) == EXIT_DEGENERATE
+        assert main(argv) == EXIT_OK
+
+    def test_parse_error_leaves_the_next_call_intact(self, paths, capsys):
+        argv = fill(BASE["lift"] + ["--out", "{out}"], paths)
+        # --tol is taken before --samples fails to parse.
+        assert main(argv + ["--tol", "kappa_floor=0.2", "--samples", "1"]) == EXIT_INPUT
+        assert "argument --samples" in capsys.readouterr().err
+        assert main(argv) == EXIT_OK
+
+    def test_format_does_not_carry_over(self, paths):
+        argv = fill(BASE["frenet"] + ["--out", "{out}"], paths)
+        out = Path(paths["out"])
+        assert main(argv + ["--format", "json"]) == EXIT_OK
+        assert len(json.loads(out.read_text())["rows"]) == 3
+        assert main(argv) == EXIT_OK
+        assert out.read_text().startswith("t,")
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+
+
 class TestDiagnostics:
     def test_deep_nesting_exits_2(self, tmp_path, capsys):
         p = tmp_path / "deep.curve"

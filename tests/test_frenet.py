@@ -376,25 +376,58 @@ class TestGeneralizedFrenet:
     @pytest.mark.parametrize("kind", ["base", "v", "c", "h"])
     @pytest.mark.parametrize("curve", [HELIX, TORUS_KNOT], ids=["helix", "torus_knot"])
     def test_matrix_matches_full_order_jet_route(self, curve, kind):
-        G = Connection.from_entries({(1, 2, 3): 0.3, (3, 2, 1): -0.3, (2, 1, 1): 0.2})
-        lifts = {
-            "v": (LiftKind.vertical((1.0, -2.0, 0.5)), (1.0, -2.0, 0.5), None),
-            "c": (LiftKind.complete(), None, None),
-            "h": (LiftKind.horizontal((1.0, -0.5, 0.75)), None, (0.9, -0.4, 0.8)),
-        }
         for t in grid(curve, 9):
-            pj = curve_point_jets(curve, t)
-            if kind != "base":
-                lk, anchor, w = lifts[kind]
-                pj = lifted_point_jets(pj, lk, G, anchor, w)
-            got = generalized_frenet(pj, 3).matrix
+            pj = _kind_point_jets(curve, t, kind)
+            gen = generalized_frenet(pj, 3)
+            # chis are computed without the matrix, and must be its superdiagonal.
+            chis = [x.hex() for x in gen.chis]
+            got = gen.matrix
+            assert chis == [got[i][i + 1].hex() for i in range(2)]
             want = _full_order_matrix(pj)
             assert [_bits(row) for row in got] == [_bits(row) for row in want]
+
+    @pytest.mark.parametrize("curve, kind, index", [
+        (LINE, "base", 1), (LINE, "c", 1), (CIRCLE, "v", 2), (CIRCLE, "c", 2),
+    ])
+    def test_rank_deficient_index(self, curve, kind, index):
+        pj = _kind_point_jets(curve, 0.5, kind)
+        with pytest.raises(RankDeficient) as exc:
+            generalized_frenet(pj, 3)
+        assert exc.value.index == index
+        with pytest.raises(RankDeficient) as ref:
+            _jet_route_frenet(pj)
+        assert ref.value.index == index
+
+    def test_rank_reference_slope_overflow_raises(self):
+        # b'' is parallel to b', so the residual vanishes, but the rank test's
+        # reference dot b'' . b'' has an overflowing slope 2 b'' . b''',
+        # which the jet route meets before it can report the dependence.
+        pj = ((0.0, 1.0, 5e149, 1e160 / 6, 0.0, 0.0), (0.0,) * 6, (0.0,) * 6)
+        for route in (generalized_frenet, _jet_route_frenet):
+            with pytest.raises(NonFiniteJet):
+                route(pj, 3)
 
     def test_frame_size_validation(self):
         pj = curve_point_jets(HELIX, 0.5, 3)
         with pytest.raises(Exception):
             generalized_frenet(pj, 4)
+
+
+_ORACLE_LIFTS = {
+    "v": (LiftKind.vertical((1.0, -2.0, 0.5)), (1.0, -2.0, 0.5), None),
+    "c": (LiftKind.complete(), None, None),
+    "h": (LiftKind.horizontal((1.0, -0.5, 0.75)), None, (0.9, -0.4, 0.8)),
+}
+
+
+def _kind_point_jets(curve, t, kind):
+    """Point jets of the curve at t ("base"), or of its lift of that kind
+    under a non-flat connection."""
+    pj = curve_point_jets(curve, t)
+    if kind == "base":
+        return pj
+    lk, anchor, w = _ORACLE_LIFTS[kind]
+    return lifted_point_jets(pj, lk, NONFLAT, anchor, w)
 
 
 def _bits(values):
