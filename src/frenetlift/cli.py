@@ -81,7 +81,7 @@ def _load(path: str, parse):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise InputError(f"cannot read {path}: {err}") from err
     try:
         return parse(text)

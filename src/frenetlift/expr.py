@@ -39,11 +39,14 @@ span of the node that failed.  There are four evaluators of one tree:
 - :func:`eval_forward` is order-1 forward mode on plain ``(value,
   derivative)`` float pairs, for gradients and Jacobians.
 - :func:`eval_second` is order 2 (univariate Taylor propagation) on plain
-  ``(value, d_i, 0.0)`` float triples, for the second derivatives of the
+  ``(value, d, 0.0)`` float triples, for the second derivatives of the
   lift identities.
 
-The last two share one pass loop, one pass per direction, direction 1
-through every tree first.  Each pass repeats the float steps and the
+The last two share one pass loop, :func:`_passes`.  A pass is the trees'
+compiled code run on one binding dict per direction, direction 1 through
+every tree first, so the error raised is the first one that order meets;
+the sums and products of fields in :mod:`frenetlift.lifts` run their step
+trees through the same loop.  Each pass repeats the float steps and the
 per-operation finiteness test of the jet kernel of its order bit for bit.
 Both inline sin and cos and run '^' and the other functions through the
 jet kernel.  The jet, forward and order-2 evaluators are one compiler over
@@ -971,49 +974,30 @@ _SECOND = _Kernel(
 )
 
 
-def _passes(kernel: _Kernel, asts, bindings: Mapping[str, tuple], second: bool) -> list:
-    """Every AST's code of ``kernel`` on bindings ``(value, (d_1, ..., d_n))``,
-    the same n >= 1 for all, as n passes: pass i binds each variable to
-    ``(value, d_i)``, or to ``(value, d_i, 0.0)`` for a ``second`` kernel.
-    Direction 1 runs through every AST, then direction 2, and so on, so the
-    error raised is the first one that order meets.  Each AST gives
-    ``(value, (D_1, ..., D_n), ...)``: its value, then one tuple per
-    coefficient after it."""
+def _passes(kernel: _Kernel, asts, points) -> list:
+    """Every AST's code of ``kernel`` on each binding dict of ``points`` in
+    turn, one dict per direction: direction 1 runs through every AST, then
+    direction 2, and so on, so the error raised is the first one that order
+    meets.  One list of the ASTs' outputs per direction."""
     codes = [kernel.code(ast) for ast in asts]
-    items = tuple(bindings.items())
-    passes = []
-    for i in range(len(items[0][1][1])):
-        if second:
-            point = {name: (v, d[i], 0.0) for name, (v, d) in items}
-        else:
-            point = {name: (v, d[i]) for name, (v, d) in items}
-        passes.append([code(point, None) for code in codes])
-    return [(outs[0][0], *tuple(zip(*outs))[1:]) for outs in zip(*passes)]
+    return [[code(point, None) for code in codes] for point in points]
 
 
-def eval_forward(asts, bindings: Mapping[str, tuple]) -> list:
-    """Values and n directional derivatives of several ASTs, n >= 1.
-
-    ``bindings`` maps each variable to ``(value, (d_1, ..., d_n))``, the
-    same n for all.  Each AST gives ``(value, (D_1, ..., D_n))`` with
-    ``D_i`` bit for bit the order-1 coefficient of :func:`eval_jet` on the
-    jets ``(value, d_i)``.  The directions run one pass each, direction 1
-    through every AST first, so the error raised is the first one that
-    order meets.
-    """
-    return _passes(_FORWARD, asts, bindings, False)
+def eval_forward(asts, points) -> list:
+    """Values and first coefficients of several ASTs along n >= 1
+    directions, one pass per dict of ``points``, each binding every
+    variable to ``(value, d)``.  Per direction, each AST gives ``(value,
+    D)``, bit for bit the coefficients of :func:`eval_jet` on those pairs
+    as order-1 jets; errors are raised in :func:`_passes`' order."""
+    return _passes(_FORWARD, asts, points)
 
 
-def eval_second(asts, bindings: Mapping[str, tuple]) -> list:
-    """Values with first and second coefficients along n directions.
-
-    ``bindings`` maps each variable to ``(value, (d_1, ..., d_n))``, the
-    same n for all.  Each AST gives ``(value, (D_1, ..., D_n), (E_1, ...,
-    E_n))`` with ``D_i`` and ``E_i`` bit for bit coefficients 1 and 2 of
-    :func:`eval_jet` on the jets ``(value, d_i, 0.0)``.  The directions
-    run one pass each and errors are raised as in :func:`eval_forward`.
-    """
-    return _passes(_SECOND, asts, bindings, True)
+def eval_second(asts, points) -> list:
+    """:func:`eval_forward` at order 2: each dict binds every variable to
+    ``(value, d, 0.0)``, and per direction each AST gives ``(value, D,
+    E)``, bit for bit coefficients 0 to 2 of :func:`eval_jet` on those
+    triples as jets."""
+    return _passes(_SECOND, asts, points)
 
 
 # --- pretty printing -----------------------------------------------------------

@@ -34,6 +34,7 @@ from .frenet import (
 )
 from .jets import (
     NORM_FLOOR,
+    JetError,
     RankDeficient,
     _fdot,
     _padd,
@@ -143,11 +144,17 @@ class LiftedCurve:
         return next(self.sweep([t]))
 
     def _pairs(self, t: float, w):
-        """(lifted point jets, lifted frame pairs) at t on fiber w."""
+        """(lifted point jets, lifted frame pairs) at t on fiber w.  An error
+        of the frame's lift leaves with ``t`` set, as those of the base
+        point and frame do."""
         pj = curve_point_jets(self.base, t)
         fj = frame_jets(pj, self.cfg, t)
         P = lifted_point_jets(pj, self.kind, self.connection, self.anchor, w)
-        return P, self._lift_pairs(fj, P)
+        try:
+            return P, self._lift_pairs(fj, P)
+        except JetError as err:
+            err.t = t
+            raise
 
     def _apparatus(self, t: float, w) -> LiftedApparatus:
         P, lifted = self._pairs(t, w)
@@ -164,6 +171,9 @@ class LiftedCurve:
             oracle = generalized_frenet(P, 3).chis
         except RankDeficient:
             oracle = (math.nan, math.nan)
+        except JetError as err:
+            err.t = t
+            raise
         return LiftedApparatus(
             t=t,
             point=tuple([cs[0] for cs in P]),

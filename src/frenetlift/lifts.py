@@ -14,22 +14,23 @@ a lifted field to a lifted function is a directional derivative on the
 6-dimensional space.  The second-order terms that appear for f^c come from
 the polarization identity over the directions a+b, a and b, whose second
 directional derivatives one call of :func:`expr.eval_second` gives, one
-order-2 pass on float triples per direction, so no nested or multivariate
-jets are needed.
+order-2 pass per direction, each the tree's code on one binding dict of
+float triples, so no nested or multivariate jets are needed.
 
 A field's component values and Jacobian come from one forward evaluation
-along the coordinate axes (:func:`expr.eval_forward`, one pass per axis), so
-a failure in the first partials is an error for every lift kind, as is a
-value or a lifted fiber that is not finite.  Each :class:`FieldSpec` keeps
-what it computes at a tangent point for the last base point it met, keyed
-on the exact bits of x: that pass, its lifted values, and for a scalar its
-first and second directional coefficients, one entry per direction, and
-the mixed seconds polarized from them.  :func:`prop21_check` fills the
-directional entries for each scalar with one order-1 and one order-2
-evaluation, each one pass per direction, and :func:`apply_field` reads
-them.  The suite asks for no pass along the zero direction: once a pass of
-an order has succeeded at x, the zero direction's coefficient is kept as
-+0.0 (:func:`_along` says why that changes no residual and no error).
+along the coordinate axes (:func:`expr.eval_forward`, one binding dict and
+pass per axis), so a failure in the first partials is an error for every
+lift kind, as is a value or a lifted fiber that is not finite.  Each
+:class:`FieldSpec` keeps what it computes at a tangent point for the last
+base point it met, keyed on the exact bits of x: that pass, its lifted
+values, and for a scalar its first and second directional coefficients,
+one entry per direction, and the mixed seconds polarized from them.
+:func:`prop21_check` fills the directional entries for each scalar with
+one order-1 and one order-2 evaluation, each one pass per direction, and
+:func:`apply_field` reads them.  The suite asks for no pass along the zero
+direction: once a pass of an order has succeeded at x, the zero
+direction's coefficient is kept as +0.0 (:func:`_along` says why that
+changes no residual and no error).
 
 :func:`field_sum` and :func:`field_scale` build a new spec of synthesized
 root nodes over their operands' trees, and it keeps its operands.  The
@@ -39,9 +40,11 @@ sit inside the left operand's results at x, under the right operand.  Both
 hold the right operand by a weak reference, checked on lookup, and the
 roots refer only to component trees, so no spec holds another and a second
 suite at the same x computes only the horizontal lifts of a new
-connection.  The pass is derived from the operands' passes: each root's
-step, per component and direction in :func:`expr.eval_forward`'s order,
-with the root's finiteness test, gives the bits of evaluating the tree.
+connection.  The pass is derived from the operands' passes.  Each root
+has a step tree, the root with each operand that is not a number read from
+a binding of that operand's value and partial, and the step trees run
+through the pass loop of :func:`expr.eval_forward`, one binding dict per
+axis, which gives the bits and the error order of evaluating the roots.
 An operand whose own pass fails raises its error, the left operand first,
 before any root step runs, so where both fail, or where the tree would
 have failed in a root step first, the error raised is the operand's.
@@ -71,6 +74,7 @@ from .expr import (
     Var,
     _FORWARD,
     _key_value_lines,
+    _passes,
     _per_component,
     eval_forward,
     eval_jet,
@@ -301,13 +305,20 @@ def _field_pass(spec: FieldSpec, x: Sequence[float]):
     operands = spec.__dict__.get("_operands")
     if operands is not None:
         return _composite_pass(x, *operands)
-    out = eval_forward(spec.components, _bindings(x, _BASIS))
-    for c, (v, _) in zip(spec.components, out):
+    values, rows = _values_and_rows(eval_forward(spec.components, _points(x, _BASIS)))
+    for c, v in zip(spec.components, values):
         if not math.isfinite(v):
             err = NonFiniteJet(f"value {v!r} is not finite")
             err.span = c.span
             raise err
-    return tuple(zip(*out))
+    return values, rows
+
+
+def _values_and_rows(outs):
+    """(values, Jacobian rows) from per-direction ``(value, derivative)``
+    outputs of the components: the values of the first direction, and per
+    component its derivative along each direction."""
+    return tuple(v for v, _ in outs[0]), tuple(zip(*[[d for _, d in out] for out in outs]))
 
 
 def _pass(spec: FieldSpec, x: Sequence[float]):
@@ -326,21 +337,20 @@ def _jacobian(spec: FieldSpec, x: Sequence[float]) -> tuple[tuple[float, ...], .
     return _pass(spec, x)[1]
 
 
-def _bindings(x: Sequence[float], tangents) -> dict:
-    """Bindings of x1..x3 at x along the given tangents, one tangent per
-    entry of ``tangents`` (each a 3-vector)."""
-    return {name: (float(v), tuple(map(float, col)))
-            for name, v, col in zip(_FIELD_NAMES, x, zip(*tangents))}
+def _points(x: Sequence[float], dirs, *pad) -> list[dict]:
+    """Bindings of x1..x3 at x, one dict per direction d of ``dirs``: each
+    x_i bound to ``(x_i, d_i)``, followed by the entry i of each ``pad``."""
+    xs = tuple(map(float, x))
+    return [dict(zip(_FIELD_NAMES, zip(xs, map(float, d), *pad))) for d in dirs]
 
 
 def _coefficients(f: FieldSpec, x: Sequence[float], order: int, dirs) -> tuple[float, ...]:
     """Coefficient ``order`` (1 or 2) of s -> f(x + s d) for each direction d
     of ``dirs``, for a scalar f, from one evaluation, one pass per direction
     in order."""
-    bindings = _bindings(x, dirs)
     if order == 1:
-        return eval_forward(f.components, bindings)[0][1]
-    return eval_second(f.components, bindings)[0][2]
+        return tuple(out[0][1] for out in eval_forward(f.components, _points(x, dirs)))
+    return tuple(out[0][2] for out in eval_second(f.components, _points(x, dirs, (0.0,) * 3)))
 
 
 _ZERO_BITS = _pack3(0.0, 0.0, 0.0)
@@ -531,33 +541,27 @@ def _apply_scalar_field_complete(
 # --- field algebra on ASTs ------------------------------------------------------
 
 
-# The operands of a root step, read from the bindings; the steps of roots
-# without a Num operand are compiled once, on these trees.
-_LEFT, _RIGHT = Var("l"), Var("r")
-_STEP_TREES = {op: BinOp(op, _LEFT, _RIGHT) for op in "+*"}
-
-
-def _root_step(root: BinOp):
-    """The forward code :meth:`_Kernel.compile_node` gives ``root``, with
-    each operand that is not a Num read from the bindings l and r: the
-    root's ``+``, ``*`` or product with a number, its finiteness test and
-    its span (0, 0)."""
-    if not (isinstance(root.left, Num) or isinstance(root.right, Num)):
-        return _FORWARD.code(_STEP_TREES[root.op])
-    left = root.left if isinstance(root.left, Num) else _LEFT
-    right = root.right if isinstance(root.right, Num) else _RIGHT
-    return _FORWARD.compile_node(BinOp(root.op, left, right, root.span))
+# The bindings of component k's left and right operand in its root step.
+_LEFT_NAMES, _RIGHT_NAMES = ("l0", "l1", "l2"), ("r0", "r1", "r2")
 
 
 def _roots(op: str, pairs) -> tuple:
-    """Roots ``op`` over the (left, right) component pairs, and their steps."""
+    """Roots ``op`` over the (left, right) component pairs, and their step
+    trees: root k with each operand that is not a Num read from the binding
+    l<k> or r<k>, so it compiles to the root's own ``+``, ``*`` or product
+    with a number, finiteness test and span (0, 0)."""
+    pairs = tuple(pairs)
     roots = tuple(BinOp(op, a, b, (0, 0)) for a, b in pairs)
-    return roots, tuple(map(_root_step, roots))
+    steps = tuple(
+        BinOp(op, a if isinstance(a, Num) else Var(_LEFT_NAMES[k]),
+              b if isinstance(b, Num) else Var(_RIGHT_NAMES[k]), (0, 0))
+        for k, (a, b) in enumerate(pairs))
+    return roots, steps
 
 
 def _composite(op: str, left: FieldSpec, right: FieldSpec, pairs) -> FieldSpec:
     """The field of roots ``op`` over the (left, right) component pairs,
-    keeping its operands and root steps for :func:`_composite_pass`.
+    keeping its operands and step trees for :func:`_composite_pass`.
 
     The roots and steps are built once per right operand and kept on the
     left one, like its per-point results.  They refer to component trees
@@ -576,23 +580,20 @@ def _composite(op: str, left: FieldSpec, right: FieldSpec, pairs) -> FieldSpec:
 def _composite_pass(x: Sequence[float], steps, left: FieldSpec, right: FieldSpec):
     """A composite's pass from its operands' passes, left operand first.
 
-    Each root step runs per direction on the operands' value and partial,
-    direction by direction through every component as in
-    :func:`eval_forward`, so the bits and, when both operands' passes
-    succeed, the error are those of evaluating the roots' trees.  A scalar
-    left operand (fX) pairs its one component with each of the right's.
+    The step trees run in :func:`expr._passes` on the operands' values and
+    partials, one binding dict per axis, so the bits and, when both
+    operands' passes succeed, the error are those of evaluating the roots'
+    trees.  A scalar left operand (fX) pairs its one component with each of
+    the right's.
     """
     lv, lj = _pass(left, x)
     rv, rj = _pass(right, x)
-    if len(lv) < len(rv):
-        lv, lj = lv * len(rv), lj * len(rv)
-    cols = [
-        [step({"l": (u, du[i]), "r": (w, dw[i])}, None)
-         for step, u, du, w, dw in zip(steps, lv, lj, rv, rj)]
-        for i in range(len(_BASIS))
-    ]
-    return (tuple(v for v, _ in cols[0]),
-            tuple(zip(*[[d for _, d in col] for col in cols])))
+    n = len(rv)
+    if len(lv) < n:
+        lv, lj = lv * n, lj * n
+    names = _LEFT_NAMES[:n] + _RIGHT_NAMES[:n]
+    points = [dict(zip(names, zip(lv + rv, column))) for column in zip(*lj, *rj)]
+    return _values_and_rows(_passes(_FORWARD, steps, points))
 
 
 def field_sum(X: FieldSpec, Y: FieldSpec) -> FieldSpec:

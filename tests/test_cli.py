@@ -688,6 +688,52 @@ class TestDiagnostics:
         assert capsys.readouterr().err == (
             "error: at t=0.0: multiplication produced non-finite coefficients\n")
 
+    @pytest.mark.parametrize("gamma, w0", [
+        # The oracle's dot products overflow; the frame and its lift do not.
+        ("gamma 1 2 3 = 1e200", "1,2,3"),
+        # The fiber of the lifted N overflows in the contraction with w.
+        ("gamma 1 2 1 = 1e300", "0,1e10,0"),
+    ], ids=["oracle", "lifted-frame"])
+    def test_horizontal_overflow_names_t(self, tmp_path, capsys, gamma, w0):
+        curve, conn = tmp_path / "unit.curve", tmp_path / "big.conn"
+        curve.write_text("x1 = cos(t)\nx2 = sin(t)\nx3 = t\nt_min = 0\nt_max = 1\n")
+        conn.write_text(gamma + "\n")
+        argv = ["lift", "--kind", "h", f"--w0={w0}", "--curve", str(curve),
+                "--connection", str(conn), "--samples", "3"]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: at t=0.0: multiplication produced non-finite coefficients\n")
+
+    @pytest.mark.parametrize("flag", ["curve", "field", "scalar", "connection"])
+    @pytest.mark.parametrize("how, reason", [
+        ("undecodable", "'utf-8' codec can't decode byte 0xff"),
+        ("missing", "No such file or directory"),
+        ("directory", "Is a directory"),
+    ], ids=["undecodable", "missing", "directory"])
+    def test_unreadable_input_names_file(self, tmp_path, capsys, flag, how, reason):
+        files = {"curve": HELIX_FILE, "field": X_FIELD, "scalar": F_SCALAR,
+                 "connection": GAMMA_FILE}
+        paths = {}
+        for key, body in files.items():
+            paths[key] = tmp_path / f"{key}.in"
+            paths[key].write_text(body)
+        bad = paths[flag] = tmp_path / f"bad-{flag}"
+        if how == "undecodable":
+            bad.write_bytes(b"x1 = t\xff\n")
+        elif how == "directory":
+            bad.mkdir()
+        if flag in ("field", "scalar"):
+            argv = ["fields", "--field", str(paths["field"]), "--scalar", str(paths["scalar"]),
+                    "--point=1,1,1,1,1,1"]
+        else:
+            argv = ["lift", "--kind", "h", "--w0=1,0,0", "--curve", str(paths["curve"]),
+                    "--connection", str(paths["connection"]), "--samples", "3"]
+        assert main(argv) == EXIT_INPUT
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: cannot read {bad}: ")
+        assert reason in out.err and out.err.count("\n") == 1
+
     @pytest.mark.parametrize("flag, text, message", [
         ("curve", "x1 = t\nx2 = t^2\nt_min = 0\nt_max = 1\n", "missing key 'x3'"),
         ("curve", "x1 = t\nx2 = t^2 +\nx3 = t\nt_min = 0\nt_max = 1\n", "line 2: x2: "),

@@ -271,8 +271,10 @@ def _jet_route(asts, point, tangents):
 
 
 def _forward_route(asts, point, tangents):
-    bindings = {name: (point[i], tuple(d[i] for d in tangents)) for i, name in enumerate(NAMES)}
-    return eval_forward(asts, bindings)
+    """eval_forward with one binding dict per direction, regrouped by AST."""
+    outs = eval_forward(asts, [{name: (point[i], d[i]) for i, name in enumerate(NAMES)}
+                               for d in tangents])
+    return [(outs[0][k][0], tuple(out[k][1] for out in outs)) for k in range(len(asts))]
 
 
 def _outcome(route, asts, point, tangents):
@@ -482,8 +484,11 @@ def _second_jet_route(asts, point, tangents):
 
 
 def _second_route(asts, point, tangents):
-    bindings = {name: (point[i], tuple(d[i] for d in tangents)) for i, name in enumerate(NAMES)}
-    return eval_second(asts, bindings)
+    """eval_second with one binding dict per direction, regrouped by AST."""
+    outs = eval_second(asts, [{name: (point[i], d[i], 0.0) for i, name in enumerate(NAMES)}
+                              for d in tangents])
+    return [(outs[0][k][0], tuple(out[k][1] for out in outs), tuple(out[k][2] for out in outs))
+            for k in range(len(asts))]
 
 
 def _hex_outcome(route, *args):

@@ -16,6 +16,7 @@ from frenetlift.expr import (
     FormatError,
     Neg,
     Num,
+    Var,
     eval_float,
     eval_jet,
     scalar_field,
@@ -706,10 +707,9 @@ class TestPerPointCache:
         passes = []
 
         def recording(evaluate):
-            def run(asts, bindings):
-                passes.append((evaluate.__name__, tuple(asts),
-                               len(next(iter(bindings.values()))[1])))
-                return evaluate(asts, bindings)
+            def run(asts, points):
+                passes.append((evaluate.__name__, tuple(asts), len(points)))
+                return evaluate(asts, points)
 
             return run
 
@@ -740,9 +740,9 @@ class TestPerPointCache:
         seconds = []
         real = lifts.eval_second
 
-        def recording(asts, bindings):
-            seconds.append(len(next(iter(bindings.values()))[1]))
-            return real(asts, bindings)
+        def recording(asts, points):
+            seconds.append(len(points))
+            return real(asts, points)
 
         monkeypatch.setattr(lifts, "eval_second", recording)
         X = vector_field("x1*x2", "x3 - x1", "x2*x2")
@@ -880,9 +880,9 @@ class TestZeroDirection:
         for name in ("eval_forward", "eval_second"):
             real = getattr(lifts, name)
 
-            def recording(asts, bindings, real=real):
-                directions.extend(zip(*[d for _, d in bindings.values()]))
-                return real(asts, bindings)
+            def recording(asts, points, real=real):
+                directions.extend(tuple(b[1] for b in point.values()) for point in points)
+                return real(asts, points)
 
             monkeypatch.setattr(lifts, name, recording)
         for tag, G in (("flat", Connection.flat()), ("G", self.G)):
@@ -926,11 +926,14 @@ def _error_of(func, *args):
 
 def _tree_pass(F, x):
     """The oracle: eval_forward on the synthesized trees themselves."""
+    points = [{name: (float(v), d[i]) for i, (name, v) in enumerate(zip(_VARS, x))}
+              for d in lifts._BASIS]
     try:
-        out = lifts.eval_forward(F.components, lifts._bindings(x, lifts._BASIS))
+        outs = lifts.eval_forward(F.components, points)
     except ValueError as err:
         return type(err), str(err), getattr(err, "span", None)
-    return _bits((tuple(v for v, _ in out), tuple(d for _, d in out)))
+    return _bits((tuple(v for v, _ in outs[0]),
+                  tuple(tuple(out[k][1] for out in outs) for k in range(len(F.components)))))
 
 
 def _pass_or_error(F, x):
@@ -976,6 +979,7 @@ class TestCompositePass:
         for x in ((1.0, 2.0, 3.0), (-0.0, 0.5, -2.0), (1e10, 1.0, 1.0)):
             self._check(f, X, x, lifts.field_scale)
             self._check(X, X, x, field_sum)
+            self._check(f, f, x, field_sum)
 
     def test_root_overflow_is_the_trees_error(self):
         X = vector_field("1e308 + x1", "x2", "x3")
@@ -1005,6 +1009,31 @@ class TestCompositePass:
         F = field_sum(lifts.field_scale(f, field_sum(X, Y)), X)
         x = (0.3, -1.2, 0.8)
         assert _pass_or_error(F, x) == _tree_pass(F, x)
+
+    def test_evaluates_only_its_step_trees(self, monkeypatch):
+        X = vector_field("x1*x2", "2", "x3")
+        Y = vector_field("x3", "x1*x3", "0.5")
+        f = scalar_field("x1 - x2*x3")
+        x = (0.3, -1.2, 0.8)
+        for F in (field_sum(X, Y), lifts.field_scale(f, Y)):
+            evaluated = []
+
+            def recording(kernel, asts, points, real=lifts._passes):
+                evaluated.append(tuple(asts))
+                return real(kernel, asts, points)
+
+            with monkeypatch.context() as m:
+                m.setattr(lifts, "_passes", recording)
+                lifts._field_pass(F, x)
+            steps = F._operands[0]
+            assert evaluated == [steps]
+            # Numbers stay in the step; other operands are read as l<k>, r<k>.
+            for k, step in enumerate(steps):
+                root = F.components[k]
+                assert step.op == root.op and step.span == root.span == (0, 0)
+                assert step.left == (root.left if isinstance(root.left, Num) else Var(f"l{k}"))
+                assert step.right == (root.right if isinstance(root.right, Num) else Var(f"r{k}"))
+            assert not any(hasattr(root, "_forward") for root in F.components)
 
 
 class TestNonFiniteLifts:
