@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 verification failure, 2 input error, 3 degenerate
 geometry.  CSV output uses 17 significant digits, '.' decimals and LF line
 ends, and is byte-identical across runs on identical input.  A CSV row is
 written as soon as its point is computed; ``--out`` is replaced on success.
+An output that cannot be written, ``--out`` or stdout, is an input error.
 """
 
 from __future__ import annotations
@@ -142,9 +143,22 @@ def _output(path: str | None):
     the umask for a new file): a failed run leaves an existing file as it
     was and creates none.  A file the user may not write is refused, and a
     path that is not a regular file (a device, a pipe) is written in place.
-    OSError is InputError."""
+    OSError is InputError, for stdout too (a full disk, a closed pipe)."""
     if path is None:
-        yield sys.stdout
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except OSError as err:
+            # Point stdout's descriptor at os.devnull, so the interpreter's
+            # flush at exit writes what is left in the buffer there instead
+            # of failing again with "Exception ignored".  A stdout without a
+            # descriptor raises io.UnsupportedOperation, an OSError.
+            with contextlib.suppress(OSError):
+                fd = sys.stdout.fileno()
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+            raise InputError(f"cannot write stdout: {err.strerror or err}") from err
         return
     target = os.path.realpath(path)
     tmp = None

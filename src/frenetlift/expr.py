@@ -30,7 +30,8 @@ span of the node that failed.  There are four evaluators of one tree:
 
 - :func:`eval_float` evaluates in plain floats with its own arithmetic
   and its own compiler, apart from the others, because it is their
-  oracle.
+  oracle.  Its only production use is folding constant exponents at
+  parse time.
 - :func:`eval_jet` evaluates K-jets through the same :class:`Jet` kernel
   calls as a tree walk, so every bit is the same.  Each number builds its
   constant jet once per order.  When every binding is an order-1 jet it

@@ -23,8 +23,9 @@ import math
 from dataclasses import dataclass
 from itertools import repeat
 
-from .expr import CurveSpec, _per_component, eval_float
+from .expr import CurveSpec, _curve_jets
 from .frenet import (
+    DEFAULT_ORDER,
     FrameJets,
     ToleranceConfig,
     ZeroSpeed,
@@ -93,10 +94,10 @@ class LiftedCurve:
             if kind.anchor is not None:
                 self.anchor = kind.anchor
             else:
-                b = {"t": base.t_min}
+                # Coefficient 0 of the point jets the sweep's first point
+                # reads, so the anchor has their bits and errors.
                 self.anchor = tuple(
-                    _per_component(base.components, base.t_min, lambda comp: eval_float(comp, b))
-                )
+                    c[0] for c in _curve_jets(base, base.t_min, DEFAULT_ORDER))
         else:
             self.anchor = None
 

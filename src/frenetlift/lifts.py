@@ -326,17 +326,6 @@ def _pass(spec: FieldSpec, x: Sequence[float]):
     return _kept(_results_at(spec, x), "pass", _field_pass, spec, x)
 
 
-def _eval_field_components(spec: FieldSpec, x: Sequence[float]) -> tuple[float, ...]:
-    """Component values at x; a JetError where the pass fails or a value
-    is not finite."""
-    return _pass(spec, x)[0]
-
-
-def _jacobian(spec: FieldSpec, x: Sequence[float]) -> tuple[tuple[float, ...], ...]:
-    """J[a][b] = dX^a/dx^b."""
-    return _pass(spec, x)[1]
-
-
 def _points(x: Sequence[float], dirs, *pad) -> list[dict]:
     """Bindings of x1..x3 at x, one dict per direction d of ``dirs``: each
     x_i bound to ``(x_i, d_i)``, followed by the entry i of each ``pad``."""
@@ -344,23 +333,15 @@ def _points(x: Sequence[float], dirs, *pad) -> list[dict]:
     return [dict(zip(_FIELD_NAMES, zip(xs, map(float, d), *pad))) for d in dirs]
 
 
-def _coefficients(f: FieldSpec, x: Sequence[float], order: int, dirs) -> tuple[float, ...]:
-    """Coefficient ``order`` (1 or 2) of s -> f(x + s d) for each direction d
-    of ``dirs``, for a scalar f, from one evaluation, one pass per direction
-    in order."""
-    if order == 1:
-        return tuple(out[0][1] for out in eval_forward(f.components, _points(x, dirs)))
-    return tuple(out[0][2] for out in eval_second(f.components, _points(x, dirs, (0.0,) * 3)))
-
-
 _ZERO_BITS = _pack3(0.0, 0.0, 0.0)
 
 
 def _along(f: FieldSpec, x: Sequence[float], order: int, dirs) -> list[float]:
-    """:func:`_coefficients` along each of ``dirs``, kept one entry per
-    direction (keyed on its bits).  The directions not kept yet come from
-    one evaluation, so its error is the first one they meet in the given
-    order.
+    """Coefficient ``order`` (1 or 2) of s -> f(x + s d) for each direction
+    d of ``dirs``, for a scalar f, kept one entry per direction (keyed on
+    its bits).  The directions not kept yet come from one evaluation, one
+    pass per direction, so its error is the first one they meet in the
+    given order.
 
     The all-+0.0 direction runs no pass unless it comes first among them.
     Each derivative coefficient of a pass is a sum of terms, each with a
@@ -384,7 +365,11 @@ def _along(f: FieldSpec, x: Sequence[float], order: int, dirs) -> list[float]:
     zero = (order, _ZERO_BITS)
     if zero in todo and next(iter(todo)) != zero:
         del todo[zero]
-    known.update(zip(todo, _coefficients(f, x, order, tuple(todo.values()))))
+    if order == 1:
+        outs = eval_forward(f.components, _points(x, todo.values()))
+    else:
+        outs = eval_second(f.components, _points(x, todo.values(), (0.0,) * 3))
+    known.update(zip(todo, (out[0][order] for out in outs)))
     for key in todo:
         _keep(results, key, known[key])
     known.setdefault(zero, 0.0)
@@ -428,7 +413,7 @@ def lift_function(f: FieldSpec, kind: str, p: TangentPoint) -> float:
     if f.kind != "scalar":
         raise ValueError("lift_function expects a scalar field")
     if kind in ("v", "vertical"):
-        return _eval_field_components(f, p.x)[0]
+        return _pass(f, p.x)[0][0]
     if kind in ("c", "complete"):
         return _dir_deriv(f, p.x, p.y)
     raise ValueError(f"unknown function lift kind {kind!r}")
@@ -490,24 +475,11 @@ class LiftedField:
         return value[1] if kind == "horizontal" else value
 
 
-_KIND_ALIASES = {
-    "v": "vertical",
-    "c": "complete",
-    "h": "horizontal",
-    "H": "horizontal",
-    "vertical": "vertical",
-    "complete": "complete",
-    "horizontal": "horizontal",
-}
-
-
 def lift_field(
     X: FieldSpec, kind: str, connection: Connection | None = None
 ) -> LiftedField:
-    try:
-        kind = _KIND_ALIASES[kind]
-    except KeyError:
-        raise ValueError(f"unknown field lift kind {kind!r}") from None
+    """The lift of X of ``kind``, given by its full name or its first letter."""
+    kind = {"v": "vertical", "c": "complete", "h": "horizontal"}.get(kind, kind)
     return LiftedField(X, kind, connection)
 
 
@@ -526,16 +498,6 @@ def apply_field(F: LiftedField, g: tuple[str, FieldSpec], p: TangentPoint) -> fl
         # d/dy part is just grad f against the fiber direction.
         return _mixed_second(spec, p.x, val.base, p.y) + _dir_deriv(spec, p.x, val.fiber)
     raise ValueError(f"unknown scalar lift kind {kind!r}")
-
-
-def _apply_scalar_field_complete(
-    Xc: Sequence[float], f: FieldSpec, p: TangentPoint
-) -> float:
-    """(Xf)^c at p = (D_y X)(x) . grad f(x) + sum y^b X^g d2f/dx^b dx^g,
-    from the complete lift ``Xc`` = (X(x), D_y X(x)) of X at p."""
-    xval, dyX = Xc[:3], Xc[3:]
-    first = _fdot(dyX, _jacobian(f, p.x)[0])
-    return first + _mixed_second(f, p.x, p.y, xval)
 
 
 # --- field algebra on ASTs ------------------------------------------------------
@@ -686,7 +648,8 @@ def prop21_check(
 
     for scalar, tag in ((f, "f"), (g, "g")):
         xf_v = _dir_deriv(scalar, p.x, xval)
-        xf_c = _apply_scalar_field_complete(Xc, scalar, p)
+        # (Xf)^c = (D_y X)(x) . grad f(x) + sum y^b X^g d2f/dx^b dx^g
+        xf_c = _fdot(dyX, _pass(scalar, p.x)[1][0]) + _mixed_second(scalar, p.x, p.y, xval)
         res[f"Xv_{tag}v"] = abs(apply_field(FXv, ("v", scalar), p))
         res[f"Xc_{tag}v"] = abs(apply_field(FXc, ("v", scalar), p) - xf_v)
         res[f"Xv_{tag}c"] = abs(apply_field(FXv, ("c", scalar), p) - xf_v)

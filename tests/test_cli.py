@@ -1,12 +1,16 @@
 """Command line behavior: formats, exit codes, determinism."""
 
 import argparse
+import errno
+import io
 import json
 import math
 import os
 import re
 import shlex
 import stat
+import subprocess
+import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -231,6 +235,15 @@ class TestLiftCommand:
         assert code == EXIT_OK
         _, rows, _ = read_csv(out)
         assert (rows[0]["p1"], rows[0]["p2"], rows[0]["p3"]) == (1.0, 2.0, 3.0)
+
+    def test_default_anchor_prints_the_first_point(self, tmp_path, capsys):
+        # On tan and non-integer powers libm and the jet kernel differ in the
+        # last bit; the anchor is the first point's jet value all the same.
+        curve = tmp_path / "c.curve"
+        curve.write_text("x1 = tan(t)\nx2 = t^2.5\nx3 = (1+t)^-3\nt_min = 0.7\nt_max = 1.4\n")
+        assert main(["lift", "--kind", "v", "--curve", str(curve), "--samples", "2"]) == EXIT_OK
+        row = capsys.readouterr().out.split("\n")[1].split(",")
+        assert row[1:4] == row[4:7]
 
     def test_horizontal_nonflat_with_w0(self, helix_path, tmp_path):
         gpath = tmp_path / "g.conn"
@@ -873,6 +886,46 @@ class TestOutputTarget:
         assert captured.err.startswith(f"error: cannot write {out}: ")
         assert captured.out == ""
         assert sorted(p.name for p in inputs.iterdir()) == before
+
+    class FailingStdout(io.StringIO):
+        """A stdout whose ``write`` or ``flush`` raises ``error``."""
+
+        def __init__(self, method, error):
+            super().__init__()
+            self.method, self.error = method, error
+
+        def write(self, text):
+            if self.method == "write":
+                raise self.error
+            return super().write(text)
+
+        def flush(self):
+            if self.method == "flush":
+                raise self.error
+
+    @pytest.mark.parametrize("error", [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+                                       BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))],
+                             ids=["ENOSPC", "EPIPE"])
+    @pytest.mark.parametrize("method", ["write", "flush"])
+    @pytest.mark.parametrize("command", sorted(WORK))
+    def test_unwritable_stdout_exits_2(self, inputs, command, method, error, capsys,
+                                       monkeypatch):
+        monkeypatch.setattr(sys, "stdout", self.FailingStdout(method, error))
+        argv = [a.format(dir=inputs) for a in self.WORK[command][0]]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: cannot write stdout: {error.strerror}\n"
+
+    def test_closed_pipe_exits_2_without_traceback(self, helix_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        argv = ["lift", "--kind", "c", "--curve", helix_path, "--samples", "3000"]
+        with subprocess.Popen([sys.executable, "-m", "frenetlift.cli", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline().startswith(b"t,p1,")
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(60) == EXIT_INPUT
+        assert err == "error: cannot write stdout: Broken pipe\n"
 
     def test_out_through_a_symlink_replaces_the_file_it_names(self, helix_path, tmp_path):
         real = tmp_path / "real.csv"

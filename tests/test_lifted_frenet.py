@@ -5,8 +5,9 @@ import math
 import pytest
 
 from frenetlift import lifted_frenet
+from frenetlift.expr import CurveSpec
 from frenetlift.frenet import ZeroSpeed, curve_point_jets, generalized_frenet
-from frenetlift.jets import Jet
+from frenetlift.jets import Jet, JetError
 from frenetlift.lifts import Connection, LiftKind
 from frenetlift.lifted_frenet import LiftedCurve
 from frenetlift.verify import (
@@ -198,3 +199,22 @@ class TestTheoremResiduals:
     def test_default_anchor_is_domain_start(self):
         lc = LiftedCurve(USH, LiftKind.vertical())
         assert lc.anchor == pytest.approx((3.0, 0.0, 0.0))
+
+    def test_default_anchor_is_the_first_points_jet_value(self):
+        # libm tan and pow differ from the jet kernel's sin/cos quotient and
+        # exp(r log u) in the last bit at t_min = 0.7.
+        curve = CurveSpec.from_strings("tan(t)", "t^2.5", "(1+t)^-3", 0.7, 1.4)
+        anchor = LiftedCurve(curve, LiftKind.vertical()).anchor
+        first = tuple(c[0] for c in curve_point_jets(curve, curve.t_min))
+        assert tuple(map(float.hex, anchor)) == tuple(map(float.hex, first))
+
+    def test_default_anchor_error_is_the_first_points(self):
+        # eval_float takes sqrt(0.0); the order-5 jets at t = 0 do not.
+        curve = CurveSpec.from_strings("t", "sqrt(t)", "1", 0.0, 1.0)
+        with pytest.raises(JetError) as sweep:
+            next(LiftedCurve(curve, LiftKind.complete()).sweep([0.0]))
+        with pytest.raises(JetError) as anchor:
+            LiftedCurve(curve, LiftKind.vertical())
+        got, want = anchor.value, sweep.value
+        assert (type(got), got.args, got.span, got.component, got.t) == \
+            (type(want), want.args, want.span, want.component, want.t)

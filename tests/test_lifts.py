@@ -18,7 +18,9 @@ from frenetlift.expr import (
     Num,
     Var,
     eval_float,
+    eval_forward,
     eval_jet,
+    eval_second,
     scalar_field,
     vector_field,
 )
@@ -96,6 +98,13 @@ class TestFieldLifts:
             X, _, _, _ = random_quadruple(rng)
             p = random_tangent_point(rng)
             assert lift_field(X, "v").at(p).base == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("kind", ["H", "x", "Vertical"])
+    def test_unknown_kind_is_refused(self, kind):
+        X = vector_field("x2", "0", "0")
+        with pytest.raises(ValueError) as exc:
+            lift_field(X, kind)
+        assert str(exc.value) == f"unknown field lift kind {kind!r}"
 
     def test_flat_horizontal_equals_complete_for_constant_fields(self):
         X = vector_field("1.5", "-0.25", "2")
@@ -577,9 +586,11 @@ def _uncached(spec, x):
     return {}
 
 
-def _one_pass(f, x, d):
-    """The first directional derivative from its own forward pass."""
-    return lifts._coefficients(f, x, 1, (d,))[0]
+def _one_pass(f, x, d, order=1):
+    """Coefficient ``order`` (1 or 2) of s -> f(x + s d) from its own pass."""
+    if order == 1:
+        return eval_forward(f.components, lifts._points(x, (d,)))[0][0][1]
+    return eval_second(f.components, lifts._points(x, (d,), (0.0,) * 3))[0][0][2]
 
 
 def _bits(value):
@@ -651,8 +662,8 @@ class TestPerPointCache:
         d = (0.5, -2.0, 1.5)
         for point in (x, x2, x):
             values, jacobian = lifts._field_pass(X, point)
-            assert _bits(lifts._eval_field_components(X, point)) == _bits(values)
-            assert _bits(lifts._jacobian(X, point)) == _bits(jacobian)
+            assert _bits(lifts._pass(X, point)[0]) == _bits(values)
+            assert _bits(lifts._pass(X, point)[1]) == _bits(jacobian)
             assert lifts._dir_deriv(f, point, d).hex() == _one_pass(f, point, d).hex()
             p = TangentPoint(point, d)
             for kind in ("vertical", "complete", "horizontal"):
@@ -667,9 +678,8 @@ class TestPerPointCache:
         pos, neg = (0.0, 1.0, 2.0), (-0.0, 1.0, 2.0)
         fresh = vector_field("x1", "x2*x1", "x3")
         for point in (pos, neg, pos):
-            assert _bits(lifts._eval_field_components(X, point)) == \
-                _bits(lifts._field_pass(fresh, point)[0])
-        assert lifts._eval_field_components(X, neg)[0].hex() == "-0x0.0p+0"
+            assert _bits(lifts._pass(X, point)[0]) == _bits(lifts._field_pass(fresh, point)[0])
+        assert lifts._pass(X, neg)[0][0].hex() == "-0x0.0p+0"
         # Directions too: a flat horizontal fiber is (-0.0, -0.0, -0.0).
         for d in ((0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (0.0, 0.0, 0.0)):
             want = _one_pass(scalar_field("x1 + x2"), pos, d)
@@ -687,15 +697,15 @@ class TestPerPointCache:
     def test_list_changed_in_place_is_another_point(self):
         X = vector_field("x1*x2", "x3", "x1")
         x = [1.0, 2.0, 3.0]
-        assert lifts._eval_field_components(X, x) == (2.0, 3.0, 1.0)
+        assert lifts._pass(X, x)[0] == (2.0, 3.0, 1.0)
         x[0] = 5.0
-        assert lifts._eval_field_components(X, x) == (10.0, 3.0, 5.0)
+        assert lifts._pass(X, x)[0] == (10.0, 3.0, 5.0)
 
     def test_jacobian_is_immutable(self):
         X = vector_field("x1*x2", "x3", "x1")
-        J = lifts._jacobian(X, (1.0, 2.0, 3.0))
+        J = lifts._pass(X, (1.0, 2.0, 3.0))[1]
         assert isinstance(J, tuple) and all(isinstance(row, tuple) for row in J)
-        assert lifts._jacobian(X, (1.0, 2.0, 3.0)) is J
+        assert lifts._pass(X, (1.0, 2.0, 3.0))[1] is J
 
     def test_forward_passes_of_one_suite(self, monkeypatch):
         X = vector_field("x1*x2", "x3 - x1", "x2*x2")
@@ -875,7 +885,7 @@ class TestZeroDirection:
         # both orders, where the kept coefficient is +0.0.
         f = scalar_field("-(x1*x2)")
         for order in (1, 2):
-            assert lifts._coefficients(f, self.p.x, order, (self.ZERO,))[0].hex() == "-0x0.0p+0"
+            assert _one_pass(f, self.p.x, self.ZERO, order).hex() == "-0x0.0p+0"
         directions = []
         for name in ("eval_forward", "eval_second"):
             real = getattr(lifts, name)
