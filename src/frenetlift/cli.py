@@ -478,7 +478,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.run(args)
     except ValueError as err:
-        print(f"error: {_where(err)}{err}{getattr(err, 'origin', '')}", file=sys.stderr)
+        # A stderr that cannot be written loses the message, not the code.
+        with contextlib.suppress(OSError):
+            print(f"error: {_where(err)}{err}{getattr(err, 'origin', '')}", file=sys.stderr)
         return EXIT_DEGENERATE if isinstance(err, _DEGENERATE) else EXIT_INPUT
 
 

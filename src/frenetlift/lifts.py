@@ -20,34 +20,30 @@ float triples, so no nested or multivariate jets are needed.
 A field's component values and Jacobian come from one forward evaluation
 along the coordinate axes (:func:`expr.eval_forward`, one binding dict and
 pass per axis), so a failure in the first partials is an error for every
-lift kind, as is a value or a lifted fiber that is not finite.  Each
-:class:`FieldSpec` keeps what it computes at a tangent point for the last
-base point it met, keyed on the exact bits of x: that pass, its lifted
-values, and for a scalar its first and second directional coefficients,
-one entry per direction, and the mixed seconds polarized from them.
-:func:`prop21_check` fills the directional entries for each scalar with
-one order-1 and one order-2 evaluation, each one pass per direction, and
-:func:`apply_field` reads them.  The suite asks for no pass along the zero
-direction: once a pass of an order has succeeded at x, the zero
-direction's coefficient is kept as +0.0 (:func:`_along` says why that
-changes no residual and no error).
+lift kind, as is a value or a lifted fiber that is not finite.  What the
+lifts compute at a :class:`TangentPoint` stays on that point for as long
+as it lives, one entry per field spec: the pass, the lifted values, and for
+a scalar its first and second directional coefficients, one per direction,
+and the mixed seconds polarized from them.  Two points with equal x share
+nothing, so a point holds memory in proportion to the distinct (field,
+connection) pairs asked about it; the ``fields`` and ``verify`` commands
+hold one point at a time.  :func:`prop21_check` fills the directional
+entries for each scalar with one order-1 and one order-2 evaluation, each
+one pass per direction, and :func:`apply_field` reads them.  The suite asks
+for no pass along the zero direction: once a pass of an order has
+succeeded at the point, the zero direction's coefficient is kept as +0.0
+(:func:`_along` says why that changes no residual and no error).
 
 :func:`field_sum` and :func:`field_scale` build a new spec of synthesized
-root nodes over their operands' trees, and it keeps its operands.  The
-roots and their steps are built once per (left, right) pair and kept on
-the left operand (X of X+Y, f of fX); the composite's per-point results
-sit inside the left operand's results at x, under the right operand.  Both
-hold the right operand by a weak reference, checked on lookup, and the
-roots refer only to component trees, so no spec holds another and a second
-suite at the same x computes only the horizontal lifts of a new
-connection.  The pass is derived from the operands' passes.  Each root
-has a step tree, the root with each operand that is not a number read from
-a binding of that operand's value and partial, and the step trees run
-through the pass loop of :func:`expr.eval_forward`, one binding dict per
-axis, which gives the bits and the error order of evaluating the roots.
-An operand whose own pass fails raises its error, the left operand first,
-before any root step runs, so where both fail, or where the tree would
-have failed in a root step first, the error raised is the operand's.
+root nodes over their operands' trees, and it keeps its operands.  Its pass
+is derived from the operands' passes: one shared step per component and
+operation, the root with its operands read from bindings of their values
+and partials, runs through the pass loop of :func:`expr.eval_forward`, one
+binding dict per axis, which gives the bits and the error order of
+evaluating the roots.  An operand whose own pass fails raises its error,
+the left operand first, before any root step runs.  :func:`prop21_check`
+keeps its X+Y and fX on the point, so a second suite there computes only
+the horizontal lifts of a new connection.
 
 Curves lift pointwise: vertical to (anchor, beta(t)), complete to
 (beta(t), beta'(t)), and horizontal to (beta(t), w(t)) with w parallel
@@ -61,7 +57,6 @@ from __future__ import annotations
 import math
 import operator
 import struct
-import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -70,7 +65,6 @@ from .expr import (
     FieldSpec,
     FormatError,
     CurveSpec,
-    Num,
     Var,
     _FORWARD,
     _key_value_lines,
@@ -116,7 +110,8 @@ MAX_TRANSPORT_STEPS = 10_000_000
 
 @dataclass(frozen=True)
 class TangentPoint:
-    """A point of the tangent space: base coordinates x, fiber coordinates y."""
+    """A point of the tangent space: base coordinates x, fiber coordinates y,
+    keeping what the lifts compute at it (outside equality and the repr)."""
 
     x: tuple[float, float, float]
     y: tuple[float, float, float]
@@ -128,6 +123,7 @@ class TangentPoint:
             raise ValueError("a tangent point needs 3 base and 3 fiber coordinates")
         if not all(math.isfinite(v) for v in self.x + self.y):
             raise ValueError("tangent point coordinates must be finite")
+        object.__setattr__(self, "_kept", {})
 
 
 @dataclass(frozen=True)
@@ -233,66 +229,16 @@ class LiftKind:
 _FIELD_NAMES = ("x1", "x2", "x3")
 _BASIS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 _pack3 = struct.Struct("<3d").pack
-# Most results kept for one base point; a caller that sweeps many fiber
-# directions at one x must not grow the cache without bound.
-_PER_POINT_MAX = 64
+# Full names of the lift kinds, by their first letters.
+_KINDS = {"v": "vertical", "c": "complete", "h": "horizontal"}
 
 
-def _results_at(spec: FieldSpec, x: Sequence[float]) -> dict:
-    """The results ``spec`` keeps for base point x.
-
-    The spec holds the results for its last base point only, stored the way
-    compiled code is stored on AST nodes; another x replaces them with an
-    empty dict.  x is keyed on its bits, so -0.0 and 0.0 are different
-    points.  An x given as a tuple is kept too, and the same tuple object
-    again needs no packing.
-
-    A spec built by :func:`field_sum` or :func:`field_scale` keeps its
-    results inside its left operand's results at x, in the entry of its
-    right operand, and remembers that entry for the same tuple x.
-    """
-    memo = spec.__dict__.get("_at_x")
-    if memo is not None and memo[2] is x:
-        return memo[1]
-    kept = x if type(x) is tuple else None
-    operands = spec.__dict__.get("_operands")
-    if operands is not None:
-        _, left, right = operands
-        results = _kept_for(_results_at(left, x), spec.components[0].op, right, dict)
-        object.__setattr__(spec, "_at_x", (None, results, kept))
-        return results
-    xbits = _pack3(*x)
-    memo = (xbits, {} if memo is None or memo[0] != xbits else memo[1], kept)
-    object.__setattr__(spec, "_at_x", memo)
-    return memo[1]
-
-
-def _keep(results: dict, key, value) -> None:
-    if len(results) >= _PER_POINT_MAX:
-        results.clear()
-    results[key] = value
-
-
-def _kept(results: dict, key, compute, *args):
-    """``results[key]``, or ``compute(*args)``, kept there.  A compute that
-    raises keeps nothing."""
-    value = results.get(key)
-    if value is None:
-        value = compute(*args)
-        _keep(results, key, value)
-    return value
-
-
-def _kept_for(table: dict, op: str, right: FieldSpec, build):
-    """What ``table`` keeps for ``op`` with the right operand ``right``, or
-    ``build()``, kept there.  The entry is keyed by the id of ``right`` and
-    holds it only by a weak reference, which a lookup checks: a spec freed
-    since cannot answer for a new one at its id."""
-    key = (op, id(right))
-    entry = table.get(key)
-    if entry is None or entry[0]() is not right:
-        entry = (weakref.ref(right), build())
-        _keep(table, key, entry)
+def _results(spec: FieldSpec, p: TangentPoint) -> dict:
+    """The results kept at p for ``spec``.  Its entry holds the spec, so no
+    other spec takes its id while p lives."""
+    entry = p._kept.get(id(spec))
+    if entry is None:
+        entry = p._kept[id(spec)] = (spec, {})
     return entry[1]
 
 
@@ -302,9 +248,8 @@ def _field_pass(spec: FieldSpec, x: Sequence[float]):
     meets, or else a NonFiniteJet spanning the first component whose value
     is not finite (a lone ``1e999``).  A spec built by :func:`field_sum` or
     :func:`field_scale` derives its pass from its operands' instead."""
-    operands = spec.__dict__.get("_operands")
-    if operands is not None:
-        return _composite_pass(x, *operands)
+    if "_operands" in spec.__dict__:
+        return _pass(spec, TangentPoint(x, (0.0, 0.0, 0.0)))
     values, rows = _values_and_rows(eval_forward(spec.components, _points(x, _BASIS)))
     for c, v in zip(spec.components, values):
         if not math.isfinite(v):
@@ -321,9 +266,16 @@ def _values_and_rows(outs):
     return tuple(v for v, _ in outs[0]), tuple(zip(*[[d for _, d in out] for out in outs]))
 
 
-def _pass(spec: FieldSpec, x: Sequence[float]):
-    """:func:`_field_pass` of ``spec`` at x, kept with its results there."""
-    return _kept(_results_at(spec, x), "pass", _field_pass, spec, x)
+def _pass(spec: FieldSpec, p: TangentPoint):
+    """:func:`_field_pass` of ``spec`` at p.x, kept at p.  A composite's
+    comes from its operands' passes kept there."""
+    results = _results(spec, p)
+    value = results.get("pass")
+    if value is None:
+        operands = spec.__dict__.get("_operands")
+        value = _field_pass(spec, p.x) if operands is None else _composite_pass(p, *operands)
+        results["pass"] = value
+    return value
 
 
 def _points(x: Sequence[float], dirs, *pad) -> list[dict]:
@@ -336,12 +288,12 @@ def _points(x: Sequence[float], dirs, *pad) -> list[dict]:
 _ZERO_BITS = _pack3(0.0, 0.0, 0.0)
 
 
-def _along(f: FieldSpec, x: Sequence[float], order: int, dirs) -> list[float]:
-    """Coefficient ``order`` (1 or 2) of s -> f(x + s d) for each direction
-    d of ``dirs``, for a scalar f, kept one entry per direction (keyed on
-    its bits).  The directions not kept yet come from one evaluation, one
-    pass per direction, so its error is the first one they meet in the
-    given order.
+def _along(f: FieldSpec, p: TangentPoint, order: int, dirs) -> list[float]:
+    """Coefficient ``order`` (1 or 2) of s -> f(x + s d) at p.x for each
+    direction d of ``dirs``, for a scalar f, kept at p one entry per
+    direction (keyed on its bits).  The directions not kept yet come from
+    one evaluation, one pass per direction, so its error is the first one
+    they meet in the given order.
 
     The all-+0.0 direction runs no pass unless it comes first among them.
     Each derivative coefficient of a pass is a sum of terms, each with a
@@ -355,7 +307,7 @@ def _along(f: FieldSpec, x: Sequence[float], order: int, dirs) -> list[float]:
     another direction first changes no error.  The sign may differ from
     the pass's; :func:`prop21_check` meets it only inside abs().
     """
-    results = _results_at(f, x)
+    results = _results(f, p)
     keys = [(order, _pack3(*d)) for d in dirs]
     values = [results.get(key) for key in keys]
     if None not in values:
@@ -366,22 +318,19 @@ def _along(f: FieldSpec, x: Sequence[float], order: int, dirs) -> list[float]:
     if zero in todo and next(iter(todo)) != zero:
         del todo[zero]
     if order == 1:
-        outs = eval_forward(f.components, _points(x, todo.values()))
+        outs = eval_forward(f.components, _points(p.x, todo.values()))
     else:
-        outs = eval_second(f.components, _points(x, todo.values(), (0.0,) * 3))
+        outs = eval_second(f.components, _points(p.x, todo.values(), (0.0,) * 3))
     known.update(zip(todo, (out[0][order] for out in outs)))
-    for key in todo:
-        _keep(results, key, known[key])
     known.setdefault(zero, 0.0)
-    if zero not in results:
-        _keep(results, zero, known[zero])
+    results.update(known)
     return [known[key] for key in keys]
 
 
-def _dir_deriv(f: FieldSpec, x: Sequence[float], d: Sequence[float]) -> float:
-    """First derivative of s -> f(x + s d) at 0, for a scalar f."""
-    value = _results_at(f, x).get((1, _pack3(*d)))
-    return _along(f, x, 1, (d,))[0] if value is None else value
+def _dir_deriv(f: FieldSpec, p: TangentPoint, d: Sequence[float]) -> float:
+    """First derivative of s -> f(p.x + s d) at 0, for a scalar f."""
+    value = _results(f, p).get((1, _pack3(*d)))
+    return _along(f, p, 1, (d,))[0] if value is None else value
 
 
 def _polarization(a: Sequence[float], b: Sequence[float]) -> tuple:
@@ -390,18 +339,17 @@ def _polarization(a: Sequence[float], b: Sequence[float]) -> tuple:
 
 
 def _mixed_second(
-    f: FieldSpec, x: Sequence[float], a: Sequence[float], b: Sequence[float]
+    f: FieldSpec, p: TangentPoint, a: Sequence[float], b: Sequence[float]
 ) -> float:
-    """sum_{i,j} a_i b_j d2f/dx_i dx_j by polarization of the second
-    directional derivatives along a+b, a and b, kept by the bits of a and
-    b."""
-    results = _results_at(f, x)
+    """sum_{i,j} a_i b_j d2f/dx_i dx_j at p.x by polarization of the second
+    directional derivatives along a+b, a and b, kept at p by the bits of a
+    and b."""
+    results = _results(f, p)
     key = ("mixed", _pack3(*a), _pack3(*b))
     value = results.get(key)
     if value is None:
-        s_ab, s_a, s_b = _along(f, x, 2, _polarization(a, b))
-        value = 0.5 * (2.0 * s_ab - 2.0 * s_a - 2.0 * s_b)
-        _keep(results, key, value)
+        s_ab, s_a, s_b = _along(f, p, 2, _polarization(a, b))
+        value = results[key] = 0.5 * (2.0 * s_ab - 2.0 * s_a - 2.0 * s_b)
     return value
 
 
@@ -412,10 +360,11 @@ def lift_function(f: FieldSpec, kind: str, p: TangentPoint) -> float:
     """Value of f^v or f^c at p: the pullback f(x), or y . grad f(x)."""
     if f.kind != "scalar":
         raise ValueError("lift_function expects a scalar field")
-    if kind in ("v", "vertical"):
-        return _pass(f, p.x)[0][0]
-    if kind in ("c", "complete"):
-        return _dir_deriv(f, p.x, p.y)
+    full = _KINDS.get(kind, kind)
+    if full == "vertical":
+        return _pass(f, p)[0][0]
+    if full == "complete":
+        return _dir_deriv(f, p, p.y)
     raise ValueError(f"unknown function lift kind {kind!r}")
 
 
@@ -437,15 +386,15 @@ def _lifted(kind: str, base, fiber) -> LiftedFieldValue:
 class LiftedField:
     """A lifted vector field, evaluable at tangent points.
 
-    Values are kept on the field spec with its other per-point results:
-    vertical ones by x, complete ones by x and the bits of y, horizontal
-    ones by x, the bits of y and the connection object.
+    Values are kept at the point with the field's other results there:
+    vertical and complete ones by kind, horizontal ones by the connection
+    object too.
     """
 
     def __init__(self, field: FieldSpec, kind: str, connection: Connection | None = None):
         if field.kind != "vector":
             raise ValueError("lift_field expects a vector field")
-        if kind not in ("vertical", "complete", "horizontal"):
+        if kind not in _KINDS.values():
             raise ValueError(f"unknown field lift kind {kind!r}")
         self.field = field
         self.kind = kind
@@ -453,25 +402,20 @@ class LiftedField:
 
     def at(self, p: TangentPoint) -> LiftedFieldValue:
         kind, G = self.kind, self.connection
-        if kind == "vertical":
-            key = kind
-        elif kind == "complete":
-            key = (kind, _pack3(*p.y))
-        else:
-            key = (kind, _pack3(*p.y), id(G))
-        results = _results_at(self.field, p.x)
+        key = (kind, id(G)) if kind == "horizontal" else kind
+        results = _results(self.field, p)
         value = results.get(key)
         if value is None:
-            values, jacobian = _kept(results, "pass", _field_pass, self.field, p.x)
+            values, jacobian = _pass(self.field, p)
             if kind == "vertical":
                 value = LiftedFieldValue((0.0, 0.0, 0.0), values)
             elif kind == "complete":
                 value = _lifted(kind, values, tuple(_fdot(p.y, row) for row in jacobian))
             else:
                 # The entry holds G, so no other connection can take its id
-                # while the entry is kept: a lookup compares by identity.
+                # while p lives: a lookup compares by identity.
                 value = G, _lifted(kind, values, tuple(map(operator.neg, G.contract(p.y, values))))
-            _keep(results, key, value)
+            results[key] = value
         return value[1] if kind == "horizontal" else value
 
 
@@ -479,8 +423,7 @@ def lift_field(
     X: FieldSpec, kind: str, connection: Connection | None = None
 ) -> LiftedField:
     """The lift of X of ``kind``, given by its full name or its first letter."""
-    kind = {"v": "vertical", "c": "complete", "h": "horizontal"}.get(kind, kind)
-    return LiftedField(X, kind, connection)
+    return LiftedField(X, _KINDS.get(kind, kind), connection)
 
 
 def apply_field(F: LiftedField, g: tuple[str, FieldSpec], p: TangentPoint) -> float:
@@ -490,72 +433,55 @@ def apply_field(F: LiftedField, g: tuple[str, FieldSpec], p: TangentPoint) -> fl
     kind, spec = g
     if not isinstance(spec, FieldSpec) or spec.kind != "scalar":
         raise ValueError("apply_field expects a scalar FieldSpec")
-    if kind in ("v", "vertical"):
+    full = _KINDS.get(kind, kind)
+    if full == "vertical":
         # g depends on x only.
-        return _dir_deriv(spec, p.x, val.base)
-    if kind in ("c", "complete"):
+        return _dir_deriv(spec, p, val.base)
+    if full == "complete":
         # d/dx part needs mixed seconds of f against the fiber coordinate;
         # d/dy part is just grad f against the fiber direction.
-        return _mixed_second(spec, p.x, val.base, p.y) + _dir_deriv(spec, p.x, val.fiber)
+        return _mixed_second(spec, p, val.base, p.y) + _dir_deriv(spec, p, val.fiber)
     raise ValueError(f"unknown scalar lift kind {kind!r}")
 
 
 # --- field algebra on ASTs ------------------------------------------------------
 
 
-# The bindings of component k's left and right operand in its root step.
+# Component k of a composite's pass: its root with the left and right
+# operands read from the bindings l<k> and r<k> of their values and
+# partials, shared by every composite and compiled once.  A number operand's
+# pass is (c, 0.0) on every axis, and read from a binding it gives the bits
+# and errors of the root's own code.
 _LEFT_NAMES, _RIGHT_NAMES = ("l0", "l1", "l2"), ("r0", "r1", "r2")
-
-
-def _roots(op: str, pairs) -> tuple:
-    """Roots ``op`` over the (left, right) component pairs, and their step
-    trees: root k with each operand that is not a Num read from the binding
-    l<k> or r<k>, so it compiles to the root's own ``+``, ``*`` or product
-    with a number, finiteness test and span (0, 0)."""
-    pairs = tuple(pairs)
-    roots = tuple(BinOp(op, a, b, (0, 0)) for a, b in pairs)
-    steps = tuple(
-        BinOp(op, a if isinstance(a, Num) else Var(_LEFT_NAMES[k]),
-              b if isinstance(b, Num) else Var(_RIGHT_NAMES[k]), (0, 0))
-        for k, (a, b) in enumerate(pairs))
-    return roots, steps
+_STEPS = {op: tuple(BinOp(op, Var(a), Var(b), (0, 0)) for a, b in zip(_LEFT_NAMES, _RIGHT_NAMES))
+          for op in "+*"}
 
 
 def _composite(op: str, left: FieldSpec, right: FieldSpec, pairs) -> FieldSpec:
     """The field of roots ``op`` over the (left, right) component pairs,
-    keeping its operands and step trees for :func:`_composite_pass`.
-
-    The roots and steps are built once per right operand and kept on the
-    left one, like its per-point results.  They refer to component trees
-    only, so the left operand holds nothing that holds a spec.
-    """
-    built = left.__dict__.get("_composites")
-    if built is None:
-        built = {}
-        object.__setattr__(left, "_composites", built)
-    roots, steps = _kept_for(built, op, right, lambda: _roots(op, pairs))
-    spec = FieldSpec(right.kind, roots)
-    object.__setattr__(spec, "_operands", (steps, left, right))
+    keeping its operands for :func:`_composite_pass`."""
+    spec = FieldSpec(right.kind, tuple(BinOp(op, a, b, (0, 0)) for a, b in pairs))
+    object.__setattr__(spec, "_operands", (op, left, right))
     return spec
 
 
-def _composite_pass(x: Sequence[float], steps, left: FieldSpec, right: FieldSpec):
-    """A composite's pass from its operands' passes, left operand first.
+def _composite_pass(p: TangentPoint, op: str, left: FieldSpec, right: FieldSpec):
+    """A composite's pass from its operands' passes at p, left operand first.
 
-    The step trees run in :func:`expr._passes` on the operands' values and
+    The steps run in :func:`expr._passes` on the operands' values and
     partials, one binding dict per axis, so the bits and, when both
     operands' passes succeed, the error are those of evaluating the roots'
     trees.  A scalar left operand (fX) pairs its one component with each of
     the right's.
     """
-    lv, lj = _pass(left, x)
-    rv, rj = _pass(right, x)
+    lv, lj = _pass(left, p)
+    rv, rj = _pass(right, p)
     n = len(rv)
     if len(lv) < n:
         lv, lj = lv * n, lj * n
     names = _LEFT_NAMES[:n] + _RIGHT_NAMES[:n]
     points = [dict(zip(names, zip(lv + rv, column))) for column in zip(*lj, *rj)]
-    return _values_and_rows(_passes(_FORWARD, steps, points))
+    return _values_and_rows(_passes(_FORWARD, _STEPS[op][:n], points))
 
 
 def field_sum(X: FieldSpec, Y: FieldSpec) -> FieldSpec:
@@ -614,7 +540,10 @@ def prop21_check(
     res: dict[str, float] = {}
     kinds = ("vertical", "complete", "horizontal")
 
-    XY = field_sum(X, Y)
+    # X+Y and fX are kept at p; each holds its operands, so their ids stay
+    # theirs while p lives.
+    key = ("+", id(X), id(Y))
+    XY = p._kept.get(key) or p._kept.setdefault(key, field_sum(X, Y))
     FXv, FXc, FXh = FX = [LiftedField(X, kind, G) for kind in kinds]
     for F in FX:
         left = LiftedField(XY, F.kind, G).at(p)
@@ -622,7 +551,8 @@ def prop21_check(
         ya = LiftedField(Y, F.kind, G).at(p).as_tuple()
         res["additivity_" + F.kind[0]] = _max_abs_diff(left, tuple(map(operator.add, xa, ya)))
 
-    fX = field_scale(f, X)
+    key = ("*", id(f), id(X))
+    fX = p._kept.get(key) or p._kept.setdefault(key, field_scale(f, X))
     fv = lift_function(f, "v", p)
     Xv, Xc, Xh = (F.at(p).as_tuple() for F in FX)
     fXv, fXc, fXh = (LiftedField(fX, kind, G).at(p) for kind in kinds)
@@ -636,10 +566,10 @@ def prop21_check(
     # stays fX's.
     xval, dyX = Xv[3:], Xc[3:]
     seconds = (*_polarization(p.y, xval), tuple(0.0 + v for v in p.y))
-    _along(f, p.x, 1, (p.y, xval, dyX))
-    _along(f, p.x, 2, seconds)
-    _along(g, p.x, 1, (xval, dyX))
-    _along(g, p.x, 2, seconds)
+    _along(f, p, 1, (p.y, xval, dyX))
+    _along(f, p, 2, seconds)
+    _along(g, p, 1, (xval, dyX))
+    _along(g, p, 2, seconds)
 
     fc = lift_function(f, "c", p)
     res["module_v"] = _max_abs_diff(fXv, tuple(fv * u for u in Xv))
@@ -647,9 +577,9 @@ def prop21_check(
     res["module_h"] = _max_abs_diff(fXh, tuple(fv * u for u in Xh))
 
     for scalar, tag in ((f, "f"), (g, "g")):
-        xf_v = _dir_deriv(scalar, p.x, xval)
+        xf_v = _dir_deriv(scalar, p, xval)
         # (Xf)^c = (D_y X)(x) . grad f(x) + sum y^b X^g d2f/dx^b dx^g
-        xf_c = _fdot(dyX, _pass(scalar, p.x)[1][0]) + _mixed_second(scalar, p.x, p.y, xval)
+        xf_c = _fdot(dyX, _pass(scalar, p)[1][0]) + _mixed_second(scalar, p, p.y, xval)
         res[f"Xv_{tag}v"] = abs(apply_field(FXv, ("v", scalar), p))
         res[f"Xc_{tag}v"] = abs(apply_field(FXc, ("v", scalar), p) - xf_v)
         res[f"Xv_{tag}c"] = abs(apply_field(FXv, ("c", scalar), p) - xf_v)

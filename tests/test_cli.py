@@ -1,6 +1,7 @@
 """Command line behavior: formats, exit codes, determinism."""
 
 import argparse
+import contextlib
 import errno
 import io
 import json
@@ -11,12 +12,14 @@ import shlex
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from frenetlift import cli, lifts, verify
 from frenetlift.cli import (
@@ -915,6 +918,20 @@ class TestOutputTarget:
         assert main(argv) == EXIT_INPUT
         assert capsys.readouterr().err == f"error: cannot write stdout: {error.strerror}\n"
 
+    @pytest.mark.parametrize("error", [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+                                       BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))],
+                             ids=["ENOSPC", "EPIPE"])
+    @pytest.mark.parametrize("curve, code", [(None, EXIT_INPUT), (LINE_FILE, EXIT_DEGENERATE)],
+                             ids=["missing-curve", "straight-line"])
+    def test_unwritable_stderr_keeps_the_exit_code(self, tmp_path, curve, code, error,
+                                                   monkeypatch):
+        # The error line is lost, but the code is still the error's, not 1.
+        path = tmp_path / "c.curve"
+        if curve is not None:
+            path.write_text(curve)
+        monkeypatch.setattr(sys, "stderr", self.FailingStdout("write", error))
+        assert main(["frenet", "--curve", str(path), "--samples", "3"]) == code
+
     def test_closed_pipe_exits_2_without_traceback(self, helix_path):
         src = Path(__file__).resolve().parents[1] / "src"
         env = {**os.environ, "PYTHONPATH": str(src)}
@@ -1212,3 +1229,60 @@ class TestFieldsErrorOrigin:
         argv = ["fields", "--field", str(tmp_path / "X.field"), "--scalar",
                 str(tmp_path / "f.field"), "--point=1,2,3,0,0,0", "--out", str(tmp_path / "o.csv")]
         assert main(argv) == EXIT_OK
+
+
+# --- hostile fields input ---------------------------------------------------------
+
+# Field texts that overflow, leave the domain of sqrt or log, or divide by a
+# vanishing x term, and points with signed zeros and huge coordinates.
+_SIGN = st.sampled_from(["", "-"])
+_HOSTILE_EXPR = st.recursive(
+    st.sampled_from(["x1", "x2", "x3", "x1", "x2", "x3", "0.5", "-0.0", "0", "1e999", "1e308"]),
+    lambda inner: st.one_of(
+        st.builds("sqrt({}({}))".format, _SIGN, inner),
+        st.builds("log({}({}))".format, _SIGN, inner),
+        st.builds("({}) / (x{} - {})".format, inner, st.sampled_from("123"),
+                  st.sampled_from(["0", "1", "-0.0"])),
+        st.builds("({}) {} ({})".format, inner, st.sampled_from("+-*"), inner),
+        st.builds("({}) {} ({})".format, inner, st.sampled_from("+-*"), inner),
+    ),
+    max_leaves=4,
+)
+_HOSTILE_COORD = st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.75, 1e-300, 1e300, -1e308])
+# The other field texts, which fail at a point only through huge coordinates.
+_PLAIN_TEXTS = ("x1*x2", "x3 - x1", "sin(x2)", "1", "x2*x3", "x1 + 2*x3", "cos(x1)*x2", "x3")
+
+
+@seed(20261019)
+@settings(max_examples=80, deadline=None, database=None)
+@given(hostile=st.lists(st.tuples(st.integers(0, 7), _HOSTILE_EXPR), min_size=1, max_size=3),
+       points=st.lists(st.lists(_HOSTILE_COORD, min_size=6, max_size=6), min_size=1, max_size=3),
+       curved=st.booleans())
+def test_hostile_fields_input_exits_with_a_documented_code(hostile, points, curved):
+    texts = list(_PLAIN_TEXTS)
+    for k, text in hostile:
+        texts[k] = text
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "X.field").write_text("X1 = {}\nX2 = {}\nX3 = {}\n".format(*texts[:3]))
+        (d / "Y.field").write_text("X1 = {}\nX2 = {}\nX3 = {}\n".format(*texts[3:6]))
+        (d / "f.field").write_text(f"f = {texts[6]}\n")
+        (d / "g.field").write_text(f"f = {texts[7]}\n")
+        (d / "g.conn").write_text("gamma 1 2 3 = 0.3\ngamma 2 1 1 = -0.2\n")
+        argv = ["fields", "--field", str(d / "X.field"), "--field", str(d / "Y.field"),
+                "--scalar", str(d / "f.field"), "--scalar", str(d / "g.field"),
+                *["--point=" + ",".join(map(repr, p)) for p in points],
+                "--out", str(d / "out.csv")]
+        if curved:
+            argv += ["--connection", str(d / "g.conn")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        out = (d / "out.csv").read_text() if code == EXIT_OK else None
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_DEGENERATE)
+    if code == EXIT_OK:
+        assert err.getvalue() == ""
+        assert len(out.splitlines()) == 1 + len(points)
+    else:
+        # One error line, no traceback.
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -72,6 +72,26 @@ class TestFunctionLifts:
         p = TangentPoint((0.3, -2, 5), (4, 4, 4))
         assert lift_function(f, "c", p) == 0.0
 
+    def test_short_and_full_kind_names_agree(self):
+        f = scalar_field("x1*x2 + sin(x3)")
+        X = vector_field("x2", "x3*x1", "1")
+        p = TangentPoint((0.3, -2, 5), (4, -1, 0.5))
+        for short, full in (("v", "vertical"), ("c", "complete")):
+            assert lift_function(f, short, p) == lift_function(f, full, TangentPoint(p.x, p.y))
+            assert apply_field(lift_field(X, "c"), (short, f), p) == \
+                apply_field(lift_field(X, "complete"), (full, f), TangentPoint(p.x, p.y))
+
+    @pytest.mark.parametrize("kind", ["h", "horizontal", "H", "x"])
+    def test_unknown_kind_is_refused(self, kind):
+        f = scalar_field("x1*x2")
+        p = TangentPoint((1, 2, 3), (0, 0, 1))
+        with pytest.raises(ValueError) as exc:
+            lift_function(f, kind, p)
+        assert str(exc.value) == f"unknown function lift kind {kind!r}"
+        with pytest.raises(ValueError) as exc:
+            apply_field(lift_field(vector_field("x2", "0", "0"), "v"), (kind, f), p)
+        assert str(exc.value) == f"unknown scalar lift kind {kind!r}"
+
 
 class TestFieldLifts:
     def test_vertical(self):
@@ -382,6 +402,11 @@ class TestConnectionFile:
 _VARS = ("x1", "x2", "x3")
 
 
+def _at(x):
+    """A fresh tangent point over x, for the helpers that read only its x."""
+    return TangentPoint(x, (0.0, 0.0, 0.0))
+
+
 def _polarized(ast, x, a, b):
     """Three order-2 eval_jet calls polarized, the reference for the one
     eval_second pass of lifts._mixed_second."""
@@ -435,7 +460,7 @@ class TestSecondOrderPass:
             b = [rng.uniform(-3.0, 3.0) for _ in range(3)]
             want = _hex_or_error(_polarized, ast, x, a, b)
             f = FieldSpec("scalar", (ast,))
-            assert _hex_or_error(lifts._mixed_second, f, x, a, b) == want
+            assert _hex_or_error(lifts._mixed_second, f, _at(x), a, b) == want
             raised += isinstance(want, tuple)
         assert 0 < raised < 600
 
@@ -448,7 +473,7 @@ class TestSecondOrderPass:
             for scalar in (f, g):
                 ast = scalar.components[0]
                 want = _polarized(ast, p.x, p.y, xval).hex()
-                assert lifts._mixed_second(scalar, p.x, p.y, xval).hex() == want
+                assert lifts._mixed_second(scalar, p, p.y, xval).hex() == want
 
     def test_order2_error_of_earliest_direction(self):
         # a+b overflows in its second coefficient only; a and b do not.
@@ -456,7 +481,7 @@ class TestSecondOrderPass:
         x, a, b = (1.0, 0.0, 0.0), (1e5, 0.0, 0.0), (1e5, 0.0, 0.0)
         want = _hex_or_error(_polarized, f.components[0], x, a, b)
         assert want[0] is NonFiniteJet
-        assert _hex_or_error(lifts._mixed_second, f, x, a, b) == want
+        assert _hex_or_error(lifts._mixed_second, f, _at(x), a, b) == want
 
 
 class TestConnectionTerms:
@@ -578,12 +603,12 @@ class TestNonFlatHorizontalFiber:
             self._check(lc, frame_jets(pj, lc.cfg, t), lifted_point_jets(pj, lc.kind, G, None, w0))
 
 
-# --- per-point results kept on each field spec ---------------------------------
+# --- per-point results kept on each tangent point -------------------------------
 
 
-def _uncached(spec, x):
-    """Stands in for lifts._results_at: nothing is kept, everything computed."""
-    return {}
+def _fresh(p):
+    """An equal point that keeps nothing yet: the uncached reference."""
+    return TangentPoint(p.x, p.y)
 
 
 def _one_pass(f, x, d, order=1):
@@ -627,7 +652,7 @@ def _random_quadruple_or_ast(rng, i):
 
 
 class TestPerPointCache:
-    def test_suite_matches_uncached_bits(self, monkeypatch):
+    def test_suite_matches_uncached_bits(self):
         rng = random.Random(20261018)
         raised = calls = 0
         for i in range(12):
@@ -637,9 +662,7 @@ class TestPerPointCache:
             # Each point twice in a row (one per connection), then revisited.
             for p in points + points[:2]:
                 for G in conns:
-                    with monkeypatch.context() as m:
-                        m.setattr(lifts, "_results_at", _uncached)
-                        want = _suite_bits(quad, G, p)
+                    want = _suite_bits(quad, G, _fresh(p))
                     assert _suite_bits(quad, G, p) == want
                     raised += isinstance(want[0], type)
                     calls += 1
@@ -650,62 +673,66 @@ class TestPerPointCache:
         p = TangentPoint((0.3, -1.2, 0.8), (0.5, -2.0, 1.5))
         for _ in range(3):
             lift_field(X, "h").at(p)
-        horizontal = [k for k in X._at_x[1] if isinstance(k, tuple) and k[0] == "horizontal"]
-        assert len(horizontal) == 1
+        kept = lifts._results(X, p)
+        assert [k for k in kept if isinstance(k, tuple) and k[0] == "horizontal"] == [
+            ("horizontal", id(Connection.flat()))]
         assert lift_field(X, "h").connection is Connection.flat()
         assert LiftedCurve(HELIX, LiftKind.complete()).connection is Connection.flat()
 
-    def test_point_then_another_then_back(self):
+    def test_equal_points_run_their_own_pass(self, monkeypatch):
         X = vector_field("x1*x2 + sin(x3)", "x2^2 - x1", "exp(x1)*x3")
         f = scalar_field("x1*x3 + cos(x2)")
-        x, x2 = (0.3, -1.2, 0.8), (1.1, 0.4, -0.6)
         d = (0.5, -2.0, 1.5)
-        for point in (x, x2, x):
-            values, jacobian = lifts._field_pass(X, point)
-            assert _bits(lifts._pass(X, point)[0]) == _bits(values)
-            assert _bits(lifts._pass(X, point)[1]) == _bits(jacobian)
-            assert lifts._dir_deriv(f, point, d).hex() == _one_pass(f, point, d).hex()
-            p = TangentPoint(point, d)
+        points = [TangentPoint(x, d) for x in ((0.3, -1.2, 0.8), (1.1, 0.4, -0.6), (0.3, -1.2, 0.8))]
+        assert points[0] == points[2]
+        want = [(_bits(lifts._field_pass(X, p.x)), _one_pass(f, p.x, d).hex()) for p in points]
+        passes = []
+        real = lifts.eval_forward
+        monkeypatch.setattr(lifts, "eval_forward",
+                            lambda asts, pts: passes.append(asts) or real(asts, pts))
+        for p, (pass_bits, deriv) in zip(points, want):
+            for _ in range(2):
+                assert _bits(lifts._pass(X, p)) == pass_bits
+                assert lifts._dir_deriv(f, p, d).hex() == deriv
+            q = _fresh(p)
             for kind in ("vertical", "complete", "horizontal"):
-                with pytest.MonkeyPatch.context() as m:
-                    m.setattr(lifts, "_results_at", _uncached)
-                    want = lift_field(X, kind).at(p).as_tuple()
-                assert _bits(lift_field(X, kind).at(p).as_tuple()) == _bits(want)
+                assert _bits(lift_field(X, kind).at(p).as_tuple()) == \
+                    _bits(lift_field(X, kind).at(q).as_tuple())
+        # Each point runs X's pass and f's pass along d once, the third
+        # too, though it equals the first; each fresh reference runs X's.
+        assert passes == [X.components, f.components, X.components] * 3
 
     def test_signed_zero_is_another_point(self):
         X = vector_field("x1", "x2*x1", "x3")
         f = scalar_field("x1 + x2")
         pos, neg = (0.0, 1.0, 2.0), (-0.0, 1.0, 2.0)
         fresh = vector_field("x1", "x2*x1", "x3")
-        for point in (pos, neg, pos):
-            assert _bits(lifts._pass(X, point)[0]) == _bits(lifts._field_pass(fresh, point)[0])
-        assert lifts._pass(X, neg)[0][0].hex() == "-0x0.0p+0"
-        # Directions too: a flat horizontal fiber is (-0.0, -0.0, -0.0).
+        for x in (pos, neg):
+            assert _bits(lifts._pass(X, _at(x))[0]) == _bits(lifts._field_pass(fresh, x)[0])
+        assert lifts._pass(X, _at(neg))[0][0].hex() == "-0x0.0p+0"
+        # Directions too, at one point: a flat horizontal fiber is
+        # (-0.0, -0.0, -0.0).
+        p = _at(pos)
         for d in ((0.0, 0.0, 0.0), (-0.0, -0.0, -0.0), (0.0, 0.0, 0.0)):
             want = _one_pass(scalar_field("x1 + x2"), pos, d)
-            assert lifts._dir_deriv(f, pos, d).hex() == want.hex()
-        assert lifts._dir_deriv(f, pos, (-0.0, -0.0, -0.0)).hex() == "-0x0.0p+0"
-
-    def test_many_directions_at_one_point_stay_bounded(self):
-        f = scalar_field("x1*x2 - sin(x3)")
-        x = (0.4, -0.9, 1.3)
-        for i in range(500):
-            d = (i * 0.01, 1.0 - i * 0.003, -0.5)
-            assert lifts._dir_deriv(f, x, d).hex() == _one_pass(f, x, d).hex()
-            assert len(f._at_x[1]) <= lifts._PER_POINT_MAX
+            assert lifts._dir_deriv(f, p, d).hex() == want.hex()
+        assert lifts._dir_deriv(f, p, (-0.0, -0.0, -0.0)).hex() == "-0x0.0p+0"
 
     def test_list_changed_in_place_is_another_point(self):
         X = vector_field("x1*x2", "x3", "x1")
         x = [1.0, 2.0, 3.0]
-        assert lifts._pass(X, x)[0] == (2.0, 3.0, 1.0)
+        p = _at(x)
         x[0] = 5.0
-        assert lifts._pass(X, x)[0] == (10.0, 3.0, 5.0)
+        # The point copied x when it was made.
+        assert lifts._pass(X, p)[0] == (2.0, 3.0, 1.0)
+        assert lifts._pass(X, _at(x))[0] == (10.0, 3.0, 5.0)
 
     def test_jacobian_is_immutable(self):
         X = vector_field("x1*x2", "x3", "x1")
-        J = lifts._pass(X, (1.0, 2.0, 3.0))[1]
+        p = _at((1.0, 2.0, 3.0))
+        J = lifts._pass(X, p)[1]
         assert isinstance(J, tuple) and all(isinstance(row, tuple) for row in J)
-        assert lifts._pass(X, (1.0, 2.0, 3.0))[1] is J
+        assert lifts._pass(X, p)[1] is J
 
     def test_forward_passes_of_one_suite(self, monkeypatch):
         X = vector_field("x1*x2", "x3 - x1", "x2*x2")
@@ -774,15 +801,17 @@ class TestPerPointCache:
 
             return run
 
-        for name in ("_composite_pass", "_roots", "_lifted", "eval_forward", "eval_second"):
+        for name in ("_composite_pass", "field_sum", "field_scale", "_lifted", "eval_forward",
+                     "eval_second"):
             monkeypatch.setattr(lifts, name, recording(name, getattr(lifts, name)))
         prop21_check(X, Y, f, g, random_connection(random.Random(8)), p)
-        # No pass, no composite root: only the horizontal lifts of X+Y, X, Y
+        # No pass, no new composite: only the horizontal lifts of X+Y, X, Y
         # and fX, which depend on the connection, in the suite's order.
         assert [(name, args[0]) for name, args in calls] == [("_lifted", "horizontal")] * 4
+        fibers = [_bits(args[1]) for _, args in calls]
         values = [lift_field(F, "v").at(p).fiber for F in (
             field_sum(X, Y), X, Y, lifts.field_scale(f, X))]
-        assert [_bits(args[1]) for _, args in calls] == [_bits(v) for v in values]
+        assert fibers == [_bits(v) for v in values]
         assert len(set(map(_bits, values))) == 4
 
     def test_composites_freed_with_their_operands(self):
@@ -821,9 +850,7 @@ class TestPerPointCache:
         got = []
         for y in ys:
             p = TangentPoint(x, y)
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(lifts, "_results_at", _uncached)
-                want = _bits(LiftedField(X, kind, G).at(p).as_tuple())
+            want = _bits(LiftedField(X, kind, G).at(_fresh(p)).as_tuple())
             got.append(_bits(LiftedField(X, kind, G).at(p).as_tuple()))
             assert got[-1] == want
         if kind == "horizontal":
@@ -837,24 +864,9 @@ class TestPerPointCache:
         # An equal but distinct connection is another key, with the same value.
         conns.append(Connection(conns[0].gamma))
         for G in conns + conns[::-1]:
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(lifts, "_results_at", _uncached)
-                want = _bits(lift_field(X, "h", G).at(p).as_tuple())
+            want = _bits(lift_field(X, "h", G).at(_fresh(p)).as_tuple())
             assert _bits(lift_field(X, "h", G).at(p).as_tuple()) == want
         assert lift_field(X, "h", conns[0]).at(p) != lift_field(X, "h", conns[1]).at(p)
-
-    def test_many_fibers_at_one_point_stay_bounded(self):
-        X = vector_field("x1*x2", "x3 - x1", "sin(x2)")
-        G = Connection.from_entries({(1, 2, 3): 0.3, (2, 1, 1): -0.2})
-        x = (0.4, -0.9, 1.3)
-        for i in range(500):
-            p = TangentPoint(x, (i * 0.01, 1.0 - i * 0.003, -0.5))
-            for kind in ("complete", "horizontal"):
-                with pytest.MonkeyPatch.context() as m:
-                    m.setattr(lifts, "_results_at", _uncached)
-                    want = _bits(LiftedField(X, kind, G).at(p).as_tuple())
-                assert _bits(LiftedField(X, kind, G).at(p).as_tuple()) == want
-            assert len(X._at_x[1]) <= lifts._PER_POINT_MAX
 
 
 class TestZeroDirection:
@@ -919,8 +931,8 @@ class TestZeroDirection:
             singular = scalar_field("sqrt(x1)")
             assert _error_of(apply_field, lift_field(self.X, "v"), (kind, singular), q) == want
         singular = scalar_field("sqrt(x1)")
-        assert _error_of(lifts._along, singular, q.x, 1, (q.y, self.ZERO)) == want
-        assert _error_of(lifts._dir_deriv, singular, q.x, self.ZERO) == want
+        assert _error_of(lifts._along, singular, q, 1, (q.y, self.ZERO)) == want
+        assert _error_of(lifts._dir_deriv, singular, q, self.ZERO) == want
 
 
 def _error_of(func, *args):
@@ -983,13 +995,27 @@ class TestCompositePass:
         ("0", ("x1", "1e308", "x3")),
         ("1e300", ("x1*1e10", "x2", "1e-300")),
     ], ids=["number-factor", "number-component", "zero-factor", "overflowing-product"])
-    def test_number_factor_on_either_side(self, f, X):
+    def test_number_factor_on_either_side(self, f, X, monkeypatch):
+        # A number operand goes through the derived route like any other:
+        # its pass (c, 0.0) is read from a binding by the shared steps.
         f, X = scalar_field(f), vector_field(*X)
         assert any(isinstance(c, Num) for c in (*f.components, *X.components))
+        evaluated = []
+
+        def recording(kernel, asts, points, real=lifts._passes):
+            evaluated.append(tuple(asts))
+            return real(kernel, asts, points)
+
         for x in ((1.0, 2.0, 3.0), (-0.0, 0.5, -2.0), (1e10, 1.0, 1.0)):
-            self._check(f, X, x, lifts.field_scale)
-            self._check(X, X, x, field_sum)
-            self._check(f, f, x, field_sum)
+            for left, right, combine in ((f, X, lifts.field_scale), (X, X, field_sum),
+                                         (f, f, field_sum)):
+                evaluated.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(lifts, "_passes", recording)
+                    _, failed = self._check(left, right, x, combine)
+                op = "*" if combine is lifts.field_scale else "+"
+                n = len(right.components)
+                assert evaluated == ([] if failed else [lifts._STEPS[op][:n]])
 
     def test_root_overflow_is_the_trees_error(self):
         X = vector_field("1e308 + x1", "x2", "x3")
@@ -1035,15 +1061,16 @@ class TestCompositePass:
             with monkeypatch.context() as m:
                 m.setattr(lifts, "_passes", recording)
                 lifts._field_pass(F, x)
-            steps = F._operands[0]
-            assert evaluated == [steps]
-            # Numbers stay in the step; other operands are read as l<k>, r<k>.
-            for k, step in enumerate(steps):
-                root = F.components[k]
-                assert step.op == root.op and step.span == root.span == (0, 0)
-                assert step.left == (root.left if isinstance(root.left, Num) else Var(f"l{k}"))
-                assert step.right == (root.right if isinstance(root.right, Num) else Var(f"r{k}"))
+            op = F.components[0].op
+            steps = lifts._STEPS[op]
+            assert [list(map(id, asts)) for asts in evaluated] == [list(map(id, steps))]
+            # Every operand, a number too, is read as l<k>, r<k>.
+            for k, (step, root) in enumerate(zip(steps, F.components)):
+                assert step == BinOp(op, Var(f"l{k}"), Var(f"r{k}"), (0, 0))
+                assert root.op == op and root.span == (0, 0)
             assert not any(hasattr(root, "_forward") for root in F.components)
+        # Six steps in all, each compiled once and shared by every composite.
+        assert all(hasattr(step, "_forward") for steps in lifts._STEPS.values() for step in steps)
 
 
 class TestNonFiniteLifts:
