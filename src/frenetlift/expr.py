@@ -196,6 +196,9 @@ ExprAst = Union[Num, Var, Neg, BinOp, Call]
 # --- tokenizer ---------------------------------------------------------------
 
 _OPS = "+-*/^()"
+# ASCII only: str.isdigit() also holds for '²' and '٣', which float() then
+# refuses ('1.5²') or reads as an ASCII digit ('٣' as 3).
+_DIGITS = "0123456789"
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -211,24 +214,24 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("op", ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             if j < n and text[j] == ".":
                 j += 1
-                if j >= n or not text[j].isdigit():
+                if j >= n or text[j] not in _DIGITS:
                     raise ParseError(j, "digits after decimal point")
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k >= n or not text[k].isdigit():
+                if k >= n or text[k] not in _DIGITS:
                     raise ParseError(j, "exponent digits")
                 j = k
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
             tokens.append(("num", text[i:j], i))
             i = j

@@ -29,10 +29,10 @@ nothing, so a point holds memory in proportion to the distinct (field,
 connection) pairs asked about it; the ``fields`` and ``verify`` commands
 hold one point at a time.  :func:`prop21_check` fills the directional
 entries for each scalar with one order-1 and one order-2 evaluation, each
-one pass per direction, and :func:`apply_field` reads them.  The suite asks
-for no pass along the zero direction: once a pass of an order has
-succeeded at the point, the zero direction's coefficient is kept as +0.0
-(:func:`_along` says why that changes no residual and no error).
+one pass per direction, and :func:`apply_field` reads them.  A vertical lift
+X^v = (0, X) has no base part, so applying it reads no derivative along its
+zero base: X^v(f^v) is 0 once f's own pass succeeds, and X^v(f^c) is f's
+first coefficient along X(x).
 
 :func:`field_sum` and :func:`field_scale` build a new spec of synthesized
 root nodes over their operands' trees, and it keeps its operands.  Its pass
@@ -108,10 +108,11 @@ TRANSPORT_STEPS_PER_UNIT = 1000
 MAX_TRANSPORT_STEPS = 10_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TangentPoint:
     """A point of the tangent space: base coordinates x, fiber coordinates y,
-    keeping what the lifts compute at it (outside equality and the repr)."""
+    keeping what the lifts compute at it (outside the repr).  It equals only
+    itself: equal coordinates such as 0.0 and -0.0 can lift to other bits."""
 
     x: tuple[float, float, float]
     y: tuple[float, float, float]
@@ -246,10 +247,7 @@ def _field_pass(spec: FieldSpec, x: Sequence[float]):
     """Component values and Jacobian rows J[a][b] = dX^a/dx^b at x, from one
     forward pass along the coordinate axes.  The error is the one that pass
     meets, or else a NonFiniteJet spanning the first component whose value
-    is not finite (a lone ``1e999``).  A spec built by :func:`field_sum` or
-    :func:`field_scale` derives its pass from its operands' instead."""
-    if "_operands" in spec.__dict__:
-        return _pass(spec, TangentPoint(x, (0.0, 0.0, 0.0)))
+    is not finite (a lone ``1e999``)."""
     values, rows = _values_and_rows(eval_forward(spec.components, _points(x, _BASIS)))
     for c, v in zip(spec.components, values):
         if not math.isfinite(v):
@@ -285,46 +283,22 @@ def _points(x: Sequence[float], dirs, *pad) -> list[dict]:
     return [dict(zip(_FIELD_NAMES, zip(xs, map(float, d), *pad))) for d in dirs]
 
 
-_ZERO_BITS = _pack3(0.0, 0.0, 0.0)
-
-
 def _along(f: FieldSpec, p: TangentPoint, order: int, dirs) -> list[float]:
     """Coefficient ``order`` (1 or 2) of s -> f(x + s d) at p.x for each
     direction d of ``dirs``, for a scalar f, kept at p one entry per
     direction (keyed on its bits).  The directions not kept yet come from
     one evaluation, one pass per direction, so its error is the first one
-    they meet in the given order.
-
-    The all-+0.0 direction runs no pass unless it comes first among them.
-    Each derivative coefficient of a pass is a sum of terms, each with a
-    factor from the direction's entries, times factors that depend on x
-    alone.  Along zero every term is a signed zero, unless one of those
-    factors is not finite or a division by a value fails; and then the
-    pass along any other direction at x fails too, at that step or an
-    earlier one.  So once a pass of the order has succeeded at x, the pass
-    along zero would succeed with signed zeros: its coefficient is kept as
-    +0.0 without running it, and leaving it out of a batch that runs
-    another direction first changes no error.  The sign may differ from
-    the pass's; :func:`prop21_check` meets it only inside abs().
-    """
+    they meet in the given order."""
     results = _results(f, p)
     keys = [(order, _pack3(*d)) for d in dirs]
-    values = [results.get(key) for key in keys]
-    if None not in values:
-        return values
-    known = {key: v for key, v in zip(keys, values) if v is not None}
-    todo = {key: d for key, d in zip(keys, dirs) if key not in known}
-    zero = (order, _ZERO_BITS)
-    if zero in todo and next(iter(todo)) != zero:
-        del todo[zero]
-    if order == 1:
-        outs = eval_forward(f.components, _points(p.x, todo.values()))
-    else:
-        outs = eval_second(f.components, _points(p.x, todo.values(), (0.0,) * 3))
-    known.update(zip(todo, (out[0][order] for out in outs)))
-    known.setdefault(zero, 0.0)
-    results.update(known)
-    return [known[key] for key in keys]
+    todo = {key: d for key, d in zip(keys, dirs) if key not in results}
+    if todo:
+        if order == 1:
+            outs = eval_forward(f.components, _points(p.x, todo.values()))
+        else:
+            outs = eval_second(f.components, _points(p.x, todo.values(), (0.0,) * 3))
+        results.update(zip(todo, (out[0][order] for out in outs)))
+    return [results[key] for key in keys]
 
 
 def _dir_deriv(f: FieldSpec, p: TangentPoint, d: Sequence[float]) -> float:
@@ -435,11 +409,17 @@ def apply_field(F: LiftedField, g: tuple[str, FieldSpec], p: TangentPoint) -> fl
         raise ValueError("apply_field expects a scalar FieldSpec")
     full = _KINDS.get(kind, kind)
     if full == "vertical":
-        # g depends on x only.
+        # g depends on x only, and X^v = (0, X) has no base part: after g's
+        # own pass at x, for its errors, X^v(g^v) is 0.
+        if F.kind == "vertical":
+            _pass(spec, p)
+            return 0.0
         return _dir_deriv(spec, p, val.base)
     if full == "complete":
-        # d/dx part needs mixed seconds of f against the fiber coordinate;
-        # d/dy part is just grad f against the fiber direction.
+        # d/dx part needs mixed seconds of f against the fiber coordinate,
+        # none for X^v; d/dy part is just grad f against the fiber direction.
+        if F.kind == "vertical":
+            return _dir_deriv(spec, p, val.fiber)
         return _mixed_second(spec, p, val.base, p.y) + _dir_deriv(spec, p, val.fiber)
     raise ValueError(f"unknown scalar lift kind {kind!r}")
 
@@ -559,13 +539,12 @@ def prop21_check(
 
     # Every directional coefficient of f and g read below, from one order-1
     # and one order-2 evaluation per scalar, each one pass per direction:
-    # firsts along y (f^c), X and D_y X; seconds along the polarizations of
-    # (y, X), (0, y) and (X, y) but the zero direction, which _along keeps
-    # once these passes succeed.  They come after fX's lifts: where fX's
+    # firsts along y (f^c), X and D_y X; seconds along the polarization of
+    # (y, X), which (X, y) shares.  They come after fX's lifts: where fX's
     # root overflows, f along X(x) often overflows too, and the error raised
     # stays fX's.
     xval, dyX = Xv[3:], Xc[3:]
-    seconds = (*_polarization(p.y, xval), tuple(0.0 + v for v in p.y))
+    seconds = _polarization(p.y, xval)
     _along(f, p, 1, (p.y, xval, dyX))
     _along(f, p, 2, seconds)
     _along(g, p, 1, (xval, dyX))

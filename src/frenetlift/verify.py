@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain
 
 from .expr import (
     BinOp,
@@ -310,12 +309,36 @@ def random_tangent_point(rng: random.Random) -> TangentPoint:
 SEED = 987123
 
 
+def _maxes(rows, *seeds) -> list:
+    """Per column of ``rows``, read in one pass, what max() gives over the
+    column: its seed, or if that is None its first value, starts it, and a
+    later value replaces it only when greater, so a leading NaN stays and a
+    later one is dropped."""
+    tops = list(seeds)
+    for row in rows:
+        for i, v in enumerate(row):
+            if tops[i] is None or v > tops[i]:
+                tops[i] = v
+    return tops
+
+
 def _gap(records, pairs) -> float:
     """Worst |kappa| and |tau| gap of lifted records from the (kappa, tau)
     pairs at the same points."""
-    both = list(zip(records, pairs))
-    return max(max(abs(r.kappa_lift - k) for r, (k, _) in both),
-               max(abs(r.tau_lift - t) for r, (_, t) in both))
+    return max(*_maxes(((abs(r.kappa_lift - k), abs(r.tau_lift - t))
+                        for r, (k, t) in zip(records, pairs)), None, None))
+
+
+def _lifted_maxes(records, pairs, ortho: float) -> tuple:
+    """One pass over a lifted sweep: its gap to the base (kappa, tau)
+    ``pairs``, its gap to its own oracle, its largest residual, and
+    max(ortho, *its frame orthonormality defects)."""
+    kb, tb, ko, to, res, ortho = _maxes(
+        ((abs(r.kappa_lift - k), abs(r.tau_lift - t), abs(r.kappa_lift - r.oracle_kappa),
+          abs(r.tau_lift - r.oracle_tau), max(r.residuals), r.ortho_max)
+         for r, (k, t) in zip(records, pairs)),
+        None, None, None, None, None, ortho)
+    return max(kb, tb), max(ko, to), res, ortho
 
 
 def run_checks(cfg: ToleranceConfig | None = None, samples: int = 1000) -> list[CheckResult]:
@@ -396,23 +419,25 @@ def run_checks(cfg: ToleranceConfig | None = None, samples: int = 1000) -> list[
     results.append(_leq("eval_order0_matches_float", worst_eval0, 1e-15))
 
     # Frenet apparatus against helix closed forms, residuals, oracle route.
-    # Each base apparatus on the full grid is computed once: the helix and
-    # unit-helix lists serve the lifted-curve checks below, and the circle's
-    # is read once, so it is not kept.
+    # Each base apparatus on the full grid is computed once and folded as it
+    # streams.  Only what later checks read is kept: the helix and
+    # unit-helix (kappa, tau) pairs and the unit helix's speeds.
     hgrid = grid(helix, samples)
     ugrid = grid(ush, samples)
-    base_h = [frenet_apparatus(helix, t, cfg) for t in hgrid]
-    base_app = [frenet_apparatus(ush, t, cfg) for t in ugrid]
-    base_circle = (frenet_apparatus(circle, t, cfg) for t in grid(circle, samples))
-    worst_cf = 0.0
-    for app in base_h:
-        worst_cf = max(worst_cf, abs(app.kappa - HELIX_KAPPA), abs(app.tau - HELIX_TAU))
+    worst_cf = worst_res = worst_ortho = 0.0
+    pairs_h, pairs_u, speeds = [], [], []
+    for curve, ts in ((helix, hgrid), (ush, ugrid), (circle, grid(circle, samples))):
+        for t in ts:
+            app = frenet_apparatus(curve, t, cfg)
+            worst_res = max(worst_res, *app.residuals)
+            worst_ortho = max(worst_ortho, gram_defect((app.T, app.N, app.B)))
+            if curve is helix:
+                worst_cf = max(worst_cf, abs(app.kappa - HELIX_KAPPA), abs(app.tau - HELIX_TAU))
+                pairs_h.append((app.kappa, app.tau))
+            elif curve is ush:
+                pairs_u.append((app.kappa, app.tau))
+                speeds.append(app.speed)
     results.append(_leq("helix_apparatus_closed_form", worst_cf, 1e-10))
-
-    worst_res = worst_ortho = 0.0
-    for app in chain(base_h, base_app, base_circle):
-        worst_res = max(worst_res, *app.residuals)
-        worst_ortho = max(worst_ortho, gram_defect((app.T, app.N, app.B)))
     results.append(_leq("frenet_residuals_max", worst_res, cfg.residual_tol))
 
     worst_pair = worst_skew = worst_a13 = 0.0
@@ -436,7 +461,7 @@ def run_checks(cfg: ToleranceConfig | None = None, samples: int = 1000) -> list[
     results.append(_leq("frame_skew_symmetry", worst_skew, 1e-9))
     results.append(_leq("frame_tridiagonal", worst_a13, 1e-9))
 
-    ush_dev = max(abs(app.speed - 1.0) for app in base_app)
+    ush_dev = max(abs(speed - 1.0) for speed in speeds)
     results.append(_leq("unit_speed_helix_deviation", ush_dev, cfg.unit_speed_tol))
     helix_dev = max(
         abs(frenet_apparatus(helix, t, cfg).speed - 1.0)
@@ -501,9 +526,9 @@ def run_checks(cfg: ToleranceConfig | None = None, samples: int = 1000) -> list[
     )
     results.append(_leq("transport_linearity", lin_dev, 1e-10))
 
-    # Lifted curves.
-    vert = list(LiftedCurve(ush, LiftKind.vertical(), cfg=cfg).sweep(ugrid))
-    worst_vmatch = _gap(vert, [(a.kappa, a.tau) for a in base_app])
+    # Lifted curves, each sweep folded as it streams.
+    worst_vmatch, worst_oracle, worst_lift_res, worst_lift_ortho = _lifted_maxes(
+        LiftedCurve(ush, LiftKind.vertical(), cfg=cfg).sweep(ugrid), pairs_u, 0.0)
     results.append(_leq("vertical_lift_matches_base", worst_vmatch, 1e-10))
     sub = grid(ush, max(2, samples // 5))
     moved = LiftedCurve(ush, LiftKind.vertical((5.0, -2.0, 7.0)), cfg=cfg).sweep(sub)
@@ -512,15 +537,13 @@ def run_checks(cfg: ToleranceConfig | None = None, samples: int = 1000) -> list[
     results.append(_leq("vertical_anchor_independence", anchor_dev, 1e-12))
 
     worst_hmatch = 0.0
-    worst_lift_res = max(max(r.residuals) for r in vert)
-    worst_oracle = _gap(vert, [(r.oracle_kappa, r.oracle_tau) for r in vert])
-    worst_lift_ortho = max(0.0, *(r.ortho_max for r in vert))
     for w0 in ((1.0, 0.0, 0.0), (0.3, -1.0, 2.0)):
-        horiz = list(LiftedCurve(helix, LiftKind.horizontal(w0), cfg=cfg).sweep(hgrid))
-        worst_hmatch = max(worst_hmatch, _gap(horiz, [(a.kappa, a.tau) for a in base_h]))
-        worst_lift_res = max(worst_lift_res, max(max(r.residuals) for r in horiz))
-        worst_oracle = max(worst_oracle, _gap(horiz, [(r.oracle_kappa, r.oracle_tau) for r in horiz]))
-        worst_lift_ortho = max(worst_lift_ortho, *(r.ortho_max for r in horiz))
+        hmatch, oracle, res, worst_lift_ortho = _lifted_maxes(
+            LiftedCurve(helix, LiftKind.horizontal(w0), cfg=cfg).sweep(hgrid), pairs_h,
+            worst_lift_ortho)
+        worst_hmatch = max(worst_hmatch, hmatch)
+        worst_lift_res = max(worst_lift_res, res)
+        worst_oracle = max(worst_oracle, oracle)
     results.append(_leq("horizontal_flat_matches_base", worst_hmatch, 1e-10))
     results.append(_leq("lifted_residuals_max", worst_lift_res, cfg.residual_tol))
     results.append(_leq("lifted_oracle_consistency", worst_oracle, 1e-9))
@@ -528,13 +551,10 @@ def run_checks(cfg: ToleranceConfig | None = None, samples: int = 1000) -> list[
         _leq("frame_orthonormality", max(worst_ortho, worst_lift_ortho), cfg.ortho_tol)
     )
 
-    comp = list(LiftedCurve(ush, LiftKind.complete(), cfg=cfg).sweep(
-        grid(ush, max(2, samples // 2))
-    ))
-    worst_c_oracle = max(
-        max(abs(r.oracle_kappa - LIFTED_HELIX_KAPPA) for r in comp),
-        max(abs(r.oracle_tau - LIFTED_HELIX_TAU) for r in comp),
-    )
+    comp = LiftedCurve(ush, LiftKind.complete(), cfg=cfg).sweep(grid(ush, max(2, samples // 2)))
+    worst_c_oracle = max(*_maxes(
+        ((abs(r.oracle_kappa - LIFTED_HELIX_KAPPA), abs(r.oracle_tau - LIFTED_HELIX_TAU))
+         for r in comp), None, None))
     results.append(_leq("complete_oracle_closed_form", worst_c_oracle, 1e-9))
 
     lc = LiftedCurve(ush, LiftKind.complete(), cfg=cfg)

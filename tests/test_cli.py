@@ -752,10 +752,21 @@ class TestDiagnostics:
 
     @pytest.mark.parametrize("flag, text, message", [
         ("curve", "x1 = t\nx2 = t^2\nt_min = 0\nt_max = 1\n", "missing key 'x3'"),
-        ("curve", "x1 = t\nx2 = t^2 +\nx3 = t\nt_min = 0\nt_max = 1\n", "line 2: x2: "),
+        ("curve", "x1 = t\nx2 = t^2 +\nx3 = t\nt_min = 0\nt_max = 1\n",
+         "line 2: x2: at offset 5: expected a number, variable, function call, '(' or '-'"),
+        ("curve", "x1 = t\nx2 t\nx3 = t\nt_min = 0\nt_max = 1\n",
+         "line 2: expected 'key = value', got 'x2 t'"),
+        ("curve", "x1 = t\nx2 = t\nx3 = t\nt_min = zero\nt_max = 1\n",
+         "line 4: t_min must be a number, got 'zero'"),
+        ("curve", "x1 = 1e+*t\nx2 = t\nx3 = t\nt_min = 0\nt_max = 1\n",
+         "line 1: x1: at offset 1: expected exponent digits"),
+        ("curve", "x1 = 1.5\u00b2*t\nx2 = t\nx3 = t\nt_min = 0\nt_max = 1\n",
+         "line 1: x1: at offset 3: expected a token (found '\u00b2')"),
+        ("curve", "x1 = t\nx2 = t\nx3 = \u0663*t\nt_min = 0\nt_max = 1\n",
+         "line 3: x3: at offset 0: expected a token (found '\u0663')"),
         ("field", "X1 = x2\nX2 = 0\n",
          "expected either key 'f' or keys 'X1', 'X2', 'X3'"),
-        ("field", "X1 = x2\nX2 = 0\nX3 = x9\n", "line 3: X3: "),
+        ("field", "X1 = x2\nX2 = 0\nX3 = x9\n", "line 3: X3: at offset 0: unknown variable 'x9'"),
         ("scalar", "f = 1\nf = 2\n", "line 2: duplicate key 'f'"),
         ("connection", "flat = true\ngamma 1 1 1 = 1\n",
          "'flat = true' excludes explicit gamma entries"),
@@ -763,15 +774,27 @@ class TestDiagnostics:
          "line 1: gamma value must be a finite number, got 'nan'"),
         ("connection", "gamma 1 2 3 = 1e400\n",
          "line 1: gamma value must be a finite number, got '1e400'"),
-    ], ids=["curve-missing-key", "curve-line", "field-keys", "field-line", "scalar-line",
-            "connection", "connection-nan", "connection-overflow"])
+        ("connection", "flat = yes\n", "line 1: flat must be true or false, got 'yes'"),
+        ("connection", "gamma 1 1 1 = 1\ngamma 1 2 = 0.5\n",
+         "line 2: expected 'gamma A B G = value', got 'gamma 1 2 = 0.5'"),
+        ("connection", "gamma 1 a 3 = 0.5\n",
+         "line 1: gamma indices must be integers, got 'gamma 1 a 3'"),
+        ("connection", "gamma 1 2 3 = half\n",
+         "line 1: gamma value must be a number, got 'half'"),
+        ("connection", "gamma 1 2 3 = 0.5\ngamma 1 2 3 = 1\n",
+         "line 2: duplicate gamma entry 'gamma 1 2 3'"),
+    ], ids=["curve-missing-key", "curve-line", "curve-not-key-value", "curve-t-min",
+            "curve-exponent", "curve-superscript-digit", "curve-arabic-digit", "field-keys",
+            "field-line", "scalar-line", "connection", "connection-nan", "connection-overflow",
+            "connection-flat-value", "connection-key", "connection-index", "connection-value",
+            "connection-duplicate"])
     def test_format_error_names_file(self, tmp_path, capsys, flag, text, message):
         files = {"curve": HELIX_FILE, "field": X_FIELD, "scalar": F_SCALAR,
                  "connection": GAMMA_FILE, flag: text}
         paths = {}
         for key, body in files.items():
             paths[key] = tmp_path / f"{key}.in"
-            paths[key].write_text(body)
+            paths[key].write_text(body, encoding="utf-8")
         if flag in ("field", "scalar"):
             argv = ["fields", "--field", str(paths["field"]), "--scalar", str(paths["scalar"]),
                     "--point=1,1,1,1,1,1"]
@@ -779,9 +802,23 @@ class TestDiagnostics:
             argv = ["lift", "--kind", "h", "--w0=1,0,0", "--curve", str(paths["curve"]),
                     "--connection", str(paths["connection"]), "--samples", "3"]
         assert main(argv) == EXIT_INPUT
-        err = capsys.readouterr().err
-        assert f"error: {paths[flag]}: {message}" in err
-        assert "line 0" not in err
+        assert capsys.readouterr().err == f"error: {paths[flag]}: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fields", "--field", "{f}", "--scalar", "{f}", "--point=1,2,3,0,0,0"],
+         "error: --field file must define a vector field (X1, X2, X3)"),
+        (["lift", "--kind", "h", "--curve", "{curve}", "--w0=a,b,c"],
+         "frenetlift lift: error: argument --w0: needs 3 comma-separated numbers, got 'a,b,c'"),
+        (["frenet", "--curve", "{curve}", "--samples", "ten"],
+         "frenetlift frenet: error: argument --samples: must be an integer from 2 to "
+         "1000000 (MAX_SAMPLES), got 'ten'"),
+    ], ids=["scalar-as-field", "w0-not-numbers", "samples-not-integer"])
+    def test_bad_flag_value_exits_2(self, tmp_path, capsys, argv, message):
+        (tmp_path / "f.field").write_text(F_SCALAR)
+        (tmp_path / "h.curve").write_text(HELIX_FILE)
+        argv = [a.format(f=tmp_path / "f.field", curve=tmp_path / "h.curve") for a in argv]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err.splitlines()[-1] == message
 
 
 def _readme_cli_section() -> str:
@@ -1061,7 +1098,7 @@ def _record(kappa, oracle, residuals, ortho):
                            oracle_kappa=oracle, oracle_tau=0.0)
 
 
-@pytest.mark.parametrize("records", [
+RECORDS = pytest.mark.parametrize("records", [
     [_record(1.0, 1.5, (1e-17, 2e-17, 0.0), 1e-16), _record(2.0, 2.25, (3e-17, 0.0, 0.0), 0.0)],
     [_record(math.nan, math.nan, (math.nan, 1.0, 0.0), math.nan),
      _record(0.0, math.nan, (2.0, 0.0, 0.0), 1e-3)],
@@ -1069,6 +1106,9 @@ def _record(kappa, oracle, residuals, ortho):
      _record(-0.0, 1.0, (1.0, math.nan, 7.0), 1.0)],
     [_record(1.0, math.nan, (0.0, 0.0, 0.0), 0.0), _record(3.0, 2.5, (0.0, 0.0, 0.0), 0.0)],
 ], ids=["finite", "nan-first", "nan-later", "nan-oracle-first"])
+
+
+@RECORDS
 def test_lift_trailer_is_the_column_statistic(records):
     # The running trailer has the bits of builtin max and min over whole
     # columns, NaN and signed zeros included.
@@ -1084,6 +1124,26 @@ def test_lift_trailer_is_the_column_statistic(records):
         "kappa_spread": max(kappas) - min(kappas),
     }
     assert {k: repr(v) for k, v in summary.items()} == {k: repr(v) for k, v in want.items()}
+
+
+@RECORDS
+@pytest.mark.parametrize("ortho", [0.0, 0.5])
+def test_verify_sweep_folds_are_the_list_maxima(records, ortho):
+    # verify folds each lifted sweep as it streams; the values keep the
+    # bits of builtin max over whole lists, NaN and signed zeros included.
+    pairs = [(0.5, math.nan if i == 1 else -0.0) for i in range(len(records))]
+    both = list(zip(records, pairs))
+    want = (
+        max(max(abs(r.kappa_lift - k) for r, (k, _) in both),
+            max(abs(r.tau_lift - t) for r, (_, t) in both)),
+        max(max(abs(r.kappa_lift - r.oracle_kappa) for r in records),
+            max(abs(r.tau_lift - r.oracle_tau) for r in records)),
+        max(max(r.residuals) for r in records),
+        max(ortho, *(r.ortho_max for r in records)),
+    )
+    got = verify._lifted_maxes(iter(records), pairs, ortho)
+    assert list(map(repr, got)) == list(map(repr, want))
+    assert repr(verify._gap(iter(records), pairs)) == repr(want[0])
 
 
 class TestDeterminism:
@@ -1233,11 +1293,13 @@ class TestFieldsErrorOrigin:
 
 # --- hostile fields input ---------------------------------------------------------
 
-# Field texts that overflow, leave the domain of sqrt or log, or divide by a
-# vanishing x term, and points with signed zeros and huge coordinates.
+# Field texts that overflow, leave the domain of sqrt or log, divide by a
+# vanishing x term or hold a digit outside ASCII, and points with signed
+# zeros and huge coordinates.
 _SIGN = st.sampled_from(["", "-"])
 _HOSTILE_EXPR = st.recursive(
-    st.sampled_from(["x1", "x2", "x3", "x1", "x2", "x3", "0.5", "-0.0", "0", "1e999", "1e308"]),
+    st.sampled_from(["x1", "x2", "x3", "x1", "x2", "x3", "0.5", "-0.0", "0", "1e999", "1e308",
+                     "\u00b2", "\u0663"]),
     lambda inner: st.one_of(
         st.builds("sqrt({}({}))".format, _SIGN, inner),
         st.builds("log({}({}))".format, _SIGN, inner),
@@ -1264,10 +1326,12 @@ def test_hostile_fields_input_exits_with_a_documented_code(hostile, points, curv
         texts[k] = text
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
-        (d / "X.field").write_text("X1 = {}\nX2 = {}\nX3 = {}\n".format(*texts[:3]))
-        (d / "Y.field").write_text("X1 = {}\nX2 = {}\nX3 = {}\n".format(*texts[3:6]))
-        (d / "f.field").write_text(f"f = {texts[6]}\n")
-        (d / "g.field").write_text(f"f = {texts[7]}\n")
+        (d / "X.field").write_text("X1 = {}\nX2 = {}\nX3 = {}\n".format(*texts[:3]),
+                                   encoding="utf-8")
+        (d / "Y.field").write_text("X1 = {}\nX2 = {}\nX3 = {}\n".format(*texts[3:6]),
+                                   encoding="utf-8")
+        (d / "f.field").write_text(f"f = {texts[6]}\n", encoding="utf-8")
+        (d / "g.field").write_text(f"f = {texts[7]}\n", encoding="utf-8")
         (d / "g.conn").write_text("gamma 1 2 3 = 0.3\ngamma 2 1 1 = -0.2\n")
         argv = ["fields", "--field", str(d / "X.field"), "--field", str(d / "Y.field"),
                 "--scalar", str(d / "f.field"), "--scalar", str(d / "g.field"),

@@ -153,6 +153,19 @@ class TestParse:
         with pytest.raises(DivisionByZeroJet):
             eval_float(parse_expr("1/t", {"t"}), {"t": 1e-301})
 
+    @pytest.mark.parametrize("text, offset, expected", [
+        ("1.5\u00b2*t", 3, "a token (found '\u00b2')"),
+        ("1e\u00b2", 1, "exponent digits"),
+        ("1.\u0663", 2, "digits after decimal point"),
+        ("\u0663*t", 0, "a token (found '\u0663')"),
+    ], ids=["superscript", "superscript-exponent", "arabic-fraction", "arabic"])
+    def test_digits_are_ascii(self, text, offset, expected):
+        # str.isdigit() holds for these: float() refused '1.5\u00b2' and
+        # read '\u0663' as 3.
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text, {"t"})
+        assert (exc.value.offset, exc.value.expected) == (offset, expected)
+
     def test_error_offsets_inside_input(self):
         for text in ("1+", "sin(t", "(t", "t )", "2**t", "1. 5"):
             with pytest.raises(ParseError) as exc:

@@ -171,6 +171,19 @@ class TestApplyField:
         p = TangentPoint((3, 0, 0), (0, 0, 0))
         assert apply_field(lift_field(X, "h"), ("v", f), p) == pytest.approx(6.0)
 
+    def test_vertical_lift_reads_no_base_derivative(self, monkeypatch):
+        # X^v = (0, X) has no base part.
+        X = vector_field("x1+x3", "x2^2", "1")
+        f = scalar_field("-(x1*x2*x3)")
+        p = TangentPoint((0.7, -1.1, 2.3), (1, 2, 3))
+        Fv = lift_field(X, "v")
+        # X^v(f^c) is f's first coefficient along X(x), with no order-2 pass.
+        monkeypatch.setattr(lifts, "eval_second", None)
+        assert apply_field(Fv, ("c", f), p).hex() == _one_pass(f, p.x, Fv.at(p).fiber).hex()
+        # X^v(f^v) is +0.0, where f's pass along zero gives -0.0.
+        assert _one_pass(f, p.x, (0.0, 0.0, 0.0)).hex() == "-0x0.0p+0"
+        assert apply_field(Fv, ("v", f), p).hex() == "0x0.0p+0"
+
 
 class TestProp21:
     def test_polynomial_quadruple_flat(self):
@@ -684,7 +697,7 @@ class TestPerPointCache:
         f = scalar_field("x1*x3 + cos(x2)")
         d = (0.5, -2.0, 1.5)
         points = [TangentPoint(x, d) for x in ((0.3, -1.2, 0.8), (1.1, 0.4, -0.6), (0.3, -1.2, 0.8))]
-        assert points[0] == points[2]
+        assert points[0].x == points[2].x and points[0] != points[2]
         want = [(_bits(lifts._field_pass(X, p.x)), _one_pass(f, p.x, d).hex()) for p in points]
         passes = []
         real = lifts.eval_forward
@@ -699,7 +712,7 @@ class TestPerPointCache:
                 assert _bits(lift_field(X, kind).at(p).as_tuple()) == \
                     _bits(lift_field(X, kind).at(q).as_tuple())
         # Each point runs X's pass and f's pass along d once, the third
-        # too, though it equals the first; each fresh reference runs X's.
+        # too, though its x equals the first's; each fresh reference runs X's.
         assert passes == [X.components, f.components, X.components] * 3
 
     def test_signed_zero_is_another_point(self):
@@ -717,6 +730,17 @@ class TestPerPointCache:
             want = _one_pass(scalar_field("x1 + x2"), pos, d)
             assert lifts._dir_deriv(f, p, d).hex() == want.hex()
         assert lifts._dir_deriv(f, p, (-0.0, -0.0, -0.0)).hex() == "-0x0.0p+0"
+
+    def test_points_equal_only_themselves(self):
+        # Equal coordinates do not make equal points: across a signed zero
+        # the lifts differ in bits, so two such points key two entries.
+        X = vector_field("x1", "x2*x1", "x3")
+        pos, neg = TangentPoint((0.0, 1.0, 2.0), (1.0, 0.0, 0.0)), \
+            TangentPoint((-0.0, 1.0, 2.0), (1.0, 0.0, 0.0))
+        assert pos != neg and pos == pos
+        assert pos != TangentPoint(pos.x, pos.y)
+        kept = {pos: lifts._pass(X, pos)[0][0], neg: lifts._pass(X, neg)[0][0]}
+        assert [v.hex() for v in kept.values()] == ["0x0.0p+0", "-0x0.0p+0"]
 
     def test_list_changed_in_place_is_another_point(self):
         X = vector_field("x1*x2", "x3", "x1")
@@ -772,7 +796,7 @@ class TestPerPointCache:
         prop21_check(X, Y, f, g, Connection.flat(), p)
         assert passes == []
 
-    def test_negative_zero_fiber_adds_its_own_second(self, monkeypatch):
+    def test_negative_zero_fiber_adds_no_second(self, monkeypatch):
         f = scalar_field("x1*x2*x3")
         seconds = []
         real = lifts.eval_second
@@ -785,8 +809,9 @@ class TestPerPointCache:
         X = vector_field("x1*x2", "x3 - x1", "x2*x2")
         p = TangentPoint((0.7, -1.3, 2.1), (1.5, -0.0, -0.5))
         prop21_check(X, X, f, f, Connection.flat(), p)
-        # 0.0 + y differs from y in its second entry: X+y, y, X and 0.0+y.
-        assert seconds == [4]
+        # Only the polarization of (y, X): y+X, y and X.  A -0.0 in y adds
+        # no direction of its own.
+        assert seconds == [3]
 
     def test_second_suite_computes_four_horizontal_lifts(self, monkeypatch):
         X, Y, f, g = random_quadruple(random.Random(7))
@@ -870,10 +895,10 @@ class TestPerPointCache:
 
 
 class TestZeroDirection:
-    """No pass runs along the all-+0.0 direction once another pass of its
-    order has succeeded at x; its coefficient is kept as +0.0.  The bits
-    and errors below were pinned from the suite while it still ran that
-    pass, so the new path is not checked against itself."""
+    """The suite runs no pass along the all-+0.0 direction: X^v = (0, X)
+    has no base part, so X^v(f^v) is +0.0 and X^v(f^c) reads f along X(x).
+    The bits and errors below were pinned from the suite while it still ran
+    that pass, so the new path is not checked against itself."""
 
     X = vector_field("x1*x2", "x3 - x1", "x2*x2")
     Y = vector_field("x3", "x1*x3", "x2 + 1")
@@ -913,7 +938,7 @@ class TestZeroDirection:
             assert {k: v.hex() for k, v in residuals.items()} == {
                 k: self.PINNED[tag].get(k, "0x0.0p+0") for k in self.NAMES}
         assert directions and _bits(self.ZERO) not in map(_bits, directions)
-        # X^v(f^v) reads the kept +0.0; the pass gave -0.0.
+        # X^v(f^v) is +0.0; the pass along zero gave -0.0.
         Fv = lift_field(self.X, "v")
         assert apply_field(Fv, ("v", f), self.p).hex() == "0x0.0p+0"
 
@@ -960,7 +985,7 @@ def _tree_pass(F, x):
 
 def _pass_or_error(F, x):
     try:
-        return _bits(lifts._field_pass(F, x))
+        return _bits(lifts._pass(F, TangentPoint(x, (0.0, 0.0, 0.0))))
     except ValueError as err:
         return type(err), str(err), getattr(err, "span", None)
 
@@ -1060,7 +1085,7 @@ class TestCompositePass:
 
             with monkeypatch.context() as m:
                 m.setattr(lifts, "_passes", recording)
-                lifts._field_pass(F, x)
+                lifts._pass(F, TangentPoint(x, (0.0, 0.0, 0.0)))
             op = F.components[0].op
             steps = lifts._STEPS[op]
             assert [list(map(id, asts)) for asts in evaluated] == [list(map(id, steps))]
