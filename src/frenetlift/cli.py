@@ -34,7 +34,7 @@ import sys
 import tempfile
 from itertools import chain
 
-from .expr import FieldSpec, FormatError, parse_curve_file, parse_field_file
+from .expr import FieldSpec, FormatError, parse_curve_file, parse_field_file, parse_number
 from .frenet import (
     DegenerateCurvature,
     ToleranceConfig,
@@ -95,7 +95,7 @@ def _floats(n: int):
 
     def parse(text: str) -> tuple[float, ...]:
         try:
-            values = tuple(float(p) for p in text.split(","))
+            values = tuple(parse_number(p) for p in text.split(","))
         except ValueError:
             values = ()
         if len(values) != n:
@@ -109,13 +109,13 @@ def _floats(n: int):
 
 def _samples(text: str) -> int:
     try:
-        n = int(text)
+        n = parse_number(text)
     except ValueError:
-        n = 0
-    if not 2 <= n <= MAX_SAMPLES:
+        n = 0.0
+    if not (2 <= n <= MAX_SAMPLES and n.is_integer()):
         raise argparse.ArgumentTypeError(
             f"must be an integer from 2 to {MAX_SAMPLES} (MAX_SAMPLES), got {text!r}")
-    return n
+    return int(n)
 
 
 def _tolerance(names: tuple[str, ...]):
@@ -128,10 +128,10 @@ def _tolerance(names: tuple[str, ...]):
             raise argparse.ArgumentTypeError(
                 f"expects NAME=VALUE, NAME one of {', '.join(names)}; got {pair!r}")
         try:
-            ToleranceConfig(**{name: float(value)})
+            tolerances = ToleranceConfig(**{name: parse_number(value)})
         except ValueError as err:
             raise argparse.ArgumentTypeError(f"{pair!r}: {err}") from None
-        return name, float(value)
+        return name, getattr(tolerances, name)
 
     return parse
 
@@ -437,7 +437,7 @@ def _join_vector_flags(argv: list[str]) -> list[str]:
     """
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in ("--anchor", "--w0", "--point") and re.match(r"-[\d.]", arg):
+        if out and out[-1] in ("--anchor", "--w0", "--point") and re.match(r"-[0-9.]", arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)

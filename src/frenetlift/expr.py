@@ -7,7 +7,11 @@ Grammar (whitespace insignificant, left associative):
     factor := base ('^' exponent)?      exponent folds to a constant
     base   := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')' | '-' factor
 
-Numbers are decimal literals with optional fraction and exponent part.
+Numbers are decimal literals in the ASCII digits: digits, then optionally
+'.' and digits, then optionally 'e' or 'E', a sign if any, and digits.
+:func:`parse_number` reads one such literal with an optional leading '-'; it
+is the one reader of the numbers in curve and connection files and in
+command line flags, so they take the syntax and the bits of expressions.
 Exponents of '^' must fold to a real at parse time, which keeps powers of
 negative bases meaningful for integer exponents.  They fold through the
 float evaluator, so a constant exponent folds exactly where
@@ -66,6 +70,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 import struct
 from dataclasses import dataclass, field, replace
 from math import cos, isfinite, sin
@@ -100,6 +105,7 @@ __all__ = [
     "CURVE_VARS",
     "FIELD_VARS",
     "parse_expr",
+    "parse_number",
     "eval_jet",
     "eval_float",
     "pretty_print",
@@ -196,9 +202,23 @@ ExprAst = Union[Num, Var, Neg, BinOp, Call]
 # --- tokenizer ---------------------------------------------------------------
 
 _OPS = "+-*/^()"
-# ASCII only: str.isdigit() also holds for '²' and '٣', which float() then
-# refuses ('1.5²') or reads as an ASCII digit ('٣' as 3).
-_DIGITS = "0123456789"
+# ASCII only: [0-9], unlike str.isdigit(), refuses '²' and '٣', which float()
+# then refuses ('1.5²') or reads as an ASCII digit ('٣' as 3).  The groups are
+# the point, the fraction digits, the exponent mark and the exponent digits.
+_NUMBER = re.compile(r"[0-9]+(?:(\.)([0-9]*))?(?:([eE][+-]?)([0-9]*))?")
+
+
+def _number_end(text: str, i: int) -> int | None:
+    """End of the number literal at text[i], or None if none starts there."""
+    m = _NUMBER.match(text, i)
+    if m is None:
+        return None
+    point, fraction, mark, exponent = m.groups()
+    if point and not fraction:
+        raise ParseError(m.end(1), "digits after decimal point")
+    if mark and not exponent:
+        raise ParseError(m.start(3), "exponent digits")
+    return m.end()
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -214,33 +234,16 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("op", ch, i))
             i += 1
             continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                if j >= n or text[j] not in _DIGITS:
-                    raise ParseError(j, "digits after decimal point")
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k >= n or text[k] not in _DIGITS:
-                    raise ParseError(j, "exponent digits")
-                j = k
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-            tokens.append(("num", text[i:j], i))
-            i = j
-            continue
         if ch.isalpha() or ch == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             tokens.append(("name", text[i:j], i))
+            i = j
+            continue
+        j = _number_end(text, i)
+        if j is not None:
+            tokens.append(("num", text[i:j], i))
             i = j
             continue
         raise ParseError(i, f"a token (found {ch!r})")
@@ -375,6 +378,22 @@ def _fold_constant(node: ExprAst) -> float:
         raise ParseError(node.span[0], "a constant exponent") from None
     except (ValueError, OverflowError):
         raise ParseError(node.span[0], "a foldable constant exponent") from None
+
+
+def parse_number(text: str) -> float:
+    """The value of one number literal, with an optional leading '-' and
+    surrounding whitespace: the reader of every number in files and flags.
+
+    The value has the bits ``parse_expr`` gives the same text.  Anything
+    else is a ValueError, a malformed literal a :class:`ParseError` at its
+    offset in the stripped text.
+    """
+    body = text.strip()
+    start = 1 if body.startswith("-") else 0
+    if _number_end(body, start) != len(body):
+        raise ValueError(f"expected a number, got {text!r}")
+    # float() rounds '-' + literal to the negation of the literal's double.
+    return float(body)
 
 
 def parse_expr(text: str, allowed_vars) -> ExprAst:
@@ -1187,7 +1206,7 @@ def parse_curve_file(text: str) -> CurveSpec:
     for key in ("t_min", "t_max"):
         lineno, value = seen[key]
         try:
-            bounds[key] = float(value)
+            bounds[key] = parse_number(value)
         except ValueError:
             raise FormatError(lineno, f"{key} must be a number, got {value!r}") from None
     name = seen["name"][1] if "name" in seen else "curve"

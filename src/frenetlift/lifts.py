@@ -73,6 +73,7 @@ from .expr import (
     eval_forward,
     eval_jet,
     eval_second,
+    parse_number,
 )
 from .frenet import DomainIntervalError
 from .jets import Jet, NonFiniteJet, _derivative, _fdot
@@ -217,7 +218,9 @@ class LiftKind:
     def __post_init__(self):
         if self.kind not in ("vertical", "complete", "horizontal"):
             raise ValueError(f"unknown lift kind {self.kind!r}")
-        for vec in (self.anchor, self.w0):
+        for name, vec in (("anchor", self.anchor), ("w0", self.w0)):
+            if vec is not None and len(vec) != 3:
+                raise ValueError(f"{name} must have 3 components, got {len(vec)}")
             if vec is not None and not all(math.isfinite(v) for v in vec):
                 raise ValueError("lift parameters must be finite")
         if self.kind == "horizontal" and self.w0 is None:
@@ -611,6 +614,18 @@ def _rk4_segment(
     return w
 
 
+def _transport_start(curve: CurveSpec, w0: Sequence[float], ts: Sequence[float]) -> list[float]:
+    """w0 as a list, once each t of ``ts`` lies in the curve's domain and w0
+    has exactly 3 finite components."""
+    for t in ts:
+        if not curve.t_min <= t <= curve.t_max:
+            raise DomainIntervalError(t, curve.domain)
+    w = [float(v) for v in w0]
+    if len(w) != 3 or not all(math.isfinite(v) for v in w):
+        raise ValueError("w0 must have 3 finite components")
+    return w
+
+
 def _check_transport_steps(steps: float) -> None:
     if not steps <= MAX_TRANSPORT_STEPS:
         raise ValueError(
@@ -633,11 +648,7 @@ def parallel_transport(
     above ``MAX_TRANSPORT_STEPS`` is a ValueError.  The flat connection
     transports exactly.
     """
-    if not curve.t_min <= t <= curve.t_max:
-        raise DomainIntervalError(t, curve.domain)
-    w = [float(v) for v in w0]
-    if len(w) != 3:
-        raise ValueError("w0 must have 3 components")
+    w = _transport_start(curve, w0, (t,))
     if t == curve.t_min:
         return tuple(w)
     if steps is None:
@@ -662,14 +673,11 @@ def transport_grid(
     checked against ``MAX_TRANSPORT_STEPS`` first.
     """
     targets = sorted(set(float(t) for t in ts))
-    for t in targets:
-        if not curve.t_min <= t <= curve.t_max:
-            raise DomainIntervalError(t, curve.domain)
+    w = _transport_start(curve, w0, targets)
     if targets:
         # Each target rounds its segment up by less than one step.
         _check_transport_steps(TRANSPORT_STEPS_PER_UNIT * (targets[-1] - curve.t_min) + len(targets))
     out: dict[float, tuple[float, float, float]] = {}
-    w = [float(v) for v in w0]
     prev = curve.t_min
     for t in targets:
         if t > prev:
@@ -740,12 +748,16 @@ def lifted_point_jets(
 # --- connection file ------------------------------------------------------------
 
 
+_INDICES = {"1": 1, "2": 2, "3": 3}
+
+
 def parse_connection_file(text: str) -> Connection:
     """Parse the line-oriented connection format.
 
-    Entries look like ``gamma 1 2 3 = 0.5`` with 1-based indices; unspecified
-    entries are zero.  ``flat = true`` is shorthand for the zero connection
-    and excludes gamma entries.
+    Entries look like ``gamma 1 2 3 = 0.5``: indices 1, 2 or 3, and a value
+    that :func:`expr.parse_number` reads; unspecified entries are zero.
+    ``flat = true`` is shorthand for the zero connection and excludes gamma
+    entries.
     """
     entries: dict[tuple[int, int, int], float] = {}
     flat = False
@@ -759,14 +771,11 @@ def parse_connection_file(text: str) -> Connection:
         if len(parts) != 4 or parts[0] != "gamma":
             raw = text.splitlines()[lineno - 1].strip()
             raise FormatError(lineno, f"expected 'gamma A B G = value', got {raw!r}")
+        idx = tuple(_INDICES.get(p) for p in parts[1:])
+        if None in idx:
+            raise FormatError(lineno, f"gamma indices must each be 1, 2 or 3, got {key!r}")
         try:
-            idx = tuple(int(p) for p in parts[1:])
-        except ValueError:
-            raise FormatError(lineno, f"gamma indices must be integers, got {key!r}") from None
-        if not all(1 <= i <= 3 for i in idx):
-            raise FormatError(lineno, f"gamma indices must be in 1..3, got {key!r}")
-        try:
-            val = float(value)
+            val = parse_number(value)
         except ValueError:
             raise FormatError(lineno, f"gamma value must be a number, got {value!r}") from None
         if not math.isfinite(val):

@@ -10,6 +10,7 @@ import os
 import re
 import shlex
 import stat
+import struct
 import subprocess
 import sys
 import tempfile
@@ -31,6 +32,8 @@ from frenetlift.cli import (
     build_parser,
     main,
 )
+from frenetlift.expr import Neg, Num, parse_curve_file, parse_expr, parse_number
+from frenetlift.lifts import parse_connection_file
 from frenetlift.verify import CheckResult
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -148,10 +151,12 @@ class TestFrenetCommand:
         p = tmp_path / "flat.curve"
         p.write_text("x1 = 10*t\nx2 = 9e-12*t^2\nx3 = 0\nt_min = 0\nt_max = 1\n")
         assert main(["frenet", "--curve", str(p), "--samples", "3"]) == EXIT_DEGENERATE
-        for value in ("nan", "inf"):
+        for value, message in (("1e999", "kappa_floor must be positive and finite, got inf"),
+                               ("nan", "expected a number, got 'nan'"),
+                               ("inf", "expected a number, got 'inf'")):
             argv = ["frenet", "--curve", str(p), "--samples", "3", "--tol", f"kappa_floor={value}"]
             assert main(argv) == EXIT_INPUT
-            assert "kappa_floor must be positive and finite" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
 
     def test_overflowing_domain_exits_2(self, tmp_path, capsys):
         p = tmp_path / "wide.curve"
@@ -374,7 +379,7 @@ class TestVerifyCommand:
     def test_unknown_tolerance_exits_2(self):
         assert main(["verify", "--tol", "bogus=1"]) == EXIT_INPUT
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
     def test_non_finite_tolerance_exits_2(self, value):
         argv = ["verify", "--samples", "2", "--tol", f"residual_tol={value}"]
         assert main(argv) == EXIT_INPUT
@@ -401,17 +406,25 @@ class TestNegativeVectorFlags:
         assert main(base + [f"{flag}={value}", "--out", str(joined)]) == EXIT_OK
         assert spaced.read_bytes() == joined.read_bytes()
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    # 1e999 reads as inf, which is refused; the spellings nan and inf are
+    # not numbers.
+    @pytest.mark.parametrize("bad, reason", [
+        ("nan", "needs {n} comma-separated numbers"),
+        ("inf", "needs {n} comma-separated numbers"),
+        ("-inf", "needs {n} comma-separated numbers"),
+        ("1e999", "needs finite numbers"),
+        ("-1e999", "needs finite numbers"),
+    ], ids=["nan", "inf", "-inf", "1e999", "-1e999"])
     @pytest.mark.parametrize(
-        "argv, flag, value",
+        "argv, flag, value, n",
         [
-            (["lift", "--kind", "h"], "--w0", "1,{bad},0"),
-            (["lift", "--kind", "v"], "--anchor", "{bad},1,-0.5"),
-            (["fields", "--field", "{X}", "--scalar", "{f}"], "--point", "1,2,3,0,0,{bad}"),
+            (["lift", "--kind", "h"], "--w0", "1,{bad},0", 3),
+            (["lift", "--kind", "v"], "--anchor", "{bad},1,-0.5", 3),
+            (["fields", "--field", "{X}", "--scalar", "{f}"], "--point", "1,2,3,0,0,{bad}", 6),
         ],
         ids=["w0", "anchor", "point"],
     )
-    def test_non_finite_value_names_flag(self, argv, flag, value, bad, helix_path,
+    def test_non_finite_value_names_flag(self, argv, flag, value, n, bad, reason, helix_path,
                                          tmp_path, capsys):
         (tmp_path / "X.field").write_text(X_FIELD)
         (tmp_path / "f.field").write_text(F_SCALAR)
@@ -421,7 +434,7 @@ class TestNegativeVectorFlags:
         text = value.format(bad=bad)
         assert main(base + [f"{flag}={text}"]) == EXIT_INPUT
         err = capsys.readouterr().err
-        assert f"argument {flag}: needs finite numbers, got {text!r}" in err
+        assert f"argument {flag}: {reason.format(n=n)}, got {text!r}" in err
 
 
 # Flags each command reads.  Every command used to accept all eleven flags of
@@ -771,23 +784,25 @@ class TestDiagnostics:
         ("connection", "flat = true\ngamma 1 1 1 = 1\n",
          "'flat = true' excludes explicit gamma entries"),
         ("connection", "gamma 1 2 3 = nan\n",
-         "line 1: gamma value must be a finite number, got 'nan'"),
+         "line 1: gamma value must be a number, got 'nan'"),
+        ("connection", "gamma 1 2 3 = -1e999\n",
+         "line 1: gamma value must be a finite number, got '-1e999'"),
         ("connection", "gamma 1 2 3 = 1e400\n",
          "line 1: gamma value must be a finite number, got '1e400'"),
         ("connection", "flat = yes\n", "line 1: flat must be true or false, got 'yes'"),
         ("connection", "gamma 1 1 1 = 1\ngamma 1 2 = 0.5\n",
          "line 2: expected 'gamma A B G = value', got 'gamma 1 2 = 0.5'"),
         ("connection", "gamma 1 a 3 = 0.5\n",
-         "line 1: gamma indices must be integers, got 'gamma 1 a 3'"),
+         "line 1: gamma indices must each be 1, 2 or 3, got 'gamma 1 a 3'"),
         ("connection", "gamma 1 2 3 = half\n",
          "line 1: gamma value must be a number, got 'half'"),
         ("connection", "gamma 1 2 3 = 0.5\ngamma 1 2 3 = 1\n",
          "line 2: duplicate gamma entry 'gamma 1 2 3'"),
     ], ids=["curve-missing-key", "curve-line", "curve-not-key-value", "curve-t-min",
             "curve-exponent", "curve-superscript-digit", "curve-arabic-digit", "field-keys",
-            "field-line", "scalar-line", "connection", "connection-nan", "connection-overflow",
-            "connection-flat-value", "connection-key", "connection-index", "connection-value",
-            "connection-duplicate"])
+            "field-line", "scalar-line", "connection", "connection-nan", "connection-inf",
+            "connection-overflow", "connection-flat-value", "connection-key", "connection-index",
+            "connection-value", "connection-duplicate"])
     def test_format_error_names_file(self, tmp_path, capsys, flag, text, message):
         files = {"curve": HELIX_FILE, "field": X_FIELD, "scalar": F_SCALAR,
                  "connection": GAMMA_FILE, flag: text}
@@ -1350,3 +1365,138 @@ def test_hostile_fields_input_exits_with_a_documented_code(hostile, points, curv
     else:
         # One error line, no traceback.
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+# --- number readers ------------------------------------------------------------------
+
+# Spellings that float() or int() read and the expression grammar does not.
+NOT_LITERALS = ["\u0661", "\u0663", "1_0", "inf", "nan", "+1", ".5", "1."]
+_CURVE = "x1 = 3*cos(t)\nx2 = 3*sin(t)\nx3 = 4*t\nt_min = {lo}\nt_max = {hi}\n"
+
+
+class TestNumberReaders:
+    # reader: (argv, file text or None, the error line)
+    READERS = {
+        "t_min": (["frenet", "--curve={file}", "--samples=3"], _CURVE.format(lo="{v}", hi="20"),
+                  "error: {file}: line 4: t_min must be a number, got {v!r}"),
+        "t_max": (["frenet", "--curve={file}", "--samples=3"], _CURVE.format(lo="0", hi="{v}"),
+                  "error: {file}: line 5: t_max must be a number, got {v!r}"),
+        "gamma-value": (["lift", "--kind=h", "--w0=1,0,0", "--curve={curve}",
+                         "--connection={file}", "--samples=3"], "gamma 1 2 3 = {v}\n",
+                        "error: {file}: line 1: gamma value must be a number, got {v!r}"),
+        "gamma-index": (["lift", "--kind=h", "--w0=1,0,0", "--curve={curve}",
+                         "--connection={file}", "--samples=3"],
+                        "gamma 1 2 3 = 0.5\ngamma {v} 2 3 = 0.5\n",
+                        "error: {file}: line 2: gamma indices must each be 1, 2 or 3, "
+                        "got 'gamma {v} 2 3'"),
+        "anchor": (["lift", "--kind=v", "--curve={curve}", "--anchor={v},0,0", "--samples=3"],
+                   None,
+                   "frenetlift lift: error: argument --anchor: needs 3 comma-separated "
+                   "numbers, got '{v},0,0'"),
+        "w0": (["lift", "--kind=h", "--curve={curve}", "--w0=0,{v},0", "--samples=3"], None,
+               "frenetlift lift: error: argument --w0: needs 3 comma-separated numbers, "
+               "got '0,{v},0'"),
+        "point": (["fields", "--field={X}", "--scalar={f}", "--point=1,2,3,0,0,{v}"], None,
+                  "frenetlift fields: error: argument --point: needs 6 comma-separated "
+                  "numbers, got '1,2,3,0,0,{v}'"),
+        "tol": (["frenet", "--curve={curve}", "--tol=kappa_floor={v}", "--samples=3"], None,
+                "frenetlift frenet: error: argument --tol: 'kappa_floor={v}': {why}"),
+        "samples": (["frenet", "--curve={curve}", "--samples={v}"], None,
+                    "frenetlift frenet: error: argument --samples: must be an integer from 2 "
+                    "to 1000000 (MAX_SAMPLES), got {v!r}"),
+    }
+
+    def run(self, tmp_path, reader, v):
+        argv, text, message = self.READERS[reader]
+        paths = {"curve": tmp_path / "h.curve", "X": tmp_path / "X.field",
+                 "f": tmp_path / "f.field", "file": tmp_path / "in.txt"}
+        paths["curve"].write_text(HELIX_FILE)
+        paths["X"].write_text(X_FIELD)
+        paths["f"].write_text(F_SCALAR)
+        if text is not None:
+            paths["file"].write_text(text.format(v=v), encoding="utf-8")
+        return [a.format(v=v, **paths) for a in argv], paths, message
+
+    @pytest.mark.parametrize("v", NOT_LITERALS)
+    @pytest.mark.parametrize("reader", list(READERS))
+    def test_refuses_what_expressions_refuse(self, tmp_path, capsys, reader, v):
+        argv, paths, message = self.run(tmp_path, reader, v)
+        assert main(argv) == EXIT_INPUT
+        why = ("at offset 2: expected digits after decimal point" if v == "1."
+               else f"expected a number, got {v!r}")
+        assert capsys.readouterr().err.splitlines()[-1] == message.format(
+            v=v, why=why, file=paths["file"])
+
+    @pytest.mark.parametrize("reader, v, same", [
+        ("t_min", "-5e-1", "-0.5"), ("t_max", "15e-1", "1.5"), ("gamma-value", "25E-2", "0.25"),
+        ("anchor", "-2.5e0", "-2.5"), ("w0", "1e-0", "1"), ("point", "5E-1", "0.5"),
+        ("tol", "2E-9", "0.000000002"), ("samples", "3e0", "3"),
+    ])
+    def test_two_spellings_of_one_number_read_alike(self, tmp_path, reader, v, same):
+        outputs = []
+        for text in (v, same):
+            argv, _, _ = self.run(tmp_path, reader, text)
+            out = tmp_path / f"{text}.csv"
+            assert main(argv + ["--out", str(out)]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+# Each reader of one number: the value it reads from a text, and its own
+# check of a value that parse_number gives.
+_NUMBER_READERS = {
+    "t_min": (lambda s: parse_curve_file(_CURVE.format(lo=s, hi="1e300")).t_min,
+              lambda v: math.isfinite(v) and v < 1e300 and math.isfinite(1e300 - v)),
+    "t_max": (lambda s: parse_curve_file(_CURVE.format(lo="-1e300", hi=s)).t_max,
+              lambda v: math.isfinite(v) and v > -1e300 and math.isfinite(v + 1e300)),
+    "gamma": (lambda s: parse_connection_file(f"gamma 1 2 3 = {s}\n").gamma[0][1][2],
+              math.isfinite),
+    "anchor/w0": (lambda s: cli._floats(3)(f"0,{s},0")[1], math.isfinite),
+    "point": (lambda s: cli._floats(6)(f"0,0,0,0,0,{s}")[5], math.isfinite),
+    "tol": (lambda s: cli._tolerance(("kappa_floor",))(f"kappa_floor={s}")[1],
+            lambda v: 0.0 < v < math.inf),
+    "samples": (cli._samples, lambda v: 2 <= v <= cli.MAX_SAMPLES and v == int(v)),
+}
+_NUMBER_PIECES = [*"0123456789.e+-_ ", "\u00b2", "\u0663", "inf", "nan"]
+
+
+@seed(20261020)
+@settings(max_examples=400, deadline=None, database=None)
+@given(text=st.lists(st.sampled_from(_NUMBER_PIECES), max_size=8).map("".join))
+def test_number_readers_agree_with_parse_number(text):
+    try:
+        value = parse_number(text)
+    except ValueError:
+        value = None
+    # parse_number reads what parse_expr reads as a literal, or as the
+    # negation of a literal written right after its '-'.
+    try:
+        node = parse_expr(text, ())
+    except ValueError:
+        node = None
+    if isinstance(node, Num):
+        assert _bits(value) == _bits(node.value)
+    elif (isinstance(node, Neg) and isinstance(node.child, Num)
+          and node.child.span[0] == node.span[0] + 1):
+        assert _bits(value) == _bits(-node.child.value)
+    else:
+        assert value is None
+    for name, (read, check) in _NUMBER_READERS.items():
+        try:
+            got = read(text)
+        except (ValueError, argparse.ArgumentTypeError):
+            assert value is None or not check(value), name
+        else:
+            assert value is not None and check(value), name
+            assert _bits(float(got)) == _bits(value), name
+    try:
+        G = parse_connection_file(f"gamma 1 {text} 3 = 1\n")
+    except ValueError:
+        G = None
+    assert (G is not None) == (text.strip() in ("1", "2", "3"))
+    if G is not None:
+        assert G.gamma[0][int(text) - 1][2] == 1.0

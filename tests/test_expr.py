@@ -27,6 +27,7 @@ from frenetlift.expr import (
     parse_curve_file,
     parse_expr,
     parse_field_file,
+    parse_number,
     pretty_print,
 )
 from frenetlift.jets import (
@@ -171,6 +172,42 @@ class TestParse:
             with pytest.raises(ParseError) as exc:
                 parse_expr(text, {"t"})
             assert 0 <= exc.value.offset <= len(text)
+
+
+class TestParseNumber:
+    @pytest.mark.parametrize("text", [
+        "0", "-0", "7", " 2.5e3 ", "-0.1", "12e-3", "1E+2", "0.000", "1e999", "-1e999",
+        "5e-324", "\t-17\n", "00012.50",
+    ])
+    def test_bits_are_parse_expr_bits(self, text):
+        node = parse_expr(text, ())
+        want = -node.child.value if isinstance(node, Neg) else node.value
+        assert struct.pack("<d", parse_number(text)) == struct.pack("<d", want)
+
+    @pytest.mark.parametrize("text", [
+        "\u0663", "1_0", "inf", "-inf", "nan", "infinity", "+1", ".5", "-.5", "- 5", "--5",
+        "1 2", "", " ", "-", "\u00b2", "2\u00b2", "0x10", "1,0", "(1)", "1e5e5",
+    ])
+    def test_refuses_what_is_not_one_literal(self, text):
+        with pytest.raises(ValueError, match="expected a number"):
+            parse_number(text)
+
+    @pytest.mark.parametrize("text, offset, expected", [
+        ("1.", 2, "digits after decimal point"),
+        ("-1.", 3, "digits after decimal point"),
+        (" 5.e3", 2, "digits after decimal point"),
+        ("1e", 1, "exponent digits"),
+        ("-1e+", 2, "exponent digits"),
+        ("1.5E-x", 3, "exponent digits"),
+    ])
+    def test_malformed_literal_is_a_parse_error(self, text, offset, expected):
+        # The tokenizer's own errors, at offsets into the stripped text.
+        with pytest.raises(ParseError) as exc:
+            parse_number(text)
+        assert (exc.value.offset, exc.value.expected) == (offset, expected)
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text.strip(), {"x"})
+        assert (exc.value.offset, exc.value.expected) == (offset, expected)
 
 
 class TestEval:

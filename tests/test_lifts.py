@@ -355,6 +355,21 @@ class TestParallelTransport:
             transport_grid(G, LINE01, (1, 0, 0), [1.0])
 
 
+    @pytest.mark.parametrize("w0", [(1.0, 2.0, 3.0, 4.0), (1.0, 2.0), (math.inf, 0.0, 0.0),
+                                    (0.0, math.nan, 0.0), (0.0, 0.0, -math.inf)],
+                             ids=["four", "two", "inf", "nan", "-inf"])
+    @pytest.mark.parametrize("transport", [
+        lambda G, w0: parallel_transport(G, LINE01, w0, 0.5),
+        lambda G, w0: transport_grid(G, LINE01, w0, [0.5]),
+        lambda G, w0: transport_grid(G, LINE01, w0, [0.0]),
+    ], ids=["single", "grid", "grid-at-t-min"])
+    def test_start_needs_three_finite_components(self, transport, w0):
+        # One check for both: the grid used to drop a 4th component, fail
+        # inside the RK4 stage on two, and both returned NaN from inf.
+        G = Connection.from_entries({(1, 1, 1): 1.0, (2, 1, 3): 0.5})
+        with pytest.raises(ValueError, match="^w0 must have 3 finite components$"):
+            transport(G, w0)
+
     def test_nan_parameter_out_of_domain(self):
         G = Connection.from_entries({(1, 1, 1): 1.0})
         with pytest.raises(DomainIntervalError):
@@ -405,6 +420,17 @@ class TestConnectionFile:
     def test_bad_indices(self):
         with pytest.raises(FormatError):
             parse_connection_file("gamma 0 1 1 = 1\n")
+
+    @pytest.mark.parametrize("index", ["0", "4", "01", "+1", "1.0", "1e0", "-1", "\u0661",
+                                       "\u0663", "\u00b9", "one"])
+    def test_indices_are_exactly_1_2_or_3(self, index):
+        with pytest.raises(FormatError, match=r"gamma indices must each be 1, 2 or 3"):
+            parse_connection_file(f"gamma 1 {index} 3 = 0.5\n")
+
+    @pytest.mark.parametrize("value", ["\u0663", "1_0", "inf", "nan", "+1", ".5", "1.", "0x1"])
+    def test_values_are_expression_literals(self, value):
+        with pytest.raises(FormatError, match=r"^line 1: gamma value must be a number"):
+            parse_connection_file(f"gamma 1 2 3 = {value}\n")
 
     def test_empty_is_flat(self):
         assert parse_connection_file("# nothing\n").is_flat
@@ -1096,6 +1122,27 @@ class TestCompositePass:
             assert not any(hasattr(root, "_forward") for root in F.components)
         # Six steps in all, each compiled once and shared by every composite.
         assert all(hasattr(step, "_forward") for steps in lifts._STEPS.values() for step in steps)
+
+
+class TestLiftKindVectors:
+    @pytest.mark.parametrize("make, message", [
+        (lambda: LiftKind.vertical((1.0, 2.0)), "anchor must have 3 components, got 2"),
+        (lambda: LiftKind.vertical((1.0, 2.0, 3.0, 4.0)), "anchor must have 3 components, got 4"),
+        (lambda: LiftKind.horizontal((1.0, 0.0, 0.0, 4.0)), "w0 must have 3 components, got 4"),
+        (lambda: LiftKind.horizontal(()), "w0 must have 3 components, got 0"),
+        (lambda: LiftKind("vertical", anchor=(1.0,)), "anchor must have 3 components, got 1"),
+    ], ids=["anchor-2", "anchor-4", "w0-4", "w0-0", "constructor"])
+    def test_needs_three_components(self, make, message):
+        # A 2-component anchor used to sweep 5-coordinate points, and a
+        # 4-component w0 lost its last coordinate under a curved connection.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
+    def test_length_is_checked_before_finiteness(self):
+        with pytest.raises(ValueError, match="3 components"):
+            LiftKind.horizontal((math.nan, 0.0))
+        with pytest.raises(ValueError, match="must be finite"):
+            LiftKind.horizontal((math.nan, 0.0, 0.0))
 
 
 class TestNonFiniteLifts:
