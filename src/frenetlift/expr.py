@@ -396,6 +396,12 @@ def parse_number(text: str) -> float:
     return float(body)
 
 
+def _to_float(value) -> float:
+    """A number given to a library constructor: text through
+    :func:`parse_number`, anything else through ``float()``."""
+    return parse_number(value) if isinstance(value, str) else float(value)
+
+
 def parse_expr(text: str, allowed_vars) -> ExprAst:
     """Parse ``text`` into an AST over the given variable set."""
     if not text or not text.strip():
@@ -580,7 +586,10 @@ class _Kernel(NamedTuple):
     var: Callable = _var  # (name, offset)
 
     def code(self, node: ExprAst):
-        return _compiled(node, self.attr, self.compile_node)
+        # The cache hit reads the node's attribute and makes no further
+        # call: order-1 eval_jet looks its code up on every call.
+        code = getattr(node, self.attr, None)
+        return _compiled(node, self.attr, self.compile_node) if code is None else code
 
     def compile_node(self, node: ExprAst, sub=None):
         """The code of ``node`` over the code ``sub`` gives each child, by
@@ -647,9 +656,10 @@ def eval_jet(ast: ExprAst, bindings: Mapping[str, Jet]) -> Jet:
     """
     pairs = {}
     for name, jet in bindings.items():
-        if len(jet.coeffs) != 2:
+        coeffs = jet.coeffs
+        if len(coeffs) != 2:
             break
-        pairs[name] = jet.coeffs
+        pairs[name] = coeffs
     else:
         if pairs:
             return Jet._of(_FORWARD.code(ast)(pairs, None))
@@ -1098,33 +1108,27 @@ class CurveSpec:
         cls, x1: str, x2: str, x3: str, t_min: float, t_max: float, name: str = "curve"
     ) -> "CurveSpec":
         comps = tuple(parse_expr(s, CURVE_VARS) for s in (x1, x2, x3))
-        return cls(comps, float(t_min), float(t_max), name)
-
-
-def _per_component(components, t: float, evaluate) -> list:
-    """``evaluate(comp)`` for each of a curve's components at parameter t,
-    given as ASTs or as their codes.
-
-    A :class:`JetError` leaves with ``component`` (0-based) and ``t`` set,
-    so the error message can name where evaluation failed.
-    """
-    out = []
-    for i, comp in enumerate(components):
-        try:
-            out.append(evaluate(comp))
-        except JetError as err:
-            err.component = i
-            err.t = t
-            raise
-    return out
+        return cls(comps, _to_float(t_min), _to_float(t_max), name)
 
 
 def _curve_jets(curve: CurveSpec, t: float, order: int) -> tuple[tuple[float, ...], ...]:
     """Coefficients c_0..c_order of each curve component at t, from one run
-    of the components' :class:`_Program`, compiled once per curve."""
+    of the components' :class:`_Program`, compiled once per curve.
+
+    A :class:`JetError` leaves with ``component`` (0-based) and ``t`` set,
+    so the error message can name where evaluation failed.
+    """
     codes = _compiled(curve, "_jets", lambda c: _Program(c.components).roots)
     b = {"t": Jet.variable(t, order)}
-    return tuple(_per_component(codes, t, lambda code: code(b, order).coeffs))
+    out = []
+    for i, code in enumerate(codes):
+        try:
+            out.append(code(b, order).coeffs)
+        except JetError as err:
+            err.component = i
+            err.t = t
+            raise
+    return tuple(out)
 
 
 @dataclass(frozen=True)

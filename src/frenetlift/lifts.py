@@ -47,9 +47,13 @@ the horizontal lifts of a new connection.
 
 Curves lift pointwise: vertical to (anchor, beta(t)), complete to
 (beta(t), beta'(t)), and horizontal to (beta(t), w(t)) with w parallel
-transported along beta by classical 4-stage Runge-Kutta.  Each stage takes
-the curve velocity from one order-1 :func:`expr.eval_jet` per component and
-contracts it with the stage's fiber on plain floats.
+transported along beta by classical 4-stage Runge-Kutta.  Each stage binds
+t once, takes the curve velocity from one order-1 :func:`expr.eval_jet` per
+component, so 12 per step, and contracts it with the stage's fiber over
+the nonzero symbols in :meth:`Connection.contract`'s order; the fiber and
+the stage slopes stay plain floats, so a step gives the bits of RK4 on
+``contract``.  A failing component leaves its error with ``component`` and
+``t`` set, as a sweep's does.
 """
 
 from __future__ import annotations
@@ -69,14 +73,14 @@ from .expr import (
     _FORWARD,
     _key_value_lines,
     _passes,
-    _per_component,
+    _to_float,
     eval_forward,
     eval_jet,
     eval_second,
     parse_number,
 )
 from .frenet import DomainIntervalError
-from .jets import Jet, NonFiniteJet, _derivative, _fdot
+from .jets import Jet, JetError, NonFiniteJet, _derivative, _fdot
 
 __all__ = [
     "TangentPoint",
@@ -101,11 +105,11 @@ __all__ = [
 # Transport resolution: steps per unit parameter length.
 TRANSPORT_STEPS_PER_UNIT = 1000
 
-# Work cap on one transport.  An RK4 step took 32-49 us (best of 7 on a
-# shared 2-core x86 host, CPython 3.11.7; a helix and a torus knot, 3 or 27
-# nonzero connection symbols), so ten million steps take about 5-8 minutes.
-# A curve domain that needs more is an input error, raised before any step
-# is taken.
+# Work cap on one transport.  An RK4 step took 21-32 us (best of 7, three
+# runs, on a shared 2-core x86 host, CPython 3.11.7; a helix and a torus
+# knot, 3 or 27 nonzero connection symbols), so ten million steps take
+# about 3.5-5.5 minutes.  A curve domain that needs more is an input error,
+# raised before any step is taken.
 MAX_TRANSPORT_STEPS = 10_000_000
 
 
@@ -119,8 +123,8 @@ class TangentPoint:
     y: tuple[float, float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        object.__setattr__(self, "y", tuple(float(v) for v in self.y))
+        object.__setattr__(self, "x", tuple(map(_to_float, self.x)))
+        object.__setattr__(self, "y", tuple(map(_to_float, self.y)))
         if len(self.x) != 3 or len(self.y) != 3:
             raise ValueError("a tangent point needs 3 base and 3 fiber coordinates")
         if not all(math.isfinite(v) for v in self.x + self.y):
@@ -135,7 +139,7 @@ class Connection:
     gamma: tuple[tuple[tuple[float, ...], ...], ...]
 
     def __post_init__(self):
-        g = tuple(tuple(tuple(float(v) for v in row) for row in plane) for plane in self.gamma)
+        g = tuple(tuple(tuple(map(_to_float, row)) for row in plane) for plane in self.gamma)
         if len(g) != 3 or any(len(p) != 3 or any(len(r) != 3 for r in p) for p in g):
             raise ValueError("connection symbols must form a 3x3x3 array")
         for plane in g:
@@ -149,6 +153,10 @@ class Connection:
         object.__setattr__(self, "_terms", tuple(
             tuple((b, c, v) for b, row in enumerate(p) for c, v in enumerate(row) if v != 0.0)
             for p in g))
+        # The same terms as (3b + g, coefficient): the index of the product
+        # direction[b] * transported[g] among all nine, for the RK4 stages.
+        object.__setattr__(self, "_pair_terms", tuple(
+            tuple((3 * b + c, v) for b, c, v in row) for row in self._terms))
 
     @classmethod
     def flat(cls) -> "Connection":
@@ -162,7 +170,7 @@ class Connection:
         for (a, b, c), v in entries.items():
             if not (1 <= a <= 3 and 1 <= b <= 3 and 1 <= c <= 3):
                 raise ValueError(f"connection indices must be in 1..3, got {(a, b, c)}")
-            g[a - 1][b - 1][c - 1] = float(v)
+            g[a - 1][b - 1][c - 1] = v
         return cls(tuple(tuple(tuple(r) for r in p) for p in g))
 
     @property
@@ -204,7 +212,7 @@ class LiftKind:
 
     @classmethod
     def vertical(cls, anchor: Sequence[float] | None = None) -> "LiftKind":
-        a = tuple(float(v) for v in anchor) if anchor is not None else None
+        a = tuple(map(_to_float, anchor)) if anchor is not None else None
         return cls("vertical", anchor=a)
 
     @classmethod
@@ -213,7 +221,7 @@ class LiftKind:
 
     @classmethod
     def horizontal(cls, w0: Sequence[float]) -> "LiftKind":
-        return cls("horizontal", w0=tuple(float(v) for v in w0))
+        return cls("horizontal", w0=tuple(map(_to_float, w0)))
 
     def __post_init__(self):
         if self.kind not in ("vertical", "complete", "horizontal"):
@@ -573,6 +581,40 @@ def prop21_check(
 # --- parallel transport -------------------------------------------------------------
 
 
+def _stage(rows, comps, s: float, y0: float, y1: float, y2: float) -> list[float]:
+    """One RK4 stage at time s and fiber y: -G(beta'(s), y).
+
+    The velocity comes from one order-1 :func:`eval_jet` per component on
+    one binding of t; a :class:`JetError` leaves with ``component``
+    (0-based) and ``t`` set.  ``rows`` are ``G._pair_terms``: the nine
+    products v_b * y_g are formed once, and each term is then contract's
+    ``v_b * y_g * coeff`` with its bits.
+    """
+    t = {"t": Jet._of((s, 1.0))}
+    c1, c2, c3 = comps
+    i = 0
+    try:
+        v0 = eval_jet(c1, t).coeffs[1]
+        i = 1
+        v1 = eval_jet(c2, t).coeffs[1]
+        i = 2
+        v2 = eval_jet(c3, t).coeffs[1]
+    except JetError as err:
+        err.component = i
+        err.t = s
+        raise
+    vy = (v0 * y0, v0 * y1, v0 * y2, v1 * y0, v1 * y1, v1 * y2, v2 * y0, v2 * y1, v2 * y2)
+    k = []
+    for row in rows:
+        # -0.0 + x is x, so a row sums as contract sums it; a row without
+        # symbols is contract's 0.0 * direction * transported.
+        acc = -0.0 if row else 0.0 * v0 * y0
+        for j, coeff in row:
+            acc += vy[j] * coeff
+        k.append(-acc)
+    return k
+
+
 def _rk4_segment(
     G: Connection,
     curve: CurveSpec,
@@ -583,35 +625,26 @@ def _rk4_segment(
 ) -> list[float]:
     """Classical RK4 for w' = -G(beta', w) over ``steps`` equal steps.
 
-    Each stage evaluates the curve velocity at its own time, one order-1
-    :func:`eval_jet` per component, and contracts it with the stage's fiber
-    over ``G._terms`` in the order of :meth:`Connection.contract`.
+    Each step makes four :func:`_stage` calls, at u, u + h/2 (twice) and
+    u + h, so 12 order-1 :func:`eval_jet` calls, and keeps the fiber and
+    the stage slopes as plain floats.
     """
     h = (t1 - t0) / steps
     half = 0.5 * h
-    rows = G._terms
+    sixth = h / 6.0
+    rows = G._pair_terms
+    comps = curve.components
+    w0, w1, w2 = w
     for i in range(steps):
         u = t0 + i * h
-        k = None
-        ks = []
-        for s, c in ((u, 0.0), (u + half, half), (u + half, half), (u + h, h)):
-            y = w if k is None else [a + c * b for a, b in zip(w, k)]
-            tj = {"t": Jet._of((s, 1.0))}
-            vel = _per_component(curve.components, s, lambda comp: eval_jet(comp, tj).coeffs[1])
-            k = []
-            for row in rows:
-                # -0.0 + x is x, so a row sums as contract sums it; a row
-                # without symbols is contract's 0.0 * direction * transported.
-                acc = -0.0 if row else 0.0 * vel[0] * y[0]
-                for b, g, coeff in row:
-                    acc += vel[b] * y[g] * coeff
-                k.append(-acc)
-            ks.append(k)
-        w = [
-            a + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(w, *ks)
-        ]
-    return w
+        a0, a1, a2 = _stage(rows, comps, u, w0, w1, w2)
+        b0, b1, b2 = _stage(rows, comps, u + half, w0 + half * a0, w1 + half * a1, w2 + half * a2)
+        c0, c1, c2 = _stage(rows, comps, u + half, w0 + half * b0, w1 + half * b1, w2 + half * b2)
+        d0, d1, d2 = _stage(rows, comps, u + h, w0 + h * c0, w1 + h * c1, w2 + h * c2)
+        w0 = w0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
+        w1 = w1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+        w2 = w2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+    return [w0, w1, w2]
 
 
 def _transport_start(curve: CurveSpec, w0: Sequence[float], ts: Sequence[float]) -> list[float]:
@@ -620,7 +653,7 @@ def _transport_start(curve: CurveSpec, w0: Sequence[float], ts: Sequence[float])
     for t in ts:
         if not curve.t_min <= t <= curve.t_max:
             raise DomainIntervalError(t, curve.domain)
-    w = [float(v) for v in w0]
+    w = list(map(_to_float, w0))
     if len(w) != 3 or not all(math.isfinite(v) for v in w):
         raise ValueError("w0 must have 3 finite components")
     return w

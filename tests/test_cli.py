@@ -32,7 +32,7 @@ from frenetlift.cli import (
     build_parser,
     main,
 )
-from frenetlift.expr import Neg, Num, parse_curve_file, parse_expr, parse_number
+from frenetlift.expr import CurveSpec, Neg, Num, parse_curve_file, parse_expr, parse_number
 from frenetlift.lifts import parse_connection_file
 from frenetlift.verify import CheckResult
 
@@ -632,17 +632,25 @@ class TestDiagnostics:
             f"error: chars 0-10: {func} undefined at inf "
             f"({tmp_path / bad} {key} at point=(1.0, 1.0, 1.0, 1.0, 1.0, 1.0))\n")
 
-    def test_transport_stage_failure_names_component_and_t(self, tmp_path, capsys):
+    @pytest.mark.parametrize("components, where", [
+        (("1/(t - 0.0005)", "t", "t^2"), "x1 at t=0.0005, chars 0-14"),
+        (("t", "1/(t - 0.0005)", "t^2"), "x2 at t=0.0005, chars 0-14"),
+        (("t", "t^2", "1/(t - 0.0005)"), "x3 at t=0.0005, chars 0-14"),
+        (("t", "1/(t - 0.001)", "t^2"), "x2 at t=0.001, chars 0-13"),
+    ], ids=["x1-midpoint", "x2-midpoint", "x3-midpoint", "x2-step-end"])
+    def test_transport_stage_failure_names_component_and_t(
+            self, tmp_path, capsys, components, where):
         # Every grid point is fine; only the first RK4 step's midpoint stages
-        # (t = 0.0005) divide by zero.
+        # (t = 0.0005), or its last stage (u + h = 0.001), divide by zero.
         curve, conn = tmp_path / "pole.curve", tmp_path / "g.conn"
-        curve.write_text("x1 = t\nx2 = 1/(t - 0.0005)\nx3 = t^2\nt_min = 0\nt_max = 1\n")
+        curve.write_text("".join(f"x{i} = {c}\n" for i, c in enumerate(components, 1))
+                         + "t_min = 0\nt_max = 1\n")
         conn.write_text("gamma 1 2 3 = 0.3\n")
         argv = ["lift", "--kind", "h", "--curve", str(curve), "--connection", str(conn),
                 "--w0=1,0,0", "--samples", "3"]
         assert main(argv) == EXIT_INPUT
         err = capsys.readouterr().err
-        assert "x2 at t=0.0005, chars 0-14: denominator constant term 0.0" in err
+        assert f"{where}: denominator constant term 0.0" in err
 
     def test_complex_constant_exponent_exits_2(self, tmp_path, capsys):
         p = tmp_path / "fold.curve"
@@ -1460,6 +1468,24 @@ _NUMBER_READERS = {
     "tol": (lambda s: cli._tolerance(("kappa_floor",))(f"kappa_floor={s}")[1],
             lambda v: 0.0 < v < math.inf),
     "samples": (cli._samples, lambda v: 2 <= v <= cli.MAX_SAMPLES and v == int(v)),
+    # Library constructors given text.
+    "TangentPoint x": (lambda s: lifts.TangentPoint((0, s, 0), (0, 0, 0)).x[1], math.isfinite),
+    "TangentPoint y": (lambda s: lifts.TangentPoint((0, 0, 0), (0, 0, s)).y[2], math.isfinite),
+    "LiftKind.vertical": (lambda s: lifts.LiftKind.vertical((s, 0, 0)).anchor[0],
+                          math.isfinite),
+    "LiftKind.horizontal": (lambda s: lifts.LiftKind.horizontal((0, s, 0)).w0[1],
+                            math.isfinite),
+    "Connection.from_entries": (
+        lambda s: lifts.Connection.from_entries({(1, 2, 3): s}).gamma[0][1][2], math.isfinite),
+    "CurveSpec.from_strings t_min": (
+        lambda s: CurveSpec.from_strings("t", "t", "t", s, "1e300").t_min,
+        lambda v: math.isfinite(v) and v < 1e300 and math.isfinite(1e300 - v)),
+    "CurveSpec.from_strings t_max": (
+        lambda s: CurveSpec.from_strings("t", "t", "t", "-1e300", s).t_max,
+        lambda v: math.isfinite(v) and v > -1e300 and math.isfinite(v + 1e300)),
+    "transport w0": (
+        lambda s: lifts._transport_start(CurveSpec.from_strings("t", "t", "t", 0, 1),
+                                         (0, 0, s), ())[2], math.isfinite),
 }
 _NUMBER_PIECES = [*"0123456789.e+-_ ", "\u00b2", "\u0663", "inf", "nan"]
 

@@ -1,5 +1,6 @@
 """Parser, evaluators, pretty printer and the line-oriented file formats."""
 
+import contextlib
 import math
 import random
 import struct
@@ -36,6 +37,7 @@ from frenetlift.jets import (
     DivisionByZeroJet,
     DomainError,
     Jet,
+    JetError,
     NonFiniteJet,
 )
 from frenetlift.verify import random_ast
@@ -644,16 +646,23 @@ class TestOrder1Jet:
         ("x3 + x1/(x2 - x2)", (1.0, 2.0, 1.0), DivisionByZeroJet),
     ])
     def test_edge_cases(self, text, values, raised):
-        ast = parse_expr(text, NAMES)
         bindings = {name: Jet((v, -1.5)) for name, v in zip(NAMES, values)}
-        outcomes = []
-        for route in (eval_jet, lambda a, b: _kernel_jet(a, b, 1)):
-            try:
-                outcomes.append([x.hex() for x in route(ast, bindings).coeffs])
-            except Exception as err:
-                outcomes.append((type(err), str(err), getattr(err, "span", None)))
-        assert outcomes[0] == outcomes[1]
-        assert (outcomes[1][0] if isinstance(outcomes[1], tuple) else None) is raised
+        # eval_jet on a fresh tree, which has no forward code yet, and on a
+        # tree whose forward code eval_forward compiled and cached first.
+        for warm in (False, True):
+            ast = parse_expr(text, NAMES)
+            if warm:
+                with contextlib.suppress(JetError):
+                    eval_forward([ast], [{name: j.coeffs for name, j in bindings.items()}])
+            assert ("_forward" in vars(ast)) is warm
+            outcomes = []
+            for route in (eval_jet, lambda a, b: _kernel_jet(a, b, 1)):
+                try:
+                    outcomes.append([x.hex() for x in route(ast, bindings).coeffs])
+                except Exception as err:
+                    outcomes.append((type(err), str(err), getattr(err, "span", None)))
+            assert outcomes[0] == outcomes[1]
+            assert (outcomes[1][0] if isinstance(outcomes[1], tuple) else None) is raised
 
     def test_mixed_orders_reach_jet_kernel(self):
         ast = parse_expr("x1*x2", NAMES)
