@@ -49,15 +49,13 @@ span of the node that failed.  There are four evaluators of one tree:
 
 The last two share one pass loop, :func:`_passes`.  A pass is the trees'
 compiled code run on one binding dict per direction, direction 1 through
-every tree first, so the error raised is the first one that order meets;
-the sums and products of fields in :mod:`frenetlift.lifts` run their step
-trees through the same loop.  Each pass repeats the float steps and the
-per-operation finiteness test of the jet kernel of its order bit for bit.
-Both inline sin and cos and run '^' and the other functions through the
-jet kernel.  The jet, forward and order-2 evaluators are one compiler over
-three kernels: one dispatcher walks the tree and picks the code for each
-node, and each kernel supplies the closures of its own coefficient
-arithmetic.
+every tree first, so the error raised is the first one that order meets.
+Each pass repeats the float steps and the per-operation finiteness test of
+the jet kernel of its order bit for bit.  Both inline sin and cos and run
+'^' and the other functions through the jet kernel.  The jet, forward and
+order-2 evaluators are one compiler over three kernels: one dispatcher
+walks the tree and picks the code for each node, and each kernel supplies
+the closures of its own coefficient arithmetic.
 
 A curve's three components compile together into one K-jet program, cached
 on the :class:`CurveSpec` (:func:`_curve_jets`).  Its subtrees share one

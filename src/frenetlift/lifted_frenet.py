@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from itertools import repeat
 
-from .expr import CurveSpec, _curve_jets
+from .expr import CurveSpec, _curve_jets, _to_float
 from .frenet import (
     DEFAULT_ORDER,
     FrameJets,
@@ -227,6 +227,6 @@ class LiftedCurve:
         """One :class:`LiftedApparatus` per grid point, each computed when
         it is asked for.  A non-flat horizontal lift integrates its
         transport once, over the whole grid, before the first point."""
-        ts = [float(t) for t in grid]
+        ts = list(map(_to_float, grid))
         for t, w in zip(ts, self._fibers(ts)):
             yield self._apparatus(t, w)

@@ -34,16 +34,17 @@ X^v = (0, X) has no base part, so applying it reads no derivative along its
 zero base: X^v(f^v) is 0 once f's own pass succeeds, and X^v(f^c) is f's
 first coefficient along X(x).
 
-:func:`field_sum` and :func:`field_scale` build a new spec of synthesized
-root nodes over their operands' trees, and it keeps its operands.  Its pass
-is derived from the operands' passes: one shared step per component and
-operation, the root with its operands read from bindings of their values
-and partials, runs through the pass loop of :func:`expr.eval_forward`, one
-binding dict per axis, which gives the bits and the error order of
+:func:`field_sum` and :func:`field_scale` return a plain spec of root nodes
+over their operands' trees, evaluated like any other field.
+:func:`prop21_check` keeps its X+Y and fX on the point together with their
+operands, so the ids in their keys stay theirs while the point lives, and
+derives their passes from the operands' passes kept there: per axis, then
+per component, one :func:`jets._padd` or :func:`jets._pmul` on the
+operands' (value, partial) pairs, which takes the roots' float steps, so
+the bits and, once both operands' passes succeed, the errors are those of
 evaluating the roots.  An operand whose own pass fails raises its error,
-the left operand first, before any root step runs.  :func:`prop21_check`
-keeps its X+Y and fX on the point, so a second suite there computes only
-the horizontal lifts of a new connection.
+the left operand first.  A second suite at the point computes only the
+horizontal lifts of a new connection.
 
 Curves lift pointwise: vertical to (anchor, beta(t)), complete to
 (beta(t), beta'(t)), and horizontal to (beta(t), w(t)) with w parallel
@@ -69,10 +70,7 @@ from .expr import (
     FieldSpec,
     FormatError,
     CurveSpec,
-    Var,
-    _FORWARD,
     _key_value_lines,
-    _passes,
     _to_float,
     eval_forward,
     eval_jet,
@@ -80,7 +78,7 @@ from .expr import (
     parse_number,
 )
 from .frenet import DomainIntervalError
-from .jets import Jet, JetError, NonFiniteJet, _derivative, _fdot
+from .jets import Jet, JetError, NonFiniteJet, _derivative, _fdot, _padd, _pmul
 
 __all__ = [
     "TangentPoint",
@@ -276,14 +274,11 @@ def _values_and_rows(outs):
 
 
 def _pass(spec: FieldSpec, p: TangentPoint):
-    """:func:`_field_pass` of ``spec`` at p.x, kept at p.  A composite's
-    comes from its operands' passes kept there."""
+    """:func:`_field_pass` of ``spec`` at p.x, kept at p."""
     results = _results(spec, p)
     value = results.get("pass")
     if value is None:
-        operands = spec.__dict__.get("_operands")
-        value = _field_pass(spec, p.x) if operands is None else _composite_pass(p, *operands)
-        results["pass"] = value
+        value = results["pass"] = _field_pass(spec, p.x)
     return value
 
 
@@ -438,54 +433,19 @@ def apply_field(F: LiftedField, g: tuple[str, FieldSpec], p: TangentPoint) -> fl
 # --- field algebra on ASTs ------------------------------------------------------
 
 
-# Component k of a composite's pass: its root with the left and right
-# operands read from the bindings l<k> and r<k> of their values and
-# partials, shared by every composite and compiled once.  A number operand's
-# pass is (c, 0.0) on every axis, and read from a binding it gives the bits
-# and errors of the root's own code.
-_LEFT_NAMES, _RIGHT_NAMES = ("l0", "l1", "l2"), ("r0", "r1", "r2")
-_STEPS = {op: tuple(BinOp(op, Var(a), Var(b), (0, 0)) for a, b in zip(_LEFT_NAMES, _RIGHT_NAMES))
-          for op in "+*"}
-
-
-def _composite(op: str, left: FieldSpec, right: FieldSpec, pairs) -> FieldSpec:
-    """The field of roots ``op`` over the (left, right) component pairs,
-    keeping its operands for :func:`_composite_pass`."""
-    spec = FieldSpec(right.kind, tuple(BinOp(op, a, b, (0, 0)) for a, b in pairs))
-    object.__setattr__(spec, "_operands", (op, left, right))
-    return spec
-
-
-def _composite_pass(p: TangentPoint, op: str, left: FieldSpec, right: FieldSpec):
-    """A composite's pass from its operands' passes at p, left operand first.
-
-    The steps run in :func:`expr._passes` on the operands' values and
-    partials, one binding dict per axis, so the bits and, when both
-    operands' passes succeed, the error are those of evaluating the roots'
-    trees.  A scalar left operand (fX) pairs its one component with each of
-    the right's.
-    """
-    lv, lj = _pass(left, p)
-    rv, rj = _pass(right, p)
-    n = len(rv)
-    if len(lv) < n:
-        lv, lj = lv * n, lj * n
-    names = _LEFT_NAMES[:n] + _RIGHT_NAMES[:n]
-    points = [dict(zip(names, zip(lv + rv, column))) for column in zip(*lj, *rj)]
-    return _values_and_rows(_passes(_FORWARD, _STEPS[op][:n], points))
-
-
 def field_sum(X: FieldSpec, Y: FieldSpec) -> FieldSpec:
+    """The sum X+Y of two fields of one kind: one root '+' per component."""
     if X.kind != Y.kind:
         raise ValueError("cannot add fields of different kinds")
-    return _composite("+", X, Y, zip(X.components, Y.components))
+    return FieldSpec(X.kind, tuple(
+        BinOp("+", a, b, (0, 0)) for a, b in zip(X.components, Y.components)))
 
 
 def field_scale(f: FieldSpec, X: FieldSpec) -> FieldSpec:
     """The module product fX of a scalar and a vector field."""
     if f.kind != "scalar" or X.kind != "vector":
         raise ValueError("field_scale expects (scalar, vector)")
-    return _composite("*", f, X, ((f.components[0], c) for c in X.components))
+    return FieldSpec("vector", tuple(BinOp("*", f.components[0], c, (0, 0)) for c in X.components))
 
 
 # --- lift identity suite ----------------------------------------------------------
@@ -513,6 +473,27 @@ def _max_abs_diff(u: LiftedFieldValue, v: Sequence[float]) -> float:
     return _nan_max([abs(a - b) for a, b in zip(u.as_tuple(), v)])
 
 
+def _derived_pass(step, left, right):
+    """The pass of the roots ``step`` (:func:`jets._padd` or
+    :func:`jets._pmul`) over two operands' components, from the operands'
+    passes: axis by axis, then component by component, as
+    :func:`expr.eval_forward` runs the roots, on their (value, partial)
+    pairs, so with the roots' bits and errors.  A scalar left operand
+    repeats its one component for each of the right's.  A step's error
+    spans the roots' (0, 0)."""
+    (lv, lj), (rv, rj) = left, right
+    n = len(rv)
+    if len(lv) < n:
+        lv, lj = lv * n, lj * n
+    try:
+        outs = [[step((u, du[b]), (w, dw[b])) for u, du, w, dw in zip(lv, lj, rv, rj)]
+                for b in range(3)]
+    except NonFiniteJet as err:
+        err.span = (0, 0)
+        raise
+    return _values_and_rows(outs)
+
+
 def prop21_check(
     X: FieldSpec,
     Y: FieldSpec,
@@ -531,10 +512,14 @@ def prop21_check(
     res: dict[str, float] = {}
     kinds = ("vertical", "complete", "horizontal")
 
-    # X+Y and fX are kept at p; each holds its operands, so their ids stay
-    # theirs while p lives.
+    # X+Y and fX are kept at p with their operands, so the ids in their keys
+    # stay theirs while p lives.  Each pass is derived just before the
+    # composite's first lift, so its error comes before any later one.
     key = ("+", id(X), id(Y))
-    XY = p._kept.get(key) or p._kept.setdefault(key, field_sum(X, Y))
+    XY = (p._kept.get(key) or p._kept.setdefault(key, (field_sum(X, Y), X, Y)))[0]
+    kept = _results(XY, p)
+    if "pass" not in kept:
+        kept["pass"] = _derived_pass(_padd, _pass(X, p), _pass(Y, p))
     FXv, FXc, FXh = FX = [LiftedField(X, kind, G) for kind in kinds]
     for F in FX:
         left = LiftedField(XY, F.kind, G).at(p)
@@ -543,8 +528,11 @@ def prop21_check(
         res["additivity_" + F.kind[0]] = _max_abs_diff(left, tuple(map(operator.add, xa, ya)))
 
     key = ("*", id(f), id(X))
-    fX = p._kept.get(key) or p._kept.setdefault(key, field_scale(f, X))
+    fX = (p._kept.get(key) or p._kept.setdefault(key, (field_scale(f, X), f, X)))[0]
     fv = lift_function(f, "v", p)
+    kept = _results(fX, p)
+    if "pass" not in kept:
+        kept["pass"] = _derived_pass(_pmul, _pass(f, p), _pass(X, p))
     Xv, Xc, Xh = (F.at(p).as_tuple() for F in FX)
     fXv, fXc, fXh = (LiftedField(fX, kind, G).at(p) for kind in kinds)
 
@@ -705,7 +693,7 @@ def transport_grid(
     so a sweep over an n-point grid costs one traversal.  The step count is
     checked against ``MAX_TRANSPORT_STEPS`` first.
     """
-    targets = sorted(set(float(t) for t in ts))
+    targets = sorted(set(map(_to_float, ts)))
     w = _transport_start(curve, w0, targets)
     if targets:
         # Each target rounds its segment up by less than one step.

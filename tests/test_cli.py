@@ -33,6 +33,7 @@ from frenetlift.cli import (
     main,
 )
 from frenetlift.expr import CurveSpec, Neg, Num, parse_curve_file, parse_expr, parse_number
+from frenetlift.lifted_frenet import LiftedCurve
 from frenetlift.lifts import parse_connection_file
 from frenetlift.verify import CheckResult
 
@@ -1486,6 +1487,15 @@ _NUMBER_READERS = {
     "transport w0": (
         lambda s: lifts._transport_start(CurveSpec.from_strings("t", "t", "t", 0, 1),
                                          (0, 0, s), ())[2], math.isfinite),
+    # Grids given as text, each read over a curve domain it must lie in.
+    "transport_grid": (
+        lambda s: next(iter(lifts.transport_grid(
+            lifts.Connection.flat(), CurveSpec.from_strings("t", "t", "t", 0, 1), (0, 0, 0), [s]))),
+        lambda v: 0.0 <= v <= 1.0),
+    "LiftedCurve.sweep": (
+        lambda s: next(LiftedCurve(CurveSpec.from_strings("3*cos(t)", "3*sin(t)", "4*t", -100, 100),
+                                   lifts.LiftKind.complete()).sweep([s])).t,
+        lambda v: -100.0 <= v <= 100.0),
 }
 _NUMBER_PIECES = [*"0123456789.e+-_ ", "\u00b2", "\u0663", "inf", "nan"]
 

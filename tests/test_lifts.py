@@ -16,7 +16,6 @@ from frenetlift.expr import (
     FormatError,
     Neg,
     Num,
-    Var,
     eval_float,
     eval_forward,
     eval_jet,
@@ -24,7 +23,7 @@ from frenetlift.expr import (
     scalar_field,
     vector_field,
 )
-from frenetlift.jets import DomainError, Jet, NonFiniteJet
+from frenetlift.jets import DomainError, Jet, NonFiniteJet, _padd
 from frenetlift.lifted_frenet import LiftedCurve
 from frenetlift.lifts import (
     Connection,
@@ -852,7 +851,7 @@ class TestPerPointCache:
 
             return run
 
-        for name in ("_composite_pass", "field_sum", "field_scale", "_lifted", "eval_forward",
+        for name in ("_derived_pass", "field_sum", "field_scale", "_lifted", "eval_forward",
                      "eval_second"):
             monkeypatch.setattr(lifts, name, recording(name, getattr(lifts, name)))
         prop21_check(X, Y, f, g, random_connection(random.Random(8)), p)
@@ -886,6 +885,39 @@ class TestPerPointCache:
             refs = suite()
             # Reference counting alone frees them: no spec is in a cycle.
             assert [r() for r in refs] == [None] * 6
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_kept_composites_keep_their_operands_while_the_point_lives(self):
+        # The suite keys X+Y and fX on their operands' ids, so the point keeps
+        # the operands with them: no other spec can take an id of a key while
+        # the point lives.  At the first point X fails in its own pass, so
+        # the suite builds X+Y and runs no pass of Y's.
+        def suite(first_component, x):
+            X = vector_field(first_component, "x2", "x3")
+            Y = vector_field("x3", "x1*x3", "x2 + 1")
+            f = scalar_field("x1*x2")
+            p = TangentPoint(x, (1.5, 0.25, -0.5))
+            error = _error_of(prop21_check, X, Y, f, f, Connection.flat(), p)
+            composites = [key[0] for key in p._kept if isinstance(key, tuple)]
+            operands = (X, Y) if error else (X, Y, f)
+            assert composites == ["+", "*"][:len(operands) - 1]
+            return p, error, [weakref.ref(s) for s in operands]
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            failing, error, failing_refs = suite("sqrt(x1)", (0.0, 1.0, 2.0))
+            assert error[:2] == (DomainError, "sqrt undefined at 0.0")
+            passing, error, passing_refs = suite("x1*x2", (0.7, -1.3, 2.1))
+            assert error is None
+            assert all(r() is not None for r in failing_refs + passing_refs)
+            del failing
+            assert [r() for r in failing_refs] == [None] * 2
+            assert all(r() is not None for r in passing_refs)
+            del passing
+            assert [r() for r in passing_refs] == [None] * 3
         finally:
             if enabled:
                 gc.enable()
@@ -1002,7 +1034,7 @@ def _tree_pass(F, x):
     points = [{name: (float(v), d[i]) for i, (name, v) in enumerate(zip(_VARS, x))}
               for d in lifts._BASIS]
     try:
-        outs = lifts.eval_forward(F.components, points)
+        outs = eval_forward(F.components, points)
     except ValueError as err:
         return type(err), str(err), getattr(err, "span", None)
     return _bits((tuple(v for v, _ in outs[0]),
@@ -1016,29 +1048,59 @@ def _pass_or_error(F, x):
         return type(err), str(err), getattr(err, "span", None)
 
 
+def _derived_or_error(step, left, right, x):
+    """lifts._derived_pass of two operands' passes at x, as bits, or the
+    error of the first operand's pass or step that fails."""
+    p = TangentPoint(x, (0.0, 0.0, 0.0))
+    try:
+        return _bits(lifts._derived_pass(step, lifts._pass(left, p), lifts._pass(right, p)))
+    except ValueError as err:
+        return type(err), str(err), getattr(err, "span", None)
+
+
 class TestCompositePass:
-    def _check(self, left, right, x, combine):
-        F = combine(left, right)
-        got = _pass_or_error(F, x)
-        operands = [_pass_or_error(FieldSpec(s.kind, s.components), x) for s in (left, right)]
-        failed = [o for o in operands if isinstance(o[0], type)]
-        if failed:
-            # An operand's own error, the left one first.
-            assert got == failed[0]
-        else:
-            assert got == _tree_pass(F, x)
-        return isinstance(got[0], type), bool(failed)
+    """The passes prop21_check derives for its X+Y and fX from the operands'
+    passes kept at p, against the roots' own trees (_tree_pass)."""
+
+    def _check(self, X, Y, f, x, G=Connection.flat()):
+        """Run the suite at x and check each composite it built: a kept pass
+        has the trees' bits; otherwise the suite's error is an operand's own,
+        the left one first, or else the trees'.  Returns what each composite
+        gave, in the suite's order."""
+        p = TangentPoint(x, (1.5, 0.25, -0.5))
+        error = _error_of(prop21_check, X, Y, f, f, G, p)
+        outcomes = []
+        for op, left, right, combine in (("+", X, Y, field_sum), ("*", f, X, lifts.field_scale)):
+            entry = p._kept.get((op, id(left), id(right)))
+            if entry is None:
+                break  # the suite raised before it built this composite
+            composite, *operands = entry
+            assert operands[0] is left and operands[1] is right
+            for root in composite.components:
+                assert root.op == op and root.span == (0, 0)
+                # The suite compiled no code of the roots.
+                assert not any(hasattr(root, a) for a in ("_forward", "_second", "_jet"))
+            kept = lifts._results(composite, p).get("pass")
+            if kept is not None:
+                assert _bits(kept) == _tree_pass(combine(left, right), x)
+                outcomes.append("derived")
+                continue
+            failed = [e for e in (_pass_or_error(s, x) for s in (left, right))
+                      if isinstance(e[0], type)]
+            assert error == (failed[0] if failed else _tree_pass(combine(left, right), x))
+            outcomes.append("operand" if failed else "root")
+            break
+        return outcomes
 
     def test_matches_tree_pass(self):
         rng = random.Random(20261201)
         outcomes = set()
         for i in range(300):
             X, Y, f, _ = _random_quadruple_or_ast(rng, i)
-            x = random_tangent_point(rng).x
-            outcomes.add(self._check(X, Y, x, field_sum))
-            outcomes.add(self._check(f, Y, x, lifts.field_scale))
-        # Successes, operand errors and, from random trees, no other kind.
-        assert (False, False) in outcomes and (True, True) in outcomes
+            outcomes.update(self._check(X, Y, f, random_tangent_point(rng).x))
+        # Derived passes and operand errors; random trees rarely overflow a
+        # root where neither operand does.
+        assert {"derived", "operand"} <= outcomes
 
     @pytest.mark.parametrize("f, X", [
         ("2.5", ("x1*x2", "3", "-0.0")),
@@ -1046,27 +1108,24 @@ class TestCompositePass:
         ("0", ("x1", "1e308", "x3")),
         ("1e300", ("x1*1e10", "x2", "1e-300")),
     ], ids=["number-factor", "number-component", "zero-factor", "overflowing-product"])
-    def test_number_factor_on_either_side(self, f, X, monkeypatch):
+    def test_number_factor_on_either_side(self, f, X):
         # A number operand goes through the derived route like any other:
-        # its pass (c, 0.0) is read from a binding by the shared steps.
+        # its pass (c, 0.0) enters _padd or _pmul as a pair, where the
+        # trees scale by the number, with the same bits.
         f, X = scalar_field(f), vector_field(*X)
         assert any(isinstance(c, Num) for c in (*f.components, *X.components))
-        evaluated = []
-
-        def recording(kernel, asts, points, real=lifts._passes):
-            evaluated.append(tuple(asts))
-            return real(kernel, asts, points)
-
+        outcomes = []
         for x in ((1.0, 2.0, 3.0), (-0.0, 0.5, -2.0), (1e10, 1.0, 1.0)):
-            for left, right, combine in ((f, X, lifts.field_scale), (X, X, field_sum),
-                                         (f, f, field_sum)):
-                evaluated.clear()
-                with monkeypatch.context() as m:
-                    m.setattr(lifts, "_passes", recording)
-                    _, failed = self._check(left, right, x, combine)
-                op = "*" if combine is lifts.field_scale else "+"
-                n = len(right.components)
-                assert evaluated == ([] if failed else [lifts._STEPS[op][:n]])
+            # X+X has numbers on both sides; X+Y overflows nowhere, so its
+            # fX is reached where X+X overflows.
+            outcomes += self._check(X, X, f, x)
+            outcomes += self._check(X, vector_field("x2", "-x3", "x1"), f, x)
+            # A sum of scalars, which the suite does not build.
+            want = _pass_or_error(f, x)
+            if not isinstance(want[0], type):
+                want = _tree_pass(field_sum(f, f), x)
+            assert _derived_or_error(_padd, f, f, x) == want
+        assert "derived" in outcomes
 
     def test_root_overflow_is_the_trees_error(self):
         X = vector_field("1e308 + x1", "x2", "x3")
@@ -1074,54 +1133,63 @@ class TestCompositePass:
         f = scalar_field("x1*1e200")
         Z = vector_field("x1*1e200", "x2", "x3")
         x = (1.0, 1.0, 1.0)
-        assert _pass_or_error(field_sum(X, Y), x) == (
+        assert self._check(X, Y, f, x) == ["root"]
+        assert self._check(Z, Z, f, x) == ["derived", "root"]
+        p = TangentPoint(x, (1.5, 0.25, -0.5))
+        assert _error_of(prop21_check, X, Y, f, f, Connection.flat(), p) == (
             NonFiniteJet, "addition produced non-finite coefficients", (0, 0))
-        assert _pass_or_error(lifts.field_scale(f, Z), x) == (
+        assert _error_of(prop21_check, Z, Z, f, f, Connection.flat(), p) == (
             NonFiniteJet, "multiplication produced non-finite coefficients", (0, 0))
-        assert _tree_pass(field_sum(X, Y), x) == _pass_or_error(field_sum(X, Y), x)
+        # Outside the suite a composite evaluates its own trees.
+        assert _pass_or_error(field_sum(X, Y), x) == _tree_pass(field_sum(X, Y), x)
 
     def test_operand_error_left_first(self):
         bad_value = vector_field("x1", "1e999", "x3")
         bad_partial = vector_field("sqrt(x1)", "x2", "x3")
+        good = scalar_field("x2*x3")
         x = (0.0, 1.0, 1.0)
+        errors = []
         for left, right in ((bad_value, bad_partial), (bad_partial, bad_value)):
             want = _pass_or_error(left, x)
             assert isinstance(want[0], type)
-            assert _pass_or_error(field_sum(left, right), x) == want
+            assert self._check(left, right, good, x) == ["operand"]
+            assert _error_of(prop21_check, left, right, good, good, Connection.flat(),
+                             TangentPoint(x, (1.5, 0.25, -0.5))) == want
+            errors.append(want)
+        assert errors[0] != errors[1]
+        # Outside the suite X+Y evaluates its own trees, component by
+        # component: the first component's sqrt fails before the second
+        # component's value is tested.
+        assert _pass_or_error(field_sum(bad_value, bad_partial), x) == errors[1]
+        # fX: f's own error comes first, before X's.
+        X = vector_field("x1*x2", "x3", "x2")
+        bad_scalar = scalar_field("sqrt(x1)")
+        assert self._check(X, X, bad_scalar, x) == ["derived", "operand"]
 
     def test_composite_of_composites(self):
         X = vector_field("x1*x2", "x3 - x1", "sin(x2)")
         Y = vector_field("x3", "x1*x3", "x2 + 1")
         f = scalar_field("x1 - x2*x3")
-        F = field_sum(lifts.field_scale(f, field_sum(X, Y)), X)
+        F = lifts.field_scale(f, field_sum(X, Y))
         x = (0.3, -1.2, 0.8)
-        assert _pass_or_error(F, x) == _tree_pass(F, x)
+        # The suite's operands are composites themselves, whose passes come
+        # from their own trees.
+        assert self._check(F, X, f, x) == ["derived", "derived"]
+        assert self._check(field_sum(F, X), F, f, x) == ["derived", "derived"]
 
-    def test_evaluates_only_its_step_trees(self, monkeypatch):
+    def test_suite_evaluates_no_root_tree(self, monkeypatch):
         X = vector_field("x1*x2", "2", "x3")
         Y = vector_field("x3", "x1*x3", "0.5")
         f = scalar_field("x1 - x2*x3")
-        x = (0.3, -1.2, 0.8)
-        for F in (field_sum(X, Y), lifts.field_scale(f, Y)):
-            evaluated = []
-
-            def recording(kernel, asts, points, real=lifts._passes):
-                evaluated.append(tuple(asts))
-                return real(kernel, asts, points)
-
-            with monkeypatch.context() as m:
-                m.setattr(lifts, "_passes", recording)
-                lifts._pass(F, TangentPoint(x, (0.0, 0.0, 0.0)))
-            op = F.components[0].op
-            steps = lifts._STEPS[op]
-            assert [list(map(id, asts)) for asts in evaluated] == [list(map(id, steps))]
-            # Every operand, a number too, is read as l<k>, r<k>.
-            for k, (step, root) in enumerate(zip(steps, F.components)):
-                assert step == BinOp(op, Var(f"l{k}"), Var(f"r{k}"), (0, 0))
-                assert root.op == op and root.span == (0, 0)
-            assert not any(hasattr(root, "_forward") for root in F.components)
-        # Six steps in all, each compiled once and shared by every composite.
-        assert all(hasattr(step, "_forward") for steps in lifts._STEPS.values() for step in steps)
+        evaluated = []
+        for name in ("eval_forward", "eval_second"):
+            real = getattr(lifts, name)
+            monkeypatch.setattr(lifts, name, lambda asts, points, real=real: (
+                evaluated.extend(map(id, asts)) or real(asts, points)))
+        for G in (Connection.flat(), Connection.from_entries({(1, 2, 3): 0.3})):
+            assert self._check(X, Y, f, (0.3, -1.2, 0.8), G) == ["derived", "derived"]
+        # Only the operands' own trees run, numbers too.
+        assert set(evaluated) == {id(c) for c in (*X.components, *Y.components, *f.components)}
 
 
 class TestLiftKindVectors:
