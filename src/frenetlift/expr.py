@@ -27,15 +27,15 @@ a power, or that divides by a number below ``DIV_FLOOR`` in magnitude, is a
 ASTs are immutable; source spans (byte offsets into the input) are carried
 for error reporting but ignored by structural equality.
 
-Each AST is compiled once, on first evaluation, into nested closures that
-are cached on the node object itself.  Structurally equal nodes at
-different spans therefore keep separate code, and an error reports the
-span of the node that failed.  There are four evaluators of one tree:
+Each AST is compiled once per evaluator, on first evaluation, and the code
+is cached on the node object itself.  Structurally equal nodes at different
+spans therefore keep separate code, and an error reports the span of the
+node that failed.  There are four evaluators of one tree:
 
 - :func:`eval_float` evaluates in plain floats with its own arithmetic
-  and its own compiler, apart from the others, because it is their
-  oracle.  Its only production use is folding constant exponents at
-  parse time.
+  and its own compiler of nested closures, apart from the others, because
+  it is their oracle.  Its only production use is folding constant
+  exponents at parse time.
 - :func:`eval_jet` evaluates K-jets through the same :class:`Jet` kernel
   calls as a tree walk, so every bit is the same.  Each number builds its
   constant jet once per order.  When every binding is an order-1 jet it
@@ -47,15 +47,18 @@ span of the node that failed.  There are four evaluators of one tree:
   ``(value, d, 0.0)`` float triples, for the second derivatives of the
   lift identities.
 
-The last two share one pass loop, :func:`_passes`.  A pass is the trees'
-compiled code run on one binding dict per direction, direction 1 through
-every tree first, so the error raised is the first one that order meets.
-Each pass repeats the float steps and the per-operation finiteness test of
-the jet kernel of its order bit for bit.  Both inline sin and cos and run
-'^' and the other functions through the jet kernel.  The jet, forward and
-order-2 evaluators are one compiler over three kernels: one dispatcher
-walks the tree and picks the code for each node, and each kernel supplies
-the closures of its own coefficient arithmetic.
+The K-jet evaluator compiles a tree into nested closures.  The forward and
+order-2 evaluators compile it into one generated Python function of
+straight-line code (:class:`_Emitted`): per node, a few flat lines that
+repeat the float steps and the per-operation finiteness test of the jet
+kernel of its order bit for bit, and raise its error with the node's span.
+Both inline sin and cos and run '^' and the other functions through the jet
+kernel.  No text of the tree reaches the generated source, so trees of one
+shape share one compiled code, kept in a bounded cache.  One dispatcher
+walks the tree and picks the step of each node for all three.  The last two
+share one pass loop, :func:`_passes`: a pass is the trees' functions run on
+one binding dict per direction, direction 1 through every tree first, so
+the error raised is the first one that order meets.
 
 A curve's three components compile together into one K-jet program, cached
 on the :class:`CurveSpec` (:func:`_curve_jets`).  Its subtrees share one
@@ -71,7 +74,9 @@ import operator
 import re
 import struct
 from dataclasses import dataclass, field, replace
-from math import cos, isfinite, sin
+from functools import lru_cache
+from math import cos, isfinite, sin  # noqa: F401  (read by generated code)
+from types import CodeType, FunctionType
 from typing import Callable, Mapping, NamedTuple, Union
 
 from .jets import (
@@ -409,10 +414,11 @@ def parse_expr(text: str, allowed_vars) -> ExprAst:
 
 # --- evaluation ---------------------------------------------------------------
 #
-# Each evaluator compiles a tree once into nested closures, cached on the node
-# object under its own attribute.  The cache lives on the object, not in a
-# table keyed by the node: structurally equal nodes compare equal whatever
-# their spans, and every closure reports the span of its own node.
+# Each evaluator compiles a tree once, into nested closures or one generated
+# function, cached on the node object under its own attribute.  The cache
+# lives on the object, not in a table keyed by the node: structurally equal
+# nodes compare equal whatever their spans, and each node's code reports its
+# own span.
 
 
 def _compiled(node: ExprAst, attr: str, compile_node):
@@ -567,12 +573,13 @@ def _var(name: str, offset: int):
 
 
 class _Kernel(NamedTuple):
-    """Closure factories of one coefficient arithmetic, for the jet, the
-    forward or the order-2 evaluator.  Each returns code, a closure of
-    (bindings, extra) that returns the node's value: a Jet, or the float
-    coefficients along the one direction the bindings carry.  The tree walk
-    and the choice of code for each node are :meth:`compile_node`, shared
-    by all three and by the structural keys of :class:`_Program`."""
+    """Node factories of one tree walk: :meth:`compile_node` picks the
+    factory of each node and gives it what ``sub`` made of the children.
+    The K-jet kernel's factories return code, a closure of (bindings,
+    order) that returns the node's Jet; those of :data:`_KEYS` return the
+    structural keys of :class:`_Program`, and those of :data:`_STEPS` the
+    steps that :class:`_Emitted` writes as straight-line float code.  So
+    the scale and '^' rules live in one place."""
 
     attr: str | None  # the node attribute that caches this arithmetic's code
     num: Callable  # (value)
@@ -585,7 +592,7 @@ class _Kernel(NamedTuple):
 
     def code(self, node: ExprAst):
         # The cache hit reads the node's attribute and makes no further
-        # call: order-1 eval_jet looks its code up on every call.
+        # call: eval_jet looks its code up on every call.
         code = getattr(node, self.attr, None)
         return _compiled(node, self.attr, self.compile_node) if code is None else code
 
@@ -660,7 +667,11 @@ def eval_jet(ast: ExprAst, bindings: Mapping[str, Jet]) -> Jet:
         pairs[name] = coeffs
     else:
         if pairs:
-            return Jet._of(_FORWARD.code(ast)(pairs, None))
+            try:
+                code = ast._forward
+            except AttributeError:
+                code = _FORWARD.code(ast)
+            return Jet._of(code(pairs))
     order = next(iter(bindings.values())).order if bindings else 0
     return _JET.code(ast)(bindings, order)
 
@@ -766,11 +777,42 @@ class _Program:
         return lambda b, order: pair(b, order)[index]
 
 
-# Float arithmetic of one direction: code of (bindings, None), returning a
-# node's value and Taylor coefficients along one direction as plain floats, a
-# pair (v, d) in forward mode and a triple (v, d, e) at order 2.  Each takes
-# the float steps of the jet kernel of its order and meets its finiteness
-# test, on the same total, after each operation, raised with the node's span.
+# Float arithmetic of one direction, as straight-line generated code.  One
+# Python function per tree takes a binding dict and returns the tree's value
+# and Taylor coefficients along the one direction the bindings carry as
+# plain floats, a pair (v, d) in forward mode and a triple (v, d, e) at
+# order 2.  Each node's lines take the float steps of the jet kernel of its
+# order and meet its finiteness test, on the same total, after each
+# operation, raised with the node's span.  No text of the tree reaches the
+# source: numbers, spans, variable names and jet functions are arguments of
+# a generated factory, so trees of one shape share one compiled code.
+
+# Compiled shapes kept, least recently used dropped first, as ``re`` keeps
+# its patterns.
+_CODE_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_CODE_CACHE_SIZE)
+def _code(source_of, shape) -> CodeType:
+    """The code of the factory that ``source_of(shape)`` defines."""
+    (code,) = [c for c in compile(source_of(shape), "<generated>", "exec").co_consts
+               if isinstance(c, CodeType)]
+    return code
+
+
+def _generated(source_of, shape, args, namespace: dict):
+    """The function the factory of ``shape`` makes of ``args``, with the
+    globals ``namespace``."""
+    return FunctionType(_code(source_of, shape), namespace)(*args)
+
+
+def _source(nargs: int, signature: str, lines) -> str:
+    """A factory of the names k0, k1, ... (its ``nargs`` arguments) that
+    returns ``def run(signature)`` running ``lines`` flat, one statement
+    line each."""
+    params = ", ".join(f"k{i}" for i in range(nargs))
+    body = "".join(f"  {line}\n" for line in lines)
+    return f"def make({params}):\n def run({signature}):\n{body} return run\n"
 
 
 def _non_finite(what: str, span: Span | None) -> NonFiniteJet:
@@ -779,239 +821,170 @@ def _non_finite(what: str, span: Span | None) -> NonFiniteJet:
     return err
 
 
-def _through_jet(func, span: Span, arg):
-    """Code for a jet kernel that is not inlined: ``func`` on the operand's
-    coefficients as a Jet."""
-    return _spanned(lambda u: func(Jet._of(u)).coeffs, span, arg)
+def _zero_denominator(w: float, span: Span) -> DivisionByZeroJet:
+    err = DivisionByZeroJet(f"denominator constant term {w!r}")
+    err.span = span
+    return err
 
 
-def _jet_power(base, r: float, span: Span):
-    return _through_jet(lambda u: jet_pow(u, r), span, base)
+def _through_jet(func, coeffs: tuple, span: Span, *args) -> tuple:
+    """A jet kernel that is not inlined: ``func`` on the coefficients as a
+    Jet, a JetError it raises spanned as the node."""
+    try:
+        return func(Jet._of(coeffs), *args).coeffs
+    except JetError as err:
+        err.span = span
+        raise
 
 
-def _forward_num(value: float):
-    pair = (value, 0.0)
-    return lambda b, extra: pair
-
-
-def _forward_neg(child):
-    def neg(b, extra):
-        v, d = child(b, extra)
-        return -v, -d
-
-    return neg
-
-
-def _forward_scale(operand, c: float, span: Span):
-    """Code for ``operand * c``, the jet kernel's O(K) product with a number."""
-
-    def scaled(b, extra):
-        v, d = operand(b, extra)
-        v = v * c + 0.0
-        d = d * c + 0.0
-        if not isfinite(v + d):
-            raise _non_finite("multiplication", span)
-        return v, d
-
-    return scaled
-
-
-def _forward_binary(op: str, left, right, span: Span):
-    if op in ("+", "-"):
-        arith, what = _ARITH[op], "addition" if op == "+" else "subtraction"
-
-        def add_sub(b, extra):
-            u, du = left(b, extra)
-            w, dw = right(b, extra)
-            v = arith(u, w)
-            d = arith(du, dw)
-            if not isfinite(v + d):
-                raise _non_finite(what, span)
-            return v, d
-
-        return add_sub
-    if op == "*":
-
-        def mul(b, extra):
-            u, du = left(b, extra)
-            w, dw = right(b, extra)
-            v = 0.0 + u * w
-            d = (0.0 + u * dw) + du * w
-            if not isfinite(v + d):
-                raise _non_finite("multiplication", span)
-            return v, d
-
-        return mul
-
-    def divide(b, extra):
-        u, du = left(b, extra)
-        w, dw = right(b, extra)
-        if abs(w) < DIV_FLOOR:
-            err = DivisionByZeroJet(f"denominator constant term {w!r}")
-            err.span = span
-            raise err
-        v = u / w
-        d = (du - v * dw) / w
-        if not isfinite(v + d):
-            raise _non_finite("division", span)
-        return v, d
-
-    return divide
-
-
-def _forward_call(name: str, arg, span: Span):
-    """sin and cos inline, as ``_pair_recurrence`` at order 1: the jet
-    kernel also tests the partner function's pair, which is finite exactly
-    when this one is.  The other functions run through the jet kernel."""
-    if name == "sin":
-
-        def sine(b, extra):
-            u, du = arg(b, extra)
-            try:
-                v = sin(u)
-                d = 0.0 + du * cos(u)
-            except ValueError:
-                raise DomainError("sin", u, span) from None
-            if not isfinite(v + d):
-                raise _non_finite("operation", span)
-            return v, d
-
-        return sine
-    if name == "cos":
-
-        def cosine(b, extra):
-            u, du = arg(b, extra)
-            try:
-                v = cos(u)
-                d = -(0.0 + du * sin(u))
-            except ValueError:
-                raise DomainError("cos", u, span) from None
-            if not isfinite(v + d):
-                raise _non_finite("operation", span)
-            return v, d
-
-        return cosine
-    return _through_jet(JET_FUNCTIONS[name], span, arg)
-
-
-_FORWARD = _Kernel(
-    "_forward", _forward_num, _forward_neg, _forward_scale, _jet_power, _forward_binary,
-    _forward_call,
+# The steps of one node: (step, parameters, operands), the operands being
+# what the emitter gave the children.  sin and cos are inlined; '^' and the
+# other functions run through the jet kernel.
+_STEPS = _Kernel(
+    None,
+    lambda value: ("num", (value,), ()),
+    lambda child: ("neg", (), (child,)),
+    lambda operand, c, span: ("scale", (c, span), (operand,)),
+    lambda base, r, span: ("pow", (r, span), (base,)),
+    lambda op, left, right, span: (op, (span,), (left, right)),
+    lambda name, arg, span: ((name, (span,), (arg,)) if name in ("sin", "cos")
+                             else ("jet", (JET_FUNCTIONS[name], span), (arg,))),
+    lambda name, offset: ("var", (name, offset), ()),
 )
 
 
-def _second_num(value: float):
-    triple = (value, 0.0, 0.0)
-    return lambda b, extra: triple
+class _Emitted:
+    """A plain-float kernel: per step of :data:`_STEPS`, the source lines of
+    its float steps, finiteness test and error, over the coefficients u*
+    and w* of the operands, r* of the node, t* of spare locals and the
+    parameters p*.
+
+    A tree's shape is one entry per emitting node, ``(step, index of its
+    first parameter, operands...)``, and a last ``("return", root, number
+    of arguments)``.  An operand is the index of another entry, or -1 - i
+    for the number that is argument i.
+    """
+
+    def __init__(self, attr: str, width: int, steps: dict):
+        self.attr = attr  # the node attribute that caches a tree's function
+        self.width = width  # coefficients per value
+        self.steps = steps
+
+    def code(self, node: ExprAst):
+        return _compiled(node, self.attr, self.compile)
+
+    def compile(self, root: ExprAst):
+        """One function of the bindings for the whole tree."""
+        shape, args = [], []
+
+        def emit(node: ExprAst) -> int:
+            step, params, operands = _STEPS.compile_node(node, emit)
+            if step == "num":
+                args.append(params[0])
+                return -len(args)
+            shape.append((step, len(args)) + operands)
+            args.extend(params)
+            return len(shape) - 1
+
+        shape.append(("return", emit(root), len(args)))
+        return _generated(self.source, tuple(shape), args, globals())
+
+    def source(self, shape: tuple) -> str:
+        """The source of the factory of ``shape``'s function."""
+
+        def coeffs(ref: int) -> tuple:
+            if ref < 0:
+                return (f"k{-1 - ref}",) + ("0.0",) * (self.width - 1)
+            return tuple(f"r{ref}_{i}" for i in range(self.width))
+
+        lines = []
+        for n, (step, first, *operands) in enumerate(shape[:-1]):
+            # No step has more than two parameters.
+            fields = {f"p{j}": f"k{first + j}" for j in range(2)}
+            for prefix, ref in zip("uw", operands):
+                fields.update((f"{prefix}{i}", c) for i, c in enumerate(coeffs(ref)))
+            fields.update((f"r{i}", c) for i, c in enumerate(coeffs(n)))
+            fields.update((f"t{i}", f"t{n}_{i}") for i in range(self.width))
+            lines.extend(line.format_map(fields) for line in self.steps[step])
+        _, root, nargs = shape[-1]
+        return _source(nargs, "b", lines + [f"return {', '.join(coeffs(root))}"])
 
 
-def _second_neg(child):
-    def neg(b, extra):
-        v, d, e = child(b, extra)
-        return -v, -d, -e
+_FORWARD = _Emitted("_forward", 2, {
+    "var": ("try: {r0}, {r1} = b[{p0}]",
+            "except KeyError: raise UnknownVariable({p0}, {p1}) from None"),
+    "neg": ("{r0} = -{u0}; {r1} = -{u1}",),
+    # The jet kernel's O(K) product with a number.
+    "scale": ("{r0} = {u0} * {p0} + 0.0; {r1} = {u1} * {p0} + 0.0",
+              "if not isfinite({r0} + {r1}): raise _non_finite('multiplication', {p1})"),
+    "+": ("{r0} = {u0} + {w0}; {r1} = {u1} + {w1}",
+          "if not isfinite({r0} + {r1}): raise _non_finite('addition', {p0})"),
+    "-": ("{r0} = {u0} - {w0}; {r1} = {u1} - {w1}",
+          "if not isfinite({r0} + {r1}): raise _non_finite('subtraction', {p0})"),
+    "*": ("{r0} = 0.0 + {u0} * {w0}; {r1} = (0.0 + {u0} * {w1}) + {u1} * {w0}",
+          "if not isfinite({r0} + {r1}): raise _non_finite('multiplication', {p0})"),
+    "/": ("if abs({w0}) < DIV_FLOOR: raise _zero_denominator({w0}, {p0})",
+          "{r0} = {u0} / {w0}; {r1} = ({u1} - {r0} * {w1}) / {w0}",
+          "if not isfinite({r0} + {r1}): raise _non_finite('division', {p0})"),
+    # _pair_recurrence at order 1: the jet kernel also tests the partner
+    # function's pair, which is finite exactly when this one is.
+    "sin": ("try: {r0} = sin({u0}); {r1} = 0.0 + {u1} * cos({u0})",
+            "except ValueError: raise DomainError('sin', {u0}, {p0}) from None",
+            "if not isfinite({r0} + {r1}): raise _non_finite('operation', {p0})"),
+    "cos": ("try: {r0} = cos({u0}); {r1} = -(0.0 + {u1} * sin({u0}))",
+            "except ValueError: raise DomainError('cos', {u0}, {p0}) from None",
+            "if not isfinite({r0} + {r1}): raise _non_finite('operation', {p0})"),
+    "pow": ("{r0}, {r1} = _through_jet(jet_pow, ({u0}, {u1}), {p1}, {p0})",),
+    "jet": ("{r0}, {r1} = _through_jet({p0}, ({u0}, {u1}), {p1})",),
+})
 
-    return neg
-
-
-def _second_scale(operand, c: float, span: Span):
-    """Code for ``operand * c``, the jet kernel's O(K) product with a number."""
-
-    def scaled(b, extra):
-        v, d, e = operand(b, extra)
-        v = v * c + 0.0
-        d = d * c + 0.0
-        e = e * c + 0.0
-        if not isfinite(sum((v, d, e))):
-            raise _non_finite("multiplication", span)
-        return v, d, e
-
-    return scaled
-
-
-def _second_binary(op: str, left, right, span: Span):
-    if op in ("+", "-"):
-        arith, what = _ARITH[op], "addition" if op == "+" else "subtraction"
-
-        def add_sub(b, extra):
-            u, du, eu = left(b, extra)
-            w, dw, ew = right(b, extra)
-            v = arith(u, w)
-            d = arith(du, dw)
-            e = arith(eu, ew)
-            if not isfinite(sum((v, d, e))):
-                raise _non_finite(what, span)
-            return v, d, e
-
-        return add_sub
-    if op == "*":
-
-        def mul(b, extra):
-            u, du, eu = left(b, extra)
-            w, dw, ew = right(b, extra)
-            v = 0.0 + u * w
-            d = (0.0 + u * dw) + du * w
-            e = ((0.0 + u * ew) + du * dw) + eu * w
-            if not isfinite(((0.0 + v) + d) + e):
-                raise _non_finite("multiplication", span)
-            return v, d, e
-
-        return mul
-
-    def divide(b, extra):
-        u, du, eu = left(b, extra)
-        w, dw, ew = right(b, extra)
-        if abs(w) < DIV_FLOOR:
-            err = DivisionByZeroJet(f"denominator constant term {w!r}")
-            err.span = span
-            raise err
-        v = u / w
-        d = (du - v * dw) / w
-        e = ((eu - v * ew) - d * dw) / w
-        if not isfinite(((0.0 + v) + d) + e):
-            raise _non_finite("division", span)
-        return v, d, e
-
-    return divide
-
-
-def _second_call(name: str, arg, span: Span):
-    """sin and cos inline, as ``_pair_recurrence`` at order 2, which tests
-    the sin and the cos triple both: at order 2 one can overflow while the
-    other does not.  The other functions run through the jet kernel."""
-    if name not in ("sin", "cos"):
-        return _through_jet(JET_FUNCTIONS[name], span, arg)
-    is_sin = name == "sin"
-
-    def sin_cos(b, extra):
-        u, du, eu = arg(b, extra)
-        try:
-            s0, c0 = sin(u), cos(u)
-        except ValueError:
-            raise DomainError(name, u, span) from None
-        s1 = 0.0 + du * c0
-        c1 = -(0.0 + du * s0)
-        s2 = ((0.0 + du * c1) + (2 * eu) * c0) / 2
-        c2 = -((0.0 + du * s1) + (2 * eu) * s0) / 2
-        if not (isfinite(sum((s0, s1, s2))) and isfinite(sum((c0, c1, c2)))):
-            raise _non_finite("operation", span)
-        return (s0, s1, s2) if is_sin else (c0, c1, c2)
-
-    return sin_cos
+_SECOND = _Emitted("_second", 3, {
+    "var": ("try: {r0}, {r1}, {r2} = b[{p0}]",
+            "except KeyError: raise UnknownVariable({p0}, {p1}) from None"),
+    "neg": ("{r0} = -{u0}; {r1} = -{u1}; {r2} = -{u2}",),
+    "scale": ("{r0} = {u0} * {p0} + 0.0; {r1} = {u1} * {p0} + 0.0; {r2} = {u2} * {p0} + 0.0",
+              "if not isfinite(sum(({r0}, {r1}, {r2}))): "
+              "raise _non_finite('multiplication', {p1})"),
+    "+": ("{r0} = {u0} + {w0}; {r1} = {u1} + {w1}; {r2} = {u2} + {w2}",
+          "if not isfinite(sum(({r0}, {r1}, {r2}))): raise _non_finite('addition', {p0})"),
+    "-": ("{r0} = {u0} - {w0}; {r1} = {u1} - {w1}; {r2} = {u2} - {w2}",
+          "if not isfinite(sum(({r0}, {r1}, {r2}))): raise _non_finite('subtraction', {p0})"),
+    "*": ("{r0} = 0.0 + {u0} * {w0}; {r1} = (0.0 + {u0} * {w1}) + {u1} * {w0}",
+          "{r2} = ((0.0 + {u0} * {w2}) + {u1} * {w1}) + {u2} * {w0}",
+          "if not isfinite(((0.0 + {r0}) + {r1}) + {r2}): "
+          "raise _non_finite('multiplication', {p0})"),
+    "/": ("if abs({w0}) < DIV_FLOOR: raise _zero_denominator({w0}, {p0})",
+          "{r0} = {u0} / {w0}; {r1} = ({u1} - {r0} * {w1}) / {w0}",
+          "{r2} = (({u2} - {r0} * {w2}) - {r1} * {w1}) / {w0}",
+          "if not isfinite(((0.0 + {r0}) + {r1}) + {r2}): raise _non_finite('division', {p0})"),
+    # _pair_recurrence at order 2 tests the sin and the cos triple both (the
+    # t* hold the partner's): one can overflow while the other does not.
+    "sin": ("try: {r0} = sin({u0}); {t0} = cos({u0})",
+            "except ValueError: raise DomainError('sin', {u0}, {p0}) from None",
+            "{r1} = 0.0 + {u1} * {t0}; {t1} = -(0.0 + {u1} * {r0})",
+            "{r2} = ((0.0 + {u1} * {t1}) + (2 * {u2}) * {t0}) / 2",
+            "{t2} = -((0.0 + {u1} * {r1}) + (2 * {u2}) * {r0}) / 2",
+            "if not (isfinite(sum(({r0}, {r1}, {r2}))) and isfinite(sum(({t0}, {t1}, {t2})))): "
+            "raise _non_finite('operation', {p0})"),
+    "cos": ("try: {t0} = sin({u0}); {r0} = cos({u0})",
+            "except ValueError: raise DomainError('cos', {u0}, {p0}) from None",
+            "{t1} = 0.0 + {u1} * {r0}; {r1} = -(0.0 + {u1} * {t0})",
+            "{t2} = ((0.0 + {u1} * {r1}) + (2 * {u2}) * {r0}) / 2",
+            "{r2} = -((0.0 + {u1} * {t1}) + (2 * {u2}) * {t0}) / 2",
+            "if not (isfinite(sum(({t0}, {t1}, {t2}))) and isfinite(sum(({r0}, {r1}, {r2})))): "
+            "raise _non_finite('operation', {p0})"),
+    "pow": ("{r0}, {r1}, {r2} = _through_jet(jet_pow, ({u0}, {u1}, {u2}), {p1}, {p0})",),
+    "jet": ("{r0}, {r1}, {r2} = _through_jet({p0}, ({u0}, {u1}, {u2}), {p1})",),
+})
 
 
-_SECOND = _Kernel(
-    "_second", _second_num, _second_neg, _second_scale, _jet_power, _second_binary,
-    _second_call,
-)
-
-
-def _passes(kernel: _Kernel, asts, points) -> list:
-    """Every AST's code of ``kernel`` on each binding dict of ``points`` in
-    turn, one dict per direction: direction 1 runs through every AST, then
-    direction 2, and so on, so the error raised is the first one that order
-    meets.  One list of the ASTs' outputs per direction."""
+def _passes(kernel: _Emitted, asts, points) -> list:
+    """Every AST's function of ``kernel`` on each binding dict of ``points``
+    in turn, one dict per direction: direction 1 runs through every AST,
+    then direction 2, and so on, so the error raised is the first one that
+    order meets.  One list of the ASTs' outputs per direction."""
     codes = [kernel.code(ast) for ast in asts]
-    return [[code(point, None) for code in codes] for point in points]
+    return [[code(point) for code in codes] for point in points]
 
 
 def eval_forward(asts, points) -> list:

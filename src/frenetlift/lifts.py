@@ -48,13 +48,15 @@ horizontal lifts of a new connection.
 
 Curves lift pointwise: vertical to (anchor, beta(t)), complete to
 (beta(t), beta'(t)), and horizontal to (beta(t), w(t)) with w parallel
-transported along beta by classical 4-stage Runge-Kutta.  Each stage binds
-t once, takes the curve velocity from one order-1 :func:`expr.eval_jet` per
-component, so 12 per step, and contracts it with the stage's fiber over
-the nonzero symbols in :meth:`Connection.contract`'s order; the fiber and
-the stage slopes stay plain floats, so a step gives the bits of RK4 on
-``contract``.  A failing component leaves its error with ``component`` and
-``t`` set, as a sweep's does.
+transported along beta by classical 4-stage Runge-Kutta.  A connection's
+stage is one generated function of straight-line code, compiled once per
+connection (:func:`_stage_code`).  It binds t once, takes the curve
+velocity from one order-1 :func:`expr.eval_jet` per component, so 12 per
+step, and contracts it with the stage's fiber, the nonzero symbols
+unrolled in :meth:`Connection.contract`'s order; the fiber and the stage
+slopes stay plain floats, so a step gives the bits of RK4 on ``contract``.
+A failing component leaves its error with ``component`` and ``t`` set, as
+a sweep's does.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ import math
 import operator
 import struct
 from dataclasses import dataclass
+from itertools import count
 from typing import Sequence
 
 from .expr import (
@@ -70,7 +73,10 @@ from .expr import (
     FieldSpec,
     FormatError,
     CurveSpec,
+    _compiled,
+    _generated,
     _key_value_lines,
+    _source,
     _to_float,
     eval_forward,
     eval_jet,
@@ -103,10 +109,10 @@ __all__ = [
 # Transport resolution: steps per unit parameter length.
 TRANSPORT_STEPS_PER_UNIT = 1000
 
-# Work cap on one transport.  An RK4 step took 21-32 us (best of 7, three
+# Work cap on one transport.  An RK4 step took 13-20 us (best of 7, four
 # runs, on a shared 2-core x86 host, CPython 3.11.7; a helix and a torus
 # knot, 3 or 27 nonzero connection symbols), so ten million steps take
-# about 3.5-5.5 minutes.  A curve domain that needs more is an input error,
+# about 2-3.5 minutes.  A curve domain that needs more is an input error,
 # raised before any step is taken.
 MAX_TRANSPORT_STEPS = 10_000_000
 
@@ -151,10 +157,6 @@ class Connection:
         object.__setattr__(self, "_terms", tuple(
             tuple((b, c, v) for b, row in enumerate(p) for c, v in enumerate(row) if v != 0.0)
             for p in g))
-        # The same terms as (3b + g, coefficient): the index of the product
-        # direction[b] * transported[g] among all nine, for the RK4 stages.
-        object.__setattr__(self, "_pair_terms", tuple(
-            tuple((3 * b + c, v) for b, c, v in row) for row in self._terms))
 
     @classmethod
     def flat(cls) -> "Connection":
@@ -569,38 +571,42 @@ def prop21_check(
 # --- parallel transport -------------------------------------------------------------
 
 
-def _stage(rows, comps, s: float, y0: float, y1: float, y2: float) -> list[float]:
-    """One RK4 stage at time s and fiber y: -G(beta'(s), y).
+# One RK4 stage at time s and fiber y, -G(beta'(s), y): the velocity from
+# one order-1 eval_jet per component on one binding of t, then each output's
+# terms in contract's order.  eval_jet is read from this module's globals at
+# each call, so whoever replaces lifts.eval_jet sees all three.
+_STAGE_LINES = (
+    "t = {'t': Jet._of((s, 1.0))}",
+    "try: v0 = eval_jet(c1, t).coeffs[1]",
+    "except JetError as err: err.component = 0; err.t = s; raise",
+    "try: v1 = eval_jet(c2, t).coeffs[1]",
+    "except JetError as err: err.component = 1; err.t = s; raise",
+    "try: v2 = eval_jet(c3, t).coeffs[1]",
+    "except JetError as err: err.component = 2; err.t = s; raise",
+)
 
-    The velocity comes from one order-1 :func:`eval_jet` per component on
-    one binding of t; a :class:`JetError` leaves with ``component``
-    (0-based) and ``t`` set.  ``rows`` are ``G._pair_terms``: the nine
-    products v_b * y_g are formed once, and each term is then contract's
-    ``v_b * y_g * coeff`` with its bits.
-    """
-    t = {"t": Jet._of((s, 1.0))}
-    c1, c2, c3 = comps
-    i = 0
-    try:
-        v0 = eval_jet(c1, t).coeffs[1]
-        i = 1
-        v1 = eval_jet(c2, t).coeffs[1]
-        i = 2
-        v2 = eval_jet(c3, t).coeffs[1]
-    except JetError as err:
-        err.component = i
-        err.t = s
-        raise
-    vy = (v0 * y0, v0 * y1, v0 * y2, v1 * y0, v1 * y1, v1 * y2, v2 * y0, v2 * y1, v2 * y2)
-    k = []
-    for row in rows:
-        # -0.0 + x is x, so a row sums as contract sums it; a row without
-        # symbols is contract's 0.0 * direction * transported.
-        acc = -0.0 if row else 0.0 * v0 * y0
-        for j, coeff in row:
-            acc += vy[j] * coeff
-        k.append(-acc)
-    return k
+
+def _stage_source(rows: tuple) -> str:
+    """The source of a stage whose outputs sum the (b, g) terms of
+    ``rows``: each output sums its terms ``v_b * y_g * coeff`` left to
+    right, as :meth:`Connection.contract` does, and an output without
+    symbols is ``0.0 * v0 * y0``."""
+    names = (f"k{i}" for i in count())
+    sums = [" + ".join(f"v{b} * y{g} * {next(names)}" for b, g in row) or "0.0 * v0 * y0"
+            for row in rows]
+    returned = "return " + ", ".join(f"-({total})" for total in sums)
+    return _source(sum(map(len, rows)), "c1, c2, c3, s, y0, y1, y2", _STAGE_LINES + (returned,))
+
+
+def _stage_code(G: Connection):
+    """G's RK4 stage as a generated function of (c1, c2, c3, s, y0, y1, y2),
+    returning -G(beta'(s), y) with contract's bits.  A :class:`JetError`
+    leaves with ``component`` (0-based) and ``t`` set.  The coefficients
+    are arguments, so connections whose nonzero symbols sit at the same
+    indices share one code."""
+    rows = tuple(tuple((b, g) for b, g, _ in terms) for terms in G._terms)
+    coeffs = [coeff for terms in G._terms for _, _, coeff in terms]
+    return _generated(_stage_source, rows, coeffs, globals())
 
 
 def _rk4_segment(
@@ -613,22 +619,22 @@ def _rk4_segment(
 ) -> list[float]:
     """Classical RK4 for w' = -G(beta', w) over ``steps`` equal steps.
 
-    Each step makes four :func:`_stage` calls, at u, u + h/2 (twice) and
-    u + h, so 12 order-1 :func:`eval_jet` calls, and keeps the fiber and
-    the stage slopes as plain floats.
+    Each step makes four calls of G's stage (:func:`_stage_code`), at u,
+    u + h/2 (twice) and u + h, so 12 order-1 :func:`eval_jet` calls, and
+    keeps the fiber and the stage slopes as plain floats.
     """
     h = (t1 - t0) / steps
     half = 0.5 * h
     sixth = h / 6.0
-    rows = G._pair_terms
-    comps = curve.components
+    stage = _compiled(G, "_stage", _stage_code)
+    x1, x2, x3 = curve.components
     w0, w1, w2 = w
     for i in range(steps):
         u = t0 + i * h
-        a0, a1, a2 = _stage(rows, comps, u, w0, w1, w2)
-        b0, b1, b2 = _stage(rows, comps, u + half, w0 + half * a0, w1 + half * a1, w2 + half * a2)
-        c0, c1, c2 = _stage(rows, comps, u + half, w0 + half * b0, w1 + half * b1, w2 + half * b2)
-        d0, d1, d2 = _stage(rows, comps, u + h, w0 + h * c0, w1 + h * c1, w2 + h * c2)
+        a0, a1, a2 = stage(x1, x2, x3, u, w0, w1, w2)
+        b0, b1, b2 = stage(x1, x2, x3, u + half, w0 + half * a0, w1 + half * a1, w2 + half * a2)
+        c0, c1, c2 = stage(x1, x2, x3, u + half, w0 + half * b0, w1 + half * b1, w2 + half * b2)
+        d0, d1, d2 = stage(x1, x2, x3, u + h, w0 + h * c0, w1 + h * c1, w2 + h * c2)
         w0 = w0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
         w1 = w1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
         w2 = w2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)

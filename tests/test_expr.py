@@ -1,6 +1,7 @@
 """Parser, evaluators, pretty printer and the line-oriented file formats."""
 
 import contextlib
+import itertools
 import math
 import random
 import struct
@@ -20,7 +21,9 @@ from frenetlift.expr import (
     UnknownFunction,
     UnknownVariable,
     Var,
+    _CODE_CACHE_SIZE,
     _JET,
+    _code,
     eval_float,
     eval_forward,
     eval_jet,
@@ -675,3 +678,101 @@ class TestOrder1Jet:
             tj = Jet.variable(t, 1)
             got = eval_jet(ast, {"t": tj}).coeffs
             assert [x.hex() for x in got] == [x.hex() for x in _kernel_jet(ast, {"t": tj}, 1).coeffs]
+
+
+def _coeff_outcome(run):
+    """The coefficients ``run`` returns by float.hex, or its error's class,
+    message and span."""
+    try:
+        return [x.hex() for x in run()]
+    except Exception as err:
+        return type(err), str(err), getattr(err, "span", None)
+
+
+class TestGeneratedCode:
+    """eval_forward, eval_second and order-1 eval_jet run one generated
+    function per tree, whose code trees of one shape share."""
+
+    @staticmethod
+    def _forward(ast, values, tangent):
+        return eval_forward([ast], [{n: (v, d) for n, v, d in zip(NAMES, values, tangent)}])
+
+    def test_one_shape_shares_code_with_own_spans(self):
+        trees = [parse_expr(text, NAMES) for text in ("x2 + log(x1)", " (x3)  +  sqrt(x2)")]
+        spans = []
+        for ast in trees:
+            with pytest.raises(DomainError) as exc:
+                self._forward(ast, (-1.0, -2.0, 1.0), (1.0, 0.0, 0.0))
+            spans.append(exc.value.span)
+        assert spans == [(5, 12), (10, 18)]
+        assert trees[0]._forward.__code__ is trees[1]._forward.__code__
+        for ast in trees:
+            with pytest.raises(DomainError) as exc:
+                _second_route([ast], (-1.0, -2.0, 1.0), BASIS)
+            assert exc.value.span in spans
+        assert trees[0]._second.__code__ is trees[1]._second.__code__
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 1e999, -1e999])
+    def test_numbers_keep_their_bits(self, value):
+        # Each number is an argument of the shared code, never source text.
+        bindings = {n: Jet((1.0, -1.5)) for n in NAMES}
+        for ast in (Num(value), Neg(Num(value)), BinOp("-", Var("x1"), Neg(Num(value)))):
+            want = _outcome(_jet_route, [ast], (1.0, 1.0, 1.0), ((-1.5,) * 3,))
+            assert _outcome(_forward_route, [ast], (1.0, 1.0, 1.0), ((-1.5,) * 3,)) == want
+            assert (_hex_outcome(_second_route, [ast], (1.0, 1.0, 1.0), BASIS)
+                    == _hex_outcome(_second_jet_route, [ast], (1.0, 1.0, 1.0), BASIS))
+            assert (_coeff_outcome(lambda: eval_jet(ast, bindings).coeffs)
+                    == _coeff_outcome(lambda: _kernel_jet(ast, bindings, 1).coeffs))
+        lone, other = Num(value), Num(0.5)
+        assert self._forward(lone, (0.0,) * 3, (0.0,) * 3)[0][0][0].hex() == value.hex()
+        self._forward(other, (0.0,) * 3, (0.0,) * 3)
+        assert lone._forward.__code__ is other._forward.__code__
+
+    @pytest.mark.parametrize("name", ["x1) or print('ran'", "1/0", "b[0]", "x1\nraise SystemExit"])
+    def test_name_is_a_key_not_code(self, name):
+        ast = BinOp("*", Var(name, (3, 4)), Num(2.0))
+        with pytest.raises(UnknownVariable) as exc:
+            self._forward(ast, (1.0, 1.0, 1.0), (1.0, 0.0, 0.0))
+        assert (exc.value.name, exc.value.offset) == (name, 3)
+        with pytest.raises(UnknownVariable):
+            eval_second([ast], [{"x1": (1.0, 1.0, 0.0)}])
+        assert eval_forward([ast], [{name: (1.5, -1.0)}]) == [[(3.0, -2.0)]]
+        assert eval_second([ast], [{name: (1.5, -1.0, 0.0)}]) == [[(3.0, -2.0, 0.0)]]
+
+    def test_cache_keeps_its_bound(self):
+        # x1 followed by one to four operators, each on x2: 340 shapes.
+        texts = ["x1" + "".join(op + "x2" for op in ops)
+                 for n in range(1, 5) for ops in itertools.product("+-*/", repeat=n)]
+        assert len(texts) > _CODE_CACHE_SIZE
+        _code.cache_clear()
+        for text in texts:
+            self._forward(parse_expr(text, NAMES), (1.5, 0.5, 1.0), (1.0, 0.0, 0.0))
+            assert _code.cache_info().currsize <= _CODE_CACHE_SIZE
+        assert _code.cache_info()[1:] == (len(texts), _CODE_CACHE_SIZE, _CODE_CACHE_SIZE)
+        # The first shape was dropped: a new tree of it compiles again.
+        assert self._forward(parse_expr(texts[0], NAMES), (1.5, 0.5, 1.0), (1.0, 0.0, 0.0)) == [
+            [(2.0, 1.0)]]
+        assert _code.cache_info().misses == len(texts) + 1
+
+    @pytest.mark.parametrize("text", [
+        "(" * MAX_NESTING + "t" + ")" * MAX_NESTING,
+        "sin(" * MAX_NESTING + "t" + ")" * MAX_NESTING,
+        "cos(" * MAX_NESTING + "t" + ")" * MAX_NESTING,
+        "-" * MAX_NESTING + "t",
+        "t" + "^1" * MAX_NESTING,
+        "+".join(["t"] * MAX_DEPTH),
+        "-".join(["t"] * MAX_DEPTH),
+        "*".join(["t"] * MAX_DEPTH),
+        "/".join(["t"] * MAX_DEPTH),
+        "({0})*{0}".format("+".join(["t"] * (MAX_DEPTH // 2))),
+        "+".join(["sin(t)*t"] * (MAX_DEPTH - 10)),
+    ], ids=["parens", "sin", "cos", "neg", "pow", "sum", "difference", "product", "quotient",
+            "across-nesting", "wide"])
+    def test_deepest_trees_match_jet_kernel(self, text):
+        ast = parse_expr(text, {"t"})
+        for t in (0.5, 1.25):
+            one, two = {"t": Jet.variable(t, 1)}, {"t": Jet.variable(t, 2)}
+            assert (_coeff_outcome(lambda: eval_jet(ast, one).coeffs)
+                    == _coeff_outcome(lambda: _kernel_jet(ast, one, 1).coeffs))
+            assert (_coeff_outcome(lambda: eval_second([ast], [{"t": (t, 1.0, 0.0)}])[0][0])
+                    == _coeff_outcome(lambda: _kernel_jet(ast, two, 2).coeffs))

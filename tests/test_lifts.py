@@ -302,9 +302,21 @@ class TestParallelTransport:
             return w
 
         for G in (Connection.flat(), Connection.from_entries({(1, 2, 3): 0.3, (3, 3, 2): 0.15}),
+                  Connection.from_entries({(1, 2, 3): -2.5, (3, 3, 2): 1e-3}),
                   random_connection(random.Random(5))):
             got = parallel_transport(G, curve, w0, 1.5, 40)
             assert [x.hex() for x in got] == [x.hex() for x in reference(G, list(w0), 40)]
+
+    def test_stage_code_shared_by_symbol_pattern(self):
+        # The symbols are arguments of the generated stage, so connections
+        # with the same nonzero symbols share its code.
+        same = [Connection.from_entries({(1, 2, 3): v, (3, 3, 2): -v}) for v in (0.3, -2.5)]
+        other = Connection.from_entries({(1, 2, 3): 0.3})
+        for G in same + [other]:
+            parallel_transport(G, HELIX, (1.0, -0.5, 0.75), 0.5, 2)
+        assert same[0]._stage.__code__ is same[1]._stage.__code__
+        assert same[0]._stage is not same[1]._stage
+        assert other._stage.__code__ is not same[0]._stage.__code__
 
     def test_linearity_in_w0(self):
         rng = random.Random(3)
