@@ -30,41 +30,47 @@ for error reporting but ignored by structural equality.
 Each AST is compiled once per evaluator, on first evaluation, and the code
 is cached on the node object itself.  Structurally equal nodes at different
 spans therefore keep separate code, and an error reports the span of the
-node that failed.  There are four evaluators of one tree:
+node that failed.
 
-- :func:`eval_float` evaluates in plain floats with its own arithmetic
-  and its own compiler of nested closures, apart from the others, because
-  it is their oracle.  Its only production use is folding constant
-  exponents at parse time.
-- :func:`eval_jet` evaluates K-jets through the same :class:`Jet` kernel
-  calls as a tree walk, so every bit is the same.  Each number builds its
-  constant jet once per order.  When every binding is an order-1 jet it
-  runs the forward code on the jets' coefficient pairs instead, which
-  gives the same bits and errors.
-- :func:`eval_forward` is order-1 forward mode on plain ``(value,
-  derivative)`` float pairs, for gradients and Jacobians.
-- :func:`eval_second` is order 2 (univariate Taylor propagation) on plain
+:func:`eval_float` evaluates in plain floats with its own arithmetic and
+its own compiler of nested closures, apart from the others, because it is
+their oracle.  Its only production use is folding constant exponents at
+parse time.
+
+The other evaluators share one front end.  A linearizer turns one or more
+trees into one step list (:class:`_Linear`): each distinct subtree once, in
+the order a tree walk first meets it, with the spans of its first
+occurrence, so a shared step fails only where the walk would fail first.
+Two back ends run the list:
+
+- The K-jet back end (:class:`_JetProgram`) runs the steps in order
+  through the :class:`Jet` kernel calls a tree walk makes, so every bit is
+  the same.  Each number builds its constant jet once per order, and sin
+  and cos of one argument share one recurrence.  :func:`eval_jet` runs one
+  tree's program.  A curve's three components run as one program, cached
+  on the :class:`CurveSpec` (:func:`_curve_jets`), so each subexpression
+  they share runs once per point.
+- The float back end (:class:`_Emitted`) writes the list as one generated
+  Python function of straight-line code: per step, a few flat lines that
+  repeat the float steps and the per-operation finiteness test of the jet
+  kernel of its order bit for bit, and raise its error with the step's
+  span.  It inlines sin and cos and runs '^' and the other functions
+  through the jet kernel.  No text of the tree reaches the generated
+  source, so trees of one shape share one compiled code, kept in a
+  bounded cache.  :func:`eval_forward` runs it on plain ``(value,
+  derivative)`` float pairs, for gradients and Jacobians, and
+  :func:`eval_second` at order 2 (univariate Taylor propagation) on plain
   ``(value, d, 0.0)`` float triples, for the second derivatives of the
-  lift identities.
+  lift identities.  The two share one pass loop, :func:`_passes`: a pass
+  is the trees' functions run on one binding dict per direction,
+  direction 1 through every tree first, so the error raised is the first
+  one that order meets.  When every binding of :func:`eval_jet` is an
+  order-1 jet, it runs the forward function on the jets' coefficient
+  pairs, which gives the same bits and errors.
 
-The K-jet evaluator compiles a tree into nested closures.  The forward and
-order-2 evaluators compile it into one generated Python function of
-straight-line code (:class:`_Emitted`): per node, a few flat lines that
-repeat the float steps and the per-operation finiteness test of the jet
-kernel of its order bit for bit, and raise its error with the node's span.
-Both inline sin and cos and run '^' and the other functions through the jet
-kernel.  No text of the tree reaches the generated source, so trees of one
-shape share one compiled code, kept in a bounded cache.  One dispatcher
-walks the tree and picks the step of each node for all three.  The last two
-share one pass loop, :func:`_passes`: a pass is the trees' functions run on
-one binding dict per direction, direction 1 through every tree first, so
-the error raised is the first one that order meets.
-
-A curve's three components compile together into one K-jet program, cached
-on the :class:`CurveSpec` (:func:`_curve_jets`).  Its subtrees share one
-code wherever their numbers agree bit for bit, and sin and cos of one
-argument share one recurrence, so each shared subexpression runs once per
-point, with the bits and errors of evaluating the components one by one.
+K-jets run the list instead of generated code because most K-jet trees
+are evaluated only a few times, and compiling their code would cost more
+than running them.
 """
 
 from __future__ import annotations
@@ -77,7 +83,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import cos, isfinite, sin  # noqa: F401  (read by generated code)
 from types import CodeType, FunctionType
-from typing import Callable, Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple, Union
 
 from .jets import (
     DIV_FLOOR,
@@ -414,11 +420,12 @@ def parse_expr(text: str, allowed_vars) -> ExprAst:
 
 # --- evaluation ---------------------------------------------------------------
 #
-# Each evaluator compiles a tree once, into nested closures or one generated
-# function, cached on the node object under its own attribute.  The cache
-# lives on the object, not in a table keyed by the node: structurally equal
-# nodes compare equal whatever their spans, and each node's code reports its
-# own span.
+# Each evaluator compiles a tree once, cached on the node object under its
+# own attribute: the float evaluator into nested closures, the K-jet and
+# float back ends their program or generated function of the tree's step
+# list.  The cache lives on the object, not in a table keyed by the node:
+# structurally equal nodes compare equal whatever their spans, and each
+# node's code reports its own span.
 
 
 def _compiled(node: ExprAst, attr: str, compile_node):
@@ -427,35 +434,6 @@ def _compiled(node: ExprAst, attr: str, compile_node):
         code = compile_node(node)
         object.__setattr__(node, attr, code)
     return code
-
-
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-
-
-def _spanned(func, span: Span, left, right=None):
-    """Code for ``func`` of one or two operands' results.  A JetError that
-    func raises gets the node's span; one an operand raised keeps its own."""
-    if right is None:
-
-        def run(b, extra):
-            u = left(b, extra)
-            try:
-                return func(u)
-            except JetError as err:
-                err.span = span
-                raise
-
-        return run
-
-    def run2(b, extra):
-        u, w = left(b, extra), right(b, extra)
-        try:
-            return func(u, w)
-        except JetError as err:
-            err.span = span
-            raise
-
-    return run2
 
 
 def _real_pow(base: float, exponent: float) -> float:
@@ -562,93 +540,175 @@ def eval_float(ast: ExprAst, bindings: Mapping[str, float]) -> float:
     return _compiled(ast, "_float", _float_code)(bindings)
 
 
-def _var(name: str, offset: int):
-    def var(b, extra):
-        try:
-            return b[name]
-        except KeyError:
-            raise UnknownVariable(name, offset) from None
+# One step list of several trees, for both back ends.  A structural key names
+# each node's step and holds its operands' entries, so two subtrees get one
+# entry exactly when they take the same steps with every number bit for bit
+# equal (Num equality would merge 0.0 and -0.0); spans are left out.
 
-    return var
+_bits = struct.Struct("<d").pack
 
 
-class _Kernel(NamedTuple):
-    """Node factories of one tree walk: :meth:`compile_node` picks the
-    factory of each node and gives it what ``sub`` made of the children.
-    The K-jet kernel's factories return code, a closure of (bindings,
-    order) that returns the node's Jet; those of :data:`_KEYS` return the
-    structural keys of :class:`_Program`, and those of :data:`_STEPS` the
-    steps that :class:`_Emitted` writes as straight-line float code.  So
-    the scale and '^' rules live in one place."""
-
-    attr: str | None  # the node attribute that caches this arithmetic's code
-    num: Callable  # (value)
-    neg: Callable  # (child code)
-    scale: Callable  # (operand code, number, span): operand times a number
-    power: Callable  # (base code, folded exponent, span)
-    binary: Callable  # (op, left code, right code, span) for + - * /
-    call: Callable  # (function name, argument code, span)
-    var: Callable = _var  # (name, offset)
-
-    def code(self, node: ExprAst):
-        # The cache hit reads the node's attribute and makes no further
-        # call: eval_jet looks its code up on every call.
-        code = getattr(node, self.attr, None)
-        return _compiled(node, self.attr, self.compile_node) if code is None else code
-
-    def compile_node(self, node: ExprAst, sub=None):
-        """The code of ``node`` over the code ``sub`` gives each child, by
-        default the child's own cached code."""
-        sub = sub or self.code
-        if isinstance(node, Num):
-            return self.num(node.value)
-        if isinstance(node, Var):
-            return self.var(node.name, node.span[0])
-        if isinstance(node, Neg):
-            return self.neg(sub(node.child))
-        if isinstance(node, BinOp):
-            op, span = node.op, node.span
-            # A product with a number scales each coefficient, O(K) instead
-            # of an O(K^2) convolution with a constant jet, and gives the
-            # same bits.
-            if op == "*" and isinstance(node.left, Num):
-                return self.scale(sub(node.right), node.left.value, span)
-            left = sub(node.left)
-            if op == "^":
-                return self.power(left, node.right.value, span)
-            if op == "*" and isinstance(node.right, Num):
-                return self.scale(left, node.right.value, span)
-            return self.binary(op, left, sub(node.right), span)
-        if isinstance(node, Call):
-            return self.call(node.func, sub(node.arg), node.span)
-        raise TypeError(f"not an AST node: {node!r}")
+def _step(node: ExprAst, sub) -> tuple:
+    """One node as (step, parameters, where, operands), the operands being
+    what ``sub`` gives the children and ``where`` the span (a variable's
+    offset) its error reports.  sin and cos are steps of their own; '^'
+    and the other functions run through the jet kernel."""
+    if isinstance(node, Num):
+        return "num", (node.value,), None, ()
+    if isinstance(node, Var):
+        return "var", (node.name,), node.span[0], ()
+    if isinstance(node, Neg):
+        return "neg", (), None, (sub(node.child),)
+    if isinstance(node, BinOp):
+        op, span = node.op, node.span
+        # A product with a number scales each coefficient, O(K) instead of
+        # an O(K^2) convolution with a constant jet, and gives the same bits.
+        if op == "*" and isinstance(node.left, Num):
+            return "scale", (node.left.value,), span, (sub(node.right),)
+        left = sub(node.left)
+        if op == "^":
+            return "pow", (node.right.value,), span, (left,)
+        if op == "*" and isinstance(node.right, Num):
+            return "scale", (node.right.value,), span, (left,)
+        return op, (), span, (left, sub(node.right))
+    if isinstance(node, Call):
+        arg = sub(node.arg)
+        if node.func in ("sin", "cos"):
+            return node.func, (), node.span, (arg,)
+        return "jet", (JET_FUNCTIONS[node.func],), node.span, (arg,)
+    raise TypeError(f"not an AST node: {node!r}")
 
 
-# K-jet arithmetic: code of (bindings, order), returning a Jet through the
-# same kernel calls a tree walk would make.
+class _Linear(NamedTuple):
+    """Trees as one step list, each distinct subtree once, in the order a
+    tree walk first meets it: roots in turn, children left to right.  An
+    entry keeps the spans of its first occurrence; a shared entry can fail
+    only there, so the list raises the error the walk would raise first.
+
+    ``shape`` holds per entry ``(step, index of its first argument,
+    operand entries...)``, and last ``("return", number of arguments, root
+    entries...)``; ``params`` per entry its parameters, with its ``where``
+    last if it has one; ``args`` all the parameters in turn."""
+
+    shape: tuple
+    params: list
+    args: list
 
 
-def _jet_num(value: float):
-    constants: dict[int, Jet] = {}
+def _linear(roots) -> _Linear:
+    shape, params, args, entries = [], [], [], {}
 
-    def num(b, order):
-        jet = constants.get(order)
-        if jet is None:
-            jet = constants[order] = Jet.constant(value, order)
-        return jet
+    def enter(node: ExprAst) -> int:
+        step, keyed, where, operands = _step(node, enter)
+        key = (step, *[_bits(p) if isinstance(p, float) else p for p in keyed], *operands)
+        entry = entries.get(key)
+        if entry is None:
+            entry = entries[key] = len(shape)
+            own = keyed if where is None else (*keyed, where)
+            shape.append((step, len(args), *operands))
+            params.append(own)
+            args.extend(own)
+        return entry
 
-    return num
+    tops = [enter(root) for root in roots]
+    shape.append(("return", len(args), *tops))
+    return _Linear(tuple(shape), params, args)
 
 
-_JET = _Kernel(
-    attr="_jet",
-    num=_jet_num,
-    neg=lambda child: lambda b, order: -child(b, order),
-    scale=lambda operand, c, span: _spanned(lambda u: u * c, span, operand),
-    power=lambda base, r, span: _spanned(lambda u: jet_pow(u, r), span, base),
-    binary=lambda op, left, right, span: _spanned(_ARITH[op], span, left, right),
-    call=lambda name, arg, span: _spanned(JET_FUNCTIONS[name], span, arg),
-)
+# K-jet back end.  Steps call the Jet kernel through its operators, so
+# ``u * c`` is ``Jet.__mul__``, and a "jet" step calls its parameter.
+
+_JET_CALLS = {
+    "scale": operator.mul, "pow": jet_pow,
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+    "sin": JET_FUNCTIONS["sin"], "cos": JET_FUNCTIONS["cos"],
+}
+
+
+def _bound(b: Mapping, var: tuple):
+    """The binding of ``var``, a (name, offset) pair."""
+    try:
+        return b[var[0]]
+    except KeyError:
+        raise UnknownVariable(*var) from None
+
+
+class _JetProgram:
+    """The steps of several trees run in order on one list of values.
+
+    Slot 0 holds the bindings.  The numbers, variable keys and function
+    names fill their slots once, each number's constant jet once per
+    order, and each step writes its own slot.  A step is ``(kernel, x, y,
+    slot, span)``: ``kernel`` on the values in slots x and y, or x alone
+    where y is None; a JetError it raises gets the span.  sin(u) and
+    cos(u), where both occur, read one ``_sin_cos`` call, made where the
+    first of them is, with its name and span.
+    """
+
+    def __init__(self, roots):
+        linear = _linear(roots)
+        *entries, (_, _, *tops) = linear.shape
+        values = self.values = [None]
+        self.numbers = []  # the slots of the numbers
+        self.by_order: dict[int, list] = {}  # order -> the values before the steps
+        steps, slots, done, pairs = [], [], [], {}
+        sines = {entry[2] for entry in entries if entry[0] == "sin"}
+        paired = sines & {entry[2] for entry in entries if entry[0] == "cos"}
+
+        def put(value) -> int:
+            values.append(value)
+            return len(values) - 1
+
+        def add(kernel, x, y=None, span=None) -> int:
+            steps.append((kernel, x, y, len(values), span))
+            return put(None)
+
+        for (step, _, *operands), params in zip(entries, linear.params):
+            u = [slots[entry] for entry in operands]
+            if step == "num":
+                slot = put(params[0])
+                self.numbers.append(slot)
+            elif step == "var":
+                slot = add(_bound, 0, put(params))
+            elif step == "neg":
+                slot = add(operator.neg, u[0])
+            elif step == "jet":
+                slot = add(params[0], u[0], None, params[1])
+            elif step in ("scale", "pow"):
+                slot = add(_JET_CALLS[step], u[0], put(params[0]), params[1])
+            elif step in ("sin", "cos") and operands[0] in paired:
+                pair = pairs.get(operands[0])
+                if pair is None:
+                    pair = pairs[operands[0]] = add(_sin_cos, u[0], put(step), params[0])
+                slot = add(operator.itemgetter(0 if step == "sin" else 1), pair)
+            else:
+                slot = add(_JET_CALLS[step], *u, span=params[0])
+            slots.append(slot)
+            done.append(len(steps))
+        # Root i's segment runs the steps its tree adds to those before it.
+        self.segments, start, last = [], 0, -1
+        for top in tops:
+            last = max(last, top)
+            self.segments.append((steps[start:done[last]], slots[top]))
+            start = done[last]
+
+    def run(self, b: Mapping, order: int):
+        """Each root's Jet in turn, on the bindings ``b`` at ``order``."""
+        v = self.by_order.get(order)
+        if v is None:
+            v = self.by_order[order] = self.values.copy()
+            for slot in self.numbers:
+                v[slot] = Jet.constant(v[slot], order)
+        v = v.copy()
+        v[0] = b
+        for segment, root in self.segments:
+            try:
+                for kernel, x, y, slot, span in segment:
+                    v[slot] = kernel(v[x]) if y is None else kernel(v[x], v[y])
+            except JetError as err:
+                err.span = span
+                raise
+            yield v[root]
 
 
 def eval_jet(ast: ExprAst, bindings: Mapping[str, Jet]) -> Jet:
@@ -673,108 +733,8 @@ def eval_jet(ast: ExprAst, bindings: Mapping[str, Jet]) -> Jet:
                 code = _FORWARD.code(ast)
             return Jet._of(code(pairs))
     order = next(iter(bindings.values())).order if bindings else 0
-    return _JET.code(ast)(bindings, order)
-
-
-# Several trees as one K-jet program.  A structural key names the code a
-# node compiles to and holds its children's slots, so two subtrees get one
-# key exactly when they compile to the same code with every number bit for
-# bit equal (Num equality would merge 0.0 and -0.0); spans are left out.
-
-_bits = struct.Struct("<d").pack
-
-_KEYS = _Kernel(
-    None,
-    lambda value: ("num", _bits(value)),
-    lambda child: ("neg", child),
-    lambda operand, c, span: ("scale", operand, _bits(c)),
-    lambda base, r, span: ("pow", base, _bits(r)),
-    lambda op, left, right, span: ("binary", op, left, right),
-    lambda name, arg, span: ("call", name, arg),
-    lambda name, offset: ("var", name),
-)
-
-def _partner(key: tuple):
-    """The key of cos(u) for that of sin(u) and the other way round, or None."""
-    if key[0] == "call" and key[1] in ("sin", "cos"):
-        return ("call", "cos" if key[1] == "sin" else "sin", key[2])
-    return None
-
-
-def _memo(code, slot: int):
-    """``code``, run at most once per evaluation: its value is kept in that
-    evaluation's bindings under the slot number."""
-
-    def shared(b, order):
-        value = b.get(slot)
-        if value is None:
-            value = b[slot] = code(b, order)
-        return value
-
-    return shared
-
-
-class _Program:
-    """K-jet code of several trees compiled together, one code per root.
-
-    A first walk numbers each distinct structural key (a slot) and counts
-    its users in the merged graph; a second builds each slot's code once,
-    memoized where it has more than one user, as is the one ``_sin_cos``
-    call behind sin(u) and cos(u) where both occur.  Slots are met in the
-    order evaluation first runs them, roots in turn and children left to
-    right, and each code keeps the spans of its first occurrence.  A shared
-    code can fail only there, so the program raises the error evaluating
-    the trees one by one would raise first.
-    """
-
-    def __init__(self, roots):
-        self.slots: dict[tuple, int] = {}  # structural key -> slot
-        self.uses: list[int] = []  # per slot: its users in the merged graph
-        self.node_slots: dict[int, int] = {}  # id(node) -> slot
-        for root in roots:
-            self.uses[self._intern(root)] += 1
-        self.codes: dict[int, Callable] = {}  # slot -> code
-        self.code_slots: dict[int, int] = {}  # id(code) -> slot
-        self.pairs: dict[int, Callable] = {}  # slot of u -> code of sin(u), cos(u)
-        self.kernel = _JET._replace(call=self._call)
-        self.roots = [self._build(root) for root in roots]
-
-    def _intern(self, node: ExprAst) -> int:
-        key = _KEYS.compile_node(node, self._intern)
-        slot = self.slots.get(key)
-        if slot is None:
-            # sin(u) and cos(u) read u once, through their shared recurrence.
-            if _partner(key) not in self.slots:
-                for part in key:
-                    if type(part) is int:
-                        self.uses[part] += 1
-            slot = self.slots[key] = len(self.uses)
-            self.uses.append(0)
-        self.node_slots[id(node)] = slot
-        return slot
-
-    def _build(self, node: ExprAst):
-        slot = self.node_slots[id(node)]
-        code = self.codes.get(slot)
-        if code is None:
-            code = self.kernel.compile_node(node, self._build)
-            if self.uses[slot] > 1 and not isinstance(node, (Num, Var)):
-                code = _memo(code, slot)
-            self.codes[slot] = code
-            self.code_slots[id(code)] = slot
-        return code
-
-    def _call(self, name: str, arg, span: Span):
-        u = self.code_slots[id(arg)]
-        if _partner(("call", name, u)) not in self.slots:
-            return _JET.call(name, arg, span)
-        pair = self.pairs.get(u)
-        if pair is None:
-            # Kept past the node slots, so the slot numbers stay apart.
-            pair = self.pairs[u] = _memo(
-                _spanned(lambda w: _sin_cos(w, name), span, arg), len(self.uses) + u)
-        index = 0 if name == "sin" else 1
-        return lambda b, order: pair(b, order)[index]
+    program = _compiled(ast, "_jet", lambda root: _JetProgram((root,)))
+    return next(program.run(bindings, order))
 
 
 # Float arithmetic of one direction, as straight-line generated code.  One
@@ -837,32 +797,12 @@ def _through_jet(func, coeffs: tuple, span: Span, *args) -> tuple:
         raise
 
 
-# The steps of one node: (step, parameters, operands), the operands being
-# what the emitter gave the children.  sin and cos are inlined; '^' and the
-# other functions run through the jet kernel.
-_STEPS = _Kernel(
-    None,
-    lambda value: ("num", (value,), ()),
-    lambda child: ("neg", (), (child,)),
-    lambda operand, c, span: ("scale", (c, span), (operand,)),
-    lambda base, r, span: ("pow", (r, span), (base,)),
-    lambda op, left, right, span: (op, (span,), (left, right)),
-    lambda name, arg, span: ((name, (span,), (arg,)) if name in ("sin", "cos")
-                             else ("jet", (JET_FUNCTIONS[name], span), (arg,))),
-    lambda name, offset: ("var", (name, offset), ()),
-)
-
-
 class _Emitted:
-    """A plain-float kernel: per step of :data:`_STEPS`, the source lines of
-    its float steps, finiteness test and error, over the coefficients u*
-    and w* of the operands, r* of the node, t* of spare locals and the
-    parameters p*.
-
-    A tree's shape is one entry per emitting node, ``(step, index of its
-    first parameter, operands...)``, and a last ``("return", root, number
-    of arguments)``.  An operand is the index of another entry, or -1 - i
-    for the number that is argument i.
+    """The float back end: per step of a :class:`_Linear` list but "num",
+    the source lines of its float steps, finiteness test and error, over
+    the coefficients u* and w* of the operands, r* of the entry, t* of
+    spare locals and the parameters p*.  A number is its argument and
+    zeros, and takes no line.  The shape of a tree's list keys its code.
     """
 
     def __init__(self, attr: str, width: int, steps: dict):
@@ -875,38 +815,30 @@ class _Emitted:
 
     def compile(self, root: ExprAst):
         """One function of the bindings for the whole tree."""
-        shape, args = [], []
-
-        def emit(node: ExprAst) -> int:
-            step, params, operands = _STEPS.compile_node(node, emit)
-            if step == "num":
-                args.append(params[0])
-                return -len(args)
-            shape.append((step, len(args)) + operands)
-            args.extend(params)
-            return len(shape) - 1
-
-        shape.append(("return", emit(root), len(args)))
-        return _generated(self.source, tuple(shape), args, globals())
+        linear = _linear((root,))
+        return _generated(self.source, linear.shape, linear.args, globals())
 
     def source(self, shape: tuple) -> str:
         """The source of the factory of ``shape``'s function."""
+        *entries, (_, nargs, root) = shape
 
-        def coeffs(ref: int) -> tuple:
-            if ref < 0:
-                return (f"k{-1 - ref}",) + ("0.0",) * (self.width - 1)
-            return tuple(f"r{ref}_{i}" for i in range(self.width))
+        def coeffs(entry: int) -> tuple:
+            step, first, *_ = entries[entry]
+            if step == "num":
+                return (f"k{first}",) + ("0.0",) * (self.width - 1)
+            return tuple(f"r{entry}_{i}" for i in range(self.width))
 
         lines = []
-        for n, (step, first, *operands) in enumerate(shape[:-1]):
+        for n, (step, first, *operands) in enumerate(entries):
+            if step == "num":
+                continue
             # No step has more than two parameters.
             fields = {f"p{j}": f"k{first + j}" for j in range(2)}
-            for prefix, ref in zip("uw", operands):
-                fields.update((f"{prefix}{i}", c) for i, c in enumerate(coeffs(ref)))
+            for prefix, entry in zip("uw", operands):
+                fields.update((f"{prefix}{i}", c) for i, c in enumerate(coeffs(entry)))
             fields.update((f"r{i}", c) for i, c in enumerate(coeffs(n)))
             fields.update((f"t{i}", f"t{n}_{i}") for i in range(self.width))
             lines.extend(line.format_map(fields) for line in self.steps[step])
-        _, root, nargs = shape[-1]
         return _source(nargs, "b", lines + [f"return {', '.join(coeffs(root))}"])
 
 
@@ -1012,6 +944,9 @@ _ATOM_PREC = 5
 
 
 def _format_num(v: float) -> str:
+    if math.isinf(v):
+        # No literal names an infinity, but 1e999 rounds to one.
+        return "1e999" if v > 0 else "-1e999"
     if v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
@@ -1084,21 +1019,20 @@ class CurveSpec:
 
 def _curve_jets(curve: CurveSpec, t: float, order: int) -> tuple[tuple[float, ...], ...]:
     """Coefficients c_0..c_order of each curve component at t, from one run
-    of the components' :class:`_Program`, compiled once per curve.
+    of the components' :class:`_JetProgram`, built once per curve.
 
     A :class:`JetError` leaves with ``component`` (0-based) and ``t`` set,
     so the error message can name where evaluation failed.
     """
-    codes = _compiled(curve, "_jets", lambda c: _Program(c.components).roots)
-    b = {"t": Jet.variable(t, order)}
+    program = _compiled(curve, "_jets", lambda c: _JetProgram(c.components))
     out = []
-    for i, code in enumerate(codes):
-        try:
-            out.append(code(b, order).coeffs)
-        except JetError as err:
-            err.component = i
-            err.t = t
-            raise
+    try:
+        for jet in program.run({"t": Jet.variable(t, order)}, order):
+            out.append(jet.coeffs)
+    except JetError as err:
+        err.component = len(out)
+        err.t = t
+        raise
     return tuple(out)
 
 

@@ -187,10 +187,10 @@ def curve_point_jets(
     """Taylor coefficients c_0..c_order of the three curve components at t,
     one tuple per component.
 
-    The components compile into one jet program with shared
-    subexpressions (``expr._Program``), so a subtree they share, or sin and
-    cos of one argument, is evaluated once per point.  Bits and errors are
-    those of one :func:`expr.eval_jet` per component.
+    The components run as one K-jet program over one step list with each
+    distinct subexpression once (``expr._JetProgram``), so a subtree they
+    share, or sin and cos of one argument, is evaluated once per point.
+    Bits and errors are those of one :func:`expr.eval_jet` per component.
     """
     if not curve.t_min <= t <= curve.t_max:
         raise DomainIntervalError(t, curve.domain)

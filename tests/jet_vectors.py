@@ -1,16 +1,51 @@
-"""Vector operations on lists of Jets, for tests only.
+"""Vector operations on lists of Jets, and a tree walk, for tests only.
 
 The package passes point jets as tuples of coefficient tuples and runs its
 vector algebra on float pairs and triples.  These helpers take the same
 steps on whole ``Jet`` objects at any order, so tests can use them as the
 full-order and bit-parity reference: dot products sum left to right from
 the first product, and the norm applies the package's ``NORM_FLOOR`` test
-before ``jet_sqrt``.
+before ``jet_sqrt``.  :func:`tree_jet` is the reference of the expression
+evaluators in the same way.
 """
 
 import math
+import operator
 
-from frenetlift.jets import NORM_FLOOR, Jet, ZeroNorm, jet_sqrt
+from frenetlift.expr import BinOp, Call, Neg, Num, UnknownVariable, Var
+from frenetlift.jets import JET_FUNCTIONS, NORM_FLOOR, Jet, JetError, ZeroNorm, jet_pow, jet_sqrt
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def tree_jet(ast, bindings, order):
+    """The Jet of ``ast`` by a recursive walk over the Jet operators and
+    JET_FUNCTIONS, children left to right, a number as its constant jet at
+    ``order``.  A JetError a node's own operation raises gets its span."""
+
+    def walk(node):
+        if isinstance(node, Num):
+            return Jet.constant(node.value, order)
+        if isinstance(node, Var):
+            try:
+                return bindings[node.name]
+            except KeyError:
+                raise UnknownVariable(node.name, node.span[0]) from None
+        if isinstance(node, Neg):
+            return -walk(node.child)
+        if isinstance(node, Call):
+            kernel, operands = JET_FUNCTIONS[node.func], (walk(node.arg),)
+        elif isinstance(node, BinOp) and node.op == "^":
+            kernel, operands = jet_pow, (walk(node.left), node.right.value)
+        else:
+            kernel, operands = _ARITHMETIC[node.op], (walk(node.left), walk(node.right))
+        try:
+            return kernel(*operands)
+        except JetError as err:
+            err.span = node.span
+            raise
+
+    return walk(ast)
 
 
 def jets(pjets):

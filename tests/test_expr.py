@@ -22,7 +22,6 @@ from frenetlift.expr import (
     UnknownVariable,
     Var,
     _CODE_CACHE_SIZE,
-    _JET,
     _code,
     eval_float,
     eval_forward,
@@ -44,6 +43,7 @@ from frenetlift.jets import (
     NonFiniteJet,
 )
 from frenetlift.verify import random_ast
+from jet_vectors import tree_jet
 
 HELIX_FILE = """\
 name = helix345
@@ -315,12 +315,12 @@ BASIS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 
 
 def _jet_route(asts, point, tangents):
-    """Order-1 Jet kernel direction by direction, each direction through every AST."""
+    """Order-1 tree walk direction by direction, each direction through every AST."""
     derivs = [[] for _ in asts]
     for d in tangents:
         bindings = {name: Jet((point[i], d[i])) for i, name in enumerate(NAMES)}
         for k, ast in enumerate(asts):
-            jet = _kernel_jet(ast, bindings, 1)
+            jet = tree_jet(ast, bindings, 1)
             derivs[k].append(jet.coeffs)
     return [(ds[0][0], tuple(c[1] for c in ds)) for ds in derivs]
 
@@ -373,8 +373,12 @@ class TestForward:
         (["x1 + sin(1e999)"], (1.0, 1.0, 1.0), BASIS, DomainError),
         (["x1 + cos(-1e999)"], (1.0, 1.0, 1.0), BASIS, DomainError),
         (["x1 + tan(1e999)"], (1.0, 1.0, 1.0), BASIS, DomainError),
+        # A repeated subtree runs once and fails where it first occurs.
+        (["log(x1 - 1) + log(x1 - 1)*x2"], (0.5, 1.0, 1.0), BASIS, DomainError),
+        (["sin(x1*x2)*x3 + cos(x1*x2)*sin(x1*x2)", "-(x1*x2)"], (0.5, -1.5, 2.0), BASIS, None),
     ], ids=["one-expression", "two-expressions", "quotient", "large-tangents", "signed-zero",
-            "lone-infinity", "below-floor", "sin-infinity", "cos-infinity", "tan-infinity"])
+            "lone-infinity", "below-floor", "sin-infinity", "cos-infinity", "tan-infinity",
+            "shared-failing", "shared"])
     def test_edge_cases(self, texts, point, tangents, raised):
         asts = [parse_expr(text, NAMES) for text in texts]
         want = _outcome(_jet_route, asts, point, tangents)
@@ -412,6 +416,8 @@ class TestCompiledSpans:
         ("1e308*sin(x1) + 1e308*sin(x1)", (0, 29)),
         ("1e308*sin(x1) - -1e308*sin(x1)", (0, 30)),
         ("x3 * (1e308*sin(x1) + 1e308*sin(x1))", (5, 36)),
+        # The repeated factor runs once, at its first span.
+        ("x2 - (x1*1e200*1e200)*(x1*1e200*1e200)", (5, 21)),
     ])
     def test_nonfinite_sum_difference_product_spans(self, text, span):
         ast = parse_expr(text, NAMES)
@@ -420,6 +426,7 @@ class TestCompiledSpans:
             lambda: eval_jet(ast, {n: Jet.variable(1.0, 5) for n in NAMES}),
             lambda: _forward_route([ast], (1.0, 1.0, 1.0), BASIS),
             lambda: _forward_route([ast], (1.0, 1.0, 1.0), BASIS[:1]),
+            lambda: _second_route([ast], (1.0, 1.0, 1.0), BASIS),
         )
         for evaluate in evaluators:
             with pytest.raises(NonFiniteJet) as exc:
@@ -454,8 +461,8 @@ class TestPrettyPrint:
 
     def test_roundtrip_random(self):
         rng = random.Random(20260808)
-        for _ in range(500):
-            ast = random_ast(rng, 6)
+        infinite = [parse_expr(text, {"t"}) for text in ("1e999", "t*1e999", "2^1e999", "t^-1e999")]
+        for ast in [random_ast(rng, 6) for _ in range(500)] + infinite:
             assert parse_expr(pretty_print(ast), {"t"}) == ast
 
 
@@ -519,22 +526,16 @@ class TestFieldFile:
             parse_field_file("f = t\n")
 
 
-# --- order-2 pass and order-1 eval_jet against the Jet kernel ------------------
-
-def _kernel_jet(ast, bindings, order):
-    """The Jet kernel route: the compiled K-jet code, which eval_jet takes
-    at every order but 1."""
-    return _JET.code(ast)(bindings, order)
-
+# --- order-2 pass and order-1 eval_jet against the tree walk --------------------
 
 def _second_jet_route(asts, point, tangents):
-    """Order-2 Jet kernel direction by direction on (x, d_i, 0.0), each
+    """Order-2 tree walk direction by direction on (x, d_i, 0.0), each
     direction through every AST."""
     coeffs = [[] for _ in asts]
     for d in tangents:
         bindings = {name: Jet((point[i], d[i], 0.0)) for i, name in enumerate(NAMES)}
         for k, ast in enumerate(asts):
-            coeffs[k].append(_kernel_jet(ast, bindings, 2).coeffs)
+            coeffs[k].append(tree_jet(ast, bindings, 2).coeffs)
     return [(cs[0][0], tuple(c[1] for c in cs), tuple(c[2] for c in cs)) for cs in coeffs]
 
 
@@ -608,9 +609,12 @@ class TestSecond:
          NonFiniteJet),
         # Only the partner's triple, sin's, overflows at order 2 (span (0, 7)).
         (["cos(x1)"], (math.pi / 2, 1.0, 1.0), ((1e158, 0.0, 0.0),), NonFiniteJet),
+        # A repeated subtree runs once and fails where it first occurs.
+        (["log(x1 - 1) + log(x1 - 1)*x2"], (0.5, 1.0, 1.0), BASIS, DomainError),
+        (["sin(x1*x2)*x3 + cos(x1*x2)*sin(x1*x2)", "-(x1*x2)"], (0.5, -1.5, 2.0), BASIS, None),
     ], ids=["one-expression", "two-expressions", "square", "sin", "quotient", "per-direction",
             "large-tangents", "sin-infinity", "cos-infinity", "tan-infinity",
-            "first-direction", "sin-partner"])
+            "first-direction", "sin-partner", "shared-failing", "shared"])
     def test_edge_cases(self, texts, point, tangents, raised):
         asts = [parse_expr(text, NAMES) for text in texts]
         want = _hex_outcome(_second_jet_route, asts, point, tangents)
@@ -620,7 +624,7 @@ class TestSecond:
 
 class TestOrder1Jet:
     """Order-1 eval_jet runs the forward code on the jets' coefficient
-    pairs; the Jet kernel route stays the reference."""
+    pairs; the tree walk over the Jet kernel stays the reference."""
 
     def test_matches_jet_kernel(self):
         rng = random.Random(20261105)
@@ -630,7 +634,7 @@ class TestOrder1Jet:
             bindings = {name: Jet((rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)))
                         for name in NAMES}
             outcomes = []
-            for route in (eval_jet, lambda a, b: _kernel_jet(a, b, 1)):
+            for route in (eval_jet, lambda a, b: tree_jet(a, b, 1)):
                 try:
                     outcomes.append([x.hex() for x in route(ast, bindings).coeffs])
                 except Exception as err:
@@ -659,7 +663,7 @@ class TestOrder1Jet:
                     eval_forward([ast], [{name: j.coeffs for name, j in bindings.items()}])
             assert ("_forward" in vars(ast)) is warm
             outcomes = []
-            for route in (eval_jet, lambda a, b: _kernel_jet(a, b, 1)):
+            for route in (eval_jet, lambda a, b: tree_jet(a, b, 1)):
                 try:
                     outcomes.append([x.hex() for x in route(ast, bindings).coeffs])
                 except Exception as err:
@@ -677,7 +681,7 @@ class TestOrder1Jet:
         for t in (0.3, 0.7, 1.3, 31.4):
             tj = Jet.variable(t, 1)
             got = eval_jet(ast, {"t": tj}).coeffs
-            assert [x.hex() for x in got] == [x.hex() for x in _kernel_jet(ast, {"t": tj}, 1).coeffs]
+            assert [x.hex() for x in got] == [x.hex() for x in tree_jet(ast, {"t": tj}, 1).coeffs]
 
 
 def _coeff_outcome(run):
@@ -722,7 +726,7 @@ class TestGeneratedCode:
             assert (_hex_outcome(_second_route, [ast], (1.0, 1.0, 1.0), BASIS)
                     == _hex_outcome(_second_jet_route, [ast], (1.0, 1.0, 1.0), BASIS))
             assert (_coeff_outcome(lambda: eval_jet(ast, bindings).coeffs)
-                    == _coeff_outcome(lambda: _kernel_jet(ast, bindings, 1).coeffs))
+                    == _coeff_outcome(lambda: tree_jet(ast, bindings, 1).coeffs))
         lone, other = Num(value), Num(0.5)
         assert self._forward(lone, (0.0,) * 3, (0.0,) * 3)[0][0][0].hex() == value.hex()
         self._forward(other, (0.0,) * 3, (0.0,) * 3)
@@ -773,6 +777,6 @@ class TestGeneratedCode:
         for t in (0.5, 1.25):
             one, two = {"t": Jet.variable(t, 1)}, {"t": Jet.variable(t, 2)}
             assert (_coeff_outcome(lambda: eval_jet(ast, one).coeffs)
-                    == _coeff_outcome(lambda: _kernel_jet(ast, one, 1).coeffs))
+                    == _coeff_outcome(lambda: tree_jet(ast, one, 1).coeffs))
             assert (_coeff_outcome(lambda: eval_second([ast], [{"t": (t, 1.0, 0.0)}])[0][0])
-                    == _coeff_outcome(lambda: _kernel_jet(ast, two, 2).coeffs))
+                    == _coeff_outcome(lambda: tree_jet(ast, two, 2).coeffs))

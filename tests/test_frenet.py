@@ -7,7 +7,7 @@ import struct
 
 import pytest
 
-from frenetlift.expr import BinOp, Call, CurveSpec, Num, UnknownVariable, Var, eval_jet
+from frenetlift.expr import BinOp, Call, CurveSpec, Num, UnknownVariable, Var
 from frenetlift.frenet import (
     DegenerateCurvature,
     DomainIntervalError,
@@ -32,7 +32,7 @@ from frenetlift.jets import (
     fd_oracle,
     fnorm,
 )
-from jet_vectors import as_tuples, cross, cut, d, dot, jets, norm, scale, sub, value
+from jet_vectors import as_tuples, cross, cut, d, dot, jets, norm, scale, sub, tree_jet, value
 from frenetlift.lifted_frenet import LiftedCurve
 from frenetlift.lifts import Connection, LiftKind, lifted_point_jets
 from frenetlift.verify import (
@@ -97,13 +97,13 @@ def _point_jets_outcome(route, curve, t, order):
 
 
 def _per_component_route(curve, t, order):
-    """One eval_jet per component, in order, naming the failing component
+    """One tree walk per component, in order, naming the failing component
     and t: the reference for the curve's shared jet program."""
     tj = Jet.variable(t, order)
     out = []
     for i, comp in enumerate(curve.components):
         try:
-            out.append(eval_jet(comp, {"t": tj}).coeffs)
+            out.append(tree_jet(comp, {"t": tj}, order).coeffs)
         except JetError as err:
             err.component, err.t = i, t
             raise
@@ -130,7 +130,7 @@ def _shared_curve(rng):
 
 class TestCurveProgram:
     """curve_point_jets runs the components as one jet program whose
-    shared subexpressions run once per point; one eval_jet per component
+    shared subexpressions run once per point; one tree walk per component
     stays the reference, bit for bit and error for error."""
 
     def test_random_shared_curves_match_per_component(self):
