@@ -310,15 +310,15 @@ def _field_files(paths: list[str], flag: str, kind: str, what: str):
     return files
 
 
-def _first_failing_key(files, x, err: JetError) -> str:
+def _first_failing_key(files, p: TangentPoint, err: JetError) -> str:
     """'PATH KEY ' of the first file component whose own forward pass at
-    base point x raises the same error as ``err`` (type, message and span),
-    or ''."""
+    the base point of p raises the same error as ``err`` (type, message and
+    span), or ''."""
     for path, spec in files:
         keys = ("f",) if spec.kind == "scalar" else ("X1", "X2", "X3")
         for key, ast in zip(keys, spec.components):
             try:
-                _field_pass(FieldSpec("scalar", (ast,)), x)
+                _field_pass(FieldSpec("scalar", (ast,)), p)
             except JetError as own:
                 if (type(own), own.args, getattr(own, "span", None)) == (
                         type(err), err.args, getattr(err, "span", None)):
@@ -345,7 +345,7 @@ def cmd_fields(args: argparse.Namespace) -> int:
                 residuals = prop21_check(X, Y, f, g, connection, p).residuals
             except JetError as err:
                 # Only on the error path: name the point and the failing file.
-                key = _first_failing_key(vectors + scalars, p.x, err)
+                key = _first_failing_key(vectors + scalars, p, err)
                 err.origin = f" ({key}at point={coords!r})"
                 raise
             if n == 0:

@@ -380,13 +380,18 @@ class _Parser:
 
 def _fold_constant(node: ExprAst) -> float:
     """The value of an exponent, through the float evaluator's own code, so
-    folding counts as no :func:`eval_float` call."""
+    folding counts as no :func:`eval_float` call.  A NaN (``1e999-1e999``,
+    ``0*1e999``) is no real exponent, and is refused as one that does not
+    fold; an infinity is kept."""
     try:
-        return _compiled(node, "_float", _float_code)({})
+        value = _compiled(node, "_float", _float_code)({})
     except UnknownVariable:
         raise ParseError(node.span[0], "a constant exponent") from None
     except (ValueError, OverflowError):
-        raise ParseError(node.span[0], "a foldable constant exponent") from None
+        value = math.nan
+    if math.isnan(value):
+        raise ParseError(node.span[0], "a foldable constant exponent")
+    return value
 
 
 def parse_number(text: str) -> float:

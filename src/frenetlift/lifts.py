@@ -20,19 +20,24 @@ float triples, so no nested or multivariate jets are needed.
 A field's component values and Jacobian come from one forward evaluation
 along the coordinate axes (:func:`expr.eval_forward`, one binding dict and
 pass per axis), so a failure in the first partials is an error for every
-lift kind, as is a value or a lifted fiber that is not finite.  What the
-lifts compute at a :class:`TangentPoint` stays on that point for as long
-as it lives, one entry per field spec: the pass, the lifted values, and for
-a scalar its first and second directional coefficients, one per direction,
-and the mixed seconds polarized from them.  Two points with equal x share
-nothing, so a point holds memory in proportion to the distinct (field,
-connection) pairs asked about it; the ``fields`` and ``verify`` commands
-hold one point at a time.  :func:`prop21_check` fills the directional
-entries for each scalar with one order-1 and one order-2 evaluation, each
-one pass per direction, and :func:`apply_field` reads them.  A vertical lift
-X^v = (0, X) has no base part, so applying it reads no derivative along its
-zero base: X^v(f^v) is 0 once f's own pass succeeds, and X^v(f^c) is f's
-first coefficient along X(x).
+lift kind, as is a value or a lifted fiber that is not finite.
+
+What the lifts compute at a :class:`TangentPoint` stays on that point for
+as long as it lives, in one table with one entry per quantity, so a read
+that finds its entry is one lookup: the axis bindings, a spec's pass, a
+lifted value under its :class:`LiftedField`'s key, a scalar's first or
+second coefficient along a direction (keyed on its bits), an
+:func:`apply_field` value, and :func:`prop21_check`'s composites and
+directional coefficients.  An object whose id is in a key is kept in the
+table too, so no other object takes the id while the point lives.  Two
+points with equal x share nothing, so a point holds memory in proportion
+to the distinct (field, connection) pairs asked about it; the ``fields``
+and ``verify`` commands hold one point at a time.  :func:`prop21_check`
+fills the directional entries for each scalar with one order-1 and one
+order-2 evaluation, each one pass per direction, and :func:`apply_field`
+reads them.  A vertical lift X^v = (0, X) has no base part, so applying it
+reads no derivative along its zero base: X^v(f^v) is 0 once f's own pass
+succeeds, and X^v(f^c) is f's first coefficient along X(x).
 
 :func:`field_sum` and :func:`field_scale` return a plain spec of root nodes
 over their operands' trees, evaluated like any other field.
@@ -43,8 +48,9 @@ per component, one :func:`jets._padd` or :func:`jets._pmul` on the
 operands' (value, partial) pairs, which takes the roots' float steps, so
 the bits and, once both operands' passes succeed, the errors are those of
 evaluating the roots.  An operand whose own pass fails raises its error,
-the left operand first.  A second suite at the point computes only the
-horizontal lifts of a new connection.
+the left operand first.  The left operand keeps its last composite, so
+the next point with the same operands builds no spec.  A second suite at
+the point computes only the horizontal lifts of a new connection.
 
 Curves lift pointwise: vertical to (anchor, beta(t)), complete to
 (beta(t), beta'(t)), and horizontal to (beta(t), w(t)) with w parallel
@@ -131,7 +137,7 @@ class TangentPoint:
         object.__setattr__(self, "y", tuple(map(_to_float, self.y)))
         if len(self.x) != 3 or len(self.y) != 3:
             raise ValueError("a tangent point needs 3 base and 3 fiber coordinates")
-        if not all(math.isfinite(v) for v in self.x + self.y):
+        if not all(map(math.isfinite, self.x + self.y)):
             raise ValueError("tangent point coordinates must be finite")
         object.__setattr__(self, "_kept", {})
 
@@ -238,57 +244,63 @@ class LiftKind:
 # --- per-point results (passes, directional coefficients, lifted values) ----
 
 
-_FIELD_NAMES = ("x1", "x2", "x3")
 _BASIS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
 _pack3 = struct.Struct("<3d").pack
 # Full names of the lift kinds, by their first letters.
 _KINDS = {"v": "vertical", "c": "complete", "h": "horizontal"}
+_FULL_KINDS = tuple(_KINDS.values())
 
 
-def _results(spec: FieldSpec, p: TangentPoint) -> dict:
-    """The results kept at p for ``spec``.  Its entry holds the spec, so no
-    other spec takes its id while p lives."""
-    entry = p._kept.get(id(spec))
-    if entry is None:
-        entry = p._kept[id(spec)] = (spec, {})
-    return entry[1]
+def _keep(p: TangentPoint, obj) -> int:
+    """id(obj), with obj kept at p, so no other object takes an id of a key
+    while p lives."""
+    key = id(obj)
+    p._kept.setdefault(key, obj)
+    return key
 
 
-def _field_pass(spec: FieldSpec, x: Sequence[float]):
-    """Component values and Jacobian rows J[a][b] = dX^a/dx^b at x, from one
-    forward pass along the coordinate axes.  The error is the one that pass
-    meets, or else a NonFiniteJet spanning the first component whose value
-    is not finite (a lone ``1e999``)."""
-    values, rows = _values_and_rows(eval_forward(spec.components, _points(x, _BASIS)))
-    for c, v in zip(spec.components, values):
-        if not math.isfinite(v):
-            err = NonFiniteJet(f"value {v!r} is not finite")
-            err.span = c.span
-            raise err
+def _points(x: Sequence[float], dirs, order: int = 1) -> list[dict]:
+    """Bindings of x1..x3 at x, one dict per direction d of ``dirs``: each
+    x_i bound to ``(x_i, d_i)``, followed by 0.0 for an order-2 pass."""
+    x1, x2, x3 = x
+    if order == 1:
+        return [{"x1": (x1, a), "x2": (x2, b), "x3": (x3, c)} for a, b, c in dirs]
+    return [{"x1": (x1, a, 0.0), "x2": (x2, b, 0.0), "x3": (x3, c, 0.0)} for a, b, c in dirs]
+
+
+def _field_pass(spec: FieldSpec, p: TangentPoint):
+    """Component values and Jacobian rows J[a][b] = dX^a/dx^b at p.x, from
+    one forward pass along the coordinate axes, whose bindings p keeps.  The
+    error is the one that pass meets, or else a NonFiniteJet spanning the
+    first component whose value is not finite (a lone ``1e999``)."""
+    axes = p._kept.get("axes")
+    if axes is None:
+        axes = p._kept["axes"] = _points(p.x, _BASIS)
+    values, rows = _values_and_rows(eval_forward(spec.components, axes))
+    if not all(map(math.isfinite, values)):
+        c, v = next((c, v) for c, v in zip(spec.components, values) if not math.isfinite(v))
+        err = NonFiniteJet(f"value {v!r} is not finite")
+        err.span = c.span
+        raise err
     return values, rows
 
 
 def _values_and_rows(outs):
-    """(values, Jacobian rows) from per-direction ``(value, derivative)``
-    outputs of the components: the values of the first direction, and per
-    component its derivative along each direction."""
-    return tuple(v for v, _ in outs[0]), tuple(zip(*[[d for _, d in out] for out in outs]))
+    """(values, Jacobian rows) from the components' ``(value, derivative)``
+    outputs along the three axes: the values of the first axis, and per
+    component its derivative along each axis."""
+    first, second, third = outs
+    return (tuple([v for v, _ in first]),
+            tuple([(a, b, c) for (_, a), (_, b), (_, c) in zip(first, second, third)]))
 
 
 def _pass(spec: FieldSpec, p: TangentPoint):
-    """:func:`_field_pass` of ``spec`` at p.x, kept at p."""
-    results = _results(spec, p)
-    value = results.get("pass")
+    """:func:`_field_pass` of ``spec`` at p, kept at p."""
+    value = p._kept.get((id(spec), "pass"))
     if value is None:
-        value = results["pass"] = _field_pass(spec, p.x)
+        value = _field_pass(spec, p)
+        p._kept[_keep(p, spec), "pass"] = value
     return value
-
-
-def _points(x: Sequence[float], dirs, *pad) -> list[dict]:
-    """Bindings of x1..x3 at x, one dict per direction d of ``dirs``: each
-    x_i bound to ``(x_i, d_i)``, followed by the entry i of each ``pad``."""
-    xs = tuple(map(float, x))
-    return [dict(zip(_FIELD_NAMES, zip(xs, map(float, d), *pad))) for d in dirs]
 
 
 def _along(f: FieldSpec, p: TangentPoint, order: int, dirs) -> list[float]:
@@ -297,21 +309,22 @@ def _along(f: FieldSpec, p: TangentPoint, order: int, dirs) -> list[float]:
     direction (keyed on its bits).  The directions not kept yet come from
     one evaluation, one pass per direction, so its error is the first one
     they meet in the given order."""
-    results = _results(f, p)
-    keys = [(order, _pack3(*d)) for d in dirs]
-    todo = {key: d for key, d in zip(keys, dirs) if key not in results}
-    if todo:
-        if order == 1:
-            outs = eval_forward(f.components, _points(p.x, todo.values()))
-        else:
-            outs = eval_second(f.components, _points(p.x, todo.values(), (0.0,) * 3))
-        results.update(zip(todo, (out[0][order] for out in outs)))
-    return [results[key] for key in keys]
+    kept, i = p._kept, id(f)
+    keys = [(i, order, _pack3(*d)) for d in dirs]
+    values = [kept.get(key) for key in keys]
+    if None in values:
+        todo = {key: d for key, d, v in zip(keys, dirs, values) if v is None}
+        evaluate = eval_forward if order == 1 else eval_second
+        outs = evaluate(f.components, _points(p.x, todo.values(), order))
+        _keep(p, f)
+        kept.update(zip(todo, [out[0][order] for out in outs]))
+        values = [kept[key] for key in keys]
+    return values
 
 
 def _dir_deriv(f: FieldSpec, p: TangentPoint, d: Sequence[float]) -> float:
     """First derivative of s -> f(p.x + s d) at 0, for a scalar f."""
-    value = _results(f, p).get((1, _pack3(*d)))
+    value = p._kept.get((id(f), 1, _pack3(*d)))
     return _along(f, p, 1, (d,))[0] if value is None else value
 
 
@@ -320,19 +333,17 @@ def _polarization(a: Sequence[float], b: Sequence[float]) -> tuple:
     return tuple(map(operator.add, a, b)), a, b
 
 
+def _polarized(s_ab: float, s_a: float, s_b: float) -> float:
+    """The mixed second from the seconds along a+b, a and b."""
+    return 0.5 * (2.0 * s_ab - 2.0 * s_a - 2.0 * s_b)
+
+
 def _mixed_second(
     f: FieldSpec, p: TangentPoint, a: Sequence[float], b: Sequence[float]
 ) -> float:
     """sum_{i,j} a_i b_j d2f/dx_i dx_j at p.x by polarization of the second
-    directional derivatives along a+b, a and b, kept at p by the bits of a
-    and b."""
-    results = _results(f, p)
-    key = ("mixed", _pack3(*a), _pack3(*b))
-    value = results.get(key)
-    if value is None:
-        s_ab, s_a, s_b = _along(f, p, 2, _polarization(a, b))
-        value = results[key] = 0.5 * (2.0 * s_ab - 2.0 * s_a - 2.0 * s_b)
-    return value
+    directional derivatives along a+b, a and b, which p keeps."""
+    return _polarized(*_along(f, p, 2, _polarization(a, b)))
 
 
 # --- function and field lifts -------------------------------------------------
@@ -368,37 +379,43 @@ def _lifted(kind: str, base, fiber) -> LiftedFieldValue:
 class LiftedField:
     """A lifted vector field, evaluable at tangent points.
 
-    Values are kept at the point with the field's other results there:
-    vertical and complete ones by kind, horizontal ones by the connection
-    object too.
+    Its values are kept at the point with the field's other results there,
+    under one key made with the field: the field's id with the kind, or for
+    the horizontal kind with the connection's id.  So its field, kind and
+    connection are read-only.
     """
+
+    __slots__ = ("_field", "_kind", "_connection", "_key")
+
+    field = property(operator.attrgetter("_field"))
+    kind = property(operator.attrgetter("_kind"))
+    connection = property(operator.attrgetter("_connection"))
 
     def __init__(self, field: FieldSpec, kind: str, connection: Connection | None = None):
         if field.kind != "vector":
             raise ValueError("lift_field expects a vector field")
-        if kind not in _KINDS.values():
+        if kind not in _FULL_KINDS:
             raise ValueError(f"unknown field lift kind {kind!r}")
-        self.field = field
-        self.kind = kind
-        self.connection = connection or Connection.flat()
+        self._field = field
+        self._kind = kind
+        self._connection = G = connection or _FLAT
+        self._key = (id(field), id(G) if kind == "horizontal" else kind)
 
     def at(self, p: TangentPoint) -> LiftedFieldValue:
-        kind, G = self.kind, self.connection
-        key = (kind, id(G)) if kind == "horizontal" else kind
-        results = _results(self.field, p)
-        value = results.get(key)
+        value = p._kept.get(self._key)
         if value is None:
-            values, jacobian = _pass(self.field, p)
+            kind, G = self._kind, self._connection
+            values, jacobian = _pass(self._field, p)
             if kind == "vertical":
                 value = LiftedFieldValue((0.0, 0.0, 0.0), values)
             elif kind == "complete":
-                value = _lifted(kind, values, tuple(_fdot(p.y, row) for row in jacobian))
+                y, (r1, r2, r3) = p.y, jacobian
+                value = _lifted(kind, values, (_fdot(y, r1), _fdot(y, r2), _fdot(y, r3)))
             else:
-                # The entry holds G, so no other connection can take its id
-                # while p lives: a lookup compares by identity.
-                value = G, _lifted(kind, values, tuple(map(operator.neg, G.contract(p.y, values))))
-            results[key] = value
-        return value[1] if kind == "horizontal" else value
+                _keep(p, G)
+                value = _lifted(kind, values, tuple(map(operator.neg, G.contract(p.y, values))))
+            p._kept[self._key] = value
+        return value
 
 
 def lift_field(
@@ -410,23 +427,34 @@ def lift_field(
 
 def apply_field(F: LiftedField, g: tuple[str, FieldSpec], p: TangentPoint) -> float:
     """Directional derivative along F at p of the lift of a scalar function:
-    ``g`` is a pair (kind, FieldSpec) with kind in {'v', 'c'}."""
+    ``g`` is a pair (kind, FieldSpec) with kind in {'v', 'c'}.  The value is
+    kept at p under the scalar's id, the kind as given and F's key."""
     val = F.at(p)
     kind, spec = g
     if not isinstance(spec, FieldSpec) or spec.kind != "scalar":
         raise ValueError("apply_field expects a scalar FieldSpec")
+    key = (id(spec), kind, F._key)
+    value = p._kept.get(key)
+    if value is None:
+        # The reads of _applied keep spec at p.
+        value = p._kept[key] = _applied(F.kind, val, kind, spec, p)
+    return value
+
+
+def _applied(lift: str, val: LiftedFieldValue, kind: str, spec: FieldSpec, p: TangentPoint):
+    """X^lift(spec^kind) at p, where X^lift is ``val`` there."""
     full = _KINDS.get(kind, kind)
     if full == "vertical":
         # g depends on x only, and X^v = (0, X) has no base part: after g's
         # own pass at x, for its errors, X^v(g^v) is 0.
-        if F.kind == "vertical":
+        if lift == "vertical":
             _pass(spec, p)
             return 0.0
         return _dir_deriv(spec, p, val.base)
     if full == "complete":
         # d/dx part needs mixed seconds of f against the fiber coordinate,
         # none for X^v; d/dy part is just grad f against the fiber direction.
-        if F.kind == "vertical":
+        if lift == "vertical":
             return _dir_deriv(spec, p, val.fiber)
         return _mixed_second(spec, p, val.base, p.y) + _dir_deriv(spec, p, val.fiber)
     raise ValueError(f"unknown scalar lift kind {kind!r}")
@@ -472,7 +500,9 @@ def _nan_max(values: list[float]) -> float:
 
 
 def _max_abs_diff(u: LiftedFieldValue, v: Sequence[float]) -> float:
-    return _nan_max([abs(a - b) for a, b in zip(u.as_tuple(), v)])
+    """:func:`_nan_max` of the componentwise ``abs(u - v)``."""
+    diffs = [abs(a - b) for a, b in zip(u.base + u.fiber, v)]
+    return math.nan if math.isnan(sum(diffs)) else max(diffs)
 
 
 def _derived_pass(step, left, right):
@@ -496,6 +526,28 @@ def _derived_pass(step, left, right):
     return _values_and_rows(outs)
 
 
+# The attribute under which a left operand keeps its last composite, by op.
+_LAST_COMPOSITE = {"+": "_last_sum", "*": "_last_scale"}
+
+
+def _composite(p: TangentPoint, op: str, build, left: FieldSpec, right: FieldSpec) -> FieldSpec:
+    """The spec ``build(left, right)``, kept at p with its operands, so the
+    ids in its key stay theirs while p lives.  Across points, ``left`` keeps
+    its last one of ``op`` with the right operand's components, which are
+    the same objects exactly when its trees are."""
+    key = (op, id(left), id(right))
+    entry = p._kept.get(key)
+    if entry is None:
+        attr = _LAST_COMPOSITE[op]
+        last = getattr(left, attr, None)
+        if last is None or last[0] is not getattr(right, "components", None):
+            composite = build(left, right)
+            last = (right.components, composite)
+            object.__setattr__(left, attr, last)
+        entry = p._kept[key] = (last[1], left, right)
+    return entry[0]
+
+
 def prop21_check(
     X: FieldSpec,
     Y: FieldSpec,
@@ -511,60 +563,68 @@ def prop21_check(
     scalar pairings X^v(f^v) = 0, X^c(f^v) = X^v(f^c) = X^H(f^v) = (Xf)^v,
     X^c(f^c) = (Xf)^c, each evaluated for both scalar arguments.
     """
-    res: dict[str, float] = {}
-    kinds = ("vertical", "complete", "horizontal")
+    kept = p._kept
 
-    # X+Y and fX are kept at p with their operands, so the ids in their keys
-    # stay theirs while p lives.  Each pass is derived just before the
-    # composite's first lift, so its error comes before any later one.
-    key = ("+", id(X), id(Y))
-    XY = (p._kept.get(key) or p._kept.setdefault(key, (field_sum(X, Y), X, Y)))[0]
-    kept = _results(XY, p)
-    if "pass" not in kept:
-        kept["pass"] = _derived_pass(_padd, _pass(X, p), _pass(Y, p))
-    FXv, FXc, FXh = FX = [LiftedField(X, kind, G) for kind in kinds]
+    # X+Y and fX are kept at p with their operands.  Each pass is derived
+    # just before the composite's first lift, so its error comes before any
+    # later one.
+    XY = _composite(p, "+", field_sum, X, Y)
+    if (id(XY), "pass") not in kept:
+        kept[_keep(p, XY), "pass"] = _derived_pass(_padd, _pass(X, p), _pass(Y, p))
+    FXv, FXc, FXh = FX = [LiftedField(X, kind, G) for kind in _FULL_KINDS]
+    additivity = []
     for F in FX:
         left = LiftedField(XY, F.kind, G).at(p)
         xa = F.at(p).as_tuple()
         ya = LiftedField(Y, F.kind, G).at(p).as_tuple()
-        res["additivity_" + F.kind[0]] = _max_abs_diff(left, tuple(map(operator.add, xa, ya)))
+        additivity.append(_max_abs_diff(left, list(map(operator.add, xa, ya))))
 
-    key = ("*", id(f), id(X))
-    fX = (p._kept.get(key) or p._kept.setdefault(key, (field_scale(f, X), f, X)))[0]
-    fv = lift_function(f, "v", p)
-    kept = _results(fX, p)
-    if "pass" not in kept:
-        kept["pass"] = _derived_pass(_pmul, _pass(f, p), _pass(X, p))
-    Xv, Xc, Xh = (F.at(p).as_tuple() for F in FX)
-    fXv, fXc, fXh = (LiftedField(fX, kind, G).at(p) for kind in kinds)
+    fX = _composite(p, "*", field_scale, f, X)
+    fv = _pass(f, p)[0][0]
+    if (id(fX), "pass") not in kept:
+        kept[_keep(p, fX), "pass"] = _derived_pass(_pmul, _pass(f, p), _pass(X, p))
+    Xv, Xc, Xh = FXv.at(p).as_tuple(), FXc.at(p).as_tuple(), FXh.at(p).as_tuple()
+    fXv, fXc, fXh = [LiftedField(fX, kind, G).at(p) for kind in _FULL_KINDS]
 
     # Every directional coefficient of f and g read below, from one order-1
     # and one order-2 evaluation per scalar, each one pass per direction:
     # firsts along y (f^c), X and D_y X; seconds along the polarization of
     # (y, X), which (X, y) shares.  They come after fX's lifts: where fX's
     # root overflows, f along X(x) often overflows too, and the error raised
-    # stays fX's.
+    # stays fX's.  They are kept at p together, for a later suite with
+    # these f, g and X.
     xval, dyX = Xv[3:], Xc[3:]
-    seconds = _polarization(p.y, xval)
-    _along(f, p, 1, (p.y, xval, dyX))
-    _along(f, p, 2, seconds)
-    _along(g, p, 1, (xval, dyX))
-    _along(g, p, 2, seconds)
+    key = (id(f), id(g), id(X))
+    coefficients = kept.get(key)
+    if coefficients is None:
+        seconds = _polarization(p.y, xval)
+        coefficients = kept[key] = (
+            _along(f, p, 1, (p.y, xval, dyX)), _along(f, p, 2, seconds),
+            _along(g, p, 1, (xval, dyX)), _along(g, p, 2, seconds))
+    (fc, *f_firsts), f_seconds, g_firsts, g_seconds = coefficients
 
-    fc = lift_function(f, "c", p)
-    res["module_v"] = _max_abs_diff(fXv, tuple(fv * u for u in Xv))
-    res["module_c"] = _max_abs_diff(fXc, tuple(fc * u + fv * w for u, w in zip(Xv, Xc)))
-    res["module_h"] = _max_abs_diff(fXh, tuple(fv * u for u in Xh))
-
-    for scalar, tag in ((f, "f"), (g, "g")):
-        xf_v = _dir_deriv(scalar, p, xval)
-        # (Xf)^c = (D_y X)(x) . grad f(x) + sum y^b X^g d2f/dx^b dx^g
-        xf_c = _fdot(dyX, _pass(scalar, p)[1][0]) + _mixed_second(scalar, p, p.y, xval)
-        res[f"Xv_{tag}v"] = abs(apply_field(FXv, ("v", scalar), p))
-        res[f"Xc_{tag}v"] = abs(apply_field(FXc, ("v", scalar), p) - xf_v)
-        res[f"Xv_{tag}c"] = abs(apply_field(FXv, ("c", scalar), p) - xf_v)
-        res[f"Xc_{tag}c"] = abs(apply_field(FXc, ("c", scalar), p) - xf_c)
-        res[f"XH_{tag}v"] = abs(apply_field(FXh, ("v", scalar), p) - xf_v)
+    res = {
+        "additivity_v": additivity[0],
+        "additivity_c": additivity[1],
+        "additivity_h": additivity[2],
+        "module_v": _max_abs_diff(fXv, [fv * u for u in Xv]),
+        "module_c": _max_abs_diff(fXc, [fc * u + fv * w for u, w in zip(Xv, Xc)]),
+        "module_h": _max_abs_diff(fXh, [fv * u for u in Xh]),
+    }
+    for scalar, firsts, polar, names in (
+        (f, f_firsts, f_seconds, ("Xv_fv", "Xc_fv", "Xv_fc", "Xc_fc", "XH_fv")),
+        (g, g_firsts, g_seconds, ("Xv_gv", "Xc_gv", "Xv_gc", "Xc_gc", "XH_gv")),
+    ):
+        # (Xf)^v is f along X(x); (Xf)^c = (D_y X)(x) . grad f(x) + sum y^b
+        # X^g d2f/dx^b dx^g, the mixed second of (y, X).
+        xf_v = firsts[0]
+        xf_c = _fdot(dyX, _pass(scalar, p)[1][0]) + _polarized(*polar)
+        v, c = ("v", scalar), ("c", scalar)
+        res[names[0]] = abs(apply_field(FXv, v, p))
+        res[names[1]] = abs(apply_field(FXc, v, p) - xf_v)
+        res[names[2]] = abs(apply_field(FXv, c, p) - xf_v)
+        res[names[3]] = abs(apply_field(FXc, c, p) - xf_c)
+        res[names[4]] = abs(apply_field(FXh, v, p) - xf_v)
     return Prop21Result(res)
 
 

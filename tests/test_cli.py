@@ -134,6 +134,13 @@ class TestFrenetCommand:
         err = capsys.readouterr().err
         assert "line 3" in err and "foldable constant exponent" in err
 
+    def test_exponent_folding_to_nan_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "nan.curve"
+        p.write_text("x1 = t\nx2 = t^2\nx3 = t^(1e999-1e999)\nt_min = 0\nt_max = 1\n")
+        assert main(["frenet", "--curve", str(p)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(p) in err and "line 3" in err and "foldable constant exponent" in err
+
     def test_json_format(self, helix_path, tmp_path):
         out = tmp_path / "out.json"
         code = main(["frenet", "--curve", helix_path, "--samples", "2",

@@ -150,6 +150,23 @@ class TestParse:
         with pytest.raises(ParseError, match="foldable"):
             parse_expr(text, {"t"})
 
+    @pytest.mark.parametrize("text, offset", [
+        ("t^(1e999-1e999)", 2), ("t^(0*1e999)", 2), ("t ^ (1e999 - 1e999)", 4),
+        ("t^(-(1e999*0))", 2),
+    ])
+    def test_exponent_folding_to_nan_rejected(self, text, offset):
+        # The float evaluator raises nothing on inf - inf or 0*inf, so the
+        # exponent folded to NaN, which pretty_print could not print.
+        with pytest.raises(ParseError, match="foldable") as exc:
+            parse_expr(text, {"t"})
+        assert exc.value.offset == offset
+
+    @pytest.mark.parametrize("text", ["t^1e999", "t^(-1e999)", "t^(1e999*2)"])
+    def test_infinite_exponent_kept(self, text):
+        node = parse_expr(text, {"t"})
+        assert math.isinf(node.right.value)
+        assert parse_expr(pretty_print(node), {"t"}) == node
+
     def test_exponent_dividing_below_floor_rejected(self):
         # The exponent folds through eval_float, which refuses a divisor
         # below DIV_FLOOR in magnitude as it does in evaluation.

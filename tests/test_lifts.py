@@ -665,7 +665,7 @@ def _one_pass(f, x, d, order=1):
     """Coefficient ``order`` (1 or 2) of s -> f(x + s d) from its own pass."""
     if order == 1:
         return eval_forward(f.components, lifts._points(x, (d,)))[0][0][1]
-    return eval_second(f.components, lifts._points(x, (d,), (0.0,) * 3))[0][0][2]
+    return eval_second(f.components, lifts._points(x, (d,), 2))[0][0][2]
 
 
 def _bits(value):
@@ -701,6 +701,31 @@ def _random_quadruple_or_ast(rng, i):
     return field(3), field(3), field(1), field(1)
 
 
+def _suite_reads(X, Y, f, g, G):
+    """The suite's 22 public reads at a point: the 12 (field, kind) lifts
+    of X, Y, X+Y and fX through LiftedField.at, then the 10 pairings of f
+    and g through apply_field, each a function of the point."""
+    kinds = ("vertical", "complete", "horizontal")
+    specs = [X, Y, field_sum(X, Y), lifts.field_scale(f, X)]
+    reads = [lambda p, F=LiftedField(F, kind, G): F.at(p).as_tuple()
+             for F in specs for kind in kinds]
+    for s in (f, g):
+        for kind, lift in (("vertical", "v"), ("complete", "v"), ("vertical", "c"),
+                           ("complete", "c"), ("horizontal", "v")):
+            reads.append(lambda p, F=LiftedField(X, kind, G), g=(lift, s): apply_field(F, g, p))
+    return reads
+
+
+def _read_bits(read, p):
+    """The bits of one read at p (a NaN as 'nan'), or its error."""
+    try:
+        result = read(p)
+    except ValueError as err:
+        return type(err), str(err), getattr(err, "span", None)
+    values = result if isinstance(result, tuple) else (result,)
+    return tuple("nan" if math.isnan(v) else v.hex() for v in values)
+
+
 class TestPerPointCache:
     def test_suite_matches_uncached_bits(self):
         rng = random.Random(20261018)
@@ -718,14 +743,40 @@ class TestPerPointCache:
                     calls += 1
         assert 0 < raised < calls
 
+    def test_reads_in_any_order_match_canonical_reads(self):
+        # The 12 lifts of X, Y, X+Y and fX and the 10 pairings the suite
+        # reads, each read through the public calls on a fresh point: in
+        # shuffled orders, with or without a suite run first, every read
+        # gives the bits (or the error) of the canonical-order read.
+        rng = random.Random(20261020)
+        raised = reads = 0
+        for i in range(16):
+            X, Y, f, g = _random_quadruple_or_ast(rng, i)
+            G = random_connection(rng)
+            reads_of = _suite_reads(X, Y, f, g, G)
+            for _ in range(3):
+                p = random_tangent_point(rng)
+                want = [_read_bits(read, _fresh(p)) for read in reads_of]
+                for suite_first in (None, Connection.flat(), G):
+                    order = list(range(len(reads_of)))
+                    rng.shuffle(order)
+                    q = _fresh(p)
+                    if suite_first is not None:
+                        _error_of(prop21_check, X, Y, f, g, suite_first, q)
+                    got = {k: _read_bits(reads_of[k], q) for k in order}
+                    assert [got[k] for k in range(len(reads_of))] == want
+                raised += sum(isinstance(w[0], type) for w in want)
+                reads += len(want)
+        assert 0 < raised < reads
+
     def test_default_flat_connection_keeps_one_entry(self):
         X = vector_field("x1*x2 + sin(x3)", "x2^2 - x1", "exp(x1)*x3")
         p = TangentPoint((0.3, -1.2, 0.8), (0.5, -2.0, 1.5))
         for _ in range(3):
             lift_field(X, "h").at(p)
-        kept = lifts._results(X, p)
-        assert [k for k in kept if isinstance(k, tuple) and k[0] == "horizontal"] == [
-            ("horizontal", id(Connection.flat()))]
+        # A horizontal value is kept under the field's and the connection's ids.
+        assert [k for k in p._kept if isinstance(k, tuple) and len(k) == 2
+                and isinstance(k[1], int)] == [(id(X), id(Connection.flat()))]
         assert lift_field(X, "h").connection is Connection.flat()
         assert LiftedCurve(HELIX, LiftKind.complete()).connection is Connection.flat()
 
@@ -735,7 +786,8 @@ class TestPerPointCache:
         d = (0.5, -2.0, 1.5)
         points = [TangentPoint(x, d) for x in ((0.3, -1.2, 0.8), (1.1, 0.4, -0.6), (0.3, -1.2, 0.8))]
         assert points[0].x == points[2].x and points[0] != points[2]
-        want = [(_bits(lifts._field_pass(X, p.x)), _one_pass(f, p.x, d).hex()) for p in points]
+        want = [(_bits(lifts._field_pass(X, _fresh(p))), _one_pass(f, p.x, d).hex())
+                for p in points]
         passes = []
         real = lifts.eval_forward
         monkeypatch.setattr(lifts, "eval_forward",
@@ -758,7 +810,7 @@ class TestPerPointCache:
         pos, neg = (0.0, 1.0, 2.0), (-0.0, 1.0, 2.0)
         fresh = vector_field("x1", "x2*x1", "x3")
         for x in (pos, neg):
-            assert _bits(lifts._pass(X, _at(x))[0]) == _bits(lifts._field_pass(fresh, x)[0])
+            assert _bits(lifts._pass(X, _at(x))[0]) == _bits(lifts._field_pass(fresh, _at(x))[0])
         assert lifts._pass(X, _at(neg))[0][0].hex() == "-0x0.0p+0"
         # Directions too, at one point: a flat horizontal fiber is
         # (-0.0, -0.0, -0.0).
@@ -912,7 +964,8 @@ class TestPerPointCache:
             f = scalar_field("x1*x2")
             p = TangentPoint(x, (1.5, 0.25, -0.5))
             error = _error_of(prop21_check, X, Y, f, f, Connection.flat(), p)
-            composites = [key[0] for key in p._kept if isinstance(key, tuple)]
+            composites = [key[0] for key in p._kept
+                          if isinstance(key, tuple) and key[0] in ("+", "*")]
             operands = (X, Y) if error else (X, Y, f)
             assert composites == ["+", "*"][:len(operands) - 1]
             return p, error, [weakref.ref(s) for s in operands]
@@ -1092,7 +1145,7 @@ class TestCompositePass:
                 assert root.op == op and root.span == (0, 0)
                 # The suite compiled no code of the roots.
                 assert not any(hasattr(root, a) for a in ("_forward", "_second", "_jet"))
-            kept = lifts._results(composite, p).get("pass")
+            kept = p._kept.get((id(composite), "pass"))
             if kept is not None:
                 assert _bits(kept) == _tree_pass(combine(left, right), x)
                 outcomes.append("derived")
