@@ -27,15 +27,15 @@ a power, or that divides by a number below ``DIV_FLOOR`` in magnitude, is a
 ASTs are immutable; source spans (byte offsets into the input) are carried
 for error reporting but ignored by structural equality.
 
-Each AST is compiled once per evaluator, on first evaluation, and the code
-is cached on the node object itself.  Structurally equal nodes at different
+:func:`eval_float` evaluates in plain floats with its own arithmetic, by
+a plain walk of the tree that compiles nothing and caches nothing, apart
+from the others, because it is their oracle.  Its only production use is
+folding constant exponents at parse time.
+
+The other evaluators compile each AST once, on first evaluation, and cache
+the code on the node object itself.  Structurally equal nodes at different
 spans therefore keep separate code, and an error reports the span of the
 node that failed.
-
-:func:`eval_float` evaluates in plain floats with its own arithmetic and
-its own compiler of nested closures, apart from the others, because it is
-their oracle.  Its only production use is folding constant exponents at
-parse time.
 
 The other evaluators share one front end.  A linearizer turns one or more
 trees into one step list (:class:`_Linear`): each distinct subtree once, in
@@ -379,12 +379,12 @@ class _Parser:
 
 
 def _fold_constant(node: ExprAst) -> float:
-    """The value of an exponent, through the float evaluator's own code, so
+    """The value of an exponent, through the float evaluator's walk, so
     folding counts as no :func:`eval_float` call.  A NaN (``1e999-1e999``,
     ``0*1e999``) is no real exponent, and is refused as one that does not
     fold; an infinity is kept."""
     try:
-        value = _compiled(node, "_float", _float_code)({})
+        value = _float_value(node, {})
     except UnknownVariable:
         raise ParseError(node.span[0], "a constant exponent") from None
     except (ValueError, OverflowError):
@@ -425,12 +425,12 @@ def parse_expr(text: str, allowed_vars) -> ExprAst:
 
 # --- evaluation ---------------------------------------------------------------
 #
-# Each evaluator compiles a tree once, cached on the node object under its
-# own attribute: the float evaluator into nested closures, the K-jet and
-# float back ends their program or generated function of the tree's step
-# list.  The cache lives on the object, not in a table keyed by the node:
-# structurally equal nodes compare equal whatever their spans, and each
-# node's code reports its own span.
+# The float evaluator walks the tree on every call and keeps nothing.  The
+# K-jet and float back ends compile a tree once into their program or
+# generated function of its step list, cached on the node object under
+# their own attribute.  The cache lives on the object, not in a table keyed
+# by the node: structurally equal nodes compare equal whatever their spans,
+# and each node's code reports its own span.
 
 
 def _compiled(node: ExprAst, attr: str, compile_node):
@@ -441,23 +441,8 @@ def _compiled(node: ExprAst, attr: str, compile_node):
     return code
 
 
-def _real_pow(base: float, exponent: float) -> float:
-    """``base ** exponent`` where it is real; ValueError where it is not.
-
-    A zero base with a negative exponent and a negative base with a
-    non-integer exponent have no real power: Python raises ZeroDivisionError
-    for the first and returns a complex number for the second.
-    """
-    try:
-        value = base**exponent
-    except ZeroDivisionError:
-        raise ValueError(f"{base!r} to the power {exponent!r}") from None
-    if isinstance(value, complex):
-        raise ValueError(f"{base!r} to the power {exponent!r}")
-    return value
-
-
-# Float evaluator: closures of the bindings, returning a float.
+# Float evaluator: a plain walk of the tree, the left operand before the
+# right, compiling nothing, so it shares no code with the back ends it checks.
 
 _FLOAT_FUNCS = {
     "sin": math.sin,
@@ -471,78 +456,62 @@ _FLOAT_FUNCS = {
 }
 
 
-def _float_code(node: ExprAst):
+def _float_value(node: ExprAst, bindings: Mapping[str, float]) -> float:
     if isinstance(node, Num):
-        value = node.value
-        return lambda b: value
+        return node.value
     if isinstance(node, Var):
-        name, offset = node.name, node.span[0]
-
-        def var(b):
-            try:
-                return float(b[name])
-            except KeyError:
-                raise UnknownVariable(name, offset) from None
-
-        return var
+        try:
+            return float(bindings[node.name])
+        except KeyError:
+            raise UnknownVariable(node.name, node.span[0]) from None
     if isinstance(node, Neg):
-        child = _compiled(node.child, "_float", _float_code)
-        return lambda b: -child(b)
+        return -_float_value(node.child, bindings)
     if isinstance(node, BinOp):
-        left = _compiled(node.left, "_float", _float_code)
-        right = _compiled(node.right, "_float", _float_code)
-        op, span = node.op, node.span
+        left = _float_value(node.left, bindings)
+        right = _float_value(node.right, bindings)
+        op = node.op
         if op == "+":
-            return lambda b: left(b) + right(b)
+            return left + right
         if op == "-":
-            return lambda b: left(b) - right(b)
+            return left - right
         if op == "*":
-            return lambda b: left(b) * right(b)
+            return left * right
         if op == "/":
-
-            def divide(b):
-                num, den = left(b), right(b)
-                if abs(den) < DIV_FLOOR:
-                    err = DivisionByZeroJet(f"denominator {den!r}")
-                    err.span = span
-                    raise err
-                return num / den
-
-            return divide
-
-        def power(b):
-            base, exponent = left(b), right(b)
-            # A negative integer power is the reciprocal of a positive one,
-            # undefined where that one is below DIV_FLOOR, as in the jet kernel.
-            if (exponent < 0.0 and exponent.is_integer() and abs(base) < 1.0
-                    and abs(base ** -exponent) < DIV_FLOOR):
-                raise DomainError("pow", base, span)
-            try:
-                return _real_pow(base, exponent)
-            except (ValueError, OverflowError):
-                raise DomainError("pow", base, span) from None
-
-        return power
+            if abs(right) < DIV_FLOOR:
+                err = DivisionByZeroJet(f"denominator {right!r}")
+                err.span = node.span
+                raise err
+            return left / right
+        # A negative integer power is the reciprocal of a positive one,
+        # undefined where that one is below DIV_FLOOR, as in the jet kernel.
+        if (right < 0.0 and right.is_integer() and abs(left) < 1.0
+                and abs(left ** -right) < DIV_FLOOR):
+            raise DomainError("pow", left, node.span)
+        # Python raises ZeroDivisionError for a zero base with a negative
+        # exponent and returns a complex number for a negative base with a
+        # non-integer one: neither has a real power.
+        try:
+            value = left**right
+        except (ZeroDivisionError, ValueError, OverflowError):
+            raise DomainError("pow", left, node.span) from None
+        if isinstance(value, complex):
+            raise DomainError("pow", left, node.span)
+        return value
     if isinstance(node, Call):
-        arg = _compiled(node.arg, "_float", _float_code)
-        name, func, span = node.func, _FLOAT_FUNCS[node.func], node.span
-
-        def call(b):
-            u = arg(b)
-            if (name == "log" and u <= 0.0) or (name == "sqrt" and u < 0.0):
-                raise DomainError(name, u, span)
-            try:
-                return func(u)
-            except (ValueError, OverflowError):
-                raise DomainError(name, u, span) from None
-
-        return call
+        u = _float_value(node.arg, bindings)
+        name = node.func
+        if (name == "log" and u <= 0.0) or (name == "sqrt" and u < 0.0):
+            raise DomainError(name, u, node.span)
+        try:
+            return _FLOAT_FUNCS[name](u)
+        except (ValueError, OverflowError):
+            raise DomainError(name, u, node.span) from None
     raise TypeError(f"not an AST node: {node!r}")
 
 
 def eval_float(ast: ExprAst, bindings: Mapping[str, float]) -> float:
     """Plain floating-point evaluation, independent of the jet code path."""
-    return _compiled(ast, "_float", _float_code)(bindings)
+    return _float_value(ast, bindings)
 
 
 # One step list of several trees, for both back ends.  A structural key names

@@ -173,9 +173,11 @@ class Connection:
     def from_entries(cls, entries: dict[tuple[int, int, int], float]) -> "Connection":
         """Build from 1-based (a, b, g) -> value entries; the rest are 0."""
         g = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
-        for (a, b, c), v in entries.items():
-            if not (1 <= a <= 3 and 1 <= b <= 3 and 1 <= c <= 3):
-                raise ValueError(f"connection indices must be in 1..3, got {(a, b, c)}")
+        for key, v in entries.items():
+            if not (isinstance(key, tuple) and len(key) == 3
+                    and all(type(i) is int and 1 <= i <= 3 for i in key)):
+                raise ValueError(f"gamma indices must each be 1, 2 or 3, got {key!r}")
+            a, b, c = key
             g[a - 1][b - 1][c - 1] = v
         return cls(tuple(tuple(tuple(r) for r in p) for p in g))
 
@@ -740,7 +742,7 @@ def parallel_transport(
         return tuple(w)
     if steps is None:
         steps = TRANSPORT_STEPS_PER_UNIT * (t - curve.t_min)
-    elif steps < 1:
+    elif not steps >= 1:
         raise ValueError("steps must be >= 1")
     _check_transport_steps(steps)
     return tuple(_rk4_segment(G, curve, w, curve.t_min, t, max(1, math.ceil(steps))))
@@ -785,6 +787,8 @@ def fiber_jets(
     recursively, over the nonzero symbols only, in ``Connection._terms``
     order.
     """
+    if order < 0:
+        raise ValueError(f"fiber jets need an order >= 0, got {order}")
     if order > len(base_velocity[0]):
         raise ValueError("base velocity jets too short for requested order")
     W = [[0.0] * (order + 1) for _ in range(3)]

@@ -295,6 +295,17 @@ class TestEval:
             errors.append((exc.value.func, str(exc.value), exc.value.span))
         assert errors == [("pow", f"pow undefined at {t!r}", span)] * 2
 
+    def test_float_evaluation_leaves_nodes_as_parsed(self):
+        # The oracle walks the tree and keeps nothing on its nodes.
+        ast = parse_expr("sin(t)^2 + (1 - t)/t^(1/2) - -log(t)", {"t"})
+        nodes = list(_nodes(ast))
+        parsed = [dict(vars(node)) for node in nodes]
+        for t in (0.5, 2.0):
+            eval_float(ast, {"t": t})
+        with pytest.raises(DomainError):
+            eval_float(ast, {"t": -1.0})
+        assert [vars(node) for node in nodes] == parsed
+
     def test_float_path_matches_order0(self):
         rng = random.Random(7)
         checked = 0
@@ -404,8 +415,9 @@ class TestForward:
 
 
 class TestCompiledSpans:
-    """Compiled code is cached on each node, so equal subtrees at different
-    places report their own spans."""
+    """Compiled code is cached on each node, and the float evaluator reads
+    each node's own span, so equal subtrees at different places report
+    their own spans."""
 
     @pytest.mark.parametrize("inner_first", [False, True])
     def test_equal_subtrees_keep_their_spans(self, inner_first):
