@@ -441,8 +441,7 @@ def _compiled(node: ExprAst, attr: str, compile_node):
     return code
 
 
-# Float evaluator: a plain walk of the tree, the left operand before the
-# right, compiling nothing, so it shares no code with the back ends it checks.
+# Float evaluator: a plain walk of the tree, the left operand before the right.
 
 _FLOAT_FUNCS = {
     "sin": math.sin,
