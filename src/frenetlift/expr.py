@@ -560,16 +560,15 @@ class _Linear(NamedTuple):
 
     ``shape`` holds per entry ``(step, index of its first argument,
     operand entries...)``, and last ``("return", number of arguments, root
-    entries...)``; ``params`` per entry its parameters, with its ``where``
-    last if it has one; ``args`` all the parameters in turn."""
+    entries...)``; ``args`` all the entries' parameters in turn, each
+    entry's with its ``where`` last if it has one."""
 
     shape: tuple
-    params: list
     args: list
 
 
 def _linear(roots) -> _Linear:
-    shape, params, args, entries = [], [], [], {}
+    shape, args, entries = [], [], {}
 
     def enter(node: ExprAst) -> int:
         step, keyed, where, operands = _step(node, enter)
@@ -577,15 +576,13 @@ def _linear(roots) -> _Linear:
         entry = entries.get(key)
         if entry is None:
             entry = entries[key] = len(shape)
-            own = keyed if where is None else (*keyed, where)
             shape.append((step, len(args), *operands))
-            params.append(own)
-            args.extend(own)
+            args.extend(keyed if where is None else (*keyed, where))
         return entry
 
     tops = [enter(root) for root in roots]
     shape.append(("return", len(args), *tops))
-    return _Linear(tuple(shape), params, args)
+    return _Linear(tuple(shape), args)
 
 
 # K-jet back end.  Steps call the Jet kernel through its operators, so
@@ -636,7 +633,8 @@ class _JetProgram:
             steps.append((kernel, x, y, len(values), span))
             return put(None)
 
-        for (step, _, *operands), params in zip(entries, linear.params):
+        for step, first, *operands in entries:
+            params = linear.args[first:first + 2]  # no step has more than two
             u = [slots[entry] for entry in operands]
             if step == "num":
                 slot = put(params[0])

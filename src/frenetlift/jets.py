@@ -706,10 +706,12 @@ def fd_oracle(
         raise ValueError("fd_oracle supports derivative orders 1..3")
     if h is None:
         h = FD_DEFAULT_STEP[k]
-    # Nudge h so t0 + h is exactly representable relative to t0.
+    # Nudge h so t0 + h is exactly representable relative to t0.  A step
+    # below the float spacing at t0 would leave every stencil on t0.
     adjusted = (t0 + h) - t0
-    if adjusted != 0.0:
-        h = adjusted
+    if not (math.isfinite(adjusted) and t0 + adjusted / 2 != t0 and t0 - adjusted / 2 != t0):
+        raise ValueError(f"fd_oracle step h={h!r} does not move t0={t0!r}")
+    h = adjusted
     coarse = _central(f, t0, k, h)
     fine = _central(f, t0, k, h * 0.5)
     return (4.0 * fine - coarse) / 3.0

@@ -27,9 +27,9 @@ as long as it lives, in one table with one entry per quantity, so a read
 that finds its entry is one lookup: the axis bindings, a spec's pass, a
 lifted value under its :class:`LiftedField`'s key, a scalar's first or
 second coefficient along a direction (keyed on its bits), an
-:func:`apply_field` value, and :func:`prop21_check`'s composites and
-directional coefficients.  An object whose id is in a key is kept in the
-table too, so no other object takes the id while the point lives.  Two
+:func:`apply_field` value, and :func:`prop21_check`'s composites.  An
+object whose id is in a key is kept in the table too, so no other object
+takes the id while the point lives.  Two
 points with equal x share nothing, so a point holds memory in proportion
 to the distinct (field, connection) pairs asked about it; the ``fields``
 and ``verify`` commands hold one point at a time.  :func:`prop21_check`
@@ -503,8 +503,7 @@ def _nan_max(values: list[float]) -> float:
 
 def _max_abs_diff(u: LiftedFieldValue, v: Sequence[float]) -> float:
     """:func:`_nan_max` of the componentwise ``abs(u - v)``."""
-    diffs = [abs(a - b) for a, b in zip(u.base + u.fiber, v)]
-    return math.nan if math.isnan(sum(diffs)) else max(diffs)
+    return _nan_max([abs(a - b) for a, b in zip(u.base + u.fiber, v)])
 
 
 def _derived_pass(step, left, right):
@@ -593,17 +592,13 @@ def prop21_check(
     # firsts along y (f^c), X and D_y X; seconds along the polarization of
     # (y, X), which (X, y) shares.  They come after fX's lifts: where fX's
     # root overflows, f along X(x) often overflows too, and the error raised
-    # stays fX's.  They are kept at p together, for a later suite with
-    # these f, g and X.
+    # stays fX's.  _along keeps each under its direction at p.
     xval, dyX = Xv[3:], Xc[3:]
-    key = (id(f), id(g), id(X))
-    coefficients = kept.get(key)
-    if coefficients is None:
-        seconds = _polarization(p.y, xval)
-        coefficients = kept[key] = (
-            _along(f, p, 1, (p.y, xval, dyX)), _along(f, p, 2, seconds),
-            _along(g, p, 1, (xval, dyX)), _along(g, p, 2, seconds))
-    (fc, *f_firsts), f_seconds, g_firsts, g_seconds = coefficients
+    seconds = _polarization(p.y, xval)
+    fc, *f_firsts = _along(f, p, 1, (p.y, xval, dyX))
+    f_seconds = _along(f, p, 2, seconds)
+    g_firsts = _along(g, p, 1, (xval, dyX))
+    g_seconds = _along(g, p, 2, seconds)
 
     res = {
         "additivity_v": additivity[0],
@@ -787,8 +782,8 @@ def fiber_jets(
     recursively, over the nonzero symbols only, in ``Connection._terms``
     order.
     """
-    if order < 0:
-        raise ValueError(f"fiber jets need an order >= 0, got {order}")
+    if type(order) is not int or order < 0:
+        raise ValueError(f"fiber jets need an order >= 0, got {order!r}")
     if order > len(base_velocity[0]):
         raise ValueError("base velocity jets too short for requested order")
     W = [[0.0] * (order + 1) for _ in range(3)]

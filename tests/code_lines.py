@@ -4,7 +4,9 @@ For each module in ``src/frenetlift`` this prints the ``wc -l`` count and
 the tokenize count of code lines: the lines that hold at least one token
 other than a comment, a line break, an indent or a docstring.  A docstring
 is a string statement standing alone as the first statement of a module,
-class or function.  The last line gives both totals.  It needs no pytest:
+class or function.  The ``total`` line gives both totals, and the two lines
+after it the same totals over ``tests/*.py`` and ``perfbench/*.py``.  It
+needs no pytest:
 
     python tests/code_lines.py
 """
@@ -15,7 +17,8 @@ import sys
 import tokenize
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "frenetlift"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "frenetlift"
 
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
            tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -42,15 +45,23 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def counts(path: Path) -> tuple[int, int]:
+    """The ``wc -l`` count and the code lines of one file."""
+    source = path.read_text(encoding="utf-8")
+    return source.count("\n"), code_lines(source)
+
+
 def main() -> int:
     total_wc = total_code = 0
     for path in sorted(SRC.glob("*.py")):
-        source = path.read_text(encoding="utf-8")
-        wc, code = source.count("\n"), code_lines(source)
+        wc, code = counts(path)
         total_wc += wc
         total_code += code
         print(f"{path.name:20} {wc:6} {code:6}")
     print(f"{'total':20} {total_wc:6} {total_code:6}")
+    for folder in ("tests", "perfbench"):
+        wc, code = map(sum, zip(*map(counts, sorted((ROOT / folder).glob("*.py")))))
+        print(f"{folder + '/*.py':20} {wc:6} {code:6}")
     return 0
 
 

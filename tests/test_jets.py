@@ -382,6 +382,15 @@ class TestFdOracle:
         with pytest.raises(ValueError):
             fd_oracle(math.sin, 0.0, 4)
 
+    @pytest.mark.parametrize("t0, k, h", [
+        (1.0, 1, 3e-16), (1.0, 1, 1e-20), (1.0, 2, 0.0), (1.0, 1, math.nan),
+        (1.0, 3, math.inf), (1e300, 1, 1e-5), (math.inf, 1, 1e-5),
+    ])
+    def test_rejects_step_that_does_not_move_t0(self, t0, k, h):
+        # Below the float spacing at t0, every stencil reads f(t0).
+        with pytest.raises(ValueError, match=r"^fd_oracle step h=\S+ does not move t0="):
+            fd_oracle(math.sin, t0, k, h)
+
 
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 coeff_lists = st.lists(finite, min_size=6, max_size=6)

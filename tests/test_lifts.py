@@ -425,8 +425,9 @@ class TestCurveLifts:
         with pytest.raises(ValueError):
             LiftKind("horizontal")
 
-    @pytest.mark.parametrize("order", [-1, -2])
+    @pytest.mark.parametrize("order", [-1, -2, 1.5, 2.0, "2", True])
     def test_fiber_jets_negative_order_refused(self, order):
+        # Any order but an int >= 0 is refused, a bool too.
         vel = tuple(cs[1:] for cs in curve_point_jets(HELIX, 0.5, 3))
         with pytest.raises(ValueError, match="^fiber jets need an order >= 0"):
             fiber_jets(Connection.from_entries({(1, 2, 3): 0.3}), vel, (1.0, 0.0, 0.0), order)
