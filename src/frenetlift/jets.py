@@ -702,7 +702,7 @@ def fd_oracle(
     cancel, leaving an O(h**4) truncation error.  Independent of the jet
     code by construction: callers compare the two.
     """
-    if k not in (1, 2, 3):
+    if type(k) is not int or k not in (1, 2, 3):
         raise ValueError("fd_oracle supports derivative orders 1..3")
     if h is None:
         h = FD_DEFAULT_STEP[k]

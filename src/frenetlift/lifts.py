@@ -786,6 +786,8 @@ def fiber_jets(
         raise ValueError(f"fiber jets need an order >= 0, got {order!r}")
     if order > len(base_velocity[0]):
         raise ValueError("base velocity jets too short for requested order")
+    if len(w_value) != 3:
+        raise ValueError(f"fiber jets need a 3-component fiber value, got {len(w_value)}")
     W = [[0.0] * (order + 1) for _ in range(3)]
     for a in range(3):
         W[a][0] = float(w_value[a])

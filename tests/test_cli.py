@@ -368,21 +368,124 @@ class TestVerifyCommand:
         payload = json.loads(out.read_text(), parse_constant=_no_constant)
         assert [(item["value"], item["bound"]) for item in payload] == [(None, 1.0), (0.5, None)]
 
-    def test_nan_suite_residual_fails(self, capsys, monkeypatch):
-        # One NaN residual among the suite's points, not the first one,
-        # fails prop21_max_residual; a max() fold would drop it.
-        calls = []
+    @staticmethod
+    def _counted(monkeypatch, tmp_path, act):
+        """Patch verify's prop21_check to log each call's pid, point and
+        connection to a file, so that a forked child's calls count too, then
+        call ``act(n, parent, args)`` with the call's number in the suite;
+        returns the log's path."""
+        log, parent, own = tmp_path / "calls.log", os.getpid(), []
 
         def suite(*args):
-            calls.append(args)
-            return lifts.Prop21Result({"module_c": math.nan if len(calls) == 5 else 0.0})
+            own.append(None)
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {args[5].x + args[5].y} {args[4].is_flat}\n")
+            # A forked child evaluates the second half of the 4000 calls.
+            forked = os.getpid() != parent
+            return act(len(own) + (2000 if forked else 0), parent, args)
 
         monkeypatch.setattr(verify, "prop21_check", suite)
+        return log
+
+    @staticmethod
+    def _pids(log) -> list[int]:
+        return [int(line.split(" ", 1)[0]) for line in log.read_text().splitlines()]
+
+    def test_split_evaluates_the_serial_calls(self, monkeypatch, tmp_path):
+        # The parent's calls, then the child's, are the serial run's calls.
+        zero = lifts.Prop21Result({"module_c": 0.0})
+        logs = []
+        for fork in (True, False):
+            if not fork:
+                monkeypatch.delattr(os, "fork")
+            run = tmp_path / str(fork)
+            run.mkdir()
+            logs.append(self._counted(monkeypatch, run, lambda n, parent, args: zero))
+            assert main(["verify", "--samples", "7"]) == EXIT_OK
+        split, serial = ([line.split(" ", 1) for line in log.read_text().splitlines()]
+                         for log in logs)
+        assert len(serial) == 4000
+        assert ([call for pid, call in split if int(pid) == os.getpid()]
+                + [call for pid, call in split if int(pid) != os.getpid()]
+                == [call for pid, call in serial])
+
+    @pytest.mark.parametrize("nan_at", [5, 15 * 200 + 7], ids=["parent_share", "child_share"])
+    def test_nan_suite_residual_fails(self, capsys, monkeypatch, tmp_path, nan_at):
+        # One NaN residual among the suite's points, not the first one,
+        # fails prop21_max_residual; a max() fold would drop it.  Call 5 is
+        # in quad 0, the parent's share, and call 3007 in quad 15, the
+        # child's share.
+        log = self._counted(monkeypatch, tmp_path, lambda n, parent, args: lifts.Prop21Result(
+            {"module_c": math.nan if n == nan_at else 0.0}))
         assert main(["verify", "--samples", "7"]) == EXIT_VERIFY_FAILED
         lines = capsys.readouterr().out.splitlines()
         assert [line for line in lines if line.startswith("FAIL")] == [
             "FAIL prop21_max_residual: value=nan bound <= 1.000000e-10"]
-        assert len(calls) == 4000
+        pids = self._pids(log)
+        assert len(pids) == 4000
+        if verify._can_fork():
+            assert pids.count(os.getpid()) == 2000
+
+    @pytest.fixture(scope="class")
+    def unpatched_lines(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("verify") / "verify.txt"
+        assert main(["verify", "--samples", "7", "--out", str(out)]) == EXIT_OK
+        return out.read_text().splitlines()
+
+    @pytest.mark.parametrize("how", ["raise", "exit"])
+    def test_failing_child_is_redone_in_parent(self, how, monkeypatch, tmp_path,
+                                               unpatched_lines):
+        # A child that raises or exits non-zero reports nothing; the parent
+        # evaluates the child's share itself and prints the serial lines.
+        real = verify.prop21_check
+
+        def act(n, parent, args):
+            if os.getpid() != parent:
+                if how == "exit":
+                    os._exit(3)
+                raise RuntimeError("child share")
+            return real(*args)
+
+        log = self._counted(monkeypatch, tmp_path, act)
+        out = tmp_path / "verify.txt"
+        assert main(["verify", "--samples", "7", "--out", str(out)]) == EXIT_OK
+        assert out.read_text().splitlines() == unpatched_lines
+        assert self._pids(log).count(os.getpid()) == 4000
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_parent_error_propagates_and_child_is_reaped(self, error, monkeypatch, tmp_path):
+        def act(n, parent, args):
+            if os.getpid() == parent and n == 3:
+                raise error("parent share")
+            return lifts.Prop21Result({"module_c": 0.0})
+
+        self._counted(monkeypatch, tmp_path, act)
+        out = tmp_path / "verify.txt"
+        with pytest.raises(error, match="^parent share$"):
+            main(["verify", "--samples", "7", "--out", str(out)])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["no_fork", "one_cpu", "other_thread"])
+    def test_serial_suite_without_fork(self, case, monkeypatch, tmp_path, unpatched_lines):
+        # The suite forks only with os.fork, a second CPU and no other
+        # thread; otherwise this process evaluates both halves in order.
+        if case == "no_fork":
+            monkeypatch.delattr(os, "fork")
+        elif case == "one_cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        else:
+            monkeypatch.setattr(threading, "active_count", lambda: 2)
+        real = verify.prop21_check
+        log = self._counted(monkeypatch, tmp_path, lambda n, parent, args: real(*args))
+        out = tmp_path / "verify.txt"
+        assert main(["verify", "--samples", "7", "--out", str(out)]) == EXIT_OK
+        assert out.read_text().splitlines() == unpatched_lines
+        assert self._pids(log) == [os.getpid()] * 4000
 
     def test_unknown_tolerance_exits_2(self):
         assert main(["verify", "--tol", "bogus=1"]) == EXIT_INPUT

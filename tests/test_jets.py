@@ -382,6 +382,12 @@ class TestFdOracle:
         with pytest.raises(ValueError):
             fd_oracle(math.sin, 0.0, 4)
 
+    @pytest.mark.parametrize("k", [True, False, 1.0, 2.0, 3.0, "2", None, 0, -1])
+    def test_rejects_order_not_an_int_in_range(self, k):
+        # Any order but an int in 1..3 is refused, a bool or an equal float too.
+        with pytest.raises(ValueError, match=r"^fd_oracle supports derivative orders 1\.\.3$"):
+            fd_oracle(math.sin, 1.0, k, 1e-4)
+
     @pytest.mark.parametrize("t0, k, h", [
         (1.0, 1, 3e-16), (1.0, 1, 1e-20), (1.0, 2, 0.0), (1.0, 1, math.nan),
         (1.0, 3, math.inf), (1e300, 1, 1e-5), (math.inf, 1, 1e-5),

@@ -432,6 +432,13 @@ class TestCurveLifts:
         with pytest.raises(ValueError, match="^fiber jets need an order >= 0"):
             fiber_jets(Connection.from_entries({(1, 2, 3): 0.3}), vel, (1.0, 0.0, 0.0), order)
 
+    @pytest.mark.parametrize("w_value", [(1.0,), (1.0, 0.0), (1.0, 0.0, 0.0, 5.0), ()])
+    def test_fiber_jets_fiber_value_of_other_length_refused(self, w_value):
+        # Fewer than 3 components used to fail on an index, more were cut.
+        with pytest.raises(ValueError, match=f"^fiber jets need a 3-component fiber value, "
+                                             f"got {len(w_value)}$"):
+            fiber_jets(Connection.flat(), [(1.0,), (0.0,), (0.0,)], w_value, 1)
+
 
 class TestConnectionFile:
     def test_entries(self):
