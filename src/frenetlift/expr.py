@@ -83,7 +83,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import cos, isfinite, sin  # noqa: F401  (read by generated code)
 from types import CodeType, FunctionType
-from typing import Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple
 
 from .jets import (
     DIV_FLOOR,
@@ -205,7 +205,7 @@ class Call:
     span: Span = field(compare=False, default=(0, 0))
 
 
-ExprAst = Union[Num, Var, Neg, BinOp, Call]
+ExprAst = Num | Var | Neg | BinOp | Call
 
 
 # --- tokenizer ---------------------------------------------------------------

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -368,63 +369,74 @@ class TestVerifyCommand:
         payload = json.loads(out.read_text(), parse_constant=_no_constant)
         assert [(item["value"], item["bound"]) for item in payload] == [(None, 1.0), (0.5, None)]
 
+    ZERO = lifts.Prop21Result({"module_c": 0.0})
+
     @staticmethod
     def _counted(monkeypatch, tmp_path, act):
         """Patch verify's prop21_check to log each call's pid, point and
         connection to a file, so that a forked child's calls count too, then
-        call ``act(n, parent, args)`` with the call's number in the suite;
-        returns the log's path."""
-        log, parent, own = tmp_path / "calls.log", os.getpid(), []
+        return ``act(call, parent, args)``, with ``call`` the logged point and
+        connection; returns the log's path."""
+        log, parent = tmp_path / "calls.log", os.getpid()
 
         def suite(*args):
-            own.append(None)
+            call = f"{args[5].x + args[5].y} {args[4].is_flat}"
             with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {args[5].x + args[5].y} {args[4].is_flat}\n")
-            # A forked child evaluates the second half of the 4000 calls.
-            forked = os.getpid() != parent
-            return act(len(own) + (2000 if forked else 0), parent, args)
+                fh.write(f"{os.getpid()} {call}\n")
+            return act(call, parent, args)
 
         monkeypatch.setattr(verify, "prop21_check", suite)
         return log
 
     @staticmethod
-    def _pids(log) -> list[int]:
-        return [int(line.split(" ", 1)[0]) for line in log.read_text().splitlines()]
+    def _calls(log) -> list[tuple[int, str]]:
+        return [(int(pid), call) for pid, call in
+                (line.split(" ", 1) for line in log.read_text().splitlines())]
 
-    def test_split_evaluates_the_serial_calls(self, monkeypatch, tmp_path):
-        # The parent's calls, then the child's, are the serial run's calls.
-        zero = lifts.Prop21Result({"module_c": 0.0})
-        logs = []
-        for fork in (True, False):
-            if not fork:
-                monkeypatch.delattr(os, "fork")
-            run = tmp_path / str(fork)
-            run.mkdir()
-            logs.append(self._counted(monkeypatch, run, lambda n, parent, args: zero))
+    def _pids(self, log) -> list[int]:
+        return [pid for pid, _ in self._calls(log)]
+
+    @pytest.fixture(scope="class")
+    def serial_calls(self, tmp_path_factory):
+        """The suite's calls in a run in one process, in order: quad k
+        makes calls 200k to 200k + 199."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delattr(os, "fork")
+            log = self._counted(mp, tmp_path_factory.mktemp("serial"),
+                                lambda call, parent, args: self.ZERO)
             assert main(["verify", "--samples", "7"]) == EXIT_OK
-        split, serial = ([line.split(" ", 1) for line in log.read_text().splitlines()]
-                         for log in logs)
-        assert len(serial) == 4000
-        assert ([call for pid, call in split if int(pid) == os.getpid()]
-                + [call for pid, call in split if int(pid) != os.getpid()]
-                == [call for pid, call in serial])
+        return [call for _, call in self._calls(log)]
 
-    @pytest.mark.parametrize("nan_at", [5, 15 * 200 + 7], ids=["parent_share", "child_share"])
-    def test_nan_suite_residual_fails(self, capsys, monkeypatch, tmp_path, nan_at):
+    def test_split_evaluates_the_serial_calls(self, monkeypatch, tmp_path, serial_calls):
+        # Each process makes a quad's 200 calls in a row; those runs, put in
+        # the order of their quads, are the serial run's calls.
+        log = self._counted(monkeypatch, tmp_path, lambda call, parent, args: self.ZERO)
+        assert main(["verify", "--samples", "7"]) == EXIT_OK
+        assert len(serial_calls) == 4000
+        quads = [serial_calls[i:i + 200] for i in range(0, 4000, 200)]
+        by_pid = {}
+        for pid, call in self._calls(log):
+            by_pid.setdefault(pid, []).append(call)
+        runs = [calls[i:i + 200] for calls in by_pid.values() for i in range(0, len(calls), 200)]
+        assert all(run in quads for run in runs)
+        assert [call for run in sorted(runs, key=quads.index) for call in run] == serial_calls
+        if verify._can_fork():
+            assert len(by_pid) == 2
+
+    @pytest.mark.parametrize("nan_at", [5, 15 * 200 + 7], ids=["quad_0", "quad_15"])
+    def test_nan_suite_residual_fails(self, capsys, monkeypatch, tmp_path, serial_calls, nan_at):
         # One NaN residual among the suite's points, not the first one,
         # fails prop21_max_residual; a max() fold would drop it.  Call 5 is
-        # in quad 0, the parent's share, and call 3007 in quad 15, the
-        # child's share.
-        log = self._counted(monkeypatch, tmp_path, lambda n, parent, args: lifts.Prop21Result(
-            {"module_c": math.nan if n == nan_at else 0.0}))
+        # in quad 0 and call 3007 in quad 15, whichever process makes it.
+        log = self._counted(monkeypatch, tmp_path, lambda call, parent, args: lifts.Prop21Result(
+            {"module_c": math.nan if call == serial_calls[nan_at] else 0.0}))
         assert main(["verify", "--samples", "7"]) == EXIT_VERIFY_FAILED
         lines = capsys.readouterr().out.splitlines()
         assert [line for line in lines if line.startswith("FAIL")] == [
             "FAIL prop21_max_residual: value=nan bound <= 1.000000e-10"]
         pids = self._pids(log)
         assert len(pids) == 4000
-        if verify._can_fork():
-            assert pids.count(os.getpid()) == 2000
+        assert [pids.count(pid) % 200 for pid in set(pids)] == [0] * len(set(pids))
 
     @pytest.fixture(scope="class")
     def unpatched_lines(self, tmp_path_factory):
@@ -439,7 +451,7 @@ class TestVerifyCommand:
         # evaluates the child's share itself and prints the serial lines.
         real = verify.prop21_check
 
-        def act(n, parent, args):
+        def act(call, parent, args):
             if os.getpid() != parent:
                 if how == "exit":
                     os._exit(3)
@@ -456,23 +468,92 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_parent_error_propagates_and_child_is_reaped(self, error, monkeypatch, tmp_path):
-        def act(n, parent, args):
-            if os.getpid() == parent and n == 3:
-                raise error("parent share")
-            return lifts.Prop21Result({"module_c": 0.0})
+        # The parser round trip is the costliest check at 7 samples, so the
+        # parent evaluates it while the child runs the suite, which would
+        # take a minute more there: the child is killed, not waited for.
+        parent, slept = os.getpid(), []
 
-        self._counted(monkeypatch, tmp_path, act)
+        def parser_check(saved):
+            raise error("parent share")
+
+        def slow_in_child(*args):
+            if os.getpid() != parent and not slept:
+                slept.append(time.sleep(60))
+            return self.ZERO
+
+        monkeypatch.setattr(verify, "_parser_failures", parser_check)
+        monkeypatch.setattr(verify, "prop21_check", slow_in_child)
         out = tmp_path / "verify.txt"
+        start = time.monotonic()
         with pytest.raises(error, match="^parent share$"):
             main(["verify", "--samples", "7", "--out", str(out)])
+        assert time.monotonic() - start < 30
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert not out.exists()
 
+    def test_earlier_check_error_wins(self, monkeypatch, tmp_path):
+        # The parent's parser round trip fails once the child's jet algebra
+        # check, earlier in check order, has failed: the jet algebra's
+        # error is the one raised, as in a serial run.
+        marker, parent = tmp_path / "jet_algebra.pid", os.getpid()
+
+        def jet_check(saved):
+            with open(marker, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            raise ValueError("jet algebra")
+
+        def parser_check(saved):
+            deadline = time.monotonic() + 60
+            while os.getpid() == parent and not marker.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise RuntimeError("parser")
+
+        monkeypatch.setattr(verify, "_jet_algebra", jet_check)
+        monkeypatch.setattr(verify, "_parser_failures", parser_check)
+        monkeypatch.setattr(verify, "prop21_check", lambda *args: self.ZERO)
+        with pytest.raises(ValueError, match="^jet algebra$"):
+            verify.run_checks(samples=7)
+        pids = [int(pid) for pid in marker.read_text().split()]
+        assert pids[-1] == parent
+        if verify._can_fork():
+            assert pids[0] != parent
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("failing", ["fork", "pipe"])
+    def test_failed_fork_runs_serially(self, failing, monkeypatch, tmp_path, unpatched_lines):
+        # A fork or pipe that fails (no process ids or descriptors left)
+        # evaluates every check in this process, leaving no descriptor
+        # open; it is not a write error of --out.
+        fds = len(os.listdir("/proc/self/fd"))
+        pipe = os.pipe
+        pipes = []
+
+        def fail(*args):
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        def second_pipe_fails():
+            pipes.append(None)
+            return fail() if len(pipes) == 2 else pipe()
+
+        if failing == "fork":
+            monkeypatch.setattr(os, "fork", fail)
+        else:
+            monkeypatch.setattr(os, "pipe", second_pipe_fails)
+        real = verify.prop21_check
+        log = self._counted(monkeypatch, tmp_path, lambda call, parent, args: real(*args))
+        out = tmp_path / "verify.txt"
+        assert main(["verify", "--samples", "7", "--out", str(out)]) == EXIT_OK
+        assert out.read_text().splitlines() == unpatched_lines
+        assert self._pids(log) == [os.getpid()] * 4000
+        assert len(os.listdir("/proc/self/fd")) == fds
+
     @pytest.mark.parametrize("case", ["no_fork", "one_cpu", "other_thread"])
     def test_serial_suite_without_fork(self, case, monkeypatch, tmp_path, unpatched_lines):
-        # The suite forks only with os.fork, a second CPU and no other
-        # thread; otherwise this process evaluates both halves in order.
+        # verify forks only with os.fork, a second CPU and no other thread;
+        # otherwise this process evaluates every check in order.
         if case == "no_fork":
             monkeypatch.delattr(os, "fork")
         elif case == "one_cpu":
@@ -481,7 +562,7 @@ class TestVerifyCommand:
         else:
             monkeypatch.setattr(threading, "active_count", lambda: 2)
         real = verify.prop21_check
-        log = self._counted(monkeypatch, tmp_path, lambda n, parent, args: real(*args))
+        log = self._counted(monkeypatch, tmp_path, lambda call, parent, args: real(*args))
         out = tmp_path / "verify.txt"
         assert main(["verify", "--samples", "7", "--out", str(out)]) == EXIT_OK
         assert out.read_text().splitlines() == unpatched_lines

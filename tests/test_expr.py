@@ -3,11 +3,15 @@
 import contextlib
 import itertools
 import math
+import os
 import random
 import struct
+import subprocess
+import sys
 
 import pytest
 
+import frenetlift
 from frenetlift.expr import (
     MAX_DEPTH,
     MAX_NESTING,
@@ -809,3 +813,26 @@ class TestGeneratedCode:
                     == _coeff_outcome(lambda: tree_jet(ast, one, 1).coeffs))
             assert (_coeff_outcome(lambda: eval_second([ast], [{"t": (t, 1.0, 0.0)}])[0][0])
                     == _coeff_outcome(lambda: tree_jet(ast, two, 2).coeffs))
+
+
+_REIMPORT = """
+import gc, importlib, sys, types
+for _ in range(3):
+    for name in [n for n in sys.modules if n == "frenetlift" or n.startswith("frenetlift.")]:
+        del sys.modules[name]
+    importlib.import_module("frenetlift.cli")
+gc.collect()
+print(sum(isinstance(o, types.FunctionType) and o.__module__ == "frenetlift.expr"
+          and o.__name__ == "parse_expr" for o in gc.get_objects()))
+"""
+
+
+def test_reimport_leaves_one_live_expr_copy():
+    # A purged copy of the package must be collectable once re-imported: a
+    # typing.Union over the AST classes stays in typing's cache, and kept
+    # each old copy's classes, their __init__ and so the old module alive.
+    src = os.path.dirname(os.path.dirname(frenetlift.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _REIMPORT], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["1"]
