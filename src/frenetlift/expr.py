@@ -41,15 +41,19 @@ The other evaluators share one front end.  A linearizer turns one or more
 trees into one step list (:class:`_Linear`): each distinct subtree once, in
 the order a tree walk first meets it, with the spans of its first
 occurrence, so a shared step fails only where the walk would fail first.
-Two back ends run the list:
+Three back ends run the list:
 
-- The K-jet back end (:class:`_JetProgram`) runs the steps in order
-  through the :class:`Jet` kernel calls a tree walk makes, so every bit is
-  the same.  Each number builds its constant jet once per order, and sin
-  and cos of one argument share one recurrence.  :func:`eval_jet` runs one
-  tree's program.  A curve's three components run as one program, cached
-  on the :class:`CurveSpec` (:func:`_curve_jets`), so each subexpression
-  they share runs once per point.
+- The K-jet back end (:class:`_JetProgram`) runs the steps of one tree in
+  order through the :class:`Jet` kernel calls a tree walk makes, so every
+  bit is the same.  Each number builds its constant jet once per order,
+  and sin and cos of one argument share one recurrence.  :func:`eval_jet`
+  runs it.
+- The curve back end (:func:`_curve_source`) writes a curve's three
+  components as one generated function of t per order K: per step, the
+  float steps, finiteness test and error of the Jet kernel call the K-jet
+  back end makes.  It is made once per curve and order on the
+  :class:`CurveSpec` (:func:`_curve_jets`), so each subexpression the
+  components share runs once per point.
 - The float back end (:class:`_Emitted`) writes the list as one generated
   Python function of straight-line code: per step, a few flat lines that
   repeat the float steps and the per-operation finiteness test of the jet
@@ -68,9 +72,10 @@ Two back ends run the list:
   order-1 jet, it runs the forward function on the jets' coefficient
   pairs, which gives the same bits and errors.
 
-K-jets run the list instead of generated code because most K-jet trees
-are evaluated only a few times, and compiling their code would cost more
-than running them.
+:func:`eval_jet` runs the list instead of generated code because most of
+its trees are evaluated only a few times, and compiling their code would
+cost more than running them.  A curve is evaluated at every point of a
+grid, so its code repays the compile.
 """
 
 from __future__ import annotations
@@ -80,12 +85,10 @@ import operator
 import re
 import struct
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from math import cos, isfinite, sin  # noqa: F401  (read by generated code)
-from types import CodeType, FunctionType
 from typing import Mapping, NamedTuple
 
-from .jets import (
+from .jets import (  # noqa: F401  (_CODE_CACHE_SIZE and _code: the shared cache)
     DIV_FLOOR,
     DivisionByZeroJet,
     DomainError,
@@ -93,7 +96,12 @@ from .jets import (
     JET_FUNCTIONS,
     JetError,
     NonFiniteJet,
+    _CODE_CACHE_SIZE,
+    _code,
+    _generated,
     _sin_cos,
+    _source,
+    _sum_from_zero,
     jet_pow,
 )
 
@@ -604,7 +612,7 @@ def _bound(b: Mapping, var: tuple):
 
 
 class _JetProgram:
-    """The steps of several trees run in order on one list of values.
+    """The steps of one tree run in order on one list of values.
 
     Slot 0 holds the bindings.  The numbers, variable keys and function
     names fill their slots once, each number's constant jet once per
@@ -615,13 +623,14 @@ class _JetProgram:
     first of them is, with its name and span.
     """
 
-    def __init__(self, roots):
-        linear = _linear(roots)
-        *entries, (_, _, *tops) = linear.shape
+    def __init__(self, root: ExprAst):
+        linear = _linear((root,))
+        *entries, (_, _, top) = linear.shape
         values = self.values = [None]
         self.numbers = []  # the slots of the numbers
         self.by_order: dict[int, list] = {}  # order -> the values before the steps
-        steps, slots, done, pairs = [], [], [], {}
+        steps = self.steps = []
+        slots, pairs = [], {}
         sines = {entry[2] for entry in entries if entry[0] == "sin"}
         paired = sines & {entry[2] for entry in entries if entry[0] == "cos"}
 
@@ -655,16 +664,10 @@ class _JetProgram:
             else:
                 slot = add(_JET_CALLS[step], *u, span=params[0])
             slots.append(slot)
-            done.append(len(steps))
-        # Root i's segment runs the steps its tree adds to those before it.
-        self.segments, start, last = [], 0, -1
-        for top in tops:
-            last = max(last, top)
-            self.segments.append((steps[start:done[last]], slots[top]))
-            start = done[last]
+        self.root = slots[top]
 
-    def run(self, b: Mapping, order: int):
-        """Each root's Jet in turn, on the bindings ``b`` at ``order``."""
+    def run(self, b: Mapping, order: int) -> Jet:
+        """The tree's Jet on the bindings ``b`` at ``order``."""
         v = self.by_order.get(order)
         if v is None:
             v = self.by_order[order] = self.values.copy()
@@ -672,14 +675,13 @@ class _JetProgram:
                 v[slot] = Jet.constant(v[slot], order)
         v = v.copy()
         v[0] = b
-        for segment, root in self.segments:
-            try:
-                for kernel, x, y, slot, span in segment:
-                    v[slot] = kernel(v[x]) if y is None else kernel(v[x], v[y])
-            except JetError as err:
-                err.span = span
-                raise
-            yield v[root]
+        try:
+            for kernel, x, y, slot, span in self.steps:
+                v[slot] = kernel(v[x]) if y is None else kernel(v[x], v[y])
+        except JetError as err:
+            err.span = span
+            raise
+        return v[self.root]
 
 
 def eval_jet(ast: ExprAst, bindings: Mapping[str, Jet]) -> Jet:
@@ -704,8 +706,7 @@ def eval_jet(ast: ExprAst, bindings: Mapping[str, Jet]) -> Jet:
                 code = _FORWARD.code(ast)
             return Jet._of(code(pairs))
     order = next(iter(bindings.values())).order if bindings else 0
-    program = _compiled(ast, "_jet", lambda root: _JetProgram((root,)))
-    return next(program.run(bindings, order))
+    return _compiled(ast, "_jet", _JetProgram).run(bindings, order)
 
 
 # Float arithmetic of one direction, as straight-line generated code.  One
@@ -716,34 +717,8 @@ def eval_jet(ast: ExprAst, bindings: Mapping[str, Jet]) -> Jet:
 # order and meet its finiteness test, on the same total, after each
 # operation, raised with the node's span.  No text of the tree reaches the
 # source: numbers, spans, variable names and jet functions are arguments of
-# a generated factory, so trees of one shape share one compiled code.
-
-# Compiled shapes kept, least recently used dropped first, as ``re`` keeps
-# its patterns.
-_CODE_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=_CODE_CACHE_SIZE)
-def _code(source_of, shape) -> CodeType:
-    """The code of the factory that ``source_of(shape)`` defines."""
-    (code,) = [c for c in compile(source_of(shape), "<generated>", "exec").co_consts
-               if isinstance(c, CodeType)]
-    return code
-
-
-def _generated(source_of, shape, args, namespace: dict):
-    """The function the factory of ``shape`` makes of ``args``, with the
-    globals ``namespace``."""
-    return FunctionType(_code(source_of, shape), namespace)(*args)
-
-
-def _source(nargs: int, signature: str, lines) -> str:
-    """A factory of the names k0, k1, ... (its ``nargs`` arguments) that
-    returns ``def run(signature)`` running ``lines`` flat, one statement
-    line each."""
-    params = ", ".join(f"k{i}" for i in range(nargs))
-    body = "".join(f"  {line}\n" for line in lines)
-    return f"def make({params}):\n def run({signature}):\n{body} return run\n"
+# a generated factory, so trees of one shape share one compiled code, kept
+# in the bounded cache ``jets._code``.
 
 
 def _non_finite(what: str, span: Span | None) -> NonFiniteJet:
@@ -907,6 +882,103 @@ def eval_second(asts, points) -> list:
     return _passes(_SECOND, asts, points)
 
 
+# A curve's K-jet program as straight-line generated code: one function of t
+# per shape of the components' step list and order K.  Each step's lines
+# take the float steps of the Jet kernel call that the K-jet back end makes,
+# meet its finiteness test in the kernel's form (``sum(...)``, or the
+# running total of the convolutions), and raise its error with the step's
+# span.  sin and cos of one argument share one recurrence, made where the
+# first of them is, with its name and span; '^' and the other functions run
+# through the jet kernel.
+
+
+def _tuple(names) -> str:
+    return f"({', '.join(names)},)"
+
+
+def _curve_source(key) -> str:
+    """The source of the factory of a curve's function of t at order K: the
+    components' coefficient tuples, or a JetError with ``component``
+    (0-based) and ``t`` set."""
+    shape, order = key
+    *entries, (_, nargs, *tops) = shape
+    ks = range(order + 1)
+    names, pairs, body = [], {}, []
+    # Root i's segment runs the steps its tree adds to those before it.
+    starts, last = {}, -1
+    for i, top in enumerate(tops):
+        if top > last:
+            starts[last + 1] = i
+            last = top
+    for n, (step, first, *operands) in enumerate(entries):
+        if n in starts:
+            body.append(f"c = {starts[n]}")
+        p0, p1 = f"k{first}", f"k{first + 1}"
+        u, w = ([names[entry] for entry in operands] + [None, None])[:2]
+        r = [f"r{n}_{k}" for k in ks]
+        if step == "num":
+            names.append((p0,) + ("0.0",) * order)
+            continue
+        if step in ("sin", "cos") and operands[0] in pairs:
+            names.append(pairs[operands[0]][step == "cos"])
+            continue
+        names.append(r)
+        if step == "var":
+            body += [f"try: {', '.join(r)}, = b[{p0}]",
+                     f"except KeyError: raise UnknownVariable({p0}, {p1}) from None"]
+        elif step == "neg":
+            body.append("; ".join(f"{r[k]} = -{u[k]}" for k in ks))
+        elif step == "scale":
+            body += ["; ".join(f"{r[k]} = {u[k]} * {p0} + 0.0" for k in ks),
+                     f"if not isfinite(sum({_tuple(r)})): "
+                     f"raise _non_finite('multiplication', {p1})"]
+        elif step in ("+", "-"):
+            what = "addition" if step == "+" else "subtraction"
+            body += ["; ".join(f"{r[k]} = {u[k]} {step} {w[k]}" for k in ks),
+                     f"if not isfinite(sum({_tuple(r)})): raise _non_finite('{what}', {p0})"]
+        elif step == "*":
+            for k in ks:
+                products = (f"{u[j]} * {w[k - j]}" for j in ks[:k + 1])
+                body.append(f"{r[k]} = {_sum_from_zero(products)}")
+            body.append(f"if not isfinite({_sum_from_zero(r)}): "
+                        f"raise _non_finite('multiplication', {p0})")
+        elif step == "/":
+            body.append(f"if abs({w[0]}) < DIV_FLOOR: raise _zero_denominator({w[0]}, {p0})")
+            for k in ks:
+                quotient = u[k]
+                for j in range(k):
+                    quotient = f"({quotient} - {r[j]} * {w[k - j]})"
+                body.append(f"{r[k]} = {quotient} / {w[0]}")
+            body.append(f"if not isfinite({_sum_from_zero(r)}): "
+                        f"raise _non_finite('division', {p0})")
+        elif step in ("sin", "cos"):
+            # _pair_recurrence, with j * u_j formed once per j (1 * u_1 is
+            # u_1); it tests the sine's coefficients, then the cosine's.
+            other = [f"t{n}_{k}" for k in ks]
+            sn, cs = (r, other) if step == "sin" else (other, r)
+            pairs[operands[0]] = (sn, cs)
+            du = [None, u[1] if order else None] + [f"d{n}_{j}" for j in range(2, order + 1)]
+            body += [f"try: {sn[0]} = sin({u[0]}); {cs[0]} = cos({u[0]})",
+                     f"except ValueError: raise DomainError('{step}', {u[0]}, {p0}) from None",
+                     *[f"{du[j]} = {j} * {u[j]}" for j in range(2, order + 1)]]
+            for k in ks[1:]:
+                ss = _sum_from_zero(f"{du[j]} * {cs[k - j]}" for j in ks[1:k + 1])
+                cc = _sum_from_zero(f"{du[j]} * {sn[k - j]}" for j in ks[1:k + 1])
+                body += [f"{sn[k]} = {ss} / {k}", f"{cs[k]} = (-1.0 * {cc}) / {k}"]
+            body.append(f"if not (isfinite(sum({_tuple(sn)})) and isfinite(sum({_tuple(cs)}))): "
+                        f"raise _non_finite('operation', {p0})")
+        elif step == "pow":
+            body.append(f"{', '.join(r)}, = _through_jet(jet_pow, {_tuple(u)}, {p1}, {p0})")
+        else:
+            body.append(f"{', '.join(r)}, = _through_jet({p0}, {_tuple(u)}, {p1})")
+    variable = ("float(t)", "1.0") + ("0.0",) * (order - 1) if order else ("float(t)",)
+    # Each segment's first line sets c, so the component of an error is known.
+    lines = [f"b = {{'t': {_tuple(variable)}}}", "try:", *[f" {line}" for line in body],
+             "except JetError as err: err.component = c; err.t = t; raise",
+             f"return {_tuple(_tuple(names[top]) for top in tops)}"]
+    return _source(nargs, "t", lines)
+
+
 # --- pretty printing -----------------------------------------------------------
 
 _BIN_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
@@ -989,22 +1061,21 @@ class CurveSpec:
 
 
 def _curve_jets(curve: CurveSpec, t: float, order: int) -> tuple[tuple[float, ...], ...]:
-    """Coefficients c_0..c_order of each curve component at t, from one run
-    of the components' :class:`_JetProgram`, built once per curve.
+    """Coefficients c_0..c_order of each curve component at t, from the
+    generated function of the components' step list at this order
+    (:func:`_curve_source`), made once per curve and order.
 
     A :class:`JetError` leaves with ``component`` (0-based) and ``t`` set,
     so the error message can name where evaluation failed.
     """
-    program = _compiled(curve, "_jets", lambda c: _JetProgram(c.components))
-    out = []
-    try:
-        for jet in program.run({"t": Jet.variable(t, order)}, order):
-            out.append(jet.coeffs)
-    except JetError as err:
-        err.component = len(out)
-        err.t = t
-        raise
-    return tuple(out)
+    runs = _compiled(curve, "_jets", lambda c: {})
+    run = runs.get(order)
+    if run is None:
+        linear = _linear(curve.components)
+        Jet.variable(t, order)  # refuses an order as the binding of t would
+        run = runs[order] = _generated(_curve_source, (linear.shape, order), linear.args,
+                                       globals())
+    return run(t)
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,12 @@ second route to the same curvatures (it also serves curves in R^6).
 
 Each route computes only the Taylor coefficients that are read, straight
 from the point jets: the frame runs on order-2 float triples and the
-Gram-Schmidt route on order-1 jets held as value and slope float lists.
-Each vector step (dot, projection and difference, normalisation, cross
-product) runs in one body of ``jets`` that repeats the jet kernel's float
-steps and finiteness tests.  Taylor arithmetic is causal, so every
-coefficient kept has the bits a full-order computation would give.
+Gram-Schmidt route on order-1 jets held as value and slope floats.  Each
+vector step (dot, projection and difference, normalisation, cross
+product) is one body of ``jets`` that repeats the jet kernel's float steps
+and finiteness tests; the Gram-Schmidt runs its steps as one generated
+function per dimension and frame size.  Taylor arithmetic is causal, so
+every coefficient kept has the bits a full-order computation would give.
 
 Torsion is signed by the convention tau = -N . dB/ds; the triple-product
 formula used for the direct computation agrees with it for the binormal
@@ -29,23 +30,28 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
+from math import isfinite, sqrt  # noqa: F401  (read by generated code)
 from typing import Sequence
 
 from .expr import CurveSpec, _curve_jets
-from .jets import (
+from .jets import (  # noqa: F401  (_zero_norm: read by generated code)
     NORM_FLOOR,
     DimensionMismatch,
     NonFiniteJet,
     OrderExceeded,
     RankDeficient,
     ZeroNorm,
+    _cross_lines,
+    _dot_lines,
     _fdot,
-    _pcross,
-    _pdot,
-    _preject,
-    _punit,
+    _generated,
+    _reject_lines,
+    _source,
+    _sum_from_zero,
     _tcross,
     _tunit,
+    _unit_lines,
+    _zero_norm,
     fnorm,
     frame_residuals,
 )
@@ -187,10 +193,11 @@ def curve_point_jets(
     """Taylor coefficients c_0..c_order of the three curve components at t,
     one tuple per component.
 
-    The components run as one K-jet program over one step list with each
-    distinct subexpression once (``expr._JetProgram``), so a subtree they
-    share, or sin and cos of one argument, is evaluated once per point.
-    Bits and errors are those of one :func:`expr.eval_jet` per component.
+    The components run as one generated function over one step list with
+    each distinct subexpression once (``expr._curve_source``), so a subtree
+    they share, or sin and cos of one argument, is evaluated once per
+    point.  Bits and errors are those of one :func:`expr.eval_jet` per
+    component.
     """
     if not curve.t_min <= t <= curve.t_max:
         raise DomainIntervalError(t, curve.domain)
@@ -273,6 +280,10 @@ def frenet_apparatus(
     )
 
 
+# The generated Gram-Schmidt function of each (dimension, frame size) in use.
+_GRAM_SCHMIDT: dict = {}
+
+
 def generalized_frenet(
     pjets: Sequence[Sequence[float]], m: int = 3, rank_tol: float = 1e-9
 ) -> GeneralizedFrame:
@@ -284,13 +295,15 @@ def generalized_frenet(
     ``.matrix`` is read.  Both read only the value and first derivative of
     each frame vector, so coefficients 0 and 1 of each derivative are read
     straight from the point jets and the whole Gram-Schmidt runs on
-    order-1 jets held as a value list and a slope list.  Each vector step (``jets._pdot``,
-    ``_preject``, ``_punit``, ``_pcross``) runs in one body that repeats the
-    float operations and finiteness tests of the order-1 jet kernel, and
-    Taylor arithmetic is causal, so the results are the same bits the
-    full-order jets would carry.  Raises :class:`RankDeficient` with the
-    0-based index of the first derivative that is (numerically) dependent
-    on its predecessors.
+    order-1 jets held as values and slopes.  It runs as one generated
+    function per dimension and m (:func:`_gram_schmidt_source`), built on
+    first use, whose vector steps are the lines of ``jets._dot_lines``,
+    ``_reject_lines``, ``_unit_lines`` and ``_cross_lines``: the float
+    operations and finiteness tests of the order-1 jet kernel.  Taylor
+    arithmetic is causal, so the results are the same bits the full-order
+    jets would carry.  Raises :class:`RankDeficient` with the 0-based index
+    of the first derivative that is (numerically) dependent on its
+    predecessors.
     """
     if m < 2:
         raise ValueError("frame size m must be >= 2")
@@ -301,42 +314,61 @@ def generalized_frenet(
         raise OrderExceeded(
             f"point jets of order {order} cannot support a frame of size {m}"
         )
-    # a[k] is k! c_k per component, by jets._derivative's products applied k
-    # times: k * c_k first, then k - 1 and on down to 2 (a leading 1 * is
-    # exact).  Derivative i has value a[i] and slope a[i + 1].
-    a = [None, [cs[1] for cs in pjets]]
+    run = _GRAM_SCHMIDT.get((dim, m))
+    if run is None:
+        run = _GRAM_SCHMIDT[dim, m] = _generated(_gram_schmidt_source, (dim, m), (), globals())
+    frame, chis, slopes, speed = run(pjets, rank_tol)
+    return GeneralizedFrame(frame=frame, chis=chis, slopes=slopes, speed=speed)
+
+
+def _gram_schmidt_source(key) -> str:
+    """The source of the Gram-Schmidt of ``generalized_frenet`` in dimension
+    ``dim`` with frame size ``m``: a function of the point jets and
+    ``rank_tol`` returning the frame values, chis, slopes and speed."""
+    dim, m = key
+    comps = range(dim)
+    # a[k] holds the names of k! c_k per component, by jets._derivative's
+    # products applied k times: k * c_k first, then k - 1 and on down to 2
+    # (a leading 1 * is exact).  Derivative i has value a[i] and slope
+    # a[i + 1].
+    a = {k: [f"a{k}_{c}" for c in comps] for k in range(1, m + 2)}
+    lines = [f"a1_{c} = pj[{c}][1]" for c in comps]
     for k in range(2, m + 2):
-        col = [k * cs[k] for cs in pjets]
-        for j in range(k - 1, 1, -1):
-            col = [j * x for x in col]
-        a.append(col)
-    speed_val = fnorm(a[1])
-    if speed_val < NORM_FLOOR:
-        raise ZeroSpeed(math.nan)
+        for c in comps:
+            product = f"{k} * pj[{c}][{k}]"
+            for j in range(k - 1, 1, -1):
+                product = f"{j} * ({product})"
+            lines.append(f"a{k}_{c} = {product}")
+    lines += [f"speed = sqrt({_sum_from_zero(f'{x} * {x}' for x in a[1])})",
+              f"if speed < {NORM_FLOOR!r}: raise ZeroSpeed(math.nan)"]
 
     # In R^3 with a full frame the last vector comes from the cross product,
     # which orients the torsion sign; Gram-Schmidt alone would leave it >= 0.
     gs_count = 2 if (dim == 3 and m == 3) else m
-    values: list[list[float]] = []
-    slopes: list[list[float]] = []
+    frame = []
     for i in range(gs_count):
-        dv, dd = a[i + 1], a[i + 2]
-        uv, ud = dv, dd
-        for ev, ed in zip(values, slopes):
-            uv, ud = _preject(uv, ud, ev, ed, _pdot(uv, ud, ev, ed))
-        sq = _pdot(uv, ud, uv, ud)
-        # The first residual is its derivative, whose dot is sq already.
-        ref_sq = _pdot(dv, dd, dv, dd)[0] if i else sq[0]
-        if sq[0] < rank_tol * rank_tol * max(1.0, ref_sq):
-            raise RankDeficient(i)
-        ev, ed = _punit(uv, ud, sq)
-        values.append(ev)
-        slopes.append(ed)
+        d = u = (a[i + 1], a[i + 2])
+        for e in frame:
+            lines += _dot_lines(("sv", "sd"), u, e)
+            u, old = ([f"u{c}" for c in comps], [f"w{c}" for c in comps]), u
+            lines += _reject_lines(u, old, e, ("sv", "sd"))
+        lines += _dot_lines(("sq0", "sq1"), u, u)
+        if i:
+            lines += _dot_lines(("rv", "rd"), d, d)
+        # The first residual is its derivative, whose dot is sq0 already.
+        ref = "rv" if i else "sq0"
+        lines.append(f"if sq0 < rank_tol * rank_tol * max(1.0, {ref}): raise RankDeficient({i})")
+        frame.append(([f"e{i}_{c}" for c in comps], [f"f{i}_{c}" for c in comps]))
+        lines += _unit_lines(frame[-1], u, ("sq0", "sq1"))
     if gs_count < m:
-        ev, ed = _pcross(values[0], slopes[0], values[1], slopes[1])
-        values.append(ev)
-        slopes.append(ed)
+        frame.append((["e2_0", "e2_1", "e2_2"], ["f2_0", "f2_1", "f2_2"]))
+        lines += _cross_lines(frame[-1], frame[0], frame[1])
 
-    chis = tuple([_fdot(slopes[i], values[i + 1]) / speed_val for i in range(m - 1)])
-    return GeneralizedFrame(frame=tuple([tuple(v) for v in values]), chis=chis,
-                            slopes=tuple([tuple(d) for d in slopes]), speed=speed_val)
+    def vectors(names) -> str:
+        return "(" + "".join(f"({', '.join(v)}), " for v in names) + ")"
+
+    chis = [f"{_sum_from_zero(f'{x} * {y}' for x, y in zip(frame[i][1], frame[i + 1][0]))} / speed"
+            for i in range(m - 1)]
+    lines.append(f"return {vectors(v for v, _ in frame)}, ({', '.join(chis)},), "
+                 f"{vectors(d for _, d in frame)}, speed")
+    return _source(0, "pj, rank_tol", lines)

@@ -10,7 +10,9 @@ already, so the kernel wraps them with the private ``Jet._of`` instead.
 Point jets cross the package as tuples of coefficient tuples, one per
 component; vector operations on them run on the order-1 pairs and order-2
 triples below, one body per vector step that repeats the kernel's float
-steps.  :func:`fd_oracle`
+steps.  The steps on pairs are written as source lines of generated
+straight-line code, compiled once per shape (:func:`_generated`), the
+machinery the expression evaluators use too.  :func:`fd_oracle`
 is a finite-difference estimator with one Richardson extrapolation step, kept
 deliberately independent of the jet code path so the two can cross-check
 each other.
@@ -19,7 +21,9 @@ each other.
 from __future__ import annotations
 
 import math
-import operator
+from functools import lru_cache
+from math import isfinite, sqrt  # noqa: F401  (read by generated code)
+from types import CodeType, FunctionType
 from typing import Callable, Iterable, Sequence
 
 __all__ = [
@@ -441,6 +445,41 @@ JET_FUNCTIONS: dict[str, Callable[[Jet], Jet]] = {
 }
 
 
+# --- generated code ---------------------------------------------------------
+#
+# Straight-line code for kernels that run often on one shape of input: a
+# generated factory, compiled once per shape, whose arguments carry what
+# varies within the shape (numbers, spans, names), so no text of an input
+# reaches the source.
+
+# Compiled shapes kept, least recently used dropped first, as ``re`` keeps
+# its patterns.
+_CODE_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_CODE_CACHE_SIZE)
+def _code(source_of, shape) -> CodeType:
+    """The code of the factory that ``source_of(shape)`` defines."""
+    (code,) = [c for c in compile(source_of(shape), "<generated>", "exec").co_consts
+               if isinstance(c, CodeType)]
+    return code
+
+
+def _generated(source_of, shape, args, namespace: dict):
+    """The function the factory of ``shape`` makes of ``args``, with the
+    globals ``namespace``."""
+    return FunctionType(_code(source_of, shape), namespace)(*args)
+
+
+def _source(nargs: int, signature: str, lines) -> str:
+    """A factory of the names k0, k1, ... (its ``nargs`` arguments) that
+    returns ``def run(signature)`` running ``lines`` flat, one statement
+    line each."""
+    params = ", ".join(f"k{i}" for i in range(nargs))
+    body = "".join(f"  {line}\n" for line in lines)
+    return f"def make({params}):\n def run({signature}):\n{body} return run\n"
+
+
 # --- order-1 pairs and vectors of them, order-2 triples ---------------------
 #
 # A pair (v, d) or a triple (v, d, e) holds the coefficients of an order-1 or
@@ -474,97 +513,161 @@ def _padd(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float]
     return v, d
 
 
-def _pdot(av: Sequence[float], ad: Sequence[float],
-          bv: Sequence[float], bd: Sequence[float]) -> tuple[float, float]:
-    """Dot of the vectors of pairs (av, ad) and (bv, bd), as
+# Each vector step on pairs is written once, below, as the source lines of
+# its float steps, finiteness tests and errors over names of floats: a vector
+# of pairs is a list of value names and a list of slope names.  Generated
+# code runs the lines (see _generated): one step on whole operands of one
+# length in the helpers after them, and a whole Gram-Schmidt in one function
+# in frenet.generalized_frenet.  Generated code reads the names isfinite,
+# sqrt, NonFiniteJet and _zero_norm.
+
+
+def _raise(what: str) -> str:
+    return f"raise NonFiniteJet('{what} produced non-finite coefficients')"
+
+
+def _all_finite(values, slopes) -> str:
+    return " and ".join([f"isfinite({v} + {d})" for v, d in zip(values, slopes)])
+
+
+def _dot_lines(out, a, b) -> list[str]:
+    """The pair ``out`` := the dot of the vectors of pairs a and b, as
     ``a[0] * b[0] + a[1] * b[1] + ...`` on order-1 jets: products summed
     left to right, each product tested, then each running sum.  No product
-    is -0.0, so the sums may start from 0.0, and the test of the first sum
-    repeats that of the first product."""
-    isfinite = math.isfinite
-    v = d = 0.0
-    for x, dx, y, dy in zip(av, ad, bv, bd):
-        pv = 0.0 + x * y
-        pd = (0.0 + x * dy) + dx * y
-        if not isfinite(pv + pd):
-            raise NonFiniteJet("multiplication produced non-finite coefficients")
-        v += pv
-        d += pd
-        if not isfinite(v + d):
-            raise NonFiniteJet("addition produced non-finite coefficients")
-    return v, d
+    is -0.0, so the sum may start at the first product, whose test is that
+    of the first sum."""
+    (v, d), (av, ad), (bv, bd) = out, a, b
+    lines = [] if av else [f"{v} = {d} = 0.0"]
+    for i, (x, dx, y, dy) in enumerate(zip(av, ad, bv, bd)):
+        pv, pd = (v, d) if i == 0 else ("pv", "pd")
+        lines += [f"{pv} = 0.0 + {x} * {y}; {pd} = (0.0 + {x} * {dy}) + {dx} * {y}",
+                  f"if not isfinite({pv} + {pd}): {_raise('multiplication')}"]
+        if i:
+            lines += [f"{v} = {v} + pv; {d} = {d} + pd",
+                      f"if not isfinite({v} + {d}): {_raise('addition')}"]
+    return lines
 
 
-def _preject(uv: Sequence[float], ud: Sequence[float], ev: Sequence[float],
-             ed: Sequence[float], s: tuple[float, float]) -> tuple[list, list]:
-    """u - e * s for vectors of pairs u, e and a pair s, as ``u[k] - e[k] * s``
-    on order-1 jets: every product is tested before any difference."""
-    isfinite = math.isfinite
-    s0, s1 = s
-    pv = [0.0 + x * s0 for x in ev]
-    pd = [(0.0 + x * s1) + y * s0 for x, y in zip(ev, ed)]
-    if not all(map(isfinite, map(operator.add, pv, pd))):
-        raise NonFiniteJet("multiplication produced non-finite coefficients")
-    qv = list(map(operator.sub, uv, pv))
-    qd = list(map(operator.sub, ud, pd))
-    if not all(map(isfinite, map(operator.add, qv, qd))):
-        raise NonFiniteJet("subtraction produced non-finite coefficients")
-    return qv, qd
+def _reject_lines(out, u, e, s) -> list[str]:
+    """The vector ``out`` := u - e * s for vectors of pairs u, e and a pair
+    s, as ``u[k] - e[k] * s`` on order-1 jets: every product is tested
+    before any difference.  ``out`` may name u."""
+    (ov, od), (uv, ud), (ev, ed), (s0, s1) = out, u, e, s
+    gv = [f"g{i}" for i in range(len(ev))]
+    gd = [f"h{i}" for i in range(len(ev))]
+    return [*[f"{g} = 0.0 + {x} * {s0}; {h} = (0.0 + {x} * {s1}) + {y} * {s0}"
+              for g, h, x, y in zip(gv, gd, ev, ed)],
+            f"if not ({_all_finite(gv, gd)}): {_raise('multiplication')}",
+            *[f"{q} = {x} - {g}; {r} = {y} - {h}"
+              for q, r, x, y, g, h in zip(ov, od, uv, ud, gv, gd)],
+            f"if not ({_all_finite(ov, od)}): {_raise('subtraction')}"]
 
 
-def _punit(uv: Sequence[float], ud: Sequence[float],
-           sq: tuple[float, float]) -> tuple[list, list]:
-    """u / |u| for a vector of pairs u whose dot with itself is ``sq``, as
-    u times ``Jet.constant(1.0, 1) / n`` for the order-1 norm n: the
-    ``NORM_FLOOR`` test (:class:`ZeroNorm`), ``jet_sqrt``, the reciprocal
-    (the floor keeps n far above ``DIV_FLOOR``), then the products."""
-    s0, s1 = sq
-    if s0 < NORM_FLOOR * NORM_FLOOR:
-        raise ZeroNorm(f"vector norm {math.sqrt(max(s0, 0.0)):.3e} below floor")
-    n0 = math.sqrt(s0)
-    n1 = (s1 - 0.0) / (2.0 * n0)
-    if not math.isfinite(n0 + n1):
-        raise NonFiniteJet("operation produced non-finite coefficients")
-    r0 = 1.0 / n0
-    r1 = (0.0 - r0 * n1) / n0
-    if not math.isfinite(r0 + r1):
-        raise NonFiniteJet("division produced non-finite coefficients")
-    ev = [0.0 + x * r0 for x in uv]
-    ed = [(0.0 + x * r1) + y * r0 for x, y in zip(uv, ud)]
-    if not all(map(math.isfinite, map(operator.add, ev, ed))):
-        raise NonFiniteJet("multiplication produced non-finite coefficients")
-    return ev, ed
+def _unit_lines(out, u, sq) -> list[str]:
+    """The vector ``out`` := u / |u| for a vector of pairs u whose dot with
+    itself is the pair ``sq``, as u times ``Jet.constant(1.0, 1) / n`` for
+    the order-1 norm n: the ``NORM_FLOOR`` test (:class:`ZeroNorm`),
+    ``jet_sqrt``, the reciprocal (the floor keeps n far above
+    ``DIV_FLOOR``), then the products."""
+    (ov, od), (uv, ud), (s0, s1) = out, u, sq
+    return [f"if {s0} < {NORM_FLOOR * NORM_FLOOR!r}: raise _zero_norm({s0})",
+            f"n0 = sqrt({s0}); n1 = ({s1} - 0.0) / (2.0 * n0)",
+            f"if not isfinite(n0 + n1): {_raise('operation')}",
+            "r0 = 1.0 / n0; r1 = (0.0 - r0 * n1) / n0",
+            f"if not isfinite(r0 + r1): {_raise('division')}",
+            *[f"{v} = 0.0 + {x} * r0; {d} = (0.0 + {x} * r1) + {y} * r0"
+              for v, d, x, y in zip(ov, od, uv, ud)],
+            f"if not ({_all_finite(ov, od)}): {_raise('multiplication')}"]
 
 
 # Component k of a cross product is a[i] * b[j] - a[j] * b[i].
 _CROSS_INDICES = ((1, 2), (2, 0), (0, 1))
 
 
+def _cross_lines(out, a, b) -> list[str]:
+    """The vector ``out`` := the cross product of the 3-vectors of pairs a
+    and b, as ``a2 * b3 - a3 * b2`` and its cyclic shifts on order-1 jets:
+    per component, both products tested, then their difference."""
+    (ov, od), (av, ad), (bv, bd) = out, a, b
+    lines = []
+    for v, d, (i, j) in zip(ov, od, _CROSS_INDICES):
+        x, dx, y, dy = av[i], ad[i], bv[j], bd[j]
+        lines += [f"pv = 0.0 + {x} * {y}; pd = (0.0 + {x} * {dy}) + {dx} * {y}",
+                  f"if not isfinite(pv + pd): {_raise('multiplication')}"]
+        x, dx, y, dy = av[j], ad[j], bv[i], bd[i]
+        lines += [f"qv = 0.0 + {x} * {y}; qd = (0.0 + {x} * {dy}) + {dx} * {y}",
+                  f"if not isfinite(qv + qd): {_raise('multiplication')}",
+                  f"{v} = pv - qv; {d} = pd - qd",
+                  f"if not isfinite({v} + {d}): {_raise('subtraction')}"]
+    return lines
+
+
+def _zero_norm(s0: float) -> ZeroNorm:
+    return ZeroNorm(f"vector norm {math.sqrt(max(s0, 0.0)):.3e} below floor")
+
+
+def _sum_from_zero(terms) -> str:
+    """``terms`` added left to right to 0.0, as the kernel's loops and
+    ``_fdot`` add them."""
+    total = "0.0"
+    for term in terms:
+        total = f"({total} + {term})"
+    return total
+
+
+def _pair_step_source(key) -> str:
+    """The source of one step on vectors of pairs of length n, a function
+    of the operands' value and slope lists (and the pair s) returning the
+    result as _pdot, _preject, _punit and _pcross do."""
+    step, n = key
+
+    def vector(name):
+        return [f"{name}{i}" for i in range(n)], [f"{name}d{i}" for i in range(n)]
+
+    a, b, out, s = vector("a"), vector("b"), vector("o"), ("s0", "s1")
+    returned = f"[{', '.join(out[0])}], [{', '.join(out[1])}]"
+    if step == "dot":
+        signature, lines, returned = "av, ad, bv, bd", _dot_lines(s, a, b), "s0, s1"
+    elif step == "reject":
+        signature, lines = "av, ad, bv, bd, s", _reject_lines(out, a, b, s)
+    elif step == "unit":
+        signature, lines = "av, ad, s", _unit_lines(out, a, s)
+    else:
+        signature, lines = "av, ad, bv, bd", _cross_lines(out, a, b)
+    names = {"av": a[0], "ad": a[1], "bv": b[0], "bd": b[1], "s": s}
+    unpack = [f"{', '.join(names[param])}, = {param}"
+              for param in signature.split(", ") if names[param]]
+    return _source(0, signature, unpack + lines + [f"return {returned}"])
+
+
+def _pair_step(step: str, n: int):
+    """The generated function of one pair step on vectors of length n."""
+    return _generated(_pair_step_source, (step, n), (), globals())
+
+
+def _pdot(av: Sequence[float], ad: Sequence[float],
+          bv: Sequence[float], bd: Sequence[float]) -> tuple[float, float]:
+    """Dot of the vectors of pairs (av, ad) and (bv, bd), by ``_dot_lines``."""
+    return _pair_step("dot", len(av))(av, ad, bv, bd)
+
+
+def _preject(uv: Sequence[float], ud: Sequence[float], ev: Sequence[float],
+             ed: Sequence[float], s: tuple[float, float]) -> tuple[list, list]:
+    """u - e * s for vectors of pairs u, e and a pair s, by ``_reject_lines``."""
+    return _pair_step("reject", len(uv))(uv, ud, ev, ed, s)
+
+
+def _punit(uv: Sequence[float], ud: Sequence[float],
+           sq: tuple[float, float]) -> tuple[list, list]:
+    """u / |u| for a vector of pairs u whose dot with itself is ``sq``, by
+    ``_unit_lines``."""
+    return _pair_step("unit", len(uv))(uv, ud, sq)
+
+
 def _pcross(av: Sequence[float], ad: Sequence[float],
             bv: Sequence[float], bd: Sequence[float]) -> tuple[list, list]:
-    """Cross product of two 3-vectors of pairs, as ``a2 * b3 - a3 * b2``
-    and its cyclic shifts on order-1 jets: per component, both products
-    tested, then their difference."""
-    isfinite = math.isfinite
-    ov, od = [], []
-    for i, j in _CROSS_INDICES:
-        x, dx, y, dy = av[i], ad[i], bv[j], bd[j]
-        pv = 0.0 + x * y
-        pd = (0.0 + x * dy) + dx * y
-        if not isfinite(pv + pd):
-            raise NonFiniteJet("multiplication produced non-finite coefficients")
-        x, dx, y, dy = av[j], ad[j], bv[i], bd[i]
-        qv = 0.0 + x * y
-        qd = (0.0 + x * dy) + dx * y
-        if not isfinite(qv + qd):
-            raise NonFiniteJet("multiplication produced non-finite coefficients")
-        v = pv - qv
-        d = pd - qd
-        if not isfinite(v + d):
-            raise NonFiniteJet("subtraction produced non-finite coefficients")
-        ov.append(v)
-        od.append(d)
-    return ov, od
+    """Cross product of two 3-vectors of pairs, by ``_cross_lines``."""
+    return _pair_step("cross", 3)(av, ad, bv, bd)
 
 
 def _tunit(v: Sequence) -> tuple[tuple[float, float, float], tuple]:
@@ -588,7 +691,7 @@ def _tunit(v: Sequence) -> tuple[tuple[float, float, float], tuple]:
         if not isfinite(s0 + s1 + s2):
             raise NonFiniteJet("addition produced non-finite coefficients")
     if s0 < NORM_FLOOR * NORM_FLOOR:
-        raise ZeroNorm(f"vector norm {math.sqrt(max(s0, 0.0)):.3e} below floor")
+        raise _zero_norm(s0)
     n0 = math.sqrt(s0)
     n1 = (s1 - 0.0) / (2.0 * n0)
     n2 = (s2 - (0.0 + n1 * n1)) / (2.0 * n0)

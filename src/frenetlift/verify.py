@@ -225,31 +225,41 @@ def _node_count(ast: ExprAst) -> int:
     return 0
 
 
+def _tame_candidate(rng: random.Random) -> tuple:
+    """One candidate of the tameness filter: an expression and the point
+    drawn for it, or None for a leaf-only expression, which draws none."""
+    ast = _random_tame_expression(rng, 4)
+    return ast, (rng.uniform(-1.0, 1.0) if _node_count(ast) >= 2 else None)
+
+
+def _tame_attempts(rng: random.Random, count: int):
+    """Yield (attempt, ast, t0, jet) for the first ``count`` candidates the
+    tameness filter accepts, with the order-7 jet at t0 and ``attempt`` the
+    0-based index of the candidate among all those drawn."""
+    produced = attempts = 0
+    while produced < count:
+        attempts += 1
+        if attempts > 60 * count:
+            raise RuntimeError("expression generator rejection rate too high")
+        ast, t0 = _tame_candidate(rng)
+        if t0 is None:
+            continue
+        try:
+            jet = eval_jet(ast, {"t": Jet.variable(t0, 7)})
+        except Exception:
+            continue
+        if jet.is_finite() and all(abs(c) <= _TAME_COEFF_CAP for c in jet.coeffs):
+            produced += 1
+            yield attempts - 1, ast, t0, jet
+
+
 def random_expression_sample(rng: random.Random, count: int):
     """Yield (ast, t0, jet) triples accepted by the tameness filter.
 
     Leaf-only candidates are rejected too: every accepted expression
     composes at least two operations.
     """
-    produced = 0
-    attempts = 0
-    while produced < count:
-        attempts += 1
-        if attempts > 60 * count:
-            raise RuntimeError("expression generator rejection rate too high")
-        ast = _random_tame_expression(rng, 4)
-        if _node_count(ast) < 2:
-            continue
-        t0 = rng.uniform(-1.0, 1.0)
-        try:
-            jet = eval_jet(ast, {"t": Jet.variable(t0, 7)})
-        except Exception:
-            continue
-        if not jet.is_finite():
-            continue
-        if any(abs(c) > _TAME_COEFF_CAP for c in jet.coeffs):
-            continue
-        produced += 1
+    for _, ast, t0, jet in _tame_attempts(rng, count):
         yield ast, t0, jet
 
 
@@ -259,9 +269,20 @@ def random_expression_sample(rng: random.Random, count: int):
 _FD_CHECK_STEP = {1: 1e-5, 2: 1e-3, 3: 1e-2}
 
 
-def _fd_agreement(saved: random.Random, count: int) -> tuple:
+def _fd_agreement(saved: random.Random, accepted: list) -> tuple:
+    """The worst relative gap of the Richardson finite differences to jet
+    derivatives 1 to 3, over the accepted candidates of the tameness
+    filter, drawn again from ``saved``: ``accepted`` lists their attempt
+    indices, so only they are evaluated again."""
     worst = 0.0
-    for ast, t0, jet in random_expression_sample(copy(saved), count):
+    wanted = set(accepted)
+    rng = copy(saved)
+    for attempt in range(accepted[-1] + 1 if accepted else 0):
+        ast, t0 = _tame_candidate(rng)
+        if attempt not in wanted:
+            continue
+        jet = eval_jet(ast, {"t": Jet.variable(t0, 7)})
+
         def f(u, _ast=ast):
             return eval_float(_ast, {"t": u})
 
@@ -687,7 +708,8 @@ def run_checks(cfg: ToleranceConfig | None = None, samples: int = 1000) -> list[
     helix, ush, circle = curves["helix345"], curves["unit_helix"], curves["circle2"]
     fifth = max(2, samples // 5)
 
-    fd_draws = _replay(rng, random_expression_sample, samples)
+    fd_draws = copy(rng)
+    fd_accepted = [attempt for attempt, *_ in _tame_attempts(rng, samples)]
     jet_draws = _replay(rng, _jet_draws)
     # Later checks take their inputs from this stream position, 1650 draws
     # in, so their reported values stay comparable across suite versions.
@@ -709,7 +731,7 @@ def run_checks(cfg: ToleranceConfig | None = None, samples: int = 1000) -> list[
 
     # (rough cost in ms, check) in check order; the costs order the claims.
     tasks = [
-        (0.16 * samples, partial(_fd_agreement, fd_draws, samples)),
+        (0.16 * samples, partial(_fd_agreement, fd_draws, fd_accepted)),
         (20, partial(_jet_algebra, jet_draws)),
         (30, partial(_parser_failures, parser_draws)),
         (13, partial(_primitives, primitive_draws, smooth_gap)),

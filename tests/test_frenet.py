@@ -7,7 +7,7 @@ import struct
 
 import pytest
 
-from frenetlift.expr import BinOp, Call, CurveSpec, Num, UnknownVariable, Var
+from frenetlift.expr import BinOp, Call, CurveSpec, Num, UnknownVariable, Var, _linear
 from frenetlift.frenet import (
     DegenerateCurvature,
     DomainIntervalError,
@@ -28,7 +28,12 @@ from frenetlift.jets import (
     NonFiniteJet,
     RankDeficient,
     ZeroNorm,
+    _fdot,
     _pair_recurrence,
+    _pcross,
+    _pdot,
+    _preject,
+    _punit,
     fd_oracle,
     fnorm,
 )
@@ -129,7 +134,7 @@ def _shared_curve(rng):
 
 
 class TestCurveProgram:
-    """curve_point_jets runs the components as one jet program whose
+    """curve_point_jets runs the components as one generated function whose
     shared subexpressions run once per point; one tree walk per component
     stays the reference, bit for bit and error for error."""
 
@@ -160,10 +165,13 @@ class TestCurveProgram:
         ("(2 + 0.5*cos(3*t))*cos(2*t)", "(2 + 0.5*cos(3*t))*sin(2*t)", "0.5*sin(3*t)", 0.7,
          None),
         ("t*3", "3*t", "cos(t*3) - sin(3*t)", 0.25, None),
+        # A number divisor and a product with -0.0 keep the kernel's signed
+        # zeros, coefficient by coefficient.
+        ("t/5", "t*(-0.0)", "(t*(-0.0))/5 - t/(-5)", 0.5, None),
     ], ids=["first-in-x2", "division-first-in-x2", "sin-cos-overflow", "cos-first",
             "sin-cos", "sinh-cosh-overflow", "signed-zero-exponent", "torus-knot",
-            "scaled-either-side"])
-    @pytest.mark.parametrize("order", range(1, 7))
+            "scaled-either-side", "number-divisor-signed-zero"])
+    @pytest.mark.parametrize("order", range(1, 8))
     def test_edge_cases(self, x1, x2, x3, t, raised, order):
         # ``raised`` is the error at order 6.
         curve = CurveSpec.from_strings(x1, x2, x3, -2.0, 2.0)
@@ -209,10 +217,18 @@ class TestCurveProgram:
 
     def test_shared_work_runs_once_per_point(self, monkeypatch):
         # The torus knot shares its ring 2 + 0.5*cos(3*t) between x1 and
-        # x2, and takes sin and cos of 3*t and of 2*t: two recurrences and
-        # six products (two convolutions, four scalings) per point, where
-        # the components one by one take five and ten.
-        counts = {"recurrence": 0, "mul": 0}
+        # x2, and takes sin and cos of 3*t and of 2*t: its step list holds
+        # two sin/cos pairs, one recurrence each, and six products (two
+        # convolutions, four scalings), and a point makes two sin and two
+        # cos calls.  The components one by one take five recurrences and
+        # ten products.
+        entries = _linear(TORUS_KNOT.components).shape[:-1]
+        steps = [entry[0] for entry in entries]
+        sines, cosines = ({entry[2] for entry in entries if entry[0] == name}
+                          for name in ("sin", "cos"))
+        assert len(sines & cosines) == 2
+        assert steps.count("*") + steps.count("scale") == 6
+        counts = {"sin": 0, "cos": 0, "recurrence": 0, "mul": 0}
 
         def counted(name, fn):
             def run(*args):
@@ -220,14 +236,16 @@ class TestCurveProgram:
                 return fn(*args)
             return run
 
+        monkeypatch.setattr("frenetlift.expr.sin", counted("sin", math.sin))
+        monkeypatch.setattr("frenetlift.expr.cos", counted("cos", math.cos))
         monkeypatch.setattr("frenetlift.jets._pair_recurrence",
                             counted("recurrence", _pair_recurrence))
         monkeypatch.setattr(Jet, "__mul__", counted("mul", Jet.__mul__))
         curve_point_jets(TORUS_KNOT, 0.7)
-        assert counts == {"recurrence": 2, "mul": 6}
+        assert counts == {"sin": 2, "cos": 2, "recurrence": 0, "mul": 0}
         counts.update(recurrence=0, mul=0)
         _per_component_route(TORUS_KNOT, 0.7, 5)
-        assert counts == {"recurrence": 5, "mul": 10}
+        assert (counts["recurrence"], counts["mul"]) == (5, 10)
 
     def test_program_kept_per_curve_memo_per_point(self):
         curve = CurveSpec.from_strings("cos(t)", "sin(t)", "t", 0.0, 1.0)
@@ -544,6 +562,93 @@ def _from_derivatives(V1, V2, V3):
     """Order-5 point jets in R^3 whose first three derivatives at the point
     have the values V1, V2 and V3 (up to rounding of the coefficients)."""
     return tuple((0.0, a, b / 2, c / 6, 0.0, 0.0) for a, b, c in zip(V1, V2, V3))
+
+
+def _loop_frenet(pjets, m: int = 3, rank_tol: float = 1e-9):
+    """The Gram-Schmidt of generalized_frenet as a loop over the jets._p*
+    steps, as it ran before it was generated: (frame, chis, slopes, speed)."""
+    dim = len(pjets)
+    a = [None, [cs[1] for cs in pjets]]
+    for k in range(2, m + 2):
+        col = [k * cs[k] for cs in pjets]
+        for j in range(k - 1, 1, -1):
+            col = [j * x for x in col]
+        a.append(col)
+    speed_val = fnorm(a[1])
+    if speed_val < 1e-12:
+        raise ZeroSpeed(math.nan)
+    gs_count = 2 if (dim == 3 and m == 3) else m
+    values, slopes = [], []
+    for i in range(gs_count):
+        dv, dd = a[i + 1], a[i + 2]
+        uv, ud = dv, dd
+        for ev, ed in zip(values, slopes):
+            uv, ud = _preject(uv, ud, ev, ed, _pdot(uv, ud, ev, ed))
+        sq = _pdot(uv, ud, uv, ud)
+        ref_sq = _pdot(dv, dd, dv, dd)[0] if i else sq[0]
+        if sq[0] < rank_tol * rank_tol * max(1.0, ref_sq):
+            raise RankDeficient(i)
+        ev, ed = _punit(uv, ud, sq)
+        values.append(ev)
+        slopes.append(ed)
+    if gs_count < m:
+        ev, ed = _pcross(values[0], slopes[0], values[1], slopes[1])
+        values.append(ev)
+        slopes.append(ed)
+    chis = [_fdot(slopes[i], values[i + 1]) / speed_val for i in range(m - 1)]
+    return values, chis, slopes, speed_val
+
+
+def _frame_outcome(route):
+    """Every float of (frame, chis, slopes, speed) by float.hex, or the
+    error's type, message and index."""
+    try:
+        frame, chis, slopes, speed = route()
+    except (JetError, ZeroSpeed) as err:
+        return type(err), str(err), getattr(err, "index", None)
+    return ([[x.hex() for x in v] for v in frame], [x.hex() for x in chis],
+            [[x.hex() for x in d] for d in slopes], speed.hex())
+
+
+class TestGeneratedGramSchmidt:
+    """generalized_frenet's generated function gives the loop's bits and
+    errors, on seeded point jets in R^3 to R^6 with every frame size."""
+
+    EXTREMES = (1e154, -1e154, 3e153, 1e-160, -1e-160, 0.0, -0.0,
+                math.inf, -math.inf, math.nan)
+
+    def _point_jets(self, rng, dim, order):
+        rare = rng.choice((0.0, 0.05, 0.2))
+        pj = [[rng.choice(self.EXTREMES) if rng.random() < rare else rng.uniform(-2.0, 2.0)
+               for _ in range(order + 1)] for _ in range(dim)]
+        if rng.random() < 0.25:
+            # Derivative k a multiple of derivative j: rank deficient.
+            k = rng.randint(2, order)
+            j = rng.randint(1, k - 1)
+            c = rng.choice((1.0, -0.5, 1e-6))
+            for cs in pj:
+                cs[k] = c * cs[j]
+        return pj
+
+    def test_seeded_jets_match_loop(self):
+        rng = random.Random(20261022)
+        seen = set()
+        for _ in range(4000):
+            dim = rng.randint(3, 6)
+            m = rng.randint(2, dim)
+            pj = self._point_jets(rng, dim, m + rng.randint(1, 3))
+            rank_tol = rng.choice((1e-9, 1e-9, 0.0, 1e-3))
+            want = _frame_outcome(lambda: _loop_frenet(pj, m, rank_tol))
+
+            def generated():
+                gen = generalized_frenet(pj, m, rank_tol)
+                return gen.frame, gen.chis, gen.slopes, gen.speed
+
+            assert _frame_outcome(generated) == want
+            seen.add(want[0] if isinstance(want[0], type) else "values")
+            seen.add((dim, m))
+        assert {"values", RankDeficient, NonFiniteJet, ZeroSpeed} <= seen
+        assert {(dim, m) for dim in range(3, 7) for m in range(2, dim + 1)} <= seen
 
 
 class TestPairOracle:
